@@ -140,9 +140,12 @@ class FederationConfig:
 
     def __post_init__(self):
         for name in ("num_clients", "local_epochs", "embed_dim", "num_classes",
-                     "batch_nodes", "num_templates"):
+                     "batch_nodes", "num_templates", "sinkhorn_iters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("lr0", "lr_decay_steps", "sinkhorn_epsilon", "sinkhorn_tol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
         if self.embed_dim < self.num_classes:
@@ -372,6 +375,14 @@ def evaluate(state: ClientState, split: str, metric: str = "accuracy") -> float:
 
 def run_federation(cfg: FederationConfig, threads: int = 1) -> FederationResult:
     """Full federated run; deterministic for a seed at any thread count."""
+    workers = min(threads, cfg.num_clients)
+    if workers <= 1:
+        return _run_rounds(cfg, map)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return _run_rounds(cfg, pool.map)
+
+
+def _run_rounds(cfg: FederationConfig, map_clients) -> FederationResult:
     clients, anchors, templates, _ = setup_federation(cfg)
     records = []
     for round_idx in range(cfg.rounds):
@@ -383,11 +394,7 @@ def run_federation(cfg: FederationConfig, threads: int = 1) -> FederationResult:
                     f"client {state.client_id} failed at round {round_idx}: {exc}"
                 ) from exc
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(one, clients))
-        else:
-            results = [one(state) for state in clients]
+        results = list(map_clients(one, clients))
 
         for state, res in zip(clients, results):
             state.params = res.params

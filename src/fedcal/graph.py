@@ -1,8 +1,10 @@
 """Graph data model, client partitioning, synthetic generation, file I/O.
 
 A Graph is an undirected, unweighted node-attributed graph with optional
-train/val/test masks. Instances are treated as immutable after
-construction; all operations return new Graph values.
+train/val/test masks, its edges held in one symmetric scipy.sparse CSR
+adjacency that whole-graph operations work on by sparse algebra.
+Instances are treated as immutable after construction; all operations
+return new Graph values.
 
 File formats (plain text, `#` starts a comment line):
   edges     one ``u v`` pair per line, 0-based node ids
@@ -17,6 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import dijkstra
 
 __all__ = [
     "Graph",
@@ -36,8 +39,11 @@ __all__ = [
 
 @dataclass
 class Graph:
-    """One (sub)graph: features, labels, neighbor lists and split masks.
+    """One (sub)graph: features, labels, CSR adjacency and split masks.
 
+    ``adjacency`` is a symmetric n x n ``scipy.sparse`` CSR matrix of
+    ones with sorted, unique column indices and an empty diagonal, so
+    row v's index slice is the sorted neighbor list of node v.
     ``node_ids`` keeps the identity of each node in the graph it was
     induced from (arange(n) for a root graph), so overlapping clients can
     be compared and embeddings exported under stable ids.
@@ -45,7 +51,7 @@ class Graph:
 
     features: np.ndarray                 # (n, d0) float64
     labels: np.ndarray                   # (n,) int64, -1 = unlabeled
-    neighbors: tuple                     # per-node sorted unique int64 arrays
+    adjacency: sp.csr_matrix             # (n, n) symmetric 0/1, empty diagonal
     train_mask: np.ndarray               # (n,) bool
     val_mask: np.ndarray                 # (n,) bool
     test_mask: np.ndarray                # (n,) bool
@@ -54,6 +60,7 @@ class Graph:
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.adjacency = sp.csr_matrix(self.adjacency, dtype=np.float64)
         n = self.features.shape[0]
         if self.node_ids is None:
             self.node_ids = np.arange(n, dtype=np.int64)
@@ -71,14 +78,20 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return sum(len(nb) for nb in self.neighbors) // 2
+        return self.adjacency.nnz // 2
+
+    def neighbors(self, v: int) -> np.ndarray:
+        """Sorted neighbor ids of node v: a view of row v's CSR indices."""
+        a = self.adjacency
+        return a.indices[a.indptr[v]:a.indptr[v + 1]]
 
     def validate(self):
         n = self.num_nodes
         if self.labels.shape != (n,):
             raise ValueError("labels length must equal node count")
-        if len(self.neighbors) != n:
-            raise ValueError("neighbor list length must equal node count")
+        a = self.adjacency
+        if a.shape != (n, n):
+            raise ValueError("adjacency must be n x n for n nodes")
         for name in ("train_mask", "val_mask", "test_mask"):
             if getattr(self, name).shape != (n,):
                 raise ValueError(f"{name} length must equal node count")
@@ -93,37 +106,37 @@ class Graph:
             raise ValueError("train/val/test masks must be pairwise disjoint")
         if np.any(self.labels[self.train_mask] < 0):
             raise ValueError("every train-mask node must carry a label")
-        for v, nb in enumerate(self.neighbors):
-            if np.any(nb == v):
-                raise ValueError(f"self-loop at node {v}")
-            for u in nb:
-                if v not in self.neighbors[u]:
-                    raise ValueError(f"asymmetric edge {v}->{u}")
+        if not a.has_canonical_format or np.any(a.data != 1.0):
+            raise ValueError("adjacency must hold unique sorted entries equal to 1")
+        if a.diagonal().any():
+            raise ValueError(f"self-loop at node {np.flatnonzero(a.diagonal())[0]}")
+        asym = (a != a.T).tocoo()
+        if asym.nnz:
+            raise ValueError(f"asymmetric edge between {asym.row[0]} and {asym.col[0]}")
 
     @classmethod
     def from_edges(cls, features, labels, edges, train_mask=None,
                    val_mask=None, test_mask=None, node_ids=None) -> "Graph":
-        """Build a Graph from an iterable of (u, v) pairs.
+        """Build a Graph from an (m, 2) array-like of (u, v) pairs.
 
         Edges are symmetrized and deduplicated; self-loops are dropped.
         """
         features = np.asarray(features, dtype=np.float64)
         n = features.shape[0]
-        adj = [set() for _ in range(n)]
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                continue
-            adj[u].add(v)
-            adj[v].add(u)
-        neighbors = tuple(np.array(sorted(s), dtype=np.int64) for s in adj)
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        bad = np.nonzero(((edges < 0) | (edges >= n)).any(axis=1))[0]
+        if len(bad):
+            u, v = edges[bad[0]]
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        u, v = edges[edges[:, 0] != edges[:, 1]].T
+        adjacency = sp.csr_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
+        adjacency = adjacency + adjacency.T
+        adjacency.data[:] = 1.0                  # duplicates were summed
         zeros = np.zeros(n, dtype=bool)
         return cls(
             features=features,
             labels=np.asarray(labels, dtype=np.int64),
-            neighbors=neighbors,
+            adjacency=adjacency,
             train_mask=zeros.copy() if train_mask is None else train_mask,
             val_mask=zeros.copy() if val_mask is None else val_mask,
             test_mask=zeros.copy() if test_mask is None else test_mask,
@@ -150,16 +163,11 @@ class PartitionSpec:
 
 def induced_subgraph(g: Graph, nodes) -> Graph:
     """Subgraph on the given node list (original-order ids, deduplicated)."""
-    nodes = np.array(sorted(set(int(v) for v in nodes)), dtype=np.int64)
-    remap = {int(v): i for i, v in enumerate(nodes)}
-    neighbors = []
-    for v in nodes:
-        kept = [remap[int(u)] for u in g.neighbors[v] if int(u) in remap]
-        neighbors.append(np.array(sorted(kept), dtype=np.int64))
+    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
     return Graph(
         features=g.features[nodes].copy(),
         labels=g.labels[nodes].copy(),
-        neighbors=tuple(neighbors),
+        adjacency=g.adjacency[nodes][:, nodes],
         train_mask=g.train_mask[nodes].copy(),
         val_mask=g.val_mask[nodes].copy(),
         test_mask=g.test_mask[nodes].copy(),
@@ -167,26 +175,12 @@ def induced_subgraph(g: Graph, nodes) -> Graph:
     )
 
 
-def _multi_source_hop_distances(g: Graph, sources) -> np.ndarray:
-    dist = np.full(g.num_nodes, np.iinfo(np.int64).max, dtype=np.int64)
-    queue = deque()
-    for s in sources:
-        dist[s] = 0
-        queue.append(int(s))
-    while queue:
-        v = queue.popleft()
-        for u in g.neighbors[v]:
-            if dist[u] > dist[v] + 1:
-                dist[u] = dist[v] + 1
-                queue.append(int(u))
-    return dist
-
-
 def _farthest_point_seeds(g: Graph, m: int, rng: np.random.Generator) -> list:
     """m seed nodes: one random, the rest maximizing hop distance to chosen seeds."""
     seeds = [int(rng.integers(g.num_nodes))]
     while len(seeds) < m:
-        dist = _multi_source_hop_distances(g, seeds)
+        # unreachable nodes are at distance inf, so argmax takes the first of them
+        dist = dijkstra(g.adjacency, indices=seeds, unweighted=True, min_only=True)
         seeds.append(int(np.argmax(dist)))
     return seeds
 
@@ -213,7 +207,7 @@ def partition_nonoverlapping(g: Graph, spec: PartitionSpec):
     for p, s in enumerate(seeds):
         owner[s] = p
         sizes[p] = 1
-        frontiers[p].extend(int(u) for u in g.neighbors[s])
+        frontiers[p].extend(int(u) for u in g.neighbors(s))
     scan = 0                                     # pointer for teleport fallback
     remaining = n - m
     while remaining > 0:
@@ -231,7 +225,7 @@ def partition_nonoverlapping(g: Graph, spec: PartitionSpec):
         owner[v] = p
         sizes[p] += 1
         remaining -= 1
-        frontiers[p].extend(int(u) for u in g.neighbors[v] if owner[u] < 0)
+        frontiers[p].extend(int(u) for u in g.neighbors(v) if owner[u] < 0)
 
     # balance band: +-20% of the ideal size, widened just enough to keep
     # the perfectly balanced sizes floor(n/m)/ceil(n/m) always feasible
@@ -239,11 +233,8 @@ def partition_nonoverlapping(g: Graph, spec: PartitionSpec):
     lo = min(int(np.ceil(0.8 * target)), n // m)
     hi = max(int(np.floor(1.2 * target)), -(-n // m))
     for v in range(n):
-        nb = g.neighbors[v]
-        if len(nb) == 0:
-            continue
         cur = int(owner[v])
-        counts = np.bincount(owner[nb], minlength=m)
+        counts = np.bincount(owner[g.neighbors(v)], minlength=m)
         best = int(np.argmax(counts))
         if best != cur and counts[best] > counts[cur]:
             if sizes[cur] - 1 >= lo and sizes[best] + 1 <= hi:
@@ -306,7 +297,7 @@ def generate_sbm(n: int, num_classes: int, p_in: float, p_out: float,
     iu, ju = np.triu_indices(n, k=1)
     prob = np.where(labels[iu] == labels[ju], p_in, p_out)
     keep = rng.random(iu.size) < prob
-    edges = zip(iu[keep].tolist(), ju[keep].tolist())
+    edges = np.column_stack([iu[keep], ju[keep]])
 
     means = rng.standard_normal((num_classes, feat_dim))
     means /= np.linalg.norm(means, axis=1, keepdims=True)
@@ -316,13 +307,11 @@ def generate_sbm(n: int, num_classes: int, p_in: float, p_out: float,
 
 def edge_homophily(g: Graph) -> float:
     """Fraction of edges joining same-class nodes (labeled endpoints only)."""
-    same = total = 0
-    for v, nb in enumerate(g.neighbors):
-        for u in nb:
-            if u <= v or g.labels[u] < 0 or g.labels[v] < 0:
-                continue
-            total += 1
-            same += int(g.labels[u] == g.labels[v])
+    upper = sp.triu(g.adjacency, k=1, format="coo")
+    lu, lv = g.labels[upper.row], g.labels[upper.col]
+    labeled = (lu >= 0) & (lv >= 0)
+    total = int(labeled.sum())
+    same = int((lu[labeled] == lv[labeled]).sum())
     return same / total if total else 0.0
 
 
@@ -400,17 +389,12 @@ def load_graph(edges_path, features_path, labels_path, num_classes=None) -> Grap
 
 def save_graph_files(g: Graph, edges_path, features_path, labels_path):
     """Write a graph in the text format load_graph reads."""
-    with open(edges_path, "w", encoding="utf-8") as fh:
-        for v, nb in enumerate(g.neighbors):
-            for u in nb:
-                if v < u:
-                    fh.write(f"{v} {u}\n")
+    upper = sp.triu(g.adjacency, k=1, format="coo")    # row-major order
+    np.savetxt(edges_path, np.column_stack([upper.row, upper.col]), fmt="%d")
     with open(features_path, "w", encoding="utf-8") as fh:
         for row in g.features:
             fh.write(" ".join(repr(float(x)) for x in row) + "\n")
-    with open(labels_path, "w", encoding="utf-8") as fh:
-        for lab in g.labels:
-            fh.write(f"{int(lab)}\n")
+    np.savetxt(labels_path, g.labels, fmt="%d")
 
 
 def split_masks(g: Graph, ratios=(0.2, 0.4, 0.4), seed=0) -> Graph:
@@ -447,33 +431,35 @@ def split_masks(g: Graph, ratios=(0.2, 0.4, 0.4), seed=0) -> Graph:
     )
 
 
+def _row_means(pattern: sp.csr_matrix, fallback: sp.csr_matrix) -> sp.csr_matrix:
+    """Mean operator over each row of a 0/1 CSR pattern; empty rows copy fallback."""
+    counts = np.diff(pattern.indptr)
+    means = pattern.copy()
+    means.data = np.repeat(1.0 / np.maximum(counts, 1), counts)
+    return means + (sp.diags((counts == 0) * 1.0) @ fallback).sorted_indices()
+
+
 class HopAggregator:
     """Sparse ring-mean operators for one graph, built once and reused.
 
-    hop1 rows average the 1-hop neighbor values (the node's own row if it
-    has no neighbors); hop2 rows average the 1-hop and exact-2-hop ring
-    means, the 2-hop mean falling back to the 1-hop aggregate when that
-    ring is empty. Both operators are constants of the graph, so
-    gradients flow through them as fixed linear maps.
+    m1 is the CSR adjacency A row-normalized, with the identity row for an
+    isolated node, so hop1 rows average the 1-hop neighbor values. The
+    exact-2-hop ring is the pattern of (A + I)^2 minus that of A + I;
+    row-normalized into a2, an empty ring falling back to the m1 row, it
+    gives m2 = (m1 + a2) / 2, the mean of the 1-hop and 2-hop ring means.
+    Both operators are constants of the graph, so gradients flow through
+    them as fixed linear maps.
     """
 
     def __init__(self, g: Graph):
-        n = g.num_nodes
-        a1 = sp.lil_matrix((n, n))
-        a2 = sp.lil_matrix((n, n))
-        for v in range(n):
-            one = g.neighbors[v]
-            if len(one):
-                a1[v, one] = 1.0 / len(one)
-            else:
-                a1[v, v] = 1.0
-            two = k_hop_sets(g, v, 2)
-            if len(two):
-                a2[v, two] = 1.0 / len(two)
-            else:
-                a2[v] = a1[v]
-        self.m1 = a1.tocsr()
-        self.m2 = (0.5 * (a1 + a2)).tocsr()
+        a = g.adjacency
+        eye = sp.identity(g.num_nodes, format="csr")
+        near = a + eye
+        within2 = (near @ near).sorted_indices()
+        within2.data[:] = 1.0
+        ring2 = within2 - near                   # exact zeros are not stored
+        self.m1 = _row_means(a, eye)
+        self.m2 = 0.5 * (self.m1 + _row_means(ring2, self.m1))
         self.m1t = self.m1.T.tocsr()
         self.m2t = self.m2.T.tocsr()
 
@@ -491,13 +477,13 @@ def k_hop_sets(g: Graph, v: int, k: int) -> np.ndarray:
     if not (0 <= v < g.num_nodes):
         raise ValueError(f"node {v} out of range")
     if k == 1:
-        return g.neighbors[v].copy()
+        return np.array(g.neighbors(v), dtype=np.int64)
     if k != 2:
         raise ValueError("only k in {1, 2} is supported")
-    one = set(int(u) for u in g.neighbors[v])
+    one = set(int(u) for u in g.neighbors(v))
     two = set()
     for u in one:
-        two.update(int(w) for w in g.neighbors[u])
+        two.update(int(w) for w in g.neighbors(u))
     two.discard(v)
     two -= one
     return np.array(sorted(two), dtype=np.int64)

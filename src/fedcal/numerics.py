@@ -1,9 +1,9 @@
 """Dense linear algebra and scalar helpers shared by every other module.
 
 Matrices are plain 2-D float64 numpy arrays (row-major). Every public
-operation validates finiteness on the way in, so NaN/Inf never escapes
-silently. Everything here is a pure function and safe to call from
-concurrent client threads.
+operation but logsumexp (its inputs may hold -inf) validates finiteness
+on the way in, so NaN/Inf never escapes silently. Everything here is a
+pure function and safe to call from concurrent client threads.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ __all__ = [
     "svd",
     "softmax",
     "l2_normalize_rows",
+    "logsumexp",
     "random_orthogonal",
 ]
 
@@ -34,7 +35,7 @@ def _as_finite_matrix(m, name: str = "m") -> np.ndarray:
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"{name} must be a 2-D matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
@@ -84,11 +85,20 @@ def l2_normalize_rows(m) -> np.ndarray:
     aggregates and must not abort training.
     """
     a = _as_finite_matrix(m)
-    out = a.copy()
-    norms = np.linalg.norm(a, axis=1)
-    nz = norms > 0.0
-    out[nz] = a[nz] / norms[nz, None]
-    return out
+    norms = np.sqrt(np.add.reduce(a * a, axis=1))    # np.linalg.norm(a, axis=1)
+    return np.divide(a, norms[:, None], out=a.copy(), where=norms[:, None] > 0.0)
+
+
+def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """``scipy.special.logsumexp(a, axis)`` for real a, bit for bit: the same
+    steps without SciPy's array-API dispatch, which outweighs the arithmetic."""
+    a_max = np.max(a, axis=axis, keepdims=True)
+    count = (a == a_max).sum(axis=axis, keepdims=True, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rest = np.exp(np.where(a == a_max, -np.inf, a) - a_max).sum(axis, keepdims=True)
+        out = np.log1p(np.where(rest == 0, rest, rest / count)) + np.log(count) + a_max
+        out = np.where(np.isfinite(out), out, np.log(np.exp(a).sum(axis, keepdims=True)))
+    return np.squeeze(out, axis=axis)
 
 
 def random_orthogonal(d: int, seed) -> np.ndarray:

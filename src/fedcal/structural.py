@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .graph import Graph, HopAggregator, k_hop_sets
-from .numerics import l2_normalize_rows
+from .numerics import l2_normalize_rows, logsumexp
 
 __all__ = [
     "RadialSequence",
@@ -97,7 +96,7 @@ def radial_sequence(g: Graph, ego: np.ndarray, node: int) -> RadialSequence:
     1-hop aggregate and an empty 1-hop ring reuses the node's own ego
     row. Zero rows stay zero after normalization.
     """
-    one = g.neighbors[node]
+    one = g.neighbors(node)
     agg1 = ego[one].mean(axis=0) if len(one) else ego[node].copy()
     two = k_hop_sets(g, node, 2)
     agg2 = ego[two].mean(axis=0) if len(two) else agg1
@@ -107,11 +106,8 @@ def radial_sequence(g: Graph, ego: np.ndarray, node: int) -> RadialSequence:
 
 def radial_sequences_from_rings(hop1: np.ndarray, hop2: np.ndarray, batch):
     """Radial sequences for a node batch from precomputed ring means."""
-    out = []
-    for b in batch:
-        rows = np.vstack([hop1[b], hop2[b]])
-        out.append(RadialSequence(rows=l2_normalize_rows(rows), anchor_node=int(b)))
-    return out
+    pairs = np.stack([hop1[batch], hop2[batch]], axis=1)          # (B, 2, d)
+    return [RadialSequence(l2_normalize_rows(r), int(b)) for r, b in zip(pairs, batch)]
 
 
 def _pair_costs(a: np.ndarray, b: np.ndarray):
@@ -172,6 +168,8 @@ def sinkhorn_match(radials, templates: StructuralTemplates, epsilon: float = 0.0
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    if max_iters < 1 or tol <= 0:
+        raise ValueError(f"need max_iters >= 1 and tol > 0, got {max_iters}, {tol}")
     nb = len(radials)
     nq = templates.count
     if nb == 0:
@@ -254,16 +252,14 @@ def structural_loss_ego(g: Graph, ego: np.ndarray, matching: MatchingMatrix,
     radials = radial_sequences_from_rings(hop1, hop2, batch)
     loss, grad_rows = structural_loss(matching, radials, templates)
 
-    g_hop1 = np.zeros_like(hop1)
-    g_hop2 = np.zeros_like(hop2)
-    for i, b in enumerate(batch):
-        for ring, store in ((0, g_hop1), (1, g_hop2)):
-            h = hop1[b] if ring == 0 else hop2[b]
-            norm = np.linalg.norm(h)
-            if norm == 0.0:
-                continue
-            r = h / norm
-            gr = grad_rows[i, ring]
-            store[b] += (gr - np.dot(gr, r) * r) / norm
-    grad_ego = agg.backward(g_hop1, g_hop2)
-    return loss, grad_ego
+    # d(h/|h|) = (g - (g.r) r) / |h| per nonzero ring row, by np.linalg.norm's row dots
+    batch = np.asarray(batch, dtype=np.int64)
+    raw = np.stack([hop1[batch], hop2[batch]], axis=1).reshape(-1, hop1.shape[1])
+    norms = np.array([np.sqrt(h.dot(h)) for h in raw])
+    live = norms != 0.0
+    unit, grads = raw[live] / norms[live, None], grad_rows.reshape(raw.shape)[live]
+    along = np.array([gr.dot(r) for gr, r in zip(grads, unit)])
+    g_hop = np.zeros((2,) + hop1.shape)
+    np.add.at(g_hop, (np.tile([0, 1], len(batch))[live], np.repeat(batch, 2)[live]),
+              (grads - along[:, None] * unit) / norms[live, None])
+    return loss, agg.backward(g_hop[0], g_hop[1])

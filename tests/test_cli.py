@@ -13,6 +13,7 @@ from fedcal.cli import (
 )
 from fedcal.model import init_params
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SMOKE = """
 # smoke-test configuration
 federation.clients = 3
@@ -136,6 +137,15 @@ class TestGenData:
             b = open(os.path.join(out2, name), "rb").read()
             assert a == b
 
+    def test_benchmark_config_reproduces_committed_data(self, tmp_path):
+        out = str(tmp_path / "d")
+        config = os.path.join(REPO, "configs", "benchmark.cfg")
+        assert main(["gen-data", "--config", config, "--out", out]) == 0
+        for name in ("edges.txt", "features.txt", "labels.txt"):
+            a = open(os.path.join(out, name), "rb").read()
+            b = open(os.path.join(REPO, "data", "bench-demo", name), "rb").read()
+            assert a == b, name
+
 
 class TestRunCommand:
     def test_smoke_run_artifacts(self, smoke_cfg, tmp_path):
@@ -157,6 +167,21 @@ class TestRunCommand:
         )
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.parametrize("line, setting", [
+        ("sinkhorn.max_iters = 0", "sinkhorn_iters"),
+        ("sinkhorn.tol = -1", "sinkhorn_tol"),
+        ("sinkhorn.epsilon = 0", "sinkhorn_epsilon"),
+        ("train.lr0 = -1", "lr0"),
+        ("train.lr_decay_steps = 0", "lr_decay_steps"),
+    ])
+    def test_out_of_range_setting_fails_before_work(self, tmp_path, capsys, line, setting):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SMOKE + line + "\n")
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert setting in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_override_recorded(self, smoke_cfg, tmp_path):
         out = str(tmp_path / "run")
@@ -243,6 +268,17 @@ class TestReportCommand:
 
 
 class TestIdempotence:
+    def test_smoke_config_reproduces_committed_run(self, tmp_path):
+        out = str(tmp_path / "run")
+        config = os.path.join(REPO, "configs", "smoke.cfg")
+        assert main(["run", "--config", config, "--out", out]) == 0
+        names = ["history.csv", "summary.json", "config.resolved"]
+        names += [os.path.join("models", f"client_{c}.txt") for c in range(3)]
+        for name in names:
+            a = open(os.path.join(out, name), "rb").read()
+            b = open(os.path.join(REPO, "runs", "smoke-demo", name), "rb").read()
+            assert a == b, name
+
     def test_run_byte_identical_given_seed(self, smoke_cfg, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         main(["run", "--config", smoke_cfg, "--out", out1])

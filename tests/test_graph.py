@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fedcal.graph import (
     Graph,
+    HopAggregator,
     PartitionSpec,
     edge_homophily,
     generate_sbm,
@@ -22,13 +24,48 @@ def path_graph(n, feat_dim=2):
     return Graph.from_edges(feats, np.zeros(n, dtype=int), edges)
 
 
+def direct_graph(adjacency):
+    n = adjacency.shape[0]
+    no = np.zeros(n, dtype=bool)
+    return Graph(np.zeros((n, 1)), np.zeros(n, dtype=int), adjacency, no, no, no)
+
+
 class TestGraphInvariants:
     def test_from_edges_normalizes(self):
         g = Graph.from_edges(
-            np.zeros((3, 1)), [0, 1, -1], [(0, 1), (1, 0), (2, 2), (1, 2)]
+            np.zeros((3, 1)), [0, 1, -1], [(0, 1), (1, 0), (2, 2), (1, 2), (0, 1)]
         )
-        assert list(g.neighbors[1]) == [0, 2]
-        assert list(g.neighbors[2]) == [1]  # self-loop dropped
+        assert list(g.neighbors(1)) == [0, 2]
+        assert list(g.neighbors(2)) == [1]  # self-loop dropped
+        assert g.num_edges == 2  # duplicate and reversed edges counted once
+
+    def test_from_edges_empty_edge_list(self):
+        g = Graph.from_edges(np.zeros((4, 1)), np.zeros(4, dtype=int), [])
+        assert g.num_edges == 0
+        assert g.adjacency.shape == (4, 4)
+        assert all(len(g.neighbors(v)) == 0 for v in range(4))
+
+    def test_from_edges_names_out_of_range_edge(self):
+        with pytest.raises(ValueError, match=r"edge \(2, 5\) out of range for n=3"):
+            Graph.from_edges(np.zeros((3, 1)), [0, 0, 0], [(0, 1), (2, 5), (-1, 0)])
+
+    def test_rejects_asymmetric_adjacency(self):
+        adjacency = sp.csr_matrix(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
+        with pytest.raises(ValueError, match="asymmetric edge"):
+            direct_graph(adjacency)
+
+    def test_rejects_self_loop(self):
+        adjacency = sp.csr_matrix(np.array([[0, 1, 0], [1, 1, 0], [0, 0, 0]]))
+        with pytest.raises(ValueError, match="self-loop at node 1"):
+            direct_graph(adjacency)
+
+    def test_direct_graph_matches_from_edges(self):
+        adjacency = sp.csr_matrix(np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]]))
+        g = direct_graph(adjacency)
+        h = Graph.from_edges(np.zeros((3, 1)), [0, 0, 0], [(0, 1), (2, 0)])
+        assert (g.adjacency != h.adjacency).nnz == 0
+        assert list(g.neighbors(0)) == [1, 2]
+        assert g.num_edges == h.num_edges == 2
 
     def test_rejects_overlapping_masks(self):
         m = np.array([True, False])
@@ -138,7 +175,7 @@ class TestGenerateSbm:
     def test_extreme_probabilities_give_two_cliques(self):
         g = generate_sbm(20, 2, 1.0, 0.0, 2, 1.0, seed=0)
         for v in range(20):
-            for u in g.neighbors[v]:
+            for u in g.neighbors(v):
                 assert g.labels[u] == g.labels[v]
         # each class of 10 nodes forms a clique
         assert g.num_edges == 2 * (10 * 9 // 2)
@@ -182,7 +219,7 @@ class TestFilesAndSplits:
         assert np.allclose(loaded.features, g.features)
         assert np.array_equal(loaded.labels, g.labels)
         for v in range(30):
-            assert np.array_equal(loaded.neighbors[v], g.neighbors[v])
+            assert np.array_equal(loaded.neighbors(v), g.neighbors(v))
 
     def test_parse_error_carries_line_number(self, tmp_path):
         (tmp_path / "x.txt").write_text("1.0 2.0\n1.0 bad\n")
@@ -270,7 +307,7 @@ class TestKHopSets:
             for level in range(1, k + 1):
                 nxt = []
                 for node in frontier:
-                    for u in g.neighbors[node]:
+                    for u in g.neighbors(node):
                         if int(u) not in dist:
                             dist[int(u)] = level
                             nxt.append(int(u))
@@ -288,3 +325,46 @@ class TestKHopSets:
             two = set(k_hop_sets(g, v, 2).tolist())
             assert not (two & one)
             assert v not in two
+
+
+def ring_cases(seed):
+    """A sparse SBM plus a lone pair, a triangle and an isolated node."""
+    sbm = generate_sbm(60, 3, 0.04, 0.01, 2, 1.0, seed=seed)
+    edges = [(v, int(u)) for v in range(60) for u in sbm.neighbors(v) if v < u]
+    edges += [(60, 61), (62, 63), (63, 64), (62, 64)]
+    return Graph.from_edges(np.zeros((66, 1)), np.zeros(66, dtype=int), edges)
+
+
+def reference_operators(g):
+    """Dense (m1, m2) built node by node from k_hop_sets."""
+    n = g.num_nodes
+    m1 = np.zeros((n, n))
+    a2 = np.zeros((n, n))
+    for v in range(n):
+        one = k_hop_sets(g, v, 1)
+        if len(one):
+            m1[v, one] = 1.0 / len(one)
+        else:
+            m1[v, v] = 1.0
+        two = k_hop_sets(g, v, 2)
+        if len(two):
+            a2[v, two] = 1.0 / len(two)
+        else:
+            a2[v] = m1[v]
+    return m1, 0.5 * (m1 + a2)
+
+
+class TestHopAggregator:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_operators_equal_k_hop_reference(self, seed):
+        g = ring_cases(seed)
+        degree = np.array([len(g.neighbors(v)) for v in range(g.num_nodes)])
+        no_ring2 = np.array([len(k_hop_sets(g, v, 2)) == 0 for v in range(g.num_nodes)])
+        assert (degree == 0).any() and (degree == 1).any()
+        assert (no_ring2 & (degree > 0)).any()
+        agg = HopAggregator(g)
+        m1, m2 = reference_operators(g)
+        assert np.array_equal(agg.m1.toarray(), m1)
+        assert np.array_equal(agg.m2.toarray(), m2)
+        assert np.array_equal(agg.m1t.toarray(), m1.T)
+        assert np.array_equal(agg.m2t.toarray(), m2.T)

@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedcal.numerics import l2_normalize_rows, random_orthogonal, softmax, svd
+from scipy.special import logsumexp as scipy_logsumexp
+
+from fedcal.numerics import (
+    l2_normalize_rows,
+    logsumexp,
+    random_orthogonal,
+    softmax,
+    svd,
+)
 
 
 class TestSvd:
@@ -122,6 +130,38 @@ class TestL2NormalizeRows:
         rng = np.random.default_rng(0)
         out = l2_normalize_rows(rng.standard_normal((10, 6)))
         assert np.abs(np.linalg.norm(out, axis=1) - 1).max() <= 1e-12
+
+    def test_equals_linalg_norm_division_bitwise(self):
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((40, 8)) * rng.uniform(0.01, 100, (40, 1))
+        m[[5, 17]] = 0.0
+        norms = np.linalg.norm(m, axis=1)
+        expected = m.copy()
+        expected[norms > 0] = m[norms > 0] / norms[norms > 0, None]
+        assert np.array_equal(l2_normalize_rows(m), expected)
+
+
+class TestLogsumexp:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_scipy(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((int(rng.integers(1, 40)), int(rng.integers(1, 6))))
+        a *= rng.choice([0.1, 1.0, 50.0, 2000.0])
+        if seed % 3 == 0:
+            a = np.round(a)                       # tied maxima
+        if seed % 4 == 0:
+            a[rng.random(a.shape) < 0.3] = -np.inf
+        for axis in (0, 1):
+            ours = logsumexp(a, axis=axis)
+            ref = scipy_logsumexp(a, axis=axis)
+            assert ours.shape == ref.shape
+            assert ours.tobytes() == ref.tobytes()
+
+    def test_all_minus_inf_slice(self):
+        a = np.array([[-np.inf, -np.inf], [0.0, -np.inf]])
+        assert np.array_equal(logsumexp(a, axis=1), [-np.inf, 0.0])
+        assert np.array_equal(logsumexp(a, axis=0), [0.0, -np.inf])
 
 
 class TestRandomOrthogonal:

@@ -224,6 +224,13 @@ class TestSinkhorn:
         with pytest.raises(ValueError):
             sinkhorn_match(radials, templates, epsilon=0.0)
 
+    @pytest.mark.parametrize("bad", [{"max_iters": 0}, {"tol": 0.0}, {"tol": -1.0}])
+    def test_rejects_bad_stopping_rule(self, bad):
+        radials = random_radials(2, 3, seed=9)
+        templates = init_templates(2, 3, seed=9)
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            sinkhorn_match(radials, templates, **bad)
+
 
 class TestStructuralLoss:
     def test_zero_at_hard_assigned_templates(self):
@@ -296,3 +303,30 @@ class TestStructuralLossEgo:
             if abs(num) < 1e-12 and abs(grad[i, j]) < 1e-12:
                 continue
             assert abs(num - grad[i, j]) / max(abs(num), abs(grad[i, j]), 1e-8) <= 1e-4
+
+    def test_equals_per_node_reference(self):
+        # isolated nodes with zero ego rows give zero rings; node 3 appears twice
+        g = generate_sbm(30, 2, 0.15, 0.05, 3, 1.0, seed=21)
+        ego = np.random.default_rng(21).standard_normal((30, 5))
+        agg = HopAggregator(g)
+        isolated = [v for v in range(30) if len(g.neighbors(v)) == 0]
+        ego[isolated + [0]] = 0.0
+        templates = init_templates(3, 5, seed=21)
+        batch = np.array(isolated + [3, 0, 7, 3, 12], dtype=np.int64)
+        hop1, hop2 = agg.rings(ego)
+        match = sinkhorn_match(radial_sequences_from_rings(hop1, hop2, batch), templates)
+        loss, grad = structural_loss_ego(g, ego, match, batch, templates, agg)
+
+        ref_loss, grad_rows = structural_loss(
+            match, radial_sequences_from_rings(hop1, hop2, batch), templates)
+        g_hop1, g_hop2 = np.zeros_like(hop1), np.zeros_like(hop2)
+        for i, b in enumerate(batch):
+            for ring, h, store in ((0, hop1[b], g_hop1), (1, hop2[b], g_hop2)):
+                norm = np.linalg.norm(h)
+                if norm == 0.0:
+                    continue
+                r = h / norm
+                gr = grad_rows[i, ring]
+                store[b] += (gr - np.dot(gr, r) * r) / norm
+        assert loss == ref_loss
+        assert np.array_equal(grad, agg.backward(g_hop1, g_hop2))
