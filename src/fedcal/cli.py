@@ -254,6 +254,8 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     cfg = build_run_config(parse_config_file(args.config))
     ablate = tuple(args.ablate or ())
     fed = cfg.federation_config(seed=args.seed, ablate=ablate)

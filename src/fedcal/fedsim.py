@@ -113,6 +113,9 @@ class DatasetSpec:
             ]
             if missing:
                 raise ValueError(f"files dataset needs {', '.join(missing)}")
+        if len(self.split) != 3 or min(self.split) < 0 or sum(self.split) > 1.0 + 1e-12:
+            raise ValueError(f"split must be three non-negative ratios summing to at "
+                             f"most 1, got {tuple(self.split)}")
 
 
 @dataclass
@@ -165,8 +168,6 @@ class ClientState:
     agg: HopAggregator
     params: ModelParams
     rotation: CalibrationRotation = None
-    batch: np.ndarray = None
-    matching: MatchingMatrix = None
 
 
 @dataclass
@@ -257,8 +258,6 @@ def setup_federation(cfg: FederationConfig):
 class ClientRoundResult:
     params: ModelParams
     rotation: CalibrationRotation
-    batch: np.ndarray
-    matching: MatchingMatrix
     semantic_report: SemanticReport
     structural_report: StructuralReport
     ce: float
@@ -326,13 +325,14 @@ def run_client_round(state: ClientState, anchors: EtfAnchors,
         structural_report = StructuralReport(radials=final_radials, matching=matching)
     else:
         structural_report = StructuralReport(
-            radials=[], matching=MatchingMatrix(f=np.zeros((0, cfg.num_templates)))
+            radials=np.zeros((0, 2, cfg.embed_dim)),
+            matching=MatchingMatrix(f=np.zeros((0, cfg.num_templates))),
         )
 
     val = _metric_from_logits(final_cache.logits, g, "val", cfg.task_metric)
     test = _metric_from_logits(final_cache.logits, g, "test", cfg.task_metric)
     return ClientRoundResult(
-        params=params, rotation=rotation, batch=batch, matching=matching,
+        params=params, rotation=rotation,
         semantic_report=semantic_report, structural_report=structural_report,
         ce=ce, sem=sem, stru=stru, val_metric=val, test_metric=test,
         epoch_losses=epoch_losses,
@@ -399,8 +399,6 @@ def _run_rounds(cfg: FederationConfig, map_clients) -> FederationResult:
         for state, res in zip(clients, results):
             state.params = res.params
             state.rotation = res.rotation
-            state.batch = res.batch
-            state.matching = res.matching
 
         sem_reports = [r.semantic_report for r in results]
         str_reports = [r.structural_report for r in results]

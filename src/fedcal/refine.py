@@ -21,7 +21,7 @@ import numpy as np
 
 from .numerics import softmax
 from .semantic import EtfAnchors
-from .structural import MatchingMatrix, RadialSequence, StructuralTemplates
+from .structural import MatchingMatrix, StructuralTemplates
 
 log = logging.getLogger(__name__)
 
@@ -52,9 +52,14 @@ class SemanticReport:
 
 @dataclass
 class StructuralReport:
-    """Client upload: sampled radial sequences and their matching matrix."""
+    """Client upload: sampled radial sequences and their matching matrix.
 
-    radials: list
+    radials is the (B, 2, d) float64 batch the client matched; matching.f
+    is its B x Q assignment. A client without the structural term uploads
+    B = 0.
+    """
+
+    radials: np.ndarray
     matching: MatchingMatrix
 
 
@@ -63,7 +68,7 @@ class RefineConfig:
     tau: float = 1.0        # difficulty-weight temperature
     eta: float = 0.1        # max anchor step (chord length)
     eps: float = 1e-8       # division guard in the step clip
-    gw_lr: float = 1.0      # reserved; the template solve is closed-form
+    gw_lr: float = 1.0      # reserved; the scale comes from golden-section search
     gw_iters: int = 200     # golden-section iterations for the scale search
 
     def __post_init__(self):
@@ -191,21 +196,13 @@ def _gw_values(alphas, beta: float) -> np.ndarray:
     The coupling polytope is the one-parameter family T(t), t in [0, 1/2],
     and the transport cost is the quadratic
         (alpha^2 + beta^2)/2 - 4 alpha beta (t^2 + (1/2 - t)^2),
-    minimized in closed form: concave in t for alpha*beta >= 0 (always,
-    distances being non-negative) so a boundary coupling wins; the
-    clipped vertex t=1/4 covers the convex branch.
+    concave in t because distances are non-negative (alpha * beta >= 0).
+    A boundary coupling t in {0, 1/2} therefore wins, giving
+    (alpha^2 + beta^2)/2 - alpha beta = (alpha - beta)^2 / 2 in closed
+    form; the clip at zero absorbs rounding.
     """
     alphas = np.asarray(alphas, dtype=np.float64)
-    base = (alphas ** 2 + beta ** 2) / 2.0
-    boundary = base - alphas * beta            # s = 1/4 at t in {0, 1/2}
-    vertex = base - alphas * beta / 2.0        # s = 1/8 at t = 1/4
-    concave = alphas * beta >= 0.0
-    best = np.where(concave, boundary, np.minimum(boundary, vertex))
-    return np.maximum(best, 0.0)
-
-
-def _gw_value(alpha: float, beta: float) -> float:
-    return float(_gw_values(np.array([alpha]), beta)[0])
+    return np.maximum((alphas ** 2 + beta ** 2) / 2.0 - alphas * beta, 0.0)
 
 
 def gw_2point(a, b) -> float:
@@ -216,19 +213,20 @@ def gw_2point(a, b) -> float:
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    return _gw_value(_intra_distance(a), _intra_distance(b))
+    return float(_gw_values([_intra_distance(a)], _intra_distance(b))[0])
 
 
 def _collect_assignments(structural_reports, q: int):
-    """Weights and intra-distances of every radial assigned to template q."""
-    weights, alphas, rows = [], [], []
-    for rep in structural_reports:
-        f = rep.matching.f
-        for i, rad in enumerate(rep.radials):
-            weights.append(float(f[i, q]))
-            alphas.append(_intra_distance(rad.rows))
-            rows.append(rad.rows)
-    return np.array(weights), np.array(alphas), rows
+    """Weights, intra-distances and (N, 2, d) rows of all reported radials.
+
+    The intra-distances are np.linalg.norm's sqrt of a row dot, taken as
+    stacked (1 x d) @ (d x 1) products.
+    """
+    weights = np.concatenate([rep.matching.f[:, q] for rep in structural_reports])
+    rows = np.concatenate([rep.radials for rep in structural_reports])
+    diff = rows[:, 0] - rows[:, 1]
+    alphas = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+    return weights, alphas, rows
 
 
 def template_objective(structural_reports, q: int, template_rows: np.ndarray) -> float:
@@ -260,7 +258,7 @@ def _golden_section(fn, lo: float, hi: float, iters: int) -> float:
 
 
 def update_template(q: int, structural_reports, templates: StructuralTemplates,
-                    cfg: RefineConfig, rng=None) -> np.ndarray:
+                    cfg: RefineConfig) -> np.ndarray:
     """Barycenter update of one template; returns its new 2 x d rows.
 
     Stage one finds the intra-distance beta* minimizing the weighted GW
@@ -268,7 +266,9 @@ def update_template(q: int, structural_reports, templates: StructuralTemplates,
     template only through its intra-distance). Stage two positions the
     template at the assignment-weighted mean of its radials and moves
     the two rows symmetrically about their midpoint to realize beta*.
-    Templates with zero total assignment are returned unchanged.
+    Templates with zero total assignment are returned unchanged. A
+    degenerate mean (coincident rows) takes its axis from a generator
+    seeded by q.
     """
     weights, alphas, rows = _collect_assignments(structural_reports, q)
     total = weights.sum()
@@ -276,7 +276,7 @@ def update_template(q: int, structural_reports, templates: StructuralTemplates,
         log.debug("template %d has zero total assignment; left unchanged", q)
         return templates.rows[q].copy()
 
-    hi = float(alphas.max()) if len(alphas) else 0.0
+    hi = float(alphas.max())
     if hi <= 0.0:
         beta = 0.0
     else:
@@ -285,17 +285,12 @@ def update_template(q: int, structural_reports, templates: StructuralTemplates,
 
         beta = _golden_section(objective, 0.0, hi, cfg.gw_iters)
 
-    mean_rows = np.zeros_like(templates.rows[q])
-    for w, r in zip(weights, rows):
-        mean_rows += w * r
-    mean_rows /= total
+    mean_rows = (weights[:, None, None] * rows).sum(axis=0) / total
     mid = mean_rows.mean(axis=0)
     axis = mean_rows[0] - mean_rows[1]
     norm = np.linalg.norm(axis)
     if norm <= 1e-12:
-        if rng is None:
-            rng = np.random.default_rng(q)
-        axis = rng.standard_normal(mean_rows.shape[1])
+        axis = np.random.default_rng(q).standard_normal(mean_rows.shape[1])
         norm = np.linalg.norm(axis)
     direction = axis / norm
     half = beta / 2.0

@@ -2,11 +2,12 @@
 
 Each sampled node is summarized by a radial sequence: its l2-normalized
 1-hop and 2-hop ring means stacked into a 2 x d matrix, read as the
-uniform two-point empirical measure on those rows. Templates mirror the
-same shape. The transport distance between two such measures has a
-closed form (the optimum sits at one of the two permutation couplings),
-and a log-domain Sinkhorn solve assigns each radial sequence a
-distribution over templates.
+uniform two-point empirical measure on those rows. A batch of B radial
+sequences is one float64 array of shape (B, 2, d), and the Q templates
+are a (Q, 2, d) array of the same layout. The transport distance between
+two such measures has a closed form (the optimum sits at one of the two
+permutation couplings), and a log-domain Sinkhorn solve assigns each
+radial sequence a distribution over templates.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .graph import Graph, HopAggregator, k_hop_sets
 from .numerics import l2_normalize_rows, logsumexp
 
 __all__ = [
-    "RadialSequence",
     "StructuralTemplates",
     "MatchingMatrix",
     "init_templates",
@@ -31,14 +31,6 @@ __all__ = [
     "structural_loss",
     "structural_loss_ego",
 ]
-
-
-@dataclass
-class RadialSequence:
-    """2 x d matrix: row 0 the 1-hop ring, row 1 the 2-hop ring."""
-
-    rows: np.ndarray
-    anchor_node: int
 
 
 @dataclass
@@ -89,8 +81,8 @@ def sample_structural_batch(g: Graph, batch_size: int, seed) -> np.ndarray:
     return rng.choice(g.num_nodes, size=size, replace=False)
 
 
-def radial_sequence(g: Graph, ego: np.ndarray, node: int) -> RadialSequence:
-    """Normalized ring means around one node.
+def radial_sequence(g: Graph, ego: np.ndarray, node: int) -> np.ndarray:
+    """Normalized ring means around one node, as a 2 x d array.
 
     Ring means use the shared fallbacks: an empty 2-hop ring reuses the
     1-hop aggregate and an empty 1-hop ring reuses the node's own ego
@@ -101,13 +93,15 @@ def radial_sequence(g: Graph, ego: np.ndarray, node: int) -> RadialSequence:
     two = k_hop_sets(g, node, 2)
     agg2 = ego[two].mean(axis=0) if len(two) else agg1
     rows = np.vstack([agg1, 0.5 * (agg1 + agg2)])
-    return RadialSequence(rows=l2_normalize_rows(rows), anchor_node=int(node))
+    return l2_normalize_rows(rows)
 
 
-def radial_sequences_from_rings(hop1: np.ndarray, hop2: np.ndarray, batch):
-    """Radial sequences for a node batch from precomputed ring means."""
+def radial_sequences_from_rings(hop1: np.ndarray, hop2: np.ndarray, batch) -> np.ndarray:
+    """(B, 2, d) radial sequences for a node batch from precomputed ring means."""
     pairs = np.stack([hop1[batch], hop2[batch]], axis=1)          # (B, 2, d)
-    return [RadialSequence(l2_normalize_rows(r), int(b)) for r, b in zip(pairs, batch)]
+    for pair in pairs:
+        pair[...] = l2_normalize_rows(pair)
+    return pairs
 
 
 def _pair_costs(a: np.ndarray, b: np.ndarray):
@@ -119,13 +113,12 @@ def _pair_costs(a: np.ndarray, b: np.ndarray):
 def ot_distance(a, b) -> float:
     """Transport cost between two 2 x d row sets under uniform weights.
 
-    Accepts RadialSequence values or raw 2 x d arrays. With two support
-    points per side and squared-Euclidean ground cost, the optimal
-    coupling is one of the two permutations, so the value is half the
-    cheaper permutation's total cost.
+    With two support points per side and squared-Euclidean ground cost,
+    the optimal coupling is one of the two permutations, so the value is
+    half the cheaper permutation's total cost.
     """
-    a = np.asarray(getattr(a, "rows", a), dtype=np.float64)
-    b = np.asarray(getattr(b, "rows", b), dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != 2:
         raise ValueError(f"expected matching 2 x d arrays, got {a.shape} vs {b.shape}")
     keep, swap = _pair_costs(a, b)
@@ -144,12 +137,8 @@ def _stacked_pair_costs(rows: np.ndarray, templates: StructuralTemplates):
     return (diff_keep ** 2).sum(axis=(2, 3)), (diff_swap ** 2).sum(axis=(2, 3))
 
 
-def _stack_rows(radials) -> np.ndarray:
-    return np.stack([rad.rows for rad in radials])
-
-
-def _cost_matrix(radials, templates: StructuralTemplates) -> np.ndarray:
-    keep, swap = _stacked_pair_costs(_stack_rows(radials), templates)
+def _cost_matrix(radials: np.ndarray, templates: StructuralTemplates) -> np.ndarray:
+    keep, swap = _stacked_pair_costs(radials, templates)
     return 0.5 * np.minimum(keep, swap)
 
 
@@ -166,6 +155,7 @@ def sinkhorn_match(radials, templates: StructuralTemplates, epsilon: float = 0.0
     row a probability distribution over templates. Non-convergence is
     reported through the converged flag, not an exception.
     """
+    radials = np.asarray(radials, dtype=np.float64)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if max_iters < 1 or tol <= 0:
@@ -217,13 +207,13 @@ def structural_loss(matching: MatchingMatrix, radials,
     ties), giving the deterministic subgradient
     d loss / d row = (1/B) sum_q f[b,q] (row - matched template row).
     """
+    rows = np.asarray(radials, dtype=np.float64)       # (B, 2, d)
     f = matching.f
-    nb = len(radials)
+    nb = len(rows)
     if f.shape != (nb, templates.count):
         raise ValueError(
             f"matching shape {f.shape} does not fit B={nb}, Q={templates.count}"
         )
-    rows = _stack_rows(radials)                        # (B, 2, d)
     keep, swap = _stacked_pair_costs(rows, templates)
     swapped = swap < keep                              # ties keep the identity
     loss = float((f * 0.5 * np.minimum(keep, swap)).sum() / nb)
@@ -252,13 +242,14 @@ def structural_loss_ego(g: Graph, ego: np.ndarray, matching: MatchingMatrix,
     radials = radial_sequences_from_rings(hop1, hop2, batch)
     loss, grad_rows = structural_loss(matching, radials, templates)
 
-    # d(h/|h|) = (g - (g.r) r) / |h| per nonzero ring row, by np.linalg.norm's row dots
+    # d(h/|h|) = (g - (g.r) r) / |h| per nonzero ring row; the stacked
+    # (1 x d) @ (d x 1) products are the row dots np.linalg.norm makes
     batch = np.asarray(batch, dtype=np.int64)
     raw = np.stack([hop1[batch], hop2[batch]], axis=1).reshape(-1, hop1.shape[1])
-    norms = np.array([np.sqrt(h.dot(h)) for h in raw])
+    norms = np.sqrt((raw[:, None, :] @ raw[:, :, None])[:, 0, 0])
     live = norms != 0.0
     unit, grads = raw[live] / norms[live, None], grad_rows.reshape(raw.shape)[live]
-    along = np.array([gr.dot(r) for gr, r in zip(grads, unit)])
+    along = (grads[:, None, :] @ unit[:, :, None])[:, 0, 0]
     g_hop = np.zeros((2,) + hop1.shape)
     np.add.at(g_hop, (np.tile([0, 1], len(batch))[live], np.repeat(batch, 2)[live]),
               (grads - along[:, None] * unit) / norms[live, None])

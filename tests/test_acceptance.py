@@ -30,7 +30,6 @@ from fedcal.refine import (
 )
 from fedcal.semantic import SemanticManifold, construct_etf, procrustes
 from fedcal.structural import (
-    RadialSequence,
     StructuralTemplates,
     init_templates,
     sinkhorn_match,
@@ -193,7 +192,7 @@ class TestCriterion4Sinkhorn:
             for i in range(nb):
                 rows = rng.standard_normal((2, 6))
                 rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-                radials.append(RadialSequence(rows=rows, anchor_node=i))
+                radials.append(rows)
             templates = init_templates(nq, 6, seed=trial)
             match = sinkhorn_match(radials, templates, epsilon=0.2,
                                    max_iters=20000, debug=True)
@@ -208,8 +207,7 @@ class TestCriterion4Sinkhorn:
         # near-hard-assignment limit at B = Q = 2
         rows_a = rng.standard_normal((2, 4))
         rows_b = rows_a + 10.0
-        radials = [RadialSequence(rows=rows_a, anchor_node=0),
-                   RadialSequence(rows=rows_b, anchor_node=1)]
+        radials = [rows_a, rows_b]
         templates = StructuralTemplates(rows=np.stack([rows_a, rows_b]))
         match = sinkhorn_match(radials, templates, epsilon=0.01)
         assert match.f[0, 0] >= 0.99 and match.f[1, 1] >= 0.99

@@ -174,6 +174,8 @@ class TestRunCommand:
         ("sinkhorn.epsilon = 0", "sinkhorn_epsilon"),
         ("train.lr0 = -1", "lr0"),
         ("train.lr_decay_steps = 0", "lr_decay_steps"),
+        ("split.train = -0.1", "split"),
+        ("split.val = 0.9", "split"),
     ])
     def test_out_of_range_setting_fails_before_work(self, tmp_path, capsys, line, setting):
         cfg = tmp_path / "bad.cfg"
@@ -181,6 +183,15 @@ class TestRunCommand:
         out = tmp_path / "run"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert setting in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_fails_before_work(self, smoke_cfg, tmp_path, capsys,
+                                                  threads):
+        out = tmp_path / "run"
+        code = main(["run", "--config", smoke_cfg, "--threads", threads, "--out", str(out)])
+        assert code == 2
+        assert "--threads" in capsys.readouterr().err
         assert not out.exists()
 
     def test_seed_override_recorded(self, smoke_cfg, tmp_path):

@@ -180,9 +180,7 @@ class TestPrivacyStructure:
 
     def test_client_state_has_no_peer_accessor(self):
         fields = {f.name for f in dataclasses.fields(ClientState)}
-        assert fields == {
-            "client_id", "graph", "agg", "params", "rotation", "batch", "matching"
-        }
+        assert fields == {"client_id", "graph", "agg", "params", "rotation"}
 
 
 class TestEvaluate:

@@ -160,7 +160,7 @@ class TestTotalLoss:
         anchors = EtfAnchors(delta=rot.r @ manifold.p)
         batch = np.arange(8)
         radials = radial_sequences_from_rings(cache.hop1, cache.hop2, batch)
-        templates = StructuralTemplates(rows=np.stack([r.rows for r in radials]))
+        templates = StructuralTemplates(rows=radials.copy())
         matching = MatchingMatrix(f=np.eye(8))
         total, (ce, sem, stru), _ = total_loss(
             params, g, anchors, rot, templates, matching, batch, agg

@@ -6,6 +6,7 @@ from fedcal.refine import (
     RefineConfig,
     SemanticReport,
     StructuralReport,
+    _golden_section,
     constraint_vector,
     deviation_vectors,
     difficulty_weights,
@@ -17,7 +18,7 @@ from fedcal.refine import (
     update_template,
 )
 from fedcal.semantic import EtfAnchors, construct_etf
-from fedcal.structural import MatchingMatrix, RadialSequence, StructuralTemplates
+from fedcal.structural import MatchingMatrix, StructuralTemplates
 
 
 def report_at_anchors(anchors, loss=0.0):
@@ -30,8 +31,7 @@ def report_at_anchors(anchors, loss=0.0):
 
 
 def make_structural_report(radial_rows, f):
-    radials = [RadialSequence(rows=r, anchor_node=i) for i, r in enumerate(radial_rows)]
-    return StructuralReport(radials=radials, matching=MatchingMatrix(f=f))
+    return StructuralReport(radials=np.stack(radial_rows), matching=MatchingMatrix(f=f))
 
 
 class TestDeviationVectors:
@@ -362,6 +362,87 @@ class TestUpdateTemplate:
         assert beta > 0.5  # realizes the searched intra-distance
         again = update_template(0, [rep], templates, RefineConfig())
         assert np.array_equal(new, again)
+
+
+def reference_collect(reports, q):
+    """Per-radial weights, intra-distances and rows, one radial at a time."""
+    weights, alphas, rows = [], [], []
+    for rep in reports:
+        for i, r in enumerate(rep.radials):
+            weights.append(float(rep.matching.f[i, q]))
+            alphas.append(float(np.linalg.norm(r[0] - r[1])))
+            rows.append(r)
+    return np.array(weights), np.array(alphas), rows
+
+
+def reference_gw_values(alphas, beta):
+    """Two-point GW values with the boundary, vertex and concavity branches."""
+    base = (alphas ** 2 + beta ** 2) / 2.0
+    boundary = base - alphas * beta
+    vertex = base - alphas * beta / 2.0
+    concave = alphas * beta >= 0.0
+    return np.maximum(np.where(concave, boundary, np.minimum(boundary, vertex)), 0.0)
+
+
+def reference_update(q, reports, templates, cfg):
+    """update_template with a sequential weighted-mean loop."""
+    weights, alphas, rows = reference_collect(reports, q)
+    total = weights.sum()
+    if total <= 0.0:
+        return templates.rows[q].copy()
+    hi = float(alphas.max())
+    beta = 0.0 if hi <= 0.0 else _golden_section(
+        lambda b: float((weights * reference_gw_values(alphas, b)).sum()),
+        0.0, hi, cfg.gw_iters,
+    )
+    mean_rows = np.zeros_like(templates.rows[q])
+    for w, r in zip(weights, rows):
+        mean_rows += w * r
+    mean_rows /= total
+    mid = mean_rows.mean(axis=0)
+    axis = mean_rows[0] - mean_rows[1]
+    norm = np.linalg.norm(axis)
+    if norm <= 1e-12:
+        axis = np.random.default_rng(q).standard_normal(mean_rows.shape[1])
+        norm = np.linalg.norm(axis)
+    direction = axis / norm
+    return np.vstack([mid + beta / 2.0 * direction, mid - beta / 2.0 * direction])
+
+
+class TestServerPathReference:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_per_radial_reference(self, seed):
+        # three clients with B = 5, 7 and 1; template 2 gets zero weight
+        rng = np.random.default_rng(seed)
+        d, q_count = 6, 3
+        reports = []
+        for b in (5, 7, 1):
+            rows = rng.standard_normal((b, 2, d))
+            rows /= np.linalg.norm(rows, axis=2, keepdims=True)
+            f = rng.random((b, q_count))
+            f[:, 2] = 0.0
+            f /= f.sum(axis=1, keepdims=True)
+            reports.append(make_structural_report(list(rows), f))
+        templates = StructuralTemplates(rows=rng.standard_normal((q_count, 2, d)))
+        cfg = RefineConfig()
+        for q in range(q_count):
+            new = update_template(q, reports, templates, cfg)
+            assert np.array_equal(new, reference_update(q, reports, templates, cfg))
+            weights, alphas, _ = reference_collect(reports, q)
+            beta = float(np.linalg.norm(new[0] - new[1]))
+            expected = float((weights * reference_gw_values(alphas, beta)).sum())
+            assert template_objective(reports, q, new) == expected
+        assert np.array_equal(update_template(2, reports, templates, cfg), templates.rows[2])
+
+    def test_coincident_mean_equals_reference(self):
+        rows_a = np.array([[1.0, 0.0], [0.0, 0.0]])
+        rows_b = np.array([[0.0, 0.0], [1.0, 0.0]])
+        reports = [make_structural_report([rows_a], np.ones((1, 1))),
+                   make_structural_report([rows_b], np.ones((1, 1)))]
+        templates = StructuralTemplates(rows=np.zeros((1, 2, 2)))
+        cfg = RefineConfig()
+        assert np.array_equal(update_template(0, reports, templates, cfg),
+                              reference_update(0, reports, templates, cfg))
 
 
 class TestRefineConfig:

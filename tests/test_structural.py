@@ -7,7 +7,6 @@ from fedcal.graph import Graph, HopAggregator, generate_sbm
 from fedcal.numerics import random_orthogonal
 from fedcal.structural import (
     MatchingMatrix,
-    RadialSequence,
     StructuralTemplates,
     init_templates,
     ot_distance,
@@ -34,8 +33,8 @@ def random_radials(count, d, seed):
     for i in range(count):
         rows = rng.standard_normal((2, d))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        out.append(RadialSequence(rows=rows, anchor_node=i))
-    return out
+        out.append(rows)
+    return np.stack(out)
 
 
 class TestSampling:
@@ -72,14 +71,14 @@ class TestRadialSequence:
         ego = np.tile(np.array([[3.0, 4.0, 0.0]]), (6, 1))
         rad = radial_sequence(g, ego, 0)
         expected = np.array([0.6, 0.8, 0.0])
-        assert np.allclose(rad.rows[0], expected, atol=1e-12)
-        assert np.allclose(rad.rows[1], expected, atol=1e-12)
+        assert np.allclose(rad[0], expected, atol=1e-12)
+        assert np.allclose(rad[1], expected, atol=1e-12)
 
     def test_isolated_node_falls_back_to_ego(self):
         g = Graph.from_edges(np.ones((1, 2)), [0], [])
         ego = np.array([[3.0, 4.0]])
         rad = radial_sequence(g, ego, 0)
-        assert np.allclose(rad.rows, [[0.6, 0.8], [0.6, 0.8]], atol=1e-12)
+        assert np.allclose(rad, [[0.6, 0.8], [0.6, 0.8]], atol=1e-12)
 
     def test_path_hand_case(self):
         # path 0-1-2-3, hand-set scalar egos
@@ -89,13 +88,13 @@ class TestRadialSequence:
         ego = np.array([[1.0], [2.0], [3.0], [4.0]])
         rad = radial_sequence(g, ego, 1)
         # ring1(1) = mean(1, 3) = 2 ; ring2(1) = {3} -> 4 ; hop2 = (2+4)/2 = 3
-        assert np.allclose(rad.rows, [[1.0], [1.0]])
+        assert np.allclose(rad, [[1.0], [1.0]])
         rad0 = radial_sequence(g, ego, 0)
         # ring1(0) = 2 ; ring2(0) = {2} -> 3 ; hop2 = 2.5 ; all normalize to 1
-        assert np.allclose(rad0.rows, [[1.0], [1.0]])
+        assert np.allclose(rad0, [[1.0], [1.0]])
         # sign is preserved through normalization
         rad_neg = radial_sequence(g, -ego, 0)
-        assert np.allclose(rad_neg.rows, [[-1.0], [-1.0]])
+        assert np.allclose(rad_neg, [[-1.0], [-1.0]])
 
     def test_matches_aggregator_rings(self):
         g = generate_sbm(30, 2, 0.15, 0.05, 4, 1.0, seed=3)
@@ -107,14 +106,14 @@ class TestRadialSequence:
         fast = radial_sequences_from_rings(hop1, hop2, batch)
         for v in range(30):
             slow = radial_sequence(g, ego, v)
-            assert np.abs(slow.rows - fast[v].rows).max() <= 1e-12
+            assert np.abs(slow - fast[v]).max() <= 1e-12
 
     def test_rows_unit_norm(self):
         g = generate_sbm(20, 2, 0.2, 0.1, 3, 1.0, seed=1)
         rng = np.random.default_rng(1)
         ego = rng.standard_normal((20, 4))
         for v in range(20):
-            rows = radial_sequence(g, ego, v).rows
+            rows = radial_sequence(g, ego, v)
             norms = np.linalg.norm(rows, axis=1)
             assert np.abs(norms[norms > 0] - 1.0).max() <= 1e-12
 
@@ -162,9 +161,7 @@ class TestOtDistance:
 
 class TestSinkhorn:
     def test_constant_cost_gives_uniform_rows(self):
-        radials = [
-            RadialSequence(rows=np.eye(2, 3), anchor_node=i) for i in range(4)
-        ]
+        radials = [np.eye(2, 3) for i in range(4)]
         templates = StructuralTemplates(
             rows=np.tile(np.eye(2, 3)[None], (3, 1, 1))
         )
@@ -176,10 +173,7 @@ class TestSinkhorn:
         rng = np.random.default_rng(5)
         rows_a = rng.standard_normal((2, d))
         rows_b = rows_a + 10.0
-        radials = [
-            RadialSequence(rows=rows_a, anchor_node=0),
-            RadialSequence(rows=rows_b, anchor_node=1),
-        ]
+        radials = [rows_a, rows_b]
         templates = StructuralTemplates(rows=np.stack([rows_a, rows_b]))
         match = sinkhorn_match(radials, templates, epsilon=0.01)
         assert match.f[0, 0] >= 0.99
@@ -235,7 +229,7 @@ class TestSinkhorn:
 class TestStructuralLoss:
     def test_zero_at_hard_assigned_templates(self):
         radials = random_radials(3, 4, seed=10)
-        templates = StructuralTemplates(rows=np.stack([r.rows for r in radials]))
+        templates = StructuralTemplates(rows=radials.copy())
         match = MatchingMatrix(f=np.eye(3))
         loss, grad = structural_loss(match, radials, templates)
         assert loss <= 1e-20
@@ -266,11 +260,10 @@ class TestStructuralLoss:
         loss, grad = structural_loss(match, radials, templates)
         eps = 1e-6
         for (b, r, j) in [(0, 0, 1), (2, 1, 0), (3, 0, 2)]:
-            plus = [RadialSequence(rows=x.rows.copy(), anchor_node=x.anchor_node)
-                    for x in radials]
-            plus[b].rows[r, j] += eps
+            plus = radials.copy()
+            plus[b, r, j] += eps
             up, _ = structural_loss(match, plus, templates)
-            plus[b].rows[r, j] -= 2 * eps
+            plus[b, r, j] -= 2 * eps
             down, _ = structural_loss(match, plus, templates)
             num = (up - down) / (2 * eps)
             assert abs(num - grad[b, r, j]) / max(abs(num), 1e-8) <= 1e-4
