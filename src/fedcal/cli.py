@@ -293,7 +293,8 @@ def cmd_run(args) -> int:
             export_embeddings(
                 client, os.path.join(out, f"embeddings_{client.client_id}.csv")
             )
-    print(f"run complete: mean_test={summary['mean_test']:.4f} -> {out}")
+    print(f"run complete: mean_test={summary['mean_test']:.4f}, sinkhorn unconverged "
+          f"{result.sinkhorn_unconverged}/{result.sinkhorn_calls} -> {out}")
     return 0
 
 

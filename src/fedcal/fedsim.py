@@ -113,6 +113,15 @@ class DatasetSpec:
             ]
             if missing:
                 raise ValueError(f"files dataset needs {', '.join(missing)}")
+        else:
+            # (lower, upper) per generator setting; NaN fails every comparison
+            for name, lo, hi in (("nodes", 1, np.inf), ("feat_dim", 1, np.inf),
+                                 ("p_in", 0.0, 1.0), ("p_out", 0.0, 1.0),
+                                 ("feat_sep", 0.0, np.inf)):
+                value = getattr(self, name)
+                if not (lo <= value <= hi and np.isfinite(value)):
+                    raise ValueError(f"dataset.{name} must be finite and in [{lo}, {hi}], "
+                                     f"got {value}")
         if len(self.split) != 3 or min(self.split) < 0 or sum(self.split) > 1.0 + 1e-12:
             raise ValueError(f"split must be three non-negative ratios summing to at "
                              f"most 1, got {tuple(self.split)}")
@@ -211,6 +220,8 @@ class FederationResult:
     clients: list
     anchors: EtfAnchors
     templates: StructuralTemplates
+    sinkhorn_calls: int = 0             # client-rounds that ran a Sinkhorn matching
+    sinkhorn_unconverged: int = 0       # of those, the ones stopped at max_iters
 
 
 def build_dataset(cfg: FederationConfig) -> Graph:
@@ -385,6 +396,7 @@ def run_federation(cfg: FederationConfig, threads: int = 1) -> FederationResult:
 def _run_rounds(cfg: FederationConfig, map_clients) -> FederationResult:
     clients, anchors, templates, _ = setup_federation(cfg)
     records = []
+    unconverged = 0
     for round_idx in range(cfg.rounds):
         def one(state):
             try:
@@ -402,6 +414,7 @@ def _run_rounds(cfg: FederationConfig, map_clients) -> FederationResult:
 
         sem_reports = [r.semantic_report for r in results]
         str_reports = [r.structural_report for r in results]
+        unconverged += sum(not r.matching.converged for r in str_reports)
 
         if cfg.refine_enabled:
             anchors, drift = refine_all_anchors(anchors, sem_reports, cfg.refine)
@@ -428,8 +441,10 @@ def _run_rounds(cfg: FederationConfig, map_clients) -> FederationResult:
             drift=drift,
             gw_objectives=gw_objectives,
         ))
+    calls = cfg.rounds * len(clients) if cfg.structural_enabled else 0
     return FederationResult(records=records, clients=clients,
-                            anchors=anchors, templates=templates)
+                            anchors=anchors, templates=templates,
+                            sinkhorn_calls=calls, sinkhorn_unconverged=unconverged)
 
 
 _HISTORY_COLUMNS = [

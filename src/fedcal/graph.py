@@ -275,6 +275,9 @@ def partition_overlapping(g: Graph, spec: PartitionSpec):
     return clients
 
 
+_EDGE_CHUNK = 1 << 20                    # uniforms per step of generate_sbm's edge loop
+
+
 def generate_sbm(n: int, num_classes: int, p_in: float, p_out: float,
                  feat_dim: int, feat_sep: float, seed) -> Graph:
     """Seeded stochastic block model with class-separated Gaussian features.
@@ -283,7 +286,9 @@ def generate_sbm(n: int, num_classes: int, p_in: float, p_out: float,
     gets an edge independently with probability p_in (same class) or
     p_out (different class). Features are a seeded unit class-mean vector
     scaled by feat_sep plus standard-normal noise. p_in > p_out yields a
-    homophilic graph, p_in < p_out a heterophilic one.
+    homophilic graph, p_in < p_out a heterophilic one. The pair draws
+    stream in fixed chunks, so time grows with n^2 / 2 but memory only
+    with the edges kept.
     """
     if not (0.0 <= p_in <= 1.0 and 0.0 <= p_out <= 1.0):
         raise ValueError("edge probabilities must lie in [0, 1]")
@@ -294,10 +299,23 @@ def generate_sbm(n: int, num_classes: int, p_in: float, p_out: float,
     rng = np.random.default_rng(seed)
     labels = np.arange(n, dtype=np.int64) % num_classes
 
-    iu, ju = np.triu_indices(n, k=1)
-    prob = np.where(labels[iu] == labels[ju], p_in, p_out)
-    keep = rng.random(iu.size) < prob
-    edges = np.column_stack([iu[keep], ju[keep]])
+    # one uniform per pair (i < j) in row-major order, drawn in chunks that
+    # continue the same stream; pair t sits in row i with offsets[i] <= t
+    rows = np.arange(n, dtype=np.int64)
+    offsets = rows * (n - 1) - rows * (rows - 1) // 2
+    pairs = n * (n - 1) // 2
+    p_max = max(p_in, p_out)
+    edges = [np.empty((0, 2), dtype=np.int64)]
+    for start in range(0, pairs, _EDGE_CHUNK):
+        u = rng.random(min(_EDGE_CHUNK, pairs - start))
+        t = np.flatnonzero(u < p_max)
+        u = u[t]
+        t += start
+        i = np.searchsorted(offsets, t, side="right") - 1
+        j = t - offsets[i] + i + 1
+        keep = u < np.where(labels[i] == labels[j], p_in, p_out)
+        edges.append(np.column_stack([i[keep], j[keep]]))
+    edges = np.concatenate(edges)
 
     means = rng.standard_normal((num_classes, feat_dim))
     means /= np.linalg.norm(means, axis=1, keepdims=True)

@@ -97,7 +97,9 @@ def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rest = np.exp(np.where(a == a_max, -np.inf, a) - a_max).sum(axis, keepdims=True)
         out = np.log1p(np.where(rest == 0, rest, rest / count)) + np.log(count) + a_max
-        out = np.where(np.isfinite(out), out, np.log(np.exp(a).sum(axis, keepdims=True)))
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.exp(a).sum(axis, keepdims=True)))
     return np.squeeze(out, axis=axis)
 
 

@@ -170,26 +170,26 @@ def sinkhorn_match(radials, templates: StructuralTemplates, epsilon: float = 0.0
     log_kernel = -scaled / epsilon
     log_a = np.full(nb, -np.log(nb))
     log_b = np.full(nq, -np.log(nq))
+    b = np.exp(log_b)
     u = np.zeros(nb)
-    v = np.zeros(nq)
+    # u + log_kernel serves both this iteration's coupling and the next v-update
+    u_kernel = u[:, None] + log_kernel
     trace = [] if debug else None
     converged = False
-    iters = 0
     for iters in range(1, max_iters + 1):
-        v = log_b - logsumexp(log_kernel + u[:, None], axis=0)
+        v = log_b - logsumexp(u_kernel, axis=0)
         u = log_a - logsumexp(log_kernel + v[None, :], axis=1)
+        u_kernel = u[:, None] + log_kernel
+        coupling = np.exp(u_kernel + v[None, :])
         if debug:
             # dual of the entropic problem, in the scaled-cost units
-            mass = np.exp(u[:, None] + log_kernel + v[None, :]).sum()
             trace.append(
-                epsilon * (float(u @ np.exp(log_a)) + float(v @ np.exp(log_b)) - mass)
+                epsilon * (float(u @ np.exp(log_a)) + float(v @ b) - coupling.sum())
             )
-        coupling = np.exp(u[:, None] + log_kernel + v[None, :])
-        residual = np.abs(coupling.sum(axis=0) - np.exp(log_b)).sum()
+        residual = np.abs(coupling.sum(axis=0) - b).sum()
         if residual < tol:
             converged = True
             break
-    coupling = np.exp(u[:, None] + log_kernel + v[None, :])
     return MatchingMatrix(
         f=nb * coupling,
         converged=converged,

@@ -11,7 +11,9 @@ from fedcal.cli import (
     parse_config_file,
     save_params,
 )
+from fedcal import fedsim
 from fedcal.model import init_params
+from fedcal.structural import sinkhorn_match
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SMOKE = """
@@ -176,6 +178,15 @@ class TestRunCommand:
         ("train.lr_decay_steps = 0", "lr_decay_steps"),
         ("split.train = -0.1", "split"),
         ("split.val = 0.9", "split"),
+        ("dataset.nodes = 0", "dataset.nodes"),
+        ("dataset.feat_dim = 0", "dataset.feat_dim"),
+        ("dataset.p_in = 1.5", "dataset.p_in"),
+        ("dataset.p_out = -0.01", "dataset.p_out"),
+        ("dataset.p_in = nan", "dataset.p_in"),
+        ("dataset.p_out = nan", "dataset.p_out"),
+        ("dataset.feat_sep = -1", "dataset.feat_sep"),
+        ("dataset.feat_sep = nan", "dataset.feat_sep"),
+        ("dataset.feat_sep = inf", "dataset.feat_sep"),
     ])
     def test_out_of_range_setting_fails_before_work(self, tmp_path, capsys, line, setting):
         cfg = tmp_path / "bad.cfg"
@@ -184,6 +195,40 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert setting in capsys.readouterr().err
         assert not out.exists()
+
+    def test_dataset_setting_fails_gen_data_before_work(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SMOKE + "dataset.p_out = 2\n")
+        out = tmp_path / "data"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "dataset.p_out" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra, ablate, count", [
+        ("", [], "0/6"),
+        ("sinkhorn.max_iters = 30\n", [], "3/6"),
+        ("sinkhorn.max_iters = 1\nsinkhorn.tol = 1e-14\n", [], "6/6"),
+        ("sinkhorn.max_iters = 30\n", ["--ablate", "structural"], "0/0"),
+    ])
+    def test_final_line_counts_unconverged_sinkhorn(self, tmp_path, capsys, monkeypatch,
+                                                   extra, ablate, count):
+        flags = []
+
+        def tallied(*args, **kwargs):
+            match = sinkhorn_match(*args, **kwargs)
+            flags.append(match.converged)
+            return match
+
+        monkeypatch.setattr(fedsim, "sinkhorn_match", tallied)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SMOKE + extra)
+        out = str(tmp_path / "run")
+        assert main(["run", "--config", str(cfg), "--out", out] + ablate) == 0
+        last = capsys.readouterr().out.strip().split("\n")[-1]
+        assert count == f"{flags.count(False)}/{len(flags)}"
+        assert f"sinkhorn unconverged {count} -> " in last
+        for name in ("history.csv", "summary.json"):
+            assert "unconverged" not in open(os.path.join(out, name)).read()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_fails_before_work(self, smoke_cfg, tmp_path, capsys,

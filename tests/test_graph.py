@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -207,6 +209,55 @@ class TestGenerateSbm:
             generate_sbm(10, 2, 1.5, 0.0, 2, 1.0, seed=0)
         with pytest.raises(ValueError):
             generate_sbm(10, 2, 0.5, 0.0, 2, -1.0, seed=0)
+
+
+def reference_sbm(n, num_classes, p_in, p_out, feat_dim, feat_sep, seed):
+    """generate_sbm as it was before its edge draws were chunked: one
+    uniform per node pair over the whole triu_indices array at once."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n, dtype=np.int64) % num_classes
+    iu, ju = np.triu_indices(n, k=1)
+    prob = np.where(labels[iu] == labels[ju], p_in, p_out)
+    keep = rng.random(iu.size) < prob
+    edges = np.column_stack([iu[keep], ju[keep]])
+    means = rng.standard_normal((num_classes, feat_dim))
+    means /= np.linalg.norm(means, axis=1, keepdims=True)
+    features = feat_sep * means[labels] + rng.standard_normal((n, feat_dim))
+    return Graph.from_edges(features, labels, edges)
+
+
+class TestGenerateSbmReference:
+    # 1449 is the first n whose n(n-1)/2 pairs exceed one 2**20 chunk
+    @pytest.mark.parametrize("n, classes, p_in, p_out", [
+        (1, 2, 0.5, 0.1),
+        (2, 2, 1.0, 1.0),
+        (3, 3, 1.0, 0.0),
+        (1448, 2, 0.01, 0.003),
+        (1449, 3, 0.003, 0.01),
+        (1449, 4, 1.0, 0.0),
+        (2900, 4, 0.002, 0.001),
+        (2900, 3, 0.0, 0.0),
+        (300, 2, 0.02, 0.1),
+    ])
+    def test_equals_unchunked_draws(self, n, classes, p_in, p_out):
+        for seed in (0, (7, 101)):
+            g = generate_sbm(n, classes, p_in, p_out, 3, 1.2, seed=seed)
+            ref = reference_sbm(n, classes, p_in, p_out, 3, 1.2, seed=seed)
+            assert np.array_equal(g.features, ref.features)
+            assert np.array_equal(g.labels, ref.labels)
+            assert np.array_equal(g.adjacency.indptr, ref.adjacency.indptr)
+            assert np.array_equal(g.adjacency.indices, ref.adjacency.indices)
+
+    def test_memory_grows_with_edges_not_pairs(self):
+        tracemalloc.start()
+        try:
+            g = generate_sbm(6000, 2, 0.003, 0.002, 16, 1.0, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.num_edges > 40000
+        # the 18M node pairs alone would take 144 MB as one float64 array
+        assert peak < 64 * 2**20
 
 
 class TestFilesAndSplits:

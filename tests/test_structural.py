@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp as scipy_logsumexp
 
 from fedcal.graph import Graph, HopAggregator, generate_sbm
 from fedcal.numerics import random_orthogonal
@@ -224,6 +225,78 @@ class TestSinkhorn:
         templates = init_templates(2, 3, seed=9)
         with pytest.raises(ValueError, match=next(iter(bad))):
             sinkhorn_match(radials, templates, **bad)
+
+
+def reference_sinkhorn(radials, templates, epsilon, max_iters, tol, debug):
+    """The loop sinkhorn_match ran before its inner-loop trims: fresh
+    u + kernel sums, exp(log_b) and a full coupling every iteration."""
+    keep = ((radials[:, None] - templates.rows[None]) ** 2).sum(axis=(2, 3))
+    swap = ((radials[:, None] - templates.rows[None, :, ::-1]) ** 2).sum(axis=(2, 3))
+    cost = 0.5 * np.minimum(keep, swap)
+    mean = cost.mean()
+    log_kernel = -(cost / mean if mean > 0 else cost) / epsilon
+    nb, nq = cost.shape
+    log_a, log_b = np.full(nb, -np.log(nb)), np.full(nq, -np.log(nq))
+    u, v, trace, converged = np.zeros(nb), np.zeros(nq), [], False
+    for iters in range(1, max_iters + 1):
+        v = log_b - scipy_logsumexp(log_kernel + u[:, None], axis=0)
+        u = log_a - scipy_logsumexp(log_kernel + v[None, :], axis=1)
+        if debug:
+            mass = np.exp(u[:, None] + log_kernel + v[None, :]).sum()
+            trace.append(
+                epsilon * (float(u @ np.exp(log_a)) + float(v @ np.exp(log_b)) - mass)
+            )
+        coupling = np.exp(u[:, None] + log_kernel + v[None, :])
+        if np.abs(coupling.sum(axis=0) - np.exp(log_b)).sum() < tol:
+            converged = True
+            break
+    coupling = np.exp(u[:, None] + log_kernel + v[None, :])
+    return nb * coupling, iters, converged, np.array(trace)
+
+
+class TestSinkhornReference:
+    CASES = [
+        # (B, Q, d, epsilon, max_iters, seed)
+        (1, 1, 3, 0.05, 500, 0),
+        (7, 3, 4, 0.05, 5, 1),                       # stopped at max_iters
+        (64, 4, 8, 0.05, 500, 2),
+        (120, 2, 8, 0.05, 500, 3),
+        (33, 5, 6, 0.01, 200, 4),
+        (90, 4, 8, 0.2, 500, 5),
+    ]
+
+    @pytest.mark.parametrize("nb, nq, d, epsilon, max_iters, seed", CASES)
+    @pytest.mark.parametrize("debug", [False, True])
+    def test_equals_untrimmed_loop(self, nb, nq, d, epsilon, max_iters, seed, debug):
+        radials = random_radials(nb, d, seed)
+        templates = init_templates(nq, d, seed=seed + 100)
+        match = sinkhorn_match(radials, templates, epsilon=epsilon,
+                               max_iters=max_iters, tol=1e-6, debug=debug)
+        f, iters, converged, trace = reference_sinkhorn(
+            radials, templates, epsilon, max_iters, 1e-6, debug
+        )
+        assert np.array_equal(match.f, f)
+        assert (match.iterations, match.converged) == (iters, converged)
+        if debug:
+            assert np.array_equal(match.objective_trace, trace)
+
+    def test_cases_cover_the_iteration_cap(self):
+        capped = []
+        for nb, nq, d, epsilon, max_iters, seed in self.CASES:
+            match = sinkhorn_match(random_radials(nb, d, seed),
+                                   init_templates(nq, d, seed=seed + 100),
+                                   epsilon=epsilon, max_iters=max_iters)
+            capped.append(not match.converged and match.iterations == max_iters)
+        assert any(capped) and not all(capped)
+
+    def test_zero_cost_equals_untrimmed_loop(self):
+        radials = np.tile(np.eye(2, 3)[None], (4, 1, 1))
+        templates = StructuralTemplates(rows=np.tile(np.eye(2, 3)[None], (3, 1, 1)))
+        match = sinkhorn_match(radials, templates)
+        f, iters, converged, _ = reference_sinkhorn(radials, templates, 0.05, 500,
+                                                    1e-6, False)
+        assert np.array_equal(match.f, f)
+        assert (match.iterations, match.converged) == (iters, converged)
 
 
 class TestStructuralLoss:
