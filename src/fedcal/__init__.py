@@ -15,7 +15,7 @@ from .fedsim import (
 )
 from .graph import Graph, PartitionSpec
 from .refine import RefineConfig
-from .semantic import EtfAnchors, construct_etf
+from .semantic import construct_etf
 
 __all__ = [
     "DatasetSpec",
@@ -24,7 +24,6 @@ __all__ = [
     "Graph",
     "PartitionSpec",
     "RefineConfig",
-    "EtfAnchors",
     "construct_etf",
     "evaluate",
     "run_federation",

@@ -159,7 +159,7 @@ class RunConfig:
         )
 
 
-def build_run_config(raw: dict, overrides: dict = None) -> RunConfig:
+def build_run_config(raw: dict) -> RunConfig:
     values = {}
     for key, (caster, default) in _CONFIG_SCHEMA.items():
         if key in raw:
@@ -169,8 +169,6 @@ def build_run_config(raw: dict, overrides: dict = None) -> RunConfig:
                 raise ValueError(f"bad value for {key}: {exc}")
         else:
             values[key] = default
-    if overrides:
-        values.update(overrides)
     return RunConfig(values)
 
 

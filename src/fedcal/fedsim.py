@@ -44,8 +44,6 @@ from .refine import (
     update_template,
 )
 from .semantic import (
-    CalibrationRotation,
-    EtfAnchors,
     class_means,
     construct_etf,
     procrustes,
@@ -53,7 +51,6 @@ from .semantic import (
 )
 from .structural import (
     MatchingMatrix,
-    StructuralTemplates,
     init_templates,
     radial_sequences_from_rings,
     sample_structural_batch,
@@ -122,8 +119,10 @@ class DatasetSpec:
                 if not (lo <= value <= hi and np.isfinite(value)):
                     raise ValueError(f"dataset.{name} must be finite and in [{lo}, {hi}], "
                                      f"got {value}")
-        if len(self.split) != 3 or min(self.split) < 0 or sum(self.split) > 1.0 + 1e-12:
-            raise ValueError(f"split must be three non-negative ratios summing to at "
+        # a zero ratio seats no node, and every round reads all three splits
+        if (len(self.split) != 3 or not all(r > 0 for r in self.split)
+                or not sum(self.split) <= 1.0 + 1e-12):
+            raise ValueError(f"split must be three positive ratios summing to at "
                              f"most 1, got {tuple(self.split)}")
 
 
@@ -164,6 +163,9 @@ class FederationConfig:
             raise ValueError("embed_dim must be >= num_classes")
         if self.task_metric not in ("accuracy", "auc"):
             raise ValueError(f"unknown task_metric {self.task_metric!r}")
+        if self.task_metric == "auc" and self.num_classes != 2:
+            raise ValueError(f"federation.metric = auc needs federation.classes = 2, "
+                             f"got {self.num_classes}")
         if self.partition_mode not in ("non-overlapping", "overlapping"):
             raise ValueError(f"unknown partition mode {self.partition_mode!r}")
 
@@ -176,7 +178,7 @@ class ClientState:
     graph: Graph
     agg: HopAggregator
     params: ModelParams
-    rotation: CalibrationRotation = None
+    rotation: np.ndarray = None         # (d, d) calibration of the last round
 
 
 @dataclass
@@ -218,8 +220,8 @@ class HistoryRow:
 class FederationResult:
     records: list
     clients: list
-    anchors: EtfAnchors
-    templates: StructuralTemplates
+    anchors: np.ndarray                 # (d, C)
+    templates: np.ndarray               # (Q, 2, d)
     sinkhorn_calls: int = 0             # client-rounds that ran a Sinkhorn matching
     sinkhorn_unconverged: int = 0       # of those, the ones stopped at max_iters
 
@@ -268,7 +270,7 @@ def setup_federation(cfg: FederationConfig):
 @dataclass
 class ClientRoundResult:
     params: ModelParams
-    rotation: CalibrationRotation
+    rotation: np.ndarray
     semantic_report: SemanticReport
     structural_report: StructuralReport
     ce: float
@@ -279,8 +281,8 @@ class ClientRoundResult:
     epoch_losses: list
 
 
-def run_client_round(state: ClientState, anchors: EtfAnchors,
-                     templates: StructuralTemplates, cfg: FederationConfig,
+def run_client_round(state: ClientState, anchors: np.ndarray,
+                     templates: np.ndarray, cfg: FederationConfig,
                      round_idx: int) -> ClientRoundResult:
     """One client's full round; pure in state, safe to run concurrently."""
     g = state.graph
@@ -321,7 +323,7 @@ def run_client_round(state: ClientState, anchors: EtfAnchors,
     epoch_losses.append(final_total)
 
     final_manifold = class_means(final_cache.ego, g.labels, g.train_mask, cfg.num_classes)
-    k = rotation.r @ final_manifold.p
+    k = rotation @ final_manifold.p
     k[:, ~final_manifold.present_mask] = 0.0
     per_class = semantic_per_class_loss(
         final_cache.ego, g.labels, g.train_mask, rotation, anchors
@@ -423,13 +425,11 @@ def _run_rounds(cfg: FederationConfig, map_clients) -> FederationResult:
 
         gw_objectives = []
         if cfg.structural_enabled:
-            new_rows = templates.rows.copy()
-            for q in range(cfg.num_templates):
-                if cfg.refine_enabled:
-                    new_rows[q] = update_template(q, str_reports, templates, cfg.refine)
-                gw_objectives.append(template_objective(str_reports, q, new_rows[q]))
             if cfg.refine_enabled:
-                templates = StructuralTemplates(rows=new_rows)
+                templates = np.stack([update_template(q, str_reports, templates, cfg.refine)
+                                      for q in range(cfg.num_templates)])
+            gw_objectives = [template_objective(str_reports, q, templates[q])
+                             for q in range(cfg.num_templates)]
 
         records.append(RoundRecord(
             round_idx=round_idx,
@@ -508,7 +508,7 @@ def import_history(path) -> list:
 def export_embeddings(state: ClientState, path):
     """CSV of calibrated ego-embeddings: node id, label, then d columns."""
     cache = forward(state.params, state.graph, state.agg)
-    r = state.rotation.r if state.rotation is not None else np.eye(cache.ego.shape[1])
+    r = state.rotation if state.rotation is not None else np.eye(cache.ego.shape[1])
     calibrated = cache.ego @ r.T
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -18,12 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, HopAggregator
-from .semantic import CalibrationRotation, EtfAnchors, semantic_loss
-from .structural import MatchingMatrix, StructuralTemplates, structural_loss_ego
+from .semantic import semantic_loss
+from .structural import MatchingMatrix, structural_loss_ego
 
 __all__ = [
     "ModelParams",
-    "ParamGrads",
     "ForwardCache",
     "init_params",
     "forward",
@@ -42,13 +41,6 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.w_ego.copy(), self.w_cls.copy(), self.b_cls.copy())
-
-
-@dataclass
-class ParamGrads:
-    w_ego: np.ndarray
-    w_cls: np.ndarray
-    b_cls: np.ndarray
 
 
 @dataclass
@@ -109,8 +101,8 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray, train_mask: np.ndarray
     return loss, grad
 
 
-def total_loss(params: ModelParams, g: Graph, anchors: EtfAnchors,
-               rotation: CalibrationRotation, templates: StructuralTemplates,
+def total_loss(params: ModelParams, g: Graph, anchors: np.ndarray,
+               rotation: np.ndarray, templates: np.ndarray,
                matching: MatchingMatrix, batch, agg: HopAggregator = None):
     """Local objective CE + semantic + structural, with parameter gradients.
 
@@ -118,8 +110,9 @@ def total_loss(params: ModelParams, g: Graph, anchors: EtfAnchors,
     the local round: no gradient flows into them. Passing anchors=None
     drops the semantic term and matching=None the structural term (the
     CE term is always present), which is how ablations run. Returns
-    (total, (ce, semantic, structural), grads); the calibration terms
-    reach only w_ego, the CE term also reaches the classifier.
+    (total, (ce, semantic, structural), grads), grads a ModelParams of
+    gradients; the calibration terms reach only w_ego, the CE term also
+    reaches the classifier.
     """
     if agg is None:
         agg = HopAggregator(g)
@@ -153,11 +146,11 @@ def total_loss(params: ModelParams, g: Graph, anchors: EtfAnchors,
 
     g_pre = g_ego * (1.0 - cache.ego ** 2)
     g_wego = g.features.T @ g_pre
-    grads = ParamGrads(w_ego=g_wego, w_cls=g_wcls, b_cls=g_bcls)
+    grads = ModelParams(w_ego=g_wego, w_cls=g_wcls, b_cls=g_bcls)
     return ce + sem + stru, (ce, sem, stru), grads
 
 
-def sgd_step(params: ModelParams, grads: ParamGrads, lr: float) -> ModelParams:
+def sgd_step(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
     """One gradient-descent step; aborts on non-finite gradients."""
     if not lr > 0:
         raise ValueError(f"learning rate must be positive, got {lr}")

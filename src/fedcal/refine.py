@@ -1,5 +1,9 @@
 """Server-side refinement of the semantic anchors and structural templates.
 
+The anchors are a d x C array (one unit column per class) and the
+templates a (Q, 2, d) array; every update returns a new array and never
+writes into the one it was given, which the clients may still be reading.
+
 Anchors move along a clipped combination of the mean client deviation
 (difficulty-weighted) and a mutual-repulsion term, then project back to
 the unit sphere; the repulsion keeps the frame near maximal
@@ -20,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import softmax
-from .semantic import EtfAnchors
-from .structural import MatchingMatrix, StructuralTemplates
+from .structural import MatchingMatrix
 
 log = logging.getLogger(__name__)
 
@@ -72,13 +75,15 @@ class RefineConfig:
     gw_iters: int = 200     # golden-section iterations for the scale search
 
     def __post_init__(self):
-        if self.tau <= 0 or self.eta <= 0 or self.eps <= 0:
-            raise ValueError("tau, eta and eps must be positive")
+        for name in ("tau", "eta", "eps"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"refine.{name} must be finite and > 0, got {value}")
         if self.gw_iters < 1:
             raise ValueError("gw_iters must be >= 1")
 
 
-def deviation_vectors(reports, anchors: EtfAnchors) -> np.ndarray:
+def deviation_vectors(reports, anchors: np.ndarray) -> np.ndarray:
     """(d, C) mean deviation of reported calibrated means from each anchor.
 
     Column i averages k[:, i] - delta[:, i] over the clients reporting
@@ -86,12 +91,12 @@ def deviation_vectors(reports, anchors: EtfAnchors) -> np.ndarray:
     """
     if not reports:
         raise ValueError("need at least one semantic report")
-    d, c = anchors.delta.shape
+    d, c = anchors.shape
     out = np.zeros((d, c))
     counts = np.zeros(c)
     for rep in reports:
         for i in np.nonzero(rep.present_mask)[0]:
-            out[:, i] += rep.k[:, i] - anchors.delta[:, i]
+            out[:, i] += rep.k[:, i] - anchors[:, i]
             counts[i] += 1
     nz = counts > 0
     out[:, nz] /= counts[nz]
@@ -113,20 +118,19 @@ def difficulty_weights(reports, tau: float) -> np.ndarray:
     return softmax(mean, tau)
 
 
-def constraint_vector(anchors: EtfAnchors, i: int) -> np.ndarray:
+def constraint_vector(anchors: np.ndarray, i: int) -> np.ndarray:
     """Repulsion term -sum_{j != i} delta_j / ||delta_i - delta_j||^2."""
-    delta = anchors.delta
-    c = delta.shape[1]
-    out = np.zeros(delta.shape[0])
+    d, c = anchors.shape
+    out = np.zeros(d)
     for j in range(c):
         if j == i:
             continue
-        gap = np.linalg.norm(delta[:, i] - delta[:, j])
+        gap = np.linalg.norm(anchors[:, i] - anchors[:, j])
         if gap <= 1e-6:
             raise RuntimeError(
                 f"anchors {i} and {j} coincide (distance {gap:.2e}); repulsion undefined"
             )
-        out -= delta[:, j] / gap ** 2
+        out -= anchors[:, j] / gap ** 2
     return out
 
 
@@ -152,16 +156,15 @@ def refine_anchor(delta_i: np.ndarray, v_i: np.ndarray, gamma_i: float,
     return moved / moved_norm
 
 
-def gram_drift(anchors: EtfAnchors) -> float:
+def gram_drift(anchors: np.ndarray) -> float:
     """Max deviation of pairwise anchor inner products from -1/(C-1)."""
-    delta = anchors.delta
-    c = delta.shape[1]
-    gram = delta.T @ delta
+    c = anchors.shape[1]
+    gram = anchors.T @ anchors
     off = gram[~np.eye(c, dtype=bool)]
     return float(np.abs(off + 1.0 / (c - 1)).max())
 
 
-def refine_all_anchors(anchors: EtfAnchors, reports, cfg: RefineConfig):
+def refine_all_anchors(anchors: np.ndarray, reports, cfg: RefineConfig):
     """Refine every reported anchor; returns (new anchors, gram drift).
 
     Classes reported by no client keep their anchor unchanged for the
@@ -171,18 +174,13 @@ def refine_all_anchors(anchors: EtfAnchors, reports, cfg: RefineConfig):
     """
     vs = deviation_vectors(reports, anchors)
     gammas = difficulty_weights(reports, cfg.tau)
-    reported = np.zeros(anchors.num_classes, dtype=bool)
+    reported = np.zeros(anchors.shape[1], dtype=bool)
     for rep in reports:
         reported |= rep.present_mask
-    new_delta = anchors.delta.copy()
-    for i in range(anchors.num_classes):
-        if not reported[i]:
-            continue
+    refined = anchors.copy()
+    for i in np.nonzero(reported)[0]:
         s_i = constraint_vector(anchors, i)
-        new_delta[:, i] = refine_anchor(
-            anchors.delta[:, i], vs[:, i], float(gammas[i]), s_i, cfg
-        )
-    refined = EtfAnchors(delta=new_delta)
+        refined[:, i] = refine_anchor(anchors[:, i], vs[:, i], float(gammas[i]), s_i, cfg)
     return refined, gram_drift(refined)
 
 
@@ -257,7 +255,7 @@ def _golden_section(fn, lo: float, hi: float, iters: int) -> float:
     return (a + b) / 2.0
 
 
-def update_template(q: int, structural_reports, templates: StructuralTemplates,
+def update_template(q: int, structural_reports, templates: np.ndarray,
                     cfg: RefineConfig) -> np.ndarray:
     """Barycenter update of one template; returns its new 2 x d rows.
 
@@ -274,7 +272,7 @@ def update_template(q: int, structural_reports, templates: StructuralTemplates,
     total = weights.sum()
     if total <= 0.0:
         log.debug("template %d has zero total assignment; left unchanged", q)
-        return templates.rows[q].copy()
+        return templates[q].copy()
 
     hi = float(alphas.max())
     if hi <= 0.0:

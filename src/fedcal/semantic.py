@@ -8,9 +8,11 @@ means, rotate those means onto the anchors with the closed-form
 orthogonal Procrustes solution, and penalize per-node distance between
 the rotated ego-embedding and the anchor of its label.
 
-Embeddings are column vectors here: calibration is r @ h. Per-client
-losses are normalized by the labeled-train count so the three local
-loss terms share a scale.
+The anchors are a bare d x C array whose columns are the per-class
+anchors, and a client's calibration rotation is a bare orthogonal d x d
+array r. Embeddings are column vectors here: calibration is r @ h.
+Per-client losses are normalized by the labeled-train count so the
+three local loss terms share a scale.
 """
 
 from __future__ import annotations
@@ -22,30 +24,13 @@ import numpy as np
 from .numerics import random_orthogonal, svd
 
 __all__ = [
-    "EtfAnchors",
     "SemanticManifold",
-    "CalibrationRotation",
     "construct_etf",
     "class_means",
     "procrustes",
     "semantic_loss",
     "semantic_per_class_loss",
 ]
-
-
-@dataclass(frozen=True)
-class EtfAnchors:
-    """d x C matrix whose columns are the per-class anchors."""
-
-    delta: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.delta.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.delta.shape[1]
 
 
 @dataclass
@@ -56,15 +41,8 @@ class SemanticManifold:
     present_mask: np.ndarray    # (C,) bool
 
 
-@dataclass
-class CalibrationRotation:
-    """Orthogonal d x d map aligning a client manifold to the anchors."""
-
-    r: np.ndarray
-
-
-def construct_etf(num_classes: int, dim: int, seed) -> EtfAnchors:
-    """Simplex-ETF anchors: scaled, centered columns of a random isometry.
+def construct_etf(num_classes: int, dim: int, seed) -> np.ndarray:
+    """Simplex-ETF anchors (d x C): scaled, centered columns of a random isometry.
 
     Requires dim >= num_classes so the centered simplex embeds with its
     exact Gram structure (unit norms, off-diagonal -1/(C-1)).
@@ -79,8 +57,7 @@ def construct_etf(num_classes: int, dim: int, seed) -> EtfAnchors:
         )
     phi = random_orthogonal(dim, seed)[:, :c]
     center = np.eye(c) - np.ones((c, c)) / c
-    delta = np.sqrt(c / (c - 1.0)) * (phi @ center)
-    return EtfAnchors(delta=delta)
+    return np.sqrt(c / (c - 1.0)) * (phi @ center)
 
 
 def class_means(ego: np.ndarray, labels: np.ndarray, train_mask: np.ndarray,
@@ -97,8 +74,8 @@ def class_means(ego: np.ndarray, labels: np.ndarray, train_mask: np.ndarray,
     return SemanticManifold(p=p, present_mask=present)
 
 
-def procrustes(manifold: SemanticManifold, anchors: EtfAnchors) -> CalibrationRotation:
-    """Orthogonal map minimizing ||r @ p - delta||_F over present classes.
+def procrustes(manifold: SemanticManifold, anchors: np.ndarray) -> np.ndarray:
+    """Orthogonal d x d map r minimizing ||r @ p - delta||_F over present classes.
 
     Closed form: with the SVD of delta_present @ p_present.T = u s vt,
     the minimizer is r = u @ vt. Absent-class columns are excluded so
@@ -107,13 +84,12 @@ def procrustes(manifold: SemanticManifold, anchors: EtfAnchors) -> CalibrationRo
     present = manifold.present_mask
     if not present.any():
         raise RuntimeError("procrustes needs at least one present class")
-    cross = anchors.delta[:, present] @ manifold.p[:, present].T
-    f = svd(cross)
-    return CalibrationRotation(r=f.u @ f.vt)
+    f = svd(anchors[:, present] @ manifold.p[:, present].T)
+    return f.u @ f.vt
 
 
 def semantic_loss(ego: np.ndarray, labels: np.ndarray, train_mask: np.ndarray,
-                  rotation: CalibrationRotation, anchors: EtfAnchors):
+                  rotation: np.ndarray, anchors: np.ndarray):
     """Mean squared anchor distance of calibrated train egos, with gradient.
 
     loss = (1/T) sum_v ||r @ h_v - delta_{y_v}||^2 over the T labeled
@@ -123,24 +99,21 @@ def semantic_loss(ego: np.ndarray, labels: np.ndarray, train_mask: np.ndarray,
     grad = np.zeros_like(ego)
     if len(train) == 0:
         return 0.0, grad
-    r = rotation.r
-    residual = ego[train] @ r.T - anchors.delta[:, labels[train]].T
+    residual = ego[train] @ rotation.T - anchors[:, labels[train]].T
     loss = float((residual ** 2).sum()) / len(train)
-    grad[train] = (2.0 / len(train)) * (residual @ r)
+    grad[train] = (2.0 / len(train)) * (residual @ rotation)
     return loss, grad
 
 
 def semantic_per_class_loss(ego: np.ndarray, labels: np.ndarray,
                             train_mask: np.ndarray,
-                            rotation: CalibrationRotation,
-                            anchors: EtfAnchors) -> np.ndarray:
+                            rotation: np.ndarray,
+                            anchors: np.ndarray) -> np.ndarray:
     """Class-conditional mean of the squared anchor distances (0 if absent)."""
-    c = anchors.num_classes
-    out = np.zeros(c)
-    r = rotation.r
-    for cls in range(c):
+    out = np.zeros(anchors.shape[1])
+    for cls in range(len(out)):
         rows = np.nonzero(train_mask & (labels == cls))[0]
         if len(rows):
-            residual = ego[rows] @ r.T - anchors.delta[:, cls]
+            residual = ego[rows] @ rotation.T - anchors[:, cls]
             out[cls] = float((residual ** 2).sum(axis=1).mean())
     return out

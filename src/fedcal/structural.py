@@ -20,7 +20,6 @@ from .graph import Graph, HopAggregator, k_hop_sets
 from .numerics import l2_normalize_rows, logsumexp
 
 __all__ = [
-    "StructuralTemplates",
     "MatchingMatrix",
     "init_templates",
     "sample_structural_batch",
@@ -31,17 +30,6 @@ __all__ = [
     "structural_loss",
     "structural_loss_ego",
 ]
-
-
-@dataclass
-class StructuralTemplates:
-    """Q structural templates, stored as a (Q, 2, d) array."""
-
-    rows: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return self.rows.shape[0]
 
 
 @dataclass
@@ -62,14 +50,14 @@ class MatchingMatrix:
     objective_trace: np.ndarray = None
 
 
-def init_templates(num_templates: int, dim: int, seed) -> StructuralTemplates:
-    """Random templates: seeded Gaussian rows scaled to unit norm."""
+def init_templates(num_templates: int, dim: int, seed) -> np.ndarray:
+    """(Q, 2, d) random templates: seeded Gaussian rows scaled to unit norm."""
     if num_templates < 1:
         raise ValueError("need at least one template")
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((num_templates, 2, dim))
     rows /= np.linalg.norm(rows, axis=2, keepdims=True)
-    return StructuralTemplates(rows=rows)
+    return rows
 
 
 def sample_structural_batch(g: Graph, batch_size: int, seed) -> np.ndarray:
@@ -125,24 +113,23 @@ def ot_distance(a, b) -> float:
     return 0.5 * float(min(keep, swap))
 
 
-def _stacked_pair_costs(rows: np.ndarray, templates: StructuralTemplates):
+def _stacked_pair_costs(rows: np.ndarray, templates: np.ndarray):
     """(keep, swap) coupling costs for all radials x templates at once.
 
-    rows is (B, 2, d); returns two (B, Q) arrays of total squared
-    distances under the identity and swapped row pairings.
+    rows is (B, 2, d) and templates (Q, 2, d); returns two (B, Q) arrays
+    of total squared distances under the identity and swapped row pairings.
     """
-    t = templates.rows                                 # (Q, 2, d)
-    diff_keep = rows[:, None, :, :] - t[None, :, :, :]
-    diff_swap = rows[:, None, :, :] - t[None, :, ::-1, :]
+    diff_keep = rows[:, None, :, :] - templates[None, :, :, :]
+    diff_swap = rows[:, None, :, :] - templates[None, :, ::-1, :]
     return (diff_keep ** 2).sum(axis=(2, 3)), (diff_swap ** 2).sum(axis=(2, 3))
 
 
-def _cost_matrix(radials: np.ndarray, templates: StructuralTemplates) -> np.ndarray:
+def _cost_matrix(radials: np.ndarray, templates: np.ndarray) -> np.ndarray:
     keep, swap = _stacked_pair_costs(radials, templates)
     return 0.5 * np.minimum(keep, swap)
 
 
-def sinkhorn_match(radials, templates: StructuralTemplates, epsilon: float = 0.05,
+def sinkhorn_match(radials, templates: np.ndarray, epsilon: float = 0.05,
                    max_iters: int = 500, tol: float = 1e-6,
                    debug: bool = False) -> MatchingMatrix:
     """Entropic assignment of radial sequences to templates.
@@ -161,7 +148,7 @@ def sinkhorn_match(radials, templates: StructuralTemplates, epsilon: float = 0.0
     if max_iters < 1 or tol <= 0:
         raise ValueError(f"need max_iters >= 1 and tol > 0, got {max_iters}, {tol}")
     nb = len(radials)
-    nq = templates.count
+    nq = len(templates)
     if nb == 0:
         raise ValueError("need at least one radial sequence")
     cost = _cost_matrix(radials, templates)
@@ -198,8 +185,7 @@ def sinkhorn_match(radials, templates: StructuralTemplates, epsilon: float = 0.0
     )
 
 
-def structural_loss(matching: MatchingMatrix, radials,
-                    templates: StructuralTemplates):
+def structural_loss(matching: MatchingMatrix, radials, templates: np.ndarray):
     """Assignment-weighted transport cost with gradient on the radial rows.
 
     loss = (1/B) sum_b sum_q f[b,q] * ot_distance(radial_b, template_q).
@@ -210,15 +196,15 @@ def structural_loss(matching: MatchingMatrix, radials,
     rows = np.asarray(radials, dtype=np.float64)       # (B, 2, d)
     f = matching.f
     nb = len(rows)
-    if f.shape != (nb, templates.count):
+    if f.shape != (nb, len(templates)):
         raise ValueError(
-            f"matching shape {f.shape} does not fit B={nb}, Q={templates.count}"
+            f"matching shape {f.shape} does not fit B={nb}, Q={len(templates)}"
         )
     keep, swap = _stacked_pair_costs(rows, templates)
     swapped = swap < keep                              # ties keep the identity
     loss = float((f * 0.5 * np.minimum(keep, swap)).sum() / nb)
 
-    t_keep = np.broadcast_to(templates.rows[None], (nb,) + templates.rows.shape)
+    t_keep = np.broadcast_to(templates[None], (nb,) + templates.shape)
     t_perm = np.where(swapped[:, :, None, None], t_keep[:, :, ::-1, :], t_keep)
     diff = rows[:, None, :, :] - t_perm                # (B, Q, 2, d)
     grad_rows = (f[:, :, None, None] * diff).sum(axis=1) / nb
@@ -226,7 +212,7 @@ def structural_loss(matching: MatchingMatrix, radials,
 
 
 def structural_loss_ego(g: Graph, ego: np.ndarray, matching: MatchingMatrix,
-                        batch, templates: StructuralTemplates,
+                        batch, templates: np.ndarray,
                         agg: HopAggregator = None, rings=None):
     """Structural loss with the gradient chained back to the ego rows.
 

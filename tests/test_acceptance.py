@@ -30,7 +30,6 @@ from fedcal.refine import (
 )
 from fedcal.semantic import SemanticManifold, construct_etf, procrustes
 from fedcal.structural import (
-    StructuralTemplates,
     init_templates,
     sinkhorn_match,
 )
@@ -70,9 +69,9 @@ class TestCriterion1EtfGeometry:
         for c in range(2, 11):
             for d in (c, 2 * c, 64):
                 anchors = construct_etf(c, d, seed=1000 * c + d)
-                norms = np.linalg.norm(anchors.delta, axis=0)
+                norms = np.linalg.norm(anchors, axis=0)
                 worst_norm = max(worst_norm, float(np.abs(norms - 1.0).max()))
-                gram = anchors.delta.T @ anchors.delta
+                gram = anchors.T @ anchors
                 off = gram[~np.eye(c, dtype=bool)]
                 worst_gram = max(worst_gram, float(np.abs(off + 1 / (c - 1)).max()))
         elapsed = time.time() - start
@@ -97,10 +96,10 @@ class TestCriterion2Procrustes:
             manifold = SemanticManifold(p=p, present_mask=np.ones(c, dtype=bool))
             rot = procrustes(manifold, anchors)
 
-            err = np.linalg.norm(rot.r @ p - anchors.delta) ** 2
-            sigma = svd(anchors.delta @ p.T).sigma
+            err = np.linalg.norm(rot @ p - anchors) ** 2
+            sigma = svd(anchors @ p.T).sigma
             identity = (np.linalg.norm(p) ** 2
-                        + np.linalg.norm(anchors.delta) ** 2 - 2 * sigma.sum())
+                        + np.linalg.norm(anchors) ** 2 - 2 * sigma.sum())
             worst_identity = max(worst_identity, abs(err - identity))
 
             if d not in candidate_pools:
@@ -110,14 +109,14 @@ class TestCriterion2Procrustes:
             candidates = candidate_pools[d]
             best = np.sqrt(err)
             cand_errs = np.linalg.norm(
-                candidates @ p - anchors.delta[None], axis=(1, 2)
+                candidates @ p - anchors[None], axis=(1, 2)
             )
             worst_opt = max(worst_opt, float((best - cand_errs).max()))
 
             before = np.linalg.norm(
                 p[:, :, None] - p[:, None, :], axis=0
             )
-            rp = rot.r @ p
+            rp = rot @ p
             after = np.linalg.norm(rp[:, :, None] - rp[:, None, :], axis=0)
             worst_iso = max(worst_iso, float(np.abs(before - after).max()))
         elapsed = time.time() - start
@@ -208,7 +207,7 @@ class TestCriterion4Sinkhorn:
         rows_a = rng.standard_normal((2, 4))
         rows_b = rows_a + 10.0
         radials = [rows_a, rows_b]
-        templates = StructuralTemplates(rows=np.stack([rows_a, rows_b]))
+        templates = np.stack([rows_a, rows_b])
         match = sinkhorn_match(radials, templates, epsilon=0.01)
         assert match.f[0, 0] >= 0.99 and match.f[1, 1] >= 0.99
 
@@ -260,9 +259,9 @@ class TestCriterion5GromovWasserstein:
             f = rng2.random((10, 3))
             f /= f.sum(axis=1, keepdims=True)
             rep = make_structural_report(radial_rows, f)
-            templates = StructuralTemplates(rows=rng2.standard_normal((3, 2, 5)))
+            templates = rng2.standard_normal((3, 2, 5))
             for q in range(3):
-                before = template_objective([rep], q, templates.rows[q])
+                before = template_objective([rep], q, templates[q])
                 new = update_template(q, [rep], templates, RefineConfig())
                 after = template_objective([rep], q, new)
                 worst_ascent = max(worst_ascent, after - before)
@@ -287,7 +286,7 @@ class TestCriterion6AnchorRefinement:
         for _ in range(50):
             reports = []
             for _ in range(3):
-                k = anchors.delta + rng.standard_normal(anchors.delta.shape) * 0.3
+                k = anchors + rng.standard_normal(anchors.shape) * 0.3
                 reports.append(SemanticReport(
                     k=k, present_mask=np.ones(4, dtype=bool),
                     per_class_loss=rng.random(4),
@@ -298,7 +297,7 @@ class TestCriterion6AnchorRefinement:
             gammas = difficulty_weights(reports, cfg.tau)
             for i in range(4):
                 s = constraint_vector(anchors, i)
-                delta = anchors.delta[:, i]
+                delta = anchors[:, i]
                 step = (delta + gammas[i] * vs[:, i] + s) - delta
                 t = min(1.0, cfg.eta / (np.linalg.norm(step) + cfg.eps))
                 worst_chord = max(worst_chord, t * np.linalg.norm(step))
@@ -311,11 +310,11 @@ class TestCriterion6AnchorRefinement:
         # exact ETF + zero deviation is a fixed point
         exact = construct_etf(5, 8, seed=67)
         reports = [SemanticReport(
-            k=exact.delta.copy(), present_mask=np.ones(5, dtype=bool),
+            k=exact.copy(), present_mask=np.ones(5, dtype=bool),
             per_class_loss=np.zeros(5),
         )]
         refined, drift = refine_all_anchors(exact, reports, cfg)
-        fixed_err = float(np.abs(refined.delta - exact.delta).max())
+        fixed_err = float(np.abs(refined - exact).max())
         assert fixed_err <= 1e-12
         assert drift <= 1e-9
         report("criterion 6 (anchor refinement)",

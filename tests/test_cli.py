@@ -187,10 +187,19 @@ class TestRunCommand:
         ("dataset.feat_sep = -1", "dataset.feat_sep"),
         ("dataset.feat_sep = nan", "dataset.feat_sep"),
         ("dataset.feat_sep = inf", "dataset.feat_sep"),
+        ("split.val = 0", "split"),
+        ("split.val = nan", "split"),
+        ("refine.tau = nan", "refine.tau"),
+        ("refine.eta = nan", "refine.eta"),
+        ("refine.eps = nan", "refine.eps"),
+        ("federation.metric = auc\nfederation.classes = 3", "federation.metric"),
     ])
     def test_out_of_range_setting_fails_before_work(self, tmp_path, capsys, line, setting):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(SMOKE + line + "\n")
+        # a row's keys replace SMOKE's own, so a row may also change a key SMOKE sets
+        keys = {entry.split("=")[0].strip() for entry in line.splitlines()}
+        base = [entry for entry in SMOKE.splitlines() if entry.split("=")[0].strip() not in keys]
+        cfg.write_text("\n".join(base) + "\n" + line + "\n")
         out = tmp_path / "run"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert setting in capsys.readouterr().err

@@ -21,7 +21,12 @@ from fedcal.fedsim import (
 )
 from fedcal.graph import Graph, HopAggregator
 from fedcal.model import ModelParams, init_params
-from fedcal.refine import SemanticReport, StructuralReport
+from fedcal.refine import (
+    SemanticReport,
+    StructuralReport,
+    refine_all_anchors,
+    update_template,
+)
 
 
 def tiny_config(**kw):
@@ -88,7 +93,7 @@ class TestRunFederation:
         res = run_client_round(clients[0], anchors, templates, cfg, 0)
         vs = deviation_vectors([res.semantic_report], anchors)
         result = run_federation(cfg)
-        moved = result.anchors.delta - anchors.delta
+        moved = result.anchors - anchors
         for i in range(cfg.num_classes):
             if np.linalg.norm(vs[:, i]) > 1e-3:
                 assert moved[:, i] @ vs[:, i] > 0.0
@@ -159,8 +164,41 @@ class TestRunFederation:
         cfg = tiny_config(refine_enabled=False)
         _, anchors0, templates0, _ = setup_federation(cfg)
         result = run_federation(cfg)
-        assert np.array_equal(result.anchors.delta, anchors0.delta)
-        assert np.array_equal(result.templates.rows, templates0.rows)
+        assert np.array_equal(result.anchors, anchors0)
+        assert np.array_equal(result.templates, templates0)
+
+    def test_round_leaves_shared_arrays_unwritten(self):
+        # every client thread reads the same anchors and templates: a round
+        # on read-only arrays must run and give what it gives on copies
+        cfg = tiny_config(rounds=1)
+        clients, anchors, templates, _ = setup_federation(cfg)
+
+        def one_round(anchors, templates):
+            results = [run_client_round(c, anchors, templates, cfg, 0) for c in clients]
+            str_reports = [r.structural_report for r in results]
+            refined, drift = refine_all_anchors(
+                anchors, [r.semantic_report for r in results], cfg.refine
+            )
+            new_templates = [update_template(q, str_reports, templates, cfg.refine)
+                             for q in range(cfg.num_templates)]
+            arrays = [refined, np.array(drift)] + new_templates
+            for r in results:
+                arrays += [r.params.w_ego, r.params.w_cls, r.params.b_cls, r.rotation,
+                           r.semantic_report.k, r.semantic_report.per_class_loss,
+                           r.structural_report.radials, r.structural_report.matching.f,
+                           np.array([r.ce, r.sem, r.stru, r.val_metric, r.test_metric])]
+            return arrays
+
+        frozen_anchors, frozen_templates = anchors.copy(), templates.copy()
+        frozen_anchors.flags.writeable = False
+        frozen_templates.flags.writeable = False
+        frozen = one_round(frozen_anchors, frozen_templates)
+        writable = one_round(anchors.copy(), templates.copy())
+        assert len(frozen) == len(writable)
+        for x, y in zip(frozen, writable):
+            assert np.array_equal(x, y)
+        assert np.array_equal(frozen_anchors, anchors)
+        assert np.array_equal(frozen_templates, templates)
 
 
 class TestPrivacyStructure:

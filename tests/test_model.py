@@ -4,7 +4,6 @@ import pytest
 from fedcal.graph import Graph, HopAggregator, generate_sbm, split_masks
 from fedcal.model import (
     ModelParams,
-    ParamGrads,
     cross_entropy,
     forward,
     init_params,
@@ -15,7 +14,6 @@ from fedcal.model import (
 from fedcal.semantic import class_means, construct_etf, procrustes
 from fedcal.structural import (
     MatchingMatrix,
-    StructuralTemplates,
     init_templates,
     radial_sequences_from_rings,
     sample_structural_batch,
@@ -155,12 +153,10 @@ class TestTotalLoss:
         manifold = class_means(cache.ego, g.labels, g.train_mask, 2)
         rot = procrustes(manifold, construct_etf(2, 2, seed=6))
 
-        from fedcal.semantic import EtfAnchors
-
-        anchors = EtfAnchors(delta=rot.r @ manifold.p)
+        anchors = rot @ manifold.p
         batch = np.arange(8)
         radials = radial_sequences_from_rings(cache.hop1, cache.hop2, batch)
-        templates = StructuralTemplates(rows=radials.copy())
+        templates = radials.copy()
         matching = MatchingMatrix(f=np.eye(8))
         total, (ce, sem, stru), _ = total_loss(
             params, g, anchors, rot, templates, matching, batch, agg
@@ -232,7 +228,7 @@ class TestTotalLoss:
 class TestSgdAndSchedule:
     def test_zero_gradient_keeps_params(self):
         params = init_params(3, 2, 2, seed=9)
-        zero = ParamGrads(
+        zero = ModelParams(
             w_ego=np.zeros_like(params.w_ego),
             w_cls=np.zeros_like(params.w_cls),
             b_cls=np.zeros_like(params.b_cls),
@@ -243,7 +239,7 @@ class TestSgdAndSchedule:
 
     def test_nonfinite_gradient_aborts(self):
         params = init_params(3, 2, 2, seed=10)
-        bad = ParamGrads(
+        bad = ModelParams(
             w_ego=np.full_like(params.w_ego, np.nan),
             w_cls=np.zeros_like(params.w_cls),
             b_cls=np.zeros_like(params.b_cls),
@@ -296,5 +292,5 @@ class TestSgdAndSchedule:
             lr_schedule(0, 0.0, 10.0)
         with pytest.raises(ValueError):
             sgd_step(init_params(2, 2, 2, 0),
-                     ParamGrads(np.zeros((2, 2)), np.zeros((6, 2)), np.zeros(2)),
+                     ModelParams(np.zeros((2, 2)), np.zeros((6, 2)), np.zeros(2)),
                      0.0)

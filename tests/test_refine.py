@@ -17,14 +17,14 @@ from fedcal.refine import (
     template_objective,
     update_template,
 )
-from fedcal.semantic import EtfAnchors, construct_etf
-from fedcal.structural import MatchingMatrix, StructuralTemplates
+from fedcal.semantic import construct_etf
+from fedcal.structural import MatchingMatrix
 
 
 def report_at_anchors(anchors, loss=0.0):
-    c = anchors.num_classes
+    c = anchors.shape[1]
     return SemanticReport(
-        k=anchors.delta.copy(),
+        k=anchors.copy(),
         present_mask=np.ones(c, dtype=bool),
         per_class_loss=np.full(c, loss),
     )
@@ -62,7 +62,7 @@ class TestDeviationVectors:
         for i in range(4):
             manual = np.zeros(6)
             for rep in reports:
-                manual = manual + (rep.k[:, i] - anchors.delta[:, i])
+                manual = manual + (rep.k[:, i] - anchors[:, i])
             manual /= 3
             assert np.abs(vs[:, i] - manual).max() <= 1e-12
 
@@ -108,22 +108,21 @@ class TestConstraintVector:
         anchors = construct_etf(2, 4, seed=8)
         s0 = constraint_vector(anchors, 0)
         # delta_1 = -delta_0, distance 2: s_0 = -delta_1/4 = delta_0/4
-        assert np.abs(s0 - anchors.delta[:, 0] / 4).max() <= 1e-9
+        assert np.abs(s0 - anchors[:, 0] / 4).max() <= 1e-9
 
     def test_parallel_for_exact_etf(self):
         for c in (2, 3, 5):
             anchors = construct_etf(c, c + 2, seed=c)
             for i in range(c):
                 s = constraint_vector(anchors, i)
-                d = anchors.delta[:, i]
+                d = anchors[:, i]
                 cosine = s @ d / (np.linalg.norm(s) * np.linalg.norm(d))
                 assert abs(cosine - 1.0) <= 1e-9
 
     def test_matches_bruteforce_on_perturbed_anchors(self):
         rng = np.random.default_rng(9)
-        delta = construct_etf(4, 5, seed=9).delta + rng.standard_normal((5, 4)) * 0.05
-        anchors = EtfAnchors(delta=delta)
-        s = constraint_vector(anchors, 2)
+        delta = construct_etf(4, 5, seed=9) + rng.standard_normal((5, 4)) * 0.05
+        s = constraint_vector(delta, 2)
         manual = np.zeros(5)
         for j in (0, 1, 3):
             manual -= delta[:, j] / np.linalg.norm(delta[:, 2] - delta[:, j]) ** 2
@@ -132,7 +131,7 @@ class TestConstraintVector:
     def test_coincident_anchors_rejected(self):
         delta = np.ones((3, 2)) / np.sqrt(3)
         with pytest.raises(RuntimeError):
-            constraint_vector(EtfAnchors(delta=delta), 0)
+            constraint_vector(delta, 0)
 
 
 class TestRefineAnchor:
@@ -187,7 +186,7 @@ class TestRefineAllAnchors:
         anchors = construct_etf(4, 6, seed=12)
         reports = [report_at_anchors(anchors) for _ in range(3)]
         refined, drift = refine_all_anchors(anchors, reports, RefineConfig())
-        assert np.abs(refined.delta - anchors.delta).max() <= 1e-12
+        assert np.abs(refined - anchors).max() <= 1e-12
         assert drift <= 1e-9
 
     def test_unit_norms_after_noisy_round(self):
@@ -199,7 +198,7 @@ class TestRefineAllAnchors:
             rep.k += rng.standard_normal(rep.k.shape) * 0.2
             reports.append(rep)
         refined, drift = refine_all_anchors(anchors, reports, RefineConfig())
-        norms = np.linalg.norm(refined.delta, axis=0)
+        norms = np.linalg.norm(refined, axis=0)
         assert np.abs(norms - 1.0).max() <= 1e-12
         assert drift >= 0.0
 
@@ -222,8 +221,8 @@ class TestRefineAllAnchors:
         rep.present_mask[1] = False
         rep.k[:, 0] += 0.3
         refined, _ = refine_all_anchors(anchors, [rep], RefineConfig())
-        assert np.array_equal(refined.delta[:, 1], anchors.delta[:, 1])
-        assert not np.allclose(refined.delta[:, 0], anchors.delta[:, 0])
+        assert np.array_equal(refined[:, 1], anchors[:, 1])
+        assert not np.allclose(refined[:, 0], anchors[:, 0])
 
     def test_anchors_move_toward_deviation(self):
         anchors = construct_etf(2, 4, seed=16)
@@ -233,7 +232,7 @@ class TestRefineAllAnchors:
         rep.k[:, 0] += offset
         vs = deviation_vectors([rep], anchors)
         refined, _ = refine_all_anchors(anchors, [rep], RefineConfig())
-        moved = refined.delta[:, 0] - anchors.delta[:, 0]
+        moved = refined[:, 0] - anchors[:, 0]
         assert moved @ vs[:, 0] > 0.0
 
 
@@ -278,7 +277,7 @@ class TestGw2Point:
 class TestUpdateTemplate:
     def _templates(self, d, q, seed):
         rng = np.random.default_rng(seed)
-        return StructuralTemplates(rows=rng.standard_normal((q, 2, d)))
+        return rng.standard_normal((q, 2, d))
 
     def test_identical_radials_reproduced_exactly(self):
         # golden section pins a flat quadratic minimum to ~sqrt(eps)
@@ -335,7 +334,7 @@ class TestUpdateTemplate:
             rep = make_structural_report(radial_rows, f)
             templates = self._templates(5, 3, seed + 50)
             for q in range(3):
-                before = template_objective([rep], q, templates.rows[q])
+                before = template_objective([rep], q, templates[q])
                 new = update_template(q, [rep], templates, RefineConfig())
                 after = template_objective([rep], q, new)
                 assert after <= before + 1e-9
@@ -348,7 +347,7 @@ class TestUpdateTemplate:
         rep = make_structural_report(radial_rows, f)
         templates = self._templates(3, 2, 24)
         new = update_template(1, [rep], templates, RefineConfig())
-        assert np.array_equal(new, templates.rows[1])
+        assert np.array_equal(new, templates[1])
 
     def test_coincident_mean_rows_use_seeded_direction(self):
         # two radials whose weighted mean rows coincide but with nonzero
@@ -389,13 +388,13 @@ def reference_update(q, reports, templates, cfg):
     weights, alphas, rows = reference_collect(reports, q)
     total = weights.sum()
     if total <= 0.0:
-        return templates.rows[q].copy()
+        return templates[q].copy()
     hi = float(alphas.max())
     beta = 0.0 if hi <= 0.0 else _golden_section(
         lambda b: float((weights * reference_gw_values(alphas, b)).sum()),
         0.0, hi, cfg.gw_iters,
     )
-    mean_rows = np.zeros_like(templates.rows[q])
+    mean_rows = np.zeros_like(templates[q])
     for w, r in zip(weights, rows):
         mean_rows += w * r
     mean_rows /= total
@@ -423,7 +422,7 @@ class TestServerPathReference:
             f[:, 2] = 0.0
             f /= f.sum(axis=1, keepdims=True)
             reports.append(make_structural_report(list(rows), f))
-        templates = StructuralTemplates(rows=rng.standard_normal((q_count, 2, d)))
+        templates = rng.standard_normal((q_count, 2, d))
         cfg = RefineConfig()
         for q in range(q_count):
             new = update_template(q, reports, templates, cfg)
@@ -432,14 +431,14 @@ class TestServerPathReference:
             beta = float(np.linalg.norm(new[0] - new[1]))
             expected = float((weights * reference_gw_values(alphas, beta)).sum())
             assert template_objective(reports, q, new) == expected
-        assert np.array_equal(update_template(2, reports, templates, cfg), templates.rows[2])
+        assert np.array_equal(update_template(2, reports, templates, cfg), templates[2])
 
     def test_coincident_mean_equals_reference(self):
         rows_a = np.array([[1.0, 0.0], [0.0, 0.0]])
         rows_b = np.array([[0.0, 0.0], [1.0, 0.0]])
         reports = [make_structural_report([rows_a], np.ones((1, 1))),
                    make_structural_report([rows_b], np.ones((1, 1)))]
-        templates = StructuralTemplates(rows=np.zeros((1, 2, 2)))
+        templates = np.zeros((1, 2, 2))
         cfg = RefineConfig()
         assert np.array_equal(update_template(0, reports, templates, cfg),
                               reference_update(0, reports, templates, cfg))

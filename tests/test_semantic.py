@@ -26,24 +26,24 @@ class TestConstructEtf:
     def test_binary_anchors_are_antipodal(self):
         for d in (2, 5, 16):
             a = construct_etf(2, d, seed=d)
-            assert abs(a.delta[:, 0] @ a.delta[:, 1] + 1.0) <= 1e-9
+            assert abs(a[:, 0] @ a[:, 1] + 1.0) <= 1e-9
 
     def test_three_class_gram(self):
         a = construct_etf(3, 4, seed=1)
-        gram = a.delta.T @ a.delta
+        gram = a.T @ a
         assert np.abs(np.diag(gram) - 1.0).max() <= 1e-9
         off = gram[~np.eye(3, dtype=bool)]
         assert np.abs(off + 0.5).max() <= 1e-9
 
     def test_columns_sum_to_zero(self):
         a = construct_etf(5, 9, seed=2)
-        assert np.linalg.norm(a.delta.sum(axis=1)) <= 1e-9
+        assert np.linalg.norm(a.sum(axis=1)) <= 1e-9
 
     @pytest.mark.parametrize("c", range(2, 11))
     def test_gram_structure_across_dims(self, c):
         for d in (c, 2 * c, 64):
             a = construct_etf(c, d, seed=c * 100 + d)
-            gram = a.delta.T @ a.delta
+            gram = a.T @ a
             assert np.abs(np.diag(gram) - 1.0).max() <= 1e-9
             off = gram[~np.eye(c, dtype=bool)]
             assert np.abs(off + 1.0 / (c - 1)).max() <= 1e-9
@@ -53,7 +53,7 @@ class TestConstructEtf:
             construct_etf(5, 3, seed=0)
 
     def test_deterministic(self):
-        assert np.array_equal(construct_etf(4, 8, 7).delta, construct_etf(4, 8, 7).delta)
+        assert np.array_equal(construct_etf(4, 8, 7), construct_etf(4, 8, 7))
 
 
 class TestClassMeans:
@@ -97,19 +97,19 @@ class TestClassMeans:
 class TestProcrustes:
     def test_identity_when_already_aligned(self):
         a = construct_etf(4, 6, seed=3)
-        m = SemanticManifold(p=a.delta.copy(), present_mask=np.ones(4, dtype=bool))
+        m = SemanticManifold(p=a.copy(), present_mask=np.ones(4, dtype=bool))
         rot = procrustes(m, a)
-        assert np.linalg.norm(rot.r @ m.p - a.delta) <= 1e-8
+        assert np.linalg.norm(rot @ m.p - a) <= 1e-8
         # the rotation acts as the identity on the anchor span
-        assert np.abs(rot.r @ a.delta - a.delta).max() <= 1e-8
+        assert np.abs(rot @ a - a).max() <= 1e-8
 
     def test_recovers_orthogonal_misalignment(self):
         a = construct_etf(5, 8, seed=4)
         q = random_orthogonal(8, 44)
-        m = SemanticManifold(p=q.T @ a.delta, present_mask=np.ones(5, dtype=bool))
+        m = SemanticManifold(p=q.T @ a, present_mask=np.ones(5, dtype=bool))
         rot = procrustes(m, a)
-        assert np.linalg.norm(rot.r @ m.p - a.delta) <= 1e-8
-        assert np.abs(rot.r.T @ rot.r - np.eye(8)).max() <= 1e-8
+        assert np.linalg.norm(rot @ m.p - a) <= 1e-8
+        assert np.abs(rot.T @ rot - np.eye(8)).max() <= 1e-8
 
     def test_lemma_error_identity(self):
         # ||R P - delta||^2 = ||P||^2 + ||delta||^2 - 2 tr(Sigma)
@@ -120,10 +120,10 @@ class TestProcrustes:
         p = rng.standard_normal((10, 6))
         m = SemanticManifold(p=p, present_mask=np.ones(6, dtype=bool))
         rot = procrustes(m, a)
-        err = np.linalg.norm(rot.r @ p - a.delta) ** 2
-        sigma = svd(a.delta @ p.T).sigma
+        err = np.linalg.norm(rot @ p - a) ** 2
+        sigma = svd(a @ p.T).sigma
         identity = (
-            np.linalg.norm(p) ** 2 + np.linalg.norm(a.delta) ** 2 - 2 * sigma.sum()
+            np.linalg.norm(p) ** 2 + np.linalg.norm(a) ** 2 - 2 * sigma.sum()
         )
         assert abs(err - identity) <= 1e-8
 
@@ -133,20 +133,20 @@ class TestProcrustes:
         p = rng.standard_normal((7, 4))
         m = SemanticManifold(p=p, present_mask=np.ones(4, dtype=bool))
         rot = procrustes(m, a)
-        best = np.linalg.norm(rot.r @ p - a.delta)
+        best = np.linalg.norm(rot @ p - a)
         for cand_seed in range(200):
             q = random_orthogonal(7, cand_seed)
-            assert best <= np.linalg.norm(q @ p - a.delta) + 1e-9
+            assert best <= np.linalg.norm(q @ p - a) + 1e-9
 
     def test_absent_classes_excluded(self):
         a = construct_etf(4, 6, seed=7)
         q = random_orthogonal(6, 77)
-        p = q.T @ a.delta
+        p = q.T @ a
         p[:, 2] = 0.0
         present = np.array([True, True, False, True])
         rot = procrustes(SemanticManifold(p=p, present_mask=present), a)
-        aligned = rot.r @ p
-        assert np.linalg.norm(aligned[:, present] - a.delta[:, present]) <= 1e-8
+        aligned = rot @ p
+        assert np.linalg.norm(aligned[:, present] - a[:, present]) <= 1e-8
 
     def test_all_absent_raises(self):
         a = construct_etf(3, 5, seed=8)
@@ -164,7 +164,7 @@ class TestProcrustes:
         for i in range(5):
             for j in range(i + 1, 5):
                 before = np.linalg.norm(p[:, i] - p[:, j])
-                after = np.linalg.norm(rot.r @ p[:, i] - rot.r @ p[:, j])
+                after = np.linalg.norm(rot @ p[:, i] - rot @ p[:, j])
                 assert abs(before - after) <= 1e-10
 
 
@@ -176,13 +176,11 @@ class TestSemanticLoss:
         mask = np.ones(n, dtype=bool)
         anchors = construct_etf(c, d, seed=seed)
         rot_m = random_orthogonal(d, seed + 1)
-        from fedcal.semantic import CalibrationRotation
-
-        return ego, labels, mask, CalibrationRotation(r=rot_m), anchors
+        return ego, labels, mask, rot_m, anchors
 
     def test_zero_at_anchors(self):
         ego, labels, mask, rot, anchors = self._setup()
-        ego = (rot.r.T @ anchors.delta[:, labels]).T
+        ego = (rot.T @ anchors[:, labels]).T
         loss, grad = semantic_loss(ego, labels, mask, rot, anchors)
         assert loss <= 1e-20
         assert np.abs(grad).max() <= 1e-10
@@ -191,7 +189,7 @@ class TestSemanticLoss:
         ego, labels, mask, rot, anchors = self._setup(n=1, seed=2)
         labels = np.array([1])
         e = np.full(5, 0.3)
-        ego = (rot.r.T @ (anchors.delta[:, 1] + e))[None, :]
+        ego = (rot.T @ (anchors[:, 1] + e))[None, :]
         loss, _ = semantic_loss(ego, labels, np.array([True]), rot, anchors)
         assert abs(loss - np.linalg.norm(e) ** 2) <= 1e-10
 

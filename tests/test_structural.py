@@ -8,7 +8,6 @@ from fedcal.graph import Graph, HopAggregator, generate_sbm
 from fedcal.numerics import random_orthogonal
 from fedcal.structural import (
     MatchingMatrix,
-    StructuralTemplates,
     init_templates,
     ot_distance,
     radial_sequence,
@@ -163,9 +162,7 @@ class TestOtDistance:
 class TestSinkhorn:
     def test_constant_cost_gives_uniform_rows(self):
         radials = [np.eye(2, 3) for i in range(4)]
-        templates = StructuralTemplates(
-            rows=np.tile(np.eye(2, 3)[None], (3, 1, 1))
-        )
+        templates = np.tile(np.eye(2, 3)[None], (3, 1, 1))
         match = sinkhorn_match(radials, templates)
         assert np.abs(match.f - 1 / 3).max() <= 1e-9
 
@@ -175,7 +172,7 @@ class TestSinkhorn:
         rows_a = rng.standard_normal((2, d))
         rows_b = rows_a + 10.0
         radials = [rows_a, rows_b]
-        templates = StructuralTemplates(rows=np.stack([rows_a, rows_b]))
+        templates = np.stack([rows_a, rows_b])
         match = sinkhorn_match(radials, templates, epsilon=0.01)
         assert match.f[0, 0] >= 0.99
         assert match.f[1, 1] >= 0.99
@@ -230,8 +227,8 @@ class TestSinkhorn:
 def reference_sinkhorn(radials, templates, epsilon, max_iters, tol, debug):
     """The loop sinkhorn_match ran before its inner-loop trims: fresh
     u + kernel sums, exp(log_b) and a full coupling every iteration."""
-    keep = ((radials[:, None] - templates.rows[None]) ** 2).sum(axis=(2, 3))
-    swap = ((radials[:, None] - templates.rows[None, :, ::-1]) ** 2).sum(axis=(2, 3))
+    keep = ((radials[:, None] - templates[None]) ** 2).sum(axis=(2, 3))
+    swap = ((radials[:, None] - templates[None, :, ::-1]) ** 2).sum(axis=(2, 3))
     cost = 0.5 * np.minimum(keep, swap)
     mean = cost.mean()
     log_kernel = -(cost / mean if mean > 0 else cost) / epsilon
@@ -291,7 +288,7 @@ class TestSinkhornReference:
 
     def test_zero_cost_equals_untrimmed_loop(self):
         radials = np.tile(np.eye(2, 3)[None], (4, 1, 1))
-        templates = StructuralTemplates(rows=np.tile(np.eye(2, 3)[None], (3, 1, 1)))
+        templates = np.tile(np.eye(2, 3)[None], (3, 1, 1))
         match = sinkhorn_match(radials, templates)
         f, iters, converged, _ = reference_sinkhorn(radials, templates, 0.05, 500,
                                                     1e-6, False)
@@ -302,7 +299,7 @@ class TestSinkhornReference:
 class TestStructuralLoss:
     def test_zero_at_hard_assigned_templates(self):
         radials = random_radials(3, 4, seed=10)
-        templates = StructuralTemplates(rows=radials.copy())
+        templates = radials.copy()
         match = MatchingMatrix(f=np.eye(3))
         loss, grad = structural_loss(match, radials, templates)
         assert loss <= 1e-20
@@ -310,7 +307,7 @@ class TestStructuralLoss:
 
     def test_zero_template_unit_rows(self):
         radials = random_radials(5, 4, seed=11)
-        templates = StructuralTemplates(rows=np.zeros((1, 2, 4)))
+        templates = np.zeros((1, 2, 4))
         match = MatchingMatrix(f=np.ones((5, 1)))
         loss, _ = structural_loss(match, radials, templates)
         assert abs(loss - 1.0) <= 1e-12
