@@ -157,6 +157,8 @@ class FederationConfig:
         for name in ("lr0", "lr_decay_steps", "sinkhorn_epsilon", "sinkhorn_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
+        if not np.isfinite(self.lr0):
+            raise ValueError("lr0 must be finite")
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
         if self.embed_dim < self.num_classes:

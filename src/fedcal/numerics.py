@@ -1,13 +1,14 @@
 """Dense linear algebra and scalar helpers shared by every other module.
 
 Matrices are plain 2-D float64 numpy arrays (row-major). Every public
-operation but logsumexp (its inputs may hold -inf) validates finiteness
-on the way in, so NaN/Inf never escapes silently. Everything here is a
-pure function and safe to call from concurrent client threads.
+operation validates finiteness on the way in, so NaN/Inf never escapes
+silently. Everything here is a pure function and safe to call from
+concurrent client threads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,6 @@ __all__ = [
     "svd",
     "softmax",
     "l2_normalize_rows",
-    "logsumexp",
     "random_orthogonal",
 ]
 
@@ -84,23 +84,16 @@ def l2_normalize_rows(m) -> np.ndarray:
     Exactly-zero rows pass through unchanged: isolated nodes produce zero
     aggregates and must not abort training.
     """
-    a = _as_finite_matrix(m)
-    norms = np.sqrt(np.add.reduce(a * a, axis=1))    # np.linalg.norm(a, axis=1)
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"m must be a 2-D matrix, got ndim={a.ndim}")
+    sq = np.add.reduce(a * a, axis=1)               # np.linalg.norm(a, axis=1) ** 2
+    # a NaN or inf entry makes the total non-finite; so can finite rows
+    # whose squares overflow, which the full scan then accepts
+    if not math.isfinite(np.add.reduce(sq)) and not np.isfinite(a).all():
+        raise ValueError("m contains non-finite entries")
+    norms = np.sqrt(sq)
     return np.divide(a, norms[:, None], out=a.copy(), where=norms[:, None] > 0.0)
-
-
-def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """``scipy.special.logsumexp(a, axis)`` for real a, bit for bit: the same
-    steps without SciPy's array-API dispatch, which outweighs the arithmetic."""
-    a_max = np.max(a, axis=axis, keepdims=True)
-    count = (a == a_max).sum(axis=axis, keepdims=True, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rest = np.exp(np.where(a == a_max, -np.inf, a) - a_max).sum(axis, keepdims=True)
-        out = np.log1p(np.where(rest == 0, rest, rest / count)) + np.log(count) + a_max
-        finite = np.isfinite(out)
-        if not finite.all():
-            out = np.where(finite, out, np.log(np.exp(a).sum(axis, keepdims=True)))
-    return np.squeeze(out, axis=axis)
 
 
 def random_orthogonal(d: int, seed) -> np.ndarray:

@@ -8,6 +8,12 @@ are a (Q, 2, d) array of the same layout. The transport distance between
 two such measures has a closed form (the optimum sits at one of the two
 permutation couplings), and a log-domain Sinkhorn solve assigns each
 radial sequence a distribution over templates.
+
+Sinkhorn works on the log-kernel transposed to a C-ordered (Q, B) array
+and calls numpy's ufuncs directly, because with B in the hundreds and Q
+of a few, per-call overhead outweighs the arithmetic. Its results are
+bit for bit those of the (B, Q) loop over scipy.special.logsumexp: every
+sum runs in the order numpy gives it on the (B, Q) layout.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, HopAggregator, k_hop_sets
-from .numerics import l2_normalize_rows, logsumexp
+from .numerics import l2_normalize_rows
 
 __all__ = [
     "MatchingMatrix",
@@ -129,6 +135,33 @@ def _cost_matrix(radials: np.ndarray, templates: np.ndarray) -> np.ndarray:
     return 0.5 * np.minimum(keep, swap)
 
 
+def _sum_over_b(t: np.ndarray) -> np.ndarray:
+    """Row sums of a (Q, B) array, each in the order numpy sums the
+    matching column of the C-ordered (B, Q) array: one row after another
+    for Q >= 2, pairwise for Q = 1, where (B, 1) coalesces to one line."""
+    return np.add.reduce(t, axis=1) if len(t) == 1 else np.add.accumulate(t, axis=1)[:, -1]
+
+
+def _sum_over_q(t: np.ndarray) -> np.ndarray:
+    """Column sums of a (Q, B) array, each in the order numpy sums the
+    matching row of the C-ordered (B, Q) array: pairwise, which below 8
+    terms is left to right, as a reduce down the Q rows adds them."""
+    return np.add.reduce(t, axis=0) if len(t) < 8 else np.add.reduce(t.T.copy(), axis=1)
+
+
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    """``scipy.special.logsumexp(x, axis)`` of a finite (Q, B) array, bit for bit."""
+    top = np.maximum.reduce(x, axis=axis, keepdims=True)
+    diff = x - top
+    ties = diff == 0.0                               # the maxima, ties included
+    count = np.add.reduce(ties, axis=axis, dtype=np.float64)
+    terms = np.exp(diff, out=diff)
+    terms[ties] = 0.0
+    rest = _sum_over_b(terms) if axis == 1 else _sum_over_q(terms)
+    # count >= 1, so rest / count is SciPy's where(rest == 0, rest, rest / count)
+    return np.log1p(rest / count) + np.log(count) + top.ravel()
+
+
 def sinkhorn_match(radials, templates: np.ndarray, epsilon: float = 0.05,
                    max_iters: int = 500, tol: float = 1e-6,
                    debug: bool = False) -> MatchingMatrix:
@@ -140,7 +173,15 @@ def sinkhorn_match(radials, templates: np.ndarray, epsilon: float = 0.05,
     are exact and convergence is measured on the column-marginal l1
     residual. The returned matrix is the coupling times B, making every
     row a probability distribution over templates. Non-convergence is
-    reported through the converged flag, not an exception.
+    reported through the converged flag, not an exception; an epsilon so
+    small that the scaled log-kernel is not finite raises ValueError.
+
+    The loop keeps the log-kernel transposed, as a C-ordered (Q, B)
+    array, so each reduction runs over contiguous rows. Every sum keeps
+    the order numpy gives the same sum over the (B, Q) layout (see
+    _sum_over_b and _sum_over_q), so f, the iteration count and the
+    trace equal those of the (B, Q) loop over scipy.special.logsumexp
+    bit for bit.
     """
     radials = np.asarray(radials, dtype=np.float64)
     if epsilon <= 0:
@@ -155,30 +196,33 @@ def sinkhorn_match(radials, templates: np.ndarray, epsilon: float = 0.05,
     mean = cost.mean()
     scaled = cost / mean if mean > 0 else cost
     log_kernel = -scaled / epsilon
+    if not np.isfinite(log_kernel).all():
+        raise ValueError(f"epsilon = {epsilon!r} leaves the scaled log-kernel non-finite")
+    kernel = np.ascontiguousarray(log_kernel.T)                 # (Q, B)
     log_a = np.full(nb, -np.log(nb))
     log_b = np.full(nq, -np.log(nq))
     b = np.exp(log_b)
     u = np.zeros(nb)
-    # u + log_kernel serves both this iteration's coupling and the next v-update
-    u_kernel = u[:, None] + log_kernel
+    # u + kernel serves both this iteration's coupling and the next v-update
+    u_kernel = u + kernel
     trace = [] if debug else None
     converged = False
     for iters in range(1, max_iters + 1):
-        v = log_b - logsumexp(u_kernel, axis=0)
-        u = log_a - logsumexp(log_kernel + v[None, :], axis=1)
-        u_kernel = u[:, None] + log_kernel
-        coupling = np.exp(u_kernel + v[None, :])
+        v = log_b - _logsumexp(u_kernel, 1)
+        u = log_a - _logsumexp(kernel + v[:, None], 0)
+        u_kernel = u + kernel
+        coupling = np.exp(u_kernel + v[:, None])
         if debug:
-            # dual of the entropic problem, in the scaled-cost units
-            trace.append(
-                epsilon * (float(u @ np.exp(log_a)) + float(v @ b) - coupling.sum())
-            )
-        residual = np.abs(coupling.sum(axis=0) - b).sum()
+            # dual of the entropic problem, in the scaled-cost units; the
+            # total runs over the coupling in its (B, Q) order
+            trace.append(epsilon * (float(u @ np.exp(log_a)) + float(v @ b)
+                                    - np.add.reduce(coupling.T.ravel())))
+        residual = np.add.reduce(np.abs(_sum_over_b(coupling) - b))
         if residual < tol:
             converged = True
             break
     return MatchingMatrix(
-        f=nb * coupling,
+        f=np.multiply(nb, coupling.T, order="C"),
         converged=converged,
         iterations=iters,
         objective_trace=np.array(trace) if debug else None,

@@ -175,6 +175,7 @@ class TestRunCommand:
         ("sinkhorn.tol = -1", "sinkhorn_tol"),
         ("sinkhorn.epsilon = 0", "sinkhorn_epsilon"),
         ("train.lr0 = -1", "lr0"),
+        ("train.lr0 = inf", "lr0"),
         ("train.lr_decay_steps = 0", "lr_decay_steps"),
         ("split.train = -0.1", "split"),
         ("split.val = 0.9", "split"),

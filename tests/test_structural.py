@@ -216,6 +216,13 @@ class TestSinkhorn:
         with pytest.raises(ValueError):
             sinkhorn_match(radials, templates, epsilon=0.0)
 
+    def test_rejects_epsilon_that_leaves_kernel_non_finite(self):
+        radials = random_radials(4, 3, seed=9)
+        templates = init_templates(2, 3, seed=9)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="epsilon"):
+                sinkhorn_match(radials, templates, epsilon=1e-320)
+
     @pytest.mark.parametrize("bad", [{"max_iters": 0}, {"tol": 0.0}, {"tol": -1.0}])
     def test_rejects_bad_stopping_rule(self, bad):
         radials = random_radials(2, 3, seed=9)
@@ -285,6 +292,38 @@ class TestSinkhornReference:
                                    epsilon=epsilon, max_iters=max_iters)
             capped.append(not match.converged and match.iterations == max_iters)
         assert any(capped) and not all(capped)
+
+    @pytest.mark.parametrize("nq", [1, 2, 3, 7, 8, 9, 12])
+    @pytest.mark.parametrize("nb", [1, 2, 7, 8, 9, 160, 300])
+    def test_grid_with_ties_equals_untrimmed_loop(self, nb, nq):
+        # the second half of the radials repeats the first, and for Q >= 3
+        # the last template repeats the first, so maxima tie on both axes
+        radials = random_radials(nb, 4, seed=nb * 100 + nq)
+        radials[nb // 2:] = radials[:nb - nb // 2]
+        templates = init_templates(nq, 4, seed=nq)
+        if nq >= 3:
+            templates[-1] = templates[0]
+        match = sinkhorn_match(radials, templates, debug=True)
+        f, iters, converged, trace = reference_sinkhorn(radials, templates, 0.05, 500,
+                                                        1e-6, True)
+        assert match.f.flags.c_contiguous
+        assert np.array_equal(match.f, f)
+        assert (match.iterations, match.converged) == (iters, converged)
+        assert np.array_equal(match.objective_trace, trace)
+
+    @pytest.mark.parametrize("debug", [False, True])
+    def test_capped_grid_case_equals_untrimmed_loop(self, debug):
+        radials = random_radials(160, 4, seed=11)
+        radials[80:] = radials[:80]
+        templates = init_templates(9, 4, seed=11)
+        match = sinkhorn_match(radials, templates, max_iters=7, debug=debug)
+        f, iters, converged, trace = reference_sinkhorn(radials, templates, 0.05, 7,
+                                                        1e-6, debug)
+        assert (match.iterations, match.converged) == (7, False) == (iters, converged)
+        assert match.f.flags.c_contiguous
+        assert np.array_equal(match.f, f)
+        if debug:
+            assert np.array_equal(match.objective_trace, trace)
 
     def test_zero_cost_equals_untrimmed_loop(self):
         radials = np.tile(np.eye(2, 3)[None], (4, 1, 1))
