@@ -67,9 +67,6 @@ _CONFIG_SCHEMA = {
     "sinkhorn.tol": (float, 1e-6),
     "refine.tau": (float, 1.0),
     "refine.eta": (float, 0.1),
-    "refine.eps": (float, 1e-8),
-    "refine.gw_lr": (float, 1.0),
-    "refine.gw_iters": (int, 200),
     "dataset.kind": (str, "synthetic"),
     "dataset.nodes": (int, 600),
     "dataset.p_in": (float, 0.1),
@@ -86,6 +83,10 @@ _CONFIG_SCHEMA = {
     "output.embeddings": (_parse_bool, False),
 }
 
+# retired key -> (parser, last default), the one value old config files may hold
+_RETIRED_KEYS = {"refine.eps": (float, 1e-8), "refine.gw_lr": (float, 1.0),
+                 "refine.gw_iters": (int, 200)}
+
 
 def parse_config_file(path) -> dict:
     """Flat ``key = value`` file -> raw string dict; unknown keys are errors."""
@@ -100,7 +101,7 @@ def parse_config_file(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_SCHEMA:
+            if key not in _CONFIG_SCHEMA and key not in _RETIRED_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             if key in raw:
                 raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -131,10 +132,6 @@ class RunConfig:
             labels_path=v["dataset.labels"],
             split=(v["split.train"], v["split.val"], v["split.test"]),
         )
-        refine = RefineConfig(
-            tau=v["refine.tau"], eta=v["refine.eta"], eps=v["refine.eps"],
-            gw_lr=v["refine.gw_lr"], gw_iters=v["refine.gw_iters"],
-        )
         return FederationConfig(
             num_clients=v["federation.clients"],
             rounds=v["federation.rounds"],
@@ -148,7 +145,7 @@ class RunConfig:
             sinkhorn_epsilon=v["sinkhorn.epsilon"],
             sinkhorn_iters=v["sinkhorn.max_iters"],
             sinkhorn_tol=v["sinkhorn.tol"],
-            refine=refine,
+            refine=RefineConfig(tau=v["refine.tau"], eta=v["refine.eta"]),
             seed=v["federation.seed"] if seed is None else int(seed),
             partition_mode=v["partition.mode"],
             dataset=dataset,
@@ -159,17 +156,19 @@ class RunConfig:
         )
 
 
+def _cast(key: str, caster, text: str):
+    try:
+        return caster(text)
+    except ValueError as exc:
+        raise ValueError(f"bad value for {key}: {exc}")
+
+
 def build_run_config(raw: dict) -> RunConfig:
-    values = {}
-    for key, (caster, default) in _CONFIG_SCHEMA.items():
-        if key in raw:
-            try:
-                values[key] = caster(raw[key])
-            except ValueError as exc:
-                raise ValueError(f"bad value for {key}: {exc}")
-        else:
-            values[key] = default
-    return RunConfig(values)
+    for key, (caster, last) in _RETIRED_KEYS.items():
+        if key in raw and _cast(key, caster, raw[key]) != last:
+            raise ValueError(f"{key} is retired and accepts only {last!r}, got {raw[key]!r}")
+    return RunConfig({key: _cast(key, caster, raw[key]) if key in raw else default
+                      for key, (caster, default) in _CONFIG_SCHEMA.items()})
 
 
 def write_resolved_config(cfg: RunConfig, path):

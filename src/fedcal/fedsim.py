@@ -150,7 +150,7 @@ class FederationConfig:
     refine_enabled: bool = True
 
     def __post_init__(self):
-        for name in ("num_clients", "local_epochs", "embed_dim", "num_classes",
+        for name in ("num_clients", "local_epochs", "embed_dim",
                      "batch_nodes", "num_templates", "sinkhorn_iters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -159,6 +159,8 @@ class FederationConfig:
                 raise ValueError(f"{name} must be > 0")
         if not np.isfinite(self.lr0):
             raise ValueError("lr0 must be finite")
+        if self.num_classes < 2:
+            raise ValueError(f"federation.classes must be >= 2, got {self.num_classes}")
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
         if self.embed_dim < self.num_classes:
@@ -170,6 +172,18 @@ class FederationConfig:
                              f"got {self.num_classes}")
         if self.partition_mode not in ("non-overlapping", "overlapping"):
             raise ValueError(f"unknown partition mode {self.partition_mode!r}")
+        overlapping = self.partition_mode == "overlapping"
+        if overlapping and self.num_clients > 1 and self.num_clients % 5:
+            raise ValueError(f"partition.mode = overlapping needs federation.clients = 1 "
+                             f"or a multiple of 5, got {self.num_clients}")
+        parts = self.num_clients // 5 if overlapping else self.num_clients
+        if self.dataset.kind == "synthetic" and self.dataset.nodes < parts:
+            raise ValueError(f"dataset.nodes must be >= {parts}, got {self.dataset.nodes}")
+        # mean-scaled costs are at most B * Q, so this bounds every -cost / epsilon
+        bound = self.batch_nodes * self.num_templates / self.sinkhorn_epsilon
+        if self.structural_enabled and bound == np.inf:
+            raise ValueError(f"sinkhorn.epsilon = {self.sinkhorn_epsilon!r} overflows "
+                             f"batch_nodes * templates / epsilon")
 
 
 @dataclass
@@ -428,7 +442,7 @@ def _run_rounds(cfg: FederationConfig, map_clients) -> FederationResult:
         gw_objectives = []
         if cfg.structural_enabled:
             if cfg.refine_enabled:
-                templates = np.stack([update_template(q, str_reports, templates, cfg.refine)
+                templates = np.stack([update_template(q, str_reports, templates)
                                       for q in range(cfg.num_templates)])
             gw_objectives = [template_objective(str_reports, q, templates[q])
                              for q in range(cfg.num_templates)]

@@ -64,8 +64,8 @@ def init_params(d0: int, d: int, num_classes: int, seed) -> ModelParams:
     )
 
 
-def forward(params: ModelParams, g: Graph, agg: HopAggregator = None) -> ForwardCache:
-    """Ego/ring embeddings and class logits for every node."""
+def forward(params: ModelParams, g: Graph, agg: HopAggregator) -> ForwardCache:
+    """Ego/ring embeddings and class logits for every node; agg is g's ring operator."""
     if params.w_ego.shape[0] != g.feat_dim:
         raise ValueError(
             f"w_ego expects {params.w_ego.shape[0]} features, graph has {g.feat_dim}"
@@ -75,8 +75,6 @@ def forward(params: ModelParams, g: Graph, agg: HopAggregator = None) -> Forward
         raise ValueError("w_cls rows must equal 3 * embed dim")
     if params.b_cls.shape[0] != params.w_cls.shape[1]:
         raise ValueError("b_cls length must equal w_cls columns")
-    if agg is None:
-        agg = HopAggregator(g)
     ego = np.tanh(g.features @ params.w_ego)
     hop1, hop2 = agg.rings(ego)
     blocks = np.hstack([ego, hop1, hop2])
@@ -103,19 +101,18 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray, train_mask: np.ndarray
 
 def total_loss(params: ModelParams, g: Graph, anchors: np.ndarray,
                rotation: np.ndarray, templates: np.ndarray,
-               matching: MatchingMatrix, batch, agg: HopAggregator = None):
+               matching: MatchingMatrix, batch, agg: HopAggregator):
     """Local objective CE + semantic + structural, with parameter gradients.
 
     The rotation, matching matrix, templates and anchors are constants of
     the local round: no gradient flows into them. Passing anchors=None
     drops the semantic term and matching=None the structural term (the
-    CE term is always present), which is how ablations run. Returns
-    (total, (ce, semantic, structural), grads), grads a ModelParams of
-    gradients; the calibration terms reach only w_ego, the CE term also
-    reaches the classifier.
+    CE term is always present), which is how ablations run. agg is g's
+    ring operator, and the structural term reuses the forward's ring
+    means. Returns (total, (ce, semantic, structural), grads), grads a
+    ModelParams of gradients; the calibration terms reach only w_ego, the
+    CE term also reaches the classifier.
     """
-    if agg is None:
-        agg = HopAggregator(g)
     cache = forward(params, g, agg)
     d = cache.ego.shape[1]
 
@@ -139,8 +136,7 @@ def total_loss(params: ModelParams, g: Graph, anchors: np.ndarray,
         if templates is None or batch is None:
             raise ValueError("structural term requires templates and a batch")
         stru, g_str = structural_loss_ego(
-            g, cache.ego, matching, batch, templates,
-            agg=agg, rings=(cache.hop1, cache.hop2),
+            cache.hop1, cache.hop2, matching, batch, templates, agg
         )
         g_ego += g_str
 

@@ -27,6 +27,8 @@ from .numerics import softmax
 from .structural import MatchingMatrix
 
 log = logging.getLogger(__name__)
+_STEP_GUARD = 1e-8      # division guard in the anchor step clip
+_GOLDEN_ITERS = 200     # golden-section cap; radials (alpha <= 2) hit the 1e-12 stop first
 
 __all__ = [
     "SemanticReport",
@@ -68,19 +70,16 @@ class StructuralReport:
 
 @dataclass
 class RefineConfig:
+    """Anchor-refinement settings; the template solve has none."""
+
     tau: float = 1.0        # difficulty-weight temperature
     eta: float = 0.1        # max anchor step (chord length)
-    eps: float = 1e-8       # division guard in the step clip
-    gw_lr: float = 1.0      # reserved; the scale comes from golden-section search
-    gw_iters: int = 200     # golden-section iterations for the scale search
 
     def __post_init__(self):
-        for name in ("tau", "eta", "eps"):
+        for name in ("tau", "eta"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"refine.{name} must be finite and > 0, got {value}")
-        if self.gw_iters < 1:
-            raise ValueError("gw_iters must be >= 1")
 
 
 def deviation_vectors(reports, anchors: np.ndarray) -> np.ndarray:
@@ -139,7 +138,7 @@ def refine_anchor(delta_i: np.ndarray, v_i: np.ndarray, gamma_i: float,
     """One anchor update: clipped candidate step, then spherical projection.
 
     candidate = delta + gamma * v + s; the step toward it is scaled by
-    t = min(1, eta / (||candidate - delta|| + eps)) so the pre-projection
+    t = min(1, eta / (||candidate - delta|| + 1e-8)) so the pre-projection
     chord never exceeds eta, and the result is renormalized to the unit
     sphere.
     """
@@ -148,7 +147,7 @@ def refine_anchor(delta_i: np.ndarray, v_i: np.ndarray, gamma_i: float,
         raise ValueError(f"anchor norm {norm} is not 1 within 1e-6")
     candidate = delta_i + gamma_i * v_i + s_i
     step = candidate - delta_i
-    t = min(1.0, cfg.eta / (np.linalg.norm(step) + cfg.eps))
+    t = min(1.0, cfg.eta / (np.linalg.norm(step) + _STEP_GUARD))
     moved = delta_i + t * step
     moved_norm = np.linalg.norm(moved)
     if moved_norm <= 1e-12:
@@ -234,14 +233,14 @@ def template_objective(structural_reports, q: int, template_rows: np.ndarray) ->
     return float((weights * _gw_values(alphas, beta)).sum())
 
 
-def _golden_section(fn, lo: float, hi: float, iters: int) -> float:
+def _golden_section(fn, lo: float, hi: float) -> float:
     """Minimize a unimodal fn on [lo, hi]; returns the best midpoint."""
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - inv_phi * (b - a)
     x2 = a + inv_phi * (b - a)
     f1, f2 = fn(x1), fn(x2)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         if b - a < 1e-12:
             break
         if f1 <= f2:
@@ -255,8 +254,7 @@ def _golden_section(fn, lo: float, hi: float, iters: int) -> float:
     return (a + b) / 2.0
 
 
-def update_template(q: int, structural_reports, templates: np.ndarray,
-                    cfg: RefineConfig) -> np.ndarray:
+def update_template(q: int, structural_reports, templates: np.ndarray) -> np.ndarray:
     """Barycenter update of one template; returns its new 2 x d rows.
 
     Stage one finds the intra-distance beta* minimizing the weighted GW
@@ -274,14 +272,9 @@ def update_template(q: int, structural_reports, templates: np.ndarray,
         log.debug("template %d has zero total assignment; left unchanged", q)
         return templates[q].copy()
 
-    hi = float(alphas.max())
-    if hi <= 0.0:
-        beta = 0.0
-    else:
-        def objective(b):
-            return float((weights * _gw_values(alphas, b)).sum())
-
-        beta = _golden_section(objective, 0.0, hi, cfg.gw_iters)
+    # all-zero alphas give the empty bracket [0, 0], so beta* = 0.0 at once
+    beta = _golden_section(lambda b: float((weights * _gw_values(alphas, b)).sum()),
+                           0.0, float(alphas.max()))
 
     mean_rows = (weights[:, None, None] * rows).sum(axis=0) / total
     mid = mean_rows.mean(axis=0)
@@ -291,5 +284,4 @@ def update_template(q: int, structural_reports, templates: np.ndarray,
         axis = np.random.default_rng(q).standard_normal(mean_rows.shape[1])
         norm = np.linalg.norm(axis)
     direction = axis / norm
-    half = beta / 2.0
-    return np.vstack([mid + half * direction, mid - half * direction])
+    return np.vstack([mid + beta / 2.0 * direction, mid - beta / 2.0 * direction])

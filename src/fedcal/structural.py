@@ -255,20 +255,15 @@ def structural_loss(matching: MatchingMatrix, radials, templates: np.ndarray):
     return loss, grad_rows
 
 
-def structural_loss_ego(g: Graph, ego: np.ndarray, matching: MatchingMatrix,
-                        batch, templates: np.ndarray,
-                        agg: HopAggregator = None, rings=None):
+def structural_loss_ego(hop1: np.ndarray, hop2: np.ndarray, matching: MatchingMatrix,
+                        batch, templates: np.ndarray, agg: HopAggregator):
     """Structural loss with the gradient chained back to the ego rows.
 
-    Recomputes the batch's ring means from ego (or reuses precomputed
-    rings), normalizes them into radial sequences, and pulls the loss
-    gradient through the normalization and the ring-mean operators onto
-    every contributing ego row. Gradients treat exactly-zero ring rows
-    as constants, matching the zero-row normalization policy.
+    Normalizes the batch's rows of the forward's ring means (hop1, hop2 =
+    agg.rings(ego)) into radial sequences and pulls the loss gradient
+    through the normalization and agg's ring-mean operators onto every
+    contributing ego row, treating exactly-zero ring rows as constants.
     """
-    if agg is None:
-        agg = HopAggregator(g)
-    hop1, hop2 = agg.rings(ego) if rings is None else rings
     radials = radial_sequences_from_rings(hop1, hop2, batch)
     loss, grad_rows = structural_loss(matching, radials, templates)
 

@@ -20,6 +20,7 @@ from fedcal.fedsim import (
 from fedcal.model import total_loss
 from fedcal.numerics import random_orthogonal, svd
 from fedcal.refine import (
+    _STEP_GUARD,
     RefineConfig,
     SemanticReport,
     gw_2point,
@@ -262,7 +263,7 @@ class TestCriterion5GromovWasserstein:
             templates = rng2.standard_normal((3, 2, 5))
             for q in range(3):
                 before = template_objective([rep], q, templates[q])
-                new = update_template(q, [rep], templates, RefineConfig())
+                new = update_template(q, [rep], templates)
                 after = template_objective([rep], q, new)
                 worst_ascent = max(worst_ascent, after - before)
         assert worst_ascent <= 1e-9
@@ -299,7 +300,7 @@ class TestCriterion6AnchorRefinement:
                 s = constraint_vector(anchors, i)
                 delta = anchors[:, i]
                 step = (delta + gammas[i] * vs[:, i] + s) - delta
-                t = min(1.0, cfg.eta / (np.linalg.norm(step) + cfg.eps))
+                t = min(1.0, cfg.eta / (np.linalg.norm(step) + _STEP_GUARD))
                 worst_chord = max(worst_chord, t * np.linalg.norm(step))
                 out = refine_anchor(delta, vs[:, i], float(gammas[i]), s, cfg)
                 worst_norm = max(worst_norm, abs(np.linalg.norm(out) - 1.0))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fedcal.cli import (
+    _CONFIG_SCHEMA,
     build_run_config,
     load_params,
     main,
@@ -70,6 +71,19 @@ class TestConfigParsing:
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
             parse_config_file("/nonexistent/c.cfg")
+
+    def test_readme_table_lists_exactly_the_schema_keys(self):
+        text = open(os.path.join(REPO, "README.md"), encoding="utf-8").read()
+        table = text.split("| key | default | meaning |\n|---|---|---|\n")[1].split("\n\n")[0]
+        keys = []
+        for row in table.splitlines():
+            # "`a.b` / `.c`" is shorthand for the keys a.b and a.c
+            names = row.split("|")[1].strip().split(" / ")
+            section = names[0].strip("`").split(".")[0]
+            keys += [section + name.strip("`") if name.startswith("`.") else name.strip("`")
+                     for name in names]
+        assert len(keys) == len(set(keys))
+        assert sorted(keys) == sorted(_CONFIG_SCHEMA)
 
 
 class TestParamsDump:
@@ -193,9 +207,20 @@ class TestRunCommand:
         ("refine.tau = nan", "refine.tau"),
         ("refine.eta = nan", "refine.eta"),
         ("refine.eps = nan", "refine.eps"),
+        ("refine.gw_iters = 50", "refine.gw_iters"),
+        ("refine.gw_lr = 2", "refine.gw_lr"),
         ("federation.metric = auc\nfederation.classes = 3", "federation.metric"),
+        ("federation.classes = 1", "federation.classes"),
+        ("partition.mode = overlapping\nfederation.clients = 7", "federation.clients"),
+        ("dataset.nodes = 2", "dataset.nodes"),
+        ("sinkhorn.epsilon = 1e-320", "sinkhorn.epsilon"),
     ])
-    def test_out_of_range_setting_fails_before_work(self, tmp_path, capsys, line, setting):
+    def test_out_of_range_setting_fails_before_work(self, tmp_path, capsys, monkeypatch,
+                                                    line, setting):
+        def no_work(cfg):
+            raise AssertionError("the dataset was built before the config was rejected")
+
+        monkeypatch.setattr(fedsim, "build_dataset", no_work)
         cfg = tmp_path / "bad.cfg"
         # a row's keys replace SMOKE's own, so a row may also change a key SMOKE sets
         keys = {entry.split("=")[0].strip() for entry in line.splitlines()}
@@ -296,6 +321,22 @@ class TestEvalCommand:
         printed = capsys.readouterr().out
         mean_line = [ln for ln in printed.splitlines() if ln.startswith("mean")][0]
         assert abs(float(mean_line.split(":")[1]) - run_summary["mean_val"]) <= 1e-6
+
+    def test_config_with_retired_keys_at_defaults_loads(self, smoke_cfg, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["run", "--config", smoke_cfg, "--out", str(out)]) == 0
+        run_summary = json.load(open(out / "summary.json"))
+        # the config.resolved format written while these keys were live
+        resolved = out / "config.resolved"
+        lines = resolved.read_text().splitlines()
+        lines += ["refine.eps = 1e-08", "refine.gw_iters = 200", "refine.gw_lr = 1.0"]
+        resolved.write_text("\n".join(sorted(lines)) + "\n")
+        capsys.readouterr()
+        assert main(["eval", "--model-dir", str(out)]) == 0
+        expected = [f"client {c} test accuracy: {value:.6f}"
+                    for c, value in enumerate(run_summary["per_client_test"])]
+        expected.append(f"mean test accuracy: {run_summary['mean_test']:.6f}")
+        assert capsys.readouterr().out.splitlines() == expected
 
     def test_corrupted_dump_fails_cleanly(self, smoke_cfg, tmp_path):
         out = str(tmp_path / "run")

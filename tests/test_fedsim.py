@@ -179,7 +179,7 @@ class TestRunFederation:
             refined, drift = refine_all_anchors(
                 anchors, [r.semantic_report for r in results], cfg.refine
             )
-            new_templates = [update_template(q, str_reports, templates, cfg.refine)
+            new_templates = [update_template(q, str_reports, templates)
                              for q in range(cfg.num_templates)]
             arrays = [refined, np.array(drift)] + new_templates
             for r in results:

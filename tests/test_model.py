@@ -44,7 +44,7 @@ class TestForward:
     def test_isolated_node_is_finite_with_ego_fallback(self):
         g = Graph.from_edges(np.array([[0.5, -0.2]]), [0], [])
         params = init_params(2, 3, 2, seed=0)
-        cache = forward(params, g)
+        cache = forward(params, g, HopAggregator(g))
         assert np.allclose(cache.hop1[0], cache.ego[0])
         assert np.allclose(cache.hop2[0], cache.ego[0])
         assert np.all(np.isfinite(cache.logits))
@@ -56,7 +56,7 @@ class TestForward:
             w_cls=np.zeros((12, 2)),
             b_cls=np.array([0.3, -0.7]),
         )
-        cache = forward(params, g)
+        cache = forward(params, g, HopAggregator(g))
         assert np.allclose(cache.logits, np.tile([0.3, -0.7], (8, 1)))
 
     def test_three_node_path_hand_computation(self):
@@ -67,7 +67,7 @@ class TestForward:
         params = ModelParams(
             w_ego=np.array([[w]]), w_cls=np.zeros((3, 2)), b_cls=np.zeros(2)
         )
-        cache = forward(params, g)
+        cache = forward(params, g, HopAggregator(g))
         e = np.tanh(np.array([1.0, 2.0, 3.0]) * w)
         # ring means: node 0 sees {1} then {2}; node 1 sees {0,2}, no 2-ring
         hop1 = np.array([e[1], (e[0] + e[2]) / 2, e[1]])
@@ -82,7 +82,7 @@ class TestForward:
             np.ones((3, 2)), [0, 0, 0], [(0, 1), (1, 2), (0, 2)]
         )
         params = init_params(2, 3, 2, seed=2)
-        cache = forward(params, g)
+        cache = forward(params, g, HopAggregator(g))
         assert np.allclose(cache.hop2, cache.hop1, atol=1e-12)
 
     def test_deterministic(self):

@@ -141,11 +141,15 @@ class TestL2NormalizeRows:
         # rows near 1e200 overflow their squares, rows near 1e153 only the
         # total of all squares; both are finite input and must pass
         rng = np.random.default_rng(5)
-        for scale in (1e200, 1e153):
-            m = rng.standard_normal((40, 8)) * scale
-            with np.errstate(over="ignore"):
-                expected = m / np.linalg.norm(m, axis=1)[:, None]
-                assert np.array_equal(l2_normalize_rows(m), expected)
+        big = rng.standard_normal((40, 8)) * 1e200
+        with np.errstate(over="ignore"):
+            out = l2_normalize_rows(big)
+        assert np.abs(np.linalg.norm(out, axis=1) - 1.0).max() <= 1e-12
+        assert np.array_equal(np.sign(out), np.sign(big))
+        m = rng.standard_normal((40, 8)) * 1e153
+        with np.errstate(over="ignore"):
+            expected = m / np.linalg.norm(m, axis=1)[:, None]
+            assert np.array_equal(l2_normalize_rows(m), expected)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_rejected(self, bad):

@@ -6,6 +6,7 @@ from fedcal.refine import (
     RefineConfig,
     SemanticReport,
     StructuralReport,
+    _STEP_GUARD,
     _golden_section,
     constraint_vector,
     deviation_vectors,
@@ -159,7 +160,7 @@ class TestRefineAnchor:
         delta[0] = 1.0
         v = np.array([0.0, 1.0, 0.0])  # candidate 10x eta away
         step_len = np.linalg.norm(v)
-        t = min(1.0, cfg.eta / (step_len + cfg.eps))
+        t = min(1.0, cfg.eta / (step_len + _STEP_GUARD))
         out = refine_anchor(delta, v, 1.0, np.zeros(3), cfg)
         pre = delta + t * v
         assert np.abs(out - pre / np.linalg.norm(pre)).max() <= 1e-12
@@ -285,7 +286,7 @@ class TestUpdateTemplate:
         rows = rng.standard_normal((2, 4))
         rep = make_structural_report([rows] * 5, np.ones((5, 1)))
         templates = self._templates(4, 1, 20)
-        new = update_template(0, [rep], templates, RefineConfig())
+        new = update_template(0, [rep], templates)
         assert np.abs(new - rows).max() <= 1e-6
         assert template_objective([rep], 0, new) <= 1e-12
 
@@ -295,7 +296,7 @@ class TestUpdateTemplate:
         alpha = np.linalg.norm(base[0] - base[1])
         shifted = base + 1.0
         rep = make_structural_report([base, shifted], np.ones((2, 1)))
-        new = update_template(0, [rep], self._templates(3, 1, 21), RefineConfig())
+        new = update_template(0, [rep], self._templates(3, 1, 21))
         beta = np.linalg.norm(new[0] - new[1])
         assert abs(beta - alpha) <= 1e-4
 
@@ -310,9 +311,8 @@ class TestUpdateTemplate:
         f /= f.sum(axis=1, keepdims=True)
         rep = make_structural_report(radial_rows, f)
         templates = self._templates(4, 2, 22)
-        cfg = RefineConfig()
         for q in (0, 1):
-            new = update_template(q, [rep], templates, cfg)
+            new = update_template(q, [rep], templates)
             beta = np.linalg.norm(new[0] - new[1])
             alphas = np.array(
                 [np.linalg.norm(r[0] - r[1]) for r in radial_rows]
@@ -335,7 +335,7 @@ class TestUpdateTemplate:
             templates = self._templates(5, 3, seed + 50)
             for q in range(3):
                 before = template_objective([rep], q, templates[q])
-                new = update_template(q, [rep], templates, RefineConfig())
+                new = update_template(q, [rep], templates)
                 after = template_objective([rep], q, new)
                 assert after <= before + 1e-9
 
@@ -346,7 +346,7 @@ class TestUpdateTemplate:
         f[:, 0] = 1.0
         rep = make_structural_report(radial_rows, f)
         templates = self._templates(3, 2, 24)
-        new = update_template(1, [rep], templates, RefineConfig())
+        new = update_template(1, [rep], templates)
         assert np.array_equal(new, templates[1])
 
     def test_coincident_mean_rows_use_seeded_direction(self):
@@ -356,10 +356,10 @@ class TestUpdateTemplate:
         rows_b = np.array([[0.0, 0.0], [1.0, 0.0]])  # mean rows equal
         rep = make_structural_report([rows_a, rows_b], np.ones((2, 1)))
         templates = self._templates(2, 1, 25)
-        new = update_template(0, [rep], templates, RefineConfig())
+        new = update_template(0, [rep], templates)
         beta = np.linalg.norm(new[0] - new[1])
         assert beta > 0.5  # realizes the searched intra-distance
-        again = update_template(0, [rep], templates, RefineConfig())
+        again = update_template(0, [rep], templates)
         assert np.array_equal(new, again)
 
 
@@ -383,7 +383,7 @@ def reference_gw_values(alphas, beta):
     return np.maximum(np.where(concave, boundary, np.minimum(boundary, vertex)), 0.0)
 
 
-def reference_update(q, reports, templates, cfg):
+def reference_update(q, reports, templates):
     """update_template with a sequential weighted-mean loop."""
     weights, alphas, rows = reference_collect(reports, q)
     total = weights.sum()
@@ -392,7 +392,7 @@ def reference_update(q, reports, templates, cfg):
     hi = float(alphas.max())
     beta = 0.0 if hi <= 0.0 else _golden_section(
         lambda b: float((weights * reference_gw_values(alphas, b)).sum()),
-        0.0, hi, cfg.gw_iters,
+        0.0, hi,
     )
     mean_rows = np.zeros_like(templates[q])
     for w, r in zip(weights, rows):
@@ -423,15 +423,14 @@ class TestServerPathReference:
             f /= f.sum(axis=1, keepdims=True)
             reports.append(make_structural_report(list(rows), f))
         templates = rng.standard_normal((q_count, 2, d))
-        cfg = RefineConfig()
         for q in range(q_count):
-            new = update_template(q, reports, templates, cfg)
-            assert np.array_equal(new, reference_update(q, reports, templates, cfg))
+            new = update_template(q, reports, templates)
+            assert np.array_equal(new, reference_update(q, reports, templates))
             weights, alphas, _ = reference_collect(reports, q)
             beta = float(np.linalg.norm(new[0] - new[1]))
             expected = float((weights * reference_gw_values(alphas, beta)).sum())
             assert template_objective(reports, q, new) == expected
-        assert np.array_equal(update_template(2, reports, templates, cfg), templates[2])
+        assert np.array_equal(update_template(2, reports, templates), templates[2])
 
     def test_coincident_mean_equals_reference(self):
         rows_a = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -439,9 +438,17 @@ class TestServerPathReference:
         reports = [make_structural_report([rows_a], np.ones((1, 1))),
                    make_structural_report([rows_b], np.ones((1, 1)))]
         templates = np.zeros((1, 2, 2))
-        cfg = RefineConfig()
-        assert np.array_equal(update_template(0, reports, templates, cfg),
-                              reference_update(0, reports, templates, cfg))
+        assert np.array_equal(update_template(0, reports, templates),
+                              reference_update(0, reports, templates))
+
+    def test_zero_intra_distances_equal_reference(self):
+        # every alpha is zero, so the scale search runs on the bracket [0, 0]
+        rows = np.array([[0.6, 0.8, 0.0], [0.6, 0.8, 0.0]])
+        reports = [make_structural_report([rows, rows], np.ones((2, 1)))]
+        templates = np.zeros((1, 2, 3))
+        new = update_template(0, reports, templates)
+        assert np.array_equal(new, reference_update(0, reports, templates))
+        assert np.array_equal(new, rows)
 
 
 class TestRefineConfig:
@@ -450,5 +457,3 @@ class TestRefineConfig:
             RefineConfig(tau=0.0)
         with pytest.raises(ValueError):
             RefineConfig(eta=-1.0)
-        with pytest.raises(ValueError):
-            RefineConfig(gw_iters=0)

@@ -390,7 +390,7 @@ class TestStructuralLossEgo:
         radials = radial_sequences_from_rings(hop1, hop2, batch)
         match = sinkhorn_match(radials, templates)
 
-        loss, grad = structural_loss_ego(g, ego, match, batch, templates, agg)
+        loss, grad = structural_loss_ego(hop1, hop2, match, batch, templates, agg)
         eps = 1e-6
         rng2 = np.random.default_rng(15)
         for _ in range(12):
@@ -398,9 +398,9 @@ class TestStructuralLossEgo:
             j = rng2.integers(4)
             bumped = ego.copy()
             bumped[i, j] += eps
-            up, _ = structural_loss_ego(g, bumped, match, batch, templates, agg)
+            up, _ = structural_loss_ego(*agg.rings(bumped), match, batch, templates, agg)
             bumped[i, j] -= 2 * eps
-            down, _ = structural_loss_ego(g, bumped, match, batch, templates, agg)
+            down, _ = structural_loss_ego(*agg.rings(bumped), match, batch, templates, agg)
             num = (up - down) / (2 * eps)
             if abs(num) < 1e-12 and abs(grad[i, j]) < 1e-12:
                 continue
@@ -417,7 +417,7 @@ class TestStructuralLossEgo:
         batch = np.array(isolated + [3, 0, 7, 3, 12], dtype=np.int64)
         hop1, hop2 = agg.rings(ego)
         match = sinkhorn_match(radial_sequences_from_rings(hop1, hop2, batch), templates)
-        loss, grad = structural_loss_ego(g, ego, match, batch, templates, agg)
+        loss, grad = structural_loss_ego(hop1, hop2, match, batch, templates, agg)
 
         ref_loss, grad_rows = structural_loss(
             match, radial_sequences_from_rings(hop1, hop2, batch), templates)
