@@ -13,7 +13,7 @@ from .fedsim import (
     evaluate,
     run_federation,
 )
-from .graph import Graph, PartitionSpec
+from .graph import Graph
 from .refine import RefineConfig
 from .semantic import construct_etf
 
@@ -22,7 +22,6 @@ __all__ = [
     "FederationConfig",
     "FederationResult",
     "Graph",
-    "PartitionSpec",
     "RefineConfig",
     "construct_etf",
     "evaluate",

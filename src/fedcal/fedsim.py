@@ -26,7 +26,6 @@ from scipy.stats import rankdata
 from .graph import (
     Graph,
     HopAggregator,
-    PartitionSpec,
     generate_sbm,
     load_graph,
     partition_nonoverlapping,
@@ -102,14 +101,15 @@ class DatasetSpec:
 
     def __post_init__(self):
         if self.kind not in ("synthetic", "files"):
-            raise ValueError(f"unknown dataset kind {self.kind!r}")
+            raise ValueError(f"dataset.kind must be synthetic or files, got {self.kind!r}")
         if self.kind == "files":
             missing = [
-                name for name in ("edges_path", "features_path", "labels_path")
+                f"dataset.{name.removesuffix('_path')}"
+                for name in ("edges_path", "features_path", "labels_path")
                 if getattr(self, name) is None
             ]
             if missing:
-                raise ValueError(f"files dataset needs {', '.join(missing)}")
+                raise ValueError(f"dataset.kind = files needs {', '.join(missing)}")
         else:
             # (lower, upper) per generator setting; NaN fails every comparison
             for name, lo, hi in (("nodes", 1, np.inf), ("feat_dim", 1, np.inf),
@@ -122,8 +122,8 @@ class DatasetSpec:
         # a zero ratio seats no node, and every round reads all three splits
         if (len(self.split) != 3 or not all(r > 0 for r in self.split)
                 or not sum(self.split) <= 1.0 + 1e-12):
-            raise ValueError(f"split must be three positive ratios summing to at "
-                             f"most 1, got {tuple(self.split)}")
+            raise ValueError(f"split.train, split.val and split.test must be positive "
+                             f"ratios summing to at most 1, got {tuple(self.split)}")
 
 
 @dataclass
@@ -150,28 +150,38 @@ class FederationConfig:
     refine_enabled: bool = True
 
     def __post_init__(self):
-        for name in ("num_clients", "local_epochs", "embed_dim",
-                     "batch_nodes", "num_templates", "sinkhorn_iters"):
+        # (field, config key) pairs, so each error names the key the user wrote
+        for name, key in (("num_clients", "federation.clients"),
+                          ("local_epochs", "federation.local_epochs"),
+                          ("embed_dim", "federation.embed_dim"),
+                          ("batch_nodes", "federation.batch_nodes"),
+                          ("num_templates", "federation.templates"),
+                          ("sinkhorn_iters", "sinkhorn.max_iters")):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        for name in ("lr0", "lr_decay_steps", "sinkhorn_epsilon", "sinkhorn_tol"):
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, name)}")
+        for name, key in (("lr0", "train.lr0"), ("lr_decay_steps", "train.lr_decay_steps"),
+                          ("sinkhorn_epsilon", "sinkhorn.epsilon"),
+                          ("sinkhorn_tol", "sinkhorn.tol")):
             if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+                raise ValueError(f"{key} must be > 0, got {getattr(self, name)}")
         if not np.isfinite(self.lr0):
-            raise ValueError("lr0 must be finite")
+            raise ValueError(f"train.lr0 must be finite, got {self.lr0}")
         if self.num_classes < 2:
             raise ValueError(f"federation.classes must be >= 2, got {self.num_classes}")
         if self.rounds < 0:
-            raise ValueError("rounds must be >= 0")
+            raise ValueError(f"federation.rounds must be >= 0, got {self.rounds}")
         if self.embed_dim < self.num_classes:
-            raise ValueError("embed_dim must be >= num_classes")
+            raise ValueError(f"federation.embed_dim must be >= federation.classes, "
+                             f"got {self.embed_dim} < {self.num_classes}")
         if self.task_metric not in ("accuracy", "auc"):
-            raise ValueError(f"unknown task_metric {self.task_metric!r}")
+            raise ValueError(f"federation.metric must be accuracy or auc, "
+                             f"got {self.task_metric!r}")
         if self.task_metric == "auc" and self.num_classes != 2:
             raise ValueError(f"federation.metric = auc needs federation.classes = 2, "
                              f"got {self.num_classes}")
         if self.partition_mode not in ("non-overlapping", "overlapping"):
-            raise ValueError(f"unknown partition mode {self.partition_mode!r}")
+            raise ValueError(f"partition.mode must be non-overlapping or overlapping, "
+                             f"got {self.partition_mode!r}")
         overlapping = self.partition_mode == "overlapping"
         if overlapping and self.num_clients > 1 and self.num_clients % 5:
             raise ValueError(f"partition.mode = overlapping needs federation.clients = 1 "
@@ -183,7 +193,7 @@ class FederationConfig:
         bound = self.batch_nodes * self.num_templates / self.sinkhorn_epsilon
         if self.structural_enabled and bound == np.inf:
             raise ValueError(f"sinkhorn.epsilon = {self.sinkhorn_epsilon!r} overflows "
-                             f"batch_nodes * templates / epsilon")
+                             f"federation.batch_nodes * federation.templates / epsilon")
 
 
 @dataclass
@@ -263,13 +273,11 @@ def setup_federation(cfg: FederationConfig):
     g = build_dataset(cfg)
     if cfg.num_clients == 1:
         parts = [g]
+    elif cfg.partition_mode == "non-overlapping":
+        parts = partition_nonoverlapping(g, cfg.num_clients, seed=(cfg.seed, _TAG_PART))
     else:
-        pspec = PartitionSpec(cfg.num_clients, cfg.partition_mode,
-                              seed=(cfg.seed, _TAG_PART))
-        if cfg.partition_mode == "non-overlapping":
-            parts = partition_nonoverlapping(g, pspec)
-        else:
-            parts = partition_overlapping(g, pspec)
+        parts = partition_overlapping(g, cfg.num_clients, seed=(cfg.seed, _TAG_PART))
+    _check_client_splits(cfg, g, parts)
     clients = []
     for i, part in enumerate(parts):
         params = init_params(
@@ -281,6 +289,28 @@ def setup_federation(cfg: FederationConfig):
     templates = init_templates(cfg.num_templates, cfg.embed_dim,
                                seed=(cfg.seed, _TAG_TEMPL))
     return clients, anchors, templates, g
+
+
+def _check_client_splits(cfg: FederationConfig, g: Graph, parts):
+    """Reject, before any round, a client whose loss or metrics cannot be taken.
+
+    Every round reads each client's labeled train nodes (class means),
+    val and test nodes (metrics); auc also needs both classes in val and test.
+    """
+    size = (f"dataset.nodes = {cfg.dataset.nodes}" if cfg.dataset.kind == "synthetic"
+            else f"the graph's {g.num_nodes} nodes")
+    for i, part in enumerate(parts):
+        for split, mask in (("train", part.train_mask), ("val", part.val_mask),
+                            ("test", part.test_mask)):
+            y = part.labels[mask & (part.labels >= 0)]
+            if len(y) == 0:
+                fault = "no labeled node"
+            elif cfg.task_metric == "auc" and split != "train" and len(np.unique(y)) < 2:
+                fault = "a single class, so federation.metric = auc is undefined"
+            else:
+                continue
+            raise ValueError(f"client {i}'s {split} split holds {fault}: {size} is too "
+                             f"small for federation.clients = {cfg.num_clients}")
 
 
 @dataclass
@@ -306,8 +336,8 @@ def run_client_round(state: ClientState, anchors: np.ndarray,
     params = state.params
 
     cache = forward(params, g, agg)
-    manifold = class_means(cache.ego, g.labels, g.train_mask, cfg.num_classes)
-    rotation = procrustes(manifold, anchors)
+    p, present = class_means(cache.ego, g.labels, g.train_mask, cfg.num_classes)
+    rotation = procrustes(p, present, anchors)
 
     batch = None
     matching = None
@@ -338,14 +368,15 @@ def run_client_round(state: ClientState, anchors: np.ndarray,
     )
     epoch_losses.append(final_total)
 
-    final_manifold = class_means(final_cache.ego, g.labels, g.train_mask, cfg.num_classes)
-    k = rotation @ final_manifold.p
-    k[:, ~final_manifold.present_mask] = 0.0
+    final_p, final_present = class_means(final_cache.ego, g.labels, g.train_mask,
+                                         cfg.num_classes)
+    k = rotation @ final_p
+    k[:, ~final_present] = 0.0
     per_class = semantic_per_class_loss(
         final_cache.ego, g.labels, g.train_mask, rotation, anchors
     )
     semantic_report = SemanticReport(
-        k=k, present_mask=final_manifold.present_mask, per_class_loss=per_class
+        k=k, present_mask=final_present, per_class_loss=per_class
     )
     if cfg.structural_enabled:
         final_radials = radial_sequences_from_rings(

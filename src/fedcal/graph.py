@@ -4,7 +4,8 @@ A Graph is an undirected, unweighted node-attributed graph with optional
 train/val/test masks, its edges held in one symmetric scipy.sparse CSR
 adjacency that whole-graph operations work on by sparse algebra.
 Instances are treated as immutable after construction; all operations
-return new Graph values.
+return new Graph values. Each partition mode is one function of the root
+graph, the client count and a seed.
 
 File formats (plain text, `#` starts a comment line):
   edges     one ``u v`` pair per line, 0-based node ids
@@ -23,7 +24,6 @@ from scipy.sparse.csgraph import dijkstra
 
 __all__ = [
     "Graph",
-    "PartitionSpec",
     "HopAggregator",
     "induced_subgraph",
     "partition_nonoverlapping",
@@ -144,23 +144,6 @@ class Graph:
         )
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
-    """How to carve a root graph into client subgraphs."""
-
-    num_clients: int
-    mode: str = "non-overlapping"        # or "overlapping"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.num_clients < 2:
-            raise ValueError("num_clients must be >= 2")
-        if self.mode not in ("non-overlapping", "overlapping"):
-            raise ValueError(f"unknown partition mode {self.mode!r}")
-        if self.mode == "overlapping" and self.num_clients % 5 != 0:
-            raise ValueError("overlapping mode requires num_clients to be a multiple of 5")
-
-
 def induced_subgraph(g: Graph, nodes) -> Graph:
     """Subgraph on the given node list (original-order ids, deduplicated)."""
     nodes = np.unique(np.asarray(nodes, dtype=np.int64))
@@ -185,8 +168,8 @@ def _farthest_point_seeds(g: Graph, m: int, rng: np.random.Generator) -> list:
     return seeds
 
 
-def partition_nonoverlapping(g: Graph, spec: PartitionSpec):
-    """Disjoint, covering, size-balanced client subgraphs.
+def partition_nonoverlapping(g: Graph, num_clients: int, seed=0):
+    """num_clients >= 2 disjoint, covering, size-balanced client subgraphs.
 
     Seeded greedy BFS region growing: farthest-point seeds, fronts grown
     smallest-part-first (so sizes stay within one node of each other),
@@ -194,11 +177,13 @@ def partition_nonoverlapping(g: Graph, spec: PartitionSpec):
     neighboring part holding more of its neighbors whenever the move
     keeps sizes within the +-20% balance band.
     """
-    m = spec.num_clients
+    m = num_clients
     n = g.num_nodes
+    if m < 2:
+        raise ValueError(f"non-overlapping partition needs >= 2 clients, got {m}")
     if m > n:
         raise ValueError(f"cannot split {n} nodes into {m} parts")
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     seeds = _farthest_point_seeds(g, m, rng)
 
     owner = np.full(n, -1, dtype=np.int64)
@@ -245,31 +230,28 @@ def partition_nonoverlapping(g: Graph, spec: PartitionSpec):
     return [induced_subgraph(g, np.nonzero(owner == p)[0]) for p in range(m)]
 
 
-def partition_overlapping(g: Graph, spec: PartitionSpec):
+def partition_overlapping(g: Graph, num_clients: int, seed=0):
     """Client subgraphs with deliberately shared nodes.
 
     The root graph is first split into num_clients/5 temporary disjoint
     subgraphs; from each, five independent seeded samples of half the
     nodes (rounded up) are drawn with their induced edges, giving exactly
-    num_clients client graphs. Masks are inherited from the root split.
+    num_clients client graphs (a positive multiple of 5). Masks are
+    inherited from the root split.
     """
-    m = spec.num_clients
-    if m % 5 != 0:
-        raise ValueError("overlapping mode requires num_clients to be a multiple of 5")
+    m = num_clients
+    if m < 5 or m % 5 != 0:
+        raise ValueError(f"overlapping partition needs a positive multiple of 5 "
+                         f"clients, got {m}")
     n_temp = m // 5
     if n_temp > g.num_nodes:
         raise ValueError("more temporary parts than nodes")
-    if n_temp >= 2:
-        temps = partition_nonoverlapping(
-            g, PartitionSpec(n_temp, "non-overlapping", spec.seed)
-        )
-    else:
-        temps = [g]
+    temps = partition_nonoverlapping(g, n_temp, seed) if n_temp >= 2 else [g]
     clients = []
     for ti, tg in enumerate(temps):
         half = -(-tg.num_nodes // 2)             # ceil(n/2)
         for s in range(5):
-            rng = np.random.default_rng([spec.seed, ti, s])
+            rng = np.random.default_rng([seed, ti, s])
             nodes = rng.choice(tg.num_nodes, size=half, replace=False)
             clients.append(induced_subgraph(tg, nodes))
     return clients

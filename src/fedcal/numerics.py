@@ -1,34 +1,23 @@
 """Dense linear algebra and scalar helpers shared by every other module.
 
-Matrices are plain 2-D float64 numpy arrays (row-major). Every public
-operation validates finiteness on the way in, so NaN/Inf never escapes
-silently. Everything here is a pure function and safe to call from
-concurrent client threads.
+Matrices are plain 2-D float64 numpy arrays (row-major), and svd returns
+the plain (u, sigma, vt) tuple. Every public operation validates
+finiteness on the way in, so NaN/Inf never escapes silently. Everything
+here is a pure function and safe to call from concurrent client threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SvdResult",
     "svd",
     "softmax",
     "l2_normalize_rows",
     "random_orthogonal",
 ]
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Factors of m = u @ diag(sigma) @ vt with sigma sorted descending."""
-
-    u: np.ndarray
-    sigma: np.ndarray
-    vt: np.ndarray
 
 
 def _as_finite_matrix(m, name: str = "m") -> np.ndarray:
@@ -40,13 +29,21 @@ def _as_finite_matrix(m, name: str = "m") -> np.ndarray:
     return a
 
 
-def svd(m) -> SvdResult:
-    """Full SVD of a square matrix with a deterministic sign convention.
+def _leading_signs(q: np.ndarray) -> np.ndarray:
+    """Per column of q, -1.0 if its first entry above 1e-12 in magnitude is
+    negative, else 1.0; multiplying by 1.0 keeps every bit, by -1.0 negates."""
+    lead = np.argmax(np.abs(q) > 1e-12, axis=0)
+    return np.where(q[lead, np.arange(q.shape[1])] < 0.0, -1.0, 1.0)
 
-    The first entry of each left singular vector whose magnitude exceeds
-    1e-12 is made non-negative; the matching row of vt is flipped with it,
-    so the product u @ diag(sigma) @ vt is unchanged and repeated calls on
-    equal inputs return identical factors.
+
+def svd(m):
+    """Full SVD (u, sigma, vt) of a square matrix, m = u @ diag(sigma) @ vt.
+
+    sigma is sorted descending, as np.linalg.svd returns it. The first
+    entry of each left singular vector whose magnitude exceeds 1e-12 is
+    made non-negative; the matching row of vt is flipped with it, so the
+    product is unchanged and repeated calls on equal inputs return
+    identical factors.
     """
     a = _as_finite_matrix(m)
     if a.shape[0] != a.shape[1]:
@@ -54,15 +51,8 @@ def svd(m) -> SvdResult:
     if a.shape[0] < 1:
         raise ValueError("svd expects dimension >= 1")
     u, sigma, vt = np.linalg.svd(a)
-    u = u.copy()
-    vt = vt.copy()
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        lead = int(np.argmax(np.abs(col) > 1e-12))
-        if col[lead] < 0.0:
-            u[:, j] = -col
-            vt[j, :] = -vt[j, :]
-    return SvdResult(u=u, sigma=sigma, vt=vt)
+    signs = _leading_signs(u)
+    return u * signs[None, :], sigma, vt * signs[:, None]
 
 
 def softmax(v, tau: float) -> np.ndarray:
@@ -115,9 +105,4 @@ def random_orthogonal(d: int, seed) -> np.ndarray:
     signs = np.sign(np.diag(r))
     signs[signs == 0.0] = 1.0
     q = q * signs[None, :]
-    for j in range(d):
-        col = q[:, j]
-        lead = int(np.argmax(np.abs(col) > 1e-12))
-        if col[lead] < 0.0:
-            q[:, j] = -col
-    return q
+    return q * _leading_signs(q)[None, :]

@@ -9,36 +9,27 @@ orthogonal Procrustes solution, and penalize per-node distance between
 the rotated ego-embedding and the anchor of its label.
 
 The anchors are a bare d x C array whose columns are the per-class
-anchors, and a client's calibration rotation is a bare orthogonal d x d
-array r. Embeddings are column vectors here: calibration is r @ h.
+anchors, a client's semantic manifold is its d x C array p of class
+means with a (C,) boolean mask of the classes present in its train
+split, and its calibration rotation is a bare orthogonal d x d array r.
+Embeddings are column vectors here: calibration is r @ h.
 Per-client losses are normalized by the labeled-train count so the
 three local loss terms share a scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .numerics import random_orthogonal, svd
 
 __all__ = [
-    "SemanticManifold",
     "construct_etf",
     "class_means",
     "procrustes",
     "semantic_loss",
     "semantic_per_class_loss",
 ]
-
-
-@dataclass
-class SemanticManifold:
-    """Per-class mean ego-embeddings; absent classes are zeroed and masked."""
-
-    p: np.ndarray               # (d, C)
-    present_mask: np.ndarray    # (C,) bool
 
 
 def construct_etf(num_classes: int, dim: int, seed) -> np.ndarray:
@@ -61,8 +52,13 @@ def construct_etf(num_classes: int, dim: int, seed) -> np.ndarray:
 
 
 def class_means(ego: np.ndarray, labels: np.ndarray, train_mask: np.ndarray,
-                num_classes: int) -> SemanticManifold:
-    """Column c = mean ego-embedding over labeled train nodes of class c."""
+                num_classes: int):
+    """Per-class mean ego-embeddings as (p, present).
+
+    Column c of the (d, C) array p is the mean ego-embedding over labeled
+    train nodes of class c. A class with no such node keeps a zero column
+    and a False entry in the (C,) bool mask present.
+    """
     d = ego.shape[1]
     p = np.zeros((d, num_classes))
     present = np.zeros(num_classes, dtype=bool)
@@ -71,21 +67,20 @@ def class_means(ego: np.ndarray, labels: np.ndarray, train_mask: np.ndarray,
         if len(rows):
             p[:, c] = ego[rows].mean(axis=0)
             present[c] = True
-    return SemanticManifold(p=p, present_mask=present)
+    return p, present
 
 
-def procrustes(manifold: SemanticManifold, anchors: np.ndarray) -> np.ndarray:
+def procrustes(p: np.ndarray, present: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     """Orthogonal d x d map r minimizing ||r @ p - delta||_F over present classes.
 
     Closed form: with the SVD of delta_present @ p_present.T = u s vt,
     the minimizer is r = u @ vt. Absent-class columns are excluded so
     zero columns cannot bias the rotation.
     """
-    present = manifold.present_mask
     if not present.any():
         raise RuntimeError("procrustes needs at least one present class")
-    f = svd(anchors[:, present] @ manifold.p[:, present].T)
-    return f.u @ f.vt
+    u, _, vt = svd(anchors[:, present] @ p[:, present].T)
+    return u @ vt
 
 
 def semantic_loss(ego: np.ndarray, labels: np.ndarray, train_mask: np.ndarray,

@@ -98,12 +98,6 @@ def radial_sequences_from_rings(hop1: np.ndarray, hop2: np.ndarray, batch) -> np
     return pairs
 
 
-def _pair_costs(a: np.ndarray, b: np.ndarray):
-    """(identity, swapped) total squared-distance costs of the two couplings."""
-    c = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-    return c[0, 0] + c[1, 1], c[0, 1] + c[1, 0]
-
-
 def ot_distance(a, b) -> float:
     """Transport cost between two 2 x d row sets under uniform weights.
 
@@ -115,11 +109,10 @@ def ot_distance(a, b) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != 2:
         raise ValueError(f"expected matching 2 x d arrays, got {a.shape} vs {b.shape}")
-    keep, swap = _pair_costs(a, b)
-    return 0.5 * float(min(keep, swap))
+    return float(_cost_matrix(a[None], b[None])[0, 0])
 
 
-def _stacked_pair_costs(rows: np.ndarray, templates: np.ndarray):
+def _coupling_costs(rows: np.ndarray, templates: np.ndarray):
     """(keep, swap) coupling costs for all radials x templates at once.
 
     rows is (B, 2, d) and templates (Q, 2, d); returns two (B, Q) arrays
@@ -131,7 +124,7 @@ def _stacked_pair_costs(rows: np.ndarray, templates: np.ndarray):
 
 
 def _cost_matrix(radials: np.ndarray, templates: np.ndarray) -> np.ndarray:
-    keep, swap = _stacked_pair_costs(radials, templates)
+    keep, swap = _coupling_costs(radials, templates)
     return 0.5 * np.minimum(keep, swap)
 
 
@@ -244,7 +237,7 @@ def structural_loss(matching: MatchingMatrix, radials, templates: np.ndarray):
         raise ValueError(
             f"matching shape {f.shape} does not fit B={nb}, Q={len(templates)}"
         )
-    keep, swap = _stacked_pair_costs(rows, templates)
+    keep, swap = _coupling_costs(rows, templates)
     swapped = swap < keep                              # ties keep the identity
     loss = float((f * 0.5 * np.minimum(keep, swap)).sum() / nb)
 

@@ -1,0 +1,64 @@
+"""The benchmark's tracer (perfbench/tracer.py) rebinds fedcal names given as
+strings, so renaming one of them breaks the benchmark without failing any
+other test here. These tests install and uninstall it on the current code."""
+
+import importlib
+import importlib.util
+import os
+
+import numpy as np
+
+from fedcal.semantic import construct_etf
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def load_tracer():
+    path = os.path.join(REPO, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def rebound_names(tracer):
+    """(owner, attribute) for every name the tracer's install() rebinds."""
+    names = []
+    for module, attr, _, aliases in tracer._SPANS:
+        names.append((importlib.import_module(module), attr))
+        names += [(importlib.import_module(m), a) for m, a in aliases]
+    for module, cls_name, attr, _ in tracer._METHOD_SPANS:
+        names.append((getattr(importlib.import_module(module), cls_name), attr))
+    names += [(importlib.import_module(m), a) for m, a, _ in tracer._COUNTS]
+    return names
+
+
+def test_install_wraps_and_uninstall_restores_every_name():
+    tracer = load_tracer()
+    names = rebound_names(tracer)
+    before = [getattr(owner, attr) for owner, attr in names]
+    t = tracer.Tracer()
+    try:
+        t.install()
+        wrapped = [getattr(owner, attr) for owner, attr in names]
+    finally:
+        t.uninstall()
+    for (owner, attr), old, new in zip(names, before, wrapped):
+        assert new is not old, f"{owner.__name__}.{attr} was not rebound"
+        assert getattr(owner, attr) is old, f"{owner.__name__}.{attr} was not restored"
+
+
+def test_one_svd_per_procrustes():
+    from fedcal import fedsim
+
+    tracer = load_tracer()
+    anchors = construct_etf(3, 5, seed=1)
+    p = np.random.default_rng(1).standard_normal((5, 3))
+    t = tracer.Tracer()
+    try:
+        t.install()
+        fedsim.procrustes(p, np.ones(3, dtype=bool), anchors)
+    finally:
+        t.uninstall()
+    assert t.counts["numerics.svd_calls"] == 1
+    assert [s[0] for s in t.spans] == ["semantic.procrustes"]

@@ -185,9 +185,9 @@ class TestRunCommand:
         assert code == 2
 
     @pytest.mark.parametrize("line, setting", [
-        ("sinkhorn.max_iters = 0", "sinkhorn_iters"),
-        ("sinkhorn.tol = -1", "sinkhorn_tol"),
-        ("sinkhorn.epsilon = 0", "sinkhorn_epsilon"),
+        ("sinkhorn.max_iters = 0", "sinkhorn.max_iters"),
+        ("sinkhorn.tol = -1", "sinkhorn.tol"),
+        ("sinkhorn.epsilon = 0", "sinkhorn.epsilon"),
         ("train.lr0 = -1", "lr0"),
         ("train.lr0 = inf", "lr0"),
         ("train.lr_decay_steps = 0", "lr_decay_steps"),
@@ -214,6 +214,15 @@ class TestRunCommand:
         ("partition.mode = overlapping\nfederation.clients = 7", "federation.clients"),
         ("dataset.nodes = 2", "dataset.nodes"),
         ("sinkhorn.epsilon = 1e-320", "sinkhorn.epsilon"),
+        ("federation.rounds = -1", "federation.rounds"),
+        ("federation.local_epochs = 0", "federation.local_epochs"),
+        ("federation.embed_dim = 1", "federation.embed_dim"),
+        ("federation.clients = 0", "federation.clients"),
+        ("federation.batch_nodes = 0", "federation.batch_nodes"),
+        ("federation.templates = 0", "federation.templates"),
+        ("federation.metric = f1", "federation.metric"),
+        ("partition.mode = bogus", "partition.mode"),
+        ("dataset.kind = bogus", "dataset.kind"),
     ])
     def test_out_of_range_setting_fails_before_work(self, tmp_path, capsys, monkeypatch,
                                                     line, setting):
@@ -228,7 +237,29 @@ class TestRunCommand:
         cfg.write_text("\n".join(base) + "\n" + line + "\n")
         out = tmp_path / "run"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
-        assert setting in capsys.readouterr().err
+        # the error names the full key the row sets (train.lr0, split.val), not a field
+        key = next(k for k in keys if setting in k)
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, split", [
+        ("dataset.nodes = 6", "test"),
+        ("dataset.nodes = 9", "train"),
+        ("dataset.nodes = 12", "train"),
+        ("federation.metric = auc\ndataset.nodes = 15", "val"),
+        ("federation.metric = auc\ndataset.nodes = 30", "val"),
+    ])
+    def test_unusable_client_split_fails_at_setup(self, tmp_path, capsys, line, split):
+        keys = {entry.split("=")[0].strip() for entry in line.splitlines()}
+        base = [entry for entry in open(os.path.join(REPO, "configs", "smoke.cfg"))
+                .read().splitlines() if entry.split("=")[0].strip() not in keys]
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("\n".join(base) + "\n" + line + "\n")
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"'s {split} split holds" in err and "client " in err
+        assert "dataset.nodes" in err
         assert not out.exists()
 
     def test_dataset_setting_fails_gen_data_before_work(self, tmp_path, capsys):

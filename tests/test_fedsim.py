@@ -58,8 +58,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             tiny_config(task_metric="f1")
 
+    def test_unknown_partition_mode(self):
+        with pytest.raises(ValueError, match="partition.mode"):
+            tiny_config(partition_mode="bogus")
+
     def test_files_dataset_needs_paths(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dataset.edges, dataset.features, dataset.labels"):
             DatasetSpec(kind="files")
 
 

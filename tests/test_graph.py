@@ -7,7 +7,6 @@ import scipy.sparse as sp
 from fedcal.graph import (
     Graph,
     HopAggregator,
-    PartitionSpec,
     edge_homophily,
     generate_sbm,
     induced_subgraph,
@@ -91,19 +90,19 @@ class TestGraphInvariants:
 class TestPartitionNonOverlapping:
     def test_path_two_halves(self):
         g = path_graph(10)
-        parts = partition_nonoverlapping(g, PartitionSpec(2, seed=0))
+        parts = partition_nonoverlapping(g, 2, seed=0)
         assert sorted(p.num_nodes for p in parts) == [5, 5]
         ids = np.concatenate([p.node_ids for p in parts])
         assert sorted(ids.tolist()) == list(range(10))
 
     def test_singleton_clients(self):
         g = path_graph(6)
-        parts = partition_nonoverlapping(g, PartitionSpec(6, seed=1))
+        parts = partition_nonoverlapping(g, 6, seed=1)
         assert [p.num_nodes for p in parts] == [1] * 6
 
     def test_sbm_cover_and_disjoint(self):
         g = generate_sbm(600, 2, 0.05, 0.01, 4, 1.0, seed=2)
-        parts = partition_nonoverlapping(g, PartitionSpec(5, seed=2))
+        parts = partition_nonoverlapping(g, 5, seed=2)
         ids = np.concatenate([p.node_ids for p in parts])
         assert len(ids) == 600
         assert len(set(ids.tolist())) == 600
@@ -112,7 +111,7 @@ class TestPartitionNonOverlapping:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_disjoint_cover_and_balance(self, m, seed):
         g = generate_sbm(300, 3, 0.05, 0.02, 4, 1.0, seed=seed)
-        parts = partition_nonoverlapping(g, PartitionSpec(m, seed=seed))
+        parts = partition_nonoverlapping(g, m, seed=seed)
         ids = np.concatenate([p.node_ids for p in parts])
         assert sorted(ids.tolist()) == list(range(300))
         target = 300 / m
@@ -122,21 +121,22 @@ class TestPartitionNonOverlapping:
 
     def test_rejects_more_parts_than_nodes(self):
         with pytest.raises(ValueError):
-            partition_nonoverlapping(path_graph(3), PartitionSpec(4, seed=0))
+            partition_nonoverlapping(path_graph(3), 4, seed=0)
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            PartitionSpec(1)
-        with pytest.raises(ValueError):
-            PartitionSpec(6, "overlapping")
-        with pytest.raises(ValueError):
-            PartitionSpec(5, "bogus")
+        g = path_graph(10)
+        with pytest.raises(ValueError, match="2 clients"):
+            partition_nonoverlapping(g, 1)
+        with pytest.raises(ValueError, match="multiple of 5"):
+            partition_overlapping(g, 0)
+        with pytest.raises(ValueError, match="multiple of 5"):
+            partition_overlapping(g, 6)
 
 
 class TestPartitionOverlapping:
     def test_five_clients_from_whole_graph(self):
         g = generate_sbm(100, 2, 0.1, 0.02, 3, 1.0, seed=0)
-        parts = partition_overlapping(g, PartitionSpec(5, "overlapping", seed=0))
+        parts = partition_overlapping(g, 5, seed=0)
         assert len(parts) == 5
         for p in parts:
             assert p.num_nodes == 50  # ceil(100/2)
@@ -144,10 +144,9 @@ class TestPartitionOverlapping:
 
     def test_clients_within_temporary_subgraph(self):
         g = generate_sbm(200, 2, 0.08, 0.02, 3, 1.0, seed=3)
-        spec = PartitionSpec(10, "overlapping", seed=3)
-        parts = partition_overlapping(g, spec)
+        parts = partition_overlapping(g, 10, seed=3)
         assert len(parts) == 10
-        temp = partition_nonoverlapping(g, PartitionSpec(2, seed=3))
+        temp = partition_nonoverlapping(g, 2, seed=3)
         temp_sets = [set(t.node_ids.tolist()) for t in temp]
         for ti in range(2):
             for s in range(5):
@@ -161,7 +160,7 @@ class TestPartitionOverlapping:
         expected = k * k / 80
         overlaps = []
         for seed in range(100):
-            parts = partition_overlapping(g, PartitionSpec(5, "overlapping", seed=seed))
+            parts = partition_overlapping(g, 5, seed=seed)
             a = set(parts[0].node_ids.tolist())
             b = set(parts[1].node_ids.tolist())
             overlaps.append(len(a & b))
@@ -170,7 +169,7 @@ class TestPartitionOverlapping:
     def test_rejects_non_multiple_of_five(self):
         g = path_graph(10)
         with pytest.raises(ValueError):
-            partition_overlapping(g, PartitionSpec(6, "non-overlapping", seed=0))
+            partition_overlapping(g, 6, seed=0)
 
 
 class TestGenerateSbm:

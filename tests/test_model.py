@@ -32,7 +32,7 @@ def small_instance(seed, n=12, d0=5, d=4, c=3, train_ratio=0.6):
 def calibration_inputs(g, params, agg, seed, d, c, q=3, b=6):
     anchors = construct_etf(c, d, seed=seed)
     cache = forward(params, g, agg)
-    rot = procrustes(class_means(cache.ego, g.labels, g.train_mask, c), anchors)
+    rot = procrustes(*class_means(cache.ego, g.labels, g.train_mask, c), anchors)
     templates = init_templates(q, d, seed=seed + 1)
     batch = sample_structural_batch(g, b, seed=seed + 2)
     radials = radial_sequences_from_rings(cache.hop1, cache.hop2, batch)
@@ -150,10 +150,10 @@ class TestTotalLoss:
         params = init_params(2, 2, 2, seed=6)
         agg = HopAggregator(g)
         cache = forward(params, g, agg)
-        manifold = class_means(cache.ego, g.labels, g.train_mask, 2)
-        rot = procrustes(manifold, construct_etf(2, 2, seed=6))
+        p, present = class_means(cache.ego, g.labels, g.train_mask, 2)
+        rot = procrustes(p, present, construct_etf(2, 2, seed=6))
 
-        anchors = rot @ manifold.p
+        anchors = rot @ p
         batch = np.arange(8)
         radials = radial_sequences_from_rings(cache.hop1, cache.hop2, batch)
         templates = radials.copy()
