@@ -197,10 +197,11 @@ def save_params(params: ModelParams, path):
 
 
 def load_params(path) -> ModelParams:
+    """Read a ``save_params`` dump; a malformed one raises ValueError naming path:line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or not lines[0].startswith("# fedcal-params"):
-        raise ValueError(f"{path}: not a fedcal parameter dump")
+        raise ValueError(f"{path}:1: not a fedcal parameter dump")
     arrays = {}
     i = 1
     while i < len(lines):
@@ -208,18 +209,25 @@ def load_params(path) -> ModelParams:
             i += 1
             continue
         parts = lines[i].split()
-        if len(parts) != 4 or parts[0] != "shape":
-            raise ValueError(f"{path}: malformed shape header at line {i + 1}")
+        if len(parts) != 4 or parts[0] != "shape" or not all(
+                p.isdecimal() and int(p) > 0 for p in parts[2:]):
+            raise ValueError(f"{path}:{i + 1}: malformed shape header")
         name, rows, cols = parts[1], int(parts[2]), int(parts[3])
         data = []
         for r in range(rows):
             i += 1
             if i >= len(lines):
-                raise ValueError(f"{path}: truncated array {name}")
-            row = [float(x) for x in lines[i].split()]
+                raise ValueError(
+                    f"{path}:{len(lines)}: array {name} ends after {r} of {rows} rows"
+                )
+            try:
+                row = [float(x) for x in lines[i].split()]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{i + 1}: array {name}: {exc}") from None
             if len(row) != cols:
                 raise ValueError(
-                    f"{path}: array {name} row {r} has {len(row)} values, expected {cols}"
+                    f"{path}:{i + 1}: array {name} row {r} has {len(row)} values, "
+                    f"expected {cols}"
                 )
             data.append(row)
         arrays[name] = np.asarray(data, dtype=np.float64)
@@ -307,7 +315,8 @@ def cmd_eval(args) -> int:
             raise FileNotFoundError(f"missing model dump: {dump}")
         params = load_params(dump)
         if params.w_ego.shape != client.params.w_ego.shape or \
-                params.w_cls.shape != client.params.w_cls.shape:
+                params.w_cls.shape != client.params.w_cls.shape or \
+                params.b_cls.shape != client.params.b_cls.shape:
             raise ValueError(
                 f"{dump}: parameter shapes do not match the configured model"
             )

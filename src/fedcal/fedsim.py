@@ -21,7 +21,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .graph import (
     Graph,
@@ -399,7 +398,29 @@ def run_client_round(state: ClientState, anchors: np.ndarray,
     )
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based float64 ranks of x, each run of equal values given its mean rank.
+
+    The ranks are exact halves, so they equal SciPy's average-method ranks
+    bit for bit; as there, any NaN makes every rank NaN.
+    """
+    order = np.argsort(x)
+    xs = x[order]
+    if xs[-1] != xs[-1]:                         # NaN sorts last
+        return np.full(len(x), np.nan)
+    start = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    end = np.r_[start[1:], len(xs)]
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat((start + 1 + end) / 2.0, end - start)
+    return ranks
+
+
 def _metric_from_logits(logits, g: Graph, split: str, metric: str) -> float:
+    """Accuracy or AUC of the logits on the split's labelled nodes.
+
+    AUC is the Mann-Whitney statistic of the positive-class probability,
+    computed from its average ranks (``_average_ranks``).
+    """
     mask = g.val_mask if split == "val" else g.test_mask
     idx = np.nonzero(mask & (g.labels >= 0))[0]
     if len(idx) == 0:
@@ -420,7 +441,7 @@ def _metric_from_logits(logits, g: Graph, split: str, metric: str) -> float:
         z = z - z.max(axis=1, keepdims=True)
         e = np.exp(z)
         p1 = e[:, 1] / e.sum(axis=1)
-        ranks = rankdata(p1, method="average")
+        ranks = _average_ranks(p1)
         return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
     raise ValueError(f"unknown metric {metric!r}")
 
@@ -534,21 +555,34 @@ def export_history(records, path):
 
 
 def import_history(path) -> list:
-    """Parse a history CSV back into HistoryRow values (bit-exact floats)."""
+    """Parse a history CSV back into HistoryRow values (bit-exact floats).
+
+    A missing or wrong header, a row with the wrong field count and an
+    unparsable field each raise ValueError naming path:line.
+    """
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}:1: empty file, expected a history header")
         if header != _HISTORY_COLUMNS:
-            raise ValueError(f"{path}: unexpected history header {header}")
+            raise ValueError(f"{path}:1: unexpected history header {header}")
         for parts in reader:
-            rows.append(HistoryRow(
-                round=int(parts[0]), client_id=int(parts[1]),
-                ce_loss=float(parts[2]), sem_loss=float(parts[3]),
-                str_loss=float(parts[4]), val_metric=float(parts[5]),
-                test_metric=float(parts[6]), anchor_gram_drift=float(parts[7]),
-                gw_objective_mean=float(parts[8]),
-            ))
+            where = f"{path}:{reader.line_num}"
+            if len(parts) != len(_HISTORY_COLUMNS):
+                raise ValueError(f"{where}: expected {len(_HISTORY_COLUMNS)} fields, "
+                                 f"got {len(parts)}")
+            try:
+                rows.append(HistoryRow(
+                    round=int(parts[0]), client_id=int(parts[1]),
+                    ce_loss=float(parts[2]), sem_loss=float(parts[3]),
+                    str_loss=float(parts[4]), val_metric=float(parts[5]),
+                    test_metric=float(parts[6]), anchor_gram_drift=float(parts[7]),
+                    gw_objective_mean=float(parts[8]),
+                ))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
     return rows
 
 

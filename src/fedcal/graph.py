@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import dijkstra
 
 __all__ = [
     "Graph",
@@ -158,13 +157,46 @@ def induced_subgraph(g: Graph, nodes) -> Graph:
     )
 
 
+def _hop_distances(a: sp.csr_matrix, sources) -> np.ndarray:
+    """Float hop count from the nearest source to each node, inf if unreachable.
+
+    Breadth-first over the CSR rows, one level at a time: a level gathers
+    the index slices of its frontier rows and keeps one copy of each
+    unvisited neighbor, so it costs work in proportion to the frontier's
+    edges.
+    """
+    indptr, indices = a.indptr, a.indices
+    n = a.shape[0]
+    dist = np.full(n, np.inf)
+    slot = np.empty(n, dtype=np.intp)
+    frontier = np.asarray(sources, dtype=np.intp)
+    dist[frontier] = 0.0
+    level = 0.0
+    while len(frontier):
+        level += 1.0
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        ends = np.cumsum(counts)
+        nbrs = indices[np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)]
+        nbrs = nbrs[dist[nbrs] == np.inf]
+        # one copy per node: of its positions in nbrs, keep the one slot holds
+        k = np.arange(len(nbrs))
+        slot[nbrs] = k
+        frontier = nbrs[slot[nbrs] == k]
+        dist[frontier] = level
+    return dist
+
+
 def _farthest_point_seeds(g: Graph, m: int, rng: np.random.Generator) -> list:
-    """m seed nodes: one random, the rest maximizing hop distance to chosen seeds."""
+    """m seed nodes: one random, the rest maximizing hop distance to chosen seeds.
+
+    Distances come from a multi-source BFS (``_hop_distances``); nodes
+    unreachable from every seed are at distance inf, so argmax takes the
+    first of them.
+    """
     seeds = [int(rng.integers(g.num_nodes))]
     while len(seeds) < m:
-        # unreachable nodes are at distance inf, so argmax takes the first of them
-        dist = dijkstra(g.adjacency, indices=seeds, unweighted=True, min_only=True)
-        seeds.append(int(np.argmax(dist)))
+        seeds.append(int(np.argmax(_hop_distances(g.adjacency, seeds))))
     return seeds
 
 

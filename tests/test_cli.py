@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -104,6 +106,18 @@ class TestParamsDump:
         del lines[3]
         path.write_text("\n".join(lines))
         with pytest.raises(ValueError):
+            load_params(path)
+
+    @pytest.mark.parametrize("header", ["shape w_ego 5 x", "shape w_ego 0 3",
+                                        "shape w_ego -1 3", "shape w_ego 5"])
+    def test_malformed_shape_header_names_line(self, tmp_path, header):
+        path = tmp_path / "p.txt"
+        save_params(init_params(5, 3, 2, seed=4), path)
+        lines = path.read_text().splitlines()
+        assert lines[1] == "shape w_ego 5 3"
+        lines[1] = header
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="p.txt:2: malformed shape header"):
             load_params(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
@@ -403,6 +417,78 @@ class TestReportCommand:
         table = str(tmp_path / "table.txt")
         main(["report", os.path.join(out, "history.csv"), "--out", table])
         assert "final_test_mean" in open(table).read()
+
+
+class TestMalformedInputs:
+    """A damaged history or model dump exits 2 naming path:line; a header-only
+    history is still valid."""
+
+    def test_empty_history(self, tmp_path, capsys):
+        path = tmp_path / "history.csv"
+        path.write_text("")
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:1: " in err and "Traceback" not in err
+
+    def test_history_row_cut_after_four_fields(self, smoke_cfg, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["run", "--config", smoke_cfg, "--out", str(out)])
+        path = out / "history.csv"
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join(lines[2].split(",")[:4])
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:3: " in err and "Traceback" not in err
+
+    def test_model_dump_with_bad_float(self, smoke_cfg, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["run", "--config", smoke_cfg, "--out", str(out)])
+        dump = out / "models" / "client_1.txt"
+        lines = dump.read_text().splitlines()
+        assert lines[1].startswith("shape w_ego")
+        lines[2] = lines[2].replace(" ", "x ", 1)
+        dump.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["eval", "--model-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{dump}:3: " in err and "Traceback" not in err
+
+    def test_model_dump_with_wide_bias(self, smoke_cfg, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["run", "--config", smoke_cfg, "--out", str(out)])
+        dump = out / "models" / "client_0.txt"
+        text = dump.read_text()
+        head, bias = text.rstrip("\n").rsplit("\n", 1)
+        assert head.endswith("shape b_cls 1 2")
+        dump.write_text(head[:-1] + "3\n" + bias + " 0.5\n")
+        capsys.readouterr()
+        assert main(["eval", "--model-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{dump}: parameter shapes" in err
+
+    def test_header_only_history_reports_na(self, tmp_path, capsys):
+        path = tmp_path / "history.csv"
+        fedsim.export_history([], path)
+        assert main(["report", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split()[1:] == ["n/a", "n/a"]
+
+
+class TestImportFootprint:
+    # each of these costs megabytes and tenths of a second per process
+    HEAVY = ("scipy.stats", "scipy.special", "scipy.linalg", "scipy.optimize",
+             "scipy.sparse.csgraph", "scipy.sparse.linalg")
+
+    def test_imports_only_numpy_and_scipy_sparse(self):
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+        code = "import sys, fedcal, fedcal.cli; print(*sorted(sys.modules))"
+        loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                capture_output=True, text=True).stdout.split()
+        assert "fedcal.cli" in loaded and "scipy.sparse" in loaded
+        heavy = [m for m in loaded if any(m == h or m.startswith(h + ".")
+                                          for h in self.HEAVY)]
+        assert heavy == []
 
 
 class TestIdempotence:

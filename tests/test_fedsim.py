@@ -1,7 +1,9 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from fedcal.fedsim import (
     ClientState,
@@ -18,6 +20,7 @@ from fedcal.fedsim import (
     run_client_round,
     run_federation,
     setup_federation,
+    _average_ranks,
 )
 from fedcal.graph import Graph, HopAggregator
 from fedcal.model import ModelParams, init_params
@@ -299,6 +302,42 @@ class TestEvaluate:
             evaluate(state, "train", "accuracy")
 
 
+_TIES = np.random.default_rng(5).integers(0, 6, size=200) / 3.0
+
+
+class TestAverageRanksReference:
+    """The AUC rank helper against SciPy's average-method ranks, bit for bit."""
+
+    @pytest.mark.parametrize("x", [
+        np.array([0.25]),
+        np.full(9, 0.5),
+        _TIES,
+        np.sort(_TIES),
+        np.sort(_TIES)[::-1],
+        np.linspace(0.0, 1.0, 50),
+        np.linspace(1.0, 0.0, 50),
+        np.array([0.3, -0.0, 0.0, 0.3, 1e-300, 0.3]),
+    ], ids=["n1", "all_equal", "many_ties", "sorted", "reversed", "distinct_sorted",
+            "distinct_reversed", "signed_zeros"])
+    def test_equals_scipy(self, x):
+        got, ref = _average_ranks(x), rankdata(x, method="average")
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+
+    def test_random_tied_arrays_equal_scipy(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            x = rng.integers(0, max(1, n // 3), size=n) / 7.0
+            assert np.array_equal(_average_ranks(x), rankdata(x, method="average"))
+
+    def test_nan_makes_every_rank_nan_as_in_scipy(self):
+        x = np.array([0.2, np.nan, 0.1])
+        got, ref = _average_ranks(x), rankdata(x, method="average")
+        assert np.isnan(ref).all()
+        assert np.array_equal(got, ref, equal_nan=True)
+
+
 class TestExports:
     def test_empty_history_header_only(self, tmp_path):
         path = tmp_path / "h.csv"
@@ -325,6 +364,15 @@ class TestExports:
         path = tmp_path / "h.csv"
         path.write_text("foo,bar\n1,2\n")
         with pytest.raises(ValueError):
+            import_history(path)
+
+    def test_import_names_path_and_line_of_a_bad_field(self, tmp_path):
+        path = tmp_path / "h.csv"
+        export_history(run_federation(tiny_config(rounds=1)).records, path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace(",", ",x", 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:3: ")):
             import_history(path)
 
     def test_export_embeddings_schema(self, tmp_path):

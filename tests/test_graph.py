@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import dijkstra
 
 from fedcal.graph import (
     Graph,
@@ -16,6 +17,7 @@ from fedcal.graph import (
     partition_overlapping,
     save_graph_files,
     split_masks,
+    _hop_distances,
 )
 
 
@@ -170,6 +172,50 @@ class TestPartitionOverlapping:
         g = path_graph(10)
         with pytest.raises(ValueError):
             partition_overlapping(g, 6, seed=0)
+
+
+def graph_from_edges(n, edges):
+    return Graph.from_edges(np.zeros((n, 1)), np.zeros(n, dtype=int), edges)
+
+
+class TestHopDistancesReference:
+    """The farthest-point BFS against SciPy's unweighted multi-source dijkstra."""
+
+    @staticmethod
+    def check(g, seeds):
+        got = _hop_distances(g.adjacency, seeds)
+        ref = dijkstra(g.adjacency, indices=seeds, unweighted=True, min_only=True)
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+        return got
+
+    @pytest.mark.parametrize("seeds", [[0], [3], [5], [0, 5], [2, 2]])
+    def test_isolated_nodes(self, seeds):
+        # nodes 3 and 5 have no edges
+        self.check(graph_from_edges(6, [(0, 1), (1, 2), (2, 4)]), seeds)
+
+    @pytest.mark.parametrize("seeds", [[0], [4], [9], [0, 7], [1, 4, 8]])
+    def test_several_components(self, seeds):
+        edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (7, 8), (8, 9)]
+        self.check(graph_from_edges(10, edges), seeds)
+
+    @pytest.mark.parametrize("seeds", [[0], [399], [200], [0, 399], [17, 250, 251]])
+    def test_long_path(self, seeds):
+        self.check(path_graph(400), seeds)
+
+    def test_sbm_graph_and_its_farthest_seeds(self):
+        g = generate_sbm(1500, 3, 0.006, 0.002, 2, 1.0, seed=4)
+        seeds = [7]
+        for _ in range(5):
+            seeds.append(int(np.argmax(self.check(g, seeds))))
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            edges = rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2))
+            seeds = rng.integers(0, n, size=int(rng.integers(1, 4))).tolist()
+            self.check(graph_from_edges(n, edges), seeds)
 
 
 class TestGenerateSbm:
