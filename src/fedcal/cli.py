@@ -185,59 +185,61 @@ def write_resolved_config(cfg: RunConfig, path):
             fh.write(f"{key} = {value}\n")
 
 
+def _param_blocks(params: ModelParams):
+    """(name, shape header, 2-D array) per array, in the one order a dump holds."""
+    for name in ("w_ego", "w_cls", "b_cls"):
+        arr = np.atleast_2d(getattr(params, name))
+        yield name, f"shape {name} {arr.shape[0]} {arr.shape[1]}", arr
+
+
 def save_params(params: ModelParams, path):
     """Self-describing text dump: named shapes followed by row-major values."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# fedcal-params 1\n")
-        for name in ("w_ego", "w_cls", "b_cls"):
-            arr = np.atleast_2d(getattr(params, name))
-            fh.write(f"shape {name} {arr.shape[0]} {arr.shape[1]}\n")
+        for _, header, arr in _param_blocks(params):
+            fh.write(header + "\n")
             for row in arr:
                 fh.write(" ".join(repr(float(x)) for x in row) + "\n")
 
 
-def load_params(path) -> ModelParams:
-    """Read a ``save_params`` dump; a malformed one raises ValueError naming path:line."""
+def load_params(path, like: ModelParams) -> ModelParams:
+    """Read a ``save_params`` dump of arrays shaped as ``like``'s.
+
+    Only that layout is accepted: the magic line, then w_ego, w_cls and
+    b_cls in order, each under the header ``like`` would get and followed
+    by its rows, and nothing after. Anything else raises ValueError naming
+    path:line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or not lines[0].startswith("# fedcal-params"):
+    if not lines or lines[0] != "# fedcal-params 1":
         raise ValueError(f"{path}:1: not a fedcal parameter dump")
-    arrays = {}
-    i = 1
-    while i < len(lines):
-        if not lines[i].strip():
-            i += 1
-            continue
-        parts = lines[i].split()
-        if len(parts) != 4 or parts[0] != "shape" or not all(
-                p.isdecimal() and int(p) > 0 for p in parts[2:]):
-            raise ValueError(f"{path}:{i + 1}: malformed shape header")
-        name, rows, cols = parts[1], int(parts[2]), int(parts[3])
-        data = []
-        for r in range(rows):
-            i += 1
-            if i >= len(lines):
-                raise ValueError(
-                    f"{path}:{len(lines)}: array {name} ends after {r} of {rows} rows"
-                )
+    arrays, i = {}, 1                          # i indexes the next unread line
+    for name, header, arr in _param_blocks(like):
+        found = lines[i] if i < len(lines) else "end of file"
+        if found != header:
+            raise ValueError(f"{path}:{i + 1}: malformed shape header {found!r}, "
+                             f"expected {header!r}")
+        rows, cols = arr.shape
+        block = lines[i + 1:i + 1 + rows]
+        if len(block) < rows:
+            raise ValueError(f"{path}:{len(lines)}: array {name} ends after "
+                             f"{len(block)} of {rows} rows")
+        values = []
+        for lineno, text in enumerate(block, start=i + 2):
             try:
-                row = [float(x) for x in lines[i].split()]
+                row = [float(x) for x in text.split()]
             except ValueError as exc:
-                raise ValueError(f"{path}:{i + 1}: array {name}: {exc}") from None
+                raise ValueError(f"{path}:{lineno}: array {name}: {exc}") from None
             if len(row) != cols:
-                raise ValueError(
-                    f"{path}:{i + 1}: array {name} row {r} has {len(row)} values, "
-                    f"expected {cols}"
-                )
-            data.append(row)
-        arrays[name] = np.asarray(data, dtype=np.float64)
-        i += 1
-    missing = {"w_ego", "w_cls", "b_cls"} - set(arrays)
-    if missing:
-        raise ValueError(f"{path}: missing arrays {sorted(missing)}")
-    return ModelParams(
-        w_ego=arrays["w_ego"], w_cls=arrays["w_cls"], b_cls=arrays["b_cls"][0]
-    )
+                raise ValueError(f"{path}:{lineno}: array {name} row has {len(row)} "
+                                 f"values, expected {cols}")
+            values += row
+        arrays[name] = np.array(values).reshape(getattr(like, name).shape)
+        i += 1 + rows
+    if i < len(lines):
+        raise ValueError(f"{path}:{i + 1}: unexpected line after array b_cls")
+    return ModelParams(**arrays)
 
 
 def cmd_gen_data(args) -> int:
@@ -313,14 +315,7 @@ def cmd_eval(args) -> int:
         dump = os.path.join(args.model_dir, "models", f"client_{client.client_id}.txt")
         if not os.path.exists(dump):
             raise FileNotFoundError(f"missing model dump: {dump}")
-        params = load_params(dump)
-        if params.w_ego.shape != client.params.w_ego.shape or \
-                params.w_cls.shape != client.params.w_cls.shape or \
-                params.b_cls.shape != client.params.b_cls.shape:
-            raise ValueError(
-                f"{dump}: parameter shapes do not match the configured model"
-            )
-        client.params = params
+        client.params = load_params(dump, client.params)
         metrics.append(evaluate(client, args.split, fed.task_metric))
     for cid, value in enumerate(metrics):
         print(f"client {cid} {args.split} {fed.task_metric}: {value:.6f}")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from .semantic import (
     semantic_per_class_loss,
 )
 from .structural import (
-    MatchingMatrix,
     init_templates,
     radial_sequences_from_rings,
     sample_structural_batch,
@@ -228,7 +227,11 @@ class RoundRecord:
 
 @dataclass
 class HistoryRow:
-    """One CSV line of the run history (per round, per client)."""
+    """One CSV line of the run history (per round, per client).
+
+    The fields, in order, are the CSV's columns: ints written as they
+    are, floats as shortest round-trip reprs.
+    """
 
     round: int
     client_id: int
@@ -317,7 +320,7 @@ class ClientRoundResult:
     params: ModelParams
     rotation: np.ndarray
     semantic_report: SemanticReport
-    structural_report: StructuralReport
+    structural_report: StructuralReport    # None when the structural term is off
     ce: float
     sem: float
     stru: float
@@ -377,16 +380,12 @@ def run_client_round(state: ClientState, anchors: np.ndarray,
     semantic_report = SemanticReport(
         k=k, present_mask=final_present, per_class_loss=per_class
     )
+    structural_report = None
     if cfg.structural_enabled:
         final_radials = radial_sequences_from_rings(
             final_cache.hop1, final_cache.hop2, batch
         )
         structural_report = StructuralReport(radials=final_radials, matching=matching)
-    else:
-        structural_report = StructuralReport(
-            radials=np.zeros((0, 2, cfg.embed_dim)),
-            matching=MatchingMatrix(f=np.zeros((0, cfg.num_templates))),
-        )
 
     val = _metric_from_logits(final_cache.logits, g, "val", cfg.task_metric)
     test = _metric_from_logits(final_cache.logits, g, "test", cfg.task_metric)
@@ -484,7 +483,7 @@ def _run_rounds(cfg: FederationConfig, map_clients) -> FederationResult:
 
         sem_reports = [r.semantic_report for r in results]
         str_reports = [r.structural_report for r in results]
-        unconverged += sum(not r.matching.converged for r in str_reports)
+        unconverged += sum(not r.matching.converged for r in str_reports if r is not None)
 
         if cfg.refine_enabled:
             anchors, drift = refine_all_anchors(anchors, sem_reports, cfg.refine)
@@ -515,10 +514,7 @@ def _run_rounds(cfg: FederationConfig, map_clients) -> FederationResult:
                             sinkhorn_calls=calls, sinkhorn_unconverged=unconverged)
 
 
-_HISTORY_COLUMNS = [
-    "round", "client_id", "ce_loss", "sem_loss", "str_loss",
-    "val_metric", "test_metric", "anchor_gram_drift", "gw_objective_mean",
-]
+_HISTORY_COLUMNS = [f.name for f in fields(HistoryRow)]
 
 
 def records_to_rows(records) -> list:
@@ -546,12 +542,7 @@ def export_history(records, path):
         writer = csv.writer(fh)
         writer.writerow(_HISTORY_COLUMNS)
         for row in rows:
-            writer.writerow([
-                row.round, row.client_id,
-                repr(row.ce_loss), repr(row.sem_loss), repr(row.str_loss),
-                repr(row.val_metric), repr(row.test_metric),
-                repr(row.anchor_gram_drift), repr(row.gw_objective_mean),
-            ])
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in astuple(row)])
 
 
 def import_history(path) -> list:
@@ -574,13 +565,8 @@ def import_history(path) -> list:
                 raise ValueError(f"{where}: expected {len(_HISTORY_COLUMNS)} fields, "
                                  f"got {len(parts)}")
             try:
-                rows.append(HistoryRow(
-                    round=int(parts[0]), client_id=int(parts[1]),
-                    ce_loss=float(parts[2]), sem_loss=float(parts[3]),
-                    str_loss=float(parts[4]), val_metric=float(parts[5]),
-                    test_metric=float(parts[6]), anchor_gram_drift=float(parts[7]),
-                    gw_objective_mean=float(parts[8]),
-                ))
+                rows.append(HistoryRow(*(int(p) if f.type in (int, "int") else float(p)
+                                         for f, p in zip(fields(HistoryRow), parts))))
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
     return rows

@@ -492,8 +492,6 @@ class HopAggregator:
         ring2 = within2 - near                   # exact zeros are not stored
         self.m1 = _row_means(a, eye)
         self.m2 = 0.5 * (self.m1 + _row_means(ring2, self.m1))
-        self.m1t = self.m1.T.tocsr()
-        self.m2t = self.m2.T.tocsr()
 
     def rings(self, values: np.ndarray):
         """(hop1, hop2) ring means of per-node row vectors."""
@@ -501,7 +499,7 @@ class HopAggregator:
 
     def backward(self, g_hop1: np.ndarray, g_hop2: np.ndarray) -> np.ndarray:
         """Pull ring-mean gradients back onto the per-node rows."""
-        return self.m1t @ g_hop1 + self.m2t @ g_hop2
+        return self.m1.T @ g_hop1 + self.m2.T @ g_hop2
 
 
 def k_hop_sets(g: Graph, v: int, k: int) -> np.ndarray:

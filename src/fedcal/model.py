@@ -39,9 +39,6 @@ class ModelParams:
     w_cls: np.ndarray    # (3d, C)
     b_cls: np.ndarray    # (C,)
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.w_ego.copy(), self.w_cls.copy(), self.b_cls.copy())
-
 
 @dataclass
 class ForwardCache:

@@ -61,7 +61,7 @@ class StructuralReport:
 
     radials is the (B, 2, d) float64 batch the client matched; matching.f
     is its B x Q assignment. A client without the structural term uploads
-    B = 0.
+    none.
     """
 
     radials: np.ndarray

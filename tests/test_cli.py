@@ -87,13 +87,17 @@ class TestConfigParsing:
         assert len(keys) == len(set(keys))
         assert sorted(keys) == sorted(_CONFIG_SCHEMA)
 
+    def test_schema_defaults_are_the_library_defaults(self):
+        # dataclass equality compares every field, the nested configs too
+        assert build_run_config({}).federation_config() == fedsim.FederationConfig()
+
 
 class TestParamsDump:
     def test_round_trip(self, tmp_path):
         params = init_params(5, 3, 2, seed=4)
         path = tmp_path / "p.txt"
         save_params(params, path)
-        loaded = load_params(path)
+        loaded = load_params(path, params)
         assert np.array_equal(loaded.w_ego, params.w_ego)
         assert np.array_equal(loaded.w_cls, params.w_cls)
         assert np.array_equal(loaded.b_cls, params.b_cls)
@@ -106,7 +110,7 @@ class TestParamsDump:
         del lines[3]
         path.write_text("\n".join(lines))
         with pytest.raises(ValueError):
-            load_params(path)
+            load_params(path, params)
 
     @pytest.mark.parametrize("header", ["shape w_ego 5 x", "shape w_ego 0 3",
                                         "shape w_ego -1 3", "shape w_ego 5"])
@@ -118,13 +122,13 @@ class TestParamsDump:
         lines[1] = header
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="p.txt:2: malformed shape header"):
-            load_params(path)
+            load_params(path, init_params(5, 3, 2, seed=4))
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("something else\n")
         with pytest.raises(ValueError, match="parameter dump"):
-            load_params(path)
+            load_params(path, init_params(5, 3, 2, seed=4))
 
 
 class TestGenData:
@@ -337,6 +341,23 @@ class TestRunCommand:
             assert float(parts[3]) == 0.0  # sem_loss
             assert float(parts[4]) == 0.0  # str_loss
 
+    def test_embeddings_export(self, tmp_path):
+        cfg = tmp_path / "emb.cfg"
+        cfg.write_text(open(os.path.join(REPO, "configs", "smoke.cfg")).read()
+                       + "output.embeddings = true\n")
+        outs = [tmp_path / f"t{threads}" for threads in (1, 2)]
+        for threads, out in zip((1, 2), outs):
+            assert main(["run", "--config", str(cfg), "--out", str(out),
+                         "--threads", str(threads)]) == 0
+        for c, nodes in enumerate((32, 34, 24)):
+            name = f"embeddings_{c}.csv"
+            lines = (outs[0] / name).read_text().splitlines()
+            assert lines[0] == "node_id,label,e_0,e_1,e_2,e_3"
+            assert len(lines) == 1 + nodes
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        assert sorted(p.name for p in outs[0].glob("embeddings_*")) == [
+            f"embeddings_{c}.csv" for c in range(3)]
+
     def test_threads_do_not_change_bytes(self, smoke_cfg, tmp_path):
         out1, out2 = str(tmp_path / "t1"), str(tmp_path / "t4")
         main(["run", "--config", smoke_cfg, "--out", out1, "--threads", "1"])
@@ -466,7 +487,34 @@ class TestMalformedInputs:
         capsys.readouterr()
         assert main(["eval", "--model-dir", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"{dump}: parameter shapes" in err
+        assert f"{dump}:21: " in err and "Traceback" not in err
+
+    # each layout save_params never writes, with the line that must be named;
+    # the smoke dump is the magic line, w_ego on lines 2-7, w_cls on 8-20
+    # and b_cls on 21-22
+    @pytest.mark.parametrize("misload", ["second w_ego after b_cls", "extra bogus block",
+                                         "two-row b_cls", "reversed blocks"])
+    def test_model_dump_in_another_layout(self, smoke_cfg, tmp_path, capsys, misload):
+        out = tmp_path / "run"
+        main(["run", "--config", smoke_cfg, "--out", str(out)])
+        dump = out / "models" / "client_0.txt"
+        lines = dump.read_text().splitlines()
+        assert (lines[1], lines[7], lines[20], len(lines)) == (
+            "shape w_ego 5 4", "shape w_cls 12 2", "shape b_cls 1 2", 22)
+        w_ego, w_cls, b_cls = lines[1:7], lines[7:20], lines[20:]
+        if misload == "second w_ego after b_cls":
+            lines, line = lines + w_ego, 23
+        elif misload == "extra bogus block":
+            lines, line = lines + ["shape bogus 1 1", "0.0"], 23
+        elif misload == "two-row b_cls":
+            lines, line = lines[:20] + ["shape b_cls 2 2", lines[21], "9.0 9.0"], 21
+        else:
+            lines, line = lines[:1] + b_cls + w_cls + w_ego, 2
+        dump.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["eval", "--model-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{dump}:{line}: " in err and "Traceback" not in err
 
     def test_header_only_history_reports_na(self, tmp_path, capsys):
         path = tmp_path / "history.csv"

@@ -462,5 +462,20 @@ class TestHopAggregator:
         m1, m2 = reference_operators(g)
         assert np.array_equal(agg.m1.toarray(), m1)
         assert np.array_equal(agg.m2.toarray(), m2)
-        assert np.array_equal(agg.m1t.toarray(), m1.T)
-        assert np.array_equal(agg.m2t.toarray(), m2.T)
+
+    @pytest.mark.parametrize("seed, dense", [(0, False), (1, False), (2, False),
+                                             (3, False), (4, True)])
+    def test_backward_equals_sorted_csr_transpose_bits(self, seed, dense):
+        # the CSC product of m.T sums each output row in increasing column
+        # order, as a sorted CSR copy of the transpose does
+        g = generate_sbm(400, 2, 0.06, 0.03, 2, 1.0, seed=seed) if dense else ring_cases(seed)
+        agg = HopAggregator(g)
+        rng = np.random.default_rng(seed)
+        blocks = rng.standard_normal((g.num_nodes, 12))
+        # column slices of one array, as total_loss passes them
+        g_hop1, g_hop2 = blocks[:, 4:8], blocks[:, 8:]
+        expected = agg.m1.T.tocsr() @ g_hop1 + agg.m2.T.tocsr() @ g_hop2
+        assert np.array_equal(agg.backward(g_hop1, g_hop2), expected)
+        g_hop = rng.standard_normal((2, g.num_nodes, 3))
+        expected = agg.m1.T.tocsr() @ g_hop[0] + agg.m2.T.tocsr() @ g_hop[1]
+        assert np.array_equal(agg.backward(g_hop[0], g_hop[1]), expected)
