@@ -8,8 +8,9 @@ Commands:
   report     aggregate several history CSVs into a mean/std table
 
 Configs are flat text files, one ``section.key = value`` per line, ``#``
-starting a comment line. Unknown keys are rejected. The full key list
-lives in the README and in _CONFIG_SCHEMA below.
+starting a comment line. Unknown keys are rejected. Each key but output.*
+is declared, with its default, on the FederationConfig, DatasetSpec or
+RefineConfig field it sets; the README lists them all.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -48,37 +50,23 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"expected a boolean, got {s!r}")
 
 
+def _keyed_fields(config_class):
+    """The fields of a config dataclass that a config key sets."""
+    return [f for f in fields(config_class) if "key" in f.metadata]
+
+
+def _parser(default):
+    """The parser of a key whose default is ``default``; None stands for a path."""
+    if default is None:
+        return str
+    return _parse_bool if isinstance(default, bool) else type(default)
+
+
 # key -> (parser, default); None default means "no entry unless given"
 _CONFIG_SCHEMA = {
-    "federation.clients": (int, 5),
-    "federation.rounds": (int, 60),
-    "federation.local_epochs": (int, 3),
-    "federation.embed_dim": (int, 8),
-    "federation.classes": (int, 2),
-    "federation.batch_nodes": (int, 64),
-    "federation.templates": (int, 4),
-    "federation.seed": (int, 0),
-    "federation.metric": (str, "accuracy"),
-    "partition.mode": (str, "non-overlapping"),
-    "train.lr0": (float, 0.05),
-    "train.lr_decay_steps": (float, 200.0),
-    "sinkhorn.epsilon": (float, 0.05),
-    "sinkhorn.max_iters": (int, 500),
-    "sinkhorn.tol": (float, 1e-6),
-    "refine.tau": (float, 1.0),
-    "refine.eta": (float, 0.1),
-    "dataset.kind": (str, "synthetic"),
-    "dataset.nodes": (int, 600),
-    "dataset.p_in": (float, 0.1),
-    "dataset.p_out": (float, 0.01),
-    "dataset.feat_dim": (int, 16),
-    "dataset.feat_sep": (float, 1.0),
-    "dataset.edges": (str, None),
-    "dataset.features": (str, None),
-    "dataset.labels": (str, None),
-    "split.train": (float, 0.2),
-    "split.val": (float, 0.4),
-    "split.test": (float, 0.4),
+    **{f.metadata["key"]: (_parser(f.default), f.default)
+       for config_class in (FederationConfig, DatasetSpec, RefineConfig)
+       for f in _keyed_fields(config_class)},
     "output.dir": (str, "out"),
     "output.embeddings": (_parse_bool, False),
 }
@@ -118,38 +106,19 @@ class RunConfig:
     def __getitem__(self, key):
         return self.values[key]
 
+    def _keyed(self, config_class) -> dict:
+        """config_class's keyed fields, each holding its key's value."""
+        return {f.name: self.values[f.metadata["key"]] for f in _keyed_fields(config_class)}
+
     def federation_config(self, seed=None, ablate=()) -> FederationConfig:
-        v = self.values
-        dataset = DatasetSpec(
-            kind=v["dataset.kind"],
-            nodes=v["dataset.nodes"],
-            p_in=v["dataset.p_in"],
-            p_out=v["dataset.p_out"],
-            feat_dim=v["dataset.feat_dim"],
-            feat_sep=v["dataset.feat_sep"],
-            edges_path=v["dataset.edges"],
-            features_path=v["dataset.features"],
-            labels_path=v["dataset.labels"],
-            split=(v["split.train"], v["split.val"], v["split.test"]),
-        )
+        dataset = DatasetSpec(**self._keyed(DatasetSpec))
+        settings = self._keyed(FederationConfig)
+        if seed is not None:
+            settings["seed"] = int(seed)
         return FederationConfig(
-            num_clients=v["federation.clients"],
-            rounds=v["federation.rounds"],
-            local_epochs=v["federation.local_epochs"],
-            embed_dim=v["federation.embed_dim"],
-            num_classes=v["federation.classes"],
-            batch_nodes=v["federation.batch_nodes"],
-            num_templates=v["federation.templates"],
-            lr0=v["train.lr0"],
-            lr_decay_steps=v["train.lr_decay_steps"],
-            sinkhorn_epsilon=v["sinkhorn.epsilon"],
-            sinkhorn_iters=v["sinkhorn.max_iters"],
-            sinkhorn_tol=v["sinkhorn.tol"],
-            refine=RefineConfig(tau=v["refine.tau"], eta=v["refine.eta"]),
-            seed=v["federation.seed"] if seed is None else int(seed),
-            partition_mode=v["partition.mode"],
+            **settings,
+            refine=RefineConfig(**self._keyed(RefineConfig)),
             dataset=dataset,
-            task_metric=v["federation.metric"],
             semantic_enabled="semantic" not in ablate,
             structural_enabled="structural" not in ablate,
             refine_enabled="refinement" not in ablate,

@@ -34,6 +34,8 @@ from .graph import (
 from .model import ModelParams, forward, init_params, lr_schedule, sgd_step, total_loss
 from .refine import (
     RefineConfig,
+    config_key,
+    key_of,
     SemanticReport,
     StructuralReport,
     gram_drift,
@@ -86,26 +88,26 @@ class FederationError(RuntimeError):
 class DatasetSpec:
     """Where the root graph comes from: a seeded generator or three files."""
 
-    kind: str = "synthetic"             # "synthetic" | "files"
-    nodes: int = 600
-    p_in: float = 0.1
-    p_out: float = 0.01
-    feat_dim: int = 16
-    feat_sep: float = 1.0
-    edges_path: str = None
-    features_path: str = None
-    labels_path: str = None
-    split: tuple = (0.2, 0.4, 0.4)
+    kind: str = config_key("dataset.kind", "synthetic")      # "synthetic" | "files"
+    nodes: int = config_key("dataset.nodes", 600)
+    p_in: float = config_key("dataset.p_in", 0.1)
+    p_out: float = config_key("dataset.p_out", 0.01)
+    feat_dim: int = config_key("dataset.feat_dim", 16)
+    feat_sep: float = config_key("dataset.feat_sep", 1.0)
+    edges_path: str = config_key("dataset.edges", None)
+    features_path: str = config_key("dataset.features", None)
+    labels_path: str = config_key("dataset.labels", None)
+    train_ratio: float = config_key("split.train", 0.2)
+    val_ratio: float = config_key("split.val", 0.4)
+    test_ratio: float = config_key("split.test", 0.4)
 
     def __post_init__(self):
         if self.kind not in ("synthetic", "files"):
             raise ValueError(f"dataset.kind must be synthetic or files, got {self.kind!r}")
         if self.kind == "files":
-            missing = [
-                f"dataset.{name.removesuffix('_path')}"
-                for name in ("edges_path", "features_path", "labels_path")
-                if getattr(self, name) is None
-            ]
+            missing = [key_of(self, name) for name in ("edges_path", "features_path",
+                                                       "labels_path")
+                       if getattr(self, name) is None]
             if missing:
                 raise ValueError(f"dataset.kind = files needs {', '.join(missing)}")
         else:
@@ -115,59 +117,56 @@ class DatasetSpec:
                                  ("feat_sep", 0.0, np.inf)):
                 value = getattr(self, name)
                 if not (lo <= value <= hi and np.isfinite(value)):
-                    raise ValueError(f"dataset.{name} must be finite and in [{lo}, {hi}], "
-                                     f"got {value}")
+                    raise ValueError(f"{key_of(self, name)} must be finite and in "
+                                     f"[{lo}, {hi}], got {value}")
         # a zero ratio seats no node, and every round reads all three splits
-        if (len(self.split) != 3 or not all(r > 0 for r in self.split)
-                or not sum(self.split) <= 1.0 + 1e-12):
+        ratios = (self.train_ratio, self.val_ratio, self.test_ratio)
+        if not all(r > 0 for r in ratios) or not sum(ratios) <= 1.0 + 1e-12:
             raise ValueError(f"split.train, split.val and split.test must be positive "
-                             f"ratios summing to at most 1, got {tuple(self.split)}")
+                             f"ratios summing to at most 1, got {ratios}")
 
 
 @dataclass
 class FederationConfig:
-    num_clients: int = 5
-    rounds: int = 60
-    local_epochs: int = 3
-    embed_dim: int = 8
-    num_classes: int = 2
-    batch_nodes: int = 64               # sampled nodes per client per round
-    num_templates: int = 4
-    lr0: float = 0.05
-    lr_decay_steps: float = 200.0
-    sinkhorn_epsilon: float = 0.05
-    sinkhorn_iters: int = 500
-    sinkhorn_tol: float = 1e-6
+    num_clients: int = config_key("federation.clients", 5)
+    rounds: int = config_key("federation.rounds", 60)
+    local_epochs: int = config_key("federation.local_epochs", 3)
+    embed_dim: int = config_key("federation.embed_dim", 8)
+    num_classes: int = config_key("federation.classes", 2)
+    batch_nodes: int = config_key("federation.batch_nodes", 64)  # sampled per client per round
+    num_templates: int = config_key("federation.templates", 4)
+    lr0: float = config_key("train.lr0", 0.05)
+    lr_decay_steps: float = config_key("train.lr_decay_steps", 200.0)
+    sinkhorn_epsilon: float = config_key("sinkhorn.epsilon", 0.05)
+    sinkhorn_iters: int = config_key("sinkhorn.max_iters", 500)
+    sinkhorn_tol: float = config_key("sinkhorn.tol", 1e-6)
     refine: RefineConfig = field(default_factory=RefineConfig)
-    seed: int = 0
-    partition_mode: str = "non-overlapping"
+    seed: int = config_key("federation.seed", 0)
+    partition_mode: str = config_key("partition.mode", "non-overlapping")
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
-    task_metric: str = "accuracy"       # "accuracy" | "auc"
+    task_metric: str = config_key("federation.metric", "accuracy")   # "accuracy" | "auc"
     semantic_enabled: bool = True
     structural_enabled: bool = True
     refine_enabled: bool = True
 
     def __post_init__(self):
-        # (field, config key) pairs, so each error names the key the user wrote
-        for name, key in (("num_clients", "federation.clients"),
-                          ("local_epochs", "federation.local_epochs"),
-                          ("embed_dim", "federation.embed_dim"),
-                          ("batch_nodes", "federation.batch_nodes"),
-                          ("num_templates", "federation.templates"),
-                          ("sinkhorn_iters", "sinkhorn.max_iters")):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{key} must be >= 1, got {getattr(self, name)}")
-        for name, key in (("lr0", "train.lr0"), ("lr_decay_steps", "train.lr_decay_steps"),
-                          ("sinkhorn_epsilon", "sinkhorn.epsilon"),
-                          ("sinkhorn_tol", "sinkhorn.tol")):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{key} must be > 0, got {getattr(self, name)}")
+        for name in ("num_clients", "local_epochs", "embed_dim", "batch_nodes",
+                     "num_templates", "sinkhorn_iters"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{key_of(self, name)} must be >= 1, got {value}")
+        for name in ("lr0", "lr_decay_steps", "sinkhorn_epsilon", "sinkhorn_tol"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{key_of(self, name)} must be > 0, got {value}")
         if not np.isfinite(self.lr0):
             raise ValueError(f"train.lr0 must be finite, got {self.lr0}")
         if self.num_classes < 2:
             raise ValueError(f"federation.classes must be >= 2, got {self.num_classes}")
-        if self.rounds < 0:
-            raise ValueError(f"federation.rounds must be >= 0, got {self.rounds}")
+        for name in ("rounds", "seed"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{key_of(self, name)} must be >= 0, got {value}")
         if self.embed_dim < self.num_classes:
             raise ValueError(f"federation.embed_dim must be >= federation.classes, "
                              f"got {self.embed_dim} < {self.num_classes}")
@@ -267,7 +266,8 @@ def build_dataset(cfg: FederationConfig) -> Graph:
             spec.edges_path, spec.features_path, spec.labels_path,
             num_classes=cfg.num_classes,
         )
-    return split_masks(g, ratios=spec.split, seed=(cfg.seed, _TAG_SPLIT))
+    return split_masks(g, ratios=(spec.train_ratio, spec.val_ratio, spec.test_ratio),
+                       seed=(cfg.seed, _TAG_SPLIT))
 
 
 def setup_federation(cfg: FederationConfig):

@@ -31,7 +31,6 @@ __all__ = [
     "load_graph",
     "save_graph_files",
     "split_masks",
-    "k_hop_sets",
     "edge_homophily",
 ]
 
@@ -500,20 +499,3 @@ class HopAggregator:
     def backward(self, g_hop1: np.ndarray, g_hop2: np.ndarray) -> np.ndarray:
         """Pull ring-mean gradients back onto the per-node rows."""
         return self.m1.T @ g_hop1 + self.m2.T @ g_hop2
-
-
-def k_hop_sets(g: Graph, v: int, k: int) -> np.ndarray:
-    """Nodes at shortest-path distance exactly k from v, for k in {1, 2}."""
-    if not (0 <= v < g.num_nodes):
-        raise ValueError(f"node {v} out of range")
-    if k == 1:
-        return np.array(g.neighbors(v), dtype=np.int64)
-    if k != 2:
-        raise ValueError("only k in {1, 2} is supported")
-    one = set(int(u) for u in g.neighbors(v))
-    two = set()
-    for u in one:
-        two.update(int(w) for w in g.neighbors(u))
-    two.discard(v)
-    two -= one
-    return np.array(sorted(two), dtype=np.int64)

@@ -19,7 +19,7 @@ into a 1-D scale search plus an assignment-weighted mean for position.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,18 +68,30 @@ class StructuralReport:
     matching: MatchingMatrix
 
 
+# Each config dataclass field that a config key sets carries the key, so the
+# CLI's schema, its key-to-field mapping and the keys errors name are read here.
+def config_key(key: str, default):
+    """A dataclass field that the config key ``key`` sets, ``default`` when unset."""
+    return field(default=default, metadata={"key": key})
+
+
+def key_of(config, name: str) -> str:
+    """The config key that sets field ``name`` of the dataclass ``config``."""
+    return config.__dataclass_fields__[name].metadata["key"]
+
+
 @dataclass
 class RefineConfig:
     """Anchor-refinement settings; the template solve has none."""
 
-    tau: float = 1.0        # difficulty-weight temperature
-    eta: float = 0.1        # max anchor step (chord length)
+    tau: float = config_key("refine.tau", 1.0)     # difficulty-weight temperature
+    eta: float = config_key("refine.eta", 0.1)     # max anchor step (chord length)
 
     def __post_init__(self):
         for name in ("tau", "eta"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"refine.{name} must be finite and > 0, got {value}")
+                raise ValueError(f"{key_of(self, name)} must be finite and > 0, got {value}")
 
 
 def deviation_vectors(reports, anchors: np.ndarray) -> np.ndarray:

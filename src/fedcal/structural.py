@@ -22,14 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, HopAggregator, k_hop_sets
+from .graph import Graph, HopAggregator
 from .numerics import l2_normalize_rows
 
 __all__ = [
     "MatchingMatrix",
     "init_templates",
     "sample_structural_batch",
-    "radial_sequence",
     "radial_sequences_from_rings",
     "ot_distance",
     "sinkhorn_match",
@@ -73,21 +72,6 @@ def sample_structural_batch(g: Graph, batch_size: int, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     size = min(batch_size, g.num_nodes)
     return rng.choice(g.num_nodes, size=size, replace=False)
-
-
-def radial_sequence(g: Graph, ego: np.ndarray, node: int) -> np.ndarray:
-    """Normalized ring means around one node, as a 2 x d array.
-
-    Ring means use the shared fallbacks: an empty 2-hop ring reuses the
-    1-hop aggregate and an empty 1-hop ring reuses the node's own ego
-    row. Zero rows stay zero after normalization.
-    """
-    one = g.neighbors(node)
-    agg1 = ego[one].mean(axis=0) if len(one) else ego[node].copy()
-    two = k_hop_sets(g, node, 2)
-    agg2 = ego[two].mean(axis=0) if len(two) else agg1
-    rows = np.vstack([agg1, 0.5 * (agg1 + agg2)])
-    return l2_normalize_rows(rows)
 
 
 def radial_sequences_from_rings(hop1: np.ndarray, hop2: np.ndarray, batch) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from fedcal.cli import (
     main,
     parse_config_file,
     save_params,
+    write_resolved_config,
 )
 from fedcal import fedsim
 from fedcal.model import init_params
@@ -77,19 +79,78 @@ class TestConfigParsing:
     def test_readme_table_lists_exactly_the_schema_keys(self):
         text = open(os.path.join(REPO, "README.md"), encoding="utf-8").read()
         table = text.split("| key | default | meaning |\n|---|---|---|\n")[1].split("\n\n")[0]
-        keys = []
+        keys, defaults = [], []
         for row in table.splitlines():
             # "`a.b` / `.c`" is shorthand for the keys a.b and a.c
-            names = row.split("|")[1].strip().split(" / ")
+            cells = row.split("|")
+            names = cells[1].strip().split(" / ")
             section = names[0].strip("`").split(".")[0]
             keys += [section + name.strip("`") if name.startswith("`.") else name.strip("`")
                      for name in names]
+            # their defaults read "x/y" in the same order, or one entry for all of them
+            texts = cells[2].strip().split("/")
+            defaults += texts if len(texts) == len(names) else texts * len(names)
         assert len(keys) == len(set(keys))
         assert sorted(keys) == sorted(_CONFIG_SCHEMA)
+        for key, text in zip(keys, defaults, strict=True):
+            parser, default = _CONFIG_SCHEMA[key]
+            assert (None if text == "-" else parser(text)) == default, key
 
     def test_schema_defaults_are_the_library_defaults(self):
         # dataclass equality compares every field, the nested configs too
         assert build_run_config({}).federation_config() == fedsim.FederationConfig()
+
+    @pytest.mark.parametrize("metric, classes", [("auc", "2"), ("accuracy", "3")])
+    def test_each_key_sets_its_own_field(self, tmp_path, metric, classes):
+        # every key but output.*, a value distinct from its default and from the
+        # other keys' values, and the field path it must land on; auc needs two
+        # classes, so each of those two keys is off its default in one case
+        rows = [
+            ("federation.clients", "10", "num_clients"),
+            ("federation.rounds", "7", "rounds"),
+            ("federation.local_epochs", "4", "local_epochs"),
+            ("federation.embed_dim", "9", "embed_dim"),
+            ("federation.classes", classes, "num_classes"),
+            ("federation.batch_nodes", "33", "batch_nodes"),
+            ("federation.templates", "5", "num_templates"),
+            ("federation.seed", "12", "seed"),
+            ("federation.metric", metric, "task_metric"),
+            ("partition.mode", "overlapping", "partition_mode"),
+            ("train.lr0", "0.07", "lr0"),
+            ("train.lr_decay_steps", "150", "lr_decay_steps"),
+            ("sinkhorn.epsilon", "0.03", "sinkhorn_epsilon"),
+            ("sinkhorn.max_iters", "450", "sinkhorn_iters"),
+            ("sinkhorn.tol", "1e-07", "sinkhorn_tol"),
+            ("refine.tau", "0.8", "refine.tau"),
+            ("refine.eta", "0.15", "refine.eta"),
+            ("dataset.kind", "files", "dataset.kind"),
+            ("dataset.nodes", "700", "dataset.nodes"),
+            ("dataset.p_in", "0.12", "dataset.p_in"),
+            ("dataset.p_out", "0.02", "dataset.p_out"),
+            ("dataset.feat_dim", "11", "dataset.feat_dim"),
+            ("dataset.feat_sep", "1.5", "dataset.feat_sep"),
+            ("dataset.edges", "e.txt", "dataset.edges_path"),
+            ("dataset.features", "x.txt", "dataset.features_path"),
+            ("dataset.labels", "y.txt", "dataset.labels_path"),
+            ("split.train", "0.3", "dataset.train_ratio"),
+            ("split.val", "0.35", "dataset.val_ratio"),
+            ("split.test", "0.25", "dataset.test_ratio"),
+        ]
+        assert sorted(key for key, _, _ in rows) == sorted(
+            key for key in _CONFIG_SCHEMA if not key.startswith("output."))
+        values = [_CONFIG_SCHEMA[key][0](text) for key, text, _ in rows]
+        assert len(set(values)) == len(values)
+        path = tmp_path / "all.cfg"
+        path.write_text("".join(f"{key} = {text}\n" for key, text, _ in rows))
+        cfg = build_run_config(parse_config_file(path))
+        fed = cfg.federation_config()
+        for (key, _, field), value in zip(rows, values):
+            assert operator.attrgetter(field)(fed) == value, key
+            if key not in ("federation.metric", "federation.classes"):
+                assert value != _CONFIG_SCHEMA[key][1], key
+        resolved = tmp_path / "config.resolved"
+        write_resolved_config(cfg, resolved)
+        assert build_run_config(parse_config_file(resolved)).federation_config() == fed
 
 
 class TestParamsDump:
@@ -241,6 +302,8 @@ class TestRunCommand:
         ("federation.metric = f1", "federation.metric"),
         ("partition.mode = bogus", "partition.mode"),
         ("dataset.kind = bogus", "dataset.kind"),
+        ("federation.seed = -1", "federation.seed"),
+        ("--seed -1", "federation.seed"),
     ])
     def test_out_of_range_setting_fails_before_work(self, tmp_path, capsys, monkeypatch,
                                                     line, setting):
@@ -249,14 +312,17 @@ class TestRunCommand:
 
         monkeypatch.setattr(fedsim, "build_dataset", no_work)
         cfg = tmp_path / "bad.cfg"
+        # a row starting "--" is command-line flags, any other is config lines
+        flags = line.split() if line.startswith("--") else []
+        entries = [] if flags else line.splitlines()
         # a row's keys replace SMOKE's own, so a row may also change a key SMOKE sets
-        keys = {entry.split("=")[0].strip() for entry in line.splitlines()}
+        keys = {entry.split("=")[0].strip() for entry in entries}
         base = [entry for entry in SMOKE.splitlines() if entry.split("=")[0].strip() not in keys]
-        cfg.write_text("\n".join(base) + "\n" + line + "\n")
+        cfg.write_text("\n".join(base + entries) + "\n")
         out = tmp_path / "run"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert main(["run", "--config", str(cfg), "--out", str(out)] + flags) == 2
         # the error names the full key the row sets (train.lr0, split.val), not a field
-        key = next(k for k in keys if setting in k)
+        key = next((k for k in keys if setting in k), setting)
         assert key in capsys.readouterr().err
         assert not out.exists()
 

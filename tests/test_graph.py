@@ -11,7 +11,6 @@ from fedcal.graph import (
     edge_homophily,
     generate_sbm,
     induced_subgraph,
-    k_hop_sets,
     load_graph,
     partition_nonoverlapping,
     partition_overlapping,
@@ -19,6 +18,7 @@ from fedcal.graph import (
     split_masks,
     _hop_distances,
 )
+from oracles import k_hop_sets
 
 
 def path_graph(n, feat_dim=2):

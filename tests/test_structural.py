@@ -10,13 +10,13 @@ from fedcal.structural import (
     MatchingMatrix,
     init_templates,
     ot_distance,
-    radial_sequence,
     radial_sequences_from_rings,
     sample_structural_batch,
     sinkhorn_match,
     structural_loss,
     structural_loss_ego,
 )
+from oracles import radial_sequence
 
 
 def star_graph(leaves, feat_dim=3):
