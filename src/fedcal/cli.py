@@ -211,13 +211,26 @@ def load_params(path, like: ModelParams) -> ModelParams:
     return ModelParams(**arrays)
 
 
+def _out_dir(args, cfg) -> str:
+    """--out or output.dir, rejected before any work unless it is, or its
+    nearest existing ancestor is, a writable directory; creates nothing."""
+    out = args.out or cfg["output.dir"]
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not (os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)):
+        raise ValueError(f"{'--out' if args.out else 'output.dir'} = {out}: "
+                         f"{path} is not a writable directory")
+    return out
+
+
 def cmd_gen_data(args) -> int:
     cfg = build_run_config(parse_config_file(args.config))
     if cfg["dataset.kind"] != "synthetic":
         raise ValueError("gen-data needs dataset.kind = synthetic")
     fed = cfg.federation_config(seed=args.seed)
+    out = _out_dir(args, cfg)
     g = build_dataset(fed)
-    out = args.out or cfg["output.dir"]
     os.makedirs(out, exist_ok=True)
     save_graph_files(
         g,
@@ -235,8 +248,8 @@ def cmd_run(args) -> int:
     cfg = build_run_config(parse_config_file(args.config))
     ablate = tuple(args.ablate or ())
     fed = cfg.federation_config(seed=args.seed, ablate=ablate)
+    out = _out_dir(args, cfg)
     result = run_federation(fed, threads=args.threads)
-    out = args.out or cfg["output.dir"]
     os.makedirs(out, exist_ok=True)
     os.makedirs(os.path.join(out, "models"), exist_ok=True)
 

@@ -217,17 +217,16 @@ def partition_nonoverlapping(g: Graph, num_clients: int, seed=0):
     rng = np.random.default_rng(seed)
     seeds = _farthest_point_seeds(g, m, rng)
 
-    owner = np.full(n, -1, dtype=np.int64)
-    sizes = np.zeros(m, dtype=np.int64)
-    frontiers = [deque() for _ in range(m)]
+    # both loops step one node at a time, so they run on plain Python lists
+    indptr, indices = g.adjacency.indptr.tolist(), g.adjacency.indices.tolist()
+    owner = [-1] * n
+    sizes = [1] * m
+    frontiers = [deque(indices[indptr[s]:indptr[s + 1]]) for s in seeds]
     for p, s in enumerate(seeds):
         owner[s] = p
-        sizes[p] = 1
-        frontiers[p].extend(int(u) for u in g.neighbors(s))
     scan = 0                                     # pointer for teleport fallback
-    remaining = n - m
-    while remaining > 0:
-        p = int(np.argmin(sizes))                # argmin breaks ties by lowest index
+    for _ in range(n - m):
+        p = sizes.index(min(sizes))              # ties go to the lowest index
         v = -1
         while frontiers[p]:
             cand = frontiers[p].popleft()
@@ -240,8 +239,7 @@ def partition_nonoverlapping(g: Graph, num_clients: int, seed=0):
             v = scan
         owner[v] = p
         sizes[p] += 1
-        remaining -= 1
-        frontiers[p].extend(int(u) for u in g.neighbors(v) if owner[u] < 0)
+        frontiers[p].extend([u for u in indices[indptr[v]:indptr[v + 1]] if owner[u] < 0])
 
     # balance band: +-20% of the ideal size, widened just enough to keep
     # the perfectly balanced sizes floor(n/m)/ceil(n/m) always feasible
@@ -249,15 +247,18 @@ def partition_nonoverlapping(g: Graph, num_clients: int, seed=0):
     lo = min(int(np.ceil(0.8 * target)), n // m)
     hi = max(int(np.floor(1.2 * target)), -(-n // m))
     for v in range(n):
-        cur = int(owner[v])
-        counts = np.bincount(owner[g.neighbors(v)], minlength=m)
-        best = int(np.argmax(counts))
+        cur = owner[v]
+        counts = [0] * m
+        for u in indices[indptr[v]:indptr[v + 1]]:
+            counts[owner[u]] += 1
+        best = counts.index(max(counts))         # ties go to the first maximum
         if best != cur and counts[best] > counts[cur]:
             if sizes[cur] - 1 >= lo and sizes[best] + 1 <= hi:
                 owner[v] = best
                 sizes[cur] -= 1
                 sizes[best] += 1
 
+    owner = np.array(owner)
     return [induced_subgraph(g, np.nonzero(owner == p)[0]) for p in range(m)]
 
 
@@ -288,7 +289,7 @@ def partition_overlapping(g: Graph, num_clients: int, seed=0):
     return clients
 
 
-_EDGE_CHUNK = 1 << 20                    # uniforms per step of generate_sbm's edge loop
+_EDGE_CHUNK = 1 << 16                    # uniforms per step of generate_sbm's edge loop
 
 
 def generate_sbm(n: int, num_classes: int, p_in: float, p_out: float,

@@ -3,12 +3,16 @@
 The library computes ring means for all nodes at once with sparse ring
 operators (graph.HopAggregator) and normalizes a batch of them
 (structural.radial_sequences_from_rings); these walk one node's
-neighbourhood at a time instead.
+neighbourhood at a time instead. The partition reference runs the
+partitioner's two loops on numpy arrays and scalars, where the library
+runs them on plain per-node lists.
 """
+
+from collections import deque
 
 import numpy as np
 
-from fedcal.graph import Graph
+from fedcal.graph import Graph, _farthest_point_seeds
 from fedcal.numerics import l2_normalize_rows
 
 
@@ -42,3 +46,54 @@ def radial_sequence(g: Graph, ego: np.ndarray, node: int) -> np.ndarray:
     agg2 = ego[two].mean(axis=0) if len(two) else agg1
     rows = np.vstack([agg1, 0.5 * (agg1 + agg2)])
     return l2_normalize_rows(rows)
+
+
+def partition_node_ids(g: Graph, m: int, seed) -> list:
+    """Root node ids of each part of graph.partition_nonoverlapping(g, m, seed).
+
+    Same seeds, same smallest-part-first region growing with np.argmin's
+    lowest-index tie-break, same boundary pass with np.argmax's first
+    maximum, all on numpy owner/size arrays.
+    """
+    n = g.num_nodes
+    seeds = _farthest_point_seeds(g, m, np.random.default_rng(seed))
+
+    owner = np.full(n, -1, dtype=np.int64)
+    sizes = np.zeros(m, dtype=np.int64)
+    frontiers = [deque() for _ in range(m)]
+    for p, s in enumerate(seeds):
+        owner[s] = p
+        sizes[p] = 1
+        frontiers[p].extend(int(u) for u in g.neighbors(s))
+    scan = 0
+    remaining = n - m
+    while remaining > 0:
+        p = int(np.argmin(sizes))
+        v = -1
+        while frontiers[p]:
+            cand = frontiers[p].popleft()
+            if owner[cand] < 0:
+                v = cand
+                break
+        if v < 0:
+            while owner[scan] >= 0:
+                scan += 1
+            v = scan
+        owner[v] = p
+        sizes[p] += 1
+        remaining -= 1
+        frontiers[p].extend(int(u) for u in g.neighbors(v) if owner[u] < 0)
+
+    target = n / m
+    lo = min(int(np.ceil(0.8 * target)), n // m)
+    hi = max(int(np.floor(1.2 * target)), -(-n // m))
+    for v in range(n):
+        cur = int(owner[v])
+        counts = np.bincount(owner[g.neighbors(v)], minlength=m)
+        best = int(np.argmax(counts))
+        if best != cur and counts[best] > counts[cur]:
+            if sizes[cur] - 1 >= lo and sizes[best] + 1 <= hi:
+                owner[v] = best
+                sizes[cur] -= 1
+                sizes[best] += 1
+    return [g.node_ids[owner == p] for p in range(m)]

@@ -16,7 +16,7 @@ from fedcal.cli import (
     save_params,
     write_resolved_config,
 )
-from fedcal import fedsim
+from fedcal import cli, fedsim
 from fedcal.model import init_params
 from fedcal.structural import sinkhorn_match
 
@@ -353,6 +353,33 @@ class TestRunCommand:
         assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
         assert "dataset.p_out" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "gen-data"])
+    @pytest.mark.parametrize("via, below", [
+        ("--out", "out"),
+        ("--out", ""),
+        ("output.dir", "deeper/out"),
+    ])
+    def test_unusable_output_dir_fails_before_work(self, smoke_cfg, tmp_path, capsys,
+                                                   monkeypatch, command, via, below):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the output directory was rejected")
+
+        monkeypatch.setattr(cli, "run_federation", no_work)
+        monkeypatch.setattr(cli, "build_dataset", no_work)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file\n")
+        out = os.path.join(blocker, below) if below else str(blocker)
+        cfg = smoke_cfg
+        flags = ["--out", out]
+        if via == "output.dir":
+            cfg = tmp_path / "out.cfg"
+            cfg.write_text(SMOKE + f"output.dir = {out}\n")
+            flags = []
+        assert main([command, "--config", str(cfg)] + flags) == 2
+        err = capsys.readouterr().err
+        assert f"{via} = {out}" in err and "not a writable directory" in err
+        assert blocker.read_text() == "a regular file\n"
 
     @pytest.mark.parametrize("extra, ablate, count", [
         ("", [], "0/6"),

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -16,9 +17,14 @@ from fedcal.graph import (
     partition_overlapping,
     save_graph_files,
     split_masks,
+    _EDGE_CHUNK,
     _hop_distances,
 )
-from oracles import k_hop_sets
+from fedcal import fedsim
+from fedcal.cli import build_run_config, parse_config_file
+from oracles import k_hop_sets, partition_node_ids
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def path_graph(n, feat_dim=2):
@@ -218,6 +224,60 @@ class TestHopDistancesReference:
             self.check(graph_from_edges(n, edges), seeds)
 
 
+class TestPartitionReference:
+    """partition_nonoverlapping against its loops over numpy arrays and scalars."""
+
+    @staticmethod
+    def check(g, m, seed):
+        parts = partition_nonoverlapping(g, m, seed=seed)
+        ref = partition_node_ids(g, m, seed)
+        assert len(parts) == len(ref) == m
+        for part, ids in zip(parts, ref):
+            assert np.array_equal(part.node_ids, ids)
+
+    @pytest.mark.parametrize("n, m", [
+        (2, 2), (3, 2), (3, 3), (10, 2), (10, 3), (10, 10), (41, 2), (41, 7), (41, 41),
+    ])
+    def test_path_graphs(self, n, m):
+        for seed in range(3):
+            self.check(path_graph(n), m, seed)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 6, 10])
+    def test_isolated_nodes_and_components(self, m):
+        # an empty front sends the part to the lowest unowned node
+        components = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (7, 8), (8, 9)]
+        for seed in range(4):
+            self.check(graph_from_edges(10, components), m, seed)
+            self.check(graph_from_edges(10, [(0, 1), (2, 4), (4, 5)]), m, seed)
+            self.check(graph_from_edges(10, []), m, seed)
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(5)
+        for _ in range(150):
+            n = int(rng.integers(2, 40))
+            edges = rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2))
+            m = int(rng.integers(2, n + 1))
+            self.check(graph_from_edges(n, edges), m, int(rng.integers(100)))
+
+    @pytest.mark.parametrize("m", [2, 5, 10, 300])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sbm_300(self, m, seed):
+        self.check(generate_sbm(300, 3, 0.05, 0.02, 4, 1.0, seed=seed), m, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, (3, 7)])
+    def test_sbm_600(self, seed):
+        g = generate_sbm(600, 2, 0.05, 0.01, 4, 1.0, seed=seed)
+        for m in (2, 5):
+            self.check(g, m, seed)
+
+    def test_large_graph_workload(self):
+        cfg = parse_config_file(os.path.join(REPO, "perfbench", "workloads", "large-graph.cfg"))
+        fed = build_run_config(cfg).federation_config(seed=1)
+        g = fedsim.build_dataset(fed)
+        assert g.num_nodes == 6000
+        self.check(g, fed.num_clients, (fed.seed, fedsim._TAG_PART))
+
+
 class TestGenerateSbm:
     def test_extreme_probabilities_give_two_cliques(self):
         g = generate_sbm(20, 2, 1.0, 0.0, 2, 1.0, seed=0)
@@ -271,12 +331,26 @@ def reference_sbm(n, num_classes, p_in, p_out, feat_dim, feat_sep, seed):
     return Graph.from_edges(features, labels, edges)
 
 
+def first_n_over(pairs):
+    """Smallest n whose n(n-1)/2 node pairs exceed the given count."""
+    n = 1
+    while n * (n - 1) // 2 <= pairs:
+        n += 1
+    return n
+
+
 class TestGenerateSbmReference:
-    # 1449 is the first n whose n(n-1)/2 pairs exceed one 2**20 chunk
+    # ONE_CHUNK_N is the first n whose pairs exceed one _EDGE_CHUNK;
+    # 1449 is the first n whose pairs exceed 2**20
+    ONE_CHUNK_N = first_n_over(_EDGE_CHUNK)
+
     @pytest.mark.parametrize("n, classes, p_in, p_out", [
         (1, 2, 0.5, 0.1),
         (2, 2, 1.0, 1.0),
         (3, 3, 1.0, 0.0),
+        (ONE_CHUNK_N - 1, 2, 0.03, 0.01),
+        (ONE_CHUNK_N, 3, 0.01, 0.03),
+        (ONE_CHUNK_N, 4, 1.0, 0.0),
         (1448, 2, 0.01, 0.003),
         (1449, 3, 0.003, 0.01),
         (1449, 4, 1.0, 0.0),
