@@ -211,6 +211,11 @@ def load_params(path, like: ModelParams) -> ModelParams:
     return ModelParams(**arrays)
 
 
+def _check_dir(path, setting):
+    if not (os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)):
+        raise ValueError(f"{setting}: {path} is not a writable directory")
+
+
 def _out_dir(args, cfg) -> str:
     """--out or output.dir, rejected before any work unless it is, or its
     nearest existing ancestor is, a writable directory; creates nothing."""
@@ -218,9 +223,7 @@ def _out_dir(args, cfg) -> str:
     path = os.path.abspath(out)
     while not os.path.exists(path):
         path = os.path.dirname(path)
-    if not (os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)):
-        raise ValueError(f"{'--out' if args.out else 'output.dir'} = {out}: "
-                         f"{path} is not a writable directory")
+    _check_dir(path, f"{'--out' if args.out else 'output.dir'} = {out}")
     return out
 
 
@@ -306,6 +309,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if args.out:                                 # the table file's directory must exist
+        _check_dir(os.path.dirname(os.path.abspath(args.out)), f"--out = {args.out}")
     lines = []
     finals = []
     width = max(len(p) for p in args.histories)

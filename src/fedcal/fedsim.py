@@ -334,19 +334,22 @@ def run_client_round(state: ClientState, anchors: np.ndarray,
                      round_idx: int) -> ClientRoundResult:
     """One client's full round; pure in state, safe to run concurrently."""
     g = state.graph
-    agg = state.agg
     params = state.params
 
-    cache = forward(params, g, agg)
-    p, present = class_means(cache.ego, g.labels, g.train_mask, cfg.num_classes)
-    rotation = procrustes(p, present, anchors)
-
     batch = None
-    matching = None
     if cfg.structural_enabled:
         batch = sample_structural_batch(
             g, cfg.batch_nodes, seed=(cfg.seed, _TAG_BATCH, state.client_id, round_idx)
         )
+    train = np.flatnonzero(g.train_mask)        # the losses read rings on train and batch
+    local = state.agg.restrict(train if batch is None else np.union1d(train, batch))
+
+    cache = forward(params, g, local)
+    p, present = class_means(cache.ego, g.labels, g.train_mask, cfg.num_classes)
+    rotation = procrustes(p, present, anchors)
+
+    matching = None
+    if cfg.structural_enabled:
         radials = radial_sequences_from_rings(cache.hop1, cache.hop2, batch)
         matching = sinkhorn_match(
             radials, templates, epsilon=cfg.sinkhorn_epsilon,
@@ -359,14 +362,14 @@ def run_client_round(state: ClientState, anchors: np.ndarray,
     for epoch in range(cfg.local_epochs):
         t = round_idx * cfg.local_epochs + epoch
         total, _, grads = total_loss(
-            params, g, loss_anchors, rotation, loss_templates, matching, batch, agg
+            params, g, loss_anchors, rotation, loss_templates, matching, batch, local
         )
         epoch_losses.append(total)
         params = sgd_step(params, grads, lr_schedule(t, cfg.lr0, cfg.lr_decay_steps))
 
-    final_cache = forward(params, g, agg)
+    final_cache = forward(params, g, state.agg)
     final_total, (ce, sem, stru), _ = total_loss(
-        params, g, loss_anchors, rotation, loss_templates, matching, batch, agg
+        params, g, loss_anchors, rotation, loss_templates, matching, batch, local
     )
     epoch_losses.append(final_total)
 

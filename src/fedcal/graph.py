@@ -480,7 +480,8 @@ class HopAggregator:
     row-normalized into a2, an empty ring falling back to the m1 row, it
     gives m2 = (m1 + a2) / 2, the mean of the 1-hop and 2-hop ring means.
     Both operators are constants of the graph, so gradients flow through
-    them as fixed linear maps.
+    them as fixed linear maps. They hold only the rows of the sorted node
+    ids ``rows``: every node here, a subset in an aggregator from restrict.
     """
 
     def __init__(self, g: Graph):
@@ -490,13 +491,28 @@ class HopAggregator:
         within2 = (near @ near).sorted_indices()
         within2.data[:] = 1.0
         ring2 = within2 - near                   # exact zeros are not stored
+        self.rows = np.arange(g.num_nodes)
         self.m1 = _row_means(a, eye)
         self.m2 = 0.5 * (self.m1 + _row_means(ring2, self.m1))
+        self.m1t, self.m2t = self.m1.T, self.m2.T        # CSC views, built once
+
+    def restrict(self, rows) -> "HopAggregator":
+        """Aggregator over the sorted node ids rows: row slices, or self for all rows."""
+        if len(rows) == len(self.rows):
+            return self
+        local = object.__new__(HopAggregator)
+        local.rows, local.m1, local.m2 = rows, self.m1[rows], self.m2[rows]
+        local.m1t, local.m2t = local.m1.T, local.m2.T
+        return local
 
     def rings(self, values: np.ndarray):
-        """(hop1, hop2) ring means of per-node row vectors."""
-        return self.m1 @ values, self.m2 @ values
+        """(hop1, hop2) ring means of per-node row vectors, zero off rows."""
+        hop1, hop2 = np.zeros((2,) + values.shape)
+        hop1[self.rows] = self.m1 @ values
+        hop2[self.rows] = self.m2 @ values
+        return hop1, hop2
 
     def backward(self, g_hop1: np.ndarray, g_hop2: np.ndarray) -> np.ndarray:
-        """Pull ring-mean gradients back onto the per-node rows."""
-        return self.m1.T @ g_hop1 + self.m2.T @ g_hop2
+        """Pull ring-mean gradients back onto the per-node rows, reading them
+        on rows only: zero gradient rows elsewhere drop out bit for bit."""
+        return self.m1t @ g_hop1[self.rows] + self.m2t @ g_hop2[self.rows]

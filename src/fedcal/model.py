@@ -42,8 +42,8 @@ class ModelParams:
 
 @dataclass
 class ForwardCache:
-    """Per-node activations kept for backprop (tanh' reuses ego directly,
-    so no separate pre-activation tensor is needed)."""
+    """Per-node activations kept for backprop, ring means zero off agg.rows
+    (tanh' reuses ego directly, so no pre-activation tensor is needed)."""
 
     ego: np.ndarray      # (n, d)
     hop1: np.ndarray     # (n, d)
@@ -62,7 +62,8 @@ def init_params(d0: int, d: int, num_classes: int, seed) -> ModelParams:
 
 
 def forward(params: ModelParams, g: Graph, agg: HopAggregator) -> ForwardCache:
-    """Ego/ring embeddings and class logits for every node; agg is g's ring operator."""
+    """Ego/ring embeddings and class logits of every node; agg is g's ring
+    operator. Ring means are zero off agg.rows, so logits hold only there."""
     if params.w_ego.shape[0] != g.feat_dim:
         raise ValueError(
             f"w_ego expects {params.w_ego.shape[0]} features, graph has {g.feat_dim}"
@@ -105,10 +106,10 @@ def total_loss(params: ModelParams, g: Graph, anchors: np.ndarray,
     the local round: no gradient flows into them. Passing anchors=None
     drops the semantic term and matching=None the structural term (the
     CE term is always present), which is how ablations run. agg is g's
-    ring operator, and the structural term reuses the forward's ring
-    means. Returns (total, (ce, semantic, structural), grads), grads a
-    ModelParams of gradients; the calibration terms reach only w_ego, the
-    CE term also reaches the classifier.
+    ring operator with rows covering train and batch nodes; the structural
+    term reuses the forward's ring means. Returns (total, (ce, semantic,
+    structural), grads), grads a ModelParams of gradients; the calibration
+    terms reach only w_ego, the CE term also reaches the classifier.
     """
     cache = forward(params, g, agg)
     d = cache.ego.shape[1]

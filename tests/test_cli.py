@@ -532,6 +532,23 @@ class TestReportCommand:
         main(["report", os.path.join(out, "history.csv"), "--out", table])
         assert "final_test_mean" in open(table).read()
 
+    @pytest.mark.parametrize("parent", ["regular file", "missing directory"])
+    def test_unusable_out_parent_fails_before_reading(self, tmp_path, capsys, monkeypatch,
+                                                      parent):
+        def no_read(path):
+            raise AssertionError("a history was read before --out was rejected")
+
+        monkeypatch.setattr(cli, "import_history", no_read)
+        blocker = tmp_path / "blocker"
+        if parent == "regular file":
+            blocker.write_text("a regular file\n")
+        out = str(blocker / "table.txt")
+        assert main(["report", str(tmp_path / "history.csv"), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"--out = {out}: {blocker} is not a writable directory" in err
+        assert sorted(os.listdir(tmp_path)) == (["blocker"] if parent == "regular file"
+                                                else [])
+
 
 class TestMalformedInputs:
     """A damaged history or model dump exits 2 naming path:line; a header-only

@@ -208,6 +208,41 @@ class TestRunFederation:
         assert np.array_equal(frozen_templates, templates)
 
 
+class TestRingRowRestriction:
+    """Each client-round computes ring means only on its train nodes and
+    batch; an oracle run on the full operators must give the same bits."""
+
+    @staticmethod
+    def run_bits(cfg, threads):
+        result = run_federation(cfg, threads=threads)
+        params = [p.tobytes() for c in result.clients
+                  for p in (c.params.w_ego, c.params.w_cls, c.params.b_cls, c.rotation)]
+        return (repr(result.records), params, result.anchors.tobytes(),
+                result.templates.tobytes())
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("kw", [
+        dict(rounds=3),                                  # 30-node clients, batch 16
+        dict(rounds=3, structural_enabled=False),        # rows = the train nodes
+        dict(rounds=2, num_clients=5, partition_mode="overlapping", batch_nodes=8),
+    ], ids=["structural", "ablate-structural", "overlapping"])
+    def test_equals_full_operator_oracle(self, monkeypatch, threads, kw):
+        cfg = tiny_config(**kw)
+        restrict = HopAggregator.restrict
+        sizes = []
+
+        def counted(agg, rows):
+            sizes.append((len(rows), agg.m1.shape[0]))
+            return restrict(agg, rows)
+
+        monkeypatch.setattr(HopAggregator, "restrict", counted)
+        restricted = self.run_bits(cfg, threads)
+        assert len(sizes) == cfg.rounds * cfg.num_clients
+        assert all(0 < r < n for r, n in sizes)
+        monkeypatch.setattr(HopAggregator, "restrict", lambda agg, rows: agg)
+        assert self.run_bits(cfg, threads) == restricted
+
+
 class TestPrivacyStructure:
     def test_uploaded_payloads_carry_no_raw_data(self):
         sem_fields = {f.name for f in dataclasses.fields(SemanticReport)}

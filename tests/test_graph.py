@@ -553,3 +553,73 @@ class TestHopAggregator:
         g_hop = rng.standard_normal((2, g.num_nodes, 3))
         expected = agg.m1.T.tocsr() @ g_hop[0] + agg.m2.T.tocsr() @ g_hop[1]
         assert np.array_equal(agg.backward(g_hop[0], g_hop[1]), expected)
+
+
+def same_bits(a, b):
+    """Equal shape, dtype and bytes: signed zeros differ, unlike np.array_equal."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def restriction_cases():
+    """(graph, seed, row-set kind): the ring cases and a denser SBM graph."""
+    graphs = [("ring_cases", seed) for seed in range(4)] + [("sbm", 4)]
+    return [(graph, seed, kind) for graph, seed in graphs
+            for kind in ("empty", "one", "random", "all")]
+
+
+def restriction_instance(graph, seed, kind):
+    g = ring_cases(seed) if graph == "ring_cases" else generate_sbm(400, 2, 0.06, 0.03,
+                                                                    2, 1.0, seed=seed)
+    n = g.num_nodes
+    rng = np.random.default_rng(seed)
+    rows = {"empty": np.array([], dtype=np.int64),
+            "one": np.array([rng.integers(n)]),
+            "random": np.sort(rng.choice(n, size=n // 3, replace=False)),
+            "all": np.arange(n)}[kind]
+    return g, HopAggregator(g), rows, rng
+
+
+class TestHopAggregatorRestrict:
+    """A restricted aggregator gives the full one's bits on its rows: each CSR
+    row sums on its own, and the pullback only skips zero gradient rows."""
+
+    @pytest.mark.parametrize("graph, seed, kind", restriction_cases())
+    def test_rings_equal_full_on_rows_and_zero_elsewhere(self, graph, seed, kind):
+        g, agg, rows, rng = restriction_instance(graph, seed, kind)
+        local = agg.restrict(rows)
+        assert np.array_equal(local.rows, rows)
+        assert local.m1.shape == local.m2.shape == (len(rows), g.num_nodes)
+        values = rng.standard_normal((g.num_nodes, 5))
+        off = np.setdiff1d(np.arange(g.num_nodes), rows)
+        for full, part in zip(agg.rings(values), local.rings(values)):
+            assert part.shape == full.shape
+            assert same_bits(part[rows], full[rows])
+            assert same_bits(part[off], np.zeros((len(off), 5)))
+
+    @pytest.mark.parametrize("graph, seed, kind", restriction_cases())
+    def test_backward_of_gradients_zero_off_rows_equals_full(self, graph, seed, kind):
+        g, agg, rows, rng = restriction_instance(graph, seed, kind)
+        off = np.setdiff1d(np.arange(g.num_nodes), rows)
+        # column slices of one array, as total_loss passes them; the zero
+        # rows carry both signs, as a product with a zero gradient row does
+        blocks = rng.standard_normal((g.num_nodes, 12))
+        blocks[off] = np.copysign(0.0, rng.standard_normal((len(off), 12)))
+        g_hop1, g_hop2 = blocks[:, 4:8], blocks[:, 8:]
+        assert same_bits(agg.restrict(rows).backward(g_hop1, g_hop2),
+                         agg.backward(g_hop1, g_hop2))
+
+    @pytest.mark.parametrize("graph, seed", [("ring_cases", 0), ("ring_cases", 1),
+                                             ("sbm", 4)])
+    def test_restrict_to_every_node_equals_full(self, graph, seed):
+        g, agg, rows, rng = restriction_instance(graph, seed, "all")
+        local = agg.restrict(rows)
+        for a, b in ((local.m1, agg.m1), (local.m2, agg.m2)):
+            assert a.shape == b.shape
+            for name in ("indptr", "indices", "data"):
+                assert same_bits(getattr(a, name), getattr(b, name))
+        values = rng.standard_normal((g.num_nodes, 3))
+        g_hop = rng.standard_normal((2, g.num_nodes, 3))
+        for a, b in zip(local.rings(values), agg.rings(values)):
+            assert same_bits(a, b)
+        assert same_bits(local.backward(*g_hop), agg.backward(*g_hop))

@@ -224,6 +224,27 @@ class TestTotalLoss:
         assert np.abs(g_all.b_cls - g_ce.b_cls).max() <= 1e-12
         assert np.abs(g_all.w_ego - g_ce.w_ego).max() > 1e-8
 
+    @pytest.mark.parametrize("seed, structural", [(0, True), (1, True), (2, False)])
+    def test_restricted_aggregator_gives_full_loss_and_grads(self, seed, structural):
+        # ring means on the train nodes and the batch are all the loss reads
+        g, params, agg = small_instance(seed, n=60, train_ratio=0.2)
+        anchors, rot, templates, batch, matching = calibration_inputs(
+            g, params, agg, seed, 4, 3
+        )
+        if not structural:
+            templates = matching = batch = None
+        rows = np.flatnonzero(g.train_mask)
+        if structural:
+            rows = np.union1d(rows, batch)
+        assert 0 < len(rows) < g.num_nodes
+        full = total_loss(params, g, anchors, rot, templates, matching, batch, agg)
+        local = total_loss(params, g, anchors, rot, templates, matching, batch,
+                           agg.restrict(rows))
+        assert repr(local[:2]) == repr(full[:2])
+        for name in ("w_ego", "w_cls", "b_cls"):
+            a, b = getattr(local[2], name), getattr(full[2], name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
 
 class TestSgdAndSchedule:
     def test_zero_gradient_keeps_params(self):
