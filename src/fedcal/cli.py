@@ -309,7 +309,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    if args.out:                                 # the table file's directory must exist
+    if args.out:                                 # a file, in a directory that exists
+        if os.path.isdir(args.out):
+            raise ValueError(f"--out = {args.out}: is a directory, not a file")
         _check_dir(os.path.dirname(os.path.abspath(args.out)), f"--out = {args.out}")
     lines = []
     finals = []

@@ -481,7 +481,10 @@ class HopAggregator:
     gives m2 = (m1 + a2) / 2, the mean of the 1-hop and 2-hop ring means.
     Both operators are constants of the graph, so gradients flow through
     them as fixed linear maps. They hold only the rows of the sorted node
-    ids ``rows``: every node here, a subset in an aggregator from restrict.
+    ids ``rows``: every node here, a subset in an aggregator from restrict,
+    which keeps its last result for the next call with the same rows.
+    rings reads every node's values and writes rows; backward reads
+    gradients on rows and writes every node.
     """
 
     def __init__(self, g: Graph):
@@ -495,14 +498,20 @@ class HopAggregator:
         self.m1 = _row_means(a, eye)
         self.m2 = 0.5 * (self.m1 + _row_means(ring2, self.m1))
         self.m1t, self.m2t = self.m1.T, self.m2.T        # CSC views, built once
+        self._last = None                                # the last restriction
 
     def restrict(self, rows) -> "HopAggregator":
-        """Aggregator over the sorted node ids rows: row slices, or self for all rows."""
+        """Aggregator over the sorted node ids rows: row slices, or self for
+        all rows. The last restriction, over its own copy of rows, is kept
+        and returned again for an equal row set."""
         if len(rows) == len(self.rows):
             return self
+        if self._last is not None and np.array_equal(self._last.rows, rows):
+            return self._last
         local = object.__new__(HopAggregator)
-        local.rows, local.m1, local.m2 = rows, self.m1[rows], self.m2[rows]
+        local.rows, local.m1, local.m2 = np.array(rows), self.m1[rows], self.m2[rows]
         local.m1t, local.m2t = local.m1.T, local.m2.T
+        self._last = local
         return local
 
     def rings(self, values: np.ndarray):
@@ -513,6 +522,7 @@ class HopAggregator:
         return hop1, hop2
 
     def backward(self, g_hop1: np.ndarray, g_hop2: np.ndarray) -> np.ndarray:
-        """Pull ring-mean gradients back onto the per-node rows, reading them
-        on rows only: zero gradient rows elsewhere drop out bit for bit."""
-        return self.m1t @ g_hop1[self.rows] + self.m2t @ g_hop2[self.rows]
+        """Pull ring-mean gradients given on rows, one gradient row per entry
+        of rows, back onto every node's row; gradient rows off rows are zero
+        and would drop out bit for bit."""
+        return self.m1t @ g_hop1 + self.m2t @ g_hop2

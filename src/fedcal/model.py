@@ -42,8 +42,9 @@ class ModelParams:
 
 @dataclass
 class ForwardCache:
-    """Per-node activations kept for backprop, ring means zero off agg.rows
-    (tanh' reuses ego directly, so no pre-activation tensor is needed)."""
+    """Per-node activations kept for backprop, ring means zero off agg.rows;
+    total_loss reads the head's blocks on agg.rows only (tanh' reuses ego
+    directly, so no pre-activation tensor is needed)."""
 
     ego: np.ndarray      # (n, d)
     hop1: np.ndarray     # (n, d)
@@ -106,8 +107,10 @@ def total_loss(params: ModelParams, g: Graph, anchors: np.ndarray,
     the local round: no gradient flows into them. Passing anchors=None
     drops the semantic term and matching=None the structural term (the
     CE term is always present), which is how ablations run. agg is g's
-    ring operator with rows covering train and batch nodes; the structural
-    term reuses the forward's ring means. Returns (total, (ce, semantic,
+    ring operator with rows covering train and batch nodes. The CE gradient
+    is zero off agg.rows, so the classifier-head gradients are taken on
+    those rows alone, with the same bits; the structural term reuses the
+    forward's ring means. Returns (total, (ce, semantic,
     structural), grads), grads a ModelParams of gradients; the calibration
     terms reach only w_ego, the CE term also reaches the classifier.
     """
@@ -115,12 +118,15 @@ def total_loss(params: ModelParams, g: Graph, anchors: np.ndarray,
     d = cache.ego.shape[1]
 
     ce, g_logits = cross_entropy(cache.logits, g.labels, g.train_mask)
-    blocks = np.hstack([cache.ego, cache.hop1, cache.hop2])
-    g_wcls = blocks.T @ g_logits
-    g_bcls = g_logits.sum(axis=0)
-    g_blocks = g_logits @ params.w_cls.T
-    g_ego = g_blocks[:, :d].copy()
-    g_ego += agg.backward(g_blocks[:, d:2 * d], g_blocks[:, 2 * d:])
+    # g_logits is zero off agg.rows: the head reads those rows, or all as views
+    at = agg.rows if len(agg.rows) < g.num_nodes else slice(None)
+    blocks = np.hstack([cache.ego[at], cache.hop1[at], cache.hop2[at]])
+    g_head = g_logits[at]
+    g_wcls = blocks.T @ g_head
+    g_bcls = g_head.sum(axis=0)
+    g_blocks = g_head @ params.w_cls.T
+    g_ego = agg.backward(g_blocks[:, d:2 * d], g_blocks[:, 2 * d:])
+    g_ego[at] += g_blocks[:, :d]
 
     sem = 0.0
     if anchors is not None:

@@ -252,7 +252,8 @@ def structural_loss_ego(hop1: np.ndarray, hop2: np.ndarray, matching: MatchingMa
     live = norms != 0.0
     unit, grads = raw[live] / norms[live, None], grad_rows.reshape(raw.shape)[live]
     along = (grads[:, None, :] @ unit[:, :, None])[:, 0, 0]
-    g_hop = np.zeros((2,) + hop1.shape)
-    np.add.at(g_hop, (np.tile([0, 1], len(batch))[live], np.repeat(batch, 2)[live]),
+    g_hop = np.zeros((2, len(agg.rows), hop1.shape[1]))     # gradients on agg.rows
+    at = np.searchsorted(agg.rows, np.repeat(batch, 2)[live])
+    np.add.at(g_hop, (np.tile([0, 1], len(batch))[live], at),
               (grads - along[:, None] * unit) / norms[live, None])
     return loss, agg.backward(g_hop[0], g_hop[1])

@@ -7,8 +7,13 @@ import importlib.util
 import os
 
 import numpy as np
+import pytest
 
+from fedcal import model
+from fedcal.graph import HopAggregator, generate_sbm, split_masks
 from fedcal.semantic import construct_etf
+from fedcal.structural import (init_templates, radial_sequences_from_rings,
+                               sample_structural_batch, sinkhorn_match)
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -62,3 +67,32 @@ def test_one_svd_per_procrustes():
         t.uninstall()
     assert t.counts["numerics.svd_calls"] == 1
     assert [s[0] for s in t.spans] == ["semantic.procrustes"]
+
+
+@pytest.mark.parametrize("structural, pullbacks", [(False, 1), (True, 2)])
+def test_restricted_total_loss_pulls_back_through_traced_backward(structural, pullbacks):
+    # the head's ring gradients and the structural term's each go through
+    # HopAggregator.backward, the one pullback the tracer times
+    g = split_masks(generate_sbm(80, 2, 0.1, 0.03, 4, 1.0, seed=3), (0.2, 0.2, 0.6), seed=3)
+    params = model.init_params(4, 3, 2, seed=3)
+    agg = HopAggregator(g)
+    templates = matching = batch = None
+    rows = np.flatnonzero(g.train_mask)
+    if structural:
+        templates = init_templates(2, 3, seed=3)
+        batch = sample_structural_batch(g, 8, seed=3)
+        cache = model.forward(params, g, agg)
+        matching = sinkhorn_match(
+            radial_sequences_from_rings(cache.hop1, cache.hop2, batch), templates)
+        rows = np.union1d(rows, batch)
+    local = agg.restrict(rows)
+    assert len(local.rows) < g.num_nodes
+
+    tracer = load_tracer()
+    t = tracer.Tracer()
+    try:
+        t.install()
+        model.total_loss(params, g, None, None, templates, matching, batch, local)
+    finally:
+        t.uninstall()
+    assert [s[0] for s in t.spans].count("graph.backward") == pullbacks

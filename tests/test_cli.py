@@ -549,6 +549,16 @@ class TestReportCommand:
         assert sorted(os.listdir(tmp_path)) == (["blocker"] if parent == "regular file"
                                                 else [])
 
+    def test_out_directory_fails_before_reading(self, tmp_path, capsys, monkeypatch):
+        def no_read(path):
+            raise AssertionError("a history was read before --out was rejected")
+
+        monkeypatch.setattr(cli, "import_history", no_read)
+        out = str(tmp_path)
+        assert main(["report", str(tmp_path / "history.csv"), "--out", out]) == 2
+        assert f"--out = {out}: is a directory, not a file" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
 
 class TestMalformedInputs:
     """A damaged history or model dump exits 2 naming path:line; a header-only

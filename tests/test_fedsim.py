@@ -242,6 +242,40 @@ class TestRingRowRestriction:
         monkeypatch.setattr(HopAggregator, "restrict", lambda agg, rows: agg)
         assert self.run_bits(cfg, threads) == restricted
 
+    def test_unchanged_rows_reuse_one_restriction(self, monkeypatch):
+        # with the structural term off a client's rows are its train nodes
+        # in every round, so round 2 gets round 1's restriction back
+        cfg = tiny_config(rounds=2, structural_enabled=False)
+        restrict = HopAggregator.restrict
+        calls = []
+
+        def recorded(agg, rows):
+            calls.append((agg, rows.copy(), restrict(agg, rows)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(HopAggregator, "restrict", recorded)
+        run_federation(cfg, threads=1)
+        monkeypatch.undo()
+        assert len(calls) == cfg.rounds * cfg.num_clients
+        for (agg, rows, first), (agg2, rows2, second) in zip(
+                calls[:cfg.num_clients], calls[cfg.num_clients:]):
+            assert agg2 is agg and np.array_equal(rows2, rows) and second is first
+
+        # other rows of the same count give a fresh restriction, which is
+        # then kept; the memo holds its own copy of the row ids
+        agg, rows, first = calls[-1]
+        swapped = np.sort(np.append(rows[1:], np.setdiff1d(np.arange(agg.m1.shape[0]),
+                                                           rows)[0]))
+        fresh = agg.restrict(swapped)
+        assert fresh is not first and np.array_equal(fresh.rows, swapped)
+        values = np.random.default_rng(0).standard_normal((agg.m1.shape[0], 3))
+        for part, full in zip(fresh.rings(values), agg.rings(values)):
+            assert np.array_equal(part[swapped], full[swapped])
+        assert agg.restrict(swapped.copy()) is fresh
+        swapped[:] = rows                                # the caller reuses its array
+        assert not np.array_equal(fresh.rows, swapped)
+        assert agg.restrict(swapped) is not fresh
+
 
 class TestPrivacyStructure:
     def test_uploaded_payloads_carry_no_raw_data(self):

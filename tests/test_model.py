@@ -1,6 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
+from fedcal.cli import build_run_config, parse_config_file
+from fedcal.fedsim import setup_federation
 from fedcal.graph import Graph, HopAggregator, generate_sbm, split_masks
 from fedcal.model import (
     ModelParams,
@@ -19,6 +23,9 @@ from fedcal.structural import (
     sample_structural_batch,
     sinkhorn_match,
 )
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def small_instance(seed, n=12, d0=5, d=4, c=3, train_ratio=0.6):
@@ -236,6 +243,11 @@ class TestTotalLoss:
         rows = np.flatnonzero(g.train_mask)
         if structural:
             rows = np.union1d(rows, batch)
+        self.check_restricted(g, params, agg, anchors, rot, templates, matching, batch,
+                              rows)
+
+    @staticmethod
+    def check_restricted(g, params, agg, anchors, rot, templates, matching, batch, rows):
         assert 0 < len(rows) < g.num_nodes
         full = total_loss(params, g, anchors, rot, templates, matching, batch, agg)
         local = total_loss(params, g, anchors, rot, templates, matching, batch,
@@ -244,6 +256,37 @@ class TestTotalLoss:
         for name in ("w_ego", "w_cls", "b_cls"):
             a, b = getattr(local[2], name), getattr(full[2], name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.fixture(scope="class")
+    def large_client(self):
+        """The largest client of the large-graph benchmark workload, 1 440 nodes."""
+        cfg = parse_config_file(os.path.join(REPO, "perfbench", "workloads", "large-graph.cfg"))
+        fed = build_run_config(cfg).federation_config(seed=1)
+        clients, _, _, _ = setup_federation(fed)
+        state = max(clients, key=lambda c: c.graph.num_nodes)
+        assert state.graph.num_nodes >= 1400
+        return fed, state.graph, state.params
+
+    @pytest.mark.parametrize("rows_kind", ["train", "train-and-batch", "all-but-three"])
+    def test_restricted_aggregator_gives_full_loss_and_grads_at_large_graph_size(
+            self, large_client, rows_kind):
+        # the head's products sum over r rows instead of n: their bits hold
+        # only if the BLAS reductions drop the zero gradient rows exactly
+        fed, g, params = large_client
+        agg = HopAggregator(g)
+        anchors, rot, templates, batch, matching = calibration_inputs(
+            g, params, agg, 1, fed.embed_dim, fed.num_classes, b=fed.batch_nodes
+        )
+        rows = np.flatnonzero(g.train_mask)
+        if rows_kind == "train":
+            templates = matching = batch = None
+        else:
+            rows = np.union1d(rows, batch)
+        if rows_kind == "all-but-three":
+            rows = np.delete(np.arange(g.num_nodes),
+                             np.setdiff1d(np.arange(g.num_nodes), rows)[:3])
+        self.check_restricted(g, params, agg, anchors, rot, templates, matching, batch,
+                              rows)
 
 
 class TestSgdAndSchedule:
