@@ -14,7 +14,6 @@ from .fedsim import (
     run_federation,
 )
 from .graph import Graph
-from .refine import RefineConfig
 from .semantic import construct_etf
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "FederationConfig",
     "FederationResult",
     "Graph",
-    "RefineConfig",
     "construct_etf",
     "evaluate",
     "run_federation",

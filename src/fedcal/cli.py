@@ -9,8 +9,8 @@ Commands:
 
 Configs are flat text files, one ``section.key = value`` per line, ``#``
 starting a comment line. Unknown keys are rejected. Each key but output.*
-is declared, with its default, on the FederationConfig, DatasetSpec or
-RefineConfig field it sets; the README lists them all.
+is declared, with its default, on the FederationConfig or DatasetSpec
+field it sets; the README lists them all.
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ from .fedsim import (
     run_federation,
     setup_federation,
 )
-from .graph import edge_homophily, save_graph_files
+from .graph import edge_homophily, read_text, save_graph_files
 from .model import ModelParams
-from .refine import RefineConfig
 
 __all__ = ["main", "parse_config_file", "build_run_config", "save_params", "load_params"]
 
@@ -65,15 +64,11 @@ def _parser(default):
 # key -> (parser, default); None default means "no entry unless given"
 _CONFIG_SCHEMA = {
     **{f.metadata["key"]: (_parser(f.default), f.default)
-       for config_class in (FederationConfig, DatasetSpec, RefineConfig)
+       for config_class in (FederationConfig, DatasetSpec)
        for f in _keyed_fields(config_class)},
     "output.dir": (str, "out"),
     "output.embeddings": (_parse_bool, False),
 }
-
-# retired key -> (parser, last default), the one value old config files may hold
-_RETIRED_KEYS = {"refine.eps": (float, 1e-8), "refine.gw_lr": (float, 1.0),
-                 "refine.gw_iters": (int, 200)}
 
 
 def parse_config_file(path) -> dict:
@@ -81,19 +76,18 @@ def parse_config_file(path) -> dict:
     if not os.path.exists(path):
         raise FileNotFoundError(f"config file not found: {path}")
     raw = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_SCHEMA and key not in _RETIRED_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in raw:
-                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-            raw[key] = value
+    for lineno, line in enumerate(read_text(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_SCHEMA:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in raw:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+        raw[key] = value
     return raw
 
 
@@ -117,7 +111,6 @@ class RunConfig:
             settings["seed"] = int(seed)
         return FederationConfig(
             **settings,
-            refine=RefineConfig(**self._keyed(RefineConfig)),
             dataset=dataset,
             semantic_enabled="semantic" not in ablate,
             structural_enabled="structural" not in ablate,
@@ -133,9 +126,6 @@ def _cast(key: str, caster, text: str):
 
 
 def build_run_config(raw: dict) -> RunConfig:
-    for key, (caster, last) in _RETIRED_KEYS.items():
-        if key in raw and _cast(key, caster, raw[key]) != last:
-            raise ValueError(f"{key} is retired and accepts only {last!r}, got {raw[key]!r}")
     return RunConfig({key: _cast(key, caster, raw[key]) if key in raw else default
                       for key, (caster, default) in _CONFIG_SCHEMA.items()})
 
@@ -176,11 +166,10 @@ def load_params(path, like: ModelParams) -> ModelParams:
 
     Only that layout is accepted: the magic line, then w_ego, w_cls and
     b_cls in order, each under the header ``like`` would get and followed
-    by its rows, and nothing after. Anything else raises ValueError naming
-    path:line.
+    by its rows, and nothing after. Anything else, a byte that is not UTF-8
+    included, raises ValueError naming path:line; a directory, one naming path.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    lines = [ln.rstrip("\n") for ln in read_text(path)]
     if not lines or lines[0] != "# fedcal-params 1":
         raise ValueError(f"{path}:1: not a fedcal parameter dump")
     arrays, i = {}, 1                          # i indexes the next unread line

@@ -17,6 +17,7 @@ no matter how many worker threads execute the clients.
 from __future__ import annotations
 
 import csv
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
 
@@ -29,13 +30,11 @@ from .graph import (
     load_graph,
     partition_nonoverlapping,
     partition_overlapping,
+    read_text,
     split_masks,
 )
 from .model import ModelParams, forward, init_params, lr_schedule, sgd_step, total_loss
 from .refine import (
-    RefineConfig,
-    config_key,
-    key_of,
     SemanticReport,
     StructuralReport,
     gram_drift,
@@ -82,6 +81,18 @@ _TAG_INIT, _TAG_BATCH = 300, 301
 
 class FederationError(RuntimeError):
     pass
+
+
+# Each config dataclass field that a config key sets carries the key, so the
+# CLI's schema, its key-to-field mapping and the keys errors name are read here.
+def config_key(key: str, default):
+    """A dataclass field that the config key ``key`` sets, ``default`` when unset."""
+    return field(default=default, metadata={"key": key})
+
+
+def key_of(config, name: str) -> str:
+    """The config key that sets field ``name`` of the dataclass ``config``."""
+    return config.__dataclass_fields__[name].metadata["key"]
 
 
 @dataclass
@@ -140,7 +151,8 @@ class FederationConfig:
     sinkhorn_epsilon: float = config_key("sinkhorn.epsilon", 0.05)
     sinkhorn_iters: int = config_key("sinkhorn.max_iters", 500)
     sinkhorn_tol: float = config_key("sinkhorn.tol", 1e-6)
-    refine: RefineConfig = field(default_factory=RefineConfig)
+    refine_tau: float = config_key("refine.tau", 1.0)     # difficulty-weight temperature
+    refine_eta: float = config_key("refine.eta", 0.1)     # max anchor step (chord length)
     seed: int = config_key("federation.seed", 0)
     partition_mode: str = config_key("partition.mode", "non-overlapping")
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
@@ -150,6 +162,10 @@ class FederationConfig:
     refine_enabled: bool = True
 
     def __post_init__(self):
+        for name in ("refine_tau", "refine_eta"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{key_of(self, name)} must be finite and > 0, got {value}")
         for name in ("num_clients", "local_epochs", "embed_dim", "batch_nodes",
                      "num_templates", "sinkhorn_iters"):
             value = getattr(self, name)
@@ -254,7 +270,11 @@ class FederationResult:
 
 
 def build_dataset(cfg: FederationConfig) -> Graph:
-    """Root graph with stratified masks, derived deterministically from cfg."""
+    """Root graph with stratified masks, derived deterministically from cfg.
+
+    A dataset file that is missing or not a regular file raises ValueError
+    naming its key before any file is read.
+    """
     spec = cfg.dataset
     if spec.kind == "synthetic":
         g = generate_sbm(
@@ -262,6 +282,10 @@ def build_dataset(cfg: FederationConfig) -> Graph:
             spec.feat_dim, spec.feat_sep, seed=(cfg.seed, _TAG_DATA),
         )
     else:
+        for name in ("edges_path", "features_path", "labels_path"):
+            path = getattr(spec, name)
+            if not os.path.isfile(path):
+                raise ValueError(f"{key_of(spec, name)} = {path}: no such regular file")
         g = load_graph(
             spec.edges_path, spec.features_path, spec.labels_path,
             num_classes=cfg.num_classes,
@@ -489,7 +513,8 @@ def _run_rounds(cfg: FederationConfig, map_clients) -> FederationResult:
         unconverged += sum(not r.matching.converged for r in str_reports if r is not None)
 
         if cfg.refine_enabled:
-            anchors, drift = refine_all_anchors(anchors, sem_reports, cfg.refine)
+            anchors, drift = refine_all_anchors(anchors, sem_reports, cfg.refine_tau,
+                                               cfg.refine_eta)
         else:
             drift = gram_drift(anchors)
 
@@ -551,27 +576,27 @@ def export_history(records, path):
 def import_history(path) -> list:
     """Parse a history CSV back into HistoryRow values (bit-exact floats).
 
-    A missing or wrong header, a row with the wrong field count and an
-    unparsable field each raise ValueError naming path:line.
+    A missing or wrong header, a row with the wrong field count, an
+    unparsable field and a byte that is not UTF-8 each raise ValueError
+    naming path:line; a directory raises one naming path.
     """
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}:1: empty file, expected a history header")
-        if header != _HISTORY_COLUMNS:
-            raise ValueError(f"{path}:1: unexpected history header {header}")
-        for parts in reader:
-            where = f"{path}:{reader.line_num}"
-            if len(parts) != len(_HISTORY_COLUMNS):
-                raise ValueError(f"{where}: expected {len(_HISTORY_COLUMNS)} fields, "
-                                 f"got {len(parts)}")
-            try:
-                rows.append(HistoryRow(*(int(p) if f.type in (int, "int") else float(p)
-                                         for f, p in zip(fields(HistoryRow), parts))))
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
+    reader = csv.reader(read_text(path, newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}:1: empty file, expected a history header")
+    if header != _HISTORY_COLUMNS:
+        raise ValueError(f"{path}:1: unexpected history header {header}")
+    for parts in reader:
+        where = f"{path}:{reader.line_num}"
+        if len(parts) != len(_HISTORY_COLUMNS):
+            raise ValueError(f"{where}: expected {len(_HISTORY_COLUMNS)} fields, "
+                             f"got {len(parts)}")
+        try:
+            rows.append(HistoryRow(*(int(p) if f.type in (int, "int") else float(p)
+                                     for f, p in zip(fields(HistoryRow), parts))))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return rows
 
 

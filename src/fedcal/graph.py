@@ -15,6 +15,7 @@ File formats (plain text, `#` starts a comment line):
 
 from __future__ import annotations
 
+import io
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -29,6 +30,7 @@ __all__ = [
     "partition_overlapping",
     "generate_sbm",
     "load_graph",
+    "read_text",
     "save_graph_files",
     "split_masks",
     "edge_homophily",
@@ -351,13 +353,32 @@ def _parse_error(path, lineno, msg):
     return ValueError(f"{path}:{lineno}: {msg}")
 
 
+def read_text(path, newline=None) -> io.StringIO:
+    """The file at path as UTF-8 text, split as ``open(path, newline=newline)`` splits it.
+
+    A directory raises ValueError naming path, and bytes that are not UTF-8
+    one naming path:line, the line that holds the first such byte.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except IsADirectoryError:
+        raise ValueError(f"{path}: is a directory, not a file") from None
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        # a stand-in for the bad byte, so splitlines counts the line it opens
+        line = len((data[:exc.start] + b".").splitlines())
+        raise ValueError(f"{path}:{line}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from None
+
+
 def _data_lines(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            yield lineno, line
+    for lineno, raw in enumerate(read_text(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        yield lineno, line
 
 
 def load_graph(edges_path, features_path, labels_path, num_classes=None) -> Graph:

@@ -19,7 +19,7 @@ into a 1-D scale search plus an assignment-weighted mean for position.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ _GOLDEN_ITERS = 200     # golden-section cap; radials (alpha <= 2) hit the 1e-12
 __all__ = [
     "SemanticReport",
     "StructuralReport",
-    "RefineConfig",
     "deviation_vectors",
     "difficulty_weights",
     "constraint_vector",
@@ -66,32 +65,6 @@ class StructuralReport:
 
     radials: np.ndarray
     matching: MatchingMatrix
-
-
-# Each config dataclass field that a config key sets carries the key, so the
-# CLI's schema, its key-to-field mapping and the keys errors name are read here.
-def config_key(key: str, default):
-    """A dataclass field that the config key ``key`` sets, ``default`` when unset."""
-    return field(default=default, metadata={"key": key})
-
-
-def key_of(config, name: str) -> str:
-    """The config key that sets field ``name`` of the dataclass ``config``."""
-    return config.__dataclass_fields__[name].metadata["key"]
-
-
-@dataclass
-class RefineConfig:
-    """Anchor-refinement settings; the template solve has none."""
-
-    tau: float = config_key("refine.tau", 1.0)     # difficulty-weight temperature
-    eta: float = config_key("refine.eta", 0.1)     # max anchor step (chord length)
-
-    def __post_init__(self):
-        for name in ("tau", "eta"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{key_of(self, name)} must be finite and > 0, got {value}")
 
 
 def deviation_vectors(reports, anchors: np.ndarray) -> np.ndarray:
@@ -146,7 +119,7 @@ def constraint_vector(anchors: np.ndarray, i: int) -> np.ndarray:
 
 
 def refine_anchor(delta_i: np.ndarray, v_i: np.ndarray, gamma_i: float,
-                  s_i: np.ndarray, cfg: RefineConfig) -> np.ndarray:
+                  s_i: np.ndarray, eta: float) -> np.ndarray:
     """One anchor update: clipped candidate step, then spherical projection.
 
     candidate = delta + gamma * v + s; the step toward it is scaled by
@@ -159,7 +132,7 @@ def refine_anchor(delta_i: np.ndarray, v_i: np.ndarray, gamma_i: float,
         raise ValueError(f"anchor norm {norm} is not 1 within 1e-6")
     candidate = delta_i + gamma_i * v_i + s_i
     step = candidate - delta_i
-    t = min(1.0, cfg.eta / (np.linalg.norm(step) + _STEP_GUARD))
+    t = min(1.0, eta / (np.linalg.norm(step) + _STEP_GUARD))
     moved = delta_i + t * step
     moved_norm = np.linalg.norm(moved)
     if moved_norm <= 1e-12:
@@ -175,23 +148,24 @@ def gram_drift(anchors: np.ndarray) -> float:
     return float(np.abs(off + 1.0 / (c - 1)).max())
 
 
-def refine_all_anchors(anchors: np.ndarray, reports, cfg: RefineConfig):
+def refine_all_anchors(anchors: np.ndarray, reports, tau: float, eta: float):
     """Refine every reported anchor; returns (new anchors, gram drift).
 
-    Classes reported by no client keep their anchor unchanged for the
-    round (their deviation is undefined). The drift of the refined frame
-    is logged, not corrected: the repulsion term is what keeps the frame
-    near maximal equidistance.
+    tau is the difficulty-weight temperature and eta the step clip of
+    ``refine_anchor``. Classes reported by no client keep their anchor
+    unchanged for the round (their deviation is undefined). The drift of
+    the refined frame is logged, not corrected: the repulsion term is what
+    keeps the frame near maximal equidistance.
     """
     vs = deviation_vectors(reports, anchors)
-    gammas = difficulty_weights(reports, cfg.tau)
+    gammas = difficulty_weights(reports, tau)
     reported = np.zeros(anchors.shape[1], dtype=bool)
     for rep in reports:
         reported |= rep.present_mask
     refined = anchors.copy()
     for i in np.nonzero(reported)[0]:
         s_i = constraint_vector(anchors, i)
-        refined[:, i] = refine_anchor(anchors[:, i], vs[:, i], float(gammas[i]), s_i, cfg)
+        refined[:, i] = refine_anchor(anchors[:, i], vs[:, i], float(gammas[i]), s_i, eta)
     return refined, gram_drift(refined)
 
 

@@ -21,7 +21,6 @@ from fedcal.model import total_loss
 from fedcal.numerics import random_orthogonal, svd
 from fedcal.refine import (
     _STEP_GUARD,
-    RefineConfig,
     SemanticReport,
     gw_2point,
     refine_all_anchors,
@@ -277,7 +276,7 @@ class TestCriterion5GromovWasserstein:
 class TestCriterion6AnchorRefinement:
     def test_refinement_geometry(self):
         rng = np.random.default_rng(66)
-        cfg = RefineConfig(eta=0.1)
+        tau, eta = 1.0, 0.1
 
         # unit norm and bounded pre-projection chord on random rounds
         worst_norm = 0.0
@@ -294,18 +293,18 @@ class TestCriterion6AnchorRefinement:
             from fedcal.refine import constraint_vector, deviation_vectors, difficulty_weights
 
             vs = deviation_vectors(reports, anchors)
-            gammas = difficulty_weights(reports, cfg.tau)
+            gammas = difficulty_weights(reports, tau)
             for i in range(4):
                 s = constraint_vector(anchors, i)
                 delta = anchors[:, i]
                 step = (delta + gammas[i] * vs[:, i] + s) - delta
-                t = min(1.0, cfg.eta / (np.linalg.norm(step) + _STEP_GUARD))
+                t = min(1.0, eta / (np.linalg.norm(step) + _STEP_GUARD))
                 worst_chord = max(worst_chord, t * np.linalg.norm(step))
-                out = refine_anchor(delta, vs[:, i], float(gammas[i]), s, cfg)
+                out = refine_anchor(delta, vs[:, i], float(gammas[i]), s, eta)
                 worst_norm = max(worst_norm, abs(np.linalg.norm(out) - 1.0))
-            anchors, _ = refine_all_anchors(anchors, reports, cfg)
+            anchors, _ = refine_all_anchors(anchors, reports, tau, eta)
         assert worst_norm <= 1e-12
-        assert worst_chord <= cfg.eta + 1e-9
+        assert worst_chord <= eta + 1e-9
 
         # exact ETF + zero deviation is a fixed point
         exact = construct_etf(5, 8, seed=67)
@@ -313,7 +312,7 @@ class TestCriterion6AnchorRefinement:
             k=exact.copy(), present_mask=np.ones(5, dtype=bool),
             per_class_loss=np.zeros(5),
         )]
-        refined, drift = refine_all_anchors(exact, reports, cfg)
+        refined, drift = refine_all_anchors(exact, reports, tau, eta)
         fixed_err = float(np.abs(refined - exact).max())
         assert fixed_err <= 1e-12
         assert drift <= 1e-9

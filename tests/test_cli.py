@@ -121,8 +121,8 @@ class TestConfigParsing:
             ("sinkhorn.epsilon", "0.03", "sinkhorn_epsilon"),
             ("sinkhorn.max_iters", "450", "sinkhorn_iters"),
             ("sinkhorn.tol", "1e-07", "sinkhorn_tol"),
-            ("refine.tau", "0.8", "refine.tau"),
-            ("refine.eta", "0.15", "refine.eta"),
+            ("refine.tau", "0.8", "refine_tau"),
+            ("refine.eta", "0.15", "refine_eta"),
             ("dataset.kind", "files", "dataset.kind"),
             ("dataset.nodes", "700", "dataset.nodes"),
             ("dataset.p_in", "0.12", "dataset.p_in"),
@@ -263,6 +263,30 @@ class TestRunCommand:
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("key", ["dataset.edges", "dataset.features", "dataset.labels"])
+    @pytest.mark.parametrize("fault", ["missing", "directory"])
+    def test_unusable_dataset_file_names_its_key(self, tmp_path, capsys, monkeypatch,
+                                                 key, fault):
+        def no_read(*args, **kwargs):
+            raise AssertionError("a dataset file was read before its path was rejected")
+
+        monkeypatch.setattr(fedsim, "load_graph", no_read)
+        paths = {}
+        for name in ("dataset.edges", "dataset.features", "dataset.labels"):
+            paths[name] = tmp_path / name
+            paths[name].write_text("")
+        bad = tmp_path / "bad"
+        if fault == "directory":
+            bad.mkdir()
+        paths[key] = bad
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text(SMOKE.replace("dataset.kind = synthetic", "dataset.kind = files")
+                       + "".join(f"{name} = {path}\n" for name, path in paths.items()))
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{key} = {bad}: no such regular file" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("line, setting", [
         ("sinkhorn.max_iters = 0", "sinkhorn.max_iters"),
         ("sinkhorn.tol = -1", "sinkhorn.tol"),
@@ -285,6 +309,8 @@ class TestRunCommand:
         ("split.val = nan", "split"),
         ("refine.tau = nan", "refine.tau"),
         ("refine.eta = nan", "refine.eta"),
+        ("refine.tau = 0", "refine.tau"),
+        ("refine.eta = -1", "refine.eta"),
         ("refine.eps = nan", "refine.eps"),
         ("refine.gw_iters = 50", "refine.gw_iters"),
         ("refine.gw_lr = 2", "refine.gw_lr"),
@@ -481,21 +507,20 @@ class TestEvalCommand:
         mean_line = [ln for ln in printed.splitlines() if ln.startswith("mean")][0]
         assert abs(float(mean_line.split(":")[1]) - run_summary["mean_val"]) <= 1e-6
 
-    def test_config_with_retired_keys_at_defaults_loads(self, smoke_cfg, tmp_path, capsys):
+    def test_config_with_retired_keys_is_rejected(self, smoke_cfg, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["run", "--config", smoke_cfg, "--out", str(out)]) == 0
-        run_summary = json.load(open(out / "summary.json"))
-        # the config.resolved format written while these keys were live
+        # the config.resolved format written while these keys were read
         resolved = out / "config.resolved"
         lines = resolved.read_text().splitlines()
         lines += ["refine.eps = 1e-08", "refine.gw_iters = 200", "refine.gw_lr = 1.0"]
-        resolved.write_text("\n".join(sorted(lines)) + "\n")
+        lines.sort()
         capsys.readouterr()
-        assert main(["eval", "--model-dir", str(out)]) == 0
-        expected = [f"client {c} test accuracy: {value:.6f}"
-                    for c, value in enumerate(run_summary["per_client_test"])]
-        expected.append(f"mean test accuracy: {run_summary['mean_test']:.6f}")
-        assert capsys.readouterr().out.splitlines() == expected
+        resolved.write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--model-dir", str(out)]) == 2
+        lineno = lines.index("refine.eps = 1e-08") + 1
+        assert (f"{resolved}:{lineno}: unknown config key 'refine.eps'"
+                in capsys.readouterr().err)
 
     def test_corrupted_dump_fails_cleanly(self, smoke_cfg, tmp_path):
         out = str(tmp_path / "run")
@@ -510,6 +535,72 @@ class TestEvalCommand:
         main(["run", "--config", smoke_cfg, "--out", out])
         os.remove(os.path.join(out, "models", "client_0.txt"))
         assert main(["eval", "--model-dir", out]) == 2
+
+
+def _spoil(path, fault) -> str:
+    """Make the file at path a directory or give it a byte 0xff opening its
+    first or third line; returns what the error must say."""
+    if fault == "directory":
+        os.remove(path)
+        os.mkdir(path)
+        return f"{path}: is a directory, not a file"
+    lineno = 1 if fault == "byte 0xff on line 1" else 3
+    lines = open(path, "rb").read().split(b"\n")
+    lines[lineno - 1] = b"\xff" + lines[lineno - 1]
+    open(path, "wb").write(b"\n".join(lines))
+    return f"{path}:{lineno}: not UTF-8 text"
+
+
+FAULTS = ["directory", "byte 0xff on line 1", "byte 0xff on line 3"]
+
+
+class TestUnreadableTextInputs:
+    """A directory or a non-UTF-8 file where a text input belongs exits 2, naming it."""
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_run_config(self, smoke_cfg, tmp_path, capsys, fault):
+        expected = _spoil(smoke_cfg, fault)
+        out = tmp_path / "run"
+        assert main(["run", "--config", smoke_cfg, "--out", str(out)]) == 2
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("name", ["config.resolved", "models/client_1.txt"])
+    def test_eval_input(self, smoke_cfg, tmp_path, capsys, name, fault):
+        out = tmp_path / "run"
+        assert main(["run", "--config", smoke_cfg, "--out", str(out)]) == 0
+        expected = _spoil(str(out / name), fault)
+        capsys.readouterr()
+        assert main(["eval", "--model-dir", str(out)]) == 2
+        assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_report_history(self, smoke_cfg, tmp_path, capsys, fault):
+        out = tmp_path / "run"
+        assert main(["run", "--config", smoke_cfg, "--out", str(out)]) == 0
+        history = str(out / "history.csv")
+        expected = _spoil(history, fault)
+        capsys.readouterr()
+        assert main(["report", history]) == 2
+        assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", FAULTS[1:])
+    @pytest.mark.parametrize("name", ["edges.txt", "features.txt", "labels.txt"])
+    def test_dataset_file(self, smoke_cfg, tmp_path, capsys, name, fault):
+        data = tmp_path / "data"
+        assert main(["gen-data", "--config", smoke_cfg, "--out", str(data)]) == 0
+        expected = _spoil(str(data / name), fault)
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text(SMOKE.replace("dataset.kind = synthetic", "dataset.kind = files")
+                       + f"dataset.edges = {data / 'edges.txt'}\n"
+                       + f"dataset.features = {data / 'features.txt'}\n"
+                       + f"dataset.labels = {data / 'labels.txt'}\n")
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReportCommand:

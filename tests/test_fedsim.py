@@ -184,7 +184,7 @@ class TestRunFederation:
             results = [run_client_round(c, anchors, templates, cfg, 0) for c in clients]
             str_reports = [r.structural_report for r in results]
             refined, drift = refine_all_anchors(
-                anchors, [r.semantic_report for r in results], cfg.refine
+                anchors, [r.semantic_report for r in results], cfg.refine_tau, cfg.refine_eta
             )
             new_templates = [update_template(q, str_reports, templates)
                              for q in range(cfg.num_templates)]

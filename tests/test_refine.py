@@ -3,7 +3,6 @@ import pytest
 
 from fedcal.numerics import random_orthogonal
 from fedcal.refine import (
-    RefineConfig,
     SemanticReport,
     StructuralReport,
     _STEP_GUARD,
@@ -137,56 +136,53 @@ class TestConstraintVector:
 
 class TestRefineAnchor:
     def test_fixed_point_on_zero_step(self):
-        cfg = RefineConfig()
         rng = np.random.default_rng(10)
         delta = rng.standard_normal(6)
         delta /= np.linalg.norm(delta)
-        out = refine_anchor(delta, np.zeros(6), 0.5, np.zeros(6), cfg)
+        out = refine_anchor(delta, np.zeros(6), 0.5, np.zeros(6), 0.1)
         assert np.abs(out - delta).max() <= 1e-12
 
     def test_small_step_not_clipped(self):
-        cfg = RefineConfig(eta=0.5)
         delta = np.zeros(4)
         delta[0] = 1.0
         v = np.array([0.0, 0.1, 0.0, 0.0])
-        out = refine_anchor(delta, v, 1.0, np.zeros(4), cfg)
+        out = refine_anchor(delta, v, 1.0, np.zeros(4), 0.5)
         expected = delta + v
         expected /= np.linalg.norm(expected)
         assert np.abs(out - expected).max() <= 1e-9
 
     def test_long_step_clipped_to_eta(self):
-        cfg = RefineConfig(eta=0.1)
+        eta = 0.1
         delta = np.zeros(3)
         delta[0] = 1.0
         v = np.array([0.0, 1.0, 0.0])  # candidate 10x eta away
         step_len = np.linalg.norm(v)
-        t = min(1.0, cfg.eta / (step_len + _STEP_GUARD))
-        out = refine_anchor(delta, v, 1.0, np.zeros(3), cfg)
+        t = min(1.0, eta / (step_len + _STEP_GUARD))
+        out = refine_anchor(delta, v, 1.0, np.zeros(3), eta)
         pre = delta + t * v
         assert np.abs(out - pre / np.linalg.norm(pre)).max() <= 1e-12
-        assert t * step_len <= cfg.eta + 1e-12
+        assert t * step_len <= eta + 1e-12
 
     def test_output_unit_norm(self):
-        cfg = RefineConfig()
         rng = np.random.default_rng(11)
         for _ in range(20):
             delta = rng.standard_normal(5)
             delta /= np.linalg.norm(delta)
             out = refine_anchor(
-                delta, rng.standard_normal(5), rng.random(), rng.standard_normal(5) * 0.1, cfg
+                delta, rng.standard_normal(5), rng.random(), rng.standard_normal(5) * 0.1, 0.1
             )
             assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
 
     def test_rejects_denormalized_anchor(self):
         with pytest.raises(ValueError):
-            refine_anchor(np.array([2.0, 0.0]), np.zeros(2), 0.5, np.zeros(2), RefineConfig())
+            refine_anchor(np.array([2.0, 0.0]), np.zeros(2), 0.5, np.zeros(2), 0.1)
 
 
 class TestRefineAllAnchors:
     def test_exact_etf_zero_deviation_is_fixed_point(self):
         anchors = construct_etf(4, 6, seed=12)
         reports = [report_at_anchors(anchors) for _ in range(3)]
-        refined, drift = refine_all_anchors(anchors, reports, RefineConfig())
+        refined, drift = refine_all_anchors(anchors, reports, 1.0, 0.1)
         assert np.abs(refined - anchors).max() <= 1e-12
         assert drift <= 1e-9
 
@@ -198,14 +194,14 @@ class TestRefineAllAnchors:
             rep = report_at_anchors(anchors, loss=rng.random())
             rep.k += rng.standard_normal(rep.k.shape) * 0.2
             reports.append(rep)
-        refined, drift = refine_all_anchors(anchors, reports, RefineConfig())
+        refined, drift = refine_all_anchors(anchors, reports, 1.0, 0.1)
         norms = np.linalg.norm(refined, axis=0)
         assert np.abs(norms - 1.0).max() <= 1e-12
         assert drift >= 0.0
 
     def test_drift_bounded_by_two_eta(self):
         rng = np.random.default_rng(14)
-        cfg = RefineConfig(eta=0.05)
+        eta = 0.05
         anchors = construct_etf(4, 7, seed=14)
         before = gram_drift(anchors)
         reports = []
@@ -213,15 +209,15 @@ class TestRefineAllAnchors:
             rep = report_at_anchors(anchors, loss=rng.random())
             rep.k += rng.standard_normal(rep.k.shape) * 0.5
             reports.append(rep)
-        refined, drift = refine_all_anchors(anchors, reports, cfg)
-        assert drift <= before + 2 * cfg.eta + 1e-9
+        refined, drift = refine_all_anchors(anchors, reports, 1.0, eta)
+        assert drift <= before + 2 * eta + 1e-9
 
     def test_unreported_class_unchanged(self):
         anchors = construct_etf(3, 5, seed=15)
         rep = report_at_anchors(anchors)
         rep.present_mask[1] = False
         rep.k[:, 0] += 0.3
-        refined, _ = refine_all_anchors(anchors, [rep], RefineConfig())
+        refined, _ = refine_all_anchors(anchors, [rep], 1.0, 0.1)
         assert np.array_equal(refined[:, 1], anchors[:, 1])
         assert not np.allclose(refined[:, 0], anchors[:, 0])
 
@@ -232,7 +228,7 @@ class TestRefineAllAnchors:
         offset = rng.standard_normal(4) * 0.4
         rep.k[:, 0] += offset
         vs = deviation_vectors([rep], anchors)
-        refined, _ = refine_all_anchors(anchors, [rep], RefineConfig())
+        refined, _ = refine_all_anchors(anchors, [rep], 1.0, 0.1)
         moved = refined[:, 0] - anchors[:, 0]
         assert moved @ vs[:, 0] > 0.0
 
@@ -449,11 +445,3 @@ class TestServerPathReference:
         new = update_template(0, reports, templates)
         assert np.array_equal(new, reference_update(0, reports, templates))
         assert np.array_equal(new, rows)
-
-
-class TestRefineConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RefineConfig(tau=0.0)
-        with pytest.raises(ValueError):
-            RefineConfig(eta=-1.0)
