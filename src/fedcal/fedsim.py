@@ -59,7 +59,6 @@ __all__ = [
     "DatasetSpec",
     "FederationConfig",
     "ClientState",
-    "RoundRecord",
     "HistoryRow",
     "FederationResult",
     "FederationError",
@@ -70,7 +69,6 @@ __all__ = [
     "evaluate",
     "export_history",
     "import_history",
-    "records_to_rows",
     "export_embeddings",
 ]
 
@@ -221,26 +219,6 @@ class ClientState:
 
 
 @dataclass
-class RoundRecord:
-    round_idx: int
-    ce: list
-    sem: list
-    stru: list
-    val: list
-    test: list
-    drift: float
-    gw_objectives: list
-
-    @property
-    def gw_objective_mean(self) -> float:
-        return float(np.mean(self.gw_objectives)) if self.gw_objectives else 0.0
-
-    @property
-    def mean_test(self) -> float:
-        return float(np.mean(self.test))
-
-
-@dataclass
 class HistoryRow:
     """One CSV line of the run history (per round, per client).
 
@@ -261,7 +239,7 @@ class HistoryRow:
 
 @dataclass
 class FederationResult:
-    records: list
+    records: list                       # HistoryRow per client per round, as in history.csv
     clients: list
     anchors: np.ndarray                 # (d, C)
     templates: np.ndarray               # (Q, 2, d)
@@ -513,29 +491,23 @@ def _run_rounds(cfg: FederationConfig, map_clients) -> FederationResult:
         unconverged += sum(not r.matching.converged for r in str_reports if r is not None)
 
         if cfg.refine_enabled:
-            anchors, drift = refine_all_anchors(anchors, sem_reports, cfg.refine_tau,
-                                               cfg.refine_eta)
-        else:
-            drift = gram_drift(anchors)
+            anchors = refine_all_anchors(anchors, sem_reports, cfg.refine_tau,
+                                         cfg.refine_eta)
+        drift = gram_drift(anchors)
 
-        gw_objectives = []
+        gw_mean = 0.0
         if cfg.structural_enabled:
             if cfg.refine_enabled:
                 templates = np.stack([update_template(q, str_reports, templates)
                                       for q in range(cfg.num_templates)])
-            gw_objectives = [template_objective(str_reports, q, templates[q])
-                             for q in range(cfg.num_templates)]
+            gw_mean = float(np.mean([template_objective(str_reports, q, templates[q])
+                                     for q in range(cfg.num_templates)]))
 
-        records.append(RoundRecord(
-            round_idx=round_idx,
-            ce=[r.ce for r in results],
-            sem=[r.sem for r in results],
-            stru=[r.stru for r in results],
-            val=[r.val_metric for r in results],
-            test=[r.test_metric for r in results],
-            drift=drift,
-            gw_objectives=gw_objectives,
-        ))
+        # float() keeps numpy scalars out, whose repr would change the CSV
+        records += [HistoryRow(round_idx, state.client_id, float(r.ce), float(r.sem),
+                               float(r.stru), float(r.val_metric), float(r.test_metric),
+                               drift, gw_mean)
+                    for state, r in zip(clients, results)]
     calls = cfg.rounds * len(clients) if cfg.structural_enabled else 0
     return FederationResult(records=records, clients=clients,
                             anchors=anchors, templates=templates,
@@ -545,27 +517,9 @@ def _run_rounds(cfg: FederationConfig, map_clients) -> FederationResult:
 _HISTORY_COLUMNS = [f.name for f in fields(HistoryRow)]
 
 
-def records_to_rows(records) -> list:
-    rows = []
-    for rec in records:
-        for cid in range(len(rec.ce)):
-            rows.append(HistoryRow(
-                round=rec.round_idx,
-                client_id=cid,
-                ce_loss=float(rec.ce[cid]),
-                sem_loss=float(rec.sem[cid]),
-                str_loss=float(rec.stru[cid]),
-                val_metric=float(rec.val[cid]),
-                test_metric=float(rec.test[cid]),
-                anchor_gram_drift=float(rec.drift),
-                gw_objective_mean=rec.gw_objective_mean,
-            ))
-    return rows
-
-
-def export_history(records, path):
-    """Write the run history CSV (floats as shortest round-trip reprs)."""
-    rows = records_to_rows(records)
+def export_history(rows, path):
+    """Write HistoryRow values as the run history CSV (floats as shortest
+    round-trip reprs)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_HISTORY_COLUMNS)

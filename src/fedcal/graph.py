@@ -15,6 +15,7 @@ File formats (plain text, `#` starts a comment line):
 
 from __future__ import annotations
 
+import codecs
 import io
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -356,21 +357,25 @@ def _parse_error(path, lineno, msg):
 def read_text(path, newline=None) -> io.StringIO:
     """The file at path as UTF-8 text, split as ``open(path, newline=newline)`` splits it.
 
-    A directory raises ValueError naming path, and bytes that are not UTF-8
-    one naming path:line, the line that holds the first such byte.
+    A leading UTF-8 byte-order mark is dropped. A directory raises
+    ValueError naming path, and bytes that are not UTF-8 one naming
+    path:line, the line that holds the first such byte.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except IsADirectoryError:
         raise ValueError(f"{path}: is a directory, not a file") from None
+    # a leading byte-order mark is skipped, and error offsets still count it
+    bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     try:
-        return io.StringIO(data.decode("utf-8"), newline=newline)
+        return io.StringIO(data[bom:].decode("utf-8"), newline=newline)
     except UnicodeDecodeError as exc:
+        start = bom + exc.start
         # a stand-in for the bad byte, so splitlines counts the line it opens
-        line = len((data[:exc.start] + b".").splitlines())
+        line = len((data[:start] + b".").splitlines())
         raise ValueError(f"{path}:{line}: not UTF-8 text ({exc.reason} at byte "
-                         f"{exc.start})") from None
+                         f"{start})") from None
 
 
 def _data_lines(path):
@@ -537,6 +542,8 @@ class HopAggregator:
 
     def rings(self, values: np.ndarray):
         """(hop1, hop2) ring means of per-node row vectors, zero off rows."""
+        if len(self.rows) == len(values):
+            return self.m1 @ values, self.m2 @ values
         hop1, hop2 = np.zeros((2,) + values.shape)
         hop1[self.rows] = self.m1 @ values
         hop2[self.rows] = self.m2 @ values

@@ -149,13 +149,13 @@ def gram_drift(anchors: np.ndarray) -> float:
 
 
 def refine_all_anchors(anchors: np.ndarray, reports, tau: float, eta: float):
-    """Refine every reported anchor; returns (new anchors, gram drift).
+    """The (d, C) anchors with every reported one refined.
 
     tau is the difficulty-weight temperature and eta the step clip of
     ``refine_anchor``. Classes reported by no client keep their anchor
-    unchanged for the round (their deviation is undefined). The drift of
-    the refined frame is logged, not corrected: the repulsion term is what
-    keeps the frame near maximal equidistance.
+    unchanged for the round (their deviation is undefined). The refined
+    frame's ``gram_drift`` is recorded, not corrected: the repulsion term
+    is what keeps the frame near maximal equidistance.
     """
     vs = deviation_vectors(reports, anchors)
     gammas = difficulty_weights(reports, tau)
@@ -166,7 +166,7 @@ def refine_all_anchors(anchors: np.ndarray, reports, tau: float, eta: float):
     for i in np.nonzero(reported)[0]:
         s_i = constraint_vector(anchors, i)
         refined[:, i] = refine_anchor(anchors[:, i], vs[:, i], float(gammas[i]), s_i, eta)
-    return refined, gram_drift(refined)
+    return refined
 
 
 def _intra_distance(rows: np.ndarray) -> float:

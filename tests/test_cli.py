@@ -1,6 +1,8 @@
+import codecs
 import json
 import operator
 import os
+import re
 import subprocess
 import sys
 
@@ -76,6 +78,23 @@ class TestConfigParsing:
         with pytest.raises(FileNotFoundError):
             parse_config_file("/nonexistent/c.cfg")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # the mark sits right before the first key
+        text = SMOKE.split("# smoke-test configuration\n")[1].encode()
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_bytes(text)
+        marked.write_bytes(codecs.BOM_UTF8 + text)
+        assert parse_config_file(marked) == parse_config_file(plain)
+        assert "federation.clients" in parse_config_file(marked)
+
+    def test_byte_order_mark_keeps_bad_byte_position(self, tmp_path):
+        path = tmp_path / "marked.cfg"
+        path.write_bytes(codecs.BOM_UTF8 + b"federation.seed = 1\n\xfffederation.clients = 3\n")
+        # the bad byte opens line 2, 3 + 20 bytes into the file
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: not UTF-8 text (")
+                           + r".* at byte 23\)$"):
+            parse_config_file(path)
+
     def test_readme_table_lists_exactly_the_schema_keys(self):
         text = open(os.path.join(REPO, "README.md"), encoding="utf-8").read()
         table = text.split("| key | default | meaning |\n|---|---|---|\n")[1].split("\n\n")[0]
@@ -95,6 +114,12 @@ class TestConfigParsing:
         for key, text in zip(keys, defaults, strict=True):
             parser, default = _CONFIG_SCHEMA[key]
             assert (None if text == "-" else parser(text)) == default, key
+
+    def test_readme_library_example_runs(self, capsys):
+        text = open(os.path.join(REPO, "README.md"), encoding="utf-8").read()
+        code = text.split("## Library entry points\n\n```python\n")[1].split("```")[0]
+        exec(compile(code, "README.md", "exec"), {})
+        assert 0.0 <= float(capsys.readouterr().out) <= 1.0
 
     def test_schema_defaults_are_the_library_defaults(self):
         # dataclass equality compares every field, the nested configs too

@@ -16,7 +16,6 @@ from fedcal.fedsim import (
     export_embeddings,
     export_history,
     import_history,
-    records_to_rows,
     run_client_round,
     run_federation,
     setup_federation,
@@ -28,6 +27,7 @@ from fedcal.refine import (
     SemanticReport,
     StructuralReport,
     refine_all_anchors,
+    template_objective,
     update_template,
 )
 
@@ -81,14 +81,14 @@ class TestRunFederation:
 
     def test_deterministic_across_runs(self):
         cfg = tiny_config()
-        rows_a = records_to_rows(run_federation(cfg).records)
-        rows_b = records_to_rows(run_federation(cfg).records)
+        rows_a = run_federation(cfg).records
+        rows_b = run_federation(cfg).records
         assert rows_a == rows_b
 
     def test_deterministic_across_thread_counts(self):
         cfg = tiny_config()
-        rows_a = records_to_rows(run_federation(cfg, threads=1).records)
-        rows_b = records_to_rows(run_federation(cfg, threads=4).records)
+        rows_a = run_federation(cfg, threads=1).records
+        rows_b = run_federation(cfg, threads=4).records
         assert rows_a == rows_b
 
     def test_single_client_anchors_follow_deviation(self):
@@ -105,18 +105,30 @@ class TestRunFederation:
             if np.linalg.norm(vs[:, i]) > 1e-3:
                 assert moved[:, i] @ vs[:, i] > 0.0
 
-    def test_round_record_fields(self):
+    def test_history_row_fields(self, monkeypatch):
+        import fedcal.fedsim as fedsim_mod
+
+        objectives = []
+
+        def recorded(reports, q, template):
+            objectives.append(template_objective(reports, q, template))
+            return objectives[-1]
+
+        monkeypatch.setattr(fedsim_mod, "template_objective", recorded)
         cfg = tiny_config()
-        recs = run_federation(cfg).records
-        assert len(recs) == 2
-        for r, rec in enumerate(recs):
-            assert rec.round_idx == r
-            assert len(rec.ce) == 3 and len(rec.test) == 3
-            assert all(v >= 0 for v in rec.ce)
-            assert all(v >= 0 for v in rec.sem)
-            assert all(v >= 0 for v in rec.stru)
-            assert rec.drift >= 0
-            assert len(rec.gw_objectives) == cfg.num_templates
+        rows = run_federation(cfg).records
+        assert [(row.round, row.client_id) for row in rows] == [
+            (r, c) for r in range(cfg.rounds) for c in range(cfg.num_clients)]
+        for row in rows:
+            assert row.ce_loss >= 0 and row.sem_loss >= 0 and row.str_loss >= 0
+            assert row.anchor_gram_drift >= 0
+            assert all(type(v) is float for v in dataclasses.astuple(row)[2:])
+        # each round's rows carry the mean of its templates' GW objectives
+        assert len(objectives) == cfg.rounds * cfg.num_templates
+        for r in range(cfg.rounds):
+            mean = float(np.mean(objectives[r * cfg.num_templates:
+                                            (r + 1) * cfg.num_templates]))
+            assert {row.gw_objective_mean for row in rows if row.round == r} == {mean}
 
     def test_within_round_loss_monotone(self):
         cfg = tiny_config(rounds=4, local_epochs=3, lr0=0.02)
@@ -161,11 +173,11 @@ class TestRunFederation:
             fedsim_mod.run_federation(cfg)
 
     def test_ablations_zero_their_terms(self):
-        recs_no_sem = run_federation(tiny_config(semantic_enabled=False)).records
-        assert all(v == 0.0 for rec in recs_no_sem for v in rec.sem)
-        recs_no_str = run_federation(tiny_config(structural_enabled=False)).records
-        assert all(v == 0.0 for rec in recs_no_str for v in rec.stru)
-        assert all(rec.gw_objectives == [] for rec in recs_no_str)
+        rows_no_sem = run_federation(tiny_config(semantic_enabled=False)).records
+        assert all(row.sem_loss == 0.0 for row in rows_no_sem)
+        rows_no_str = run_federation(tiny_config(structural_enabled=False)).records
+        assert all(row.str_loss == 0.0 for row in rows_no_str)
+        assert all(row.gw_objective_mean == 0.0 for row in rows_no_str)
 
     def test_frozen_refinement_keeps_anchors(self):
         cfg = tiny_config(refine_enabled=False)
@@ -183,12 +195,12 @@ class TestRunFederation:
         def one_round(anchors, templates):
             results = [run_client_round(c, anchors, templates, cfg, 0) for c in clients]
             str_reports = [r.structural_report for r in results]
-            refined, drift = refine_all_anchors(
+            refined = refine_all_anchors(
                 anchors, [r.semantic_report for r in results], cfg.refine_tau, cfg.refine_eta
             )
             new_templates = [update_template(q, str_reports, templates)
                              for q in range(cfg.num_templates)]
-            arrays = [refined, np.array(drift)] + new_templates
+            arrays = [refined] + new_templates
             for r in results:
                 arrays += [r.params.w_ego, r.params.w_cls, r.params.b_cls, r.rotation,
                            r.semantic_report.k, r.semantic_report.per_class_loss,
@@ -416,17 +428,22 @@ class TestExports:
         assert text.startswith("round,client_id,ce_loss")
         assert import_history(path) == []
 
-    def test_row_count_and_round_trip(self, tmp_path):
-        cfg = tiny_config(rounds=3)
-        records = run_federation(cfg).records
+    @pytest.mark.parametrize("threads, kw", [
+        (1, {}), (2, {}), (1, dict(structural_enabled=False)),
+    ], ids=["threads-1", "threads-2", "ablate-structural"])
+    def test_row_count_and_round_trip(self, tmp_path, threads, kw):
+        cfg = tiny_config(rounds=3, **kw)
+        records = run_federation(cfg, threads=threads).records
         path = tmp_path / "h.csv"
         export_history(records, path)
         rows = import_history(path)
         assert len(rows) == 3 * cfg.num_clients
-        assert rows == records_to_rows(records)
+        assert rows == records
+        if not cfg.structural_enabled:
+            assert all(row.gw_objective_mean == 0.0 for row in rows)
         # exporting the re-import compares byte-identical
         path2 = tmp_path / "h2.csv"
-        export_history(records, path2)
+        export_history(rows, path2)
         assert path.read_bytes() == path2.read_bytes()
 
     def test_import_rejects_wrong_header(self, tmp_path):

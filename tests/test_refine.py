@@ -182,9 +182,9 @@ class TestRefineAllAnchors:
     def test_exact_etf_zero_deviation_is_fixed_point(self):
         anchors = construct_etf(4, 6, seed=12)
         reports = [report_at_anchors(anchors) for _ in range(3)]
-        refined, drift = refine_all_anchors(anchors, reports, 1.0, 0.1)
+        refined = refine_all_anchors(anchors, reports, 1.0, 0.1)
         assert np.abs(refined - anchors).max() <= 1e-12
-        assert drift <= 1e-9
+        assert gram_drift(refined) <= 1e-9
 
     def test_unit_norms_after_noisy_round(self):
         rng = np.random.default_rng(13)
@@ -194,10 +194,11 @@ class TestRefineAllAnchors:
             rep = report_at_anchors(anchors, loss=rng.random())
             rep.k += rng.standard_normal(rep.k.shape) * 0.2
             reports.append(rep)
-        refined, drift = refine_all_anchors(anchors, reports, 1.0, 0.1)
+        refined = refine_all_anchors(anchors, reports, 1.0, 0.1)
+        assert refined.shape == anchors.shape
         norms = np.linalg.norm(refined, axis=0)
         assert np.abs(norms - 1.0).max() <= 1e-12
-        assert drift >= 0.0
+        assert gram_drift(refined) >= 0.0
 
     def test_drift_bounded_by_two_eta(self):
         rng = np.random.default_rng(14)
@@ -209,15 +210,15 @@ class TestRefineAllAnchors:
             rep = report_at_anchors(anchors, loss=rng.random())
             rep.k += rng.standard_normal(rep.k.shape) * 0.5
             reports.append(rep)
-        refined, drift = refine_all_anchors(anchors, reports, 1.0, eta)
-        assert drift <= before + 2 * eta + 1e-9
+        refined = refine_all_anchors(anchors, reports, 1.0, eta)
+        assert gram_drift(refined) <= before + 2 * eta + 1e-9
 
     def test_unreported_class_unchanged(self):
         anchors = construct_etf(3, 5, seed=15)
         rep = report_at_anchors(anchors)
         rep.present_mask[1] = False
         rep.k[:, 0] += 0.3
-        refined, _ = refine_all_anchors(anchors, [rep], 1.0, 0.1)
+        refined = refine_all_anchors(anchors, [rep], 1.0, 0.1)
         assert np.array_equal(refined[:, 1], anchors[:, 1])
         assert not np.allclose(refined[:, 0], anchors[:, 0])
 
@@ -228,7 +229,7 @@ class TestRefineAllAnchors:
         offset = rng.standard_normal(4) * 0.4
         rep.k[:, 0] += offset
         vs = deviation_vectors([rep], anchors)
-        refined, _ = refine_all_anchors(anchors, [rep], 1.0, 0.1)
+        refined = refine_all_anchors(anchors, [rep], 1.0, 0.1)
         moved = refined[:, 0] - anchors[:, 0]
         assert moved @ vs[:, 0] > 0.0
 
