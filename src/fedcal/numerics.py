@@ -78,14 +78,20 @@ def l2_normalize_rows(m) -> np.ndarray:
     if a.ndim != 2:
         raise ValueError(f"m must be a 2-D matrix, got ndim={a.ndim}")
     sq = np.add.reduce(a * a, axis=1)               # np.linalg.norm(a, axis=1) ** 2
+    # the checks read sq as a list: callers pass a row pair, and on two
+    # floats one numpy reduction costs more than the whole list
+    rows = sq.tolist()
     # a NaN or inf entry makes the total non-finite; so can finite rows whose
     # squares overflow, which take their norms after division by their max-abs entry
-    if not math.isfinite(np.add.reduce(sq)):
+    if not math.isfinite(sum(rows)):
         if not np.isfinite(a).all():
             raise ValueError("m contains non-finite entries")
         a = a / np.where(np.isinf(sq), np.abs(a).max(axis=1), 1.0)[:, None]
         sq = np.add.reduce(a * a, axis=1)
+        rows = sq.tolist()
     norms = np.sqrt(sq)
+    if 0.0 not in rows:                             # no zero row: no mask needed
+        return a / norms[:, None]
     return np.divide(a, norms[:, None], out=a.copy(), where=norms[:, None] > 0.0)
 
 

@@ -13,7 +13,19 @@ Sinkhorn works on the log-kernel transposed to a C-ordered (Q, B) array
 and calls numpy's ufuncs directly, because with B in the hundreds and Q
 of a few, per-call overhead outweighs the arithmetic. Its results are
 bit for bit those of the (B, Q) loop over scipy.special.logsumexp: every
-sum runs in the order numpy gives it on the (B, Q) layout.
+sum runs in the order numpy gives it on the (B, Q) layout, and each
+shortcut drops only operations that change no bit:
+
+- SciPy sets each line's maxima to -inf, so they add exp(-inf) = +0.0
+  to the sum. Here they are exponentiated with the other terms and then
+  overwritten with +0.0 under the tie mask, so the sum is the same.
+- SciPy divides that sum by the count of maxima and adds log(count).
+  With one maximum on every line the count is 1: rest / 1 is rest, and
+  log(1) = +0.0 leaves log1p(rest) >= 0 as it is, so both are skipped.
+- With Q = 2, each line over the templates sums 0 and exp(lo - hi), so
+  SciPy's value is log1p(exp(lo - hi)) + hi. At a tie SciPy gives
+  log1p(0) + log(2) + hi and the closed form log1p(1) + hi, the same
+  bits because np.log1p(1.0) == np.log(2.0), which the tests pin.
 """
 
 from __future__ import annotations
@@ -127,14 +139,25 @@ def _sum_over_q(t: np.ndarray) -> np.ndarray:
 
 
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
-    """``scipy.special.logsumexp(x, axis)`` of a finite (Q, B) array, bit for bit."""
+    """Bit for bit ``scipy.special.logsumexp`` over axis of a finite (Q, B)
+    array, as SciPy computes it on the C-ordered (B, Q) transpose."""
+    if axis == 0 and len(x) == 2:                    # Q = 2: closed form, ties included
+        x0, x1 = x
+        hi = np.maximum(x0, x1)
+        t = np.minimum(x0, x1)
+        np.subtract(t, hi, out=t)
+        np.exp(t, out=t)
+        np.log1p(t, out=t)
+        return np.add(t, hi, out=t)
     top = np.maximum.reduce(x, axis=axis, keepdims=True)
     diff = x - top
     ties = diff == 0.0                               # the maxima, ties included
-    count = np.add.reduce(ties, axis=axis, dtype=np.float64)
     terms = np.exp(diff, out=diff)
-    terms[ties] = 0.0
+    np.copyto(terms, 0.0, where=ties)                # SciPy's exp(-inf) at the maxima
     rest = _sum_over_b(terms) if axis == 1 else _sum_over_q(terms)
+    if np.count_nonzero(ties) == top.size:           # one maximum on every line
+        return np.log1p(rest) + top.ravel()
+    count = np.add.reduce(ties, axis=axis, dtype=np.float64)
     # count >= 1, so rest / count is SciPy's where(rest == 0, rest, rest / count)
     return np.log1p(rest / count) + np.log(count) + top.ravel()
 
@@ -158,7 +181,11 @@ def sinkhorn_match(radials, templates: np.ndarray, epsilon: float = 0.05,
     the order numpy gives the same sum over the (B, Q) layout (see
     _sum_over_b and _sum_over_q), so f, the iteration count and the
     trace equal those of the (B, Q) loop over scipy.special.logsumexp
-    bit for bit.
+    bit for bit. Two trims keep those bits (see the module docstring):
+    no count of maxima when every line has one, since a count of 1 adds
+    log(1) = +0.0; and, with Q = 2, the closed form
+    log1p(exp(lo - hi)) + hi for the u-update over templates, where a
+    tie gives log1p(1) + hi = log(2) + hi.
     """
     radials = np.asarray(radials, dtype=np.float64)
     if epsilon <= 0:
@@ -186,9 +213,10 @@ def sinkhorn_match(radials, templates: np.ndarray, epsilon: float = 0.05,
     converged = False
     for iters in range(1, max_iters + 1):
         v = log_b - _logsumexp(u_kernel, 1)
-        u = log_a - _logsumexp(kernel + v[:, None], 0)
+        v_col = v[:, None]
+        u = log_a - _logsumexp(kernel + v_col, 0)
         u_kernel = u + kernel
-        coupling = np.exp(u_kernel + v[:, None])
+        coupling = np.exp(u_kernel + v_col)
         if debug:
             # dual of the entropic problem, in the scaled-cost units; the
             # total runs over the coupling in its (B, Q) order

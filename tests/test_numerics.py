@@ -137,6 +137,24 @@ class TestL2NormalizeRows:
         expected[norms > 0] = m[norms > 0] / norms[norms > 0, None]
         assert np.array_equal(l2_normalize_rows(m), expected)
 
+    def test_empty_input_keeps_its_shape(self):
+        assert l2_normalize_rows(np.zeros((0, 5))).shape == (0, 5)
+
+    def test_without_zero_rows_equals_linalg_norm_division_bitwise(self):
+        # the unmasked division; the test above, with zero rows, the masked one
+        rng = np.random.default_rng(7)
+        m = rng.standard_normal((40, 8)) * rng.uniform(0.01, 100, (40, 1))
+        assert np.array_equal(l2_normalize_rows(m), m / np.linalg.norm(m, axis=1)[:, None])
+
+    @pytest.mark.parametrize("zero_rows", [[], [1]])
+    def test_writing_the_result_leaves_the_input(self, zero_rows):
+        m = np.arange(1.0, 13.0).reshape(4, 3)
+        m[zero_rows] = 0.0
+        before = m.copy()
+        out = l2_normalize_rows(m)
+        out[...] = 7.0
+        assert np.array_equal(m, before)
+
     def test_overflowing_squares_accepted_as_linalg_norm_division(self):
         # rows near 1e200 overflow their squares, rows near 1e153 only the
         # total of all squares; both are finite input and must pass

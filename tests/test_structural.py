@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
 from fedcal.graph import Graph, HopAggregator, generate_sbm
-from fedcal.numerics import random_orthogonal
+from fedcal.numerics import l2_normalize_rows, random_orthogonal
 from fedcal.structural import (
     MatchingMatrix,
+    _logsumexp,
     init_templates,
     ot_distance,
     radial_sequences_from_rings,
@@ -107,6 +108,21 @@ class TestRadialSequence:
         for v in range(30):
             slow = radial_sequence(g, ego, v)
             assert np.abs(slow - fast[v]).max() <= 1e-12
+
+    def test_equals_one_normalize_over_the_stacked_rows(self):
+        # one (2B, d) call gives each pair's bits, zero ring rows included
+        rng = np.random.default_rng(21)
+        n, d = 50, 6
+        for _ in range(20):
+            hop1 = rng.standard_normal((n, d)) * rng.uniform(0.01, 100, (n, 1))
+            hop2 = rng.standard_normal((n, d)) * rng.uniform(0.01, 100, (n, 1))
+            hop1[[3, 9]] = 0.0
+            hop2[[9, 14]] = 0.0
+            batch = np.concatenate([[3, 9, 14], rng.choice(np.arange(15, n), 20, replace=False)])
+            rng.shuffle(batch)
+            stacked = np.stack([hop1[batch], hop2[batch]], axis=1).reshape(-1, d)
+            expected = l2_normalize_rows(stacked).reshape(len(batch), 2, d)
+            assert np.array_equal(radial_sequences_from_rings(hop1, hop2, batch), expected)
 
     def test_rows_unit_norm(self):
         g = generate_sbm(20, 2, 0.2, 0.1, 3, 1.0, seed=1)
@@ -325,6 +341,20 @@ class TestSinkhornReference:
         if debug:
             assert np.array_equal(match.objective_trace, trace)
 
+    @pytest.mark.parametrize("nb", [1, 2, 7, 8, 9, 160, 300])
+    def test_tied_template_pair_equals_untrimmed_loop(self, nb):
+        # two equal templates tie every line of the Q = 2 closed form
+        radials = random_radials(nb, 4, seed=nb * 100 + 2)
+        radials[nb // 2:] = radials[:nb - nb // 2]
+        templates = init_templates(2, 4, seed=2)
+        templates[1] = templates[0]
+        match = sinkhorn_match(radials, templates, debug=True)
+        f, iters, converged, trace = reference_sinkhorn(radials, templates, 0.05, 500,
+                                                        1e-6, True)
+        assert np.array_equal(match.f, f)
+        assert (match.iterations, match.converged) == (iters, converged)
+        assert np.array_equal(match.objective_trace, trace)
+
     def test_zero_cost_equals_untrimmed_loop(self):
         radials = np.tile(np.eye(2, 3)[None], (4, 1, 1))
         templates = np.tile(np.eye(2, 3)[None], (3, 1, 1))
@@ -333,6 +363,43 @@ class TestSinkhornReference:
                                                     1e-6, False)
         assert np.array_equal(match.f, f)
         assert (match.iterations, match.converged) == (iters, converged)
+
+
+class TestLogsumexp:
+    @staticmethod
+    def tied(nq, nb, axis, seed):
+        """A (Q, B) array whose even lines along the other axis repeat
+        their maximum along axis; with axis=None, no injected ties."""
+        x = np.random.default_rng(seed).standard_normal((nq, nb)) * 3.0
+        if axis == 0 and nq >= 2:
+            x[-1, ::2] = x[:-1, ::2].max(axis=0)
+        if axis == 1 and nb >= 2:
+            x[::2, -1] = x[::2, :-1].max(axis=1)
+        return x
+
+    @pytest.mark.parametrize("tie_axis", [None, 0, 1])
+    @pytest.mark.parametrize("nq", [1, 2, 3, 7, 8, 9, 12])
+    def test_equals_scipy_on_the_batch_major_layout(self, nq, tie_axis):
+        # sinkhorn_match's (Q, B) array is the transpose of SciPy's (B, Q) one
+        for nb in [1, 2, 7, 8, 9, 160, 300]:
+            x = self.tied(nq, nb, tie_axis, seed=nq * 1000 + nb)
+            batch_major = np.ascontiguousarray(x.T)
+            for axis in (0, 1):                       # axis 0 with Q = 2 is the pair form
+                expected = scipy_logsumexp(batch_major, axis=1 - axis)
+                assert np.array_equal(_logsumexp(x, axis), expected)
+
+    @pytest.mark.parametrize("nb", [1, 2, 7, 8, 9, 160, 300])
+    def test_pair_form_with_every_line_tied(self, nb):
+        x = self.tied(2, nb, None, seed=nb)
+        x[1] = x[0]
+        expected = scipy_logsumexp(np.ascontiguousarray(x.T), axis=1)
+        assert np.array_equal(_logsumexp(x, 0), expected)
+
+    def test_log1p_of_one_is_log_two(self):
+        # the pair form's value at a tie, log1p(1) + hi, is SciPy's
+        # log1p(0) + log(2) + hi only while these bits agree
+        for size in [1, 2, 3, 7, 8, 9, 16, 17, 160]:
+            assert np.array_equal(np.log1p(np.ones(size)), np.log(np.full(size, 2.0)))
 
 
 class TestStructuralLoss:
