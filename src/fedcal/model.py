@@ -43,8 +43,8 @@ class ModelParams:
 @dataclass
 class ForwardCache:
     """Per-node activations kept for backprop, ring means zero off agg.rows;
-    total_loss reads the head's blocks on agg.rows only (tanh' reuses ego
-    directly, so no pre-activation tensor is needed)."""
+    total_loss gathers the head's blocks at agg.rows, every row for a full
+    aggregator (tanh' reuses ego, so no pre-activation tensor is needed)."""
 
     ego: np.ndarray      # (n, d)
     hop1: np.ndarray     # (n, d)
@@ -108,18 +108,18 @@ def total_loss(params: ModelParams, g: Graph, anchors: np.ndarray,
     drops the semantic term and matching=None the structural term (the
     CE term is always present), which is how ablations run. agg is g's
     ring operator with rows covering train and batch nodes. The CE gradient
-    is zero off agg.rows, so the classifier-head gradients are taken on
-    those rows alone, with the same bits; the structural term reuses the
-    forward's ring means. Returns (total, (ce, semantic,
-    structural), grads), grads a ModelParams of gradients; the calibration
-    terms reach only w_ego, the CE term also reaches the classifier.
+    is zero off agg.rows, so the classifier-head gradients are taken on the
+    rows gathered at agg.rows (every row for a full aggregator), with the
+    same bits; the structural term reuses the forward's ring means. Returns
+    (total, (ce, semantic, structural), grads), grads a ModelParams of
+    gradients; the calibration terms reach only w_ego, the CE term also
+    reaches the classifier.
     """
     cache = forward(params, g, agg)
     d = cache.ego.shape[1]
 
     ce, g_logits = cross_entropy(cache.logits, g.labels, g.train_mask)
-    # g_logits is zero off agg.rows: the head reads those rows, or all as views
-    at = agg.rows if len(agg.rows) < g.num_nodes else slice(None)
+    at = agg.rows                                  # g_logits is zero off these rows
     blocks = np.hstack([cache.ego[at], cache.hop1[at], cache.hop2[at]])
     g_head = g_logits[at]
     g_wcls = blocks.T @ g_head

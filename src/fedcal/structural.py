@@ -109,18 +109,29 @@ def ot_distance(a, b) -> float:
 
 
 def _coupling_costs(rows: np.ndarray, templates: np.ndarray):
-    """(keep, swap) coupling costs for all radials x templates at once.
+    """Keep and swap pairing differences of all radials x templates at once.
 
-    rows is (B, 2, d) and templates (Q, 2, d); returns two (B, Q) arrays
-    of total squared distances under the identity and swapped row pairings.
+    rows is (B, 2, d) and templates (Q, 2, d), finite, B, Q >= 1; returns the
+    (B, Q, 2, d) differences rows - templates under the identity and the
+    swapped row pairing, then their (B, Q) squared sums.
     """
+    rows = np.asarray(rows, dtype=np.float64)
+    templates = np.asarray(templates, dtype=np.float64)
+    if (rows.ndim != 3 or rows.shape[1] != 2 or templates.shape[1:] != rows.shape[1:]
+            or len(rows) == 0 or len(templates) == 0):
+        raise ValueError(f"expected (B, 2, d) radials and (Q, 2, d) templates with B, Q >= 1, "
+                         f"got {rows.shape} and {templates.shape}")
+    for name, x in (("radials", rows), ("templates", templates)):
+        if not np.isfinite(x).all():
+            raise ValueError(f"{name} hold a non-finite value")
     diff_keep = rows[:, None, :, :] - templates[None, :, :, :]
     diff_swap = rows[:, None, :, :] - templates[None, :, ::-1, :]
-    return (diff_keep ** 2).sum(axis=(2, 3)), (diff_swap ** 2).sum(axis=(2, 3))
+    keep, swap = (diff_keep ** 2).sum(axis=(2, 3)), (diff_swap ** 2).sum(axis=(2, 3))
+    return diff_keep, diff_swap, keep, swap
 
 
 def _cost_matrix(radials: np.ndarray, templates: np.ndarray) -> np.ndarray:
-    keep, swap = _coupling_costs(radials, templates)
+    *_, keep, swap = _coupling_costs(radials, templates)
     return 0.5 * np.minimum(keep, swap)
 
 
@@ -187,16 +198,12 @@ def sinkhorn_match(radials, templates: np.ndarray, epsilon: float = 0.05,
     log1p(exp(lo - hi)) + hi for the u-update over templates, where a
     tie gives log1p(1) + hi = log(2) + hi.
     """
-    radials = np.asarray(radials, dtype=np.float64)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if max_iters < 1 or tol <= 0:
         raise ValueError(f"need max_iters >= 1 and tol > 0, got {max_iters}, {tol}")
-    nb = len(radials)
-    nq = len(templates)
-    if nb == 0:
-        raise ValueError("need at least one radial sequence")
     cost = _cost_matrix(radials, templates)
+    nb, nq = cost.shape
     mean = cost.mean()
     scaled = cost / mean if mean > 0 else cost
     log_kernel = -scaled / epsilon
@@ -241,21 +248,19 @@ def structural_loss(matching: MatchingMatrix, radials, templates: np.ndarray):
     The optimal permutation of every pair is held fixed (identity at
     ties), giving the deterministic subgradient
     d loss / d row = (1/B) sum_q f[b,q] (row - matched template row).
+    The costs and the matched differences both come from the keep and
+    swap pairing differences of _coupling_costs, built once.
     """
-    rows = np.asarray(radials, dtype=np.float64)       # (B, 2, d)
     f = matching.f
-    nb = len(rows)
+    nb = len(radials)
     if f.shape != (nb, len(templates)):
         raise ValueError(
             f"matching shape {f.shape} does not fit B={nb}, Q={len(templates)}"
         )
-    keep, swap = _coupling_costs(rows, templates)
+    diff_keep, diff_swap, keep, swap = _coupling_costs(radials, templates)
     swapped = swap < keep                              # ties keep the identity
     loss = float((f * 0.5 * np.minimum(keep, swap)).sum() / nb)
-
-    t_keep = np.broadcast_to(templates[None], (nb,) + templates.shape)
-    t_perm = np.where(swapped[:, :, None, None], t_keep[:, :, ::-1, :], t_keep)
-    diff = rows[:, None, :, :] - t_perm                # (B, Q, 2, d)
+    diff = np.where(swapped[:, :, None, None], diff_swap, diff_keep)
     grad_rows = (f[:, :, None, None] * diff).sum(axis=1) / nb
     return loss, grad_rows
 

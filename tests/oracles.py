@@ -5,7 +5,9 @@ operators (graph.HopAggregator) and normalizes a batch of them
 (structural.radial_sequences_from_rings); these walk one node's
 neighbourhood at a time instead. The partition reference runs the
 partitioner's two loops on numpy arrays and scalars, where the library
-runs them on plain per-node lists.
+runs them on plain per-node lists. The structural-loss reference scores
+one (radial, template) pair at a time, where the library scores all
+pairs from one (B, Q, 2, d) array of pairing differences.
 """
 
 from collections import deque
@@ -97,3 +99,24 @@ def partition_node_ids(g: Graph, m: int, seed) -> list:
                 sizes[cur] -= 1
                 sizes[best] += 1
     return [g.node_ids[owner == p] for p in range(m)]
+
+
+def structural_loss_pairs(f: np.ndarray, radials: np.ndarray, templates: np.ndarray):
+    """(loss, row gradient) of structural.structural_loss, one (b, q) at a time.
+
+    Each pair takes the cheaper of the identity and the swapped row
+    pairing, the identity on ties. The gradient of radial b sums
+    f[b, q] * (row - matched template row) over q in template order; loss
+    and gradient are divided by B.
+    """
+    nb, nq = f.shape
+    loss = 0.0
+    grad = np.zeros((nb, 2, radials.shape[2]))
+    for b in range(nb):
+        for q in range(nq):
+            keep = float(((radials[b] - templates[q]) ** 2).sum())
+            swap = float(((radials[b] - templates[q][::-1]) ** 2).sum())
+            matched = templates[q][::-1] if swap < keep else templates[q]
+            loss += f[b, q] * 0.5 * min(keep, swap)
+            grad[b] += f[b, q] * (radials[b] - matched)
+    return loss / nb, grad / nb

@@ -331,6 +331,7 @@ class TestCriterion6AnchorRefinement:
                f"<= eta, fixed-point err {fixed_err:.1e}")
 
 
+@pytest.mark.slow
 class TestCriterion7Convergence:
     def test_calibration_loss_converges(self):
         start = time.time()
@@ -356,6 +357,7 @@ class TestCriterion7Convergence:
                f"{elapsed:.0f}s")
 
 
+@pytest.mark.slow
 class TestCriterion8AblationTrend:
     def test_full_method_tops_ablations(self):
         start = time.time()
@@ -381,6 +383,7 @@ class TestCriterion8AblationTrend:
                + f", {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 class TestCriterion9BaselineTrend:
     def test_full_method_tops_local_training(self):
         start = time.time()

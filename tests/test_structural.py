@@ -17,7 +17,7 @@ from fedcal.structural import (
     structural_loss,
     structural_loss_ego,
 )
-from oracles import radial_sequence
+from oracles import radial_sequence, structural_loss_pairs
 
 
 def star_graph(leaves, feat_dim=3):
@@ -443,6 +443,81 @@ class TestStructuralLoss:
             down, _ = structural_loss(match, plus, templates)
             num = (up - down) / (2 * eps)
             assert abs(num - grad[b, r, j]) / max(abs(num), 1e-8) <= 1e-4
+
+    @staticmethod
+    def loss_inputs(kind, nb, nq, seed):
+        """(f, radials, templates): unit rows, small integers with a planted
+        tie whose two pairings differ, or every radial and template made of
+        two equal rows, so that keep equals swap on every pair."""
+        rng = np.random.default_rng(seed)
+        f = rng.dirichlet(np.ones(nq), size=nb)
+        if kind == "unit":
+            return f, random_radials(nb, 4, seed), init_templates(nq, 4, seed)
+        if kind == "integer":
+            radials = rng.integers(-2, 3, (nb, 2, 4)).astype(np.float64)
+            templates = rng.integers(-2, 3, (nq, 2, 4)).astype(np.float64)
+            # keep = swap = 4, and the two pairings match different rows
+            radials[0] = [[1, 0, 0, 0], [0, 1, 0, 0]]
+            templates[0] = [[0, 0, 1, 0], [0, 0, -1, 0]]
+            return f, radials, templates
+        radials = np.repeat(rng.standard_normal((nb, 1, 4)), 2, axis=1)
+        templates = np.repeat(rng.standard_normal((nq, 1, 4)), 2, axis=1)
+        return f, radials, templates
+
+    @pytest.mark.parametrize("kind", ["unit", "integer", "all_tied"])
+    @pytest.mark.parametrize("nq", [1, 2, 3, 9])
+    @pytest.mark.parametrize("nb", [1, 7, 160])
+    def test_equals_per_pair_reference(self, kind, nb, nq):
+        f, radials, templates = self.loss_inputs(kind, nb, nq, seed=100 * nb + nq)
+        loss, grad = structural_loss(MatchingMatrix(f=f), radials, templates)
+        ref_loss, ref_grad = structural_loss_pairs(f, radials, templates)
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=0.0)
+
+
+class TestPairingInputCheck:
+    """sinkhorn_match and structural_loss share one check of their inputs."""
+
+    @staticmethod
+    def call(name, radials, templates):
+        if name == "sinkhorn_match":
+            return sinkhorn_match(radials, templates)
+        f = np.ones((len(radials), len(templates)))
+        return structural_loss(MatchingMatrix(f=f), radials, templates)
+
+    @pytest.mark.parametrize("name", ["sinkhorn_match", "structural_loss"])
+    def test_rejects_zero_templates(self, name):
+        with pytest.raises(ValueError, match=r"\(4, 2, 3\) and \(0, 2, 3\)"):
+            self.call(name, random_radials(4, 3, seed=20), np.zeros((0, 2, 3)))
+
+    @pytest.mark.parametrize("name", ["sinkhorn_match", "structural_loss"])
+    def test_rejects_zero_radials(self, name):
+        with pytest.raises(ValueError, match=r"\(0, 2, 3\) and \(2, 2, 3\)"):
+            self.call(name, np.zeros((0, 2, 3)), init_templates(2, 3, seed=20))
+
+    @pytest.mark.parametrize("name", ["sinkhorn_match", "structural_loss"])
+    def test_rejects_three_row_sequences(self, name):
+        rng = np.random.default_rng(21)
+        radials, templates = rng.standard_normal((5, 3, 4)), rng.standard_normal((2, 3, 4))
+        with pytest.raises(ValueError, match=r"\(5, 3, 4\) and \(2, 3, 4\)"):
+            self.call(name, radials, templates)
+
+    @pytest.mark.parametrize("name", ["sinkhorn_match", "structural_loss"])
+    def test_rejects_mismatched_dimension(self, name):
+        with pytest.raises(ValueError, match=r"\(4, 2, 3\) and \(2, 2, 5\)"):
+            self.call(name, random_radials(4, 3, seed=22), init_templates(2, 5, seed=22))
+
+    @pytest.mark.parametrize("name", ["sinkhorn_match", "structural_loss"])
+    def test_rejects_all_nan_radials_naming_them(self, name):
+        with pytest.raises(ValueError, match="radials hold a non-finite value"):
+            self.call(name, np.full((4, 2, 3), np.nan), init_templates(2, 3, seed=23))
+
+    @pytest.mark.parametrize("name", ["sinkhorn_match", "structural_loss"])
+    def test_rejects_infinite_template_naming_it(self, name):
+        templates = init_templates(2, 3, seed=24)
+        templates[1, 0, 2] = -np.inf
+        with pytest.raises(ValueError, match="templates hold a non-finite value"):
+            self.call(name, random_radials(4, 3, seed=24), templates)
 
 
 class TestStructuralLossEgo:
