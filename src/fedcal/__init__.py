@@ -7,7 +7,6 @@ refines both global manifolds every round from uploaded statistics.
 """
 
 from .fedsim import (
-    DatasetSpec,
     FederationConfig,
     FederationResult,
     evaluate,
@@ -17,7 +16,6 @@ from .graph import Graph
 from .semantic import construct_etf
 
 __all__ = [
-    "DatasetSpec",
     "FederationConfig",
     "FederationResult",
     "Graph",

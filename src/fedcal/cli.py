@@ -9,8 +9,8 @@ Commands:
 
 Configs are flat text files, one ``section.key = value`` per line, ``#``
 starting a comment line. Unknown keys are rejected. Each key but output.*
-is declared, with its default, on the FederationConfig or DatasetSpec
-field it sets; the README lists them all.
+is declared, with its default, on the one FederationConfig field it sets;
+the README lists them all.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from dataclasses import fields
 import numpy as np
 
 from .fedsim import (
-    DatasetSpec,
     FederationConfig,
     FederationError,
     build_dataset,
@@ -40,6 +39,9 @@ from .model import ModelParams
 
 __all__ = ["main", "parse_config_file", "build_run_config", "save_params", "load_params"]
 
+# what --ablate may disable, in the order summary.json records them
+_MECHANISMS = ("semantic", "structural", "refinement")
+
 
 def _parse_bool(s: str) -> bool:
     if s.lower() in ("true", "1", "yes"):
@@ -49,9 +51,8 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"expected a boolean, got {s!r}")
 
 
-def _keyed_fields(config_class):
-    """The fields of a config dataclass that a config key sets."""
-    return [f for f in fields(config_class) if "key" in f.metadata]
+# the FederationConfig fields that a config key sets
+_KEYED_FIELDS = [f for f in fields(FederationConfig) if "key" in f.metadata]
 
 
 def _parser(default):
@@ -63,9 +64,7 @@ def _parser(default):
 
 # key -> (parser, default); None default means "no entry unless given"
 _CONFIG_SCHEMA = {
-    **{f.metadata["key"]: (_parser(f.default), f.default)
-       for config_class in (FederationConfig, DatasetSpec)
-       for f in _keyed_fields(config_class)},
+    **{f.metadata["key"]: (_parser(f.default), f.default) for f in _KEYED_FIELDS},
     "output.dir": (str, "out"),
     "output.embeddings": (_parse_bool, False),
 }
@@ -100,18 +99,12 @@ class RunConfig:
     def __getitem__(self, key):
         return self.values[key]
 
-    def _keyed(self, config_class) -> dict:
-        """config_class's keyed fields, each holding its key's value."""
-        return {f.name: self.values[f.metadata["key"]] for f in _keyed_fields(config_class)}
-
     def federation_config(self, seed=None, ablate=()) -> FederationConfig:
-        dataset = DatasetSpec(**self._keyed(DatasetSpec))
-        settings = self._keyed(FederationConfig)
+        settings = {f.name: self.values[f.metadata["key"]] for f in _KEYED_FIELDS}
         if seed is not None:
             settings["seed"] = int(seed)
         return FederationConfig(
             **settings,
-            dataset=dataset,
             semantic_enabled="semantic" not in ablate,
             structural_enabled="structural" not in ablate,
             refine_enabled="refinement" not in ablate,
@@ -238,7 +231,7 @@ def cmd_run(args) -> int:
     if args.threads < 1:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
     cfg = build_run_config(parse_config_file(args.config))
-    ablate = tuple(args.ablate or ())
+    ablate = tuple(m for m in _MECHANISMS if m in (args.ablate or ()))
     fed = cfg.federation_config(seed=args.seed, ablate=ablate)
     out = _out_dir(args, cfg)
     result = run_federation(fed, threads=args.threads)
@@ -347,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--ablate", action="append",
-                   choices=["semantic", "structural", "refinement"],
+                   choices=_MECHANISMS,
                    help="disable one mechanism (repeatable)")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None)

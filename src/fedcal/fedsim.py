@@ -56,7 +56,6 @@ from .structural import (
 )
 
 __all__ = [
-    "DatasetSpec",
     "FederationConfig",
     "ClientState",
     "HistoryRow",
@@ -81,7 +80,7 @@ class FederationError(RuntimeError):
     pass
 
 
-# Each config dataclass field that a config key sets carries the key, so the
+# Each FederationConfig field that a config key sets carries the key, so the
 # CLI's schema, its key-to-field mapping and the keys errors name are read here.
 def config_key(key: str, default):
     """A dataclass field that the config key ``key`` sets, ``default`` when unset."""
@@ -93,50 +92,38 @@ def key_of(config, name: str) -> str:
     return config.__dataclass_fields__[name].metadata["key"]
 
 
-@dataclass
-class DatasetSpec:
-    """Where the root graph comes from: a seeded generator or three files."""
+_INTP_MAX = int(np.iinfo(np.intp).max)       # the largest array dimension numpy takes
 
-    kind: str = config_key("dataset.kind", "synthetic")      # "synthetic" | "files"
-    nodes: int = config_key("dataset.nodes", 600)
-    p_in: float = config_key("dataset.p_in", 0.1)
-    p_out: float = config_key("dataset.p_out", 0.01)
-    feat_dim: int = config_key("dataset.feat_dim", 16)
-    feat_sep: float = config_key("dataset.feat_sep", 1.0)
-    edges_path: str = config_key("dataset.edges", None)
-    features_path: str = config_key("dataset.features", None)
-    labels_path: str = config_key("dataset.labels", None)
-    train_ratio: float = config_key("split.train", 0.2)
-    val_ratio: float = config_key("split.val", 0.4)
-    test_ratio: float = config_key("split.test", 0.4)
-
-    def __post_init__(self):
-        if self.kind not in ("synthetic", "files"):
-            raise ValueError(f"dataset.kind must be synthetic or files, got {self.kind!r}")
-        if self.kind == "files":
-            missing = [key_of(self, name) for name in ("edges_path", "features_path",
-                                                       "labels_path")
-                       if getattr(self, name) is None]
-            if missing:
-                raise ValueError(f"dataset.kind = files needs {', '.join(missing)}")
-        else:
-            # (lower, upper) per generator setting; NaN fails every comparison
-            for name, lo, hi in (("nodes", 1, np.inf), ("feat_dim", 1, np.inf),
-                                 ("p_in", 0.0, 1.0), ("p_out", 0.0, 1.0),
-                                 ("feat_sep", 0.0, np.inf)):
-                value = getattr(self, name)
-                if not (lo <= value <= hi and np.isfinite(value)):
-                    raise ValueError(f"{key_of(self, name)} must be finite and in "
-                                     f"[{lo}, {hi}], got {value}")
-        # a zero ratio seats no node, and every round reads all three splits
-        ratios = (self.train_ratio, self.val_ratio, self.test_ratio)
-        if not all(r > 0 for r in ratios) or not sum(ratios) <= 1.0 + 1e-12:
-            raise ValueError(f"split.train, split.val and split.test must be positive "
-                             f"ratios summing to at most 1, got {ratios}")
+# Each key's own bound as (fields, test, wording). The tests only compare, so
+# NaN fails each one and an int beyond int64 is compared exactly.
+_BOUNDS = (
+    (("num_clients", "local_epochs", "batch_nodes", "sinkhorn_iters"),
+     lambda v: v >= 1, ">= 1"),
+    (("embed_dim", "num_templates"), lambda v: 1 <= v <= _INTP_MAX, f"in [1, {_INTP_MAX}]"),
+    (("num_classes",), lambda v: v >= 2, ">= 2"),
+    (("rounds", "seed"), lambda v: v >= 0, ">= 0"),
+    (("lr_decay_steps", "sinkhorn_epsilon", "sinkhorn_tol"), lambda v: v > 0, "> 0"),
+    (("lr0", "refine_tau", "refine_eta"), lambda v: 0 < v < np.inf, "finite and > 0"),
+)
+# the generator's settings, bounded only under dataset.kind = synthetic
+_SYNTHETIC_BOUNDS = (
+    (("nodes", "feat_dim"), lambda v: 1 <= v <= _INTP_MAX, f"in [1, {_INTP_MAX}]"),
+    (("p_in", "p_out"), lambda v: 0 <= v <= 1, "in [0, 1]"),
+    (("feat_sep",), lambda v: 0 <= v < np.inf, "finite and >= 0"),
+)
+_CHOICES = {
+    "dataset_kind": ("synthetic", "files"),
+    "task_metric": ("accuracy", "auc"),
+    "partition_mode": ("non-overlapping", "overlapping"),
+}
+_DATASET_FILES = ("edges_path", "features_path", "labels_path")
 
 
 @dataclass
 class FederationConfig:
+    """One run's settings: each field but the three ``*_enabled`` flags,
+    which ``--ablate`` clears, is set by the config key in its metadata."""
+
     num_clients: int = config_key("federation.clients", 5)
     rounds: int = config_key("federation.rounds", 60)
     local_epochs: int = config_key("federation.local_epochs", 3)
@@ -153,53 +140,62 @@ class FederationConfig:
     refine_eta: float = config_key("refine.eta", 0.1)     # max anchor step (chord length)
     seed: int = config_key("federation.seed", 0)
     partition_mode: str = config_key("partition.mode", "non-overlapping")
-    dataset: DatasetSpec = field(default_factory=DatasetSpec)
     task_metric: str = config_key("federation.metric", "accuracy")   # "accuracy" | "auc"
+    # where the root graph comes from: a seeded generator or three files
+    dataset_kind: str = config_key("dataset.kind", "synthetic")      # "synthetic" | "files"
+    nodes: int = config_key("dataset.nodes", 600)
+    p_in: float = config_key("dataset.p_in", 0.1)
+    p_out: float = config_key("dataset.p_out", 0.01)
+    feat_dim: int = config_key("dataset.feat_dim", 16)
+    feat_sep: float = config_key("dataset.feat_sep", 1.0)
+    edges_path: str = config_key("dataset.edges", None)
+    features_path: str = config_key("dataset.features", None)
+    labels_path: str = config_key("dataset.labels", None)
+    train_ratio: float = config_key("split.train", 0.2)
+    val_ratio: float = config_key("split.val", 0.4)
+    test_ratio: float = config_key("split.test", 0.4)
     semantic_enabled: bool = True
     structural_enabled: bool = True
     refine_enabled: bool = True
 
     def __post_init__(self):
-        for name in ("refine_tau", "refine_eta"):
+        for name, choices in _CHOICES.items():
             value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{key_of(self, name)} must be finite and > 0, got {value}")
-        for name in ("num_clients", "local_epochs", "embed_dim", "batch_nodes",
-                     "num_templates", "sinkhorn_iters"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{key_of(self, name)} must be >= 1, got {value}")
-        for name in ("lr0", "lr_decay_steps", "sinkhorn_epsilon", "sinkhorn_tol"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{key_of(self, name)} must be > 0, got {value}")
-        if not np.isfinite(self.lr0):
-            raise ValueError(f"train.lr0 must be finite, got {self.lr0}")
-        if self.num_classes < 2:
-            raise ValueError(f"federation.classes must be >= 2, got {self.num_classes}")
-        for name in ("rounds", "seed"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{key_of(self, name)} must be >= 0, got {value}")
+            if value not in choices:
+                raise ValueError(f"{key_of(self, name)} must be {' or '.join(choices)}, "
+                                 f"got {value!r}")
+        synthetic = self.dataset_kind == "synthetic"
+        for names, test, wording in _BOUNDS + (_SYNTHETIC_BOUNDS if synthetic else ()):
+            for name in names:
+                value = getattr(self, name)
+                if not test(value):
+                    raise ValueError(f"{key_of(self, name)} must be {wording}, got {value}")
+        paths = {key_of(self, name): getattr(self, name) for name in _DATASET_FILES}
+        given = [key for key, path in paths.items() if path is not None]
+        if synthetic and given:
+            raise ValueError(f"{given[0]} is read only under dataset.kind = files, "
+                             f"not synthetic")
+        missing = [key for key, path in paths.items() if path is None]
+        if not synthetic and missing:
+            raise ValueError(f"dataset.kind = files needs {', '.join(missing)}")
         if self.embed_dim < self.num_classes:
             raise ValueError(f"federation.embed_dim must be >= federation.classes, "
                              f"got {self.embed_dim} < {self.num_classes}")
-        if self.task_metric not in ("accuracy", "auc"):
-            raise ValueError(f"federation.metric must be accuracy or auc, "
-                             f"got {self.task_metric!r}")
         if self.task_metric == "auc" and self.num_classes != 2:
             raise ValueError(f"federation.metric = auc needs federation.classes = 2, "
                              f"got {self.num_classes}")
-        if self.partition_mode not in ("non-overlapping", "overlapping"):
-            raise ValueError(f"partition.mode must be non-overlapping or overlapping, "
-                             f"got {self.partition_mode!r}")
         overlapping = self.partition_mode == "overlapping"
         if overlapping and self.num_clients > 1 and self.num_clients % 5:
             raise ValueError(f"partition.mode = overlapping needs federation.clients = 1 "
                              f"or a multiple of 5, got {self.num_clients}")
         parts = self.num_clients // 5 if overlapping else self.num_clients
-        if self.dataset.kind == "synthetic" and self.dataset.nodes < parts:
-            raise ValueError(f"dataset.nodes must be >= {parts}, got {self.dataset.nodes}")
+        if synthetic and self.nodes < parts:
+            raise ValueError(f"dataset.nodes must be >= {parts}, got {self.nodes}")
+        # a zero ratio seats no node, and every round reads all three splits
+        ratios = (self.train_ratio, self.val_ratio, self.test_ratio)
+        if not all(r > 0 for r in ratios) or not sum(ratios) <= 1.0 + 1e-12:
+            raise ValueError(f"split.train, split.val and split.test must be positive "
+                             f"ratios summing to at most 1, got {ratios}")
         # mean-scaled costs are at most B * Q, so this bounds every -cost / epsilon
         bound = self.batch_nodes * self.num_templates / self.sinkhorn_epsilon
         if self.structural_enabled and bound == np.inf:
@@ -253,22 +249,21 @@ def build_dataset(cfg: FederationConfig) -> Graph:
     A dataset file that is missing or not a regular file raises ValueError
     naming its key before any file is read.
     """
-    spec = cfg.dataset
-    if spec.kind == "synthetic":
+    if cfg.dataset_kind == "synthetic":
         g = generate_sbm(
-            spec.nodes, cfg.num_classes, spec.p_in, spec.p_out,
-            spec.feat_dim, spec.feat_sep, seed=(cfg.seed, _TAG_DATA),
+            cfg.nodes, cfg.num_classes, cfg.p_in, cfg.p_out,
+            cfg.feat_dim, cfg.feat_sep, seed=(cfg.seed, _TAG_DATA),
         )
     else:
-        for name in ("edges_path", "features_path", "labels_path"):
-            path = getattr(spec, name)
+        for name in _DATASET_FILES:
+            path = getattr(cfg, name)
             if not os.path.isfile(path):
-                raise ValueError(f"{key_of(spec, name)} = {path}: no such regular file")
+                raise ValueError(f"{key_of(cfg, name)} = {path}: no such regular file")
         g = load_graph(
-            spec.edges_path, spec.features_path, spec.labels_path,
+            cfg.edges_path, cfg.features_path, cfg.labels_path,
             num_classes=cfg.num_classes,
         )
-    return split_masks(g, ratios=(spec.train_ratio, spec.val_ratio, spec.test_ratio),
+    return split_masks(g, ratios=(cfg.train_ratio, cfg.val_ratio, cfg.test_ratio),
                        seed=(cfg.seed, _TAG_SPLIT))
 
 
@@ -301,7 +296,7 @@ def _check_client_splits(cfg: FederationConfig, g: Graph, parts):
     Every round reads each client's labeled train nodes (class means),
     val and test nodes (metrics); auc also needs both classes in val and test.
     """
-    size = (f"dataset.nodes = {cfg.dataset.nodes}" if cfg.dataset.kind == "synthetic"
+    size = (f"dataset.nodes = {cfg.nodes}" if cfg.dataset_kind == "synthetic"
             else f"the graph's {g.num_nodes} nodes")
     for i, part in enumerate(parts):
         for split, mask in (("train", part.train_mask), ("val", part.val_mask),

@@ -13,7 +13,6 @@ import pytest
 
 from fedcal.cli import main as cli_main
 from fedcal.fedsim import (
-    DatasetSpec,
     FederationConfig,
     run_federation,
 )
@@ -44,8 +43,8 @@ def bench_config(seed, heterophilic=False, **kw):
         num_clients=5, rounds=60, local_epochs=3, embed_dim=8, num_classes=2,
         batch_nodes=160, num_templates=2, seed=seed, lr0=0.12,
         lr_decay_steps=40.0,
-        dataset=DatasetSpec(kind="synthetic", nodes=600, p_in=p_in, p_out=p_out,
-                            feat_dim=8, feat_sep=1.0),
+        dataset_kind="synthetic", nodes=600, p_in=p_in, p_out=p_out,
+        feat_dim=8, feat_sep=1.0,
     )
     base.update(kw)
     return FederationConfig(**base)
@@ -450,12 +449,10 @@ class TestOptionalCitationGraphDiagnostic:
             num_clients=10, rounds=60, local_epochs=3, embed_dim=16,
             num_classes=7, batch_nodes=64, num_templates=6, seed=1,
             lr0=0.15, lr_decay_steps=40.0,
-            dataset=DatasetSpec(
-                kind="files",
-                edges_path=os.path.join(CORA_DIR, "edges.txt"),
-                features_path=os.path.join(CORA_DIR, "features.txt"),
-                labels_path=os.path.join(CORA_DIR, "labels.txt"),
-            ),
+            dataset_kind="files",
+            edges_path=os.path.join(CORA_DIR, "edges.txt"),
+            features_path=os.path.join(CORA_DIR, "features.txt"),
+            labels_path=os.path.join(CORA_DIR, "labels.txt"),
         )
         mean_test = final_test_mean(cfg)
         report("optional diagnostic (citation graph)", f"mean test {mean_test:.4f}")

@@ -1,6 +1,6 @@
 import codecs
+import dataclasses
 import json
-import operator
 import os
 import re
 import subprocess
@@ -122,13 +122,13 @@ class TestConfigParsing:
         assert 0.0 <= float(capsys.readouterr().out) <= 1.0
 
     def test_schema_defaults_are_the_library_defaults(self):
-        # dataclass equality compares every field, the nested configs too
+        # dataclass equality compares every field
         assert build_run_config({}).federation_config() == fedsim.FederationConfig()
 
     @pytest.mark.parametrize("metric, classes", [("auc", "2"), ("accuracy", "3")])
     def test_each_key_sets_its_own_field(self, tmp_path, metric, classes):
         # every key but output.*, a value distinct from its default and from the
-        # other keys' values, and the field path it must land on; auc needs two
+        # other keys' values, and the field it must land on; auc needs two
         # classes, so each of those two keys is off its default in one case
         rows = [
             ("federation.clients", "10", "num_clients"),
@@ -148,18 +148,18 @@ class TestConfigParsing:
             ("sinkhorn.tol", "1e-07", "sinkhorn_tol"),
             ("refine.tau", "0.8", "refine_tau"),
             ("refine.eta", "0.15", "refine_eta"),
-            ("dataset.kind", "files", "dataset.kind"),
-            ("dataset.nodes", "700", "dataset.nodes"),
-            ("dataset.p_in", "0.12", "dataset.p_in"),
-            ("dataset.p_out", "0.02", "dataset.p_out"),
-            ("dataset.feat_dim", "11", "dataset.feat_dim"),
-            ("dataset.feat_sep", "1.5", "dataset.feat_sep"),
-            ("dataset.edges", "e.txt", "dataset.edges_path"),
-            ("dataset.features", "x.txt", "dataset.features_path"),
-            ("dataset.labels", "y.txt", "dataset.labels_path"),
-            ("split.train", "0.3", "dataset.train_ratio"),
-            ("split.val", "0.35", "dataset.val_ratio"),
-            ("split.test", "0.25", "dataset.test_ratio"),
+            ("dataset.kind", "files", "dataset_kind"),
+            ("dataset.nodes", "700", "nodes"),
+            ("dataset.p_in", "0.12", "p_in"),
+            ("dataset.p_out", "0.02", "p_out"),
+            ("dataset.feat_dim", "11", "feat_dim"),
+            ("dataset.feat_sep", "1.5", "feat_sep"),
+            ("dataset.edges", "e.txt", "edges_path"),
+            ("dataset.features", "x.txt", "features_path"),
+            ("dataset.labels", "y.txt", "labels_path"),
+            ("split.train", "0.3", "train_ratio"),
+            ("split.val", "0.35", "val_ratio"),
+            ("split.test", "0.25", "test_ratio"),
         ]
         assert sorted(key for key, _, _ in rows) == sorted(
             key for key in _CONFIG_SCHEMA if not key.startswith("output."))
@@ -170,12 +170,20 @@ class TestConfigParsing:
         cfg = build_run_config(parse_config_file(path))
         fed = cfg.federation_config()
         for (key, _, field), value in zip(rows, values):
-            assert operator.attrgetter(field)(fed) == value, key
+            assert getattr(fed, field) == value, key
             if key not in ("federation.metric", "federation.classes"):
                 assert value != _CONFIG_SCHEMA[key][1], key
         resolved = tmp_path / "config.resolved"
         write_resolved_config(cfg, resolved)
         assert build_run_config(parse_config_file(resolved)).federation_config() == fed
+
+    def test_config_is_one_flat_class(self):
+        # each field but the ablation flags is set by one key, as in the file
+        config_fields = dataclasses.fields(fedsim.FederationConfig)
+        assert {f.name for f in config_fields if "key" not in f.metadata} == {
+            "semantic_enabled", "structural_enabled", "refine_enabled"}
+        assert sorted(f.metadata["key"] for f in config_fields if "key" in f.metadata) == (
+            sorted(key for key in _CONFIG_SCHEMA if not key.startswith("output.")))
 
 
 class TestParamsDump:
@@ -355,6 +363,13 @@ class TestRunCommand:
         ("dataset.kind = bogus", "dataset.kind"),
         ("federation.seed = -1", "federation.seed"),
         ("--seed -1", "federation.seed"),
+        ("dataset.nodes = 100000000000000000000000", "dataset.nodes"),
+        ("dataset.feat_dim = 100000000000000000000000", "dataset.feat_dim"),
+        ("federation.embed_dim = 100000000000000000000000", "federation.embed_dim"),
+        ("federation.templates = 100000000000000000000000", "federation.templates"),
+        ("dataset.edges = /nonexistent/edges.txt", "dataset.edges"),
+        ("dataset.features = /nonexistent/features.txt", "dataset.features"),
+        ("dataset.labels = /nonexistent/labels.txt", "dataset.labels"),
     ])
     def test_out_of_range_setting_fails_before_work(self, tmp_path, capsys, monkeypatch,
                                                     line, setting):
@@ -484,6 +499,18 @@ class TestRunCommand:
             parts = row.split(",")
             assert float(parts[3]) == 0.0  # sem_loss
             assert float(parts[4]) == 0.0  # str_loss
+
+    def test_ablate_recorded_once_in_flag_order(self, smoke_cfg, tmp_path):
+        summaries = []
+        for names in (["structural", "semantic"], ["semantic", "structural"],
+                      ["semantic", "semantic"]):
+            out = tmp_path / "-".join(names)
+            flags = [arg for name in names for arg in ("--ablate", name)]
+            assert main(["run", "--config", smoke_cfg, "--out", str(out)] + flags) == 0
+            summaries.append((out / "summary.json").read_bytes())
+        assert summaries[0] == summaries[1]
+        assert json.loads(summaries[0])["ablate"] == ["semantic", "structural"]
+        assert json.loads(summaries[2])["ablate"] == ["semantic"]
 
     def test_embeddings_export(self, tmp_path):
         cfg = tmp_path / "emb.cfg"

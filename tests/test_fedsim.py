@@ -7,7 +7,6 @@ from scipy.stats import rankdata
 
 from fedcal.fedsim import (
     ClientState,
-    DatasetSpec,
     FederationConfig,
     FederationError,
     HistoryRow,
@@ -44,9 +43,7 @@ def tiny_config(**kw):
         lr0=0.05,
         lr_decay_steps=100.0,
         seed=7,
-        dataset=DatasetSpec(
-            kind="synthetic", nodes=90, p_in=0.1, p_out=0.03, feat_dim=5, feat_sep=1.2
-        ),
+        dataset_kind="synthetic", nodes=90, p_in=0.1, p_out=0.03, feat_dim=5, feat_sep=1.2,
     )
     base.update(kw)
     return FederationConfig(**base)
@@ -67,7 +64,7 @@ class TestConfigValidation:
 
     def test_files_dataset_needs_paths(self):
         with pytest.raises(ValueError, match="dataset.edges, dataset.features, dataset.labels"):
-            DatasetSpec(kind="files")
+            tiny_config(dataset_kind="files")
 
 
 class TestRunFederation:
@@ -497,10 +494,8 @@ class TestDataset:
         paths = [str(tmp_path / p) for p in ("e.txt", "x.txt", "y.txt")]
         save_graph_files(g, *paths)
         cfg = tiny_config(
-            dataset=DatasetSpec(
-                kind="files", edges_path=paths[0], features_path=paths[1],
-                labels_path=paths[2],
-            )
+            dataset_kind="files", edges_path=paths[0], features_path=paths[1],
+            labels_path=paths[2],
         )
         g2 = build_dataset(cfg)
         assert g2.num_nodes == g.num_nodes
