@@ -159,8 +159,9 @@ def load_params(path, like: ModelParams) -> ModelParams:
 
     Only that layout is accepted: the magic line, then w_ego, w_cls and
     b_cls in order, each under the header ``like`` would get and followed
-    by its rows, and nothing after. Anything else, a byte that is not UTF-8
-    included, raises ValueError naming path:line; a directory, one naming path.
+    by its rows of finite values, and nothing after. Anything else, a byte
+    that is not UTF-8 included, raises ValueError naming path:line; a
+    directory, one naming path.
     """
     lines = [ln.rstrip("\n") for ln in read_text(path)]
     if not lines or lines[0] != "# fedcal-params 1":
@@ -185,6 +186,8 @@ def load_params(path, like: ModelParams) -> ModelParams:
             if len(row) != cols:
                 raise ValueError(f"{path}:{lineno}: array {name} row has {len(row)} "
                                  f"values, expected {cols}")
+            if not np.isfinite(row).all():
+                raise ValueError(f"{path}:{lineno}: array {name} holds a non-finite value")
             values += row
         arrays[name] = np.array(values).reshape(getattr(like, name).shape)
         i += 1 + rows

@@ -20,6 +20,7 @@ import csv
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
+from fractions import Fraction
 
 import numpy as np
 
@@ -102,8 +103,9 @@ _BOUNDS = (
     (("embed_dim", "num_templates"), lambda v: 1 <= v <= _INTP_MAX, f"in [1, {_INTP_MAX}]"),
     (("num_classes",), lambda v: v >= 2, ">= 2"),
     (("rounds", "seed"), lambda v: v >= 0, ">= 0"),
-    (("lr_decay_steps", "sinkhorn_epsilon", "sinkhorn_tol"), lambda v: v > 0, "> 0"),
-    (("lr0", "refine_tau", "refine_eta"), lambda v: 0 < v < np.inf, "finite and > 0"),
+    (("lr_decay_steps",), lambda v: v > 0, "> 0"),
+    (("lr0", "sinkhorn_epsilon", "sinkhorn_tol", "refine_tau", "refine_eta"),
+     lambda v: 0 < v < np.inf, "finite and > 0"),
 )
 # the generator's settings, bounded only under dataset.kind = synthetic
 _SYNTHETIC_BOUNDS = (
@@ -196,9 +198,11 @@ class FederationConfig:
         if not all(r > 0 for r in ratios) or not sum(ratios) <= 1.0 + 1e-12:
             raise ValueError(f"split.train, split.val and split.test must be positive "
                              f"ratios summing to at most 1, got {ratios}")
-        # mean-scaled costs are at most B * Q, so this bounds every -cost / epsilon
-        bound = self.batch_nodes * self.num_templates / self.sinkhorn_epsilon
-        if self.structural_enabled and bound == np.inf:
+        # mean-scaled costs are at most B * Q, so this bounds every -cost / epsilon;
+        # exact, since an int B * Q beyond float range does not convert
+        bound = (Fraction(self.batch_nodes * self.num_templates)
+                 / Fraction(self.sinkhorn_epsilon))
+        if self.structural_enabled and bound > np.finfo(float).max:
             raise ValueError(f"sinkhorn.epsilon = {self.sinkhorn_epsilon!r} overflows "
                              f"federation.batch_nodes * federation.templates / epsilon")
 
@@ -347,7 +351,7 @@ def run_client_round(state: ClientState, anchors: np.ndarray,
 
     matching = None
     if cfg.structural_enabled:
-        radials = radial_sequences_from_rings(cache.hop1, cache.hop2, batch)
+        radials = radial_sequences_from_rings(cache.rings, batch)
         matching = sinkhorn_match(
             radials, templates, epsilon=cfg.sinkhorn_epsilon,
             max_iters=cfg.sinkhorn_iters, tol=cfg.sinkhorn_tol,
@@ -382,9 +386,7 @@ def run_client_round(state: ClientState, anchors: np.ndarray,
     )
     structural_report = None
     if cfg.structural_enabled:
-        final_radials = radial_sequences_from_rings(
-            final_cache.hop1, final_cache.hop2, batch
-        )
+        final_radials = radial_sequences_from_rings(final_cache.rings, batch)
         structural_report = StructuralReport(radials=final_radials, matching=matching)
 
     val = _metric_from_logits(final_cache.logits, g, "val", cfg.task_metric)

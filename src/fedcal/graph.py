@@ -509,8 +509,8 @@ class HopAggregator:
     them as fixed linear maps. They hold only the rows of the sorted node
     ids ``rows``: every node here, a subset in an aggregator from restrict,
     which keeps its last result for the next call with the same rows.
-    rings reads every node's values and writes rows; backward reads
-    gradients on rows and writes every node.
+    rings reads every node's values and returns one row per entry of rows;
+    backward reads gradients on rows and writes every node.
     """
 
     def __init__(self, g: Graph):
@@ -541,13 +541,9 @@ class HopAggregator:
         return local
 
     def rings(self, values: np.ndarray):
-        """(hop1, hop2) ring means of per-node row vectors, zero off rows."""
-        if len(self.rows) == len(values):
-            return self.m1 @ values, self.m2 @ values
-        hop1, hop2 = np.zeros((2,) + values.shape)
-        hop1[self.rows] = self.m1 @ values
-        hop2[self.rows] = self.m2 @ values
-        return hop1, hop2
+        """(hop1, hop2): the ring means of the nodes in rows, one row per
+        entry, read from every node's row of values."""
+        return self.m1 @ values, self.m2 @ values
 
     def backward(self, g_hop1: np.ndarray, g_hop2: np.ndarray) -> np.ndarray:
         """Pull ring-mean gradients given on rows, one gradient row per entry

@@ -42,13 +42,14 @@ class ModelParams:
 
 @dataclass
 class ForwardCache:
-    """Per-node activations kept for backprop, ring means zero off agg.rows;
-    total_loss gathers the head's blocks at agg.rows, every row for a full
-    aggregator (tanh' reuses ego, so no pre-activation tensor is needed)."""
+    """Per-node activations kept for backprop. blocks is the C-ordered head
+    input [ego | hop1 | hop2] and rings its (n, 2, d) view of each node's
+    two ring means, zero off agg.rows; total_loss reads the head's rows at
+    agg.rows (tanh' reuses ego, so no pre-activation tensor is needed)."""
 
     ego: np.ndarray      # (n, d)
-    hop1: np.ndarray     # (n, d)
-    hop2: np.ndarray     # (n, d)
+    rings: np.ndarray    # (n, 2, d), a view of blocks' last 2d columns
+    blocks: np.ndarray   # (n, 3d)
     logits: np.ndarray   # (n, C)
 
 
@@ -64,7 +65,8 @@ def init_params(d0: int, d: int, num_classes: int, seed) -> ModelParams:
 
 def forward(params: ModelParams, g: Graph, agg: HopAggregator) -> ForwardCache:
     """Ego/ring embeddings and class logits of every node; agg is g's ring
-    operator. Ring means are zero off agg.rows, so logits hold only there."""
+    operator. The ring means of agg.rows are written into the head input,
+    zero elsewhere, so logits hold only on agg.rows."""
     if params.w_ego.shape[0] != g.feat_dim:
         raise ValueError(
             f"w_ego expects {params.w_ego.shape[0]} features, graph has {g.feat_dim}"
@@ -75,10 +77,12 @@ def forward(params: ModelParams, g: Graph, agg: HopAggregator) -> ForwardCache:
     if params.b_cls.shape[0] != params.w_cls.shape[1]:
         raise ValueError("b_cls length must equal w_cls columns")
     ego = np.tanh(g.features @ params.w_ego)
-    hop1, hop2 = agg.rings(ego)
-    blocks = np.hstack([ego, hop1, hop2])
+    blocks = np.zeros((len(ego), 3 * d))
+    blocks[:, :d] = ego
+    rings = blocks.reshape(-1, 3, d)[:, 1:]         # a view: hop1, hop2 of each row
+    rings[agg.rows, 0], rings[agg.rows, 1] = agg.rings(ego)
     logits = blocks @ params.w_cls + params.b_cls
-    return ForwardCache(ego=ego, hop1=hop1, hop2=hop2, logits=logits)
+    return ForwardCache(ego=ego, rings=rings, blocks=blocks, logits=logits)
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray, train_mask: np.ndarray):
@@ -109,8 +113,8 @@ def total_loss(params: ModelParams, g: Graph, anchors: np.ndarray,
     CE term is always present), which is how ablations run. agg is g's
     ring operator with rows covering train and batch nodes. The CE gradient
     is zero off agg.rows, so the classifier-head gradients are taken on the
-    rows gathered at agg.rows (every row for a full aggregator), with the
-    same bits; the structural term reuses the forward's ring means. Returns
+    head input's rows at agg.rows (every row for a full aggregator), with
+    the same bits; the structural term reuses the forward's ring means. Returns
     (total, (ce, semantic, structural), grads), grads a ModelParams of
     gradients; the calibration terms reach only w_ego, the CE term also
     reaches the classifier.
@@ -120,9 +124,8 @@ def total_loss(params: ModelParams, g: Graph, anchors: np.ndarray,
 
     ce, g_logits = cross_entropy(cache.logits, g.labels, g.train_mask)
     at = agg.rows                                  # g_logits is zero off these rows
-    blocks = np.hstack([cache.ego[at], cache.hop1[at], cache.hop2[at]])
     g_head = g_logits[at]
-    g_wcls = blocks.T @ g_head
+    g_wcls = cache.blocks[at].T @ g_head
     g_bcls = g_head.sum(axis=0)
     g_blocks = g_head @ params.w_cls.T
     g_ego = agg.backward(g_blocks[:, d:2 * d], g_blocks[:, 2 * d:])
@@ -139,9 +142,7 @@ def total_loss(params: ModelParams, g: Graph, anchors: np.ndarray,
     if matching is not None:
         if templates is None or batch is None:
             raise ValueError("structural term requires templates and a batch")
-        stru, g_str = structural_loss_ego(
-            cache.hop1, cache.hop2, matching, batch, templates, agg
-        )
+        stru, g_str = structural_loss_ego(cache.rings, matching, batch, templates, agg)
         g_ego += g_str
 
     g_pre = g_ego * (1.0 - cache.ego ** 2)

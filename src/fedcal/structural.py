@@ -86,9 +86,10 @@ def sample_structural_batch(g: Graph, batch_size: int, seed) -> np.ndarray:
     return rng.choice(g.num_nodes, size=size, replace=False)
 
 
-def radial_sequences_from_rings(hop1: np.ndarray, hop2: np.ndarray, batch) -> np.ndarray:
-    """(B, 2, d) radial sequences for a node batch from precomputed ring means."""
-    pairs = np.stack([hop1[batch], hop2[batch]], axis=1)          # (B, 2, d)
+def radial_sequences_from_rings(rings: np.ndarray, batch) -> np.ndarray:
+    """(B, 2, d) radial sequences for a node batch from the (n, 2, d) ring
+    means of a forward (ForwardCache.rings)."""
+    pairs = rings[batch]
     for pair in pairs:
         pair[...] = l2_normalize_rows(pair)
     return pairs
@@ -265,28 +266,27 @@ def structural_loss(matching: MatchingMatrix, radials, templates: np.ndarray):
     return loss, grad_rows
 
 
-def structural_loss_ego(hop1: np.ndarray, hop2: np.ndarray, matching: MatchingMatrix,
-                        batch, templates: np.ndarray, agg: HopAggregator):
+def structural_loss_ego(rings: np.ndarray, matching: MatchingMatrix, batch,
+                        templates: np.ndarray, agg: HopAggregator):
     """Structural loss with the gradient chained back to the ego rows.
 
-    Normalizes the batch's rows of the forward's ring means (hop1, hop2 =
-    agg.rings(ego)) into radial sequences and pulls the loss gradient
+    Normalizes the batch's pairs of the forward's (n, 2, d) ring means
+    (ForwardCache.rings) into radial sequences and pulls the loss gradient
     through the normalization and agg's ring-mean operators onto every
     contributing ego row, treating exactly-zero ring rows as constants.
     """
-    radials = radial_sequences_from_rings(hop1, hop2, batch)
+    radials = radial_sequences_from_rings(rings, batch)
     loss, grad_rows = structural_loss(matching, radials, templates)
 
     # d(h/|h|) = (g - (g.r) r) / |h| per nonzero ring row; the stacked
     # (1 x d) @ (d x 1) products are the row dots np.linalg.norm makes
-    batch = np.asarray(batch, dtype=np.int64)
-    raw = np.stack([hop1[batch], hop2[batch]], axis=1).reshape(-1, hop1.shape[1])
-    norms = np.sqrt((raw[:, None, :] @ raw[:, :, None])[:, 0, 0])
+    raw = rings[batch]                                           # (B, 2, d)
+    norms = np.sqrt(raw[..., None, :] @ raw[..., None])[..., 0]  # (B, 2, 1)
     live = norms != 0.0
-    unit, grads = raw[live] / norms[live, None], grad_rows.reshape(raw.shape)[live]
-    along = (grads[:, None, :] @ unit[:, :, None])[:, 0, 0]
-    g_hop = np.zeros((2, len(agg.rows), hop1.shape[1]))     # gradients on agg.rows
-    at = np.searchsorted(agg.rows, np.repeat(batch, 2)[live])
-    np.add.at(g_hop, (np.tile([0, 1], len(batch))[live], at),
-              (grads - along[:, None] * unit) / norms[live, None])
-    return loss, agg.backward(g_hop[0], g_hop[1])
+    unit = np.divide(raw, norms, out=np.zeros_like(raw), where=live)
+    along = (grad_rows[..., None, :] @ unit[..., None])[..., 0]
+    step = np.divide(grad_rows - along * unit, norms, out=np.zeros_like(raw), where=live)
+    g_rings = np.zeros((len(agg.rows),) + raw.shape[1:])         # gradients on agg.rows
+    # add.at, so that a node listed twice in batch gets both gradients
+    np.add.at(g_rings, np.searchsorted(agg.rows, batch), step)
+    return loss, agg.backward(g_rings[:, 0], g_rings[:, 1])

@@ -83,7 +83,7 @@ def test_restricted_total_loss_pulls_back_through_traced_backward(structural, pu
         batch = sample_structural_batch(g, 8, seed=3)
         cache = model.forward(params, g, agg)
         matching = sinkhorn_match(
-            radial_sequences_from_rings(cache.hop1, cache.hop2, batch), templates)
+            radial_sequences_from_rings(cache.rings, batch), templates)
         rows = np.union1d(rows, batch)
     local = agg.restrict(rows)
     assert len(local.rows) < g.num_nodes
@@ -96,3 +96,23 @@ def test_restricted_total_loss_pulls_back_through_traced_backward(structural, pu
     finally:
         t.uninstall()
     assert [s[0] for s in t.spans].count("graph.backward") == pullbacks
+
+
+def test_smoke_run_reaches_every_traced_name(tmp_path):
+    # a refactor that stops calling a rebound name leaves its span empty
+    from fedcal import cli
+
+    tracer = load_tracer()
+    t = tracer.Tracer()
+    try:
+        t.install()
+        code = cli.main(["run", "--config", os.path.join(REPO, "configs", "smoke.cfg"),
+                         "--out", str(tmp_path / "run")])
+    finally:
+        t.uninstall()
+    assert code == 0
+    expected = {name for _, _, name, _ in tracer._SPANS}
+    expected |= {name for *_, name in tracer._METHOD_SPANS}
+    assert expected - {s[0] for s in t.spans} == set()
+    assert t.counts["numerics.l2_normalize_calls"] > 0
+    assert t.counts["numerics.svd_calls"] > 0

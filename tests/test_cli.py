@@ -352,6 +352,9 @@ class TestRunCommand:
         ("partition.mode = overlapping\nfederation.clients = 7", "federation.clients"),
         ("dataset.nodes = 2", "dataset.nodes"),
         ("sinkhorn.epsilon = 1e-320", "sinkhorn.epsilon"),
+        ("federation.batch_nodes = 1" + "0" * 400, "federation.batch_nodes"),
+        ("sinkhorn.epsilon = inf", "sinkhorn.epsilon"),
+        ("sinkhorn.tol = inf", "sinkhorn.tol"),
         ("federation.rounds = -1", "federation.rounds"),
         ("federation.local_epochs = 0", "federation.local_epochs"),
         ("federation.embed_dim = 1", "federation.embed_dim"),
@@ -738,6 +741,21 @@ class TestMalformedInputs:
         assert main(["eval", "--model-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"{dump}:3: " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_model_dump_with_non_finite_value(self, smoke_cfg, tmp_path, capsys, value):
+        out = tmp_path / "run"
+        main(["run", "--config", smoke_cfg, "--out", str(out)])
+        dump = out / "models" / "client_0.txt"
+        lines = dump.read_text().splitlines()
+        assert lines[1].startswith("shape w_ego")
+        lines[2] = " ".join([value] + lines[2].split()[1:])
+        dump.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["eval", "--model-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{dump}:3: array w_ego holds a non-finite value" in err
+        assert "Traceback" not in err
 
     def test_model_dump_with_wide_bias(self, smoke_cfg, tmp_path, capsys):
         out = tmp_path / "run"

@@ -62,6 +62,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="partition.mode"):
             tiny_config(partition_mode="bogus")
 
+    @pytest.mark.parametrize("batch_nodes, epsilon, ok", [
+        (10**23, 0.05, True), (2**1022, 1.0, True), (2**1023, 1.0, False),
+        (10**400, 1e10, False), (10**300, 1e-9, False)])
+    def test_epsilon_overflow_rule_is_exact_for_any_int(self, batch_nodes, epsilon, ok):
+        # two templates: B * Q / epsilon against the largest float, without
+        # converting B * Q, which may lie beyond float range
+        if ok:
+            tiny_config(batch_nodes=batch_nodes, sinkhorn_epsilon=epsilon)
+        else:
+            with pytest.raises(ValueError, match="federation.batch_nodes"):
+                tiny_config(batch_nodes=batch_nodes, sinkhorn_epsilon=epsilon)
+
+    def test_infinite_decay_steps_is_a_constant_rate(self):
+        assert tiny_config(lr_decay_steps=np.inf).lr_decay_steps == np.inf
+
     def test_files_dataset_needs_paths(self):
         with pytest.raises(ValueError, match="dataset.edges, dataset.features, dataset.labels"):
             tiny_config(dataset_kind="files")
@@ -279,7 +294,7 @@ class TestRingRowRestriction:
         assert fresh is not first and np.array_equal(fresh.rows, swapped)
         values = np.random.default_rng(0).standard_normal((agg.m1.shape[0], 3))
         for part, full in zip(fresh.rings(values), agg.rings(values)):
-            assert np.array_equal(part[swapped], full[swapped])
+            assert np.array_equal(part, full[swapped])
         assert agg.restrict(swapped.copy()) is fresh
         swapped[:] = rows                                # the caller reuses its array
         assert not np.array_equal(fresh.rows, swapped)

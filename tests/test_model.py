@@ -42,7 +42,7 @@ def calibration_inputs(g, params, agg, seed, d, c, q=3, b=6):
     rot = procrustes(*class_means(cache.ego, g.labels, g.train_mask, c), anchors)
     templates = init_templates(q, d, seed=seed + 1)
     batch = sample_structural_batch(g, b, seed=seed + 2)
-    radials = radial_sequences_from_rings(cache.hop1, cache.hop2, batch)
+    radials = radial_sequences_from_rings(cache.rings, batch)
     matching = sinkhorn_match(radials, templates)
     return anchors, rot, templates, batch, matching
 
@@ -52,8 +52,8 @@ class TestForward:
         g = Graph.from_edges(np.array([[0.5, -0.2]]), [0], [])
         params = init_params(2, 3, 2, seed=0)
         cache = forward(params, g, HopAggregator(g))
-        assert np.allclose(cache.hop1[0], cache.ego[0])
-        assert np.allclose(cache.hop2[0], cache.ego[0])
+        assert np.allclose(cache.rings[0, 0], cache.ego[0])
+        assert np.allclose(cache.rings[0, 1], cache.ego[0])
         assert np.all(np.isfinite(cache.logits))
 
     def test_zero_weights_broadcast_bias(self):
@@ -80,8 +80,8 @@ class TestForward:
         hop1 = np.array([e[1], (e[0] + e[2]) / 2, e[1]])
         agg2 = np.array([e[2], (e[0] + e[2]) / 2, e[0]])
         hop2 = 0.5 * (hop1 + agg2)
-        assert np.allclose(cache.hop1[:, 0], hop1, atol=1e-12)
-        assert np.allclose(cache.hop2[:, 0], hop2, atol=1e-12)
+        assert np.allclose(cache.rings[:, 0, 0], hop1, atol=1e-12)
+        assert np.allclose(cache.rings[:, 1, 0], hop2, atol=1e-12)
 
     def test_leaf_node_second_ring_fallback(self):
         # triangle: no node has an exact-2-hop ring
@@ -90,7 +90,21 @@ class TestForward:
         )
         params = init_params(2, 3, 2, seed=2)
         cache = forward(params, g, HopAggregator(g))
-        assert np.allclose(cache.hop2, cache.hop1, atol=1e-12)
+        assert np.allclose(cache.rings[:, 1], cache.rings[:, 0], atol=1e-12)
+
+    def test_restricted_forward_fills_rings_and_logits_on_rows_only(self):
+        g, params, agg = small_instance(5, n=30)
+        rows = np.sort(np.random.default_rng(5).choice(30, 11, replace=False))
+        full, part = forward(params, g, agg), forward(params, g, agg.restrict(rows))
+        n, d = part.ego.shape
+        off = np.setdiff1d(np.arange(n), rows)
+        assert part.rings.shape == (n, 2, d) and np.shares_memory(part.rings, part.blocks)
+        assert part.rings[rows].tobytes() == full.rings[rows].tobytes()
+        assert part.rings[off].tobytes() == np.zeros((len(off), 2, d)).tobytes()
+        assert part.blocks.flags.c_contiguous
+        stacked = np.hstack([part.ego, part.rings.reshape(n, -1)])
+        assert part.blocks.tobytes() == stacked.tobytes()
+        assert part.logits[rows].tobytes() == full.logits[rows].tobytes()
 
     def test_deterministic(self):
         g, params, agg = small_instance(3)
@@ -162,7 +176,7 @@ class TestTotalLoss:
 
         anchors = rot @ p
         batch = np.arange(8)
-        radials = radial_sequences_from_rings(cache.hop1, cache.hop2, batch)
+        radials = radial_sequences_from_rings(cache.rings, batch)
         templates = radials.copy()
         matching = MatchingMatrix(f=np.eye(8))
         total, (ce, sem, stru), _ = total_loss(

@@ -102,9 +102,9 @@ class TestRadialSequence:
         rng = np.random.default_rng(0)
         ego = rng.standard_normal((30, 5))
         agg = HopAggregator(g)
-        hop1, hop2 = agg.rings(ego)
+        rings = np.stack(agg.rings(ego), axis=1)
         batch = np.arange(30)
-        fast = radial_sequences_from_rings(hop1, hop2, batch)
+        fast = radial_sequences_from_rings(rings, batch)
         for v in range(30):
             slow = radial_sequence(g, ego, v)
             assert np.abs(slow - fast[v]).max() <= 1e-12
@@ -122,7 +122,8 @@ class TestRadialSequence:
             rng.shuffle(batch)
             stacked = np.stack([hop1[batch], hop2[batch]], axis=1).reshape(-1, d)
             expected = l2_normalize_rows(stacked).reshape(len(batch), 2, d)
-            assert np.array_equal(radial_sequences_from_rings(hop1, hop2, batch), expected)
+            rings = np.stack([hop1, hop2], axis=1)
+            assert np.array_equal(radial_sequences_from_rings(rings, batch), expected)
 
     def test_rows_unit_norm(self):
         g = generate_sbm(20, 2, 0.2, 0.1, 3, 1.0, seed=1)
@@ -528,11 +529,11 @@ class TestStructuralLossEgo:
         agg = HopAggregator(g)
         templates = init_templates(3, 4, seed=14)
         batch = sample_structural_batch(g, 6, seed=14)
-        hop1, hop2 = agg.rings(ego)
-        radials = radial_sequences_from_rings(hop1, hop2, batch)
+        rings = np.stack(agg.rings(ego), axis=1)
+        radials = radial_sequences_from_rings(rings, batch)
         match = sinkhorn_match(radials, templates)
 
-        loss, grad = structural_loss_ego(hop1, hop2, match, batch, templates, agg)
+        loss, grad = structural_loss_ego(rings, match, batch, templates, agg)
         eps = 1e-6
         rng2 = np.random.default_rng(15)
         for _ in range(12):
@@ -540,9 +541,11 @@ class TestStructuralLossEgo:
             j = rng2.integers(4)
             bumped = ego.copy()
             bumped[i, j] += eps
-            up, _ = structural_loss_ego(*agg.rings(bumped), match, batch, templates, agg)
+            up, _ = structural_loss_ego(np.stack(agg.rings(bumped), axis=1), match, batch,
+                                        templates, agg)
             bumped[i, j] -= 2 * eps
-            down, _ = structural_loss_ego(*agg.rings(bumped), match, batch, templates, agg)
+            down, _ = structural_loss_ego(np.stack(agg.rings(bumped), axis=1), match, batch,
+                                          templates, agg)
             num = (up - down) / (2 * eps)
             if abs(num) < 1e-12 and abs(grad[i, j]) < 1e-12:
                 continue
@@ -558,11 +561,12 @@ class TestStructuralLossEgo:
         templates = init_templates(3, 5, seed=21)
         batch = np.array(isolated + [3, 0, 7, 3, 12], dtype=np.int64)
         hop1, hop2 = agg.rings(ego)
-        match = sinkhorn_match(radial_sequences_from_rings(hop1, hop2, batch), templates)
-        loss, grad = structural_loss_ego(hop1, hop2, match, batch, templates, agg)
+        rings = np.stack([hop1, hop2], axis=1)
+        match = sinkhorn_match(radial_sequences_from_rings(rings, batch), templates)
+        loss, grad = structural_loss_ego(rings, match, batch, templates, agg)
 
         ref_loss, grad_rows = structural_loss(
-            match, radial_sequences_from_rings(hop1, hop2, batch), templates)
+            match, radial_sequences_from_rings(rings, batch), templates)
         g_hop1, g_hop2 = np.zeros_like(hop1), np.zeros_like(hop2)
         for i, b in enumerate(batch):
             for ring, h, store in ((0, hop1[b], g_hop1), (1, hop2[b], g_hop2)):
