@@ -2,12 +2,15 @@
 
 Each round the server broadcasts the current anchors and templates;
 every client recomputes its calibration rotation and template matching,
-freezes them, runs a few full-batch gradient epochs on the combined
-objective, and uploads manifold statistics only (calibrated class
-means, per-class losses, radial sequences, the matching matrix, scalar
-metrics). The server then refines the anchors and templates behind a
-barrier. Models are fully personalized: no parameter averaging happens
-anywhere, the only thing exchanged is manifold statistics.
+freezes them and runs a few full-batch gradient epochs on the combined
+objective. Its round ends in three parts (``ClientRoundResult``): the
+params and rotation it keeps, the upload, and scalar metrics. The upload
+is two reports of manifold statistics only: calibrated class means with
+per-class losses, and radial sequences with their matching. The metrics
+are the simulator's history, which the server never reads. Behind a
+barrier, ``server_step`` refines the anchors and templates from the
+uploads alone. Models are fully personalized: no parameter averaging
+happens anywhere, the only thing exchanged is manifold statistics.
 
 Every random draw flows through a generator seeded by (config seed,
 purpose tag, client id, round), so histories are bitwise reproducible
@@ -65,6 +68,7 @@ __all__ = [
     "build_dataset",
     "setup_federation",
     "run_client_round",
+    "server_step",
     "run_federation",
     "evaluate",
     "export_history",
@@ -318,22 +322,21 @@ def _check_client_splits(cfg: FederationConfig, g: Graph, parts):
 
 @dataclass
 class ClientRoundResult:
-    params: ModelParams
-    rotation: np.ndarray
-    semantic_report: SemanticReport
-    structural_report: StructuralReport    # None when the structural term is off
-    ce: float
-    sem: float
-    stru: float
-    val_metric: float
-    test_metric: float
-    epoch_losses: list
+    """One client's round in three parts, split by who may read them."""
+
+    local: tuple        # (params, rotation): written back into the ClientState
+    upload: tuple       # (SemanticReport, StructuralReport or None): all the server reads
+    metrics: tuple      # (ce, sem, stru, val_metric, test_metric) floats, in HistoryRow order
 
 
 def run_client_round(state: ClientState, anchors: np.ndarray,
                      templates: np.ndarray, cfg: FederationConfig,
                      round_idx: int) -> ClientRoundResult:
-    """One client's full round; pure in state, safe to run concurrently."""
+    """One client's full round; pure in state, safe to run concurrently.
+
+    Only ``upload`` leaves the client for the server (``server_step``);
+    ``local`` stays with the client and ``metrics`` goes to the history.
+    """
     g = state.graph
     params = state.params
 
@@ -359,20 +362,17 @@ def run_client_round(state: ClientState, anchors: np.ndarray,
 
     loss_anchors = anchors if cfg.semantic_enabled else None
     loss_templates = templates if cfg.structural_enabled else None
-    epoch_losses = []
     for epoch in range(cfg.local_epochs):
         t = round_idx * cfg.local_epochs + epoch
-        total, _, grads = total_loss(
+        _, _, grads = total_loss(
             params, g, loss_anchors, rotation, loss_templates, matching, batch, local
         )
-        epoch_losses.append(total)
         params = sgd_step(params, grads, lr_schedule(t, cfg.lr0, cfg.lr_decay_steps))
 
     final_cache = forward(params, g, state.agg)
-    final_total, (ce, sem, stru), _ = total_loss(
+    _, (ce, sem, stru), _ = total_loss(
         params, g, loss_anchors, rotation, loss_templates, matching, batch, local
     )
-    epoch_losses.append(final_total)
 
     final_p, final_present = class_means(final_cache.ego, g.labels, g.train_mask,
                                          cfg.num_classes)
@@ -391,11 +391,11 @@ def run_client_round(state: ClientState, anchors: np.ndarray,
 
     val = _metric_from_logits(final_cache.logits, g, "val", cfg.task_metric)
     test = _metric_from_logits(final_cache.logits, g, "test", cfg.task_metric)
+    # float() keeps numpy scalars out, whose repr would change the CSV
     return ClientRoundResult(
-        params=params, rotation=rotation,
-        semantic_report=semantic_report, structural_report=structural_report,
-        ce=ce, sem=sem, stru=stru, val_metric=val, test_metric=test,
-        epoch_losses=epoch_losses,
+        local=(params, rotation),
+        upload=(semantic_report, structural_report),
+        metrics=tuple(float(m) for m in (ce, sem, stru, val, test)),
     )
 
 
@@ -455,6 +455,32 @@ def evaluate(state: ClientState, split: str, metric: str = "accuracy") -> float:
     return _metric_from_logits(cache.logits, state.graph, split, metric)
 
 
+def server_step(anchors: np.ndarray, templates: np.ndarray, uploads,
+                cfg: FederationConfig):
+    """The server's half of a round: (anchors, templates, drift, gw_mean).
+
+    ``uploads`` holds each client's ``ClientRoundResult.upload`` in
+    client-id order; besides them the server reads only the current
+    anchors and templates and cfg's settings. ``drift`` is the refined
+    anchors' ``gram_drift`` and ``gw_mean`` the mean GW objective of the
+    refined templates, 0.0 when the structural term is off.
+    """
+    sem_reports = [sem for sem, _ in uploads]
+    str_reports = [stru for _, stru in uploads]
+    if cfg.refine_enabled:
+        anchors = refine_all_anchors(anchors, sem_reports, cfg.refine_tau, cfg.refine_eta)
+    drift = gram_drift(anchors)
+
+    gw_mean = 0.0
+    if cfg.structural_enabled:
+        if cfg.refine_enabled:
+            templates = np.stack([update_template(q, str_reports, templates)
+                                  for q in range(cfg.num_templates)])
+        gw_mean = float(np.mean([template_objective(str_reports, q, templates[q])
+                                 for q in range(cfg.num_templates)]))
+    return anchors, templates, drift, gw_mean
+
+
 def run_federation(cfg: FederationConfig, threads: int = 1) -> FederationResult:
     """Full federated run; deterministic for a seed at any thread count."""
     workers = min(threads, cfg.num_clients)
@@ -478,33 +504,15 @@ def _run_rounds(cfg: FederationConfig, map_clients) -> FederationResult:
                 ) from exc
 
         results = list(map_clients(one, clients))
-
         for state, res in zip(clients, results):
-            state.params = res.params
-            state.rotation = res.rotation
+            state.params, state.rotation = res.local
 
-        sem_reports = [r.semantic_report for r in results]
-        str_reports = [r.structural_report for r in results]
-        unconverged += sum(not r.matching.converged for r in str_reports if r is not None)
+        uploads = [res.upload for res in results]
+        unconverged += sum(not s.matching.converged for _, s in uploads if s is not None)
+        anchors, templates, drift, gw_mean = server_step(anchors, templates, uploads, cfg)
 
-        if cfg.refine_enabled:
-            anchors = refine_all_anchors(anchors, sem_reports, cfg.refine_tau,
-                                         cfg.refine_eta)
-        drift = gram_drift(anchors)
-
-        gw_mean = 0.0
-        if cfg.structural_enabled:
-            if cfg.refine_enabled:
-                templates = np.stack([update_template(q, str_reports, templates)
-                                      for q in range(cfg.num_templates)])
-            gw_mean = float(np.mean([template_objective(str_reports, q, templates[q])
-                                     for q in range(cfg.num_templates)]))
-
-        # float() keeps numpy scalars out, whose repr would change the CSV
-        records += [HistoryRow(round_idx, state.client_id, float(r.ce), float(r.sem),
-                               float(r.stru), float(r.val_metric), float(r.test_metric),
-                               drift, gw_mean)
-                    for state, r in zip(clients, results)]
+        records += [HistoryRow(round_idx, state.client_id, *res.metrics, drift, gw_mean)
+                    for state, res in zip(clients, results)]
     calls = cfg.rounds * len(clients) if cfg.structural_enabled else 0
     return FederationResult(records=records, clients=clients,
                             anchors=anchors, templates=templates,

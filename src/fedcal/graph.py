@@ -9,7 +9,7 @@ graph, the client count and a seed.
 
 File formats (plain text, `#` starts a comment line):
   edges     one ``u v`` pair per line, 0-based node ids
-  features  one row per node, whitespace-separated decimals
+  features  one row per node, whitespace-separated finite decimals
   labels    one integer per node, -1 meaning unlabeled
 """
 
@@ -396,6 +396,8 @@ def load_graph(edges_path, features_path, labels_path, num_classes=None) -> Grap
             row = [float(x) for x in parts]
         except ValueError:
             raise _parse_error(features_path, lineno, f"bad feature value in {line!r}")
+        if not np.isfinite(row).all():
+            raise _parse_error(features_path, lineno, f"non-finite feature value in {line!r}")
         if width is None:
             width = len(row)
         elif len(row) != width:

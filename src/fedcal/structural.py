@@ -185,8 +185,9 @@ def sinkhorn_match(radials, templates: np.ndarray, epsilon: float = 0.05,
     are exact and convergence is measured on the column-marginal l1
     residual. The returned matrix is the coupling times B, making every
     row a probability distribution over templates. Non-convergence is
-    reported through the converged flag, not an exception; an epsilon so
-    small that the scaled log-kernel is not finite raises ValueError.
+    reported through the converged flag, not an exception. An epsilon or
+    tol that is not finite and > 0, a max_iters below 1, and an epsilon so
+    small that the scaled log-kernel is not finite raise ValueError.
 
     The loop keeps the log-kernel transposed, as a C-ordered (Q, B)
     array, so each reduction runs over contiguous rows. Every sum keeps
@@ -199,10 +200,12 @@ def sinkhorn_match(radials, templates: np.ndarray, epsilon: float = 0.05,
     log1p(exp(lo - hi)) + hi for the u-update over templates, where a
     tie gives log1p(1) + hi = log(2) + hi.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if max_iters < 1 or tol <= 0:
-        raise ValueError(f"need max_iters >= 1 and tol > 0, got {max_iters}, {tol}")
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     cost = _cost_matrix(radials, templates)
     nb, nq = cost.shape
     mean = cost.mean()

@@ -104,10 +104,10 @@ def test_smoke_run_reaches_every_traced_name(tmp_path):
 
     tracer = load_tracer()
     t = tracer.Tracer()
+    smoke = os.path.join(REPO, "configs", "smoke.cfg")
     try:
         t.install()
-        code = cli.main(["run", "--config", os.path.join(REPO, "configs", "smoke.cfg"),
-                         "--out", str(tmp_path / "run")])
+        code = cli.main(["run", "--config", smoke, "--out", str(tmp_path / "run")])
     finally:
         t.uninstall()
     assert code == 0
@@ -116,3 +116,9 @@ def test_smoke_run_reaches_every_traced_name(tmp_path):
     assert expected - {s[0] for s in t.spans} == set()
     assert t.counts["numerics.l2_normalize_calls"] > 0
     assert t.counts["numerics.svd_calls"] > 0
+    # each round's refine spans follow its client rounds, so the server time
+    # reads 0 if server_step stops calling refine through fedsim's names
+    timings = tracer.fedsim_timings(t.spans, 1)
+    rounds = cli.build_run_config(cli.parse_config_file(smoke))["federation.rounds"]
+    assert len(timings["round_ms"]) == rounds
+    assert timings["server_s"] > 0

@@ -17,17 +17,16 @@ from fedcal.fedsim import (
     import_history,
     run_client_round,
     run_federation,
+    server_step,
     setup_federation,
     _average_ranks,
 )
 from fedcal.graph import Graph, HopAggregator
-from fedcal.model import ModelParams, init_params
+from fedcal.model import ModelParams, init_params, total_loss
 from fedcal.refine import (
     SemanticReport,
     StructuralReport,
-    refine_all_anchors,
     template_objective,
-    update_template,
 )
 
 
@@ -110,7 +109,7 @@ class TestRunFederation:
         cfg = tiny_config(num_clients=1, rounds=1, batch_nodes=64)
         clients, anchors, templates, _ = setup_federation(cfg)
         res = run_client_round(clients[0], anchors, templates, cfg, 0)
-        vs = deviation_vectors([res.semantic_report], anchors)
+        vs = deviation_vectors([res.upload[0]], anchors)
         result = run_federation(cfg)
         moved = result.anchors - anchors
         for i in range(cfg.num_classes):
@@ -142,16 +141,27 @@ class TestRunFederation:
                                             (r + 1) * cfg.num_templates]))
             assert {row.gw_objective_mean for row in rows if row.round == r} == {mean}
 
-    def test_within_round_loss_monotone(self):
+    def test_within_round_loss_monotone(self, monkeypatch):
+        import fedcal.fedsim as fedsim_mod
+
+        losses = []
+
+        def recorded(*args, **kwargs):
+            out = total_loss(*args, **kwargs)
+            losses.append(out[0])
+            return out
+
+        monkeypatch.setattr(fedsim_mod, "total_loss", recorded)
         cfg = tiny_config(rounds=4, local_epochs=3, lr0=0.02)
         clients, anchors, templates, _ = setup_federation(cfg)
         for r in range(cfg.rounds):
             for state in clients:
+                losses.clear()
                 res = run_client_round(state, anchors, templates, cfg, r)
-                losses = res.epoch_losses
+                assert len(losses) == cfg.local_epochs + 1
                 for i in range(len(losses) - 1):
                     assert losses[i + 1] <= losses[i] + 1e-6
-                state.params = res.params
+                state.params = res.local[0]
 
     def test_failed_client_names_round(self):
         cfg = tiny_config()
@@ -206,18 +216,14 @@ class TestRunFederation:
 
         def one_round(anchors, templates):
             results = [run_client_round(c, anchors, templates, cfg, 0) for c in clients]
-            str_reports = [r.structural_report for r in results]
-            refined = refine_all_anchors(
-                anchors, [r.semantic_report for r in results], cfg.refine_tau, cfg.refine_eta
-            )
-            new_templates = [update_template(q, str_reports, templates)
-                             for q in range(cfg.num_templates)]
-            arrays = [refined] + new_templates
+            refined, new_templates, drift, gw_mean = server_step(
+                anchors, templates, [r.upload for r in results], cfg)
+            arrays = [refined, new_templates, np.array([drift, gw_mean])]
             for r in results:
-                arrays += [r.params.w_ego, r.params.w_cls, r.params.b_cls, r.rotation,
-                           r.semantic_report.k, r.semantic_report.per_class_loss,
-                           r.structural_report.radials, r.structural_report.matching.f,
-                           np.array([r.ce, r.sem, r.stru, r.val_metric, r.test_metric])]
+                (params, rotation), (sem, stru) = r.local, r.upload
+                arrays += [params.w_ego, params.w_cls, params.b_cls, rotation,
+                           sem.k, sem.per_class_loss, stru.radials, stru.matching.f,
+                           np.array(r.metrics)]
             return arrays
 
         frozen_anchors, frozen_templates = anchors.copy(), templates.copy()
@@ -308,13 +314,36 @@ class TestPrivacyStructure:
         assert sem_fields == {"k", "present_mask", "per_class_loss"}
         assert str_fields == {"radials", "matching"}
 
+    def test_client_round_has_three_parts(self):
+        from fedcal.fedsim import ClientRoundResult
+
+        parts = [f.name for f in dataclasses.fields(ClientRoundResult)]
+        assert parts == ["local", "upload", "metrics"]
+
     def test_reports_reference_no_graph_or_params(self):
         cfg = tiny_config(rounds=1)
         clients, anchors, templates, _ = setup_federation(cfg)
         res = run_client_round(clients[0], anchors, templates, cfg, 0)
-        for report in (res.semantic_report, res.structural_report):
+        assert len(res.upload) == 2
+        for report in res.upload:
             for value in vars(report).values():
                 assert not isinstance(value, (Graph, ModelParams, ClientState))
+
+    @pytest.mark.parametrize("kw", [{}, dict(structural_enabled=False),
+                                    dict(refine_enabled=False)],
+                             ids=["full", "ablate-structural", "ablate-refinement"])
+    def test_server_step_reads_only_the_uploads(self, kw):
+        cfg = tiny_config(rounds=1, **kw)
+        clients, anchors, templates, _ = setup_federation(cfg)
+        uploads = [run_client_round(c, anchors, templates, cfg, 0).upload for c in clients]
+        del clients
+        new_anchors, new_templates, drift, gw_mean = server_step(anchors, templates,
+                                                                 uploads, cfg)
+        result = run_federation(cfg)
+        assert new_anchors.tobytes() == result.anchors.tobytes()
+        assert new_templates.tobytes() == result.templates.tobytes()
+        assert {(row.anchor_gram_drift, row.gw_objective_mean)
+                for row in result.records} == {(drift, gw_mean)}
 
     def test_client_state_has_no_peer_accessor(self):
         fields = {f.name for f in dataclasses.fields(ClientState)}

@@ -391,8 +391,9 @@ class TestFilesAndSplits:
         for v in range(30):
             assert np.array_equal(loaded.neighbors(v), g.neighbors(v))
 
-    def test_parse_error_carries_line_number(self, tmp_path):
-        (tmp_path / "x.txt").write_text("1.0 2.0\n1.0 bad\n")
+    @pytest.mark.parametrize("value", ["bad", "nan", "-inf"])
+    def test_parse_error_carries_line_number(self, tmp_path, value):
+        (tmp_path / "x.txt").write_text(f"1.0 2.0\n1.0 {value}\n")
         (tmp_path / "y.txt").write_text("0\n1\n")
         (tmp_path / "e.txt").write_text("0 1\n")
         with pytest.raises(ValueError, match="x.txt:2"):

@@ -233,6 +233,13 @@ class TestSinkhorn:
         with pytest.raises(ValueError):
             sinkhorn_match(radials, templates, epsilon=0.0)
 
+    @pytest.mark.parametrize("epsilon", [np.inf, np.nan])
+    def test_rejects_non_finite_epsilon(self, epsilon):
+        radials = random_radials(2, 3, seed=9)
+        templates = init_templates(2, 3, seed=9)
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            sinkhorn_match(radials, templates, epsilon=epsilon)
+
     def test_rejects_epsilon_that_leaves_kernel_non_finite(self):
         radials = random_radials(4, 3, seed=9)
         templates = init_templates(2, 3, seed=9)
@@ -240,7 +247,8 @@ class TestSinkhorn:
             with pytest.raises(ValueError, match="epsilon"):
                 sinkhorn_match(radials, templates, epsilon=1e-320)
 
-    @pytest.mark.parametrize("bad", [{"max_iters": 0}, {"tol": 0.0}, {"tol": -1.0}])
+    @pytest.mark.parametrize("bad", [{"max_iters": 0}, {"tol": 0.0}, {"tol": -1.0},
+                                     {"tol": np.nan}, {"tol": np.inf}])
     def test_rejects_bad_stopping_rule(self, bad):
         radials = random_radials(2, 3, seed=9)
         templates = init_templates(2, 3, seed=9)
