@@ -8,9 +8,11 @@ params and rotation it keeps, the upload, and scalar metrics. The upload
 is two reports of manifold statistics only: calibrated class means with
 per-class losses, and radial sequences with their matching. The metrics
 are the simulator's history, which the server never reads. Behind a
-barrier, ``server_step`` refines the anchors and templates from the
-uploads alone. Models are fully personalized: no parameter averaging
-happens anywhere, the only thing exchanged is manifold statistics.
+barrier, ``server_step`` stacks the round's reports into two pools
+(``semantic_pool``, ``structural_pool``) once and refines the anchors and
+templates from those arrays alone; the upload format is known here only.
+Models are fully personalized: no parameter averaging happens anywhere,
+the only thing exchanged is manifold statistics.
 
 Every random draw flows through a generator seeded by (config seed,
 purpose tag, client id, round), so histories are bitwise reproducible
@@ -39,9 +41,8 @@ from .graph import (
 )
 from .model import ModelParams, forward, init_params, lr_schedule, sgd_step, total_loss
 from .refine import (
-    SemanticReport,
-    StructuralReport,
     gram_drift,
+    intra_distances,
     refine_all_anchors,
     template_objective,
     update_template,
@@ -53,6 +54,7 @@ from .semantic import (
     semantic_per_class_loss,
 )
 from .structural import (
+    MatchingMatrix,
     init_templates,
     radial_sequences_from_rings,
     sample_structural_batch,
@@ -65,9 +67,13 @@ __all__ = [
     "HistoryRow",
     "FederationResult",
     "FederationError",
+    "SemanticReport",
+    "StructuralReport",
     "build_dataset",
     "setup_federation",
     "run_client_round",
+    "semantic_pool",
+    "structural_pool",
     "server_step",
     "run_federation",
     "evaluate",
@@ -321,6 +327,28 @@ def _check_client_splits(cfg: FederationConfig, g: Graph, parts):
 
 
 @dataclass
+class SemanticReport:
+    """Client upload: calibrated class means and per-class mean anchor loss."""
+
+    k: np.ndarray               # (d, C), columns rotation @ class mean
+    present_mask: np.ndarray    # (C,) bool
+    per_class_loss: np.ndarray  # (C,), zero where absent
+
+
+@dataclass
+class StructuralReport:
+    """Client upload: sampled radial sequences and their matching matrix.
+
+    radials is the (B, 2, d) float64 batch the client matched; matching.f
+    is its B x Q assignment. A client without the structural term uploads
+    none.
+    """
+
+    radials: np.ndarray
+    matching: MatchingMatrix
+
+
+@dataclass
 class ClientRoundResult:
     """One client's round in three parts, split by who may read them."""
 
@@ -455,28 +483,48 @@ def evaluate(state: ClientState, split: str, metric: str = "accuracy") -> float:
     return _metric_from_logits(cache.logits, state.graph, split, metric)
 
 
+def semantic_pool(reports):
+    """The semantic reports stacked in client order as ``(k, present, losses)``,
+    of shapes (R, d, C), (R, C) and (R, C) for R reports."""
+    if not reports:
+        raise ValueError("need at least one semantic report")
+    return (np.stack([rep.k for rep in reports]),
+            np.stack([rep.present_mask for rep in reports]),
+            np.stack([rep.per_class_loss for rep in reports]))
+
+
+def structural_pool(reports):
+    """The structural reports concatenated in client order as ``(f, alphas,
+    rows)``, of shapes (N, Q), (N,) and (N, 2, d) for N radials in all."""
+    rows = np.concatenate([rep.radials for rep in reports])
+    f = np.concatenate([rep.matching.f for rep in reports])
+    return f, intra_distances(rows), rows
+
+
 def server_step(anchors: np.ndarray, templates: np.ndarray, uploads,
                 cfg: FederationConfig):
     """The server's half of a round: (anchors, templates, drift, gw_mean).
 
     ``uploads`` holds each client's ``ClientRoundResult.upload`` in
     client-id order; besides them the server reads only the current
-    anchors and templates and cfg's settings. ``drift`` is the refined
-    anchors' ``gram_drift`` and ``gw_mean`` the mean GW objective of the
-    refined templates, 0.0 when the structural term is off.
+    anchors and templates and cfg's settings. Each kind of report is
+    pooled once (``semantic_pool``, ``structural_pool``) and the refine
+    functions read the pools. ``drift`` is the refined anchors'
+    ``gram_drift`` and ``gw_mean`` the mean GW objective of the refined
+    templates, 0.0 when the structural term is off.
     """
-    sem_reports = [sem for sem, _ in uploads]
-    str_reports = [stru for _, stru in uploads]
     if cfg.refine_enabled:
-        anchors = refine_all_anchors(anchors, sem_reports, cfg.refine_tau, cfg.refine_eta)
+        semantic = semantic_pool([sem for sem, _ in uploads])
+        anchors = refine_all_anchors(anchors, semantic, cfg.refine_tau, cfg.refine_eta)
     drift = gram_drift(anchors)
 
     gw_mean = 0.0
     if cfg.structural_enabled:
+        structural = structural_pool([stru for _, stru in uploads])
         if cfg.refine_enabled:
-            templates = np.stack([update_template(q, str_reports, templates)
+            templates = np.stack([update_template(q, structural, templates)
                                   for q in range(cfg.num_templates)])
-        gw_mean = float(np.mean([template_objective(str_reports, q, templates[q])
+        gw_mean = float(np.mean([template_objective(structural, q, templates[q])
                                  for q in range(cfg.num_templates)]))
     return anchors, templates, drift, gw_mean
 

@@ -81,11 +81,6 @@ class Graph:
     def num_edges(self) -> int:
         return self.adjacency.nnz // 2
 
-    def neighbors(self, v: int) -> np.ndarray:
-        """Sorted neighbor ids of node v: a view of row v's CSR indices."""
-        a = self.adjacency
-        return a.indices[a.indptr[v]:a.indptr[v + 1]]
-
     def validate(self):
         n = self.num_nodes
         if self.labels.shape != (n,):

@@ -1,7 +1,7 @@
 """Dense linear algebra and scalar helpers shared by every other module.
 
 Matrices are plain 2-D float64 numpy arrays (row-major), and svd returns
-the plain (u, sigma, vt) tuple. Every public operation validates
+np.linalg.svd's (u, sigma, vt). Every public operation validates
 finiteness on the way in, so NaN/Inf never escapes silently. Everything
 here is a pure function and safe to call from concurrent client threads.
 """
@@ -39,20 +39,16 @@ def _leading_signs(q: np.ndarray) -> np.ndarray:
 def svd(m):
     """Full SVD (u, sigma, vt) of a square matrix, m = u @ diag(sigma) @ vt.
 
-    sigma is sorted descending, as np.linalg.svd returns it. The first
-    entry of each left singular vector whose magnitude exceeds 1e-12 is
-    made non-negative; the matching row of vt is flipped with it, so the
-    product is unchanged and repeated calls on equal inputs return
-    identical factors.
+    The factors are np.linalg.svd's, sigma sorted descending. Their signs
+    are LAPACK's: a caller that needs u @ vt (procrustes) gets the same
+    bits under any flip of a column of u with the matching row of vt.
     """
     a = _as_finite_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"svd expects a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise ValueError("svd expects dimension >= 1")
-    u, sigma, vt = np.linalg.svd(a)
-    signs = _leading_signs(u)
-    return u * signs[None, :], sigma, vt * signs[:, None]
+    return np.linalg.svd(a)
 
 
 def softmax(v, tau: float) -> np.ndarray:
@@ -99,9 +95,9 @@ def random_orthogonal(d: int, seed) -> np.ndarray:
     """Seeded random d x d orthogonal matrix.
 
     QR of a seeded standard-normal matrix with the positive-diagonal-R
-    convention, followed by the same leading-entry sign canonicalization
-    the svd uses, so the result is unique per seed and d=1 always yields
-    +1.
+    convention, followed by a leading-entry sign canonicalization
+    (_leading_signs), so the result is unique per seed and d=1 always
+    yields +1.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")

@@ -1,14 +1,17 @@
 """Server-side refinement of the semantic anchors and structural templates.
 
-The anchors are a d x C array (one unit column per class) and the
-templates a (Q, 2, d) array; every update returns a new array and never
-writes into the one it was given, which the clients may still be reading.
+The functions read a round's uploads as the plain arrays that
+``fedsim.semantic_pool`` and ``fedsim.structural_pool`` stack once. The
+anchors are a d x C array (one unit column per class) and the templates
+a (Q, 2, d) array; every update returns a new array and never writes
+into the one it was given, which the clients may still be reading.
 
 Anchors move along a clipped combination of the mean client deviation
 (difficulty-weighted) and a mutual-repulsion term, then project back to
 the unit sphere; the repulsion keeps the frame near maximal
 equidistance, and a drift metric tracks how far the pairwise Gram
-entries stray from -1/(C-1).
+entries stray from -1/(C-1). Pooled sums run in client order from +0.0,
+where an absent class adds +0.0 and so changes no bit.
 
 Templates solve a weighted barycenter problem under the two-point
 Gromov-Wasserstein discrepancy. For two-point uniform metric-measure
@@ -19,85 +22,47 @@ into a 1-D scale search plus an assignment-weighted mean for position.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import softmax
-from .structural import MatchingMatrix
 
 log = logging.getLogger(__name__)
 _STEP_GUARD = 1e-8      # division guard in the anchor step clip
 _GOLDEN_ITERS = 200     # golden-section cap; radials (alpha <= 2) hit the 1e-12 stop first
 
 __all__ = [
-    "SemanticReport",
-    "StructuralReport",
     "deviation_vectors",
     "difficulty_weights",
     "constraint_vector",
     "refine_anchor",
     "refine_all_anchors",
     "gram_drift",
-    "gw_2point",
+    "intra_distances",
     "template_objective",
     "update_template",
 ]
 
 
-@dataclass
-class SemanticReport:
-    """Client upload: calibrated class means and per-class mean anchor loss."""
-
-    k: np.ndarray               # (d, C), columns rotation @ class mean
-    present_mask: np.ndarray    # (C,) bool
-    per_class_loss: np.ndarray  # (C,), zero where absent
-
-
-@dataclass
-class StructuralReport:
-    """Client upload: sampled radial sequences and their matching matrix.
-
-    radials is the (B, 2, d) float64 batch the client matched; matching.f
-    is its B x Q assignment. A client without the structural term uploads
-    none.
-    """
-
-    radials: np.ndarray
-    matching: MatchingMatrix
-
-
-def deviation_vectors(reports, anchors: np.ndarray) -> np.ndarray:
-    """(d, C) mean deviation of reported calibrated means from each anchor.
+def deviation_vectors(semantic, anchors: np.ndarray) -> np.ndarray:
+    """(d, C) mean deviation of the pooled calibrated means from each anchor.
 
     Column i averages k[:, i] - delta[:, i] over the clients reporting
     class i; classes nobody reports get a zero column.
     """
-    if not reports:
-        raise ValueError("need at least one semantic report")
-    d, c = anchors.shape
-    out = np.zeros((d, c))
-    counts = np.zeros(c)
-    for rep in reports:
-        for i in np.nonzero(rep.present_mask)[0]:
-            out[:, i] += rep.k[:, i] - anchors[:, i]
-            counts[i] += 1
+    k, present, _ = semantic
+    out = np.where(present[:, None, :], k - anchors, 0.0).sum(axis=0, initial=0.0)
+    counts = present.sum(axis=0)
     nz = counts > 0
     out[:, nz] /= counts[nz]
     return out
 
 
-def difficulty_weights(reports, tau: float) -> np.ndarray:
-    """Softmax-over-temperature of the mean per-class anchor losses."""
-    if not reports:
-        raise ValueError("need at least one semantic report")
-    c = reports[0].per_class_loss.shape[0]
-    totals = np.zeros(c)
-    counts = np.zeros(c)
-    for rep in reports:
-        present = rep.present_mask
-        totals[present] += rep.per_class_loss[present]
-        counts[present] += 1
+def difficulty_weights(semantic, tau: float) -> np.ndarray:
+    """Softmax-over-temperature of the pooled mean per-class anchor losses."""
+    _, present, losses = semantic
+    totals = np.where(present, losses, 0.0).sum(axis=0, initial=0.0)
+    counts = present.sum(axis=0)
     mean = np.where(counts > 0, totals / np.maximum(counts, 1), 0.0)
     return softmax(mean, tau)
 
@@ -148,8 +113,8 @@ def gram_drift(anchors: np.ndarray) -> float:
     return float(np.abs(off + 1.0 / (c - 1)).max())
 
 
-def refine_all_anchors(anchors: np.ndarray, reports, tau: float, eta: float):
-    """The (d, C) anchors with every reported one refined.
+def refine_all_anchors(anchors: np.ndarray, semantic, tau: float, eta: float):
+    """The (d, C) anchors with every reported one refined from the semantic pool.
 
     tau is the difficulty-weight temperature and eta the step clip of
     ``refine_anchor``. Classes reported by no client keep their anchor
@@ -157,11 +122,9 @@ def refine_all_anchors(anchors: np.ndarray, reports, tau: float, eta: float):
     frame's ``gram_drift`` is recorded, not corrected: the repulsion term
     is what keeps the frame near maximal equidistance.
     """
-    vs = deviation_vectors(reports, anchors)
-    gammas = difficulty_weights(reports, tau)
-    reported = np.zeros(anchors.shape[1], dtype=bool)
-    for rep in reports:
-        reported |= rep.present_mask
+    vs = deviation_vectors(semantic, anchors)
+    gammas = difficulty_weights(semantic, tau)
+    reported = semantic[1].any(axis=0)
     refined = anchors.copy()
     for i in np.nonzero(reported)[0]:
         s_i = constraint_vector(anchors, i)
@@ -169,11 +132,17 @@ def refine_all_anchors(anchors: np.ndarray, reports, tau: float, eta: float):
     return refined
 
 
-def _intra_distance(rows: np.ndarray) -> float:
-    return float(np.linalg.norm(rows[0] - rows[1]))
+def intra_distances(rows: np.ndarray) -> np.ndarray:
+    """(N,) distances between the two rows of each (2, d) pair in (N, 2, d) rows.
+
+    Each is np.linalg.norm's sqrt of a row dot, taken as stacked
+    (1 x d) @ (d x 1) products.
+    """
+    diff = rows[:, 0] - rows[:, 1]
+    return np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
 
 
-def _gw_values(alphas, beta: float) -> np.ndarray:
+def _gw_values(alphas: np.ndarray, beta: float) -> np.ndarray:
     """Two-point GW discrepancies as a function of the intra-distances.
 
     The coupling polytope is the one-parameter family T(t), t in [0, 1/2],
@@ -184,39 +153,14 @@ def _gw_values(alphas, beta: float) -> np.ndarray:
     (alpha^2 + beta^2)/2 - alpha beta = (alpha - beta)^2 / 2 in closed
     form; the clip at zero absorbs rounding.
     """
-    alphas = np.asarray(alphas, dtype=np.float64)
     return np.maximum((alphas ** 2 + beta ** 2) / 2.0 - alphas * beta, 0.0)
 
 
-def gw_2point(a, b) -> float:
-    """Gromov-Wasserstein discrepancy of two 2 x d uniform point sets.
-
-    Depends only on the two intra-pair distances, hence invariant to
-    rotations, reflections and translations of either side.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return float(_gw_values([_intra_distance(a)], _intra_distance(b))[0])
-
-
-def _collect_assignments(structural_reports, q: int):
-    """Weights, intra-distances and (N, 2, d) rows of all reported radials.
-
-    The intra-distances are np.linalg.norm's sqrt of a row dot, taken as
-    stacked (1 x d) @ (d x 1) products.
-    """
-    weights = np.concatenate([rep.matching.f[:, q] for rep in structural_reports])
-    rows = np.concatenate([rep.radials for rep in structural_reports])
-    diff = rows[:, 0] - rows[:, 1]
-    alphas = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
-    return weights, alphas, rows
-
-
-def template_objective(structural_reports, q: int, template_rows: np.ndarray) -> float:
-    """Weighted GW objective of one template against all assigned radials."""
-    weights, alphas, _ = _collect_assignments(structural_reports, q)
-    beta = _intra_distance(template_rows)
-    return float((weights * _gw_values(alphas, beta)).sum())
+def template_objective(structural, q: int, template_rows: np.ndarray) -> float:
+    """Weighted GW objective of one template against all pooled radials."""
+    f, alphas, _ = structural
+    beta = intra_distances(template_rows[None])[0]
+    return float((f[:, q] * _gw_values(alphas, beta)).sum())
 
 
 def _golden_section(fn, lo: float, hi: float) -> float:
@@ -240,8 +184,9 @@ def _golden_section(fn, lo: float, hi: float) -> float:
     return (a + b) / 2.0
 
 
-def update_template(q: int, structural_reports, templates: np.ndarray) -> np.ndarray:
-    """Barycenter update of one template; returns its new 2 x d rows.
+def update_template(q: int, structural, templates: np.ndarray) -> np.ndarray:
+    """Barycenter update of one template from the structural pool; returns
+    its new 2 x d rows.
 
     Stage one finds the intra-distance beta* minimizing the weighted GW
     objective by golden-section search on [0, max alpha] (GW sees a
@@ -252,7 +197,8 @@ def update_template(q: int, structural_reports, templates: np.ndarray) -> np.nda
     degenerate mean (coincident rows) takes its axis from a generator
     seeded by q.
     """
-    weights, alphas, rows = _collect_assignments(structural_reports, q)
+    f, alphas, rows = structural
+    weights = f[:, q]
     total = weights.sum()
     if total <= 0.0:
         log.debug("template %d has zero total assignment; left unchanged", q)

@@ -42,7 +42,6 @@ __all__ = [
     "init_templates",
     "sample_structural_batch",
     "radial_sequences_from_rings",
-    "ot_distance",
     "sinkhorn_match",
     "structural_loss",
     "structural_loss_ego",
@@ -93,20 +92,6 @@ def radial_sequences_from_rings(rings: np.ndarray, batch) -> np.ndarray:
     for pair in pairs:
         pair[...] = l2_normalize_rows(pair)
     return pairs
-
-
-def ot_distance(a, b) -> float:
-    """Transport cost between two 2 x d row sets under uniform weights.
-
-    With two support points per side and squared-Euclidean ground cost,
-    the optimal coupling is one of the two permutations, so the value is
-    half the cheaper permutation's total cost.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != 2:
-        raise ValueError(f"expected matching 2 x d arrays, got {a.shape} vs {b.shape}")
-    return float(_cost_matrix(a[None], b[None])[0, 0])
 
 
 def _coupling_costs(rows: np.ndarray, templates: np.ndarray):
@@ -187,7 +172,8 @@ def sinkhorn_match(radials, templates: np.ndarray, epsilon: float = 0.05,
     row a probability distribution over templates. Non-convergence is
     reported through the converged flag, not an exception. An epsilon or
     tol that is not finite and > 0, a max_iters below 1, and an epsilon so
-    small that the scaled log-kernel is not finite raise ValueError.
+    small that the scaled log-kernel is not finite or that a row of the
+    result is off 1 by more than 1e-6 raise ValueError.
 
     The loop keeps the log-kernel transposed, as a C-ordered (Q, B)
     array, so each reduction runs over contiguous rows. Every sum keeps
@@ -237,8 +223,13 @@ def sinkhorn_match(radials, templates: np.ndarray, epsilon: float = 0.05,
         if residual < tol:
             converged = True
             break
+    f = np.multiply(nb, coupling.T, order="C")
+    row_err = np.abs(np.add.reduce(f, axis=1) - 1.0).max()
+    if not row_err <= 1e-6:                          # NaN fails too
+        raise ValueError(f"epsilon = {epsilon!r} is too small: a row of the matching is "
+                         f"off 1 by {row_err:.2g}, above 1e-6")
     return MatchingMatrix(
-        f=np.multiply(nb, coupling.T, order="C"),
+        f=f,
         converged=converged,
         iterations=iters,
         objective_trace=np.array(trace) if debug else None,
@@ -248,9 +239,12 @@ def sinkhorn_match(radials, templates: np.ndarray, epsilon: float = 0.05,
 def structural_loss(matching: MatchingMatrix, radials, templates: np.ndarray):
     """Assignment-weighted transport cost with gradient on the radial rows.
 
-    loss = (1/B) sum_b sum_q f[b,q] * ot_distance(radial_b, template_q).
-    The optimal permutation of every pair is held fixed (identity at
-    ties), giving the deterministic subgradient
+    loss = (1/B) sum_b sum_q f[b,q] * min(keep, swap) / 2, where keep and
+    swap are the squared distances |r_b - t_q|^2 of radial b to template
+    q under the identity and the swapped row pairing: the transport cost
+    of two uniform two-point measures, whose optimal coupling is one of
+    the two permutations. The optimal permutation of every pair is held
+    fixed (identity at ties), giving the deterministic subgradient
     d loss / d row = (1/B) sum_q f[b,q] (row - matched template row).
     The costs and the matched differences both come from the keep and
     swap pairing differences of _coupling_costs, built once.

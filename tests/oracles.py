@@ -7,7 +7,11 @@ neighbourhood at a time instead. The partition reference runs the
 partitioner's two loops on numpy arrays and scalars, where the library
 runs them on plain per-node lists. The structural-loss reference scores
 one (radial, template) pair at a time, where the library scores all
-pairs from one (B, Q, 2, d) array of pairing differences.
+pairs from one (B, Q, 2, d) array of pairing differences. The semantic
+references loop over the client reports one class at a time, where the
+library sums the stacked pool (fedsim.semantic_pool). Three helpers that
+no library module calls live here too: a node's neighbour ids, and the
+transport and two-point Gromov-Wasserstein distances of one pair.
 """
 
 from collections import deque
@@ -15,7 +19,15 @@ from collections import deque
 import numpy as np
 
 from fedcal.graph import Graph, _farthest_point_seeds
-from fedcal.numerics import l2_normalize_rows
+from fedcal.numerics import l2_normalize_rows, softmax
+from fedcal.refine import _gw_values, intra_distances
+from fedcal.structural import _cost_matrix
+
+
+def neighbors(g: Graph, v: int) -> np.ndarray:
+    """Sorted neighbor ids of node v: a view of row v's CSR indices."""
+    a = g.adjacency
+    return a.indices[a.indptr[v]:a.indptr[v + 1]]
 
 
 def k_hop_sets(g: Graph, v: int, k: int) -> np.ndarray:
@@ -23,13 +35,13 @@ def k_hop_sets(g: Graph, v: int, k: int) -> np.ndarray:
     if not (0 <= v < g.num_nodes):
         raise ValueError(f"node {v} out of range")
     if k == 1:
-        return np.array(g.neighbors(v), dtype=np.int64)
+        return np.array(neighbors(g, v), dtype=np.int64)
     if k != 2:
         raise ValueError("only k in {1, 2} is supported")
-    one = set(int(u) for u in g.neighbors(v))
+    one = set(int(u) for u in neighbors(g, v))
     two = set()
     for u in one:
-        two.update(int(w) for w in g.neighbors(u))
+        two.update(int(w) for w in neighbors(g, u))
     two.discard(v)
     two -= one
     return np.array(sorted(two), dtype=np.int64)
@@ -42,7 +54,7 @@ def radial_sequence(g: Graph, ego: np.ndarray, node: int) -> np.ndarray:
     1-hop aggregate and an empty 1-hop ring reuses the node's own ego
     row. Zero rows stay zero after normalization.
     """
-    one = g.neighbors(node)
+    one = neighbors(g, node)
     agg1 = ego[one].mean(axis=0) if len(one) else ego[node].copy()
     two = k_hop_sets(g, node, 2)
     agg2 = ego[two].mean(axis=0) if len(two) else agg1
@@ -66,7 +78,7 @@ def partition_node_ids(g: Graph, m: int, seed) -> list:
     for p, s in enumerate(seeds):
         owner[s] = p
         sizes[p] = 1
-        frontiers[p].extend(int(u) for u in g.neighbors(s))
+        frontiers[p].extend(int(u) for u in neighbors(g, s))
     scan = 0
     remaining = n - m
     while remaining > 0:
@@ -84,14 +96,14 @@ def partition_node_ids(g: Graph, m: int, seed) -> list:
         owner[v] = p
         sizes[p] += 1
         remaining -= 1
-        frontiers[p].extend(int(u) for u in g.neighbors(v) if owner[u] < 0)
+        frontiers[p].extend(int(u) for u in neighbors(g, v) if owner[u] < 0)
 
     target = n / m
     lo = min(int(np.ceil(0.8 * target)), n // m)
     hi = max(int(np.floor(1.2 * target)), -(-n // m))
     for v in range(n):
         cur = int(owner[v])
-        counts = np.bincount(owner[g.neighbors(v)], minlength=m)
+        counts = np.bincount(owner[neighbors(g, v)], minlength=m)
         best = int(np.argmax(counts))
         if best != cur and counts[best] > counts[cur]:
             if sizes[cur] - 1 >= lo and sizes[best] + 1 <= hi:
@@ -120,3 +132,56 @@ def structural_loss_pairs(f: np.ndarray, radials: np.ndarray, templates: np.ndar
             loss += f[b, q] * 0.5 * min(keep, swap)
             grad[b] += f[b, q] * (radials[b] - matched)
     return loss / nb, grad / nb
+
+
+def ot_distance(a, b) -> float:
+    """Transport cost between two 2 x d row sets under uniform weights.
+
+    With two support points per side and squared-Euclidean ground cost,
+    the optimal coupling is one of the two permutations, so the value is
+    half the cheaper permutation's total cost (the library's cost matrix
+    for one pair).
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != 2:
+        raise ValueError(f"expected matching 2 x d arrays, got {a.shape} vs {b.shape}")
+    return float(_cost_matrix(a[None], b[None])[0, 0])
+
+
+def gw_2point(a, b) -> float:
+    """Gromov-Wasserstein discrepancy of two 2 x d uniform point sets.
+
+    Depends only on the two intra-pair distances, hence invariant to
+    rotations, reflections and translations of either side.
+    """
+    alpha = intra_distances(np.asarray(a, dtype=np.float64)[None])
+    beta = intra_distances(np.asarray(b, dtype=np.float64)[None])[0]
+    return float(_gw_values(alpha, beta)[0])
+
+
+def deviation_vectors_loop(reports, anchors: np.ndarray) -> np.ndarray:
+    """refine.deviation_vectors, one report and one present class at a time."""
+    d, c = anchors.shape
+    out = np.zeros((d, c))
+    counts = np.zeros(c)
+    for rep in reports:
+        for i in np.nonzero(rep.present_mask)[0]:
+            out[:, i] += rep.k[:, i] - anchors[:, i]
+            counts[i] += 1
+    nz = counts > 0
+    out[:, nz] /= counts[nz]
+    return out
+
+
+def difficulty_weights_loop(reports, tau: float) -> np.ndarray:
+    """refine.difficulty_weights, one report at a time."""
+    c = reports[0].per_class_loss.shape[0]
+    totals = np.zeros(c)
+    counts = np.zeros(c)
+    for rep in reports:
+        present = rep.present_mask
+        totals[present] += rep.per_class_loss[present]
+        counts[present] += 1
+    mean = np.where(counts > 0, totals / np.maximum(counts, 1), 0.0)
+    return softmax(mean, tau)

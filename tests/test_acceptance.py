@@ -14,15 +14,16 @@ import pytest
 from fedcal.cli import main as cli_main
 from fedcal.fedsim import (
     FederationConfig,
+    SemanticReport,
     run_federation,
+    semantic_pool,
+    structural_pool,
 )
 from fedcal.model import total_loss
 from fedcal.numerics import random_orthogonal, svd
 from fedcal.refine import (
     _STEP_GUARD,
-    SemanticReport,
     gram_drift,
-    gw_2point,
     refine_all_anchors,
     refine_anchor,
     template_objective,
@@ -33,6 +34,7 @@ from fedcal.structural import (
     init_templates,
     sinkhorn_match,
 )
+from oracles import gw_2point
 
 BENCH_SEEDS = (1, 2, 3, 4, 5)
 
@@ -269,9 +271,9 @@ class TestCriterion5GromovWasserstein:
             rep = make_structural_report(radial_rows, f)
             templates = rng2.standard_normal((3, 2, 5))
             for q in range(3):
-                before = template_objective([rep], q, templates[q])
-                new = update_template(q, [rep], templates)
-                after = template_objective([rep], q, new)
+                before = template_objective(structural_pool([rep]), q, templates[q])
+                new = update_template(q, structural_pool([rep]), templates)
+                after = template_objective(structural_pool([rep]), q, new)
                 worst_ascent = max(worst_ascent, after - before)
         assert worst_ascent <= 1e-9
 
@@ -301,8 +303,8 @@ class TestCriterion6AnchorRefinement:
                 ))
             from fedcal.refine import constraint_vector, deviation_vectors, difficulty_weights
 
-            vs = deviation_vectors(reports, anchors)
-            gammas = difficulty_weights(reports, tau)
+            vs = deviation_vectors(semantic_pool(reports), anchors)
+            gammas = difficulty_weights(semantic_pool(reports), tau)
             for i in range(4):
                 s = constraint_vector(anchors, i)
                 delta = anchors[:, i]
@@ -311,7 +313,7 @@ class TestCriterion6AnchorRefinement:
                 worst_chord = max(worst_chord, t * np.linalg.norm(step))
                 out = refine_anchor(delta, vs[:, i], float(gammas[i]), s, eta)
                 worst_norm = max(worst_norm, abs(np.linalg.norm(out) - 1.0))
-            anchors = refine_all_anchors(anchors, reports, tau, eta)
+            anchors = refine_all_anchors(anchors, semantic_pool(reports), tau, eta)
         assert worst_norm <= 1e-12
         assert worst_chord <= eta + 1e-9
 
@@ -321,7 +323,7 @@ class TestCriterion6AnchorRefinement:
             k=exact.copy(), present_mask=np.ones(5, dtype=bool),
             per_class_loss=np.zeros(5),
         )]
-        refined = refine_all_anchors(exact, reports, tau, eta)
+        refined = refine_all_anchors(exact, semantic_pool(reports), tau, eta)
         fixed_err = float(np.abs(refined - exact).max())
         assert fixed_err <= 1e-12
         assert gram_drift(refined) <= 1e-9

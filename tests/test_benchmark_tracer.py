@@ -119,6 +119,12 @@ def test_smoke_run_reaches_every_traced_name(tmp_path):
     # each round's refine spans follow its client rounds, so the server time
     # reads 0 if server_step stops calling refine through fedsim's names
     timings = tracer.fedsim_timings(t.spans, 1)
-    rounds = cli.build_run_config(cli.parse_config_file(smoke))["federation.rounds"]
+    settings = cli.build_run_config(cli.parse_config_file(smoke))
+    rounds, templates = settings["federation.rounds"], settings["federation.templates"]
     assert len(timings["round_ms"]) == rounds
     assert timings["server_s"] > 0
+    # one anchor refinement per round, one update and objective per template
+    names = [s[0] for s in t.spans]
+    assert names.count("refine.anchors") == rounds
+    assert names.count("refine.templates") == rounds * templates
+    assert names.count("refine.objective") == rounds * templates

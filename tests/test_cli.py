@@ -476,6 +476,13 @@ class TestRunCommand:
         for name in ("history.csv", "summary.json"):
             assert "unconverged" not in open(os.path.join(out, name)).read()
 
+    def test_matching_rows_off_one_fail_the_run(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SMOKE + "sinkhorn.epsilon = 1e-18\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert "client 0 failed at round 0" in err and "epsilon" in err
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_fails_before_work(self, smoke_cfg, tmp_path, capsys,
                                                   threads):

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import re
 
 import numpy as np
@@ -10,6 +11,8 @@ from fedcal.fedsim import (
     FederationConfig,
     FederationError,
     HistoryRow,
+    SemanticReport,
+    StructuralReport,
     build_dataset,
     evaluate,
     export_embeddings,
@@ -17,17 +20,15 @@ from fedcal.fedsim import (
     import_history,
     run_client_round,
     run_federation,
+    semantic_pool,
     server_step,
     setup_federation,
+    structural_pool,
     _average_ranks,
 )
 from fedcal.graph import Graph, HopAggregator
 from fedcal.model import ModelParams, init_params, total_loss
-from fedcal.refine import (
-    SemanticReport,
-    StructuralReport,
-    template_objective,
-)
+from fedcal.refine import template_objective
 
 
 def tiny_config(**kw):
@@ -109,7 +110,7 @@ class TestRunFederation:
         cfg = tiny_config(num_clients=1, rounds=1, batch_nodes=64)
         clients, anchors, templates, _ = setup_federation(cfg)
         res = run_client_round(clients[0], anchors, templates, cfg, 0)
-        vs = deviation_vectors([res.upload[0]], anchors)
+        vs = deviation_vectors(semantic_pool([res.upload[0]]), anchors)
         result = run_federation(cfg)
         moved = result.anchors - anchors
         for i in range(cfg.num_classes):
@@ -121,8 +122,8 @@ class TestRunFederation:
 
         objectives = []
 
-        def recorded(reports, q, template):
-            objectives.append(template_objective(reports, q, template))
+        def recorded(structural, q, template):
+            objectives.append(template_objective(structural, q, template))
             return objectives[-1]
 
         monkeypatch.setattr(fedsim_mod, "template_objective", recorded)
@@ -348,6 +349,50 @@ class TestPrivacyStructure:
     def test_client_state_has_no_peer_accessor(self):
         fields = {f.name for f in dataclasses.fields(ClientState)}
         assert fields == {"client_id", "graph", "agg", "params", "rotation"}
+
+
+class TestPools:
+    def test_smoke_run_builds_each_pool_once_per_round(self, monkeypatch, tmp_path):
+        import fedcal.fedsim as fedsim_mod
+        from fedcal import cli
+
+        calls = []
+        for name in ("semantic_pool", "structural_pool"):
+            def counted(reports, name=name, pool=getattr(fedsim_mod, name)):
+                calls.append(name)
+                return pool(reports)
+
+            monkeypatch.setattr(fedsim_mod, name, counted)
+        smoke = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs", "smoke.cfg")
+        assert cli.main(["run", "--config", smoke, "--out", str(tmp_path / "run")]) == 0
+        rounds = cli.build_run_config(cli.parse_config_file(smoke))["federation.rounds"]
+        assert calls == ["semantic_pool", "structural_pool"] * rounds
+
+    def test_pools_stack_the_uploads_in_client_order(self):
+        cfg = tiny_config(rounds=1)
+        clients, anchors, templates, _ = setup_federation(cfg)
+        uploads = [run_client_round(c, anchors, templates, cfg, 0).upload for c in clients]
+        sems = [sem for sem, _ in uploads]
+        k, present, losses = semantic_pool(sems)
+        r, (d, c) = len(clients), anchors.shape
+        assert (k.shape, present.shape, losses.shape) == ((r, d, c), (r, c), (r, c))
+        for i, sem in enumerate(sems):
+            assert k[i].tobytes() == sem.k.tobytes()
+            assert np.array_equal(present[i], sem.present_mask)
+            assert losses[i].tobytes() == sem.per_class_loss.tobytes()
+
+        strs = [stru for _, stru in uploads]
+        f, alphas, rows = structural_pool(strs)
+        n = sum(len(stru.radials) for stru in strs)
+        assert (f.shape, alphas.shape, rows.shape) == ((n, cfg.num_templates), (n,),
+                                                       (n, 2, cfg.embed_dim))
+        assert f.tobytes() == np.concatenate([s.matching.f for s in strs]).tobytes()
+        assert rows.tobytes() == np.concatenate([s.radials for s in strs]).tobytes()
+        assert alphas.tolist() == [float(np.linalg.norm(p[0] - p[1])) for p in rows]
+
+    def test_empty_semantic_pool_rejected(self):
+        with pytest.raises(ValueError, match="need at least one semantic report"):
+            semantic_pool([])
 
 
 class TestEvaluate:

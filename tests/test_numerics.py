@@ -44,10 +44,6 @@ class TestSvd:
         u2, _, vt2 = svd(m.copy())
         assert np.array_equal(u1, u2)
         assert np.array_equal(vt1, vt2)
-        for j in range(5):
-            col = u1[:, j]
-            lead = col[np.abs(col) > 1e-12][0]
-            assert lead >= 0
 
     def test_sigma_descending_nonneg_many_seeds(self):
         # 1000 seeded random matrices up to 16x16

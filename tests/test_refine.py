@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
+from fedcal.fedsim import SemanticReport, StructuralReport, semantic_pool, structural_pool
 from fedcal.numerics import random_orthogonal
 from fedcal.refine import (
-    SemanticReport,
-    StructuralReport,
     _STEP_GUARD,
     _golden_section,
     constraint_vector,
     deviation_vectors,
     difficulty_weights,
     gram_drift,
-    gw_2point,
     refine_all_anchors,
     refine_anchor,
     template_objective,
@@ -19,6 +17,7 @@ from fedcal.refine import (
 )
 from fedcal.semantic import construct_etf
 from fedcal.structural import MatchingMatrix
+from oracles import deviation_vectors_loop, difficulty_weights_loop, gw_2point
 
 
 def report_at_anchors(anchors, loss=0.0):
@@ -38,7 +37,7 @@ class TestDeviationVectors:
     def test_zero_when_reports_match_anchors(self):
         anchors = construct_etf(3, 5, seed=0)
         reports = [report_at_anchors(anchors) for _ in range(4)]
-        vs = deviation_vectors(reports, anchors)
+        vs = deviation_vectors(semantic_pool(reports), anchors)
         assert np.abs(vs).max() <= 1e-15
 
     def test_single_client_offset(self):
@@ -46,7 +45,7 @@ class TestDeviationVectors:
         e = np.array([0.1, -0.2, 0.0, 0.3, 0.05])
         rep = report_at_anchors(anchors)
         rep.k[:, 1] += e
-        vs = deviation_vectors([rep], anchors)
+        vs = deviation_vectors(semantic_pool([rep]), anchors)
         assert np.abs(vs[:, 1] - e).max() <= 1e-12
         assert np.abs(vs[:, 0]).max() <= 1e-15
 
@@ -58,7 +57,7 @@ class TestDeviationVectors:
             rep = report_at_anchors(anchors)
             rep.k += rng.standard_normal(rep.k.shape) * 0.1
             reports.append(rep)
-        vs = deviation_vectors(reports, anchors)
+        vs = deviation_vectors(semantic_pool(reports), anchors)
         for i in range(4):
             manual = np.zeros(6)
             for rep in reports:
@@ -71,7 +70,7 @@ class TestDeviationVectors:
         rep = report_at_anchors(anchors)
         rep.present_mask[2] = False
         rep.k[:, 2] = 123.0  # must be ignored
-        vs = deviation_vectors([rep], anchors)
+        vs = deviation_vectors(semantic_pool([rep]), anchors)
         assert np.abs(vs[:, 2]).max() == 0.0
 
 
@@ -79,28 +78,78 @@ class TestDifficultyWeights:
     def test_equal_losses_give_uniform(self):
         anchors = construct_etf(4, 6, seed=4)
         reports = [report_at_anchors(anchors, loss=0.7) for _ in range(2)]
-        gamma = difficulty_weights(reports, tau=1.0)
+        gamma = difficulty_weights(semantic_pool(reports), tau=1.0)
         assert np.abs(gamma - 0.25).max() <= 1e-12
 
     def test_dominant_class_sharpens(self):
         anchors = construct_etf(3, 4, seed=5)
         rep = report_at_anchors(anchors)
         rep.per_class_loss = np.array([5.0, 0.0, 0.0])
-        gamma = difficulty_weights([rep], tau=0.01)
+        gamma = difficulty_weights(semantic_pool([rep]), tau=0.01)
         assert gamma[0] >= 0.999
 
     def test_hand_softmax(self):
         anchors = construct_etf(2, 3, seed=6)
         rep = report_at_anchors(anchors)
         rep.per_class_loss = np.array([np.log(2.0), 0.0])
-        gamma = difficulty_weights([rep], tau=1.0)
+        gamma = difficulty_weights(semantic_pool([rep]), tau=1.0)
         assert np.allclose(gamma, [2 / 3, 1 / 3], atol=1e-12)
 
     def test_sums_to_one(self):
         anchors = construct_etf(5, 7, seed=7)
         rep = report_at_anchors(anchors)
         rep.per_class_loss = np.arange(5.0)
-        assert abs(difficulty_weights([rep], tau=2.0).sum() - 1.0) <= 1e-12
+        assert abs(difficulty_weights(semantic_pool([rep]), tau=2.0).sum() - 1.0) <= 1e-12
+
+
+class TestPooledEqualsPerReportLoop:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bit_equal_to_loop_oracles(self, seed):
+        # about 20% of (client, class) entries absent; seeds 0 mod 4 leave
+        # class 0 unreported by every client, and seeds 1 mod 4 give the first
+        # report, the only one of class 0, deviations of -0.0 there, where the
+        # sums start at +0.0
+        rng = np.random.default_rng(seed)
+        r, d = int(rng.integers(1, 12)), int(rng.integers(2, 7))
+        c = int(rng.integers(2, d + 1))
+        anchors = construct_etf(c, d, seed=seed)
+        reports = []
+        for _ in range(r):
+            present = rng.random(c) >= 0.2
+            k = rng.standard_normal((d, c))
+            k[:, ~present] = 0.0
+            reports.append(SemanticReport(k=k, present_mask=present,
+                                          per_class_loss=np.where(present, rng.random(c), 0.0)))
+        if seed % 4 == 0:
+            for rep in reports:
+                rep.present_mask[0] = False
+                rep.k[:, 0] = rep.per_class_loss[0] = 0.0
+        elif seed % 4 == 1:
+            anchors[0] = 0.0
+            reports[0].present_mask[:] = True
+            reports[0].k[0] = -0.0
+            for rep in reports[1:]:
+                rep.present_mask[0] = False
+                rep.k[:, 0] = rep.per_class_loss[0] = 0.0
+        pool = semantic_pool(reports)
+        vs = deviation_vectors(pool, anchors)
+        assert vs.tobytes() == deviation_vectors_loop(reports, anchors).tobytes()
+        for tau in (0.5, 1.0):
+            assert (difficulty_weights(pool, tau).tobytes()
+                    == difficulty_weights_loop(reports, tau).tobytes())
+        if seed % 4 == 1:
+            assert vs[0, 0] == 0.0 and not np.signbit(vs[0, 0])   # +0.0, not the first -0.0
+
+
+def test_refine_holds_no_structural_name_and_no_dataclass():
+    import dataclasses
+
+    from fedcal import refine, structural
+
+    held = [name for name, value in vars(refine).items()
+            if value is structural or getattr(value, "__module__", None) == structural.__name__]
+    assert held == []
+    assert not any(dataclasses.is_dataclass(value) for value in vars(refine).values())
 
 
 class TestConstraintVector:
@@ -182,7 +231,7 @@ class TestRefineAllAnchors:
     def test_exact_etf_zero_deviation_is_fixed_point(self):
         anchors = construct_etf(4, 6, seed=12)
         reports = [report_at_anchors(anchors) for _ in range(3)]
-        refined = refine_all_anchors(anchors, reports, 1.0, 0.1)
+        refined = refine_all_anchors(anchors, semantic_pool(reports), 1.0, 0.1)
         assert np.abs(refined - anchors).max() <= 1e-12
         assert gram_drift(refined) <= 1e-9
 
@@ -194,7 +243,7 @@ class TestRefineAllAnchors:
             rep = report_at_anchors(anchors, loss=rng.random())
             rep.k += rng.standard_normal(rep.k.shape) * 0.2
             reports.append(rep)
-        refined = refine_all_anchors(anchors, reports, 1.0, 0.1)
+        refined = refine_all_anchors(anchors, semantic_pool(reports), 1.0, 0.1)
         assert refined.shape == anchors.shape
         norms = np.linalg.norm(refined, axis=0)
         assert np.abs(norms - 1.0).max() <= 1e-12
@@ -210,7 +259,7 @@ class TestRefineAllAnchors:
             rep = report_at_anchors(anchors, loss=rng.random())
             rep.k += rng.standard_normal(rep.k.shape) * 0.5
             reports.append(rep)
-        refined = refine_all_anchors(anchors, reports, 1.0, eta)
+        refined = refine_all_anchors(anchors, semantic_pool(reports), 1.0, eta)
         assert gram_drift(refined) <= before + 2 * eta + 1e-9
 
     def test_unreported_class_unchanged(self):
@@ -218,7 +267,7 @@ class TestRefineAllAnchors:
         rep = report_at_anchors(anchors)
         rep.present_mask[1] = False
         rep.k[:, 0] += 0.3
-        refined = refine_all_anchors(anchors, [rep], 1.0, 0.1)
+        refined = refine_all_anchors(anchors, semantic_pool([rep]), 1.0, 0.1)
         assert np.array_equal(refined[:, 1], anchors[:, 1])
         assert not np.allclose(refined[:, 0], anchors[:, 0])
 
@@ -228,8 +277,8 @@ class TestRefineAllAnchors:
         rng = np.random.default_rng(16)
         offset = rng.standard_normal(4) * 0.4
         rep.k[:, 0] += offset
-        vs = deviation_vectors([rep], anchors)
-        refined = refine_all_anchors(anchors, [rep], 1.0, 0.1)
+        vs = deviation_vectors(semantic_pool([rep]), anchors)
+        refined = refine_all_anchors(anchors, semantic_pool([rep]), 1.0, 0.1)
         moved = refined[:, 0] - anchors[:, 0]
         assert moved @ vs[:, 0] > 0.0
 
@@ -283,9 +332,9 @@ class TestUpdateTemplate:
         rows = rng.standard_normal((2, 4))
         rep = make_structural_report([rows] * 5, np.ones((5, 1)))
         templates = self._templates(4, 1, 20)
-        new = update_template(0, [rep], templates)
+        new = update_template(0, structural_pool([rep]), templates)
         assert np.abs(new - rows).max() <= 1e-6
-        assert template_objective([rep], 0, new) <= 1e-12
+        assert template_objective(structural_pool([rep]), 0, new) <= 1e-12
 
     def test_equal_intra_distances_pin_beta(self):
         rng = np.random.default_rng(21)
@@ -293,7 +342,7 @@ class TestUpdateTemplate:
         alpha = np.linalg.norm(base[0] - base[1])
         shifted = base + 1.0
         rep = make_structural_report([base, shifted], np.ones((2, 1)))
-        new = update_template(0, [rep], self._templates(3, 1, 21))
+        new = update_template(0, structural_pool([rep]), self._templates(3, 1, 21))
         beta = np.linalg.norm(new[0] - new[1])
         assert abs(beta - alpha) <= 1e-4
 
@@ -309,7 +358,7 @@ class TestUpdateTemplate:
         rep = make_structural_report(radial_rows, f)
         templates = self._templates(4, 2, 22)
         for q in (0, 1):
-            new = update_template(q, [rep], templates)
+            new = update_template(q, structural_pool([rep]), templates)
             beta = np.linalg.norm(new[0] - new[1])
             alphas = np.array(
                 [np.linalg.norm(r[0] - r[1]) for r in radial_rows]
@@ -331,9 +380,9 @@ class TestUpdateTemplate:
             rep = make_structural_report(radial_rows, f)
             templates = self._templates(5, 3, seed + 50)
             for q in range(3):
-                before = template_objective([rep], q, templates[q])
-                new = update_template(q, [rep], templates)
-                after = template_objective([rep], q, new)
+                before = template_objective(structural_pool([rep]), q, templates[q])
+                new = update_template(q, structural_pool([rep]), templates)
+                after = template_objective(structural_pool([rep]), q, new)
                 assert after <= before + 1e-9
 
     def test_unassigned_template_unchanged(self):
@@ -343,7 +392,7 @@ class TestUpdateTemplate:
         f[:, 0] = 1.0
         rep = make_structural_report(radial_rows, f)
         templates = self._templates(3, 2, 24)
-        new = update_template(1, [rep], templates)
+        new = update_template(1, structural_pool([rep]), templates)
         assert np.array_equal(new, templates[1])
 
     def test_coincident_mean_rows_use_seeded_direction(self):
@@ -353,10 +402,10 @@ class TestUpdateTemplate:
         rows_b = np.array([[0.0, 0.0], [1.0, 0.0]])  # mean rows equal
         rep = make_structural_report([rows_a, rows_b], np.ones((2, 1)))
         templates = self._templates(2, 1, 25)
-        new = update_template(0, [rep], templates)
+        new = update_template(0, structural_pool([rep]), templates)
         beta = np.linalg.norm(new[0] - new[1])
         assert beta > 0.5  # realizes the searched intra-distance
-        again = update_template(0, [rep], templates)
+        again = update_template(0, structural_pool([rep]), templates)
         assert np.array_equal(new, again)
 
 
@@ -421,13 +470,13 @@ class TestServerPathReference:
             reports.append(make_structural_report(list(rows), f))
         templates = rng.standard_normal((q_count, 2, d))
         for q in range(q_count):
-            new = update_template(q, reports, templates)
+            new = update_template(q, structural_pool(reports), templates)
             assert np.array_equal(new, reference_update(q, reports, templates))
             weights, alphas, _ = reference_collect(reports, q)
             beta = float(np.linalg.norm(new[0] - new[1]))
             expected = float((weights * reference_gw_values(alphas, beta)).sum())
-            assert template_objective(reports, q, new) == expected
-        assert np.array_equal(update_template(2, reports, templates), templates[2])
+            assert template_objective(structural_pool(reports), q, new) == expected
+        assert np.array_equal(update_template(2, structural_pool(reports), templates), templates[2])
 
     def test_coincident_mean_equals_reference(self):
         rows_a = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -435,7 +484,7 @@ class TestServerPathReference:
         reports = [make_structural_report([rows_a], np.ones((1, 1))),
                    make_structural_report([rows_b], np.ones((1, 1)))]
         templates = np.zeros((1, 2, 2))
-        assert np.array_equal(update_template(0, reports, templates),
+        assert np.array_equal(update_template(0, structural_pool(reports), templates),
                               reference_update(0, reports, templates))
 
     def test_zero_intra_distances_equal_reference(self):
@@ -443,6 +492,6 @@ class TestServerPathReference:
         rows = np.array([[0.6, 0.8, 0.0], [0.6, 0.8, 0.0]])
         reports = [make_structural_report([rows, rows], np.ones((2, 1)))]
         templates = np.zeros((1, 2, 3))
-        new = update_template(0, reports, templates)
+        new = update_template(0, structural_pool(reports), templates)
         assert np.array_equal(new, reference_update(0, reports, templates))
         assert np.array_equal(new, rows)

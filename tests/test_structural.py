@@ -10,14 +10,13 @@ from fedcal.structural import (
     MatchingMatrix,
     _logsumexp,
     init_templates,
-    ot_distance,
     radial_sequences_from_rings,
     sample_structural_batch,
     sinkhorn_match,
     structural_loss,
     structural_loss_ego,
 )
-from oracles import radial_sequence, structural_loss_pairs
+from oracles import neighbors, ot_distance, radial_sequence, structural_loss_pairs
 
 
 def star_graph(leaves, feat_dim=3):
@@ -210,6 +209,13 @@ class TestSinkhorn:
         match = sinkhorn_match(radials, templates, max_iters=50)
         assert not match.converged
         assert np.abs(match.f.sum(axis=1) - 1.0).max() <= 1e-6
+
+    def test_rejects_epsilon_that_leaves_rows_off_one(self):
+        # at epsilon = 1e-18 a row of the loop's last iterate is off 1 by 0.17
+        radials = np.stack(random_radials(16, 4, seed=1))
+        templates = init_templates(2, 4, seed=1)
+        with pytest.raises(ValueError, match=r"epsilon = 1e-18 .* off 1 by"):
+            sinkhorn_match(radials, templates, epsilon=1e-18)
 
     def test_debug_trace_monotone(self):
         radials = random_radials(8, 5, seed=7)
@@ -564,7 +570,7 @@ class TestStructuralLossEgo:
         g = generate_sbm(30, 2, 0.15, 0.05, 3, 1.0, seed=21)
         ego = np.random.default_rng(21).standard_normal((30, 5))
         agg = HopAggregator(g)
-        isolated = [v for v in range(30) if len(g.neighbors(v)) == 0]
+        isolated = [v for v in range(30) if len(neighbors(g, v)) == 0]
         ego[isolated + [0]] = 0.0
         templates = init_templates(3, 5, seed=21)
         batch = np.array(isolated + [3, 0, 7, 3, 12], dtype=np.int64)
