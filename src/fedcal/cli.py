@@ -16,10 +16,13 @@ the README lists them all.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import re
 import sys
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from .fedsim import (
     run_federation,
     setup_federation,
 )
-from .graph import edge_homophily, read_text, save_graph_files
+from .graph import data_lines, edge_homophily, parse_row, read_text, save_graph_files
 from .model import ModelParams
 
 __all__ = ["main", "parse_config_file", "build_run_config", "save_params", "load_params"]
@@ -75,10 +78,7 @@ def parse_config_file(path) -> dict:
     if not os.path.exists(path):
         raise FileNotFoundError(f"config file not found: {path}")
     raw = {}
-    for lineno, line in enumerate(read_text(path), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(path):
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
@@ -179,16 +179,7 @@ def load_params(path, like: ModelParams) -> ModelParams:
                              f"{len(block)} of {rows} rows")
         values = []
         for lineno, text in enumerate(block, start=i + 2):
-            try:
-                row = [float(x) for x in text.split()]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: array {name}: {exc}") from None
-            if len(row) != cols:
-                raise ValueError(f"{path}:{lineno}: array {name} row has {len(row)} "
-                                 f"values, expected {cols}")
-            if not np.isfinite(row).all():
-                raise ValueError(f"{path}:{lineno}: array {name} holds a non-finite value")
-            values += row
+            values += parse_row(path, lineno, text, float, cols, f"array {name}")
         arrays[name] = np.array(values).reshape(getattr(like, name).shape)
         i += 1 + rows
     if i < len(lines):
@@ -230,22 +221,73 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+# the files a run writes into its output directory besides its per-client ones
+_RUN_FILES = ("history.csv", "config.resolved", "summary.json")
+# (subdirectory, name pattern) of the per-client files: model dumps, embeddings
+_PER_CLIENT = (("models", r"client_\d+\.txt"), ("", r"embeddings_\d+\.csv"))
+
+
+def _per_client_files(out) -> list:
+    """Every path in out named as a run names its per-client files."""
+    found = []
+    for sub, pattern in _PER_CLIENT:
+        folder = os.path.join(out, sub)
+        if os.path.isdir(folder):
+            found += [os.path.join(folder, name) for name in sorted(os.listdir(folder))
+                      if re.fullmatch(pattern, name)]
+    return found
+
+
+def _check_artifact_paths(out):
+    """Reject an existing out whose models/ is not a directory, or where a
+    run's file names hold anything but a regular file."""
+    if not os.path.isdir(out):
+        return
+    models = os.path.join(out, "models")
+    if os.path.exists(models) and not os.path.isdir(models):
+        raise ValueError(f"{models}: exists and is not a directory")
+    for path in [os.path.join(out, name) for name in _RUN_FILES] + _per_client_files(out):
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise ValueError(f"{path}: exists and is not a regular file")
+
+
+def _replace(path, write):
+    """Write path by ``write(tmp)`` to a temporary name beside it, then move
+    it over path; the temporary file is gone whether or not that succeeds."""
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _write_summary(summary, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def cmd_run(args) -> int:
+    """Run one federation into out, which then holds that run alone.
+
+    summary.json is removed before and written after every other artifact,
+    so it is present only beside a finished run's files; per-client files
+    this run does not write are deleted.
+    """
     if args.threads < 1:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
     cfg = build_run_config(parse_config_file(args.config))
     ablate = tuple(m for m in _MECHANISMS if m in (args.ablate or ()))
     fed = cfg.federation_config(seed=args.seed, ablate=ablate)
     out = _out_dir(args, cfg)
+    _check_artifact_paths(out)
     result = run_federation(fed, threads=args.threads)
-    os.makedirs(out, exist_ok=True)
-    os.makedirs(os.path.join(out, "models"), exist_ok=True)
 
-    export_history(result.records, os.path.join(out, "history.csv"))
     resolved = dict(cfg.values)
     resolved["federation.seed"] = fed.seed
-    write_resolved_config(RunConfig(resolved), os.path.join(out, "config.resolved"))
-
     per_val = [evaluate(c, "val", fed.task_metric) for c in result.clients]
     per_test = [evaluate(c, "test", fed.task_metric) for c in result.clients]
     summary = {
@@ -258,18 +300,28 @@ def cmd_run(args) -> int:
         "mean_val": float(np.mean(per_val)),
         "mean_test": float(np.mean(per_test)),
     }
-    with open(os.path.join(out, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
+    writers = {
+        os.path.join(out, "history.csv"): partial(export_history, result.records),
+        os.path.join(out, "config.resolved"): partial(write_resolved_config,
+                                                      RunConfig(resolved)),
+    }
     for client in result.clients:
-        save_params(
-            client.params, os.path.join(out, "models", f"client_{client.client_id}.txt")
-        )
+        writers[os.path.join(out, "models", f"client_{client.client_id}.txt")] = partial(
+            save_params, client.params)
         if cfg["output.embeddings"]:
-            export_embeddings(
-                client, os.path.join(out, f"embeddings_{client.client_id}.csv")
-            )
+            writers[os.path.join(out, f"embeddings_{client.client_id}.csv")] = partial(
+                export_embeddings, client)
+
+    os.makedirs(os.path.join(out, "models"), exist_ok=True)
+    summary_path = os.path.join(out, "summary.json")
+    if os.path.exists(summary_path):
+        os.remove(summary_path)
+    for path in _per_client_files(out):
+        if path not in writers:
+            os.remove(path)
+    for path, write in writers.items():
+        _replace(path, write)
+    _replace(summary_path, partial(_write_summary, summary))
     print(f"run complete: mean_test={summary['mean_test']:.4f}, sinkhorn unconverged "
           f"{result.sinkhorn_unconverged}/{result.sinkhorn_calls} -> {out}")
     return 0

@@ -30,7 +30,9 @@ __all__ = [
     "partition_nonoverlapping",
     "partition_overlapping",
     "generate_sbm",
+    "data_lines",
     "load_graph",
+    "parse_row",
     "read_text",
     "save_graph_files",
     "split_masks",
@@ -345,10 +347,6 @@ def edge_homophily(g: Graph) -> float:
     return same / total if total else 0.0
 
 
-def _parse_error(path, lineno, msg):
-    return ValueError(f"{path}:{lineno}: {msg}")
-
-
 def read_text(path, newline=None) -> io.StringIO:
     """The file at path as UTF-8 text, split as ``open(path, newline=newline)`` splits it.
 
@@ -373,49 +371,50 @@ def read_text(path, newline=None) -> io.StringIO:
                          f"{start})") from None
 
 
-def _data_lines(path):
+def data_lines(path):
+    """(line number, stripped text) of each line of the file at path that is
+    neither blank nor a ``#`` comment; the numbers count every line."""
     for lineno, raw in enumerate(read_text(path), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def parse_row(path, lineno, text, parse, width, what) -> list:
+    """The whitespace-separated values of one line, each read by ``parse``.
+
+    A value ``parse`` rejects, a count other than ``width`` (any count when
+    it is None) and a value that is not finite each raise ValueError naming
+    path:lineno and ``what``.
+    """
+    try:
+        row = [parse(x) for x in text.split()]
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {what}: {exc}") from None
+    if width is not None and len(row) != width:
+        raise ValueError(f"{path}:{lineno}: {what} row has {len(row)} values, "
+                         f"expected {width}")
+    if not all(-np.inf < x < np.inf for x in row):
+        raise ValueError(f"{path}:{lineno}: {what} holds a non-finite value")
+    return row
 
 
 def load_graph(edges_path, features_path, labels_path, num_classes=None) -> Graph:
     """Read a graph from the three text files (see module docstring)."""
     features = []
-    width = None
-    for lineno, line in _data_lines(features_path):
-        parts = line.split()
-        try:
-            row = [float(x) for x in parts]
-        except ValueError:
-            raise _parse_error(features_path, lineno, f"bad feature value in {line!r}")
-        if not np.isfinite(row).all():
-            raise _parse_error(features_path, lineno, f"non-finite feature value in {line!r}")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise _parse_error(
-                features_path, lineno, f"expected {width} values, got {len(row)}"
-            )
-        features.append(row)
+    for lineno, line in data_lines(features_path):
+        width = len(features[0]) if features else None
+        features.append(parse_row(features_path, lineno, line, float, width, "features"))
     if not features:
         raise ValueError(f"{features_path}: no feature rows")
     features = np.asarray(features, dtype=np.float64)
     n = features.shape[0]
 
     labels = []
-    for lineno, line in _data_lines(labels_path):
-        parts = line.split()
-        if len(parts) != 1:
-            raise _parse_error(labels_path, lineno, "expected one integer per line")
-        try:
-            lab = int(parts[0])
-        except ValueError:
-            raise _parse_error(labels_path, lineno, f"bad label {parts[0]!r}")
+    for lineno, line in data_lines(labels_path):
+        (lab,) = parse_row(labels_path, lineno, line, int, 1, "label")
         if lab < -1:
-            raise _parse_error(labels_path, lineno, f"label {lab} out of range")
+            raise ValueError(f"{labels_path}:{lineno}: label {lab} out of range")
         if num_classes is not None and lab >= num_classes:
             raise ValueError(
                 f"{labels_path}:{lineno}: label {lab} >= num_classes {num_classes}"
@@ -427,16 +426,10 @@ def load_graph(edges_path, features_path, labels_path, num_classes=None) -> Grap
         )
 
     edges = []
-    for lineno, line in _data_lines(edges_path):
-        parts = line.split()
-        if len(parts) != 2:
-            raise _parse_error(edges_path, lineno, f"expected 'u v', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise _parse_error(edges_path, lineno, f"bad node id in {line!r}")
+    for lineno, line in data_lines(edges_path):
+        u, v = parse_row(edges_path, lineno, line, int, 2, "edge")
         if not (0 <= u < n and 0 <= v < n):
-            raise _parse_error(edges_path, lineno, f"edge ({u}, {v}) out of range")
+            raise ValueError(f"{edges_path}:{lineno}: edge ({u}, {v}) out of range")
         edges.append((u, v))
 
     return Graph.from_edges(features, labels, edges)

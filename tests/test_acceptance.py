@@ -5,8 +5,10 @@ two-block graph, 8-dim embeddings, 60 rounds of 3 local epochs); run
 with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -67,6 +69,13 @@ def calibration_total(rows):
 
 def final_test_mean(cfg):
     return float(np.mean(per_round(run_federation(cfg).records, "test_metric")[-1]))
+
+
+def final_test_means(configs):
+    """final_test_mean of each config, over two processes, in input order."""
+    with ProcessPoolExecutor(max_workers=min(2, os.cpu_count() or 1),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(final_test_mean, configs))
 
 
 def report(name, detail):
@@ -368,11 +377,11 @@ class TestCriterion8AblationTrend:
             "w/o structural": dict(structural_enabled=False),
             "w/o refinement": dict(refine_enabled=False),
         }
-        means = {}
-        for name, kw in variants.items():
-            means[name] = float(np.mean([
-                final_test_mean(bench_config(seed, **kw)) for seed in BENCH_SEEDS
-            ]))
+        finals = final_test_means([bench_config(seed, **kw)
+                                   for kw in variants.values() for seed in BENCH_SEEDS])
+        k = len(BENCH_SEEDS)
+        means = {name: float(np.mean(finals[i * k:(i + 1) * k]))
+                 for i, name in enumerate(variants)}
         elapsed = time.time() - start
         for name in ("w/o semantic", "w/o structural", "w/o refinement"):
             assert means["full"] >= means[name] - 0.005, (
@@ -388,17 +397,13 @@ class TestCriterion8AblationTrend:
 class TestCriterion9BaselineTrend:
     def test_full_method_tops_local_training(self):
         start = time.time()
-        full = float(np.mean([
-            final_test_mean(bench_config(seed, heterophilic=True))
-            for seed in BENCH_SEEDS
-        ]))
-        local = float(np.mean([
-            final_test_mean(bench_config(
-                seed, heterophilic=True, semantic_enabled=False,
-                structural_enabled=False, refine_enabled=False,
-            ))
-            for seed in BENCH_SEEDS
-        ]))
+        finals = final_test_means(
+            [bench_config(seed, heterophilic=True) for seed in BENCH_SEEDS]
+            + [bench_config(seed, heterophilic=True, semantic_enabled=False,
+                            structural_enabled=False, refine_enabled=False)
+               for seed in BENCH_SEEDS])
+        full = float(np.mean(finals[:len(BENCH_SEEDS)]))
+        local = float(np.mean(finals[len(BENCH_SEEDS):]))
         elapsed = time.time() - start
         assert full >= local - 0.005, f"full {full:.4f} vs local {local:.4f}"
         assert elapsed < 600.0

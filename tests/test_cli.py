@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -19,6 +20,7 @@ from fedcal.cli import (
     write_resolved_config,
 )
 from fedcal import cli, fedsim
+from fedcal.graph import load_graph
 from fedcal.model import init_params
 from fedcal.structural import sinkhorn_match
 
@@ -548,6 +550,81 @@ class TestRunCommand:
         assert a == b
 
 
+class TestOutputDirectory:
+    """An output directory holds one finished run: per-client files of an
+    earlier run are removed, summary.json is written last, and an unusable
+    artifact path exits 2 before any work."""
+
+    def test_rerun_removes_stale_per_client_files(self, tmp_path):
+        out = tmp_path / "run"
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SMOKE.replace("federation.clients = 3", "federation.clients = 5")
+                       + "output.embeddings = true\n")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(list(out.glob("embeddings_*.csv"))) == 5
+        (out / "notes.txt").write_text("not a run's file\n")
+        cfg.write_text(SMOKE)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == [
+            "config.resolved", "history.csv", "models", "notes.txt", "summary.json"]
+        assert sorted(os.listdir(out / "models")) == [f"client_{c}.txt" for c in range(3)]
+        assert (out / "notes.txt").read_text() == "not a run's file\n"
+        # the rerun's files are a fresh run's, byte for byte
+        fresh = tmp_path / "fresh"
+        assert main(["run", "--config", str(cfg), "--out", str(fresh)]) == 0
+        for name in ("config.resolved", "history.csv", "summary.json",
+                     *(f"models/client_{c}.txt" for c in range(3))):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    # each path a run writes, and a stale per-client one it would remove
+    @pytest.mark.parametrize("name", ["models", "history.csv", "summary.json",
+                                      "config.resolved", "models/client_1.txt",
+                                      "embeddings_2.csv", "models/client_7.txt"])
+    def test_unusable_artifact_path_fails_before_work(self, tmp_path, capsys, monkeypatch,
+                                                      name):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the federation ran before an artifact path was rejected")
+
+        monkeypatch.setattr(cli, "run_federation", no_work)
+        out = tmp_path / "run"
+        out.mkdir()
+        bad = out / name
+        if name == "models":
+            bad.write_text("a regular file\n")
+            expected = f"{bad}: exists and is not a directory"
+        else:
+            bad.mkdir(parents=True)
+            expected = f"{bad}: exists and is not a regular file"
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SMOKE + "output.embeddings = true\n")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert expected in capsys.readouterr().err
+
+    def test_failed_rerun_leaves_no_summary_and_no_temporary_file(
+            self, smoke_cfg, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "run"
+        assert main(["run", "--config", smoke_cfg, "--out", str(out)]) == 0
+        before = (out / "models" / "client_1.txt").read_bytes()
+        saving = cli.save_params
+        calls = []
+
+        def fails_on_second_client(params, path):
+            calls.append(path)
+            if len(calls) == 2:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write("half a dump")
+                raise OSError("no space left on device")
+            saving(params, path)
+
+        monkeypatch.setattr(cli, "save_params", fails_on_second_client)
+        capsys.readouterr()
+        assert main(["run", "--config", smoke_cfg, "--out", str(out)]) == 1
+        assert "no space left on device" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["config.resolved", "history.csv", "models"]
+        assert sorted(os.listdir(out / "models")) == [f"client_{c}.txt" for c in range(3)]
+        assert (out / "models" / "client_1.txt").read_bytes() == before
+
+
 class TestEvalCommand:
     def test_eval_matches_run_metrics(self, smoke_cfg, tmp_path, capsys):
         out = str(tmp_path / "run")
@@ -711,6 +788,69 @@ class TestReportCommand:
         assert main(["report", str(tmp_path / "history.csv"), "--out", out]) == 2
         assert f"--out = {out}: is a directory, not a file" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+
+@pytest.fixture(scope="module")
+def finished(tmp_path_factory):
+    """A smoke run's directory and the smoke graph written as data files."""
+    root = tmp_path_factory.mktemp("finished")
+    cfg = root / "smoke.cfg"
+    cfg.write_text(SMOKE)
+    assert main(["run", "--config", str(cfg), "--out", str(root / "run")]) == 0
+    assert main(["gen-data", "--config", str(cfg), "--out", str(root / "data")]) == 0
+    return root
+
+
+# (file, its line to replace, the replacement, what the error says after path:line)
+ROW_FAULTS = [
+    ("data/features.txt", 2, "0.5 0.5 x 0.5 0.5",
+     "features: could not convert string to float: 'x'"),
+    ("data/features.txt", 2, "0.5 0.5", "features row has 2 values, expected 5"),
+    ("data/features.txt", 2, "0.5 0.5 nan 0.5 0.5", "features holds a non-finite value"),
+    ("data/features.txt", 2, "-inf 0.5 0.5 0.5 0.5", "features holds a non-finite value"),
+    ("data/labels.txt", 2, "1.0", "label: invalid literal for int() with base 10: '1.0'"),
+    ("data/labels.txt", 2, "0 1", "label row has 2 values, expected 1"),
+    ("data/edges.txt", 1, "0 x", "edge: invalid literal for int() with base 10: 'x'"),
+    ("data/edges.txt", 1, "0 1 2", "edge row has 3 values, expected 2"),
+    ("run/models/client_0.txt", 3, "0.5 0.5 x 0.5",
+     "array w_ego: could not convert string to float: 'x'"),
+    ("run/models/client_0.txt", 3, "0.5 0.5 0.5", "array w_ego row has 3 values, expected 4"),
+    ("run/models/client_0.txt", 3, "0.5 nan 0.5 0.5", "array w_ego holds a non-finite value"),
+    ("run/models/client_0.txt", 3, "0.5 0.5 0.5 inf", "array w_ego holds a non-finite value"),
+]
+
+
+class TestRowParser:
+    """Every numeric row of a graph file or model dump is read by
+    graph.parse_row: an unparsable value, a wrong count and a non-finite
+    value each raise ValueError opening with path:line, and exit 2."""
+
+    @pytest.mark.parametrize("name, lineno, text, message", ROW_FAULTS)
+    def test_bad_row_names_path_and_line(self, finished, tmp_path, capsys,
+                                         name, lineno, text, message):
+        shutil.copytree(finished, tmp_path, dirs_exist_ok=True)
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        lines[lineno - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+        expected = f"{path}:{lineno}: {message}"
+        data = [tmp_path / "data" / f for f in ("edges.txt", "features.txt", "labels.txt")]
+        with pytest.raises(ValueError) as raised:
+            if name.startswith("run/"):
+                load_params(path, init_params(5, 4, 2, seed=0))
+            else:
+                load_graph(*data, num_classes=2)
+        assert str(raised.value) == expected
+        if name.startswith("run/"):
+            argv = ["eval", "--model-dir", str(tmp_path / "run")]
+        else:
+            cfg = tmp_path / "files.cfg"
+            cfg.write_text(SMOKE.replace("dataset.kind = synthetic", "dataset.kind = files")
+                           + "".join(f"dataset.{p.stem} = {p}\n" for p in data))
+            argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert f"error: {expected}\n" == capsys.readouterr().err
 
 
 class TestMalformedInputs:

@@ -9,11 +9,13 @@ from scipy.sparse.csgraph import dijkstra
 from fedcal.graph import (
     Graph,
     HopAggregator,
+    data_lines,
     edge_homophily,
     generate_sbm,
     induced_subgraph,
     load_graph,
     partition_nonoverlapping,
+    parse_row,
     partition_overlapping,
     save_graph_files,
     split_masks,
@@ -415,6 +417,25 @@ class TestFilesAndSplits:
         (tmp_path / "e.txt").write_text("# comment is fine\n0 1 2\n")
         with pytest.raises(ValueError, match="e.txt:2"):
             load_graph(tmp_path / "e.txt", tmp_path / "x.txt", tmp_path / "y.txt")
+
+    def test_data_lines_skip_blank_and_comment_lines_but_count_them(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text("# header\n\n  0 1  \n\t\n   # indented comment\n2 3\n")
+        assert list(data_lines(path)) == [(3, "0 1"), (6, "2 3")]
+        # the config reader skips the same lines and names the same numbers
+        path.write_text("# header\n\nfederation.clients = 3\n\t\n  # note\nbogus\n")
+        with pytest.raises(ValueError) as raised:
+            parse_config_file(path)
+        assert str(raised.value) == f"{path}:6: expected 'key = value'"
+        path.write_text("# header\n\n  federation.clients = 3  \n# note\n")
+        assert parse_config_file(path) == {"federation.clients": "3"}
+
+    def test_parse_row_reads_any_count_without_width(self):
+        assert parse_row("f.txt", 4, "1 -2 3", int, None, "ids") == [1, -2, 3]
+        # an int beyond float range is still finite
+        assert parse_row("f.txt", 4, "1" + "0" * 400, int, 1, "id") == [10 ** 400]
+        with pytest.raises(ValueError, match=r"^f\.txt:4: value holds a non-finite value$"):
+            parse_row("f.txt", 4, "1e400", float, None, "value")
 
     def test_default_split_sizes(self):
         g = Graph.from_edges(np.zeros((100, 1)), np.zeros(100, dtype=int), [])
