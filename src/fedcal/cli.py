@@ -224,7 +224,8 @@ def cmd_gen_data(args) -> int:
 # the files a run writes into its output directory besides its per-client ones
 _RUN_FILES = ("history.csv", "config.resolved", "summary.json")
 # (subdirectory, name pattern) of the per-client files: model dumps, embeddings
-_PER_CLIENT = (("models", r"client_\d+\.txt"), ("", r"embeddings_\d+\.csv"))
+_PER_CLIENT = (("models", r"client_(0|[1-9][0-9]*)\.txt"),
+               ("", r"embeddings_(0|[1-9][0-9]*)\.csv"))
 
 
 def _per_client_files(out) -> list:
@@ -328,6 +329,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if not os.path.isfile(os.path.join(args.model_dir, "summary.json")):
+        raise FileNotFoundError(f"{args.model_dir}: no summary.json, its run did not finish")
     config_path = args.config or os.path.join(args.model_dir, "config.resolved")
     cfg = build_run_config(parse_config_file(config_path))
     fed = cfg.federation_config()
@@ -335,8 +338,6 @@ def cmd_eval(args) -> int:
     metrics = []
     for client in clients:
         dump = os.path.join(args.model_dir, "models", f"client_{client.client_id}.txt")
-        if not os.path.exists(dump):
-            raise FileNotFoundError(f"missing model dump: {dump}")
         client.params = load_params(dump, client.params)
         metrics.append(evaluate(client, args.split, fed.task_metric))
     for cid, value in enumerate(metrics):

@@ -499,8 +499,8 @@ class HopAggregator:
     them as fixed linear maps. They hold only the rows of the sorted node
     ids ``rows``: every node here, a subset in an aggregator from restrict,
     which keeps its last result for the next call with the same rows.
-    rings reads every node's values and returns one row per entry of rows;
-    backward reads gradients on rows and writes every node.
+    rings returns the (len(rows), 2, d) ring-mean pairs of rows from every
+    node's values; backward takes gradients so laid out and writes every node.
     """
 
     def __init__(self, g: Graph):
@@ -530,13 +530,12 @@ class HopAggregator:
         self._last = local
         return local
 
-    def rings(self, values: np.ndarray):
-        """(hop1, hop2): the ring means of the nodes in rows, one row per
-        entry, read from every node's row of values."""
-        return self.m1 @ values, self.m2 @ values
+    def rings(self, values: np.ndarray) -> np.ndarray:
+        """(len(rows), 2, d) ring means of the nodes in rows, read from every
+        node's row of values: [:, 0] is m1 @ values, [:, 1] m2 @ values."""
+        return np.stack([self.m1 @ values, self.m2 @ values], axis=1)
 
-    def backward(self, g_hop1: np.ndarray, g_hop2: np.ndarray) -> np.ndarray:
-        """Pull ring-mean gradients given on rows, one gradient row per entry
-        of rows, back onto every node's row; gradient rows off rows are zero
-        and would drop out bit for bit."""
-        return self.m1t @ g_hop1 + self.m2t @ g_hop2
+    def backward(self, g_rings: np.ndarray) -> np.ndarray:
+        """Pull gradients laid out as rings returns them onto every node's row,
+        bit for bit as a full backward with zero gradients off rows would."""
+        return self.m1t @ g_rings[:, 0] + self.m2t @ g_rings[:, 1]

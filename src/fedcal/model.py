@@ -43,8 +43,8 @@ class ModelParams:
 @dataclass
 class ForwardCache:
     """Per-node activations kept for backprop. blocks is the C-ordered head
-    input [ego | hop1 | hop2] and rings its (n, 2, d) view of each node's
-    two ring means, zero off agg.rows; total_loss reads the head's rows at
+    input [ego | hop1 | hop2]; rings, its (n, 2, d) view, holds agg.rings'
+    pairs at agg.rows and zeros elsewhere. total_loss reads the head's rows at
     agg.rows (tanh' reuses ego, so no pre-activation tensor is needed)."""
 
     ego: np.ndarray      # (n, d)
@@ -65,7 +65,7 @@ def init_params(d0: int, d: int, num_classes: int, seed) -> ModelParams:
 
 def forward(params: ModelParams, g: Graph, agg: HopAggregator) -> ForwardCache:
     """Ego/ring embeddings and class logits of every node; agg is g's ring
-    operator. The ring means of agg.rows are written into the head input,
+    operator. agg.rings' pairs fill the head input at agg.rows in one write,
     zero elsewhere, so logits hold only on agg.rows."""
     if params.w_ego.shape[0] != g.feat_dim:
         raise ValueError(
@@ -80,7 +80,7 @@ def forward(params: ModelParams, g: Graph, agg: HopAggregator) -> ForwardCache:
     blocks = np.zeros((len(ego), 3 * d))
     blocks[:, :d] = ego
     rings = blocks.reshape(-1, 3, d)[:, 1:]         # a view: hop1, hop2 of each row
-    rings[agg.rows, 0], rings[agg.rows, 1] = agg.rings(ego)
+    rings[agg.rows] = agg.rings(ego)
     logits = blocks @ params.w_cls + params.b_cls
     return ForwardCache(ego=ego, rings=rings, blocks=blocks, logits=logits)
 
@@ -112,9 +112,9 @@ def total_loss(params: ModelParams, g: Graph, anchors: np.ndarray,
     drops the semantic term and matching=None the structural term (the
     CE term is always present), which is how ablations run. agg is g's
     ring operator with rows covering train and batch nodes. The CE gradient
-    is zero off agg.rows, so the classifier-head gradients are taken on the
-    head input's rows at agg.rows (every row for a full aggregator), with
-    the same bits; the structural term reuses the forward's ring means. Returns
+    is zero off agg.rows, so the head's gradients are taken at agg.rows with
+    the same bits, their ring pairs passed to agg.backward as one array; the
+    structural term reuses the forward's ring means. Returns
     (total, (ce, semantic, structural), grads), grads a ModelParams of
     gradients; the calibration terms reach only w_ego, the CE term also
     reaches the classifier.
@@ -127,9 +127,9 @@ def total_loss(params: ModelParams, g: Graph, anchors: np.ndarray,
     g_head = g_logits[at]
     g_wcls = cache.blocks[at].T @ g_head
     g_bcls = g_head.sum(axis=0)
-    g_blocks = g_head @ params.w_cls.T
-    g_ego = agg.backward(g_blocks[:, d:2 * d], g_blocks[:, 2 * d:])
-    g_ego[at] += g_blocks[:, :d]
+    g_blocks = (g_head @ params.w_cls.T).reshape(len(at), 3, d)
+    g_ego = agg.backward(g_blocks[:, 1:])
+    g_ego[at] += g_blocks[:, 0]
 
     sem = 0.0
     if anchors is not None:

@@ -269,8 +269,8 @@ def structural_loss_ego(rings: np.ndarray, matching: MatchingMatrix, batch,
 
     Normalizes the batch's pairs of the forward's (n, 2, d) ring means
     (ForwardCache.rings) into radial sequences and pulls the loss gradient
-    through the normalization and agg's ring-mean operators onto every
-    contributing ego row, treating exactly-zero ring rows as constants.
+    through the normalization and, as one (len(agg.rows), 2, d) array,
+    through agg.backward onto every contributing ego row, zero ring rows held constant.
     """
     radials = radial_sequences_from_rings(rings, batch)
     loss, grad_rows = structural_loss(matching, radials, templates)
@@ -286,4 +286,4 @@ def structural_loss_ego(rings: np.ndarray, matching: MatchingMatrix, batch,
     g_rings = np.zeros((len(agg.rows),) + raw.shape[1:])         # gradients on agg.rows
     # add.at, so that a node listed twice in batch gets both gradients
     np.add.at(g_rings, np.searchsorted(agg.rows, batch), step)
-    return loss, agg.backward(g_rings[:, 0], g_rings[:, 1])
+    return loss, agg.backward(g_rings)

@@ -576,6 +576,22 @@ class TestOutputDirectory:
                      *(f"models/client_{c}.txt" for c in range(3))):
             assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
 
+    def test_rerun_keeps_names_a_run_never_writes(self, tmp_path):
+        out = tmp_path / "run"
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SMOKE.replace("federation.clients = 3", "federation.clients = 8"))
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        # a leading zero or a non-ASCII digit: no run numbers a client so
+        kept = ["client_007.txt", "client_\u0663.txt", "client_01.txt"]
+        for name in kept:
+            (out / "models" / name).write_text("not a run's file\n")
+        (out / "embeddings_\u0663.csv").write_text("not a run's file\n")
+        cfg.write_text(SMOKE)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert sorted(os.listdir(out / "models")) == sorted(
+            [f"client_{c}.txt" for c in range(3)] + kept)     # client_3..7 removed
+        assert (out / "embeddings_\u0663.csv").read_text() == "not a run's file\n"
+
     # each path a run writes, and a stale per-client one it would remove
     @pytest.mark.parametrize("name", ["models", "history.csv", "summary.json",
                                       "config.resolved", "models/client_1.txt",
@@ -668,6 +684,15 @@ class TestEvalCommand:
         lines = open(dump).read().split("\n")
         open(dump, "w").write("\n".join(lines[:3]))
         assert main(["eval", "--model-dir", out]) == 2
+
+    def test_unfinished_run_is_refused(self, smoke_cfg, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["run", "--config", smoke_cfg, "--out", str(out)]) == 0
+        (out / "summary.json").unlink()
+        capsys.readouterr()
+        assert main(["eval", "--model-dir", str(out)]) == 2
+        assert (f"error: {out}: no summary.json, its run did not finish"
+                in capsys.readouterr().err)
 
     def test_missing_model_dir(self, smoke_cfg, tmp_path):
         out = str(tmp_path / "run")

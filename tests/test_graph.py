@@ -568,13 +568,13 @@ class TestHopAggregator:
         agg = HopAggregator(g)
         rng = np.random.default_rng(seed)
         blocks = rng.standard_normal((g.num_nodes, 12))
-        # column slices of one array, as total_loss passes them
+        # the (n, 2, 4) ring view of one array, as total_loss passes it
         g_hop1, g_hop2 = blocks[:, 4:8], blocks[:, 8:]
         expected = agg.m1.T.tocsr() @ g_hop1 + agg.m2.T.tocsr() @ g_hop2
-        assert np.array_equal(agg.backward(g_hop1, g_hop2), expected)
+        assert np.array_equal(agg.backward(blocks.reshape(-1, 3, 4)[:, 1:]), expected)
         g_hop = rng.standard_normal((2, g.num_nodes, 3))
         expected = agg.m1.T.tocsr() @ g_hop[0] + agg.m2.T.tocsr() @ g_hop[1]
-        assert np.array_equal(agg.backward(g_hop[0], g_hop[1]), expected)
+        assert np.array_equal(agg.backward(g_hop.transpose(1, 0, 2)), expected)
 
 
 def same_bits(a, b):
@@ -613,21 +613,21 @@ class TestHopAggregatorRestrict:
         assert np.array_equal(local.rows, rows)
         assert local.m1.shape == local.m2.shape == (len(rows), g.num_nodes)
         values = rng.standard_normal((g.num_nodes, 5))
-        for full, part in zip(agg.rings(values), local.rings(values)):
-            assert part.shape == (len(rows), 5)          # one row per entry of rows
-            assert same_bits(part, full[rows])
+        full, part = agg.rings(values), local.rings(values)
+        assert part.shape == (len(rows), 2, 5)           # one pair per entry of rows
+        assert same_bits(part, full[rows])
 
     @pytest.mark.parametrize("graph, seed, kind", restriction_cases())
     def test_backward_of_gradients_zero_off_rows_equals_full(self, graph, seed, kind):
         g, agg, rows, rng = restriction_instance(graph, seed, kind)
         off = np.setdiff1d(np.arange(g.num_nodes), rows)
-        # column slices of one array, as total_loss passes them; the zero
+        # the ring view of one array, as total_loss passes it; the zero
         # rows carry both signs, as a product with a zero gradient row does
         blocks = rng.standard_normal((g.num_nodes, 12))
         blocks[off] = np.copysign(0.0, rng.standard_normal((len(off), 12)))
         local = blocks[rows]
-        assert same_bits(agg.restrict(rows).backward(local[:, 4:8], local[:, 8:]),
-                         agg.backward(blocks[:, 4:8], blocks[:, 8:]))
+        assert same_bits(agg.restrict(rows).backward(local.reshape(-1, 3, 4)[:, 1:]),
+                         agg.backward(blocks.reshape(-1, 3, 4)[:, 1:]))
 
     @pytest.mark.parametrize("graph, seed", [("ring_cases", 0), ("ring_cases", 1),
                                              ("sbm", 4)])
@@ -639,7 +639,24 @@ class TestHopAggregatorRestrict:
             for name in ("indptr", "indices", "data"):
                 assert same_bits(getattr(a, name), getattr(b, name))
         values = rng.standard_normal((g.num_nodes, 3))
-        g_hop = rng.standard_normal((2, g.num_nodes, 3))
-        for a, b in zip(local.rings(values), agg.rings(values)):
-            assert same_bits(a, b)
-        assert same_bits(local.backward(*g_hop), agg.backward(*g_hop))
+        g_hop = rng.standard_normal((2, g.num_nodes, 3)).transpose(1, 0, 2)
+        assert same_bits(local.rings(values), agg.rings(values))
+        assert same_bits(local.backward(g_hop), agg.backward(g_hop))
+
+    @pytest.mark.parametrize("graph, seed, kind", restriction_cases())
+    def test_rings_is_one_c_ordered_pair_array(self, graph, seed, kind):
+        g, agg, rows, rng = restriction_instance(graph, seed, kind)
+        values = rng.standard_normal((g.num_nodes, 5))
+        for op in (agg, agg.restrict(rows)):
+            pairs = op.rings(values)
+            assert pairs.shape == (len(op.rows), 2, 5) and pairs.dtype == np.float64
+            assert pairs.flags.c_contiguous
+            assert same_bits(pairs, np.stack([op.m1 @ values, op.m2 @ values], axis=1))
+
+    @pytest.mark.parametrize("graph, seed, kind", restriction_cases())
+    def test_backward_of_strided_view_equals_contiguous_copy(self, graph, seed, kind):
+        g, agg, rows, rng = restriction_instance(graph, seed, kind)
+        local = agg.restrict(rows)
+        # the (len(rows), 2, d) ring view of the (len(rows), 3d) head gradient
+        view = rng.standard_normal((len(rows), 12)).reshape(-1, 3, 4)[:, 1:]
+        assert same_bits(local.backward(view), local.backward(np.ascontiguousarray(view)))

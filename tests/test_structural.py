@@ -101,7 +101,7 @@ class TestRadialSequence:
         rng = np.random.default_rng(0)
         ego = rng.standard_normal((30, 5))
         agg = HopAggregator(g)
-        rings = np.stack(agg.rings(ego), axis=1)
+        rings = agg.rings(ego)
         batch = np.arange(30)
         fast = radial_sequences_from_rings(rings, batch)
         for v in range(30):
@@ -543,7 +543,7 @@ class TestStructuralLossEgo:
         agg = HopAggregator(g)
         templates = init_templates(3, 4, seed=14)
         batch = sample_structural_batch(g, 6, seed=14)
-        rings = np.stack(agg.rings(ego), axis=1)
+        rings = agg.rings(ego)
         radials = radial_sequences_from_rings(rings, batch)
         match = sinkhorn_match(radials, templates)
 
@@ -555,11 +555,9 @@ class TestStructuralLossEgo:
             j = rng2.integers(4)
             bumped = ego.copy()
             bumped[i, j] += eps
-            up, _ = structural_loss_ego(np.stack(agg.rings(bumped), axis=1), match, batch,
-                                        templates, agg)
+            up, _ = structural_loss_ego(agg.rings(bumped), match, batch, templates, agg)
             bumped[i, j] -= 2 * eps
-            down, _ = structural_loss_ego(np.stack(agg.rings(bumped), axis=1), match, batch,
-                                          templates, agg)
+            down, _ = structural_loss_ego(agg.rings(bumped), match, batch, templates, agg)
             num = (up - down) / (2 * eps)
             if abs(num) < 1e-12 and abs(grad[i, j]) < 1e-12:
                 continue
@@ -574,8 +572,8 @@ class TestStructuralLossEgo:
         ego[isolated + [0]] = 0.0
         templates = init_templates(3, 5, seed=21)
         batch = np.array(isolated + [3, 0, 7, 3, 12], dtype=np.int64)
-        hop1, hop2 = agg.rings(ego)
-        rings = np.stack([hop1, hop2], axis=1)
+        rings = agg.rings(ego)
+        hop1, hop2 = rings[:, 0], rings[:, 1]
         match = sinkhorn_match(radial_sequences_from_rings(rings, batch), templates)
         loss, grad = structural_loss_ego(rings, match, batch, templates, agg)
 
@@ -591,4 +589,4 @@ class TestStructuralLossEgo:
                 gr = grad_rows[i, ring]
                 store[b] += (gr - np.dot(gr, r) * r) / norm
         assert loss == ref_loss
-        assert np.array_equal(grad, agg.backward(g_hop1, g_hop2))
+        assert np.array_equal(grad, agg.backward(np.stack([g_hop1, g_hop2], axis=1)))
