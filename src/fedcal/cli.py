@@ -209,14 +209,11 @@ def cmd_gen_data(args) -> int:
         raise ValueError("gen-data needs dataset.kind = synthetic")
     fed = cfg.federation_config(seed=args.seed)
     out = _out_dir(args, cfg)
+    paths = [os.path.join(out, name) for name in ("edges.txt", "features.txt", "labels.txt")]
+    _check_regular_files(paths)
     g = build_dataset(fed)
     os.makedirs(out, exist_ok=True)
-    save_graph_files(
-        g,
-        os.path.join(out, "edges.txt"),
-        os.path.join(out, "features.txt"),
-        os.path.join(out, "labels.txt"),
-    )
+    save_graph_files(g, *paths)
     print(f"nodes={g.num_nodes} edges={g.num_edges} homophily={edge_homophily(g):.4f}")
     return 0
 
@@ -239,6 +236,13 @@ def _per_client_files(out) -> list:
     return found
 
 
+def _check_regular_files(paths):
+    """Reject the first of paths that exists and is not a regular file."""
+    for path in paths:
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise ValueError(f"{path}: exists and is not a regular file")
+
+
 def _check_artifact_paths(out):
     """Reject an existing out whose models/ is not a directory, or where a
     run's file names hold anything but a regular file."""
@@ -247,9 +251,8 @@ def _check_artifact_paths(out):
     models = os.path.join(out, "models")
     if os.path.exists(models) and not os.path.isdir(models):
         raise ValueError(f"{models}: exists and is not a directory")
-    for path in [os.path.join(out, name) for name in _RUN_FILES] + _per_client_files(out):
-        if os.path.exists(path) and not os.path.isfile(path):
-            raise ValueError(f"{path}: exists and is not a regular file")
+    _check_regular_files([os.path.join(out, name) for name in _RUN_FILES]
+                         + _per_client_files(out))
 
 
 def _replace(path, write):

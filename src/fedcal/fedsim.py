@@ -15,8 +15,9 @@ Models are fully personalized: no parameter averaging happens anywhere,
 the only thing exchanged is manifold statistics.
 
 Every random draw flows through a generator seeded by (config seed,
-purpose tag, client id, round), so histories are bitwise reproducible
-no matter how many worker threads execute the clients.
+purpose tag, client id, round), bar the template index q alone seeding
+``refine.update_template``'s axis for coincident mean rows, so histories
+are bitwise reproducible no matter how many worker threads execute the clients.
 """
 
 from __future__ import annotations
@@ -427,28 +428,12 @@ def run_client_round(state: ClientState, anchors: np.ndarray,
     )
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based float64 ranks of x, each run of equal values given its mean rank.
-
-    The ranks are exact halves, so they equal SciPy's average-method ranks
-    bit for bit; as there, any NaN makes every rank NaN.
-    """
-    order = np.argsort(x)
-    xs = x[order]
-    if xs[-1] != xs[-1]:                         # NaN sorts last
-        return np.full(len(x), np.nan)
-    start = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
-    end = np.r_[start[1:], len(xs)]
-    ranks = np.empty(len(x))
-    ranks[order] = np.repeat((start + 1 + end) / 2.0, end - start)
-    return ranks
-
-
 def _metric_from_logits(logits, g: Graph, split: str, metric: str) -> float:
     """Accuracy or AUC of the logits on the split's labelled nodes.
 
-    AUC is the Mann-Whitney statistic of the positive-class probability,
-    computed from its average ranks (``_average_ranks``).
+    AUC is the Mann-Whitney U / (n_pos * n_neg) of the positive-class
+    probability p1, from exact pair counts: each positive scores 2 per
+    lower and 1 per tied negative, so the integer total is 2U. NaN gives NaN.
     """
     mask = g.val_mask if split == "val" else g.test_mask
     idx = np.nonzero(mask & (g.labels >= 0))[0]
@@ -470,8 +455,12 @@ def _metric_from_logits(logits, g: Graph, split: str, metric: str) -> float:
         z = z - z.max(axis=1, keepdims=True)
         e = np.exp(z)
         p1 = e[:, 1] / e.sum(axis=1)
-        ranks = _average_ranks(p1)
-        return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+        if np.isnan(p1).any():
+            return float("nan")
+        neg = np.sort(p1[~pos])
+        wins = (np.searchsorted(neg, p1[pos], "left")
+                + np.searchsorted(neg, p1[pos], "right"))
+        return float(wins.sum() / (2 * n_pos * n_neg))
     raise ValueError(f"unknown metric {metric!r}")
 
 

@@ -1,8 +1,8 @@
 """Graph data model, client partitioning, synthetic generation, file I/O.
 
-A Graph is an undirected, unweighted node-attributed graph with optional
-train/val/test masks, its edges held in one symmetric scipy.sparse CSR
-adjacency that whole-graph operations work on by sparse algebra.
+A Graph is an undirected, unweighted node-attributed graph with one
+train/val/test split array, its edges held in one symmetric scipy.sparse
+CSR adjacency that whole-graph operations work on by sparse algebra.
 Instances are treated as immutable after construction; all operations
 return new Graph values. Each partition mode is one function of the root
 graph, the client count and a seed.
@@ -42,11 +42,14 @@ __all__ = [
 
 @dataclass
 class Graph:
-    """One (sub)graph: features, labels, CSR adjacency and split masks.
+    """One (sub)graph: features, labels, CSR adjacency and the node split.
 
     ``adjacency`` is a symmetric n x n ``scipy.sparse`` CSR matrix of
     ones with sorted, unique column indices and an empty diagonal, so
     row v's index slice is the sorted neighbor list of node v.
+    ``split`` gives each node one code (see the field), so train, val and
+    test are disjoint by construction; ``train_mask``, ``val_mask`` and
+    ``test_mask`` are its read-only ``split == k`` masks, derived once.
     ``node_ids`` keeps the identity of each node in the graph it was
     induced from (arange(n) for a root graph), so overlapping clients can
     be compared and embeddings exported under stable ids.
@@ -55,9 +58,7 @@ class Graph:
     features: np.ndarray                 # (n, d0) float64
     labels: np.ndarray                   # (n,) int64, -1 = unlabeled
     adjacency: sp.csr_matrix             # (n, n) symmetric 0/1, empty diagonal
-    train_mask: np.ndarray               # (n,) bool
-    val_mask: np.ndarray                 # (n,) bool
-    test_mask: np.ndarray                # (n,) bool
+    split: np.ndarray                    # (n,) int8: 0 none, 1 train, 2 val, 3 test
     node_ids: np.ndarray = field(default=None)  # (n,) int64
 
     def __post_init__(self):
@@ -67,9 +68,12 @@ class Graph:
         n = self.features.shape[0]
         if self.node_ids is None:
             self.node_ids = np.arange(n, dtype=np.int64)
-        for name in ("train_mask", "val_mask", "test_mask"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=bool))
-        self.validate()
+        self.split = np.asarray(self.split)
+        self.validate()                          # checks the codes before the cast
+        self.split = self.split.astype(np.int8)
+        masks = self.split == np.arange(1, 4, dtype=np.int8)[:, None]     # (3, n)
+        self.split.flags.writeable = masks.flags.writeable = False
+        self.train_mask, self.val_mask, self.test_mask = masks
 
     @property
     def num_nodes(self) -> int:
@@ -90,20 +94,18 @@ class Graph:
         a = self.adjacency
         if a.shape != (n, n):
             raise ValueError("adjacency must be n x n for n nodes")
-        for name in ("train_mask", "val_mask", "test_mask"):
-            if getattr(self, name).shape != (n,):
-                raise ValueError(f"{name} length must equal node count")
+        s = self.split
+        if s.shape != (n,):
+            raise ValueError("split length must equal node count")
+        if not np.issubdtype(s.dtype, np.integer):
+            raise ValueError(f"split must hold integer codes, got dtype {s.dtype}")
+        bad = np.flatnonzero((s < 0) | (s > 3))
+        if len(bad):
+            raise ValueError(f"split code {s[bad[0]]} at node {bad[0]} is not 0, 1, 2 or 3")
         if not np.all(np.isfinite(self.features)):
             raise ValueError("features contain non-finite entries")
-        overlap = (
-            (self.train_mask & self.val_mask)
-            | (self.train_mask & self.test_mask)
-            | (self.val_mask & self.test_mask)
-        )
-        if overlap.any():
-            raise ValueError("train/val/test masks must be pairwise disjoint")
-        if np.any(self.labels[self.train_mask] < 0):
-            raise ValueError("every train-mask node must carry a label")
+        if np.any(self.labels[s == 1] < 0):
+            raise ValueError("every train node must carry a label")
         if not a.has_canonical_format or np.any(a.data != 1.0):
             raise ValueError("adjacency must hold unique sorted entries equal to 1")
         if a.diagonal().any():
@@ -113,9 +115,8 @@ class Graph:
             raise ValueError(f"asymmetric edge between {asym.row[0]} and {asym.col[0]}")
 
     @classmethod
-    def from_edges(cls, features, labels, edges, train_mask=None,
-                   val_mask=None, test_mask=None, node_ids=None) -> "Graph":
-        """Build a Graph from an (m, 2) array-like of (u, v) pairs.
+    def from_edges(cls, features, labels, edges) -> "Graph":
+        """Build an unsplit Graph from an (m, 2) array-like of (u, v) pairs.
 
         Edges are symmetrized and deduplicated; self-loops are dropped.
         """
@@ -130,28 +131,18 @@ class Graph:
         adjacency = sp.csr_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
         adjacency = adjacency + adjacency.T
         adjacency.data[:] = 1.0                  # duplicates were summed
-        zeros = np.zeros(n, dtype=bool)
-        return cls(
-            features=features,
-            labels=np.asarray(labels, dtype=np.int64),
-            adjacency=adjacency,
-            train_mask=zeros.copy() if train_mask is None else train_mask,
-            val_mask=zeros.copy() if val_mask is None else val_mask,
-            test_mask=zeros.copy() if test_mask is None else test_mask,
-            node_ids=node_ids,
-        )
+        return cls(features=features, labels=labels, adjacency=adjacency,
+                   split=np.zeros(n, dtype=np.int8))
 
 
 def induced_subgraph(g: Graph, nodes) -> Graph:
-    """Subgraph on the given node list (original-order ids, deduplicated)."""
+    """Subgraph on the given node list (original-order ids, deduplicated, codes kept)."""
     nodes = np.unique(np.asarray(nodes, dtype=np.int64))
     return Graph(
         features=g.features[nodes].copy(),
         labels=g.labels[nodes].copy(),
         adjacency=g.adjacency[nodes][:, nodes],
-        train_mask=g.train_mask[nodes].copy(),
-        val_mask=g.val_mask[nodes].copy(),
-        test_mask=g.test_mask[nodes].copy(),
+        split=g.split[nodes],
         node_ids=g.node_ids[nodes].copy(),
     )
 
@@ -268,8 +259,8 @@ def partition_overlapping(g: Graph, num_clients: int, seed=0):
     The root graph is first split into num_clients/5 temporary disjoint
     subgraphs; from each, five independent seeded samples of half the
     nodes (rounded up) are drawn with their induced edges, giving exactly
-    num_clients client graphs (a positive multiple of 5). Masks are
-    inherited from the root split.
+    num_clients client graphs (a positive multiple of 5). Each node keeps
+    its code of the root graph's split.
     """
     m = num_clients
     if m < 5 or m % 5 != 0:
@@ -446,11 +437,12 @@ def save_graph_files(g: Graph, edges_path, features_path, labels_path):
 
 
 def split_masks(g: Graph, ratios=(0.2, 0.4, 0.4), seed=0) -> Graph:
-    """Stratified train/val/test masks over the labeled nodes.
+    """g with a stratified train/val/test split over its labeled nodes.
 
     Per class, nodes are shuffled with the seeded generator and seat
     counts follow largest-remainder rounding of ratios * class size (an
-    implicit leftover bucket absorbs 1 - sum(ratios)).
+    implicit leftover bucket, code 0 like every unlabeled node, absorbs
+    1 - sum(ratios)).
     """
     ratios = tuple(float(r) for r in ratios)
     if len(ratios) != 3 or any(r < 0 for r in ratios):
@@ -458,8 +450,8 @@ def split_masks(g: Graph, ratios=(0.2, 0.4, 0.4), seed=0) -> Graph:
     if sum(ratios) > 1.0 + 1e-12:
         raise ValueError("ratios must sum to at most 1")
     rng = np.random.default_rng(seed)
-    n = g.num_nodes
-    masks = [np.zeros(n, dtype=bool) for _ in range(3)]
+    split = np.zeros(g.num_nodes, dtype=np.int8)
+    codes = np.array([1, 2, 3, 0], dtype=np.int8)    # train, val, test, leftover
     quotas4 = np.array(list(ratios) + [max(0.0, 1.0 - sum(ratios))])
     labeled = np.nonzero(g.labels >= 0)[0]
     for c in np.unique(g.labels[labeled]):
@@ -470,13 +462,8 @@ def split_masks(g: Graph, ratios=(0.2, 0.4, 0.4), seed=0) -> Graph:
         order = np.argsort(-(share - base), kind="stable")
         for k in range(len(idx) - base.sum()):
             base[order[k]] += 1
-        pos = 0
-        for bucket in range(3):
-            masks[bucket][idx[pos:pos + base[bucket]]] = True
-            pos += base[bucket]
-    return replace(
-        g, train_mask=masks[0], val_mask=masks[1], test_mask=masks[2]
-    )
+        split[idx] = np.repeat(codes, base)
+    return replace(g, split=split)
 
 
 def _row_means(pattern: sp.csr_matrix, fallback: sp.csr_matrix) -> sp.csr_matrix:
@@ -501,6 +488,7 @@ class HopAggregator:
     which keeps its last result for the next call with the same rows.
     rings returns the (len(rows), 2, d) ring-mean pairs of rows from every
     node's values; backward takes gradients so laid out and writes every node.
+    positions maps node ids onto rows, rejecting a node rows lack.
     """
 
     def __init__(self, g: Graph):
@@ -529,6 +517,14 @@ class HopAggregator:
         local.m1t, local.m2t = local.m1.T, local.m2.T
         self._last = local
         return local
+
+    def positions(self, nodes, what) -> np.ndarray:
+        """Index in rows of each of nodes; ValueError names the first not there."""
+        at = np.searchsorted(self.rows, nodes)
+        lost = np.flatnonzero(np.append(self.rows, -1)[at] != nodes)  # -1: past the end
+        if len(lost):
+            raise ValueError(f"{what} node {nodes[lost[0]]} is not in the aggregator's rows")
+        return at
 
     def rings(self, values: np.ndarray) -> np.ndarray:
         """(len(rows), 2, d) ring means of the nodes in rows, read from every

@@ -111,7 +111,8 @@ def total_loss(params: ModelParams, g: Graph, anchors: np.ndarray,
     the local round: no gradient flows into them. Passing anchors=None
     drops the semantic term and matching=None the structural term (the
     CE term is always present), which is how ablations run. agg is g's
-    ring operator with rows covering train and batch nodes. The CE gradient
+    ring operator with rows covering train and batch nodes (ValueError names
+    a missing one, whose ring means would read as zeros). The CE gradient
     is zero off agg.rows, so the head's gradients are taken at agg.rows with
     the same bits, their ring pairs passed to agg.backward as one array; the
     structural term reuses the forward's ring means. Returns
@@ -119,6 +120,8 @@ def total_loss(params: ModelParams, g: Graph, anchors: np.ndarray,
     gradients; the calibration terms reach only w_ego, the CE term also
     reaches the classifier.
     """
+    if np.count_nonzero(g.train_mask[agg.rows]) < np.count_nonzero(g.train_mask):
+        agg.positions(np.flatnonzero(g.train_mask), "train")    # raises, naming the node
     cache = forward(params, g, agg)
     d = cache.ego.shape[1]
 

@@ -271,7 +271,9 @@ def structural_loss_ego(rings: np.ndarray, matching: MatchingMatrix, batch,
     (ForwardCache.rings) into radial sequences and pulls the loss gradient
     through the normalization and, as one (len(agg.rows), 2, d) array,
     through agg.backward onto every contributing ego row, zero ring rows held constant.
+    A batch node missing from agg.rows, whose ring means would read as zeros, raises.
     """
+    at = agg.positions(batch, "batch")                           # rows of the batch
     radials = radial_sequences_from_rings(rings, batch)
     loss, grad_rows = structural_loss(matching, radials, templates)
 
@@ -285,5 +287,5 @@ def structural_loss_ego(rings: np.ndarray, matching: MatchingMatrix, batch,
     step = np.divide(grad_rows - along * unit, norms, out=np.zeros_like(raw), where=live)
     g_rings = np.zeros((len(agg.rows),) + raw.shape[1:])         # gradients on agg.rows
     # add.at, so that a node listed twice in batch gets both gradients
-    np.add.at(g_rings, np.searchsorted(agg.rows, batch), step)
+    np.add.at(g_rings, at, step)
     return loss, agg.backward(g_rings)

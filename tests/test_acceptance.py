@@ -9,6 +9,7 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -435,8 +436,8 @@ class TestCriterion10Determinism:
                          "--threads", "1"]) == 0
         assert cli_main(["run", "--config", str(cfg_path), "--out", out4,
                          "--threads", "4"]) == 0
-        h1 = open(os.path.join(out1, "history.csv"), "rb").read()
-        h4 = open(os.path.join(out4, "history.csv"), "rb").read()
+        h1 = Path(os.path.join(out1, "history.csv")).read_bytes()
+        h4 = Path(os.path.join(out4, "history.csv")).read_bytes()
         assert h1 == h4
         report("criterion 10 (determinism)",
                f"--threads 1 and 4 byte-identical ({len(h1)} bytes)")

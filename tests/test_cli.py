@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,7 +99,7 @@ class TestConfigParsing:
             parse_config_file(path)
 
     def test_readme_table_lists_exactly_the_schema_keys(self):
-        text = open(os.path.join(REPO, "README.md"), encoding="utf-8").read()
+        text = Path(os.path.join(REPO, "README.md")).read_text(encoding="utf-8")
         table = text.split("| key | default | meaning |\n|---|---|---|\n")[1].split("\n\n")[0]
         keys, defaults = [], []
         for row in table.splitlines():
@@ -118,7 +119,7 @@ class TestConfigParsing:
             assert (None if text == "-" else parser(text)) == default, key
 
     def test_readme_library_example_runs(self, capsys):
-        text = open(os.path.join(REPO, "README.md"), encoding="utf-8").read()
+        text = Path(os.path.join(REPO, "README.md")).read_text(encoding="utf-8")
         code = text.split("## Library entry points\n\n```python\n")[1].split("```")[0]
         exec(compile(code, "README.md", "exec"), {})
         assert 0.0 <= float(capsys.readouterr().out) <= 1.0
@@ -263,8 +264,8 @@ class TestGenData:
         main(["gen-data", "--config", smoke_cfg, "--out", out1])
         main(["gen-data", "--config", smoke_cfg, "--out", out2])
         for name in ("edges.txt", "features.txt", "labels.txt"):
-            a = open(os.path.join(out1, name), "rb").read()
-            b = open(os.path.join(out2, name), "rb").read()
+            a = Path(os.path.join(out1, name)).read_bytes()
+            b = Path(os.path.join(out2, name)).read_bytes()
             assert a == b
 
     def test_benchmark_config_reproduces_committed_data(self, tmp_path):
@@ -272,18 +273,32 @@ class TestGenData:
         config = os.path.join(REPO, "configs", "benchmark.cfg")
         assert main(["gen-data", "--config", config, "--out", out]) == 0
         for name in ("edges.txt", "features.txt", "labels.txt"):
-            a = open(os.path.join(out, name), "rb").read()
-            b = open(os.path.join(REPO, "data", "bench-demo", name), "rb").read()
+            a = Path(os.path.join(out, name)).read_bytes()
+            b = Path(os.path.join(REPO, "data", "bench-demo", name)).read_bytes()
             assert a == b, name
+
+    @pytest.mark.parametrize("name", ["edges.txt", "features.txt", "labels.txt"])
+    def test_directory_at_a_data_file_fails_before_work(self, smoke_cfg, tmp_path,
+                                                        capsys, monkeypatch, name):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the data path was rejected")
+
+        monkeypatch.setattr(cli, "build_dataset", no_work)
+        out = tmp_path / "data"
+        (out / name).mkdir(parents=True)
+        assert main(["gen-data", "--config", smoke_cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: {out / name}: exists and is not "
+                                           f"a regular file\n")
+        assert os.listdir(out) == [name]
 
 
 class TestRunCommand:
     def test_smoke_run_artifacts(self, smoke_cfg, tmp_path):
         out = str(tmp_path / "run")
         assert main(["run", "--config", smoke_cfg, "--out", out]) == 0
-        history = open(os.path.join(out, "history.csv")).read().strip().split("\n")
+        history = Path(os.path.join(out, "history.csv")).read_text().strip().split("\n")
         assert len(history) == 1 + 2 * 3  # header + rounds*clients
-        summary = json.load(open(os.path.join(out, "summary.json")))
+        summary = json.loads(Path(os.path.join(out, "summary.json")).read_text())
         assert summary["clients"] == 3 and summary["rounds"] == 2
         for c in range(3):
             assert os.path.exists(os.path.join(out, "models", f"client_{c}.txt"))
@@ -406,8 +421,8 @@ class TestRunCommand:
     ])
     def test_unusable_client_split_fails_at_setup(self, tmp_path, capsys, line, split):
         keys = {entry.split("=")[0].strip() for entry in line.splitlines()}
-        base = [entry for entry in open(os.path.join(REPO, "configs", "smoke.cfg"))
-                .read().splitlines() if entry.split("=")[0].strip() not in keys]
+        base = [entry for entry in Path(os.path.join(REPO, "configs", "smoke.cfg"))
+                .read_text().splitlines() if entry.split("=")[0].strip() not in keys]
         cfg = tmp_path / "small.cfg"
         cfg.write_text("\n".join(base) + "\n" + line + "\n")
         out = tmp_path / "run"
@@ -476,7 +491,7 @@ class TestRunCommand:
         assert count == f"{flags.count(False)}/{len(flags)}"
         assert f"sinkhorn unconverged {count} -> " in last
         for name in ("history.csv", "summary.json"):
-            assert "unconverged" not in open(os.path.join(out, name)).read()
+            assert "unconverged" not in Path(os.path.join(out, name)).read_text()
 
     def test_matching_rows_off_one_fail_the_run(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
@@ -497,7 +512,7 @@ class TestRunCommand:
     def test_seed_override_recorded(self, smoke_cfg, tmp_path):
         out = str(tmp_path / "run")
         main(["run", "--config", smoke_cfg, "--seed", "123", "--out", out])
-        resolved = open(os.path.join(out, "config.resolved")).read()
+        resolved = Path(os.path.join(out, "config.resolved")).read_text()
         assert "federation.seed = 123" in resolved
 
     def test_ablate_flag(self, smoke_cfg, tmp_path):
@@ -506,7 +521,7 @@ class TestRunCommand:
             "run", "--config", smoke_cfg, "--out", out,
             "--ablate", "semantic", "--ablate", "structural",
         ]) == 0
-        rows = open(os.path.join(out, "history.csv")).read().strip().split("\n")[1:]
+        rows = Path(os.path.join(out, "history.csv")).read_text().strip().split("\n")[1:]
         for row in rows:
             parts = row.split(",")
             assert float(parts[3]) == 0.0  # sem_loss
@@ -526,7 +541,7 @@ class TestRunCommand:
 
     def test_embeddings_export(self, tmp_path):
         cfg = tmp_path / "emb.cfg"
-        cfg.write_text(open(os.path.join(REPO, "configs", "smoke.cfg")).read()
+        cfg.write_text(Path(os.path.join(REPO, "configs", "smoke.cfg")).read_text()
                        + "output.embeddings = true\n")
         outs = [tmp_path / f"t{threads}" for threads in (1, 2)]
         for threads, out in zip((1, 2), outs):
@@ -545,8 +560,8 @@ class TestRunCommand:
         out1, out2 = str(tmp_path / "t1"), str(tmp_path / "t4")
         main(["run", "--config", smoke_cfg, "--out", out1, "--threads", "1"])
         main(["run", "--config", smoke_cfg, "--out", out2, "--threads", "4"])
-        a = open(os.path.join(out1, "history.csv"), "rb").read()
-        b = open(os.path.join(out2, "history.csv"), "rb").read()
+        a = Path(os.path.join(out1, "history.csv")).read_bytes()
+        b = Path(os.path.join(out2, "history.csv")).read_bytes()
         assert a == b
 
 
@@ -645,7 +660,7 @@ class TestEvalCommand:
     def test_eval_matches_run_metrics(self, smoke_cfg, tmp_path, capsys):
         out = str(tmp_path / "run")
         main(["run", "--config", smoke_cfg, "--out", out])
-        run_summary = json.load(open(os.path.join(out, "summary.json")))
+        run_summary = json.loads(Path(os.path.join(out, "summary.json")).read_text())
         capsys.readouterr()
         assert main(["eval", "--model-dir", out, "--split", "test"]) == 0
         printed = capsys.readouterr().out
@@ -655,7 +670,7 @@ class TestEvalCommand:
     def test_eval_other_split(self, smoke_cfg, tmp_path, capsys):
         out = str(tmp_path / "run")
         main(["run", "--config", smoke_cfg, "--out", out])
-        run_summary = json.load(open(os.path.join(out, "summary.json")))
+        run_summary = json.loads(Path(os.path.join(out, "summary.json")).read_text())
         capsys.readouterr()
         assert main(["eval", "--model-dir", out, "--split", "val"]) == 0
         printed = capsys.readouterr().out
@@ -681,8 +696,8 @@ class TestEvalCommand:
         out = str(tmp_path / "run")
         main(["run", "--config", smoke_cfg, "--out", out])
         dump = os.path.join(out, "models", "client_1.txt")
-        lines = open(dump).read().split("\n")
-        open(dump, "w").write("\n".join(lines[:3]))
+        lines = Path(dump).read_text().split("\n")
+        Path(dump).write_text("\n".join(lines[:3]))
         assert main(["eval", "--model-dir", out]) == 2
 
     def test_unfinished_run_is_refused(self, smoke_cfg, tmp_path, capsys):
@@ -709,9 +724,9 @@ def _spoil(path, fault) -> str:
         os.mkdir(path)
         return f"{path}: is a directory, not a file"
     lineno = 1 if fault == "byte 0xff on line 1" else 3
-    lines = open(path, "rb").read().split(b"\n")
+    lines = Path(path).read_bytes().split(b"\n")
     lines[lineno - 1] = b"\xff" + lines[lineno - 1]
-    open(path, "wb").write(b"\n".join(lines))
+    Path(path).write_bytes(b"\n".join(lines))
     return f"{path}:{lineno}: not UTF-8 text"
 
 
@@ -785,7 +800,7 @@ class TestReportCommand:
         main(["run", "--config", smoke_cfg, "--out", out])
         table = str(tmp_path / "table.txt")
         main(["report", os.path.join(out, "history.csv"), "--out", table])
-        assert "final_test_mean" in open(table).read()
+        assert "final_test_mean" in Path(table).read_text()
 
     @pytest.mark.parametrize("parent", ["regular file", "missing directory"])
     def test_unusable_out_parent_fails_before_reading(self, tmp_path, capsys, monkeypatch,
@@ -1000,8 +1015,8 @@ class TestIdempotence:
         names = ["history.csv", "summary.json", "config.resolved"]
         names += [os.path.join("models", f"client_{c}.txt") for c in range(3)]
         for name in names:
-            a = open(os.path.join(out, name), "rb").read()
-            b = open(os.path.join(REPO, "runs", "smoke-demo", name), "rb").read()
+            a = Path(os.path.join(out, name)).read_bytes()
+            b = Path(os.path.join(REPO, "runs", "smoke-demo", name)).read_bytes()
             assert a == b, name
 
     def test_run_byte_identical_given_seed(self, smoke_cfg, tmp_path):
@@ -1009,10 +1024,10 @@ class TestIdempotence:
         main(["run", "--config", smoke_cfg, "--out", out1])
         main(["run", "--config", smoke_cfg, "--out", out2])
         for name in ("history.csv", "summary.json", "config.resolved"):
-            a = open(os.path.join(out1, name), "rb").read()
-            b = open(os.path.join(out2, name), "rb").read()
+            a = Path(os.path.join(out1, name)).read_bytes()
+            b = Path(os.path.join(out2, name)).read_bytes()
             assert a == b
         for c in range(3):
-            a = open(os.path.join(out1, "models", f"client_{c}.txt"), "rb").read()
-            b = open(os.path.join(out2, "models", f"client_{c}.txt"), "rb").read()
+            a = Path(os.path.join(out1, "models", f"client_{c}.txt")).read_bytes()
+            b = Path(os.path.join(out2, "models", f"client_{c}.txt")).read_bytes()
             assert a == b

@@ -4,7 +4,6 @@ import re
 
 import numpy as np
 import pytest
-from scipy.stats import rankdata
 
 from fedcal.fedsim import (
     ClientState,
@@ -24,7 +23,6 @@ from fedcal.fedsim import (
     server_step,
     setup_federation,
     structural_pool,
-    _average_ranks,
 )
 from fedcal.graph import Graph, HopAggregator
 from fedcal.model import ModelParams, init_params, total_loss
@@ -398,11 +396,8 @@ class TestEvaluate:
     def _client_with_logit_control(self, labels, mask_name="val"):
         n = len(labels)
         g = Graph.from_edges(np.eye(n, 3), labels, [])
-        mask = np.ones(n, dtype=bool)
-        if mask_name == "val":
-            g = dataclasses.replace(g, val_mask=mask)
-        else:
-            g = dataclasses.replace(g, test_mask=mask)
+        code = 2 if mask_name == "val" else 3
+        g = dataclasses.replace(g, split=np.full(n, code))
         params = init_params(3, 2, 2, seed=0)
         return ClientState(0, g, HopAggregator(g), params)
 
@@ -442,7 +437,7 @@ class TestEvaluate:
         p1 = np.array([0.1, 0.6, 0.5, 0.9])
         logits = np.stack([np.log(1 - p1), np.log(p1)], axis=1)
         g = Graph.from_edges(np.zeros((4, 1)), labels, [])
-        g = dataclasses.replace(g, val_mask=np.ones(4, dtype=bool))
+        g = dataclasses.replace(g, split=np.full(4, 2))
         assert abs(_metric_from_logits(logits, g, "val", "auc") - 0.75) <= 1e-12
 
     def test_empty_split_raises(self):
@@ -455,7 +450,7 @@ class TestEvaluate:
     def test_single_class_auc_raises(self):
         labels = np.array([1, 1, 1])
         g = Graph.from_edges(np.zeros((3, 1)), labels, [])
-        g = dataclasses.replace(g, val_mask=np.ones(3, dtype=bool))
+        g = dataclasses.replace(g, split=np.full(3, 2))
         state = ClientState(0, g, HopAggregator(g), init_params(1, 2, 2, 0))
         with pytest.raises(RuntimeError, match="single class"):
             evaluate(state, "val", "auc")
@@ -468,40 +463,38 @@ class TestEvaluate:
             evaluate(state, "train", "accuracy")
 
 
-_TIES = np.random.default_rng(5).integers(0, 6, size=200) / 3.0
+class TestAucPairCounts:
+    """AUC against a brute-force loop over every (positive, negative) pair."""
 
+    @staticmethod
+    def pair_loop_auc(p1, labels):
+        pos, neg = p1[labels == 1], p1[labels == 0]
+        won = sum(1.0 if a > b else 0.5 if a == b else 0.0 for a in pos for b in neg)
+        return won / (len(pos) * len(neg))
 
-class TestAverageRanksReference:
-    """The AUC rank helper against SciPy's average-method ranks, bit for bit."""
+    @staticmethod
+    def auc(p1, labels):
+        from fedcal.fedsim import _metric_from_logits
 
-    @pytest.mark.parametrize("x", [
-        np.array([0.25]),
-        np.full(9, 0.5),
-        _TIES,
-        np.sort(_TIES),
-        np.sort(_TIES)[::-1],
-        np.linspace(0.0, 1.0, 50),
-        np.linspace(1.0, 0.0, 50),
-        np.array([0.3, -0.0, 0.0, 0.3, 1e-300, 0.3]),
-    ], ids=["n1", "all_equal", "many_ties", "sorted", "reversed", "distinct_sorted",
-            "distinct_reversed", "signed_zeros"])
-    def test_equals_scipy(self, x):
-        got, ref = _average_ranks(x), rankdata(x, method="average")
-        assert got.dtype == ref.dtype
-        assert np.array_equal(got, ref)
+        with np.errstate(divide="ignore"):
+            logits = np.stack([np.log1p(-p1), np.log(p1)], axis=1)
+        g = Graph.from_edges(np.zeros((len(p1), 1)), labels, [])
+        g = dataclasses.replace(g, split=np.full(len(p1), 2))
+        return _metric_from_logits(logits, g, "val", "auc")
 
-    def test_random_tied_arrays_equal_scipy(self):
+    def test_tied_probabilities_equal_the_pair_loop(self):
         rng = np.random.default_rng(11)
-        for _ in range(300):
-            n = int(rng.integers(1, 40))
-            x = rng.integers(0, max(1, n // 3), size=n) / 7.0
-            assert np.array_equal(_average_ranks(x), rankdata(x, method="average"))
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            labels = rng.permutation(np.r_[0, 1, rng.integers(0, 2, size=n - 2)])
+            # a few distinct levels, so most pairs tie; 1.0 is a saturated p1
+            p1 = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=n)
+            assert self.auc(p1, labels) == self.pair_loop_auc(p1, labels)
 
-    def test_nan_makes_every_rank_nan_as_in_scipy(self):
-        x = np.array([0.2, np.nan, 0.1])
-        got, ref = _average_ranks(x), rankdata(x, method="average")
-        assert np.isnan(ref).all()
-        assert np.array_equal(got, ref, equal_nan=True)
+    def test_nan_probability_gives_nan(self):
+        labels = np.array([0, 1, 0, 1])
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(self.auc(np.array([0.2, np.nan, 0.1, 0.7]), labels))
 
 
 class TestExports:

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import tracemalloc
 
@@ -37,8 +38,7 @@ def path_graph(n, feat_dim=2):
 
 def direct_graph(adjacency):
     n = adjacency.shape[0]
-    no = np.zeros(n, dtype=bool)
-    return Graph(np.zeros((n, 1)), np.zeros(n, dtype=int), adjacency, no, no, no)
+    return Graph(np.zeros((n, 1)), np.zeros(n, dtype=int), adjacency, np.zeros(n, dtype=int))
 
 
 class TestGraphInvariants:
@@ -78,17 +78,34 @@ class TestGraphInvariants:
         assert list(neighbors(g, 0)) == [1, 2]
         assert g.num_edges == h.num_edges == 2
 
-    def test_rejects_overlapping_masks(self):
-        m = np.array([True, False])
-        with pytest.raises(ValueError):
-            Graph.from_edges(np.zeros((2, 1)), [0, 0], [], train_mask=m, val_mask=m)
+    @pytest.mark.parametrize("split, message", [
+        (np.zeros(3, dtype=int), "split length must equal node count"),
+        (np.zeros(2, dtype=bool), "integer codes, got dtype bool"),
+        (np.ones(2, dtype=bool), "integer codes, got dtype bool"),
+        (np.zeros(2), "integer codes, got dtype float64"),
+        (np.array([0, -1]), "split code -1 at node 1 is not 0, 1, 2 or 3"),
+        (np.array([4, 0]), "split code 4 at node 0 is not 0, 1, 2 or 3"),
+        (np.array([0, 257]), "split code 257 at node 1 is not 0, 1, 2 or 3"),
+    ], ids=["length", "bool_false", "bool_true", "float", "minus_one", "four", "wraps_to_1"])
+    def test_rejects_bad_split(self, split, message):
+        g = Graph.from_edges(np.zeros((2, 1)), [0, 0], [])
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(g, split=split)
+
+    def test_split_is_int8_and_masks_read_only(self):
+        g = Graph.from_edges(np.zeros((4, 1)), [0, 1, 0, 1], [])
+        g = dataclasses.replace(g, split=np.array([0, 1, 2, 3]))
+        assert g.split.dtype == np.int8
+        assert g.train_mask.tolist() == [False, True, False, False]
+        assert g.val_mask.tolist() == [False, False, True, False]
+        assert g.test_mask.tolist() == [False, False, False, True]
+        for array in (g.split, g.train_mask, g.val_mask, g.test_mask):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
 
     def test_rejects_unlabeled_train_node(self):
         with pytest.raises(ValueError):
-            Graph.from_edges(
-                np.zeros((2, 1)), [-1, 0], [],
-                train_mask=np.array([True, False]),
-            )
+            Graph(np.zeros((2, 1)), [-1, 0], sp.csr_matrix((2, 2)), split=np.array([1, 0]))
 
     def test_induced_subgraph_preserves_symmetry(self):
         g = generate_sbm(40, 2, 0.3, 0.1, 3, 1.0, seed=5)
@@ -470,6 +487,28 @@ class TestFilesAndSplits:
         assert np.array_equal(a.train_mask, b.train_mask)
         assert np.array_equal(a.val_mask, b.val_mask)
         assert np.array_equal(a.test_mask, b.test_mask)
+
+    def test_masks_are_the_split_codes_over_random_ratios(self):
+        rng = np.random.default_rng(8)
+        for trial in range(40):
+            n = int(rng.integers(1, 80))
+            labels = rng.integers(-1, 3, size=n)
+            ratios = rng.dirichlet(np.ones(4))[:3]
+            g = Graph.from_edges(np.zeros((n, 1)), labels, [])
+            g = split_masks(g, ratios=ratios, seed=trial)
+            assert g.split.dtype == np.int8
+            for code, mask in enumerate((g.train_mask, g.val_mask, g.test_mask), start=1):
+                assert np.array_equal(mask, g.split == code)
+            assert not g.split[labels < 0].any()
+
+    def test_induced_subgraph_keeps_each_code(self):
+        g = split_masks(generate_sbm(60, 3, 0.1, 0.05, 2, 1.0, seed=4), seed=3)
+        nodes = np.random.default_rng(2).choice(60, size=25, replace=False)
+        sub = induced_subgraph(g, nodes)
+        kept = np.sort(nodes)
+        assert np.array_equal(sub.node_ids, kept)
+        assert np.array_equal(sub.split, g.split[kept])
+        assert np.array_equal(sub.val_mask, g.val_mask[kept])
 
     def test_rejects_ratio_overflow(self):
         g = path_graph(4)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -166,8 +167,8 @@ class TestTotalLoss:
         edges = [(i, j) for i in range(4) for j in range(i + 1, 4)] + [
             (i, j) for i in range(4, 8) for j in range(i + 1, 8)
         ]
-        g = Graph.from_edges(feats, [0] * 4 + [1] * 4, edges,
-                             train_mask=np.ones(8, dtype=bool))
+        g = dataclasses.replace(Graph.from_edges(feats, [0] * 4 + [1] * 4, edges),
+                                split=np.ones(8, dtype=int))
         params = init_params(2, 2, 2, seed=6)
         agg = HopAggregator(g)
         cache = forward(params, g, agg)
@@ -259,6 +260,27 @@ class TestTotalLoss:
             rows = np.union1d(rows, batch)
         self.check_restricted(g, params, agg, anchors, rot, templates, matching, batch,
                               rows)
+
+    def test_rejects_aggregator_missing_a_train_or_batch_node(self):
+        # off its rows a restricted aggregator's ring means are zeros, so a
+        # loss read there would be silently wrong
+        g, params, agg = small_instance(0, n=40, train_ratio=0.2)
+        anchors, rot, templates, _, _ = calibration_inputs(g, params, agg, 0, 4, 3)
+        train = np.flatnonzero(g.train_mask)
+        batch = np.array([7, 21, 33, 7])
+        assert not g.train_mask[batch].any()
+        cache = forward(params, g, agg)
+        matching = sinkhorn_match(radial_sequences_from_rings(cache.rings, batch), templates)
+        rows = np.union1d(train, batch)
+        total_loss(params, g, anchors, rot, templates, matching, batch, agg.restrict(rows))
+
+        no_train = agg.restrict(np.setdiff1d(rows, train[1]))
+        with pytest.raises(ValueError,
+                           match=f"^train node {train[1]} is not in the aggregator's rows$"):
+            total_loss(params, g, None, None, None, None, None, no_train)
+        no_batch = agg.restrict(np.setdiff1d(rows, 7))
+        with pytest.raises(ValueError, match="^batch node 7 is not in the aggregator's rows$"):
+            total_loss(params, g, anchors, rot, templates, matching, batch, no_batch)
 
     @staticmethod
     def check_restricted(g, params, agg, anchors, rot, templates, matching, batch, rows):

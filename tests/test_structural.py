@@ -563,6 +563,22 @@ class TestStructuralLossEgo:
                 continue
             assert abs(num - grad[i, j]) / max(abs(num), abs(grad[i, j]), 1e-8) <= 1e-4
 
+    def test_rejects_batch_node_missing_from_rows(self):
+        g = generate_sbm(40, 2, 0.3, 0.1, 3, 1.0, seed=0)
+        ego = np.random.default_rng(0).standard_normal((40, 4))
+        agg = HopAggregator(g)
+        templates = init_templates(3, 4, seed=0)
+        batch = np.array([3, 7, 12, 30])
+        rings = agg.rings(ego)
+        match = sinkhorn_match(radial_sequences_from_rings(rings, batch), templates)
+        local = agg.restrict(np.setdiff1d(np.arange(40), 7))
+        with pytest.raises(ValueError, match="^batch node 7 is not in the aggregator's rows$"):
+            structural_loss_ego(rings, match, batch, templates, local)
+        # a row set that ends before a batch node and an empty one are caught alike
+        for rows, first in ((np.arange(5), 7), (np.arange(0), 3)):
+            with pytest.raises(ValueError, match=f"^batch node {first} is not in"):
+                structural_loss_ego(rings, match, batch, templates, agg.restrict(rows))
+
     def test_equals_per_node_reference(self):
         # isolated nodes with zero ego rows give zero rings; node 3 appears twice
         g = generate_sbm(30, 2, 0.15, 0.05, 3, 1.0, seed=21)
