@@ -34,6 +34,7 @@ from .fedsim import (
     export_embeddings,
     export_history,
     import_history,
+    kind_fields,
     run_federation,
     setup_federation,
 )
@@ -119,8 +120,18 @@ def _cast(key: str, caster, text: str):
 
 
 def build_run_config(raw: dict) -> RunConfig:
-    return RunConfig({key: _cast(key, caster, raw[key]) if key in raw else default
-                      for key, (caster, default) in _CONFIG_SCHEMA.items()})
+    """Every key's value, from raw or its default. Under dataset.kind = files a
+    generator key is rejected when given and None, so left unrecorded, when not."""
+    values = {key: _cast(key, caster, raw[key]) if key in raw else default
+              for key, (caster, default) in _CONFIG_SCHEMA.items()}
+    if values["dataset.kind"] == "files":
+        for f in kind_fields("synthetic"):
+            key = f.metadata["key"]
+            if key in raw:
+                raise ValueError(f"{key} is read only under dataset.kind = synthetic, "
+                                 f"not files")
+            values[key] = None
+    return RunConfig(values)
 
 
 def write_resolved_config(cfg: RunConfig, path):

@@ -27,6 +27,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -68,6 +69,7 @@ __all__ = [
     "HistoryRow",
     "FederationResult",
     "FederationError",
+    "kind_fields",
     "SemanticReport",
     "StructuralReport",
     "build_dataset",
@@ -92,78 +94,78 @@ class FederationError(RuntimeError):
     pass
 
 
-# Each FederationConfig field that a config key sets carries the key, so the
-# CLI's schema, its key-to-field mapping and the keys errors name are read here.
-def config_key(key: str, default):
-    """A dataclass field that the config key ``key`` sets, ``default`` when unset."""
-    return field(default=default, metadata={"key": key})
+# Each FederationConfig field that a config key sets declares the key, its
+# check and the dataset kind it belongs to, so the CLI's schema, its
+# key-to-field mapping and every single-key check are read from the field.
+def config_key(key: str, default, rule=None, only=None):
+    """A dataclass field that the config key ``key`` sets, ``default`` when unset.
+
+    ``rule`` is the ``(test, wording)`` pair every value must pass. ``only``
+    names the one ``dataset.kind`` that reads the key: its rule is checked
+    under that kind alone. The dataset paths declare ``only="files"`` and no
+    rule, for they are checked as a group.
+    """
+    return field(default=default, metadata={"key": key, "rule": rule, "only": only})
 
 
-def key_of(config, name: str) -> str:
-    """The config key that sets field ``name`` of the dataclass ``config``."""
-    return config.__dataclass_fields__[name].metadata["key"]
+def kind_fields(kind: str) -> list:
+    """The FederationConfig fields read only under ``dataset.kind = kind``."""
+    return [f for f in fields(FederationConfig) if f.metadata.get("only") == kind]
 
 
 _INTP_MAX = int(np.iinfo(np.intp).max)       # the largest array dimension numpy takes
 
-# Each key's own bound as (fields, test, wording). The tests only compare, so
-# NaN fails each one and an int beyond int64 is compared exactly.
-_BOUNDS = (
-    (("num_clients", "local_epochs", "batch_nodes", "sinkhorn_iters"),
-     lambda v: v >= 1, ">= 1"),
-    (("embed_dim", "num_templates"), lambda v: 1 <= v <= _INTP_MAX, f"in [1, {_INTP_MAX}]"),
-    (("num_classes",), lambda v: v >= 2, ">= 2"),
-    (("rounds", "seed"), lambda v: v >= 0, ">= 0"),
-    (("lr_decay_steps",), lambda v: v > 0, "> 0"),
-    (("lr0", "sinkhorn_epsilon", "sinkhorn_tol", "refine_tau", "refine_eta"),
-     lambda v: 0 < v < np.inf, "finite and > 0"),
-)
-# the generator's settings, bounded only under dataset.kind = synthetic
-_SYNTHETIC_BOUNDS = (
-    (("nodes", "feat_dim"), lambda v: 1 <= v <= _INTP_MAX, f"in [1, {_INTP_MAX}]"),
-    (("p_in", "p_out"), lambda v: 0 <= v <= 1, "in [0, 1]"),
-    (("feat_sep",), lambda v: 0 <= v < np.inf, "finite and >= 0"),
-)
-_CHOICES = {
-    "dataset_kind": ("synthetic", "files"),
-    "task_metric": ("accuracy", "auc"),
-    "partition_mode": ("non-overlapping", "overlapping"),
-}
-_DATASET_FILES = ("edges_path", "features_path", "labels_path")
+# The rules that several keys share. The tests only compare, so NaN fails
+# each one and an int beyond int64 is compared exactly.
+_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+_AT_LEAST_0 = (lambda v: v >= 0, ">= 0")
+_DIMENSION = (lambda v: 1 <= v <= _INTP_MAX, f"in [1, {_INTP_MAX}]")
+_POSITIVE = (lambda v: 0 < v < np.inf, "finite and > 0")
+_PROBABILITY = (lambda v: 0 <= v <= 1, "in [0, 1]")
+
+
+def _one_of(*choices):
+    return (lambda v: v in choices, " or ".join(choices))
 
 
 @dataclass
 class FederationConfig:
     """One run's settings: each field but the three ``*_enabled`` flags,
-    which ``--ablate`` clears, is set by the config key in its metadata."""
+    which ``--ablate`` clears, is set by the config key in its metadata.
+    The split ratios have no rule of their own: they are checked together."""
 
-    num_clients: int = config_key("federation.clients", 5)
-    rounds: int = config_key("federation.rounds", 60)
-    local_epochs: int = config_key("federation.local_epochs", 3)
-    embed_dim: int = config_key("federation.embed_dim", 8)
-    num_classes: int = config_key("federation.classes", 2)
-    batch_nodes: int = config_key("federation.batch_nodes", 64)  # sampled per client per round
-    num_templates: int = config_key("federation.templates", 4)
-    lr0: float = config_key("train.lr0", 0.05)
-    lr_decay_steps: float = config_key("train.lr_decay_steps", 200.0)
-    sinkhorn_epsilon: float = config_key("sinkhorn.epsilon", 0.05)
-    sinkhorn_iters: int = config_key("sinkhorn.max_iters", 500)
-    sinkhorn_tol: float = config_key("sinkhorn.tol", 1e-6)
-    refine_tau: float = config_key("refine.tau", 1.0)     # difficulty-weight temperature
-    refine_eta: float = config_key("refine.eta", 0.1)     # max anchor step (chord length)
-    seed: int = config_key("federation.seed", 0)
-    partition_mode: str = config_key("partition.mode", "non-overlapping")
-    task_metric: str = config_key("federation.metric", "accuracy")   # "accuracy" | "auc"
+    num_clients: int = config_key("federation.clients", 5, _AT_LEAST_1)
+    rounds: int = config_key("federation.rounds", 60, _AT_LEAST_0)
+    local_epochs: int = config_key("federation.local_epochs", 3, _AT_LEAST_1)
+    embed_dim: int = config_key("federation.embed_dim", 8, _DIMENSION)
+    num_classes: int = config_key("federation.classes", 2, (lambda v: v >= 2, ">= 2"))
+    # nodes sampled per client per round
+    batch_nodes: int = config_key("federation.batch_nodes", 64, _AT_LEAST_1)
+    num_templates: int = config_key("federation.templates", 4, _DIMENSION)
+    lr0: float = config_key("train.lr0", 0.05, _POSITIVE)
+    lr_decay_steps: float = config_key("train.lr_decay_steps", 200.0, (lambda v: v > 0, "> 0"))
+    sinkhorn_epsilon: float = config_key("sinkhorn.epsilon", 0.05, _POSITIVE)
+    sinkhorn_iters: int = config_key("sinkhorn.max_iters", 500, _AT_LEAST_1)
+    sinkhorn_tol: float = config_key("sinkhorn.tol", 1e-6, _POSITIVE)
+    # the difficulty-weight temperature and the max anchor step (chord length)
+    refine_tau: float = config_key("refine.tau", 1.0, _POSITIVE)
+    refine_eta: float = config_key("refine.eta", 0.1, _POSITIVE)
+    seed: int = config_key("federation.seed", 0, _AT_LEAST_0)
+    partition_mode: str = config_key("partition.mode", "non-overlapping",
+                                     _one_of("non-overlapping", "overlapping"))
+    task_metric: str = config_key("federation.metric", "accuracy", _one_of("accuracy", "auc"))
     # where the root graph comes from: a seeded generator or three files
-    dataset_kind: str = config_key("dataset.kind", "synthetic")      # "synthetic" | "files"
-    nodes: int = config_key("dataset.nodes", 600)
-    p_in: float = config_key("dataset.p_in", 0.1)
-    p_out: float = config_key("dataset.p_out", 0.01)
-    feat_dim: int = config_key("dataset.feat_dim", 16)
-    feat_sep: float = config_key("dataset.feat_sep", 1.0)
-    edges_path: str = config_key("dataset.edges", None)
-    features_path: str = config_key("dataset.features", None)
-    labels_path: str = config_key("dataset.labels", None)
+    dataset_kind: str = config_key("dataset.kind", "synthetic", _one_of("synthetic", "files"))
+    nodes: int = config_key("dataset.nodes", 600, _DIMENSION, only="synthetic")
+    p_in: float = config_key("dataset.p_in", 0.1, _PROBABILITY, only="synthetic")
+    p_out: float = config_key("dataset.p_out", 0.01, _PROBABILITY, only="synthetic")
+    feat_dim: int = config_key("dataset.feat_dim", 16, _DIMENSION, only="synthetic")
+    feat_sep: float = config_key("dataset.feat_sep", 1.0,
+                                 (lambda v: 0 <= v < np.inf, "finite and >= 0"),
+                                 only="synthetic")
+    edges_path: str = config_key("dataset.edges", None, only="files")
+    features_path: str = config_key("dataset.features", None, only="files")
+    labels_path: str = config_key("dataset.labels", None, only="files")
     train_ratio: float = config_key("split.train", 0.2)
     val_ratio: float = config_key("split.val", 0.4)
     test_ratio: float = config_key("split.test", 0.4)
@@ -172,18 +174,12 @@ class FederationConfig:
     refine_enabled: bool = True
 
     def __post_init__(self):
-        for name, choices in _CHOICES.items():
-            value = getattr(self, name)
-            if value not in choices:
-                raise ValueError(f"{key_of(self, name)} must be {' or '.join(choices)}, "
-                                 f"got {value!r}")
         synthetic = self.dataset_kind == "synthetic"
-        for names, test, wording in _BOUNDS + (_SYNTHETIC_BOUNDS if synthetic else ()):
-            for name in names:
-                value = getattr(self, name)
-                if not test(value):
-                    raise ValueError(f"{key_of(self, name)} must be {wording}, got {value}")
-        paths = {key_of(self, name): getattr(self, name) for name in _DATASET_FILES}
+        for f in fields(self):
+            rule, value = f.metadata.get("rule"), getattr(self, f.name)
+            if rule and f.metadata["only"] in (None, self.dataset_kind) and not rule[0](value):
+                raise ValueError(f"{f.metadata['key']} must be {rule[1]}, got {value!r}")
+        paths = {f.metadata["key"]: getattr(self, f.name) for f in kind_fields("files")}
         given = [key for key, path in paths.items() if path is not None]
         if synthetic and given:
             raise ValueError(f"{given[0]} is read only under dataset.kind = files, "
@@ -270,10 +266,10 @@ def build_dataset(cfg: FederationConfig) -> Graph:
             cfg.feat_dim, cfg.feat_sep, seed=(cfg.seed, _TAG_DATA),
         )
     else:
-        for name in _DATASET_FILES:
-            path = getattr(cfg, name)
+        for f in kind_fields("files"):
+            path = getattr(cfg, f.name)
             if not os.path.isfile(path):
-                raise ValueError(f"{key_of(cfg, name)} = {path}: no such regular file")
+                raise ValueError(f"{f.metadata['key']} = {path}: no such regular file")
         g = load_graph(
             cfg.edges_path, cfg.features_path, cfg.labels_path,
             num_classes=cfg.num_classes,
@@ -527,6 +523,11 @@ def run_federation(cfg: FederationConfig, threads: int = 1) -> FederationResult:
         return _run_rounds(cfg, pool.map)
 
 
+# a floating-point overflow, invalid operation or division by zero fails
+# the round it happens in, naming the client or the server
+_STRICT = partial(np.errstate, over="raise", invalid="raise", divide="raise")
+
+
 def _run_rounds(cfg: FederationConfig, map_clients) -> FederationResult:
     clients, anchors, templates, _ = setup_federation(cfg)
     records = []
@@ -534,7 +535,9 @@ def _run_rounds(cfg: FederationConfig, map_clients) -> FederationResult:
     for round_idx in range(cfg.rounds):
         def one(state):
             try:
-                return run_client_round(state, anchors, templates, cfg, round_idx)
+                # entered here, since a worker thread does not inherit the state
+                with _STRICT():
+                    return run_client_round(state, anchors, templates, cfg, round_idx)
             except Exception as exc:
                 raise FederationError(
                     f"client {state.client_id} failed at round {round_idx}: {exc}"
@@ -546,7 +549,12 @@ def _run_rounds(cfg: FederationConfig, map_clients) -> FederationResult:
 
         uploads = [res.upload for res in results]
         unconverged += sum(not s.matching.converged for _, s in uploads if s is not None)
-        anchors, templates, drift, gw_mean = server_step(anchors, templates, uploads, cfg)
+        try:
+            with _STRICT():
+                anchors, templates, drift, gw_mean = server_step(anchors, templates,
+                                                                 uploads, cfg)
+        except FloatingPointError as exc:
+            raise FederationError(f"server failed at round {round_idx}: {exc}") from exc
 
         records += [HistoryRow(round_idx, state.client_id, *res.metrics, drift, gw_mean)
                     for state, res in zip(clients, results)]

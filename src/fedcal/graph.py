@@ -485,7 +485,8 @@ class HopAggregator:
     Both operators are constants of the graph, so gradients flow through
     them as fixed linear maps. They hold only the rows of the sorted node
     ids ``rows``: every node here, a subset in an aggregator from restrict,
-    which keeps its last result for the next call with the same rows.
+    which only this aggregator of every node offers and which keeps its last
+    result for the next call with the same rows.
     rings returns the (len(rows), 2, d) ring-mean pairs of rows from every
     node's values; backward takes gradients so laid out and writes every node.
     positions maps node ids onto rows, rejecting a node rows lack.
@@ -505,9 +506,18 @@ class HopAggregator:
         self._last = None                                # the last restriction
 
     def restrict(self, rows) -> "HopAggregator":
-        """Aggregator over the sorted node ids rows: row slices, or self for
-        all rows. The last restriction, over its own copy of rows, is kept
-        and returned again for an equal row set."""
+        """Aggregator over the strictly increasing node ids rows: row slices,
+        or self for all rows. Only the aggregator of every node restricts;
+        ValueError otherwise, or for rows that are not such ids. The last
+        restriction, over its own copy of rows, is kept and returned again
+        for an equal row set."""
+        n = self.m1.shape[1]
+        if len(self.rows) != n:
+            raise ValueError("restrict needs the aggregator of every node")
+        ids = np.asarray(rows)
+        if (ids.ndim != 1 or ids.dtype.kind not in "iu"
+                or not (np.diff(ids, prepend=-1, append=n) > 0).all()):
+            raise ValueError(f"rows must be strictly increasing node ids in [0, {n})")
         if len(rows) == len(self.rows):
             return self
         if self._last is not None and np.array_equal(self._last.rows, rows):

@@ -94,17 +94,13 @@ def l2_normalize_rows(m) -> np.ndarray:
 def random_orthogonal(d: int, seed) -> np.ndarray:
     """Seeded random d x d orthogonal matrix.
 
-    QR of a seeded standard-normal matrix with the positive-diagonal-R
-    convention, followed by a leading-entry sign canonicalization
-    (_leading_signs), so the result is unique per seed and d=1 always
-    yields +1.
+    The Q of a seeded standard-normal matrix's QR, each column's sign set
+    so that its leading entry is positive (_leading_signs). That choice
+    alone fixes every sign, so the result is unique per seed and d=1
+    always yields +1.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((d, d))
-    q, r = np.linalg.qr(a)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0.0] = 1.0
-    q = q * signs[None, :]
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     return q * _leading_signs(q)[None, :]

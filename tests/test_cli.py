@@ -44,6 +44,13 @@ dataset.feat_dim = 5
 dataset.feat_sep = 1.2
 """
 
+# the generator's keys, which dataset.kind = files rejects
+GENERATOR_KEYS = [f.metadata["key"] for f in fedsim.kind_fields("synthetic")]
+# SMOKE under dataset.kind = files, its generator lines dropped
+SMOKE_FILES = "".join(
+    line + "\n" for line in SMOKE.replace("dataset.kind = synthetic", "dataset.kind = files")
+    .splitlines() if line.split("=")[0].strip() not in GENERATOR_KEYS)
+
 
 @pytest.fixture
 def smoke_cfg(tmp_path):
@@ -128,11 +135,15 @@ class TestConfigParsing:
         # dataclass equality compares every field
         assert build_run_config({}).federation_config() == fedsim.FederationConfig()
 
-    @pytest.mark.parametrize("metric, classes", [("auc", "2"), ("accuracy", "3")])
-    def test_each_key_sets_its_own_field(self, tmp_path, metric, classes):
+    @pytest.mark.parametrize("metric, classes, kind", [("auc", "2", "synthetic"),
+                                                       ("accuracy", "3", "files")],
+                             ids=["auc-2", "accuracy-3"])
+    def test_each_key_sets_its_own_field(self, tmp_path, metric, classes, kind):
         # every key but output.*, a value distinct from its default and from the
         # other keys' values, and the field it must land on; auc needs two
-        # classes, so each of those two keys is off its default in one case
+        # classes, so each of those two keys is off its default in one case,
+        # and dataset.kind in the other. A key that only the other dataset
+        # kind reads is left out of the file, and its field is None.
         rows = [
             ("federation.clients", "10", "num_clients"),
             ("federation.rounds", "7", "rounds"),
@@ -151,7 +162,7 @@ class TestConfigParsing:
             ("sinkhorn.tol", "1e-07", "sinkhorn_tol"),
             ("refine.tau", "0.8", "refine_tau"),
             ("refine.eta", "0.15", "refine_eta"),
-            ("dataset.kind", "files", "dataset_kind"),
+            ("dataset.kind", kind, "dataset_kind"),
             ("dataset.nodes", "700", "nodes"),
             ("dataset.p_in", "0.12", "p_in"),
             ("dataset.p_out", "0.02", "p_out"),
@@ -168,13 +179,19 @@ class TestConfigParsing:
             key for key in _CONFIG_SCHEMA if not key.startswith("output."))
         values = [_CONFIG_SCHEMA[key][0](text) for key, text, _ in rows]
         assert len(set(values)) == len(values)
+        other = {f.metadata["key"] for f in fedsim.kind_fields(
+            "files" if kind == "synthetic" else "synthetic")}
         path = tmp_path / "all.cfg"
-        path.write_text("".join(f"{key} = {text}\n" for key, text, _ in rows))
+        path.write_text("".join(f"{key} = {text}\n" for key, text, _ in rows
+                                if key not in other))
         cfg = build_run_config(parse_config_file(path))
         fed = cfg.federation_config()
         for (key, _, field), value in zip(rows, values):
+            if key in other:
+                assert getattr(fed, field) is None, key
+                continue
             assert getattr(fed, field) == value, key
-            if key not in ("federation.metric", "federation.classes"):
+            if key not in ("federation.metric", "federation.classes", "dataset.kind"):
                 assert value != _CONFIG_SCHEMA[key][1], key
         resolved = tmp_path / "config.resolved"
         write_resolved_config(cfg, resolved)
@@ -330,7 +347,7 @@ class TestRunCommand:
             bad.mkdir()
         paths[key] = bad
         cfg = tmp_path / "f.cfg"
-        cfg.write_text(SMOKE.replace("dataset.kind = synthetic", "dataset.kind = files")
+        cfg.write_text(SMOKE_FILES
                        + "".join(f"{name} = {path}\n" for name, path in paths.items()))
         out = tmp_path / "run"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
@@ -565,6 +582,65 @@ class TestRunCommand:
         assert a == b
 
 
+class TestStrictFloatingPoint:
+    # the mark keeps a warning from failing the parent's round first, so the
+    # test tells a round-0 failure from the warnings a later one followed
+    @pytest.mark.filterwarnings("default::RuntimeWarning")
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_overflow_fails_the_round_it_happens_in(self, tmp_path, capsys, threads):
+        cfg = tmp_path / "lr.cfg"
+        cfg.write_text(SMOKE + "train.lr0 = 1e308\n")
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--threads", threads]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: client 0 failed at round 0: overflow encountered in ")
+        assert "Warning" not in err
+        assert not out.exists()
+
+
+class TestGeneratorKeysUnderFiles:
+    """dataset.kind = files reads no generator key: one given is an error, and
+    config.resolved records none, so eval replays the run from it."""
+
+    @pytest.mark.parametrize("key", GENERATOR_KEYS)
+    def test_given_generator_key_is_rejected(self, finished, tmp_path, capsys, key):
+        line = next(ln for ln in SMOKE.splitlines() if ln.startswith(f"{key} ="))
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text(SMOKE_FILES + line + "\n" + "".join(
+            f"dataset.{p.stem} = {p}\n" for p in sorted((finished / "data").iterdir())))
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {key} is read only under dataset.kind = synthetic, not files\n")
+        assert not out.exists()
+
+    def test_files_run_records_no_generator_key_and_eval_replays_it(self, finished,
+                                                                     tmp_path, capsys):
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text(SMOKE_FILES + "".join(
+            f"dataset.{p.stem} = {p}\n" for p in sorted((finished / "data").iterdir())))
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        resolved = (out / "config.resolved").read_text().splitlines()
+        assert "dataset.kind = files" in resolved
+        assert not [ln for ln in resolved if ln.split(" =")[0] in GENERATOR_KEYS]
+        summary = json.loads((out / "summary.json").read_text())
+        capsys.readouterr()
+        assert main(["eval", "--model-dir", str(out)]) == 0
+        mean_line = capsys.readouterr().out.splitlines()[-1]
+        assert mean_line == f"mean test accuracy: {summary['mean_test']:.6f}"
+
+        # a config.resolved written while files runs recorded the generator keys
+        (out / "config.resolved").write_text(
+            "\n".join(sorted(resolved + ["dataset.nodes = 600"])) + "\n")
+        assert main(["eval", "--model-dir", str(out)]) == 2
+        assert "dataset.nodes is read only under dataset.kind = synthetic" in (
+            capsys.readouterr().err)
+
+
 class TestOutputDirectory:
     """An output directory holds one finished run: per-client files of an
     earlier run are removed, summary.json is written last, and an unusable
@@ -771,7 +847,7 @@ class TestUnreadableTextInputs:
         assert main(["gen-data", "--config", smoke_cfg, "--out", str(data)]) == 0
         expected = _spoil(str(data / name), fault)
         cfg = tmp_path / "f.cfg"
-        cfg.write_text(SMOKE.replace("dataset.kind = synthetic", "dataset.kind = files")
+        cfg.write_text(SMOKE_FILES
                        + f"dataset.edges = {data / 'edges.txt'}\n"
                        + f"dataset.features = {data / 'features.txt'}\n"
                        + f"dataset.labels = {data / 'labels.txt'}\n")
@@ -885,7 +961,7 @@ class TestRowParser:
             argv = ["eval", "--model-dir", str(tmp_path / "run")]
         else:
             cfg = tmp_path / "files.cfg"
-            cfg.write_text(SMOKE.replace("dataset.kind = synthetic", "dataset.kind = files")
+            cfg.write_text(SMOKE_FILES
                            + "".join(f"dataset.{p.stem} = {p}\n" for p in data))
             argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
         capsys.readouterr()

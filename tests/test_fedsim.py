@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from fedcal import fedsim
 from fedcal.fedsim import (
     ClientState,
     FederationConfig,
@@ -79,8 +80,64 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="dataset.edges, dataset.features, dataset.labels"):
             tiny_config(dataset_kind="files")
 
+    def test_every_keyed_field_declares_its_rule_and_kind(self):
+        # no key goes unchecked: each declares a rule but the dataset paths,
+        # checked as a group, and the split ratios, checked together
+        keyed = [f for f in dataclasses.fields(FederationConfig) if "key" in f.metadata]
+        assert {f.metadata["key"] for f in keyed if f.metadata["rule"] is None} == {
+            "dataset.edges", "dataset.features", "dataset.labels",
+            "split.train", "split.val", "split.test"}
+        assert {f.metadata["key"]: f.metadata["only"] for f in keyed if f.metadata["only"]} == {
+            **dict.fromkeys(["dataset.nodes", "dataset.p_in", "dataset.p_out",
+                             "dataset.feat_dim", "dataset.feat_sep"], "synthetic"),
+            **dict.fromkeys(["dataset.edges", "dataset.features", "dataset.labels"], "files")}
+        assert [f.name for f in fedsim.kind_fields("files")] == [
+            "edges_path", "features_path", "labels_path"]
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(num_clients=0), "federation.clients must be >= 1, got 0"),
+        (dict(seed=-1), "federation.seed must be >= 0, got -1"),
+        (dict(num_templates=10**23),
+         f"federation.templates must be in [1, {np.iinfo(np.intp).max}], got {10**23}"),
+        (dict(num_classes=1), "federation.classes must be >= 2, got 1"),
+        (dict(lr_decay_steps=0.0), "train.lr_decay_steps must be > 0, got 0.0"),
+        (dict(sinkhorn_tol=np.inf), "sinkhorn.tol must be finite and > 0, got inf"),
+        (dict(refine_eta=np.nan), "refine.eta must be finite and > 0, got nan"),
+        (dict(p_in=1.5), "dataset.p_in must be in [0, 1], got 1.5"),
+        (dict(feat_sep=-1.0), "dataset.feat_sep must be finite and >= 0, got -1.0"),
+        (dict(nodes=0), f"dataset.nodes must be in [1, {np.iinfo(np.intp).max}], got 0"),
+        (dict(dataset_kind="bogus"), "dataset.kind must be synthetic or files, got 'bogus'"),
+        (dict(task_metric="f1"), "federation.metric must be accuracy or auc, got 'f1'"),
+        (dict(partition_mode="bogus"),
+         "partition.mode must be non-overlapping or overlapping, got 'bogus'"),
+        (dict(edges_path="e"), "dataset.edges is read only under dataset.kind = files, "
+                               "not synthetic"),
+        (dict(dataset_kind="files", edges_path="e", features_path="x"),
+         "dataset.kind = files needs dataset.labels"),
+        (dict(dataset_kind="files", edges_path="e", features_path="x", labels_path="y",
+              lr0=-1.0), "train.lr0 must be finite and > 0, got -1.0"),
+    ])
+    def test_single_fault_message(self, kw, message):
+        with pytest.raises(ValueError) as raised:
+            tiny_config(**kw)
+        assert str(raised.value) == message
+
+    def test_generator_rules_hold_under_synthetic_only(self):
+        files = dict(dataset_kind="files", edges_path="e", features_path="x", labels_path="y")
+        tiny_config(**files, nodes=None, p_in=None, p_out=None, feat_dim=None, feat_sep=None)
+        tiny_config(**files, nodes=0, p_in=1.5, feat_sep=-1.0)
+
 
 class TestRunFederation:
+    def test_server_floating_point_fault_fails_its_round(self, monkeypatch):
+        def overflowing(anchors, *args):
+            return anchors * 1e300 * 1e300
+
+        monkeypatch.setattr(fedsim, "refine_all_anchors", overflowing)
+        with pytest.raises(FederationError,
+                           match="^server failed at round 0: overflow encountered in multiply$"):
+            run_federation(tiny_config(rounds=1))
+
     def test_zero_rounds_returns_initial_models(self):
         cfg = tiny_config(rounds=0)
         result = run_federation(cfg)

@@ -699,3 +699,21 @@ class TestHopAggregatorRestrict:
         # the (len(rows), 2, d) ring view of the (len(rows), 3d) head gradient
         view = rng.standard_normal((len(rows), 12)).reshape(-1, 3, 4)[:, 1:]
         assert same_bits(local.backward(view), local.backward(np.ascontiguousarray(view)))
+
+    def test_only_the_aggregator_of_every_node_restricts(self):
+        # a restriction of a restriction would read positions as node ids
+        local = HopAggregator(generate_sbm(40, 2, 0.2, 0.05, 3, 1.0, seed=1)).restrict(
+            np.arange(10))
+        for rows in (np.arange(10, 20), np.array([1, 2, 3])):    # equal and other length
+            with pytest.raises(ValueError, match="^restrict needs the aggregator of every node$"):
+                local.restrict(rows)
+
+    @pytest.mark.parametrize("rows", [np.repeat(np.arange(20), 2), [3, 1], [2, 2], [-1, 3],
+                                      [3, 40], [[1, 2]], [1.0, 2.0], [True, False]],
+                             ids=["duplicates-of-length-n", "decreasing", "repeated",
+                                  "negative", "past-the-end", "2-d", "float", "bool"])
+    def test_rows_must_be_strictly_increasing_node_ids(self, rows):
+        agg = HopAggregator(generate_sbm(40, 2, 0.2, 0.05, 3, 1.0, seed=1))
+        with pytest.raises(ValueError,
+                           match=r"^rows must be strictly increasing node ids in \[0, 40\)$"):
+            agg.restrict(rows)
