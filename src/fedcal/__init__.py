@@ -13,7 +13,7 @@ from .fedsim import (
     run_federation,
 )
 from .graph import Graph
-from .semantic import construct_etf
+from .refine import construct_etf, init_templates
 
 __all__ = [
     "FederationConfig",
@@ -21,6 +21,7 @@ __all__ = [
     "Graph",
     "construct_etf",
     "evaluate",
+    "init_templates",
     "run_federation",
 ]
 

@@ -203,14 +203,23 @@ def _check_dir(path, setting):
         raise ValueError(f"{setting}: {path} is not a writable directory")
 
 
+def _check_not_empty(setting, value):
+    """Reject an empty path, which would otherwise mean the working directory."""
+    if not value:
+        raise ValueError(f"{setting} is empty, expected a path")
+
+
 def _out_dir(args, cfg) -> str:
-    """--out or output.dir, rejected before any work unless it is, or its
-    nearest existing ancestor is, a writable directory; creates nothing."""
-    out = args.out or cfg["output.dir"]
+    """--out or output.dir, rejected before any work if it is empty, or unless
+    it is, or its nearest existing ancestor is, a writable directory; creates
+    nothing."""
+    setting = "--out" if args.out is not None else "output.dir"
+    out = args.out if args.out is not None else cfg["output.dir"]
+    _check_not_empty(setting, out)
     path = os.path.abspath(out)
     while not os.path.exists(path):
         path = os.path.dirname(path)
-    _check_dir(path, f"{'--out' if args.out else 'output.dir'} = {out}")
+    _check_dir(path, f"{setting} = {out}")
     return out
 
 
@@ -361,7 +370,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    if args.out:                                 # a file, in a directory that exists
+    if args.out is not None:                     # a file, in a directory that exists
+        _check_not_empty("--out", args.out)
         if os.path.isdir(args.out):
             raise ValueError(f"--out = {args.out}: is a directory, not a file")
         _check_dir(os.path.dirname(os.path.abspath(args.out)), f"--out = {args.out}")
@@ -385,7 +395,7 @@ def cmd_report(args) -> int:
             f"{'aggregate':<{width}}  {np.mean(finals):>15.4f}  {np.std(finals):>14.4f}"
         )
     text = "\n".join(lines) + "\n"
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:

@@ -43,7 +43,9 @@ from .graph import (
 )
 from .model import ModelParams, forward, init_params, lr_schedule, sgd_step, total_loss
 from .refine import (
+    construct_etf,
     gram_drift,
+    init_templates,
     intra_distances,
     refine_all_anchors,
     template_objective,
@@ -51,13 +53,11 @@ from .refine import (
 )
 from .semantic import (
     class_means,
-    construct_etf,
     procrustes,
     semantic_per_class_loss,
 )
 from .structural import (
     MatchingMatrix,
-    init_templates,
     radial_sequences_from_rings,
     sample_structural_batch,
     sinkhorn_match,
@@ -553,7 +553,7 @@ def _run_rounds(cfg: FederationConfig, map_clients) -> FederationResult:
             with _STRICT():
                 anchors, templates, drift, gw_mean = server_step(anchors, templates,
                                                                  uploads, cfg)
-        except FloatingPointError as exc:
+        except Exception as exc:
             raise FederationError(f"server failed at round {round_idx}: {exc}") from exc
 
         records += [HistoryRow(round_idx, state.client_id, *res.metrics, drift, gw_mean)

@@ -1,10 +1,17 @@
-"""Server-side refinement of the semantic anchors and structural templates.
+"""The server's two global manifolds: the semantic anchors and the
+structural templates, built once and then refined every round.
 
-The functions read a round's uploads as the plain arrays that
-``fedsim.semantic_pool`` and ``fedsim.structural_pool`` stack once. The
-anchors are a d x C array (one unit column per class) and the templates
-a (Q, 2, d) array; every update returns a new array and never writes
-into the one it was given, which the clients may still be reading.
+The anchors are a d x C array (one unit column per class), built as a
+simplex equiangular tight frame: every pair of distinct anchors has
+inner product -1/(C-1), the most mutually repulsive configuration C unit
+vectors admit. The templates are a (Q, 2, d) array of seeded Gaussian
+rows scaled to unit norm. Clients only read the two arrays; nothing here
+imports a client module.
+
+The refinement functions read a round's uploads as the plain arrays
+that ``fedsim.semantic_pool`` and ``fedsim.structural_pool`` stack once.
+Every update returns a new array and never writes into the one it was
+given, which the clients may still be reading.
 
 Anchors move along a clipped combination of the mean client deviation
 (difficulty-weighted) and a mutual-repulsion term, then project back to
@@ -25,13 +32,15 @@ import logging
 
 import numpy as np
 
-from .numerics import softmax
-
 log = logging.getLogger(__name__)
 _STEP_GUARD = 1e-8      # division guard in the anchor step clip
 _GOLDEN_ITERS = 200     # golden-section cap; radials (alpha <= 2) hit the 1e-12 stop first
 
 __all__ = [
+    "random_orthogonal",
+    "construct_etf",
+    "init_templates",
+    "softmax",
     "deviation_vectors",
     "difficulty_weights",
     "constraint_vector",
@@ -42,6 +51,70 @@ __all__ = [
     "template_objective",
     "update_template",
 ]
+
+
+def _leading_signs(q: np.ndarray) -> np.ndarray:
+    """Per column of q, -1.0 if its first entry above 1e-12 in magnitude is
+    negative, else 1.0; multiplying by 1.0 keeps every bit, by -1.0 negates."""
+    lead = np.argmax(np.abs(q) > 1e-12, axis=0)
+    return np.where(q[lead, np.arange(q.shape[1])] < 0.0, -1.0, 1.0)
+
+
+def random_orthogonal(d: int, seed) -> np.ndarray:
+    """Seeded random d x d orthogonal matrix.
+
+    The Q of a seeded standard-normal matrix's QR, each column's sign set
+    so that its leading entry is positive (_leading_signs). That choice
+    alone fixes every sign, so the result is unique per seed and d=1
+    always yields +1.
+    """
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return q * _leading_signs(q)[None, :]
+
+
+def construct_etf(num_classes: int, dim: int, seed) -> np.ndarray:
+    """Simplex-ETF anchors (d x C): scaled, centered columns of a random isometry.
+
+    Requires dim >= num_classes so the centered simplex embeds with its
+    exact Gram structure (unit norms, off-diagonal -1/(C-1)).
+    """
+    c = int(num_classes)
+    if c < 2:
+        raise ValueError("need at least two classes")
+    if dim < c:
+        raise ValueError(
+            f"dim={dim} < num_classes={c}: the centered simplex needs rank "
+            f"{c} columns of an isometry to keep its exact Gram structure"
+        )
+    phi = random_orthogonal(dim, seed)[:, :c]
+    center = np.eye(c) - np.ones((c, c)) / c
+    return np.sqrt(c / (c - 1.0)) * (phi @ center)
+
+
+def init_templates(num_templates: int, dim: int, seed) -> np.ndarray:
+    """(Q, 2, d) random templates: seeded Gaussian rows scaled to unit norm."""
+    if num_templates < 1:
+        raise ValueError("need at least one template")
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((num_templates, 2, dim))
+    rows /= np.linalg.norm(rows, axis=2, keepdims=True)
+    return rows
+
+
+def softmax(v, tau: float) -> np.ndarray:
+    """Temperature softmax exp(v/tau) / sum(exp(v/tau)), max-subtracted."""
+    if not tau > 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    x = np.asarray(v, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("softmax input contains non-finite entries")
+    z = x / tau
+    z = z - z.max()
+    e = np.exp(z)
+    return e / e.sum()
 
 
 def deviation_vectors(semantic, anchors: np.ndarray) -> np.ndarray:

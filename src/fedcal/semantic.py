@@ -1,17 +1,15 @@
-"""Global semantic anchors and client-side semantic calibration.
+"""Client-side semantic calibration against the server's anchors.
 
-The server keeps one unit-norm anchor per class, arranged as a simplex
-equiangular tight frame: every pair of distinct anchors has inner
-product -1/(C-1), the most mutually repulsive configuration C unit
-vectors admit. Clients summarize their ego-embeddings as per-class
+The anchors arrive as a bare d x C array whose columns are the
+per-class anchors. Clients summarize their ego-embeddings as per-class
 means, rotate those means onto the anchors with the closed-form
-orthogonal Procrustes solution, and penalize per-node distance between
-the rotated ego-embedding and the anchor of its label.
+orthogonal Procrustes solution (through a checked SVD), and penalize
+per-node distance between the rotated ego-embedding and the anchor of
+its label.
 
-The anchors are a bare d x C array whose columns are the per-class
-anchors, a client's semantic manifold is its d x C array p of class
-means with a (C,) boolean mask of the classes present in its train
-split, and its calibration rotation is a bare orthogonal d x d array r.
+A client's semantic manifold is its d x C array p of class means with a
+(C,) boolean mask of the classes present in its train split, and its
+calibration rotation is a bare orthogonal d x d array r.
 Embeddings are column vectors here: calibration is r @ h.
 Per-client losses are normalized by the labeled-train count so the
 three local loss terms share a scale.
@@ -21,34 +19,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import random_orthogonal, svd
-
 __all__ = [
-    "construct_etf",
     "class_means",
+    "svd",
     "procrustes",
     "semantic_loss",
     "semantic_per_class_loss",
 ]
-
-
-def construct_etf(num_classes: int, dim: int, seed) -> np.ndarray:
-    """Simplex-ETF anchors (d x C): scaled, centered columns of a random isometry.
-
-    Requires dim >= num_classes so the centered simplex embeds with its
-    exact Gram structure (unit norms, off-diagonal -1/(C-1)).
-    """
-    c = int(num_classes)
-    if c < 2:
-        raise ValueError("need at least two classes")
-    if dim < c:
-        raise ValueError(
-            f"dim={dim} < num_classes={c}: the centered simplex needs rank "
-            f"{c} columns of an isometry to keep its exact Gram structure"
-        )
-    phi = random_orthogonal(dim, seed)[:, :c]
-    center = np.eye(c) - np.ones((c, c)) / c
-    return np.sqrt(c / (c - 1.0)) * (phi @ center)
 
 
 def class_means(ego: np.ndarray, labels: np.ndarray, train_mask: np.ndarray,
@@ -68,6 +45,30 @@ def class_means(ego: np.ndarray, labels: np.ndarray, train_mask: np.ndarray,
             p[:, c] = ego[rows].mean(axis=0)
             present[c] = True
     return p, present
+
+
+def _as_finite_matrix(m, name: str = "m") -> np.ndarray:
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be a 2-D matrix, got ndim={a.ndim}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return a
+
+
+def svd(m):
+    """Full SVD (u, sigma, vt) of a square matrix, m = u @ diag(sigma) @ vt.
+
+    The factors are np.linalg.svd's, sigma sorted descending. Their signs
+    are LAPACK's: a caller that needs u @ vt (procrustes) gets the same
+    bits under any flip of a column of u with the matching row of vt.
+    """
+    a = _as_finite_matrix(m)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"svd expects a square matrix, got shape {a.shape}")
+    if a.shape[0] < 1:
+        raise ValueError("svd expects dimension >= 1")
+    return np.linalg.svd(a)
 
 
 def procrustes(p: np.ndarray, present: np.ndarray, anchors: np.ndarray) -> np.ndarray:

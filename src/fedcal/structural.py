@@ -3,11 +3,11 @@
 Each sampled node is summarized by a radial sequence: its l2-normalized
 1-hop and 2-hop ring means stacked into a 2 x d matrix, read as the
 uniform two-point empirical measure on those rows. A batch of B radial
-sequences is one float64 array of shape (B, 2, d), and the Q templates
-are a (Q, 2, d) array of the same layout. The transport distance between
-two such measures has a closed form (the optimum sits at one of the two
-permutation couplings), and a log-domain Sinkhorn solve assigns each
-radial sequence a distribution over templates.
+sequences is one float64 array of shape (B, 2, d), and the server's Q
+templates arrive as a (Q, 2, d) array of the same layout. The transport
+distance between two such measures has a closed form (the optimum sits
+at one of the two permutation couplings), and a log-domain Sinkhorn
+solve assigns each radial sequence a distribution over templates.
 
 Sinkhorn works on the log-kernel transposed to a C-ordered (Q, B) array
 and calls numpy's ufuncs directly, because with B in the hundreds and Q
@@ -30,17 +30,17 @@ shortcut drops only operations that change no bit:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Graph, HopAggregator
-from .numerics import l2_normalize_rows
 
 __all__ = [
     "MatchingMatrix",
-    "init_templates",
     "sample_structural_batch",
+    "l2_normalize_rows",
     "radial_sequences_from_rings",
     "sinkhorn_match",
     "structural_loss",
@@ -66,16 +66,6 @@ class MatchingMatrix:
     objective_trace: np.ndarray = None
 
 
-def init_templates(num_templates: int, dim: int, seed) -> np.ndarray:
-    """(Q, 2, d) random templates: seeded Gaussian rows scaled to unit norm."""
-    if num_templates < 1:
-        raise ValueError("need at least one template")
-    rng = np.random.default_rng(seed)
-    rows = rng.standard_normal((num_templates, 2, dim))
-    rows /= np.linalg.norm(rows, axis=2, keepdims=True)
-    return rows
-
-
 def sample_structural_batch(g: Graph, batch_size: int, seed) -> np.ndarray:
     """Uniform sample of batch_size nodes without replacement (all if fewer)."""
     if batch_size < 1:
@@ -83,6 +73,33 @@ def sample_structural_batch(g: Graph, batch_size: int, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     size = min(batch_size, g.num_nodes)
     return rng.choice(g.num_nodes, size=size, replace=False)
+
+
+def l2_normalize_rows(m) -> np.ndarray:
+    """Scale every nonzero row of m to unit l2 norm.
+
+    Exactly-zero rows pass through unchanged: isolated nodes produce zero
+    aggregates and must not abort training.
+    """
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"m must be a 2-D matrix, got ndim={a.ndim}")
+    sq = np.add.reduce(a * a, axis=1)               # np.linalg.norm(a, axis=1) ** 2
+    # the checks read sq as a list: callers pass a row pair, and on two
+    # floats one numpy reduction costs more than the whole list
+    rows = sq.tolist()
+    # a NaN or inf entry makes the total non-finite; so can finite rows whose
+    # squares overflow, which take their norms after division by their max-abs entry
+    if not math.isfinite(sum(rows)):
+        if not np.isfinite(a).all():
+            raise ValueError("m contains non-finite entries")
+        a = a / np.where(np.isinf(sq), np.abs(a).max(axis=1), 1.0)[:, None]
+        sq = np.add.reduce(a * a, axis=1)
+        rows = sq.tolist()
+    norms = np.sqrt(sq)
+    if 0.0 not in rows:                             # no zero row: no mask needed
+        return a / norms[:, None]
+    return np.divide(a, norms[:, None], out=a.copy(), where=norms[:, None] > 0.0)
 
 
 def radial_sequences_from_rings(rings: np.ndarray, batch) -> np.ndarray:

@@ -19,9 +19,8 @@ from collections import deque
 import numpy as np
 
 from fedcal.graph import Graph, _farthest_point_seeds
-from fedcal.numerics import l2_normalize_rows, softmax
-from fedcal.refine import _gw_values, intra_distances
-from fedcal.structural import _cost_matrix
+from fedcal.refine import _gw_values, intra_distances, softmax
+from fedcal.structural import _cost_matrix, l2_normalize_rows
 
 
 def neighbors(g: Graph, v: int) -> np.ndarray:

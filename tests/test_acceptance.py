@@ -23,20 +23,19 @@ from fedcal.fedsim import (
     structural_pool,
 )
 from fedcal.model import total_loss
-from fedcal.numerics import random_orthogonal, svd
 from fedcal.refine import (
     _STEP_GUARD,
+    construct_etf,
     gram_drift,
+    init_templates,
+    random_orthogonal,
     refine_all_anchors,
     refine_anchor,
     template_objective,
     update_template,
 )
-from fedcal.semantic import construct_etf, procrustes
-from fedcal.structural import (
-    init_templates,
-    sinkhorn_match,
-)
+from fedcal.semantic import procrustes, svd
+from fedcal.structural import sinkhorn_match
 from oracles import gw_2point
 
 BENCH_SEEDS = (1, 2, 3, 4, 5)

@@ -11,8 +11,8 @@ import pytest
 
 from fedcal import model
 from fedcal.graph import HopAggregator, generate_sbm, split_masks
-from fedcal.semantic import construct_etf
-from fedcal.structural import (init_templates, radial_sequences_from_rings,
+from fedcal.refine import construct_etf, init_templates
+from fedcal.structural import (radial_sequences_from_rings,
                                sample_structural_batch, sinkhorn_match)
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -484,6 +484,39 @@ class TestRunCommand:
         assert f"{via} = {out}" in err and "not a writable directory" in err
         assert blocker.read_text() == "a regular file\n"
 
+    @pytest.mark.parametrize("command", ["run", "gen-data"])
+    @pytest.mark.parametrize("via", ["--out", "output.dir"])
+    def test_empty_output_path_fails_before_work(self, tmp_path, capsys, monkeypatch,
+                                                 command, via):
+        # an empty path must neither fall back to output.dir nor mean the
+        # working directory
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SMOKE + ("output.dir =\n" if via == "output.dir" else ""))
+        flags = ["--out", ""] if via == "--out" else []
+        assert main([command, "--config", str(cfg)] + flags) == 2
+        assert capsys.readouterr().err == f"error: {via} is empty, expected a path\n"
+        assert os.listdir(tmp_path) == ["c.cfg"]
+
+    @pytest.mark.parametrize("error", [ValueError("anchor norm 1.5 is not 1 within 1e-6"),
+                                       RuntimeError("anchors 0 and 1 coincide")],
+                             ids=["ValueError", "RuntimeError"])
+    def test_server_fault_exits_1_naming_its_round(self, smoke_cfg, tmp_path, capsys,
+                                                   monkeypatch, error):
+        calls = []
+
+        def failing_second(anchors, *args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise error
+            return anchors
+
+        monkeypatch.setattr(fedsim, "refine_all_anchors", failing_second)
+        out = tmp_path / "run"
+        assert main(["run", "--config", smoke_cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: server failed at round 1: {error}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("extra, ablate, count", [
         ("", [], "0/6"),
         ("sinkhorn.max_iters = 30\n", [], "3/6"),
@@ -894,6 +927,16 @@ class TestReportCommand:
         assert f"--out = {out}: {blocker} is not a writable directory" in err
         assert sorted(os.listdir(tmp_path)) == (["blocker"] if parent == "regular file"
                                                 else [])
+
+    def test_empty_out_fails_before_reading(self, tmp_path, capsys, monkeypatch):
+        def no_read(path):
+            raise AssertionError("a history was read before --out was rejected")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "import_history", no_read)
+        assert main(["report", "history.csv", "--out", ""]) == 2
+        assert capsys.readouterr() == ("", "error: --out is empty, expected a path\n")
+        assert os.listdir(tmp_path) == []
 
     def test_out_directory_fails_before_reading(self, tmp_path, capsys, monkeypatch):
         def no_read(path):

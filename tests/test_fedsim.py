@@ -159,8 +159,7 @@ class TestRunFederation:
         assert rows_a == rows_b
 
     def test_single_client_anchors_follow_deviation(self):
-        from fedcal.refine import deviation_vectors
-        from fedcal.semantic import construct_etf
+        from fedcal.refine import construct_etf, deviation_vectors
 
         cfg = tiny_config(num_clients=1, rounds=1, batch_nodes=64)
         clients, anchors, templates, _ = setup_federation(cfg)

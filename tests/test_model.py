@@ -16,10 +16,10 @@ from fedcal.model import (
     sgd_step,
     total_loss,
 )
-from fedcal.semantic import class_means, construct_etf, procrustes
+from fedcal.refine import construct_etf, init_templates
+from fedcal.semantic import class_means, procrustes
 from fedcal.structural import (
     MatchingMatrix,
-    init_templates,
     radial_sequences_from_rings,
     sample_structural_batch,
     sinkhorn_match,

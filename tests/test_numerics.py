@@ -3,12 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedcal.numerics import (
-    l2_normalize_rows,
-    random_orthogonal,
-    softmax,
-    svd,
-)
+from fedcal.refine import random_orthogonal, softmax
+from fedcal.semantic import svd
+from fedcal.structural import l2_normalize_rows
 
 
 class TestSvd:

@@ -1,21 +1,23 @@
+import types
+
 import numpy as np
 import pytest
 
 from fedcal.fedsim import SemanticReport, StructuralReport, semantic_pool, structural_pool
-from fedcal.numerics import random_orthogonal
 from fedcal.refine import (
     _STEP_GUARD,
     _golden_section,
     constraint_vector,
+    construct_etf,
     deviation_vectors,
     difficulty_weights,
     gram_drift,
+    random_orthogonal,
     refine_all_anchors,
     refine_anchor,
     template_objective,
     update_template,
 )
-from fedcal.semantic import construct_etf
 from fedcal.structural import MatchingMatrix
 from oracles import deviation_vectors_loop, difficulty_weights_loop, gw_2point
 
@@ -141,15 +143,28 @@ class TestPooledEqualsPerReportLoop:
             assert vs[0, 0] == 0.0 and not np.signbit(vs[0, 0])   # +0.0, not the first -0.0
 
 
+def _fedcal_origin(value):
+    """The name of the fedcal module that value is, or that defines it; else None."""
+    origin = value.__name__ if isinstance(value, types.ModuleType) else getattr(
+        value, "__module__", None)
+    return origin if isinstance(origin, str) and origin.split(".")[0] == "fedcal" else None
+
+
 def test_refine_holds_no_structural_name_and_no_dataclass():
     import dataclasses
 
-    from fedcal import refine, structural
+    from fedcal import graph, model, refine, semantic, structural
 
+    # refine owns the server's manifolds and needs no other fedcal module
     held = [name for name, value in vars(refine).items()
-            if value is structural or getattr(value, "__module__", None) == structural.__name__]
+            if _fedcal_origin(value) not in (None, refine.__name__)]
     assert held == []
     assert not any(dataclasses.is_dataclass(value) for value in vars(refine).values())
+    # and no client module reaches into the server's
+    reached = [f"{client.__name__}.{name}" for client in (graph, model, semantic, structural)
+               for name, value in vars(client).items()
+               if _fedcal_origin(value) == refine.__name__]
+    assert reached == []
 
 
 class TestConstraintVector:

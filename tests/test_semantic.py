@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from fedcal.numerics import random_orthogonal
+from fedcal.refine import construct_etf, random_orthogonal
 from fedcal.semantic import (
     class_means,
-    construct_etf,
     procrustes,
     semantic_loss,
     semantic_per_class_loss,
@@ -102,7 +101,7 @@ class TestProcrustes:
 
     def test_lemma_error_identity(self):
         # ||R P - delta||^2 = ||P||^2 + ||delta||^2 - 2 tr(Sigma)
-        from fedcal.numerics import svd
+        from fedcal.semantic import svd
 
         rng = np.random.default_rng(5)
         a = construct_etf(6, 10, seed=5)

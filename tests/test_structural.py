@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
 from fedcal.graph import Graph, HopAggregator, generate_sbm
-from fedcal.numerics import l2_normalize_rows, random_orthogonal
+from fedcal.refine import init_templates, random_orthogonal
 from fedcal.structural import (
     MatchingMatrix,
     _logsumexp,
-    init_templates,
+    l2_normalize_rows,
     radial_sequences_from_rings,
     sample_structural_batch,
     sinkhorn_match,
