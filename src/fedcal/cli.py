@@ -312,6 +312,9 @@ def cmd_run(args) -> int:
 
     resolved = dict(cfg.values)
     resolved["federation.seed"] = fed.seed
+    if fed.dataset_kind == "files":               # so eval reads them from any directory
+        resolved.update({f.metadata["key"]: os.path.abspath(getattr(fed, f.name))
+                         for f in kind_fields("files")})
     per_val = [evaluate(c, "val", fed.task_metric) for c in result.clients]
     per_test = [evaluate(c, "test", fed.task_metric) for c in result.clients]
     summary = {
@@ -447,7 +450,7 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FederationError, OSError) as exc:
+    except (FederationError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

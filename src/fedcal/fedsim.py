@@ -56,12 +56,7 @@ from .semantic import (
     procrustes,
     semantic_per_class_loss,
 )
-from .structural import (
-    MatchingMatrix,
-    radial_sequences_from_rings,
-    sample_structural_batch,
-    sinkhorn_match,
-)
+from .structural import MatchingMatrix, radial_sequences_from_rings, sinkhorn_match
 
 __all__ = [
     "FederationConfig",
@@ -74,6 +69,7 @@ __all__ = [
     "StructuralReport",
     "build_dataset",
     "setup_federation",
+    "sample_structural_batch",
     "run_client_round",
     "semantic_pool",
     "structural_pool",
@@ -312,7 +308,7 @@ def _check_client_splits(cfg: FederationConfig, g: Graph, parts):
     for i, part in enumerate(parts):
         for split, mask in (("train", part.train_mask), ("val", part.val_mask),
                             ("test", part.test_mask)):
-            y = part.labels[mask & (part.labels >= 0)]
+            y = part.labels[mask]
             if len(y) == 0:
                 fault = "no labeled node"
             elif cfg.task_metric == "auc" and split != "train" and len(np.unique(y)) < 2:
@@ -352,6 +348,15 @@ class ClientRoundResult:
     local: tuple        # (params, rotation): written back into the ClientState
     upload: tuple       # (SemanticReport, StructuralReport or None): all the server reads
     metrics: tuple      # (ce, sem, stru, val_metric, test_metric) floats, in HistoryRow order
+
+
+def sample_structural_batch(g: Graph, batch_size: int, seed) -> np.ndarray:
+    """Uniform sample of batch_size nodes without replacement (all if fewer)."""
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    rng = np.random.default_rng(seed)
+    size = min(batch_size, g.num_nodes)
+    return rng.choice(g.num_nodes, size=size, replace=False)
 
 
 def run_client_round(state: ClientState, anchors: np.ndarray,
@@ -425,19 +430,18 @@ def run_client_round(state: ClientState, anchors: np.ndarray,
 
 
 def _metric_from_logits(logits, g: Graph, split: str, metric: str) -> float:
-    """Accuracy or AUC of the logits on the split's labelled nodes.
+    """Accuracy or AUC of the logits on the split's nodes, all labeled.
 
     AUC is the Mann-Whitney U / (n_pos * n_neg) of the positive-class
     probability p1, from exact pair counts: each positive scores 2 per
     lower and 1 per tied negative, so the integer total is 2U. NaN gives NaN.
     """
     mask = g.val_mask if split == "val" else g.test_mask
-    idx = np.nonzero(mask & (g.labels >= 0))[0]
-    if len(idx) == 0:
+    y = g.labels[mask]
+    if len(y) == 0:
         raise RuntimeError(f"{split} split is empty")
-    y = g.labels[idx]
     if metric == "accuracy":
-        pred = logits[idx].argmax(axis=1)
+        pred = logits[mask].argmax(axis=1)
         return float((pred == y).mean())
     if metric == "auc":
         if logits.shape[1] != 2:
@@ -447,7 +451,7 @@ def _metric_from_logits(logits, g: Graph, split: str, metric: str) -> float:
         n_neg = len(y) - n_pos
         if n_pos == 0 or n_neg == 0:
             raise RuntimeError(f"{split} split holds a single class; auc undefined")
-        z = logits[idx]
+        z = logits[mask]
         z = z - z.max(axis=1, keepdims=True)
         e = np.exp(z)
         p1 = e[:, 1] / e.sum(axis=1)

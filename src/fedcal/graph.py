@@ -47,9 +47,9 @@ class Graph:
     ``adjacency`` is a symmetric n x n ``scipy.sparse`` CSR matrix of
     ones with sorted, unique column indices and an empty diagonal, so
     row v's index slice is the sorted neighbor list of node v.
-    ``split`` gives each node one code (see the field), so train, val and
-    test are disjoint by construction; ``train_mask``, ``val_mask`` and
-    ``test_mask`` are its read-only ``split == k`` masks, derived once.
+    ``split`` gives each node one code (see the field): train, val and test
+    are disjoint by construction and hold labeled nodes only. ``train_mask``,
+    ``val_mask`` and ``test_mask`` are its read-only ``split == k`` masks.
     ``node_ids`` keeps the identity of each node in the graph it was
     induced from (arange(n) for a root graph), so overlapping clients can
     be compared and embeddings exported under stable ids.
@@ -104,8 +104,10 @@ class Graph:
             raise ValueError(f"split code {s[bad[0]]} at node {bad[0]} is not 0, 1, 2 or 3")
         if not np.all(np.isfinite(self.features)):
             raise ValueError("features contain non-finite entries")
-        if np.any(self.labels[s == 1] < 0):
-            raise ValueError("every train node must carry a label")
+        unlabeled = np.flatnonzero((s > 0) & (self.labels < 0))
+        if len(unlabeled):
+            v = unlabeled[0]
+            raise ValueError(f"{('train', 'val', 'test')[s[v] - 1]} node {v} carries no label")
         if not a.has_canonical_format or np.any(a.data != 1.0):
             raise ValueError("adjacency must hold unique sorted entries equal to 1")
         if a.diagonal().any():

@@ -114,14 +114,20 @@ def total_loss(params: ModelParams, g: Graph, anchors: np.ndarray,
     ring operator with rows covering train and batch nodes (ValueError names
     a missing one, whose ring means would read as zeros). The CE gradient
     is zero off agg.rows, so the head's gradients are taken at agg.rows with
-    the same bits, their ring pairs passed to agg.backward as one array; the
-    structural term reuses the forward's ring means. Returns
+    the same bits, their ring pairs passed to agg.backward as one array. The
+    structural term reuses the forward's ring means; its gradient on the
+    batch's ring pairs is scattered onto agg.rows with add.at, so a node
+    listed twice gets both, and pulled back by a second agg.backward. Returns
     (total, (ce, semantic, structural), grads), grads a ModelParams of
     gradients; the calibration terms reach only w_ego, the CE term also
     reaches the classifier.
     """
     if np.count_nonzero(g.train_mask[agg.rows]) < np.count_nonzero(g.train_mask):
         agg.positions(np.flatnonzero(g.train_mask), "train")    # raises, naming the node
+    if matching is not None:
+        if templates is None or batch is None:
+            raise ValueError("structural term requires templates and a batch")
+        at_batch = agg.positions(batch, "batch")
     cache = forward(params, g, agg)
     d = cache.ego.shape[1]
 
@@ -143,10 +149,10 @@ def total_loss(params: ModelParams, g: Graph, anchors: np.ndarray,
 
     stru = 0.0
     if matching is not None:
-        if templates is None or batch is None:
-            raise ValueError("structural term requires templates and a batch")
-        stru, g_str = structural_loss_ego(cache.rings, matching, batch, templates, agg)
-        g_ego += g_str
+        stru, g_pairs = structural_loss_ego(cache.rings, matching, batch, templates)
+        g_rings = np.zeros((len(at),) + g_pairs.shape[1:])
+        np.add.at(g_rings, at_batch, g_pairs)
+        g_ego += agg.backward(g_rings)
 
     g_pre = g_ego * (1.0 - cache.ego ** 2)
     g_wego = g.features.T @ g_pre

@@ -91,7 +91,7 @@ def semantic_loss(ego: np.ndarray, labels: np.ndarray, train_mask: np.ndarray,
     loss = (1/T) sum_v ||r @ h_v - delta_{y_v}||^2 over the T labeled
     train nodes; grad wrt each such ego row is (2/T) r.T (r h - delta).
     """
-    train = np.nonzero(train_mask & (labels >= 0))[0]
+    train = np.nonzero(train_mask)[0]
     grad = np.zeros_like(ego)
     if len(train) == 0:
         return 0.0, grad

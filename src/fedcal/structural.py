@@ -4,7 +4,9 @@ Each sampled node is summarized by a radial sequence: its l2-normalized
 1-hop and 2-hop ring means stacked into a 2 x d matrix, read as the
 uniform two-point empirical measure on those rows. A batch of B radial
 sequences is one float64 array of shape (B, 2, d), and the server's Q
-templates arrive as a (Q, 2, d) array of the same layout. The transport
+templates arrive as a (Q, 2, d) array of the same layout. The module is
+array math alone: it reads ring means and returns gradients on them, and
+model.total_loss pulls those back through the ring operator. The transport
 distance between two such measures has a closed form (the optimum sits
 at one of the two permutation couplings), and a log-domain Sinkhorn
 solve assigns each radial sequence a distribution over templates.
@@ -35,11 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, HopAggregator
-
 __all__ = [
     "MatchingMatrix",
-    "sample_structural_batch",
     "l2_normalize_rows",
     "radial_sequences_from_rings",
     "sinkhorn_match",
@@ -64,15 +63,6 @@ class MatchingMatrix:
     converged: bool = True
     iterations: int = 0
     objective_trace: np.ndarray = None
-
-
-def sample_structural_batch(g: Graph, batch_size: int, seed) -> np.ndarray:
-    """Uniform sample of batch_size nodes without replacement (all if fewer)."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    rng = np.random.default_rng(seed)
-    size = min(batch_size, g.num_nodes)
-    return rng.choice(g.num_nodes, size=size, replace=False)
 
 
 def l2_normalize_rows(m) -> np.ndarray:
@@ -280,17 +270,15 @@ def structural_loss(matching: MatchingMatrix, radials, templates: np.ndarray):
     return loss, grad_rows
 
 
-def structural_loss_ego(rings: np.ndarray, matching: MatchingMatrix, batch,
-                        templates: np.ndarray, agg: HopAggregator):
-    """Structural loss with the gradient chained back to the ego rows.
+def structural_loss_ego(rings, matching: MatchingMatrix, batch, templates: np.ndarray):
+    """Structural loss with the gradient chained back to the batch's ring means.
 
-    Normalizes the batch's pairs of the forward's (n, 2, d) ring means
-    (ForwardCache.rings) into radial sequences and pulls the loss gradient
-    through the normalization and, as one (len(agg.rows), 2, d) array,
-    through agg.backward onto every contributing ego row, zero ring rows held constant.
-    A batch node missing from agg.rows, whose ring means would read as zeros, raises.
+    Normalizes the batch's pairs of the (n, 2, d) ring means rings into
+    radial sequences and pulls the loss gradient through the normalization,
+    zero ring rows held constant. Returns the loss and the (B, 2, d)
+    gradient on the ring pairs, row i for batch[i]; a node listed twice
+    gets a row each.
     """
-    at = agg.positions(batch, "batch")                           # rows of the batch
     radials = radial_sequences_from_rings(rings, batch)
     loss, grad_rows = structural_loss(matching, radials, templates)
 
@@ -301,8 +289,4 @@ def structural_loss_ego(rings: np.ndarray, matching: MatchingMatrix, batch,
     live = norms != 0.0
     unit = np.divide(raw, norms, out=np.zeros_like(raw), where=live)
     along = (grad_rows[..., None, :] @ unit[..., None])[..., 0]
-    step = np.divide(grad_rows - along * unit, norms, out=np.zeros_like(raw), where=live)
-    g_rings = np.zeros((len(agg.rows),) + raw.shape[1:])         # gradients on agg.rows
-    # add.at, so that a node listed twice in batch gets both gradients
-    np.add.at(g_rings, at, step)
-    return loss, agg.backward(g_rings)
+    return loss, np.divide(grad_rows - along * unit, norms, out=np.zeros_like(raw), where=live)

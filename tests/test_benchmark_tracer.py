@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from fedcal import model
+from fedcal.fedsim import sample_structural_batch
 from fedcal.graph import HopAggregator, generate_sbm, split_masks
 from fedcal.refine import construct_etf, init_templates
-from fedcal.structural import (radial_sequences_from_rings,
-                               sample_structural_batch, sinkhorn_match)
+from fedcal.structural import radial_sequences_from_rings, sinkhorn_match
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

@@ -550,6 +550,18 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "client 0 failed at round 0" in err and "epsilon" in err
 
+    def test_allocation_failure_exits_1(self, tmp_path, capsys):
+        # 5 x 10**15 float64 weights are petabytes, past any user address
+        # space, so the allocation fails whatever the overcommit setting
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(SMOKE.replace("federation.embed_dim = 4",
+                                     "federation.embed_dim = 1000000000000000"))
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_fails_before_work(self, smoke_cfg, tmp_path, capsys,
                                                   threads):
@@ -672,6 +684,25 @@ class TestGeneratorKeysUnderFiles:
         assert main(["eval", "--model-dir", str(out)]) == 2
         assert "dataset.nodes is read only under dataset.kind = synthetic" in (
             capsys.readouterr().err)
+
+    def test_files_run_evals_from_another_directory(self, finished, tmp_path, capsys,
+                                                   monkeypatch):
+        # relative dataset paths are recorded absolute, so they outlive the cwd
+        start, other = tmp_path / "start", tmp_path / "other"
+        other.mkdir()
+        shutil.copytree(finished / "data", start / "data1")
+        monkeypatch.chdir(start)
+        (start / "f.cfg").write_text(SMOKE_FILES + "".join(
+            f"dataset.{name} = data1/{name}.txt\n" for name in ("edges", "features", "labels")))
+        assert main(["run", "--config", "f.cfg", "--out", "runf"]) == 0
+        resolved = (start / "runf" / "config.resolved").read_text().splitlines()
+        assert f"dataset.edges = {start / 'data1' / 'edges.txt'}" in resolved
+        summary = json.loads((start / "runf" / "summary.json").read_text())
+        monkeypatch.chdir(other)
+        capsys.readouterr()
+        assert main(["eval", "--model-dir", str(start / "runf")]) == 0
+        mean_line = capsys.readouterr().out.splitlines()[-1]
+        assert mean_line == f"mean test accuracy: {summary['mean_test']:.6f}"
 
 
 class TestOutputDirectory:
@@ -1124,6 +1155,30 @@ class TestImportFootprint:
         heavy = [m for m in loaded if any(m == h or m.startswith(h + ".")
                                           for h in self.HEAVY)]
         assert heavy == []
+
+    def test_every_command_loads_no_scipy_module_past_scipy_sparse(self, tmp_path):
+        # peak_rss_mb counts every module a run loads: scipy.sparse.csgraph alone
+        # would add about 11 MB to a process of about 50
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+        code = """if True:
+            import sys
+            import scipy.sparse
+            def scipy_modules():
+                return {m for m in sys.modules if m.split(".")[0] == "scipy"}
+            before = scipy_modules()
+            from fedcal.cli import main
+            cfg, root = sys.argv[1:]
+            run = root + "/run"
+            for argv in (["run", "--config", cfg, "--out", run], ["eval", "--model-dir", run],
+                         ["gen-data", "--config", cfg, "--out", root + "/data"],
+                         ["report", run + "/history.csv"]):
+                assert main(argv) == 0, argv
+            print("new:", *sorted(scipy_modules() - before))
+        """
+        smoke = os.path.join(REPO, "configs", "smoke.cfg")
+        out = subprocess.run([sys.executable, "-c", code, smoke, str(tmp_path)], env=env,
+                             check=True, capture_output=True, text=True).stdout
+        assert out.splitlines()[-1] == "new:"
 
 
 class TestIdempotence:

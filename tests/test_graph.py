@@ -103,9 +103,11 @@ class TestGraphInvariants:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
 
-    def test_rejects_unlabeled_train_node(self):
-        with pytest.raises(ValueError):
-            Graph(np.zeros((2, 1)), [-1, 0], sp.csr_matrix((2, 2)), split=np.array([1, 0]))
+    @pytest.mark.parametrize("code, name", [(1, "train"), (2, "val"), (3, "test")])
+    def test_rejects_unlabeled_train_node(self, code, name):
+        # a split node without a label would drop out of the losses and metrics
+        with pytest.raises(ValueError, match=f"^{name} node 0 carries no label$"):
+            Graph(np.zeros((2, 1)), [-1, 0], sp.csr_matrix((2, 2)), split=np.array([code, 0]))
 
     def test_induced_subgraph_preserves_symmetry(self):
         g = generate_sbm(40, 2, 0.3, 0.1, 3, 1.0, seed=5)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fedcal.cli import build_run_config, parse_config_file
-from fedcal.fedsim import setup_federation
+from fedcal.fedsim import sample_structural_batch, setup_federation
 from fedcal.graph import Graph, HopAggregator, generate_sbm, split_masks
 from fedcal.model import (
     ModelParams,
@@ -18,12 +18,7 @@ from fedcal.model import (
 )
 from fedcal.refine import construct_etf, init_templates
 from fedcal.semantic import class_means, procrustes
-from fedcal.structural import (
-    MatchingMatrix,
-    radial_sequences_from_rings,
-    sample_structural_batch,
-    sinkhorn_match,
-)
+from fedcal.structural import MatchingMatrix, radial_sequences_from_rings, sinkhorn_match
 
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

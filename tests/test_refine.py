@@ -155,9 +155,11 @@ def test_refine_holds_no_structural_name_and_no_dataclass():
 
     from fedcal import graph, model, refine, semantic, structural
 
-    # refine owns the server's manifolds and needs no other fedcal module
-    held = [name for name, value in vars(refine).items()
-            if _fedcal_origin(value) not in (None, refine.__name__)]
+    # refine owns the server's manifolds, and semantic and structural are
+    # array math: none of the three holds a name or module of another fedcal module
+    held = [f"{module.__name__}.{name}" for module in (refine, semantic, structural)
+            for name, value in vars(module).items()
+            if _fedcal_origin(value) not in (None, module.__name__)]
     assert held == []
     assert not any(dataclasses.is_dataclass(value) for value in vars(refine).values())
     # and no client module reaches into the server's

@@ -4,14 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
+from fedcal.fedsim import sample_structural_batch
 from fedcal.graph import Graph, HopAggregator, generate_sbm
+from fedcal.model import init_params, total_loss
 from fedcal.refine import init_templates, random_orthogonal
 from fedcal.structural import (
     MatchingMatrix,
     _logsumexp,
     l2_normalize_rows,
     radial_sequences_from_rings,
-    sample_structural_batch,
     sinkhorn_match,
     structural_loss,
     structural_loss_ego,
@@ -536,6 +537,13 @@ class TestPairingInputCheck:
 
 
 class TestStructuralLossEgo:
+    @staticmethod
+    def ego_gradient(agg, batch, g_pairs):
+        """The ego gradient total_loss pulls back from the batch's pair gradient."""
+        g_rings = np.zeros((len(agg.rows),) + g_pairs.shape[1:])
+        np.add.at(g_rings, agg.positions(batch, "batch"), g_pairs)
+        return agg.backward(g_rings)
+
     def test_gradient_matches_finite_differences(self):
         g = generate_sbm(15, 2, 0.25, 0.1, 3, 1.0, seed=14)
         rng = np.random.default_rng(14)
@@ -547,7 +555,8 @@ class TestStructuralLossEgo:
         radials = radial_sequences_from_rings(rings, batch)
         match = sinkhorn_match(radials, templates)
 
-        loss, grad = structural_loss_ego(rings, match, batch, templates, agg)
+        loss, g_pairs = structural_loss_ego(rings, match, batch, templates)
+        grad = self.ego_gradient(agg, batch, g_pairs)
         eps = 1e-6
         rng2 = np.random.default_rng(15)
         for _ in range(12):
@@ -555,17 +564,20 @@ class TestStructuralLossEgo:
             j = rng2.integers(4)
             bumped = ego.copy()
             bumped[i, j] += eps
-            up, _ = structural_loss_ego(agg.rings(bumped), match, batch, templates, agg)
+            up, _ = structural_loss_ego(agg.rings(bumped), match, batch, templates)
             bumped[i, j] -= 2 * eps
-            down, _ = structural_loss_ego(agg.rings(bumped), match, batch, templates, agg)
+            down, _ = structural_loss_ego(agg.rings(bumped), match, batch, templates)
             num = (up - down) / (2 * eps)
             if abs(num) < 1e-12 and abs(grad[i, j]) < 1e-12:
                 continue
             assert abs(num - grad[i, j]) / max(abs(num), abs(grad[i, j]), 1e-8) <= 1e-4
 
     def test_rejects_batch_node_missing_from_rows(self):
+        # total_loss maps the batch onto agg.rows; the graph is unsplit, so
+        # no train node is missing and the batch is the first thing checked
         g = generate_sbm(40, 2, 0.3, 0.1, 3, 1.0, seed=0)
         ego = np.random.default_rng(0).standard_normal((40, 4))
+        params = init_params(3, 4, 2, seed=0)
         agg = HopAggregator(g)
         templates = init_templates(3, 4, seed=0)
         batch = np.array([3, 7, 12, 30])
@@ -573,11 +585,11 @@ class TestStructuralLossEgo:
         match = sinkhorn_match(radial_sequences_from_rings(rings, batch), templates)
         local = agg.restrict(np.setdiff1d(np.arange(40), 7))
         with pytest.raises(ValueError, match="^batch node 7 is not in the aggregator's rows$"):
-            structural_loss_ego(rings, match, batch, templates, local)
+            total_loss(params, g, None, None, templates, match, batch, local)
         # a row set that ends before a batch node and an empty one are caught alike
         for rows, first in ((np.arange(5), 7), (np.arange(0), 3)):
             with pytest.raises(ValueError, match=f"^batch node {first} is not in"):
-                structural_loss_ego(rings, match, batch, templates, agg.restrict(rows))
+                total_loss(params, g, None, None, templates, match, batch, agg.restrict(rows))
 
     def test_equals_per_node_reference(self):
         # isolated nodes with zero ego rows give zero rings; node 3 appears twice
@@ -591,7 +603,8 @@ class TestStructuralLossEgo:
         rings = agg.rings(ego)
         hop1, hop2 = rings[:, 0], rings[:, 1]
         match = sinkhorn_match(radial_sequences_from_rings(rings, batch), templates)
-        loss, grad = structural_loss_ego(rings, match, batch, templates, agg)
+        loss, g_pairs = structural_loss_ego(rings, match, batch, templates)
+        grad = self.ego_gradient(agg, batch, g_pairs)
 
         ref_loss, grad_rows = structural_loss(
             match, radial_sequences_from_rings(rings, batch), templates)
