@@ -23,6 +23,7 @@ import re
 import sys
 from dataclasses import fields
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -233,7 +234,7 @@ def cmd_gen_data(args) -> int:
     _check_regular_files(paths)
     g = build_dataset(fed)
     os.makedirs(out, exist_ok=True)
-    save_graph_files(g, *paths)
+    _replace(paths, partial(save_graph_files, g))
     print(f"nodes={g.num_nodes} edges={g.num_edges} homophily={edge_homophily(g):.4f}")
     return 0
 
@@ -275,16 +276,19 @@ def _check_artifact_paths(out):
                          + _per_client_files(out))
 
 
-def _replace(path, write):
-    """Write path by ``write(tmp)`` to a temporary name beside it, then move
-    it over path; the temporary file is gone whether or not that succeeds."""
-    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.tmp")
+def _replace(paths, write):
+    """Write paths by ``write(*tmps)`` to temporary names beside them, then
+    move each over its path once all are written; the temporary files are
+    gone whether or not that succeeds."""
+    tmps = [os.path.join(os.path.dirname(p), f".{os.path.basename(p)}.tmp") for p in paths]
     try:
-        write(tmp)
-        os.replace(tmp, path)
+        write(*tmps)
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        for tmp in tmps:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         raise
 
 
@@ -347,8 +351,8 @@ def cmd_run(args) -> int:
         if path not in writers:
             os.remove(path)
     for path, write in writers.items():
-        _replace(path, write)
-    _replace(summary_path, partial(_write_summary, summary))
+        _replace([path], write)
+    _replace([summary_path], partial(_write_summary, summary))
     print(f"run complete: mean_test={summary['mean_test']:.4f}, sinkhorn unconverged "
           f"{result.sinkhorn_unconverged}/{result.sinkhorn_calls} -> {out}")
     return 0
@@ -399,8 +403,7 @@ def cmd_report(args) -> int:
         )
     text = "\n".join(lines) + "\n"
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _replace([args.out], lambda tmp: Path(tmp).write_text(text, encoding="utf-8"))
     else:
         sys.stdout.write(text)
     return 0

@@ -382,27 +382,23 @@ def run_client_round(state: ClientState, anchors: np.ndarray,
     p, present = class_means(cache.ego, g.labels, g.train_mask, cfg.num_classes)
     rotation = procrustes(p, present, anchors)
 
-    matching = None
+    semantic = (rotation, anchors) if cfg.semantic_enabled else None
+    structural = None
     if cfg.structural_enabled:
         radials = radial_sequences_from_rings(cache.rings, batch)
         matching = sinkhorn_match(
             radials, templates, epsilon=cfg.sinkhorn_epsilon,
             max_iters=cfg.sinkhorn_iters, tol=cfg.sinkhorn_tol,
         )
+        structural = (matching.f, batch, templates)
 
-    loss_anchors = anchors if cfg.semantic_enabled else None
-    loss_templates = templates if cfg.structural_enabled else None
     for epoch in range(cfg.local_epochs):
         t = round_idx * cfg.local_epochs + epoch
-        _, _, grads = total_loss(
-            params, g, loss_anchors, rotation, loss_templates, matching, batch, local
-        )
+        _, _, grads = total_loss(params, g, local, semantic, structural)
         params = sgd_step(params, grads, lr_schedule(t, cfg.lr0, cfg.lr_decay_steps))
 
     final_cache = forward(params, g, state.agg)
-    _, (ce, sem, stru), _ = total_loss(
-        params, g, loss_anchors, rotation, loss_templates, matching, batch, local
-    )
+    _, (ce, sem, stru), _ = total_loss(params, g, local, semantic, structural)
 
     final_p, final_present = class_means(final_cache.ego, g.labels, g.train_mask,
                                          cfg.num_classes)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .graph import Graph, HopAggregator
 from .semantic import semantic_loss
-from .structural import MatchingMatrix, structural_loss_ego
+from .structural import structural_loss_ego
 
 __all__ = [
     "ModelParams",
@@ -102,32 +102,30 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray, train_mask: np.ndarray
     return loss, grad
 
 
-def total_loss(params: ModelParams, g: Graph, anchors: np.ndarray,
-               rotation: np.ndarray, templates: np.ndarray,
-               matching: MatchingMatrix, batch, agg: HopAggregator):
+def total_loss(params: ModelParams, g: Graph, agg: HopAggregator,
+               semantic=None, structural=None):
     """Local objective CE + semantic + structural, with parameter gradients.
 
-    The rotation, matching matrix, templates and anchors are constants of
-    the local round: no gradient flows into them. Passing anchors=None
-    drops the semantic term and matching=None the structural term (the
-    CE term is always present), which is how ablations run. agg is g's
-    ring operator with rows covering train and batch nodes (ValueError names
-    a missing one, whose ring means would read as zeros). The CE gradient
-    is zero off agg.rows, so the head's gradients are taken at agg.rows with
-    the same bits, their ring pairs passed to agg.backward as one array. The
-    structural term reuses the forward's ring means; its gradient on the
-    batch's ring pairs is scattered onto agg.rows with add.at, so a node
-    listed twice gets both, and pulled back by a second agg.backward. Returns
+    semantic = (rotation, anchors) and structural = (f, batch, templates),
+    f the (B, Q) matching, are the trailing arguments of semantic_loss and
+    structural_loss_ego; None drops that whole term (the CE term is always
+    present), which is how ablations run. They are constants of the local
+    round: no gradient flows into them. agg is g's ring operator with rows
+    covering train and batch nodes (ValueError names a missing one, whose
+    ring means would read as zeros). The CE gradient is zero off agg.rows,
+    so the head's gradients are taken at agg.rows with the same bits, their
+    ring pairs passed to agg.backward as one array. The structural term
+    reuses the forward's ring means; its gradient on the batch's ring pairs
+    is scattered onto agg.rows with add.at, so a node listed twice gets
+    both, and pulled back by a second agg.backward. Returns
     (total, (ce, semantic, structural), grads), grads a ModelParams of
     gradients; the calibration terms reach only w_ego, the CE term also
     reaches the classifier.
     """
     if np.count_nonzero(g.train_mask[agg.rows]) < np.count_nonzero(g.train_mask):
         agg.positions(np.flatnonzero(g.train_mask), "train")    # raises, naming the node
-    if matching is not None:
-        if templates is None or batch is None:
-            raise ValueError("structural term requires templates and a batch")
-        at_batch = agg.positions(batch, "batch")
+    if structural is not None:
+        at_batch = agg.positions(structural[1], "batch")        # its batch
     cache = forward(params, g, agg)
     d = cache.ego.shape[1]
 
@@ -141,15 +139,13 @@ def total_loss(params: ModelParams, g: Graph, anchors: np.ndarray,
     g_ego[at] += g_blocks[:, 0]
 
     sem = 0.0
-    if anchors is not None:
-        if rotation is None:
-            raise ValueError("semantic term requires a calibration rotation")
-        sem, g_sem = semantic_loss(cache.ego, g.labels, g.train_mask, rotation, anchors)
+    if semantic is not None:
+        sem, g_sem = semantic_loss(cache.ego, g.labels, g.train_mask, *semantic)
         g_ego += g_sem
 
     stru = 0.0
-    if matching is not None:
-        stru, g_pairs = structural_loss_ego(cache.rings, matching, batch, templates)
+    if structural is not None:
+        stru, g_pairs = structural_loss_ego(cache.rings, *structural)
         g_rings = np.zeros((len(at),) + g_pairs.shape[1:])
         np.add.at(g_rings, at_batch, g_pairs)
         g_ego += agg.backward(g_rings)

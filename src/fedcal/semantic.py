@@ -94,7 +94,7 @@ def semantic_loss(ego: np.ndarray, labels: np.ndarray, train_mask: np.ndarray,
     train = np.nonzero(train_mask)[0]
     grad = np.zeros_like(ego)
     if len(train) == 0:
-        return 0.0, grad
+        raise RuntimeError("semantic_loss needs at least one train node")
     residual = ego[train] @ rotation.T - anchors[:, labels[train]].T
     loss = float((residual ** 2).sum()) / len(train)
     grad[train] = (2.0 / len(train)) * (residual @ rotation)

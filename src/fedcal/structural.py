@@ -68,8 +68,9 @@ class MatchingMatrix:
 def l2_normalize_rows(m) -> np.ndarray:
     """Scale every nonzero row of m to unit l2 norm.
 
-    Exactly-zero rows pass through unchanged: isolated nodes produce zero
-    aggregates and must not abort training.
+    Exactly-zero rows pass through unchanged and must not abort training:
+    ring means fall back to the ego, so a zero ring row comes from all-zero
+    ego rows, such as an all-zero feature row in a files dataset.
     """
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2:
@@ -243,20 +244,20 @@ def sinkhorn_match(radials, templates: np.ndarray, epsilon: float = 0.05,
     )
 
 
-def structural_loss(matching: MatchingMatrix, radials, templates: np.ndarray):
+def structural_loss(f: np.ndarray, radials, templates: np.ndarray):
     """Assignment-weighted transport cost with gradient on the radial rows.
 
-    loss = (1/B) sum_b sum_q f[b,q] * min(keep, swap) / 2, where keep and
-    swap are the squared distances |r_b - t_q|^2 of radial b to template
-    q under the identity and the swapped row pairing: the transport cost
-    of two uniform two-point measures, whose optimal coupling is one of
-    the two permutations. The optimal permutation of every pair is held
-    fixed (identity at ties), giving the deterministic subgradient
+    loss = (1/B) sum_b sum_q f[b,q] * min(keep, swap) / 2, f the (B, Q)
+    matching (a MatchingMatrix's f), where keep and swap are the squared
+    distances |r_b - t_q|^2 of radial b to template q under the identity
+    and the swapped row pairing: the transport cost of two uniform
+    two-point measures, whose optimal coupling is one of the two
+    permutations. The optimal permutation of every pair is held fixed
+    (identity at ties), giving the deterministic subgradient
     d loss / d row = (1/B) sum_q f[b,q] (row - matched template row).
     The costs and the matched differences both come from the keep and
     swap pairing differences of _coupling_costs, built once.
     """
-    f = matching.f
     nb = len(radials)
     if f.shape != (nb, len(templates)):
         raise ValueError(
@@ -270,17 +271,18 @@ def structural_loss(matching: MatchingMatrix, radials, templates: np.ndarray):
     return loss, grad_rows
 
 
-def structural_loss_ego(rings, matching: MatchingMatrix, batch, templates: np.ndarray):
+def structural_loss_ego(rings, f: np.ndarray, batch, templates: np.ndarray):
     """Structural loss with the gradient chained back to the batch's ring means.
 
     Normalizes the batch's pairs of the (n, 2, d) ring means rings into
-    radial sequences and pulls the loss gradient through the normalization,
+    radial sequences, takes structural_loss against the templates under the
+    (B, Q) matching f, and pulls the loss gradient through the normalization,
     zero ring rows held constant. Returns the loss and the (B, 2, d)
     gradient on the ring pairs, row i for batch[i]; a node listed twice
     gets a row each.
     """
     radials = radial_sequences_from_rings(rings, batch)
-    loss, grad_rows = structural_loss(matching, radials, templates)
+    loss, grad_rows = structural_loss(f, radials, templates)
 
     # d(h/|h|) = (g - (g.r) r) / |h| per nonzero ring row; the stacked
     # (1 x d) @ (d x 1) products are the row dots np.linalg.norm makes

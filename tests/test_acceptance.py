@@ -162,20 +162,18 @@ class TestCriterion3GradientOracle:
             d0 = int(rng.integers(3, 7))
             c = int(rng.integers(2, min(4, d) + 1))
             g, params, agg = small_instance(seed, n=n, d0=d0, d=d, c=c)
-            anchors, rot, templates, batch, matching = calibration_inputs(
-                g, params, agg, seed, d, c
-            )
+            semantic, structural = calibration_inputs(g, params, agg, seed, d, c)
             term_sets = [
-                (anchors, rot, None, None, None),          # semantic only
-                (None, None, templates, matching, batch),  # structural only
-                (None, None, None, None, None),            # ce only
-                (anchors, rot, templates, matching, batch),
+                (semantic, None),          # semantic only
+                (None, structural),        # structural only
+                (None, None),              # ce only
+                (semantic, structural),
             ]
-            for (a, r, t, m, b) in term_sets:
-                _, _, grads = total_loss(params, g, a, r, t, m, b, agg)
+            for (sem, stru) in term_sets:
+                _, _, grads = total_loss(params, g, agg, sem, stru)
 
                 def value():
-                    return total_loss(params, g, a, r, t, m, b, agg)[0]
+                    return total_loss(params, g, agg, sem, stru)[0]
 
                 for name in ("w_ego", "w_cls", "b_cls"):
                     flat = getattr(params, name).reshape(-1)

@@ -76,7 +76,7 @@ def test_restricted_total_loss_pulls_back_through_traced_backward(structural, pu
     g = split_masks(generate_sbm(80, 2, 0.1, 0.03, 4, 1.0, seed=3), (0.2, 0.2, 0.6), seed=3)
     params = model.init_params(4, 3, 2, seed=3)
     agg = HopAggregator(g)
-    templates = matching = batch = None
+    term = None
     rows = np.flatnonzero(g.train_mask)
     if structural:
         templates = init_templates(2, 3, seed=3)
@@ -84,6 +84,7 @@ def test_restricted_total_loss_pulls_back_through_traced_backward(structural, pu
         cache = model.forward(params, g, agg)
         matching = sinkhorn_match(
             radial_sequences_from_rings(cache.rings, batch), templates)
+        term = (matching.f, batch, templates)
         rows = np.union1d(rows, batch)
     local = agg.restrict(rows)
     assert len(local.rows) < g.num_nodes
@@ -92,7 +93,7 @@ def test_restricted_total_loss_pulls_back_through_traced_backward(structural, pu
     t = tracer.Tracer()
     try:
         t.install()
-        model.total_loss(params, g, None, None, templates, matching, batch, local)
+        model.total_loss(params, g, local, None, term)
     finally:
         t.uninstall()
     assert [s[0] for s in t.spans].count("graph.backward") == pullbacks

@@ -59,7 +59,24 @@ def smoke_cfg(tmp_path):
     return str(path)
 
 
+# every config committed with the project, relative to its root
+COMMITTED_CONFIGS = sorted(
+    os.path.relpath(str(path), REPO)
+    for folder in ("configs", os.path.join("perfbench", "workloads"))
+    for path in Path(REPO, folder).glob("*.cfg"))
+
+
 class TestConfigParsing:
+    def test_committed_configs_found(self):
+        assert "configs/heterophilic.cfg" in COMMITTED_CONFIGS
+        assert "perfbench/workloads/large-graph.cfg" in COMMITTED_CONFIGS
+
+    @pytest.mark.parametrize("path", COMMITTED_CONFIGS)
+    def test_committed_config_builds_a_federation_config(self, path):
+        # a renamed or retired key would otherwise surface only when the config runs
+        cfg = build_run_config(parse_config_file(os.path.join(REPO, path)))
+        assert isinstance(cfg.federation_config(), fedsim.FederationConfig)
+
     def test_defaults_filled(self, smoke_cfg):
         cfg = build_run_config(parse_config_file(smoke_cfg))
         assert cfg["federation.clients"] == 3
@@ -293,6 +310,28 @@ class TestGenData:
             a = Path(os.path.join(out, name)).read_bytes()
             b = Path(os.path.join(REPO, "data", "bench-demo", name)).read_bytes()
             assert a == b, name
+
+    def test_failed_rewrite_leaves_the_first_dataset_whole(self, smoke_cfg, tmp_path,
+                                                           capsys, monkeypatch):
+        # a full disk on the last file must not leave the first two rewritten
+        names = ("edges.txt", "features.txt", "labels.txt")
+        out = tmp_path / "data"
+        assert main(["gen-data", "--config", smoke_cfg, "--out", str(out)]) == 0
+        first = {name: (out / name).read_bytes() for name in names}
+        savetxt = np.savetxt
+
+        def disk_full_on_labels(fname, *args, **kwargs):
+            if "labels" in os.path.basename(fname):
+                raise OSError(28, "No space left on device")
+            return savetxt(fname, *args, **kwargs)
+
+        monkeypatch.setattr(np, "savetxt", disk_full_on_labels)
+        capsys.readouterr()
+        code = main(["gen-data", "--config", smoke_cfg, "--seed", "5", "--out", str(out)])
+        assert code == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert {name: (out / name).read_bytes() for name in names} == first
+        assert sorted(os.listdir(out)) == sorted(names)
 
     @pytest.mark.parametrize("name", ["edges.txt", "features.txt", "labels.txt"])
     def test_directory_at_a_data_file_fails_before_work(self, smoke_cfg, tmp_path,

@@ -18,7 +18,7 @@ from fedcal.model import (
 )
 from fedcal.refine import construct_etf, init_templates
 from fedcal.semantic import class_means, procrustes
-from fedcal.structural import MatchingMatrix, radial_sequences_from_rings, sinkhorn_match
+from fedcal.structural import radial_sequences_from_rings, sinkhorn_match
 
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -33,6 +33,7 @@ def small_instance(seed, n=12, d0=5, d=4, c=3, train_ratio=0.6):
 
 
 def calibration_inputs(g, params, agg, seed, d, c, q=3, b=6):
+    """total_loss's (semantic, structural) terms for g at params."""
     anchors = construct_etf(c, d, seed=seed)
     cache = forward(params, g, agg)
     rot = procrustes(*class_means(cache.ego, g.labels, g.train_mask, c), anchors)
@@ -40,7 +41,7 @@ def calibration_inputs(g, params, agg, seed, d, c, q=3, b=6):
     batch = sample_structural_batch(g, b, seed=seed + 2)
     radials = radial_sequences_from_rings(cache.rings, batch)
     matching = sinkhorn_match(radials, templates)
-    return anchors, rot, templates, batch, matching
+    return (rot, anchors), (matching.f, batch, templates)
 
 
 class TestForward:
@@ -174,30 +175,19 @@ class TestTotalLoss:
         batch = np.arange(8)
         radials = radial_sequences_from_rings(cache.rings, batch)
         templates = radials.copy()
-        matching = MatchingMatrix(f=np.eye(8))
         total, (ce, sem, stru), _ = total_loss(
-            params, g, anchors, rot, templates, matching, batch, agg
+            params, g, agg, (rot, anchors), (np.eye(8), batch, templates)
         )
         assert sem <= 1e-16 and stru <= 1e-16
         assert abs(total - ce) <= 1e-12
 
     def test_additivity_of_terms(self):
         g, params, agg = small_instance(7)
-        anchors, rot, templates, batch, matching = calibration_inputs(
-            g, params, agg, 7, 4, 3
-        )
-        total, (ce, sem, stru), _ = total_loss(
-            params, g, anchors, rot, templates, matching, batch, agg
-        )
-        ce_only, (ce2, _, _), _ = total_loss(
-            params, g, None, None, None, None, None, agg
-        )
-        sem_only, (_, sem2, _), _ = total_loss(
-            params, g, anchors, rot, None, None, None, agg
-        )
-        str_only, (_, _, stru2), _ = total_loss(
-            params, g, None, None, templates, matching, batch, agg
-        )
+        semantic, structural = calibration_inputs(g, params, agg, 7, 4, 3)
+        total, (ce, sem, stru), _ = total_loss(params, g, agg, semantic, structural)
+        ce_only, (ce2, _, _), _ = total_loss(params, g, agg)
+        sem_only, (_, sem2, _), _ = total_loss(params, g, agg, semantic)
+        str_only, (_, _, stru2), _ = total_loss(params, g, agg, None, structural)
         assert abs(ce - ce2) <= 1e-12
         assert abs(sem - sem2) <= 1e-12
         assert abs(stru - stru2) <= 1e-12
@@ -206,14 +196,12 @@ class TestTotalLoss:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_gradient_check_every_parameter(self, seed):
         g, params, agg = small_instance(seed)
-        anchors, rot, templates, batch, matching = calibration_inputs(
-            g, params, agg, seed, 4, 3
-        )
+        semantic, structural = calibration_inputs(g, params, agg, seed, 4, 3)
 
         def loss_at():
-            return total_loss(params, g, anchors, rot, templates, matching, batch, agg)[0]
+            return total_loss(params, g, agg, semantic, structural)[0]
 
-        _, _, grads = total_loss(params, g, anchors, rot, templates, matching, batch, agg)
+        _, _, grads = total_loss(params, g, agg, semantic, structural)
         eps = 1e-5
         for name in ("w_ego", "w_cls", "b_cls"):
             arr = getattr(params, name)
@@ -232,11 +220,9 @@ class TestTotalLoss:
 
     def test_classifier_untouched_by_calibration_terms(self):
         g, params, agg = small_instance(8)
-        anchors, rot, templates, batch, matching = calibration_inputs(
-            g, params, agg, 8, 4, 3
-        )
-        _, _, g_all = total_loss(params, g, anchors, rot, templates, matching, batch, agg)
-        _, _, g_ce = total_loss(params, g, None, None, None, None, None, agg)
+        semantic, structural = calibration_inputs(g, params, agg, 8, 4, 3)
+        _, _, g_all = total_loss(params, g, agg, semantic, structural)
+        _, _, g_ce = total_loss(params, g, agg)
         assert np.abs(g_all.w_cls - g_ce.w_cls).max() <= 1e-12
         assert np.abs(g_all.b_cls - g_ce.b_cls).max() <= 1e-12
         assert np.abs(g_all.w_ego - g_ce.w_ego).max() > 1e-8
@@ -245,44 +231,39 @@ class TestTotalLoss:
     def test_restricted_aggregator_gives_full_loss_and_grads(self, seed, structural):
         # ring means on the train nodes and the batch are all the loss reads
         g, params, agg = small_instance(seed, n=60, train_ratio=0.2)
-        anchors, rot, templates, batch, matching = calibration_inputs(
-            g, params, agg, seed, 4, 3
-        )
-        if not structural:
-            templates = matching = batch = None
+        semantic, terms = calibration_inputs(g, params, agg, seed, 4, 3)
         rows = np.flatnonzero(g.train_mask)
         if structural:
-            rows = np.union1d(rows, batch)
-        self.check_restricted(g, params, agg, anchors, rot, templates, matching, batch,
-                              rows)
+            rows = np.union1d(rows, terms[1])
+        self.check_restricted(g, params, agg, semantic, terms if structural else None, rows)
 
     def test_rejects_aggregator_missing_a_train_or_batch_node(self):
         # off its rows a restricted aggregator's ring means are zeros, so a
         # loss read there would be silently wrong
         g, params, agg = small_instance(0, n=40, train_ratio=0.2)
-        anchors, rot, templates, _, _ = calibration_inputs(g, params, agg, 0, 4, 3)
+        semantic, (_, _, templates) = calibration_inputs(g, params, agg, 0, 4, 3)
         train = np.flatnonzero(g.train_mask)
         batch = np.array([7, 21, 33, 7])
         assert not g.train_mask[batch].any()
         cache = forward(params, g, agg)
-        matching = sinkhorn_match(radial_sequences_from_rings(cache.rings, batch), templates)
+        f = sinkhorn_match(radial_sequences_from_rings(cache.rings, batch), templates).f
+        structural = (f, batch, templates)
         rows = np.union1d(train, batch)
-        total_loss(params, g, anchors, rot, templates, matching, batch, agg.restrict(rows))
+        total_loss(params, g, agg.restrict(rows), semantic, structural)
 
         no_train = agg.restrict(np.setdiff1d(rows, train[1]))
         with pytest.raises(ValueError,
                            match=f"^train node {train[1]} is not in the aggregator's rows$"):
-            total_loss(params, g, None, None, None, None, None, no_train)
+            total_loss(params, g, no_train)
         no_batch = agg.restrict(np.setdiff1d(rows, 7))
         with pytest.raises(ValueError, match="^batch node 7 is not in the aggregator's rows$"):
-            total_loss(params, g, anchors, rot, templates, matching, batch, no_batch)
+            total_loss(params, g, no_batch, semantic, structural)
 
     @staticmethod
-    def check_restricted(g, params, agg, anchors, rot, templates, matching, batch, rows):
+    def check_restricted(g, params, agg, semantic, structural, rows):
         assert 0 < len(rows) < g.num_nodes
-        full = total_loss(params, g, anchors, rot, templates, matching, batch, agg)
-        local = total_loss(params, g, anchors, rot, templates, matching, batch,
-                           agg.restrict(rows))
+        full = total_loss(params, g, agg, semantic, structural)
+        local = total_loss(params, g, agg.restrict(rows), semantic, structural)
         assert repr(local[:2]) == repr(full[:2])
         for name in ("w_ego", "w_cls", "b_cls"):
             a, b = getattr(local[2], name), getattr(full[2], name)
@@ -305,19 +286,18 @@ class TestTotalLoss:
         # only if the BLAS reductions drop the zero gradient rows exactly
         fed, g, params = large_client
         agg = HopAggregator(g)
-        anchors, rot, templates, batch, matching = calibration_inputs(
+        semantic, structural = calibration_inputs(
             g, params, agg, 1, fed.embed_dim, fed.num_classes, b=fed.batch_nodes
         )
         rows = np.flatnonzero(g.train_mask)
         if rows_kind == "train":
-            templates = matching = batch = None
+            structural = None
         else:
-            rows = np.union1d(rows, batch)
+            rows = np.union1d(rows, structural[1])
         if rows_kind == "all-but-three":
             rows = np.delete(np.arange(g.num_nodes),
                              np.setdiff1d(np.arange(g.num_nodes), rows)[:3])
-        self.check_restricted(g, params, agg, anchors, rot, templates, matching, batch,
-                              rows)
+        self.check_restricted(g, params, agg, semantic, structural, rows)
 
 
 class TestSgdAndSchedule:
@@ -369,14 +349,10 @@ class TestSgdAndSchedule:
         # steps once the schedule sits inside the descent regime
         for seed in range(3):
             g, params, agg = small_instance(seed + 20, n=20, d0=6, d=4, c=2)
-            anchors, rot, templates, batch, matching = calibration_inputs(
-                g, params, agg, seed + 20, 4, 2
-            )
+            semantic, structural = calibration_inputs(g, params, agg, seed + 20, 4, 2)
             losses = []
             for t in range(40):
-                total, _, grads = total_loss(
-                    params, g, anchors, rot, templates, matching, batch, agg
-                )
+                total, _, grads = total_loss(params, g, agg, semantic, structural)
                 losses.append(total)
                 params = sgd_step(params, grads, lr_schedule(t, 0.02, 100.0))
             for i in range(5, len(losses) - 1):

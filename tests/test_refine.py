@@ -167,6 +167,8 @@ def test_refine_holds_no_structural_name_and_no_dataclass():
                for name, value in vars(client).items()
                if _fedcal_origin(value) == refine.__name__]
     assert reached == []
+    # the loss takes the matching as a bare array, not the solver's result type
+    assert not any(value is MatchingMatrix for value in vars(model).values())
 
 
 class TestConstraintVector:

@@ -198,6 +198,12 @@ class TestSemanticLoss:
         assert np.abs(grad[4:]).max() == 0.0
         assert loss_small >= 0.0
 
+    def test_no_train_node_raises(self):
+        ego, labels, mask, rot, anchors = self._setup(seed=6)
+        with pytest.raises(RuntimeError,
+                           match="^semantic_loss needs at least one train node$"):
+            semantic_loss(ego, labels, np.zeros_like(mask), rot, anchors)
+
     def test_per_class_decomposition(self):
         ego, labels, mask, rot, anchors = self._setup(seed=5)
         per = semantic_per_class_loss(ego, labels, mask, rot, anchors)

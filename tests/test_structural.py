@@ -9,7 +9,6 @@ from fedcal.graph import Graph, HopAggregator, generate_sbm
 from fedcal.model import init_params, total_loss
 from fedcal.refine import init_templates, random_orthogonal
 from fedcal.structural import (
-    MatchingMatrix,
     _logsumexp,
     l2_normalize_rows,
     radial_sequences_from_rings,
@@ -422,41 +421,38 @@ class TestStructuralLoss:
     def test_zero_at_hard_assigned_templates(self):
         radials = random_radials(3, 4, seed=10)
         templates = radials.copy()
-        match = MatchingMatrix(f=np.eye(3))
-        loss, grad = structural_loss(match, radials, templates)
+        loss, grad = structural_loss(np.eye(3), radials, templates)
         assert loss <= 1e-20
         assert np.abs(grad).max() <= 1e-12
 
     def test_zero_template_unit_rows(self):
         radials = random_radials(5, 4, seed=11)
         templates = np.zeros((1, 2, 4))
-        match = MatchingMatrix(f=np.ones((5, 1)))
-        loss, _ = structural_loss(match, radials, templates)
+        loss, _ = structural_loss(np.ones((5, 1)), radials, templates)
         assert abs(loss - 1.0) <= 1e-12
 
     def test_invariant_to_joint_reordering(self):
         radials = random_radials(6, 3, seed=12)
         templates = init_templates(3, 3, seed=12)
-        match = sinkhorn_match(radials, templates)
-        loss, _ = structural_loss(match, radials, templates)
+        f = sinkhorn_match(radials, templates).f
+        loss, _ = structural_loss(f, radials, templates)
         perm = np.array([3, 0, 5, 1, 4, 2])
         shuffled = [radials[i] for i in perm]
-        match2 = MatchingMatrix(f=match.f[perm])
-        loss2, _ = structural_loss(match2, shuffled, templates)
+        loss2, _ = structural_loss(f[perm], shuffled, templates)
         assert abs(loss - loss2) <= 1e-12
 
     def test_row_gradient_matches_finite_differences(self):
         radials = random_radials(4, 3, seed=13)
         templates = init_templates(2, 3, seed=13)
-        match = sinkhorn_match(radials, templates)
-        loss, grad = structural_loss(match, radials, templates)
+        f = sinkhorn_match(radials, templates).f
+        loss, grad = structural_loss(f, radials, templates)
         eps = 1e-6
         for (b, r, j) in [(0, 0, 1), (2, 1, 0), (3, 0, 2)]:
             plus = radials.copy()
             plus[b, r, j] += eps
-            up, _ = structural_loss(match, plus, templates)
+            up, _ = structural_loss(f, plus, templates)
             plus[b, r, j] -= 2 * eps
-            down, _ = structural_loss(match, plus, templates)
+            down, _ = structural_loss(f, plus, templates)
             num = (up - down) / (2 * eps)
             assert abs(num - grad[b, r, j]) / max(abs(num), 1e-8) <= 1e-4
 
@@ -485,7 +481,7 @@ class TestStructuralLoss:
     @pytest.mark.parametrize("nb", [1, 7, 160])
     def test_equals_per_pair_reference(self, kind, nb, nq):
         f, radials, templates = self.loss_inputs(kind, nb, nq, seed=100 * nb + nq)
-        loss, grad = structural_loss(MatchingMatrix(f=f), radials, templates)
+        loss, grad = structural_loss(f, radials, templates)
         ref_loss, ref_grad = structural_loss_pairs(f, radials, templates)
         assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
         np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=0.0)
@@ -499,7 +495,7 @@ class TestPairingInputCheck:
         if name == "sinkhorn_match":
             return sinkhorn_match(radials, templates)
         f = np.ones((len(radials), len(templates)))
-        return structural_loss(MatchingMatrix(f=f), radials, templates)
+        return structural_loss(f, radials, templates)
 
     @pytest.mark.parametrize("name", ["sinkhorn_match", "structural_loss"])
     def test_rejects_zero_templates(self, name):
@@ -553,9 +549,9 @@ class TestStructuralLossEgo:
         batch = sample_structural_batch(g, 6, seed=14)
         rings = agg.rings(ego)
         radials = radial_sequences_from_rings(rings, batch)
-        match = sinkhorn_match(radials, templates)
+        f = sinkhorn_match(radials, templates).f
 
-        loss, g_pairs = structural_loss_ego(rings, match, batch, templates)
+        loss, g_pairs = structural_loss_ego(rings, f, batch, templates)
         grad = self.ego_gradient(agg, batch, g_pairs)
         eps = 1e-6
         rng2 = np.random.default_rng(15)
@@ -564,9 +560,9 @@ class TestStructuralLossEgo:
             j = rng2.integers(4)
             bumped = ego.copy()
             bumped[i, j] += eps
-            up, _ = structural_loss_ego(agg.rings(bumped), match, batch, templates)
+            up, _ = structural_loss_ego(agg.rings(bumped), f, batch, templates)
             bumped[i, j] -= 2 * eps
-            down, _ = structural_loss_ego(agg.rings(bumped), match, batch, templates)
+            down, _ = structural_loss_ego(agg.rings(bumped), f, batch, templates)
             num = (up - down) / (2 * eps)
             if abs(num) < 1e-12 and abs(grad[i, j]) < 1e-12:
                 continue
@@ -582,14 +578,15 @@ class TestStructuralLossEgo:
         templates = init_templates(3, 4, seed=0)
         batch = np.array([3, 7, 12, 30])
         rings = agg.rings(ego)
-        match = sinkhorn_match(radial_sequences_from_rings(rings, batch), templates)
+        f = sinkhorn_match(radial_sequences_from_rings(rings, batch), templates).f
+        structural = (f, batch, templates)
         local = agg.restrict(np.setdiff1d(np.arange(40), 7))
         with pytest.raises(ValueError, match="^batch node 7 is not in the aggregator's rows$"):
-            total_loss(params, g, None, None, templates, match, batch, local)
+            total_loss(params, g, local, None, structural)
         # a row set that ends before a batch node and an empty one are caught alike
         for rows, first in ((np.arange(5), 7), (np.arange(0), 3)):
             with pytest.raises(ValueError, match=f"^batch node {first} is not in"):
-                total_loss(params, g, None, None, templates, match, batch, agg.restrict(rows))
+                total_loss(params, g, agg.restrict(rows), None, structural)
 
     def test_equals_per_node_reference(self):
         # isolated nodes with zero ego rows give zero rings; node 3 appears twice
@@ -602,12 +599,12 @@ class TestStructuralLossEgo:
         batch = np.array(isolated + [3, 0, 7, 3, 12], dtype=np.int64)
         rings = agg.rings(ego)
         hop1, hop2 = rings[:, 0], rings[:, 1]
-        match = sinkhorn_match(radial_sequences_from_rings(rings, batch), templates)
-        loss, g_pairs = structural_loss_ego(rings, match, batch, templates)
+        f = sinkhorn_match(radial_sequences_from_rings(rings, batch), templates).f
+        loss, g_pairs = structural_loss_ego(rings, f, batch, templates)
         grad = self.ego_gradient(agg, batch, g_pairs)
 
         ref_loss, grad_rows = structural_loss(
-            match, radial_sequences_from_rings(rings, batch), templates)
+            f, radial_sequences_from_rings(rings, batch), templates)
         g_hop1, g_hop2 = np.zeros_like(hop1), np.zeros_like(hop2)
         for i, b in enumerate(batch):
             for ring, h, store in ((0, hop1[b], g_hop1), (1, hop2[b], g_hop2)):
