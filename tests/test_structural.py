@@ -6,7 +6,7 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 from fedcal.fedsim import sample_structural_batch
 from fedcal.graph import Graph, HopAggregator, generate_sbm
-from fedcal.model import init_params, total_loss
+from fedcal.model import forward, init_params, total_loss
 from fedcal.refine import init_templates, random_orthogonal
 from fedcal.structural import (
     _logsumexp,
@@ -582,11 +582,13 @@ class TestStructuralLossEgo:
         structural = (f, batch, templates)
         local = agg.restrict(np.setdiff1d(np.arange(40), 7))
         with pytest.raises(ValueError, match="^batch node 7 is not in the aggregator's rows$"):
-            total_loss(params, g, local, None, structural)
+            total_loss(params, g, local, forward(params, g, local), None, structural)
         # a row set that ends before a batch node and an empty one are caught alike
         for rows, first in ((np.arange(5), 7), (np.arange(0), 3)):
+            restricted = agg.restrict(rows)
             with pytest.raises(ValueError, match=f"^batch node {first} is not in"):
-                total_loss(params, g, agg.restrict(rows), None, structural)
+                total_loss(params, g, restricted, forward(params, g, restricted),
+                           None, structural)
 
     def test_equals_per_node_reference(self):
         # isolated nodes with zero ego rows give zero rings; node 3 appears twice
