@@ -3,14 +3,16 @@
 Each round the server broadcasts the current anchors and templates;
 every client recomputes its calibration rotation and template matching,
 freezes them and runs a few full-batch gradient epochs on the combined
-objective. Its round ends in three parts (``ClientRoundResult``): the
-params and rotation it keeps, the upload, and scalar metrics. The upload
-is two reports of manifold statistics only: calibrated class means with
-per-class losses, and radial sequences with their matching. The metrics
-are the simulator's history, which the server never reads. Behind a
-barrier, ``server_step`` stacks the round's reports into two pools
-(``semantic_pool``, ``structural_pool``) once and refines the anchors and
-templates from those arrays alone; the upload format is known here only.
+objective. Its round ends in four parts (``ClientRoundResult``): the
+params and rotation it keeps, the upload, scalar metrics, and whether its
+matching converged. The upload is two reports of manifold statistics
+only, each made of arrays: calibrated class means with per-class losses,
+and radial sequences with their assignment matrix. The metrics go to the
+history and the convergence flag to the console tally; the server reads
+neither. Behind a barrier, ``server_step`` stacks the round's reports
+into two pools (``semantic_pool``, ``structural_pool``) once and refines
+the anchors and templates from those arrays alone; the upload format is
+known here only.
 Models are fully personalized: no parameter averaging happens anywhere,
 the only thing exchanged is manifold statistics.
 
@@ -56,7 +58,7 @@ from .semantic import (
     procrustes,
     semantic_per_class_loss,
 )
-from .structural import MatchingMatrix, radial_sequences_from_rings, sinkhorn_match
+from .structural import radial_sequences_from_rings, sinkhorn_match
 
 __all__ = [
     "FederationConfig",
@@ -242,6 +244,11 @@ class HistoryRow:
 
 @dataclass
 class FederationResult:
+    """A finished run: its history, the clients' final state, the final
+    global manifolds and the Sinkhorn tally. Both counts are read from the
+    client rounds' ``ClientRoundResult.converged``, so a run without the
+    structural term counts 0 of 0."""
+
     records: list                       # HistoryRow per client per round, as in history.csv
     clients: list
     anchors: np.ndarray                 # (d, C)
@@ -330,24 +337,25 @@ class SemanticReport:
 
 @dataclass
 class StructuralReport:
-    """Client upload: sampled radial sequences and their matching matrix.
+    """Client upload: sampled radial sequences and their assignment matrix.
 
-    radials is the (B, 2, d) float64 batch the client matched; matching.f
-    is its B x Q assignment. A client without the structural term uploads
-    none.
+    radials is the (B, 2, d) float64 batch the client matched, from its
+    closing forward; f is the (B, Q) matching that the round's losses
+    read. A client without the structural term uploads none.
     """
 
     radials: np.ndarray
-    matching: MatchingMatrix
+    f: np.ndarray
 
 
 @dataclass
 class ClientRoundResult:
-    """One client's round in three parts, split by who may read them."""
+    """One client's round in four parts, split by who may read them."""
 
     local: tuple        # (params, rotation): written back into the ClientState
     upload: tuple       # (SemanticReport, StructuralReport or None): all the server reads
     metrics: tuple      # (ce, sem, stru, val_metric, test_metric) floats, in HistoryRow order
+    converged: bool | None  # the matching's, for the console tally; None if none ran
 
 
 def sample_structural_batch(g: Graph, batch_size: int, seed) -> np.ndarray:
@@ -365,7 +373,8 @@ def run_client_round(state: ClientState, anchors: np.ndarray,
     """One client's full round; pure in state, safe to run concurrently.
 
     Only ``upload`` leaves the client for the server (``server_step``);
-    ``local`` stays with the client and ``metrics`` goes to the history.
+    ``local`` stays with the client, ``metrics`` goes to the history and
+    ``converged`` to the run's Sinkhorn tally.
     """
     g = state.graph
     params = state.params
@@ -383,7 +392,7 @@ def run_client_round(state: ClientState, anchors: np.ndarray,
     rotation = procrustes(p, present, anchors)
 
     semantic = (rotation, anchors) if cfg.semantic_enabled else None
-    structural = None
+    structural = converged = None
     if cfg.structural_enabled:
         radials = radial_sequences_from_rings(cache.rings, batch)
         matching = sinkhorn_match(
@@ -391,6 +400,7 @@ def run_client_round(state: ClientState, anchors: np.ndarray,
             max_iters=cfg.sinkhorn_iters, tol=cfg.sinkhorn_tol,
         )
         structural = (matching.f, batch, templates)
+        converged = matching.converged
 
     for epoch in range(cfg.local_epochs):
         t = round_idx * cfg.local_epochs + epoch
@@ -415,7 +425,7 @@ def run_client_round(state: ClientState, anchors: np.ndarray,
     structural_report = None
     if cfg.structural_enabled:
         final_radials = radial_sequences_from_rings(final_cache.rings, batch)
-        structural_report = StructuralReport(radials=final_radials, matching=matching)
+        structural_report = StructuralReport(radials=final_radials, f=matching.f)
 
     val = _metric_from_logits(final_cache.logits, g, "val", cfg.task_metric)
     test = _metric_from_logits(final_cache.logits, g, "test", cfg.task_metric)
@@ -424,6 +434,7 @@ def run_client_round(state: ClientState, anchors: np.ndarray,
         local=(params, rotation),
         upload=(semantic_report, structural_report),
         metrics=tuple(float(m) for m in (ce, sem, stru, val, test)),
+        converged=converged,
     )
 
 
@@ -484,7 +495,7 @@ def structural_pool(reports):
     """The structural reports concatenated in client order as ``(f, alphas,
     rows)``, of shapes (N, Q), (N,) and (N, 2, d) for N radials in all."""
     rows = np.concatenate([rep.radials for rep in reports])
-    f = np.concatenate([rep.matching.f for rep in reports])
+    f = np.concatenate([rep.f for rep in reports])
     return f, intra_distances(rows), rows
 
 
@@ -533,7 +544,7 @@ _STRICT = partial(np.errstate, over="raise", invalid="raise", divide="raise")
 def _run_rounds(cfg: FederationConfig, map_clients) -> FederationResult:
     clients, anchors, templates, _ = setup_federation(cfg)
     records = []
-    unconverged = 0
+    converged = []
     for round_idx in range(cfg.rounds):
         def one(state):
             try:
@@ -549,21 +560,20 @@ def _run_rounds(cfg: FederationConfig, map_clients) -> FederationResult:
         for state, res in zip(clients, results):
             state.params, state.rotation = res.local
 
-        uploads = [res.upload for res in results]
-        unconverged += sum(not s.matching.converged for _, s in uploads if s is not None)
+        converged += [res.converged for res in results if res.converged is not None]
         try:
             with _STRICT():
-                anchors, templates, drift, gw_mean = server_step(anchors, templates,
-                                                                 uploads, cfg)
+                anchors, templates, drift, gw_mean = server_step(
+                    anchors, templates, [res.upload for res in results], cfg)
         except Exception as exc:
             raise FederationError(f"server failed at round {round_idx}: {exc}") from exc
 
         records += [HistoryRow(round_idx, state.client_id, *res.metrics, drift, gw_mean)
                     for state, res in zip(clients, results)]
-    calls = cfg.rounds * len(clients) if cfg.structural_enabled else 0
     return FederationResult(records=records, clients=clients,
                             anchors=anchors, templates=templates,
-                            sinkhorn_calls=calls, sinkhorn_unconverged=unconverged)
+                            sinkhorn_calls=len(converged),
+                            sinkhorn_unconverged=converged.count(False))
 
 
 _HISTORY_COLUMNS = [f.name for f in fields(HistoryRow)]

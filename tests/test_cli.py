@@ -496,6 +496,23 @@ class TestRunCommand:
         assert "dataset.p_out" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_boolean_fails_before_work(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SMOKE + "output.embeddings = maybe\n")
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: bad value for output.embeddings: "
+                                           "expected a boolean, got 'maybe'\n")
+        assert not out.exists()
+
+    def test_gen_data_refuses_a_files_config(self, tmp_path, capsys):
+        cfg = tmp_path / "files.cfg"
+        cfg.write_text(SMOKE_FILES)
+        out = tmp_path / "data"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: gen-data needs dataset.kind = synthetic\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "gen-data"])
     @pytest.mark.parametrize("via, below", [
         ("--out", "out"),
@@ -564,20 +581,29 @@ class TestRunCommand:
     ])
     def test_final_line_counts_unconverged_sinkhorn(self, tmp_path, capsys, monkeypatch,
                                                    extra, ablate, count):
-        flags = []
+        flags, parts = [], []
 
         def tallied(*args, **kwargs):
             match = sinkhorn_match(*args, **kwargs)
             flags.append(match.converged)
             return match
 
+        def recorded(*args, run=fedsim.run_client_round):
+            res = run(*args)
+            parts.append(res.converged)
+            return res
+
         monkeypatch.setattr(fedsim, "sinkhorn_match", tallied)
+        monkeypatch.setattr(fedsim, "run_client_round", recorded)
         cfg = tmp_path / "c.cfg"
         cfg.write_text(SMOKE + extra)
         out = str(tmp_path / "run")
         assert main(["run", "--config", str(cfg), "--out", out] + ablate) == 0
         last = capsys.readouterr().out.strip().split("\n")[-1]
         assert count == f"{flags.count(False)}/{len(flags)}"
+        # the tally reads each round result's converged part, None without a
+        # matching: SMOKE runs 2 rounds of 3 clients
+        assert parts == ([None] * 6 if ablate else flags)
         assert f"sinkhorn unconverged {count} -> " in last
         for name in ("history.csv", "summary.json"):
             assert "unconverged" not in Path(os.path.join(out, name)).read_text()

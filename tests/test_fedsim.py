@@ -298,7 +298,7 @@ class TestRunFederation:
             for r in results:
                 (params, rotation), (sem, stru) = r.local, r.upload
                 arrays += [params.w_ego, params.w_cls, params.b_cls, rotation,
-                           sem.k, sem.per_class_loss, stru.radials, stru.matching.f,
+                           sem.k, sem.per_class_loss, stru.radials, stru.f,
                            np.array(r.metrics)]
             return arrays
 
@@ -387,13 +387,13 @@ class TestPrivacyStructure:
         sem_fields = {f.name for f in dataclasses.fields(SemanticReport)}
         str_fields = {f.name for f in dataclasses.fields(StructuralReport)}
         assert sem_fields == {"k", "present_mask", "per_class_loss"}
-        assert str_fields == {"radials", "matching"}
+        assert str_fields == {"radials", "f"}
 
-    def test_client_round_has_three_parts(self):
+    def test_client_round_has_four_parts(self):
         from fedcal.fedsim import ClientRoundResult
 
         parts = [f.name for f in dataclasses.fields(ClientRoundResult)]
-        assert parts == ["local", "upload", "metrics"]
+        assert parts == ["local", "upload", "metrics", "converged"]
 
     def test_reports_reference_no_graph_or_params(self):
         cfg = tiny_config(rounds=1)
@@ -403,6 +403,9 @@ class TestPrivacyStructure:
         for report in res.upload:
             for value in vars(report).values():
                 assert not isinstance(value, (Graph, ModelParams, ClientState))
+                # every uploaded field is a bare array, none a solver's result object
+                assert type(value) is np.ndarray
+        assert isinstance(res.converged, bool)
 
     @pytest.mark.parametrize("kw", [{}, dict(structural_enabled=False),
                                     dict(refine_enabled=False)],
@@ -460,7 +463,7 @@ class TestPools:
         n = sum(len(stru.radials) for stru in strs)
         assert (f.shape, alphas.shape, rows.shape) == ((n, cfg.num_templates), (n,),
                                                        (n, 2, cfg.embed_dim))
-        assert f.tobytes() == np.concatenate([s.matching.f for s in strs]).tobytes()
+        assert f.tobytes() == np.concatenate([s.f for s in strs]).tobytes()
         assert rows.tobytes() == np.concatenate([s.radials for s in strs]).tobytes()
         assert alphas.tolist() == [float(np.linalg.norm(p[0] - p[1])) for p in rows]
 
@@ -538,6 +541,22 @@ class TestEvaluate:
         state = ClientState(0, g, HopAggregator(g), init_params(1, 2, 2, 0))
         with pytest.raises(ValueError):
             evaluate(state, "train", "accuracy")
+
+    def test_unknown_metric_name(self):
+        labels = np.array([0, 1])
+        g = Graph.from_edges(np.zeros((2, 1)), labels, [])
+        g = dataclasses.replace(g, split=np.full(2, 3))
+        state = ClientState(0, g, HopAggregator(g), init_params(1, 2, 2, 0))
+        with pytest.raises(ValueError, match="^unknown metric 'bogus'$"):
+            evaluate(state, "test", metric="bogus")
+
+    def test_auc_on_three_classes_raises(self):
+        labels = np.array([0, 1, 2])
+        g = Graph.from_edges(np.zeros((3, 1)), labels, [])
+        g = dataclasses.replace(g, split=np.full(3, 2))
+        state = ClientState(0, g, HopAggregator(g), init_params(1, 3, 3, 0))
+        with pytest.raises(RuntimeError, match="^auc needs a binary task$"):
+            evaluate(state, "val", "auc")
 
 
 class TestAucPairCounts:

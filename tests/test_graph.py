@@ -109,6 +109,22 @@ class TestGraphInvariants:
         with pytest.raises(ValueError, match=f"^{name} node 0 carries no label$"):
             Graph(np.zeros((2, 1)), [-1, 0], sp.csr_matrix((2, 2)), split=np.array([code, 0]))
 
+    @pytest.mark.parametrize("features, labels, adjacency, message", [
+        (np.zeros((3, 1)), [0, 0], sp.csr_matrix((3, 3)),
+         "labels length must equal node count"),
+        (np.zeros((3, 1)), [0, 0, 0], sp.csr_matrix((3, 4)),
+         "adjacency must be n x n for n nodes"),
+        (np.array([[0.0], [np.nan], [0.0]]), [0, 0, 0], sp.csr_matrix((3, 3)),
+         "features contain non-finite entries"),
+        (np.zeros((2, 1)), [0, 0], sp.csr_matrix(np.array([[0.0, 2.0], [2.0, 0.0]])),
+         "adjacency must hold unique sorted entries equal to 1"),
+    ], ids=["labels_length", "adjacency_3x4", "nan_feature", "entry_2"])
+    def test_rejects_malformed_direct_graph(self, features, labels, adjacency, message):
+        n = len(features)
+        with pytest.raises(ValueError) as raised:
+            Graph(features, labels, adjacency, split=np.zeros(n, dtype=int))
+        assert str(raised.value) == message
+
     def test_induced_subgraph_preserves_symmetry(self):
         g = generate_sbm(40, 2, 0.3, 0.1, 3, 1.0, seed=5)
         sub = induced_subgraph(g, [0, 3, 5, 7, 11, 20, 21])
@@ -163,6 +179,11 @@ class TestPartitionNonOverlapping:
 
 
 class TestPartitionOverlapping:
+    def test_rejects_more_temporary_parts_than_nodes(self):
+        # 10 clients split the graph into 2 temporary parts first
+        with pytest.raises(ValueError, match="^more temporary parts than nodes$"):
+            partition_overlapping(path_graph(1), 10, seed=0)
+
     def test_five_clients_from_whole_graph(self):
         g = generate_sbm(100, 2, 0.1, 0.02, 3, 1.0, seed=0)
         parts = partition_overlapping(g, 5, seed=0)
@@ -336,6 +357,11 @@ class TestGenerateSbm:
         with pytest.raises(ValueError):
             generate_sbm(10, 2, 0.5, 0.0, 2, -1.0, seed=0)
 
+    def test_rejects_no_nodes(self):
+        with pytest.raises(ValueError,
+                           match="^n, num_classes and feat_dim must be >= 1$"):
+            generate_sbm(0, 2, 0.5, 0.0, 2, 1.0, seed=0)
+
 
 def reference_sbm(n, num_classes, p_in, p_out, feat_dim, feat_sep, seed):
     """generate_sbm as it was before its edge draws were chunked: one
@@ -430,6 +456,21 @@ class TestFilesAndSplits:
                 num_classes=2,
             )
 
+    @pytest.mark.parametrize("files, message", [
+        ({"x": "# no rows\n", "y": "0\n", "e": ""}, "{x}: no feature rows"),
+        ({"y": "0\n-2\n1\n0\n"}, "{y}:2: label -2 out of range"),
+        ({"y": "0\n1\n0\n"}, "{y}: 3 labels for 4 feature rows"),
+        ({"e": "0 9\n"}, "{e}:1: edge (0, 9) out of range"),
+    ], ids=["no_feature_rows", "label_minus_2", "three_labels", "edge_0_9"])
+    def test_rejects_file_naming_path_and_line(self, tmp_path, files, message):
+        paths = {key: tmp_path / f"{key}.txt" for key in ("e", "x", "y")}
+        texts = {"x": "1.0\n2.0\n3.0\n4.0\n", "y": "0\n1\n0\n1\n", "e": "0 1\n2 3\n"}
+        for key, path in paths.items():
+            path.write_text(files.get(key, texts[key]))
+        with pytest.raises(ValueError) as raised:
+            load_graph(paths["e"], paths["x"], paths["y"], num_classes=2)
+        assert str(raised.value) == message.format(**paths)
+
     def test_malformed_edge_line(self, tmp_path):
         (tmp_path / "x.txt").write_text("1.0\n2.0\n")
         (tmp_path / "y.txt").write_text("0\n1\n")
@@ -516,6 +557,10 @@ class TestFilesAndSplits:
         g = path_graph(4)
         with pytest.raises(ValueError):
             split_masks(g, ratios=(0.8, 0.3, 0.3), seed=0)
+
+    def test_rejects_two_ratios(self):
+        with pytest.raises(ValueError, match="^ratios must be three non-negative numbers$"):
+            split_masks(path_graph(4), ratios=(0.5, 0.5), seed=0)
 
 
 class TestKHopSets:

@@ -45,6 +45,17 @@ def calibration_inputs(g, params, agg, seed, d, c, q=3, b=6):
 
 
 class TestForward:
+    @pytest.mark.parametrize("w_cls, b_cls, message", [
+        (np.zeros((11, 2)), np.zeros(2), "w_cls rows must equal 3 * embed dim"),
+        (np.zeros((12, 2)), np.zeros(3), "b_cls length must equal w_cls columns"),
+    ], ids=["w_cls_height", "b_cls_length"])
+    def test_rejects_misshapen_head(self, w_cls, b_cls, message):
+        g = generate_sbm(8, 2, 0.3, 0.1, 3, 1.0, seed=1)
+        params = ModelParams(w_ego=np.zeros((3, 4)), w_cls=w_cls, b_cls=b_cls)
+        with pytest.raises(ValueError) as raised:
+            forward(params, g, HopAggregator(g))
+        assert str(raised.value) == message
+
     def test_isolated_node_is_finite_with_ego_fallback(self):
         g = Graph.from_edges(np.array([[0.5, -0.2]]), [0], [])
         params = init_params(2, 3, 2, seed=0)

@@ -9,6 +9,15 @@ from fedcal.structural import l2_normalize_rows
 
 
 class TestSvd:
+    @pytest.mark.parametrize("m, message", [
+        (np.ones(3), "m must be a 2-D matrix, got ndim=1"),
+        (np.zeros((0, 0)), "svd expects dimension >= 1"),
+    ], ids=["one_d", "zero_by_zero"])
+    def test_rejects_non_matrix_and_empty(self, m, message):
+        with pytest.raises(ValueError) as raised:
+            svd(m)
+        assert str(raised.value) == message
+
     def test_identity(self):
         u, sigma, vt = svd(np.eye(3))
         assert np.allclose(u, np.eye(3))
@@ -61,6 +70,10 @@ class TestSvd:
 
 
 class TestSoftmax:
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="^softmax input contains non-finite entries$"):
+            softmax([0.0, np.nan], 1.0)
+
     def test_uniform_on_equal_inputs(self):
         assert np.allclose(softmax([0.0, 0.0, 0.0], 1.0), np.full(3, 1 / 3), atol=1e-12)
 
@@ -95,6 +108,10 @@ class TestSoftmax:
 
 
 class TestL2NormalizeRows:
+    def test_rejects_one_d_input(self):
+        with pytest.raises(ValueError, match="^m must be a 2-D matrix, got ndim=1$"):
+            l2_normalize_rows(np.array([3.0, 4.0]))
+
     def test_three_four_five(self):
         out = l2_normalize_rows(np.array([[3.0, 4.0]]))
         assert np.allclose(out, [[0.6, 0.8]], atol=1e-12)
@@ -174,6 +191,10 @@ class TestL2NormalizeRows:
 
 
 class TestRandomOrthogonal:
+    def test_rejects_dimension_zero(self):
+        with pytest.raises(ValueError, match="^dimension must be >= 1, got 0$"):
+            random_orthogonal(0, seed=0)
+
     def test_dimension_one_sign(self):
         assert np.allclose(random_orthogonal(1, 0), [[1.0]])
         assert np.allclose(random_orthogonal(1, 12345), [[1.0]])

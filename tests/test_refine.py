@@ -12,13 +12,13 @@ from fedcal.refine import (
     deviation_vectors,
     difficulty_weights,
     gram_drift,
+    init_templates,
     random_orthogonal,
     refine_all_anchors,
     refine_anchor,
     template_objective,
     update_template,
 )
-from fedcal.structural import MatchingMatrix
 from oracles import deviation_vectors_loop, difficulty_weights_loop, gw_2point
 
 
@@ -32,7 +32,7 @@ def report_at_anchors(anchors, loss=0.0):
 
 
 def make_structural_report(radial_rows, f):
-    return StructuralReport(radials=np.stack(radial_rows), matching=MatchingMatrix(f=f))
+    return StructuralReport(radials=np.stack(radial_rows), f=f)
 
 
 class TestDeviationVectors:
@@ -153,7 +153,8 @@ def _fedcal_origin(value):
 def test_refine_holds_no_structural_name_and_no_dataclass():
     import dataclasses
 
-    from fedcal import graph, model, refine, semantic, structural
+    from fedcal import fedsim, graph, model, refine, semantic, structural
+    from fedcal.structural import MatchingMatrix
 
     # refine owns the server's manifolds, and semantic and structural are
     # array math: none of the three holds a name or module of another fedcal module
@@ -167,8 +168,10 @@ def test_refine_holds_no_structural_name_and_no_dataclass():
                for name, value in vars(client).items()
                if _fedcal_origin(value) == refine.__name__]
     assert reached == []
-    # the loss takes the matching as a bare array, not the solver's result type
-    assert not any(value is MatchingMatrix for value in vars(model).values())
+    # the loss and the upload take the matching as a bare array, not the
+    # solver's result type
+    for module in (model, fedsim):
+        assert not any(value is MatchingMatrix for value in vars(module).values())
 
 
 class TestConstraintVector:
@@ -244,6 +247,23 @@ class TestRefineAnchor:
     def test_rejects_denormalized_anchor(self):
         with pytest.raises(ValueError):
             refine_anchor(np.array([2.0, 0.0]), np.zeros(2), 0.5, np.zeros(2), 0.1)
+
+    def test_step_onto_the_origin_rejected(self):
+        # the candidate is the origin and eta = 2 lets the full step through
+        delta = np.array([0.0, 1.0, 0.0])
+        with pytest.raises(RuntimeError, match="^anchor update collapsed to the origin; "
+                                               "projection undefined$"):
+            refine_anchor(delta, -delta, 1.0, np.zeros(3), 2.0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: construct_etf(1, 4, seed=0), "need at least two classes"),
+    (lambda: init_templates(0, 4, seed=0), "need at least one template"),
+], ids=["etf_one_class", "no_templates"])
+def test_global_manifold_builders_reject_empty_sizes(build, message):
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert str(raised.value) == message
 
 
 class TestRefineAllAnchors:
@@ -433,7 +453,7 @@ def reference_collect(reports, q):
     weights, alphas, rows = [], [], []
     for rep in reports:
         for i, r in enumerate(rep.radials):
-            weights.append(float(rep.matching.f[i, q]))
+            weights.append(float(rep.f[i, q]))
             alphas.append(float(np.linalg.norm(r[0] - r[1])))
             rows.append(r)
     return np.array(weights), np.array(alphas), rows

@@ -43,6 +43,10 @@ class TestSampling:
         batch = sample_structural_batch(g, 10, seed=0)
         assert sorted(batch.tolist()) == list(range(10))
 
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="^batch_size must be >= 1$"):
+            sample_structural_batch(star_graph(4), 0, seed=0)
+
     def test_oversized_batch_clamped(self):
         g = star_graph(4)
         batch = sample_structural_batch(g, 100, seed=0)
@@ -418,6 +422,12 @@ class TestLogsumexp:
 
 
 class TestStructuralLoss:
+    def test_matching_of_the_wrong_shape_rejected(self):
+        radials = random_radials(3, 4, seed=9)
+        with pytest.raises(ValueError,
+                           match=r"^matching shape \(2, 2\) does not fit B=3, Q=2$"):
+            structural_loss(np.ones((2, 2)), radials, init_templates(2, 4, seed=9))
+
     def test_zero_at_hard_assigned_templates(self):
         radials = random_radials(3, 4, seed=10)
         templates = radials.copy()
