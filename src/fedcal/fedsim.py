@@ -385,10 +385,11 @@ def run_client_round(state: ClientState, anchors: np.ndarray,
             g, cfg.batch_nodes, seed=(cfg.seed, _TAG_BATCH, state.client_id, round_idx)
         )
     train = np.flatnonzero(g.train_mask)        # the losses read rings on train and batch
+    labels = g.labels[train]
     local = state.agg.restrict(train if batch is None else np.union1d(train, batch))
 
     cache = forward(params, g, local)
-    p, present = class_means(cache.ego, g.labels, g.train_mask, cfg.num_classes)
+    p, present = class_means(cache.ego[train], labels, cfg.num_classes)
     rotation = procrustes(p, present, anchors)
 
     semantic = (rotation, anchors) if cfg.semantic_enabled else None
@@ -412,16 +413,11 @@ def run_client_round(state: ClientState, anchors: np.ndarray,
     _, (ce, sem, stru), _ = total_loss(params, g, local, forward(params, g, local),
                                        semantic, structural)
 
-    final_p, final_present = class_means(final_cache.ego, g.labels, g.train_mask,
-                                         cfg.num_classes)
-    k = rotation @ final_p
-    k[:, ~final_present] = 0.0
-    per_class = semantic_per_class_loss(
-        final_cache.ego, g.labels, g.train_mask, rotation, anchors
-    )
-    semantic_report = SemanticReport(
-        k=k, present_mask=final_present, per_class_loss=per_class
-    )
+    final_ego = final_cache.ego[train]
+    k = rotation @ class_means(final_ego, labels, cfg.num_classes)[0]
+    k[:, ~present] = 0.0                        # the labels, so present, never change
+    per_class = semantic_per_class_loss(final_ego, labels, rotation, anchors)
+    semantic_report = SemanticReport(k=k, present_mask=present, per_class_loss=per_class)
     structural_report = None
     if cfg.structural_enabled:
         final_radials = radial_sequences_from_rings(final_cache.rings, batch)
@@ -477,6 +473,8 @@ def evaluate(state: ClientState, split: str, metric: str = "accuracy") -> float:
     """Validation or test metric of one client's current model."""
     if split not in ("val", "test"):
         raise ValueError(f"split must be 'val' or 'test', got {split!r}")
+    if metric not in ("accuracy", "auc"):
+        raise ValueError(f"unknown metric {metric!r}")
     cache = forward(state.params, state.graph, state.agg)
     return _metric_from_logits(cache.logits, state.graph, split, metric)
 

@@ -447,7 +447,7 @@ def split_masks(g: Graph, ratios=(0.2, 0.4, 0.4), seed=0) -> Graph:
     1 - sum(ratios)).
     """
     ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
+    if len(ratios) != 3 or not all(r >= 0 for r in ratios):    # NaN fails too
         raise ValueError("ratios must be three non-negative numbers")
     if sum(ratios) > 1.0 + 1e-12:
         raise ValueError("ratios must sum to at most 1")

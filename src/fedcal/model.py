@@ -86,21 +86,17 @@ def forward(params: ModelParams, g: Graph, agg: HopAggregator) -> ForwardCache:
     return ForwardCache(ego=ego, rings=rings, blocks=blocks, logits=logits)
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray, train_mask: np.ndarray):
-    """Mean CE over train nodes; returns (loss, gradient wrt logits)."""
-    train = np.nonzero(train_mask)[0]
-    if len(train) == 0:
+def cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    """Mean CE of the train rows' logits; returns (loss, gradient on those rows)."""
+    if len(logits) == 0:
         raise RuntimeError("cross_entropy needs at least one train node")
-    z = logits[train]
-    z = z - z.max(axis=1, keepdims=True)
+    z = logits - logits.max(axis=1, keepdims=True)
     log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    y = labels[train]
-    loss = float(-log_probs[np.arange(len(train)), y].mean())
-    grad = np.zeros_like(logits)
+    rows = np.arange(len(labels))
+    loss = float(-log_probs[rows, labels].mean())
     probs = np.exp(log_probs)
-    probs[np.arange(len(train)), y] -= 1.0
-    grad[train] = probs / len(train)
-    return loss, grad
+    probs[rows, labels] -= 1.0
+    return loss, probs / len(labels)
 
 
 def total_loss(params: ModelParams, g: Graph, agg: HopAggregator,
@@ -118,24 +114,29 @@ def total_loss(params: ModelParams, g: Graph, agg: HopAggregator,
     run. They are constants of the local round: no gradient flows into
     them. agg is g's ring operator with rows covering train and batch nodes
     (ValueError names a missing one, whose ring means would read as zeros).
-    The CE gradient is zero off agg.rows, so the head's gradients are taken
-    at agg.rows with the same bits, their ring pairs passed to agg.backward
-    as one array. The structural term reuses the forward's ring means; its
-    gradient on the batch's ring pairs is scattered onto agg.rows with
-    add.at, so a node listed twice gets both, and pulled back by a second
-    agg.backward. Returns (total, (ce, semantic, structural), grads), grads
-    a ModelParams of gradients; the calibration terms reach only w_ego, the
-    CE term also reaches the classifier.
+    Only total_loss reads g.train_mask: cross_entropy and semantic_loss get
+    the train nodes' rows. The CE rows' gradient fills a (len(agg.rows), C)
+    head gradient, zero elsewhere, whose ring pairs pass to agg.backward as
+    one array; the semantic one is added at the train egos. The structural
+    term reuses the forward's ring means; its gradient on the batch's ring
+    pairs is scattered onto agg.rows with add.at, so a node listed twice
+    gets both, and pulled back by a second agg.backward. Returns (total,
+    (ce, semantic, structural), grads), grads a ModelParams of gradients;
+    the calibration terms reach only w_ego, the CE term also reaches the
+    classifier.
     """
-    if np.count_nonzero(g.train_mask[agg.rows]) < np.count_nonzero(g.train_mask):
+    at = agg.rows
+    train = np.flatnonzero(g.train_mask[at])       # positions of the train nodes in at
+    if len(train) < np.count_nonzero(g.train_mask):
         agg.positions(np.flatnonzero(g.train_mask), "train")    # raises, naming the node
     if structural is not None:
         at_batch = agg.positions(structural[1], "batch")        # its batch
+    nodes = at[train]
     d = cache.ego.shape[1]
 
-    ce, g_logits = cross_entropy(cache.logits, g.labels, g.train_mask)
-    at = agg.rows                                  # g_logits is zero off these rows
-    g_head = g_logits[at]
+    ce, g_ce = cross_entropy(cache.logits[nodes], g.labels[nodes])
+    g_head = np.zeros((len(at), g_ce.shape[1]))   # zero at the non-train rows
+    g_head[train] = g_ce
     g_wcls = cache.blocks[at].T @ g_head
     g_bcls = g_head.sum(axis=0)
     g_blocks = (g_head @ params.w_cls.T).reshape(len(at), 3, d)
@@ -144,8 +145,8 @@ def total_loss(params: ModelParams, g: Graph, agg: HopAggregator,
 
     sem = 0.0
     if semantic is not None:
-        sem, g_sem = semantic_loss(cache.ego, g.labels, g.train_mask, *semantic)
-        g_ego += g_sem
+        sem, g_sem = semantic_loss(cache.ego[nodes], g.labels[nodes], *semantic)
+        g_ego[nodes] += g_sem
 
     stru = 0.0
     if structural is not None:
@@ -176,6 +177,6 @@ def sgd_step(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
 
 def lr_schedule(t: int, lr0: float, decay_steps: float) -> float:
     """lr0 / (1 + t/decay_steps): diverging sum, converging sum of squares."""
-    if lr0 <= 0 or decay_steps <= 0:
+    if not (lr0 > 0 and decay_steps > 0):          # NaN fails too
         raise ValueError("lr0 and decay_steps must be positive")
     return lr0 / (1.0 + t / decay_steps)

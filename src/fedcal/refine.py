@@ -165,6 +165,8 @@ def refine_anchor(delta_i: np.ndarray, v_i: np.ndarray, gamma_i: float,
     chord never exceeds eta, and the result is renormalized to the unit
     sphere.
     """
+    if not 0 < eta < np.inf:
+        raise ValueError(f"eta must be finite and positive, got {eta}")
     norm = np.linalg.norm(delta_i)
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(f"anchor norm {norm} is not 1 within 1e-6")

@@ -10,9 +10,10 @@ its label.
 A client's semantic manifold is its d x C array p of class means with a
 (C,) boolean mask of the classes present in its train split, and its
 calibration rotation is a bare orthogonal d x d array r.
-Embeddings are column vectors here: calibration is r @ h.
-Per-client losses are normalized by the labeled-train count so the
-three local loss terms share a scale.
+Embeddings are column vectors here: calibration is r @ h. The functions
+take the labeled train nodes' rows, as the caller selects them, and read
+no split mask. Per-client losses are normalized by the labeled-train
+count so the three local loss terms share a scale.
 """
 
 from __future__ import annotations
@@ -28,19 +29,18 @@ __all__ = [
 ]
 
 
-def class_means(ego: np.ndarray, labels: np.ndarray, train_mask: np.ndarray,
-                num_classes: int):
-    """Per-class mean ego-embeddings as (p, present).
+def class_means(ego: np.ndarray, labels: np.ndarray, num_classes: int):
+    """Per-class mean rows of ego as (p, present).
 
-    Column c of the (d, C) array p is the mean ego-embedding over labeled
-    train nodes of class c. A class with no such node keeps a zero column
-    and a False entry in the (C,) bool mask present.
+    ego holds the labeled train nodes' ego-embeddings and labels their
+    classes. Column c of the (d, C) array p is the mean of the rows of
+    class c. A class with no row keeps a zero column and a False entry in
+    the (C,) bool mask present.
     """
-    d = ego.shape[1]
-    p = np.zeros((d, num_classes))
+    p = np.zeros((ego.shape[1], num_classes))
     present = np.zeros(num_classes, dtype=bool)
     for c in range(num_classes):
-        rows = np.nonzero(train_mask & (labels == c))[0]
+        rows = np.flatnonzero(labels == c)
         if len(rows):
             p[:, c] = ego[rows].mean(axis=0)
             present[c] = True
@@ -84,31 +84,27 @@ def procrustes(p: np.ndarray, present: np.ndarray, anchors: np.ndarray) -> np.nd
     return u @ vt
 
 
-def semantic_loss(ego: np.ndarray, labels: np.ndarray, train_mask: np.ndarray,
-                  rotation: np.ndarray, anchors: np.ndarray):
+def semantic_loss(ego: np.ndarray, labels: np.ndarray, rotation: np.ndarray,
+                  anchors: np.ndarray):
     """Mean squared anchor distance of calibrated train egos, with gradient.
 
-    loss = (1/T) sum_v ||r @ h_v - delta_{y_v}||^2 over the T labeled
-    train nodes; grad wrt each such ego row is (2/T) r.T (r h - delta).
+    ego holds the T labeled train nodes' ego-embeddings and labels their
+    classes. loss = (1/T) sum_v ||r @ h_v - delta_{y_v}||^2, and the
+    returned (T, d) gradient wrt the rows is (2/T) r.T (r h - delta).
     """
-    train = np.nonzero(train_mask)[0]
-    grad = np.zeros_like(ego)
-    if len(train) == 0:
+    if len(ego) == 0:
         raise RuntimeError("semantic_loss needs at least one train node")
-    residual = ego[train] @ rotation.T - anchors[:, labels[train]].T
-    loss = float((residual ** 2).sum()) / len(train)
-    grad[train] = (2.0 / len(train)) * (residual @ rotation)
-    return loss, grad
+    residual = ego @ rotation.T - anchors[:, labels].T
+    loss = float((residual ** 2).sum()) / len(ego)
+    return loss, (2.0 / len(ego)) * (residual @ rotation)
 
 
 def semantic_per_class_loss(ego: np.ndarray, labels: np.ndarray,
-                            train_mask: np.ndarray,
-                            rotation: np.ndarray,
-                            anchors: np.ndarray) -> np.ndarray:
-    """Class-conditional mean of the squared anchor distances (0 if absent)."""
+                            rotation: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """Per-class mean of the train rows' squared anchor distances (0 if absent)."""
     out = np.zeros(anchors.shape[1])
     for cls in range(len(out)):
-        rows = np.nonzero(train_mask & (labels == cls))[0]
+        rows = np.flatnonzero(labels == cls)
         if len(rows):
             residual = ego[rows] @ rotation.T - anchors[:, cls]
             out[cls] = float((residual ** 2).sum(axis=1).mean())

@@ -407,6 +407,32 @@ class TestPrivacyStructure:
                 assert type(value) is np.ndarray
         assert isinstance(res.converged, bool)
 
+    def test_semantic_summaries_read_the_train_rows(self, monkeypatch):
+        # the round selects the train nodes' rows; no other node's ego counts
+        cfg = tiny_config(rounds=1)
+        clients, anchors, templates, _ = setup_federation(cfg)
+        state = clients[0]
+        train = np.flatnonzero(state.graph.train_mask)
+        assert 0 < len(train) < state.graph.num_nodes
+        first_ego = forward(state.params, state.graph, state.agg).ego[train]
+        seen = []
+
+        def recorded(fn):
+            def call(ego, labels, *rest):
+                seen.append((fn.__name__, ego.copy(), labels.copy()))
+                return fn(ego, labels, *rest)
+            return call
+
+        for name in ("class_means", "semantic_per_class_loss"):
+            monkeypatch.setattr(fedsim, name, recorded(getattr(fedsim, name)))
+        run_client_round(state, anchors, templates, cfg, 0)
+        assert [name for name, _, _ in seen] == ["class_means", "class_means",
+                                                  "semantic_per_class_loss"]
+        assert seen[0][1].tobytes() == first_ego.tobytes()
+        for _, ego, labels in seen:
+            assert ego.shape == (len(train), cfg.embed_dim)
+            assert np.array_equal(labels, state.graph.labels[train])
+
     @pytest.mark.parametrize("kw", [{}, dict(structural_enabled=False),
                                     dict(refine_enabled=False)],
                              ids=["full", "ablate-structural", "ablate-refinement"])
@@ -549,6 +575,22 @@ class TestEvaluate:
         state = ClientState(0, g, HopAggregator(g), init_params(1, 2, 2, 0))
         with pytest.raises(ValueError, match="^unknown metric 'bogus'$"):
             evaluate(state, "test", metric="bogus")
+
+    def test_unknown_metric_name_fails_before_any_forward(self, monkeypatch):
+        # the test split is empty, so a forward would end in another error
+        labels = np.array([0, 1])
+        g = Graph.from_edges(np.zeros((2, 1)), labels, [])
+        state = ClientState(0, g, HopAggregator(g), init_params(1, 2, 2, 0))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return forward(*args)
+
+        monkeypatch.setattr(fedsim, "forward", counted)
+        with pytest.raises(ValueError, match="^unknown metric 'bogus'$"):
+            evaluate(state, "test", metric="bogus")
+        assert calls == []
 
     def test_auc_on_three_classes_raises(self):
         labels = np.array([0, 1, 2])

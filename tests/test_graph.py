@@ -562,6 +562,11 @@ class TestFilesAndSplits:
         with pytest.raises(ValueError, match="^ratios must be three non-negative numbers$"):
             split_masks(path_graph(4), ratios=(0.5, 0.5), seed=0)
 
+    @pytest.mark.parametrize("ratios", [(np.nan, 0.4, 0.4), (0.2, 0.4, np.nan)])
+    def test_rejects_nan_ratio(self, ratios):
+        with pytest.raises(ValueError, match="^ratios must be three non-negative numbers$"):
+            split_masks(path_graph(4), ratios=ratios, seed=0)
+
 
 class TestKHopSets:
     def test_path(self):

@@ -36,7 +36,8 @@ def calibration_inputs(g, params, agg, seed, d, c, q=3, b=6):
     """total_loss's (semantic, structural) terms for g at params."""
     anchors = construct_etf(c, d, seed=seed)
     cache = forward(params, g, agg)
-    rot = procrustes(*class_means(cache.ego, g.labels, g.train_mask, c), anchors)
+    train = np.flatnonzero(g.train_mask)
+    rot = procrustes(*class_means(cache.ego[train], g.labels[train], c), anchors)
     templates = init_templates(q, d, seed=seed + 1)
     batch = sample_structural_batch(g, b, seed=seed + 2)
     radials = radial_sequences_from_rings(cache.rings, batch)
@@ -133,36 +134,35 @@ class TestCrossEntropy:
     def test_uniform_logits_binary(self):
         logits = np.zeros((4, 2))
         labels = np.array([0, 1, 0, 1])
-        mask = np.ones(4, dtype=bool)
-        loss, _ = cross_entropy(logits, labels, mask)
+        loss, _ = cross_entropy(logits, labels)
         assert abs(loss - np.log(2.0)) <= 1e-12
 
     def test_large_margin_drives_loss_to_zero(self):
         logits = np.array([[30.0, 0.0], [0.0, 30.0]])
         labels = np.array([0, 1])
-        loss, _ = cross_entropy(logits, labels, np.ones(2, dtype=bool))
+        loss, _ = cross_entropy(logits, labels)
         assert loss <= 1e-10
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         logits = rng.standard_normal((6, 3))
         labels = rng.integers(0, 3, size=6)
-        mask = np.array([True, True, False, True, False, True])
-        loss, grad = cross_entropy(logits, labels, mask)
+        loss, grad = cross_entropy(logits, labels)
+        assert grad.shape == logits.shape
         eps = 1e-5
         for idx in [(0, 0), (1, 2), (3, 1), (5, 0)]:
             bumped = logits.copy()
             bumped[idx] += eps
-            up, _ = cross_entropy(bumped, labels, mask)
+            up, _ = cross_entropy(bumped, labels)
             bumped[idx] -= 2 * eps
-            down, _ = cross_entropy(bumped, labels, mask)
+            down, _ = cross_entropy(bumped, labels)
             num = (up - down) / (2 * eps)
             assert abs(num - grad[idx]) / max(abs(num), 1e-8) <= 1e-5
-        assert np.abs(grad[2]).max() == 0.0 and np.abs(grad[4]).max() == 0.0
 
-    def test_empty_train_mask_raises(self):
-        with pytest.raises(RuntimeError):
-            cross_entropy(np.zeros((2, 2)), np.array([0, 1]), np.zeros(2, dtype=bool))
+    def test_no_train_row_raises(self):
+        with pytest.raises(RuntimeError,
+                           match="^cross_entropy needs at least one train node$"):
+            cross_entropy(np.zeros((0, 2)), np.zeros(0, dtype=int))
 
 
 class TestTotalLoss:
@@ -179,7 +179,7 @@ class TestTotalLoss:
         params = init_params(2, 2, 2, seed=6)
         agg = HopAggregator(g)
         cache = forward(params, g, agg)
-        p, present = class_means(cache.ego, g.labels, g.train_mask, 2)
+        p, present = class_means(cache.ego, g.labels, 2)     # every node trains
         rot = procrustes(p, present, construct_etf(2, 2, seed=6))
 
         anchors = rot @ p
@@ -252,6 +252,18 @@ class TestTotalLoss:
             for name in ("w_ego", "w_cls", "b_cls"):
                 assert getattr(got[2], name).tobytes() == getattr(want[2], name).tobytes()
         assert [a.tobytes() for a in arrays] == before
+
+    @pytest.mark.parametrize("field", ["logits", "ego"])
+    def test_only_train_rows_reach_ce_and_semantic(self, field):
+        # a non-train row of the cache is never handed to a term's rows
+        g, params, agg = small_instance(4, n=30, train_ratio=0.3)
+        semantic, _ = calibration_inputs(g, params, agg, 4, 4, 3)
+        cache = forward(params, g, agg)
+        _, (ce, sem, _), _ = total_loss(params, g, agg, cache, semantic)
+        off = np.flatnonzero(~g.train_mask)[0]
+        getattr(cache, field)[off] = 1e3
+        _, (ce_off, sem_off, _), _ = total_loss(params, g, agg, cache, semantic)
+        assert repr((ce_off, sem_off)) == repr((ce, sem))
 
     def test_classifier_untouched_by_calibration_terms(self):
         g, params, agg = small_instance(8)
@@ -404,6 +416,10 @@ class TestSgdAndSchedule:
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             lr_schedule(0, 0.0, 10.0)
+        for lr0, decay_steps in ((np.nan, 10.0), (0.1, np.nan)):
+            with pytest.raises(ValueError, match="^lr0 and decay_steps must be positive$"):
+                lr_schedule(3, lr0, decay_steps)
+        assert lr_schedule(3, 0.1, np.inf) == 0.1
         with pytest.raises(ValueError):
             sgd_step(init_params(2, 2, 2, 0),
                      ModelParams(np.zeros((2, 2)), np.zeros((6, 2)), np.zeros(2)),

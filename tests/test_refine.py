@@ -248,6 +248,13 @@ class TestRefineAnchor:
         with pytest.raises(ValueError):
             refine_anchor(np.array([2.0, 0.0]), np.zeros(2), 0.5, np.zeros(2), 0.1)
 
+    @pytest.mark.parametrize("eta", [np.nan, -1.0, 0.0, np.inf])
+    def test_rejects_eta_not_finite_and_positive(self, eta):
+        # nan would skip the clip (min(1, nan) is 1) and -1 would step backwards
+        delta = np.array([1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=f"^eta must be finite and positive, got {eta}$"):
+            refine_anchor(delta, np.array([0.0, 10.0, 0.0]), 1.0, np.zeros(3), eta)
+
     def test_step_onto_the_origin_rejected(self):
         # the candidate is the origin and eta = 2 lets the full step through
         delta = np.array([0.0, 1.0, 0.0])
