@@ -126,6 +126,38 @@ def _one_of(*choices):
     return (lambda v: v in choices, " or ".join(choices))
 
 
+def _accuracy(logits, y, split: str) -> float:
+    """Share of the rows whose largest logit is at their label."""
+    return float((logits.argmax(axis=1) == y).mean())
+
+
+def _auc(logits, y, split: str) -> float:
+    """Mann-Whitney U / (n_pos * n_neg) of the positive-class probability
+    p1, from exact pair counts: each positive scores 2 per lower and 1 per
+    tied negative, so the integer total is 2U. NaN gives NaN."""
+    if logits.shape[1] != 2:
+        raise RuntimeError("auc needs a binary task")
+    pos = y == 1
+    n_pos = int(pos.sum())
+    n_neg = len(y) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise RuntimeError(f"{split} split holds a single class; auc undefined")
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    p1 = e[:, 1] / e.sum(axis=1)
+    if np.isnan(p1).any():
+        return float("nan")
+    neg = np.sort(p1[~pos])
+    wins = (np.searchsorted(neg, p1[pos], "left")
+            + np.searchsorted(neg, p1[pos], "right"))
+    return float(wins.sum() / (2 * n_pos * n_neg))
+
+
+# every task metric by its federation.metric name: the scorer of a split's
+# logits and labels
+_METRICS = {"accuracy": _accuracy, "auc": _auc}
+
+
 @dataclass
 class FederationConfig:
     """One run's settings: each field but the three ``*_enabled`` flags,
@@ -151,7 +183,7 @@ class FederationConfig:
     seed: int = config_key("federation.seed", 0, _AT_LEAST_0)
     partition_mode: str = config_key("partition.mode", "non-overlapping",
                                      _one_of("non-overlapping", "overlapping"))
-    task_metric: str = config_key("federation.metric", "accuracy", _one_of("accuracy", "auc"))
+    task_metric: str = config_key("federation.metric", "accuracy", _one_of(*_METRICS))
     # where the root graph comes from: a seeded generator or three files
     dataset_kind: str = config_key("dataset.kind", "synthetic", _one_of("synthetic", "files"))
     nodes: int = config_key("dataset.nodes", 600, _DIMENSION, only="synthetic")
@@ -175,7 +207,13 @@ class FederationConfig:
         synthetic = self.dataset_kind == "synthetic"
         for f in fields(self):
             rule, value = f.metadata.get("rule"), getattr(self, f.name)
-            if rule and f.metadata["only"] in (None, self.dataset_kind) and not rule[0](value):
+            if f.metadata.get("only") not in (None, self.dataset_kind):
+                continue
+            # f.type is the annotation's text; a bool is an int to isinstance
+            if f.type == "int" and (isinstance(value, bool)
+                                    or not isinstance(value, (int, np.integer))):
+                raise ValueError(f"{f.metadata['key']} must be an integer, got {value!r}")
+            if rule and not rule[0](value):
                 raise ValueError(f"{f.metadata['key']} must be {rule[1]}, got {value!r}")
         paths = {f.metadata["key"]: getattr(self, f.name) for f in kind_fields("files")}
         given = [key for key, path in paths.items() if path is not None]
@@ -395,7 +433,7 @@ def run_client_round(state: ClientState, anchors: np.ndarray,
     semantic = (rotation, anchors) if cfg.semantic_enabled else None
     structural = converged = None
     if cfg.structural_enabled:
-        radials = radial_sequences_from_rings(cache.rings, batch)
+        radials = radial_sequences_from_rings(cache.rings[batch])
         matching = sinkhorn_match(
             radials, templates, epsilon=cfg.sinkhorn_epsilon,
             max_iters=cfg.sinkhorn_iters, tol=cfg.sinkhorn_tol,
@@ -420,7 +458,7 @@ def run_client_round(state: ClientState, anchors: np.ndarray,
     semantic_report = SemanticReport(k=k, present_mask=present, per_class_loss=per_class)
     structural_report = None
     if cfg.structural_enabled:
-        final_radials = radial_sequences_from_rings(final_cache.rings, batch)
+        final_radials = radial_sequences_from_rings(final_cache.rings[batch])
         structural_report = StructuralReport(radials=final_radials, f=matching.f)
 
     val = _metric_from_logits(final_cache.logits, g, "val", cfg.task_metric)
@@ -435,45 +473,19 @@ def run_client_round(state: ClientState, anchors: np.ndarray,
 
 
 def _metric_from_logits(logits, g: Graph, split: str, metric: str) -> float:
-    """Accuracy or AUC of the logits on the split's nodes, all labeled.
-
-    AUC is the Mann-Whitney U / (n_pos * n_neg) of the positive-class
-    probability p1, from exact pair counts: each positive scores 2 per
-    lower and 1 per tied negative, so the integer total is 2U. NaN gives NaN.
-    """
+    """The metric named by a _METRICS key on the split's nodes, all labeled."""
     mask = g.val_mask if split == "val" else g.test_mask
     y = g.labels[mask]
     if len(y) == 0:
         raise RuntimeError(f"{split} split is empty")
-    if metric == "accuracy":
-        pred = logits[mask].argmax(axis=1)
-        return float((pred == y).mean())
-    if metric == "auc":
-        if logits.shape[1] != 2:
-            raise RuntimeError("auc needs a binary task")
-        pos = y == 1
-        n_pos = int(pos.sum())
-        n_neg = len(y) - n_pos
-        if n_pos == 0 or n_neg == 0:
-            raise RuntimeError(f"{split} split holds a single class; auc undefined")
-        z = logits[mask]
-        z = z - z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        p1 = e[:, 1] / e.sum(axis=1)
-        if np.isnan(p1).any():
-            return float("nan")
-        neg = np.sort(p1[~pos])
-        wins = (np.searchsorted(neg, p1[pos], "left")
-                + np.searchsorted(neg, p1[pos], "right"))
-        return float(wins.sum() / (2 * n_pos * n_neg))
-    raise ValueError(f"unknown metric {metric!r}")
+    return _METRICS[metric](logits[mask], y, split)
 
 
 def evaluate(state: ClientState, split: str, metric: str = "accuracy") -> float:
     """Validation or test metric of one client's current model."""
     if split not in ("val", "test"):
         raise ValueError(f"split must be 'val' or 'test', got {split!r}")
-    if metric not in ("accuracy", "auc"):
+    if metric not in _METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     cache = forward(state.params, state.graph, state.agg)
     return _metric_from_logits(cache.logits, state.graph, split, metric)

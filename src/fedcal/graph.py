@@ -120,15 +120,26 @@ class Graph:
     def from_edges(cls, features, labels, edges) -> "Graph":
         """Build an unsplit Graph from an (m, 2) array-like of (u, v) pairs.
 
-        Edges are symmetrized and deduplicated; self-loops are dropped.
+        Edges are symmetrized and deduplicated; self-loops are dropped. A
+        node id that is not a whole number or not in [0, n) raises
+        ValueError naming its edge; both checks run before the int cast,
+        which would truncate 1.7 to 1 and overflow at 1e20.
         """
         features = np.asarray(features, dtype=np.float64)
         n = features.shape[0]
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        edges = np.asarray(edges).reshape(-1, 2)
+        if edges.dtype.kind not in "biuf":           # digit strings parse as ids
+            edges = edges.astype(np.int64)
+        if edges.dtype.kind == "f":
+            bad = np.nonzero((edges != np.floor(edges)).any(axis=1))[0]     # NaN too
+            if len(bad):
+                u, v = edges[bad[0]]
+                raise ValueError(f"edge ({u}, {v}) holds a node id that is not an integer")
         bad = np.nonzero(((edges < 0) | (edges >= n)).any(axis=1))[0]
         if len(bad):
             u, v = edges[bad[0]]
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        edges = edges.astype(np.int64, copy=False)
         u, v = edges[edges[:, 0] != edges[:, 1]].T
         adjacency = sp.csr_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
         adjacency = adjacency + adjacency.T

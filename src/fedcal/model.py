@@ -107,30 +107,31 @@ def total_loss(params: ModelParams, g: Graph, agg: HopAggregator,
     operator whose rows include agg.rows, such as the one agg was restricted
     from: the terms read its ring means and logits only on agg.rows, which
     CSR fills row by row with the same bits either way. total_loss runs no
-    forward and writes nothing into cache. semantic = (rotation, anchors) and
-    structural = (f, batch, templates), f the (B, Q) matching, are the
-    trailing arguments of semantic_loss and structural_loss_ego; None drops
-    that whole term (the CE term is always present), which is how ablations
-    run. They are constants of the local round: no gradient flows into
-    them. agg is g's ring operator with rows covering train and batch nodes
-    (ValueError names a missing one, whose ring means would read as zeros).
-    Only total_loss reads g.train_mask: cross_entropy and semantic_loss get
-    the train nodes' rows. The CE rows' gradient fills a (len(agg.rows), C)
-    head gradient, zero elsewhere, whose ring pairs pass to agg.backward as
-    one array; the semantic one is added at the train egos. The structural
-    term reuses the forward's ring means; its gradient on the batch's ring
-    pairs is scattered onto agg.rows with add.at, so a node listed twice
+    forward and writes nothing into cache. semantic = (rotation, anchors)
+    holds semantic_loss's trailing arguments and structural = (f, batch,
+    templates) the (B, Q) matching f, the batch's node ids and the
+    templates; None drops that whole term (the CE term is always present),
+    which is how ablations run. They are constants of the local round: no
+    gradient flows into them. agg is g's ring operator with rows covering
+    train and batch nodes (ValueError names a missing one, whose ring means
+    would read as zeros). Only total_loss reads g.train_mask: cross_entropy
+    and semantic_loss get the train nodes' rows, and structural_loss_ego
+    gets the batch's ring pairs cache.rings[batch], row i for batch[i]. The
+    CE rows' gradient fills a (len(agg.rows), C) head gradient, zero
+    elsewhere, whose ring pairs pass to agg.backward as one array; the
+    semantic one is added at the train egos. The structural gradient, a row
+    per pair, is scattered onto agg.rows with add.at, so a node listed twice
     gets both, and pulled back by a second agg.backward. Returns (total,
     (ce, semantic, structural), grads), grads a ModelParams of gradients;
-    the calibration terms reach only w_ego, the CE term also reaches the
-    classifier.
+    the calibration terms reach only w_ego, the CE term also the classifier.
     """
     at = agg.rows
     train = np.flatnonzero(g.train_mask[at])       # positions of the train nodes in at
     if len(train) < np.count_nonzero(g.train_mask):
         agg.positions(np.flatnonzero(g.train_mask), "train")    # raises, naming the node
     if structural is not None:
-        at_batch = agg.positions(structural[1], "batch")        # its batch
+        f, batch, templates = structural
+        at_batch = agg.positions(batch, "batch")
     nodes = at[train]
     d = cache.ego.shape[1]
 
@@ -150,7 +151,7 @@ def total_loss(params: ModelParams, g: Graph, agg: HopAggregator,
 
     stru = 0.0
     if structural is not None:
-        stru, g_pairs = structural_loss_ego(cache.rings, *structural)
+        stru, g_pairs = structural_loss_ego(cache.rings[batch], f, templates)
         g_rings = np.zeros((len(at),) + g_pairs.shape[1:])
         np.add.at(g_rings, at_batch, g_pairs)
         g_ego += agg.backward(g_rings)
@@ -162,9 +163,10 @@ def total_loss(params: ModelParams, g: Graph, agg: HopAggregator,
 
 
 def sgd_step(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
-    """One gradient-descent step; aborts on non-finite gradients."""
-    if not lr > 0:
-        raise ValueError(f"learning rate must be positive, got {lr}")
+    """One gradient-descent step; aborts on non-finite gradients and on an
+    lr that is not finite and > 0."""
+    if not 0 < lr < np.inf:                         # NaN fails too
+        raise ValueError(f"learning rate must be finite and > 0, got {lr}")
     for name in ("w_ego", "w_cls", "b_cls"):
         if not np.all(np.isfinite(getattr(grads, name))):
             raise RuntimeError(f"non-finite gradient in {name}")
@@ -179,4 +181,6 @@ def lr_schedule(t: int, lr0: float, decay_steps: float) -> float:
     """lr0 / (1 + t/decay_steps): diverging sum, converging sum of squares."""
     if not (lr0 > 0 and decay_steps > 0):          # NaN fails too
         raise ValueError("lr0 and decay_steps must be positive")
+    if lr0 == np.inf:                               # an infinite decay_steps is a constant rate
+        raise ValueError("lr0 must be finite, got inf")
     return lr0 / (1.0 + t / decay_steps)

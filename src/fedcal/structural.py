@@ -5,8 +5,8 @@ Each sampled node is summarized by a radial sequence: its l2-normalized
 uniform two-point empirical measure on those rows. A batch of B radial
 sequences is one float64 array of shape (B, 2, d), and the server's Q
 templates arrive as a (Q, 2, d) array of the same layout. The module is
-array math alone: it reads ring means and returns gradients on them, and
-model.total_loss pulls those back through the ring operator. The transport
+array math alone: it takes (B, 2, d) ring-mean pairs, never node ids, and
+returns gradients on them, which model.total_loss pulls back. The transport
 distance between two such measures has a closed form (the optimum sits
 at one of the two permutation couplings), and a log-domain Sinkhorn
 solve assigns each radial sequence a distribution over templates.
@@ -94,13 +94,13 @@ def l2_normalize_rows(m) -> np.ndarray:
     return np.divide(a, norms[:, None], out=a.copy(), where=norms[:, None] > 0.0)
 
 
-def radial_sequences_from_rings(rings: np.ndarray, batch) -> np.ndarray:
-    """(B, 2, d) radial sequences for a node batch from the (n, 2, d) ring
-    means of a forward (ForwardCache.rings)."""
-    pairs = rings[batch]
-    for pair in pairs:
+def radial_sequences_from_rings(pairs: np.ndarray) -> np.ndarray:
+    """(B, 2, d) radial sequences from a (B, 2, d) array of ring-mean pairs,
+    each pair's rows l2-normalized; pairs is left unwritten."""
+    radials = np.array(pairs, dtype=np.float64)
+    for pair in radials:
         pair[...] = l2_normalize_rows(pair)
-    return pairs
+    return radials
 
 
 def _coupling_costs(rows: np.ndarray, templates: np.ndarray):
@@ -272,22 +272,20 @@ def structural_loss(f: np.ndarray, radials, templates: np.ndarray):
     return loss, grad_rows
 
 
-def structural_loss_ego(rings, f: np.ndarray, batch, templates: np.ndarray):
-    """Structural loss with the gradient chained back to the batch's ring means.
+def structural_loss_ego(pairs: np.ndarray, f: np.ndarray, templates: np.ndarray):
+    """Structural loss with the gradient chained back to the ring means.
 
-    Normalizes the batch's pairs of the (n, 2, d) ring means rings into
-    radial sequences, takes structural_loss against the templates under the
-    (B, Q) matching f, and pulls the loss gradient through the normalization,
-    zero ring rows held constant. Returns the loss and the (B, 2, d)
-    gradient on the ring pairs, row i for batch[i]; a node listed twice
-    gets a row each.
+    Normalizes the (B, 2, d) ring-mean pairs into radial sequences, takes
+    structural_loss against the templates under the (B, Q) matching f, and
+    pulls the loss gradient through the normalization, zero ring rows held
+    constant. Returns the loss and the (B, 2, d) gradient on pairs.
     """
-    radials = radial_sequences_from_rings(rings, batch)
+    radials = radial_sequences_from_rings(pairs)
     loss, grad_rows = structural_loss(f, radials, templates)
 
     # d(h/|h|) = (g - (g.r) r) / |h| per nonzero ring row; the stacked
     # (1 x d) @ (d x 1) products are the row dots np.linalg.norm makes
-    raw = rings[batch]                                           # (B, 2, d)
+    raw = np.asarray(pairs, dtype=np.float64)                    # (B, 2, d)
     norms = np.sqrt(raw[..., None, :] @ raw[..., None])[..., 0]  # (B, 2, 1)
     live = norms != 0.0
     unit = np.divide(raw, norms, out=np.zeros_like(raw), where=live)

@@ -83,7 +83,7 @@ def test_restricted_total_loss_pulls_back_through_traced_backward(structural, pu
         batch = sample_structural_batch(g, 8, seed=3)
         cache = model.forward(params, g, agg)
         matching = sinkhorn_match(
-            radial_sequences_from_rings(cache.rings, batch), templates)
+            radial_sequences_from_rings(cache.rings[batch]), templates)
         term = (matching.f, batch, templates)
         rows = np.union1d(rows, batch)
     local = agg.restrict(rows)

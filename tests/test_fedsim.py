@@ -122,6 +122,29 @@ class TestConfigValidation:
             tiny_config(**kw)
         assert str(raised.value) == message
 
+    INT_KEYS = {"num_clients": "federation.clients", "rounds": "federation.rounds",
+                "local_epochs": "federation.local_epochs", "seed": "federation.seed",
+                "embed_dim": "federation.embed_dim", "num_classes": "federation.classes",
+                "batch_nodes": "federation.batch_nodes", "num_templates": "federation.templates",
+                "sinkhorn_iters": "sinkhorn.max_iters", "nodes": "dataset.nodes",
+                "feat_dim": "dataset.feat_dim"}
+
+    def test_int_keys_are_the_int_fields(self):
+        assert {f.name for f in dataclasses.fields(FederationConfig)
+                if f.type == "int"} == set(self.INT_KEYS)
+
+    @pytest.mark.parametrize("name", sorted(INT_KEYS))
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, np.float64(3.0)])
+    def test_int_key_rejects_a_non_integer(self, name, value):
+        # a float or bool used to pass and fail late, or run with a float count
+        with pytest.raises(ValueError) as raised:
+            tiny_config(**{name: value})
+        assert str(raised.value) == f"{self.INT_KEYS[name]} must be an integer, got {value!r}"
+
+    def test_int_keys_accept_numpy_integers(self):
+        cfg = tiny_config(rounds=np.int64(2), seed=np.int32(7), nodes=np.uint16(90))
+        assert (cfg.rounds, cfg.seed, cfg.nodes) == (2, 7, 90)
+
     def test_generator_rules_hold_under_synthetic_only(self):
         files = dict(dataset_kind="files", edges_path="e", features_path="x", labels_path="y")
         tiny_config(**files, nodes=None, p_in=None, p_out=None, feat_dim=None, feat_sep=None)

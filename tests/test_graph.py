@@ -60,6 +60,26 @@ class TestGraphInvariants:
         with pytest.raises(ValueError, match=r"edge \(2, 5\) out of range for n=3"):
             Graph.from_edges(np.zeros((3, 1)), [0, 0, 0], [(0, 1), (2, 5), (-1, 0)])
 
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1.7)], "edge (0.0, 1.7) holds a node id that is not an integer"),
+        ([(0.5, 1)], "edge (0.5, 1.0) holds a node id that is not an integer"),
+        ([(0, 1), (2, np.nan)], "edge (2.0, nan) holds a node id that is not an integer"),
+        ([(0, 1e20)], "edge (0.0, 1e+20) out of range for n=3"),
+        ([(0, np.inf)], "edge (0.0, inf) out of range for n=3"),
+    ])
+    def test_from_edges_names_edge_with_non_integer_id(self, edges, message):
+        # the int cast truncated 1.7 and 0.5 into the edge 0-1 and overflowed at 1e20
+        with pytest.raises(ValueError) as raised:
+            Graph.from_edges(np.zeros((3, 1)), [0, 0, 0], edges)
+        assert str(raised.value) == message
+
+    def test_from_edges_takes_whole_float_ids(self):
+        g = Graph.from_edges(np.zeros((3, 1)), [0, 0, 0], [(0.0, 1.0), (2.0, 1.0)])
+        h = Graph.from_edges(np.zeros((3, 1)), [0, 0, 0], [(0, 1), (2, 1)])
+        assert (g.adjacency != h.adjacency).nnz == 0
+        s = Graph.from_edges(np.zeros((3, 1)), [0, 0, 0], [("0", "1"), ("2", "1")])
+        assert (s.adjacency != h.adjacency).nnz == 0
+
     def test_rejects_asymmetric_adjacency(self):
         adjacency = sp.csr_matrix(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
         with pytest.raises(ValueError, match="asymmetric edge"):

@@ -40,7 +40,7 @@ def calibration_inputs(g, params, agg, seed, d, c, q=3, b=6):
     rot = procrustes(*class_means(cache.ego[train], g.labels[train], c), anchors)
     templates = init_templates(q, d, seed=seed + 1)
     batch = sample_structural_batch(g, b, seed=seed + 2)
-    radials = radial_sequences_from_rings(cache.rings, batch)
+    radials = radial_sequences_from_rings(cache.rings[batch])
     matching = sinkhorn_match(radials, templates)
     return (rot, anchors), (matching.f, batch, templates)
 
@@ -184,7 +184,7 @@ class TestTotalLoss:
 
         anchors = rot @ p
         batch = np.arange(8)
-        radials = radial_sequences_from_rings(cache.rings, batch)
+        radials = radial_sequences_from_rings(cache.rings[batch])
         templates = radials.copy()
         total, (ce, sem, stru), _ = total_loss(
             params, g, agg, cache, (rot, anchors), (np.eye(8), batch, templates)
@@ -265,6 +265,17 @@ class TestTotalLoss:
         _, (ce_off, sem_off, _), _ = total_loss(params, g, agg, cache, semantic)
         assert repr((ce_off, sem_off)) == repr((ce, sem))
 
+    def test_only_batch_rows_reach_structural(self):
+        # total_loss hands the structural term the batch's ring pairs alone
+        g, params, agg = small_instance(4, n=30, train_ratio=0.3)
+        _, structural = calibration_inputs(g, params, agg, 4, 4, 3)
+        cache = forward(params, g, agg)
+        _, (_, _, stru), _ = total_loss(params, g, agg, cache, None, structural)
+        off = np.setdiff1d(np.arange(g.num_nodes), structural[1])[0]
+        cache.rings[off] = 1e3
+        _, (_, _, stru_off), _ = total_loss(params, g, agg, cache, None, structural)
+        assert repr(stru_off) == repr(stru)
+
     def test_classifier_untouched_by_calibration_terms(self):
         g, params, agg = small_instance(8)
         semantic, structural = calibration_inputs(g, params, agg, 8, 4, 3)
@@ -294,7 +305,7 @@ class TestTotalLoss:
         batch = np.array([7, 21, 33, 7])
         assert not g.train_mask[batch].any()
         cache = forward(params, g, agg)
-        f = sinkhorn_match(radial_sequences_from_rings(cache.rings, batch), templates).f
+        f = sinkhorn_match(radial_sequences_from_rings(cache.rings[batch]), templates).f
         structural = (f, batch, templates)
         rows = np.union1d(train, batch)
         local = agg.restrict(rows)
@@ -420,7 +431,18 @@ class TestSgdAndSchedule:
             with pytest.raises(ValueError, match="^lr0 and decay_steps must be positive$"):
                 lr_schedule(3, lr0, decay_steps)
         assert lr_schedule(3, 0.1, np.inf) == 0.1
+        with pytest.raises(ValueError, match="^lr0 must be finite, got inf$"):
+            lr_schedule(3, np.inf, 10.0)
         with pytest.raises(ValueError):
             sgd_step(init_params(2, 2, 2, 0),
                      ModelParams(np.zeros((2, 2)), np.zeros((6, 2)), np.zeros(2)),
                      0.0)
+
+    @pytest.mark.parametrize("lr", [np.inf, np.nan, -0.1])
+    def test_step_rejects_lr_not_finite_and_positive(self, lr):
+        # an infinite lr turned every parameter into NaN or +-inf
+        params = init_params(2, 2, 2, 0)
+        grads = ModelParams(np.ones((2, 2)), np.zeros((6, 2)), np.zeros(2))
+        with pytest.raises(ValueError) as raised:
+            sgd_step(params, grads, lr)
+        assert str(raised.value) == f"learning rate must be finite and > 0, got {lr}"

@@ -107,7 +107,7 @@ class TestRadialSequence:
         agg = HopAggregator(g)
         rings = agg.rings(ego)
         batch = np.arange(30)
-        fast = radial_sequences_from_rings(rings, batch)
+        fast = radial_sequences_from_rings(rings[batch])
         for v in range(30):
             slow = radial_sequence(g, ego, v)
             assert np.abs(slow - fast[v]).max() <= 1e-12
@@ -126,7 +126,17 @@ class TestRadialSequence:
             stacked = np.stack([hop1[batch], hop2[batch]], axis=1).reshape(-1, d)
             expected = l2_normalize_rows(stacked).reshape(len(batch), 2, d)
             rings = np.stack([hop1, hop2], axis=1)
-            assert np.array_equal(radial_sequences_from_rings(rings, batch), expected)
+            assert np.array_equal(radial_sequences_from_rings(rings[batch]), expected)
+
+    def test_leaves_pairs_unwritten(self):
+        rng = np.random.default_rng(5)
+        pairs = rng.standard_normal((7, 2, 4)) * 3.0
+        pairs[2, 1] = 0.0
+        before = pairs.copy()
+        radials = radial_sequences_from_rings(pairs)
+        assert pairs.tobytes() == before.tobytes()
+        assert not np.shares_memory(radials, pairs)
+        assert np.array_equal(radials[2, 1], np.zeros(4))
 
     def test_rows_unit_norm(self):
         g = generate_sbm(20, 2, 0.2, 0.1, 3, 1.0, seed=1)
@@ -558,10 +568,10 @@ class TestStructuralLossEgo:
         templates = init_templates(3, 4, seed=14)
         batch = sample_structural_batch(g, 6, seed=14)
         rings = agg.rings(ego)
-        radials = radial_sequences_from_rings(rings, batch)
+        radials = radial_sequences_from_rings(rings[batch])
         f = sinkhorn_match(radials, templates).f
 
-        loss, g_pairs = structural_loss_ego(rings, f, batch, templates)
+        loss, g_pairs = structural_loss_ego(rings[batch], f, templates)
         grad = self.ego_gradient(agg, batch, g_pairs)
         eps = 1e-6
         rng2 = np.random.default_rng(15)
@@ -570,9 +580,9 @@ class TestStructuralLossEgo:
             j = rng2.integers(4)
             bumped = ego.copy()
             bumped[i, j] += eps
-            up, _ = structural_loss_ego(agg.rings(bumped), f, batch, templates)
+            up, _ = structural_loss_ego(agg.rings(bumped)[batch], f, templates)
             bumped[i, j] -= 2 * eps
-            down, _ = structural_loss_ego(agg.rings(bumped), f, batch, templates)
+            down, _ = structural_loss_ego(agg.rings(bumped)[batch], f, templates)
             num = (up - down) / (2 * eps)
             if abs(num) < 1e-12 and abs(grad[i, j]) < 1e-12:
                 continue
@@ -588,7 +598,7 @@ class TestStructuralLossEgo:
         templates = init_templates(3, 4, seed=0)
         batch = np.array([3, 7, 12, 30])
         rings = agg.rings(ego)
-        f = sinkhorn_match(radial_sequences_from_rings(rings, batch), templates).f
+        f = sinkhorn_match(radial_sequences_from_rings(rings[batch]), templates).f
         structural = (f, batch, templates)
         local = agg.restrict(np.setdiff1d(np.arange(40), 7))
         with pytest.raises(ValueError, match="^batch node 7 is not in the aggregator's rows$"):
@@ -611,12 +621,12 @@ class TestStructuralLossEgo:
         batch = np.array(isolated + [3, 0, 7, 3, 12], dtype=np.int64)
         rings = agg.rings(ego)
         hop1, hop2 = rings[:, 0], rings[:, 1]
-        f = sinkhorn_match(radial_sequences_from_rings(rings, batch), templates).f
-        loss, g_pairs = structural_loss_ego(rings, f, batch, templates)
+        f = sinkhorn_match(radial_sequences_from_rings(rings[batch]), templates).f
+        loss, g_pairs = structural_loss_ego(rings[batch], f, templates)
         grad = self.ego_gradient(agg, batch, g_pairs)
 
         ref_loss, grad_rows = structural_loss(
-            f, radial_sequences_from_rings(rings, batch), templates)
+            f, radial_sequences_from_rings(rings[batch]), templates)
         g_hop1, g_hop2 = np.zeros_like(hop1), np.zeros_like(hop2)
         for i, b in enumerate(batch):
             for ring, h, store in ((0, hop1[b], g_hop1), (1, hop2[b], g_hop2)):
