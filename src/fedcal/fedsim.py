@@ -28,7 +28,6 @@ import csv
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
-from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -118,8 +117,12 @@ _INTP_MAX = int(np.iinfo(np.intp).max)       # the largest array dimension numpy
 _AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 _AT_LEAST_0 = (lambda v: v >= 0, ">= 0")
 _DIMENSION = (lambda v: 1 <= v <= _INTP_MAX, f"in [1, {_INTP_MAX}]")
-_POSITIVE = (lambda v: 0 < v < np.inf, "finite and > 0")
 _PROBABILITY = (lambda v: 0 <= v <= 1, "in [0, 1]")
+
+
+# what a field annotated int or float takes, and what its error calls it
+_NUMBER_TYPES = {"int": ((int, np.integer), "an integer"),
+                 "float": ((int, float, np.integer, np.floating), "a number")}
 
 
 def _one_of(*choices):
@@ -170,16 +173,10 @@ class FederationConfig:
     embed_dim: int = config_key("federation.embed_dim", 8, _DIMENSION)
     num_classes: int = config_key("federation.classes", 2, (lambda v: v >= 2, ">= 2"))
     # nodes sampled per client per round
-    batch_nodes: int = config_key("federation.batch_nodes", 64, _AT_LEAST_1)
+    batch_nodes: int = config_key("federation.batch_nodes", 64, _DIMENSION)
     num_templates: int = config_key("federation.templates", 4, _DIMENSION)
-    lr0: float = config_key("train.lr0", 0.05, _POSITIVE)
+    lr0: float = config_key("train.lr0", 0.05, (lambda v: 0 < v < np.inf, "finite and > 0"))
     lr_decay_steps: float = config_key("train.lr_decay_steps", 200.0, (lambda v: v > 0, "> 0"))
-    sinkhorn_epsilon: float = config_key("sinkhorn.epsilon", 0.05, _POSITIVE)
-    sinkhorn_iters: int = config_key("sinkhorn.max_iters", 500, _AT_LEAST_1)
-    sinkhorn_tol: float = config_key("sinkhorn.tol", 1e-6, _POSITIVE)
-    # the difficulty-weight temperature and the max anchor step (chord length)
-    refine_tau: float = config_key("refine.tau", 1.0, _POSITIVE)
-    refine_eta: float = config_key("refine.eta", 0.1, _POSITIVE)
     seed: int = config_key("federation.seed", 0, _AT_LEAST_0)
     partition_mode: str = config_key("partition.mode", "non-overlapping",
                                      _one_of("non-overlapping", "overlapping"))
@@ -210,9 +207,10 @@ class FederationConfig:
             if f.metadata.get("only") not in (None, self.dataset_kind):
                 continue
             # f.type is the annotation's text; a bool is an int to isinstance
-            if f.type == "int" and (isinstance(value, bool)
-                                    or not isinstance(value, (int, np.integer))):
-                raise ValueError(f"{f.metadata['key']} must be an integer, got {value!r}")
+            if f.type in _NUMBER_TYPES:
+                types, noun = _NUMBER_TYPES[f.type]
+                if isinstance(value, bool) or not isinstance(value, types):
+                    raise ValueError(f"{f.metadata['key']} must be {noun}, got {value!r}")
             if rule and not rule[0](value):
                 raise ValueError(f"{f.metadata['key']} must be {rule[1]}, got {value!r}")
         paths = {f.metadata["key"]: getattr(self, f.name) for f in kind_fields("files")}
@@ -241,13 +239,6 @@ class FederationConfig:
         if not all(r > 0 for r in ratios) or not sum(ratios) <= 1.0 + 1e-12:
             raise ValueError(f"split.train, split.val and split.test must be positive "
                              f"ratios summing to at most 1, got {ratios}")
-        # mean-scaled costs are at most B * Q, so this bounds every -cost / epsilon;
-        # exact, since an int B * Q beyond float range does not convert
-        bound = (Fraction(self.batch_nodes * self.num_templates)
-                 / Fraction(self.sinkhorn_epsilon))
-        if self.structural_enabled and bound > np.finfo(float).max:
-            raise ValueError(f"sinkhorn.epsilon = {self.sinkhorn_epsilon!r} overflows "
-                             f"federation.batch_nodes * federation.templates / epsilon")
 
 
 @dataclass
@@ -292,7 +283,7 @@ class FederationResult:
     anchors: np.ndarray                 # (d, C)
     templates: np.ndarray               # (Q, 2, d)
     sinkhorn_calls: int = 0             # client-rounds that ran a Sinkhorn matching
-    sinkhorn_unconverged: int = 0       # of those, the ones stopped at max_iters
+    sinkhorn_unconverged: int = 0       # of those, the ones stopped at the iteration cap
 
 
 def build_dataset(cfg: FederationConfig) -> Graph:
@@ -434,10 +425,7 @@ def run_client_round(state: ClientState, anchors: np.ndarray,
     structural = converged = None
     if cfg.structural_enabled:
         radials = radial_sequences_from_rings(cache.rings[batch])
-        matching = sinkhorn_match(
-            radials, templates, epsilon=cfg.sinkhorn_epsilon,
-            max_iters=cfg.sinkhorn_iters, tol=cfg.sinkhorn_tol,
-        )
+        matching = sinkhorn_match(radials, templates)
         structural = (matching.f, batch, templates)
         converged = matching.converged
 
@@ -523,7 +511,7 @@ def server_step(anchors: np.ndarray, templates: np.ndarray, uploads,
     """
     if cfg.refine_enabled:
         semantic = semantic_pool([sem for sem, _ in uploads])
-        anchors = refine_all_anchors(anchors, semantic, cfg.refine_tau, cfg.refine_eta)
+        anchors = refine_all_anchors(anchors, semantic)
     drift = gram_drift(anchors)
 
     gw_mean = 0.0

@@ -123,13 +123,16 @@ class Graph:
         Edges are symmetrized and deduplicated; self-loops are dropped. A
         node id that is not a whole number or not in [0, n) raises
         ValueError naming its edge; both checks run before the int cast,
-        which would truncate 1.7 to 1 and overflow at 1e20.
+        which would truncate 1.7 to 1 and overflow at 1e20 or 2**70.
         """
         features = np.asarray(features, dtype=np.float64)
         n = features.shape[0]
         edges = np.asarray(edges).reshape(-1, 2)
         if edges.dtype.kind not in "biuf":           # digit strings parse as ids
-            edges = edges.astype(np.int64)
+            try:
+                edges = edges.astype(np.int64)
+            except OverflowError:               # Python ints beyond int64, checked below
+                pass
         if edges.dtype.kind == "f":
             bad = np.nonzero((edges != np.floor(edges)).any(axis=1))[0]     # NaN too
             if len(bad):

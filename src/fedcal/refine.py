@@ -188,14 +188,15 @@ def gram_drift(anchors: np.ndarray) -> float:
     return float(np.abs(off + 1.0 / (c - 1)).max())
 
 
-def refine_all_anchors(anchors: np.ndarray, semantic, tau: float, eta: float):
+def refine_all_anchors(anchors: np.ndarray, semantic, tau: float = 1.0, eta: float = 0.1):
     """The (d, C) anchors with every reported one refined from the semantic pool.
 
     tau is the difficulty-weight temperature and eta the step clip of
-    ``refine_anchor``. Classes reported by no client keep their anchor
-    unchanged for the round (their deviation is undefined). The refined
-    frame's ``gram_drift`` is recorded, not corrected: the repulsion term
-    is what keeps the frame near maximal equidistance.
+    ``refine_anchor`` (a chord length); a run uses the defaults. Classes
+    reported by no client keep their anchor unchanged for the round
+    (their deviation is undefined). The refined frame's ``gram_drift`` is
+    recorded, not corrected: the repulsion term is what keeps the frame
+    near maximal equidistance.
     """
     vs = deviation_vectors(semantic, anchors)
     gammas = difficulty_weights(semantic, tau)

@@ -1,11 +1,13 @@
 import codecs
 import dataclasses
+import inspect
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ from fedcal.cli import (
 from fedcal import cli, fedsim
 from fedcal.graph import load_graph
 from fedcal.model import init_params
+from fedcal.refine import refine_all_anchors
 from fedcal.structural import sinkhorn_match
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -142,6 +145,22 @@ class TestConfigParsing:
             parser, default = _CONFIG_SCHEMA[key]
             assert (None if text == "-" else parser(text)) == default, key
 
+    def test_readme_names_the_fixed_solver_settings(self):
+        # the sentence gives each numeric default of the two functions a run
+        # calls without settings, each after the function's name
+        text = " ".join(Path(os.path.join(REPO, "README.md")).read_text(
+            encoding="utf-8").split())
+        sentence = text.split("The matching and the anchor refinement run at fixed "
+                              "settings: ")[1].split(". ")[0]
+        parts = sentence.split("`refine.refine_all_anchors`")
+        assert parts[0].startswith("`structural.sinkhorn_match`") and len(parts) == 2
+        for function, part in zip((sinkhorn_match, refine_all_anchors), parts):
+            named = {name: float(value)
+                     for name, value in re.findall(r"`(\w+) = ([^`]+)`", part)}
+            assert named == {name: p.default
+                             for name, p in inspect.signature(function).parameters.items()
+                             if type(p.default) in (int, float)}
+
     def test_readme_library_example_runs(self, capsys):
         text = Path(os.path.join(REPO, "README.md")).read_text(encoding="utf-8")
         code = text.split("## Library entry points\n\n```python\n")[1].split("```")[0]
@@ -174,11 +193,6 @@ class TestConfigParsing:
             ("partition.mode", "overlapping", "partition_mode"),
             ("train.lr0", "0.07", "lr0"),
             ("train.lr_decay_steps", "150", "lr_decay_steps"),
-            ("sinkhorn.epsilon", "0.03", "sinkhorn_epsilon"),
-            ("sinkhorn.max_iters", "450", "sinkhorn_iters"),
-            ("sinkhorn.tol", "1e-07", "sinkhorn_tol"),
-            ("refine.tau", "0.8", "refine_tau"),
-            ("refine.eta", "0.15", "refine_eta"),
             ("dataset.kind", kind, "dataset_kind"),
             ("dataset.nodes", "700", "nodes"),
             ("dataset.p_in", "0.12", "p_in"),
@@ -394,9 +408,6 @@ class TestRunCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("line, setting", [
-        ("sinkhorn.max_iters = 0", "sinkhorn.max_iters"),
-        ("sinkhorn.tol = -1", "sinkhorn.tol"),
-        ("sinkhorn.epsilon = 0", "sinkhorn.epsilon"),
         ("train.lr0 = -1", "lr0"),
         ("train.lr0 = inf", "lr0"),
         ("train.lr_decay_steps = 0", "lr_decay_steps"),
@@ -413,10 +424,6 @@ class TestRunCommand:
         ("dataset.feat_sep = inf", "dataset.feat_sep"),
         ("split.val = 0", "split"),
         ("split.val = nan", "split"),
-        ("refine.tau = nan", "refine.tau"),
-        ("refine.eta = nan", "refine.eta"),
-        ("refine.tau = 0", "refine.tau"),
-        ("refine.eta = -1", "refine.eta"),
         ("refine.eps = nan", "refine.eps"),
         ("refine.gw_iters = 50", "refine.gw_iters"),
         ("refine.gw_lr = 2", "refine.gw_lr"),
@@ -424,10 +431,9 @@ class TestRunCommand:
         ("federation.classes = 1", "federation.classes"),
         ("partition.mode = overlapping\nfederation.clients = 7", "federation.clients"),
         ("dataset.nodes = 2", "dataset.nodes"),
-        ("sinkhorn.epsilon = 1e-320", "sinkhorn.epsilon"),
         ("federation.batch_nodes = 1" + "0" * 400, "federation.batch_nodes"),
-        ("sinkhorn.epsilon = inf", "sinkhorn.epsilon"),
-        ("sinkhorn.tol = inf", "sinkhorn.tol"),
+        ("federation.batch_nodes = 9223372036854775808", "federation.batch_nodes"),
+        ("federation.batch_nodes = 100000000000000000000000", "federation.batch_nodes"),
         ("federation.rounds = -1", "federation.rounds"),
         ("federation.local_epochs = 0", "federation.local_epochs"),
         ("federation.embed_dim = 1", "federation.embed_dim"),
@@ -573,18 +579,19 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"error: server failed at round 1: {error}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("extra, ablate, count", [
-        ("", [], "0/6"),
-        ("sinkhorn.max_iters = 30\n", [], "3/6"),
-        ("sinkhorn.max_iters = 1\nsinkhorn.tol = 1e-14\n", [], "6/6"),
-        ("sinkhorn.max_iters = 30\n", ["--ablate", "structural"], "0/0"),
+    @pytest.mark.parametrize("settings, ablate, count", [
+        ({}, [], "0/6"),
+        ({"max_iters": 30}, [], "3/6"),
+        ({"max_iters": 1, "tol": 1e-14}, [], "6/6"),
+        ({"max_iters": 30}, ["--ablate", "structural"], "0/0"),
     ])
-    def test_final_line_counts_unconverged_sinkhorn(self, tmp_path, capsys, monkeypatch,
-                                                   extra, ablate, count):
+    def test_final_line_counts_unconverged_sinkhorn(self, smoke_cfg, tmp_path, capsys,
+                                                   monkeypatch, settings, ablate, count):
         flags, parts = [], []
 
         def tallied(*args, **kwargs):
-            match = sinkhorn_match(*args, **kwargs)
+            # the round passes none of the solver's settings, so these win
+            match = sinkhorn_match(*args, **kwargs, **settings)
             flags.append(match.converged)
             return match
 
@@ -595,10 +602,8 @@ class TestRunCommand:
 
         monkeypatch.setattr(fedsim, "sinkhorn_match", tallied)
         monkeypatch.setattr(fedsim, "run_client_round", recorded)
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text(SMOKE + extra)
         out = str(tmp_path / "run")
-        assert main(["run", "--config", str(cfg), "--out", out] + ablate) == 0
+        assert main(["run", "--config", smoke_cfg, "--out", out] + ablate) == 0
         last = capsys.readouterr().out.strip().split("\n")[-1]
         assert count == f"{flags.count(False)}/{len(flags)}"
         # the tally reads each round result's converged part, None without a
@@ -608,10 +613,10 @@ class TestRunCommand:
         for name in ("history.csv", "summary.json"):
             assert "unconverged" not in Path(os.path.join(out, name)).read_text()
 
-    def test_matching_rows_off_one_fail_the_run(self, tmp_path, capsys):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text(SMOKE + "sinkhorn.epsilon = 1e-18\n")
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    def test_matching_rows_off_one_fail_the_run(self, smoke_cfg, tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.setattr(fedsim, "sinkhorn_match", partial(sinkhorn_match, epsilon=1e-18))
+        assert main(["run", "--config", smoke_cfg, "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err
         assert "client 0 failed at round 0" in err and "epsilon" in err
 
@@ -882,20 +887,32 @@ class TestEvalCommand:
         mean_line = [ln for ln in printed.splitlines() if ln.startswith("mean")][0]
         assert abs(float(mean_line.split(":")[1]) - run_summary["mean_val"]) <= 1e-6
 
+    # each line a config.resolved held while its key was read
+    RETIRED = ["refine.eps = 1e-08", "refine.gw_iters = 200", "refine.gw_lr = 1.0",
+               "refine.eta = 0.1", "refine.tau = 1.0", "sinkhorn.epsilon = 0.05",
+               "sinkhorn.max_iters = 500", "sinkhorn.tol = 1e-06"]
+
     def test_config_with_retired_keys_is_rejected(self, smoke_cfg, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["run", "--config", smoke_cfg, "--out", str(out)]) == 0
-        # the config.resolved format written while these keys were read
         resolved = out / "config.resolved"
-        lines = resolved.read_text().splitlines()
-        lines += ["refine.eps = 1e-08", "refine.gw_iters = 200", "refine.gw_lr = 1.0"]
-        lines.sort()
-        capsys.readouterr()
-        resolved.write_text("\n".join(lines) + "\n")
-        assert main(["eval", "--model-dir", str(out)]) == 2
-        lineno = lines.index("refine.eps = 1e-08") + 1
-        assert (f"{resolved}:{lineno}: unknown config key 'refine.eps'"
-                in capsys.readouterr().err)
+        current = resolved.read_text().splitlines()
+        for retired in self.RETIRED:
+            key = retired.split(" = ")[0]
+            lines = sorted(current + [retired])
+            resolved.write_text("\n".join(lines) + "\n")
+            capsys.readouterr()
+            assert main(["eval", "--model-dir", str(out)]) == 2, key
+            lineno = lines.index(retired) + 1
+            assert (f"{resolved}:{lineno}: unknown config key {key!r}"
+                    in capsys.readouterr().err)
+            # a run config holding the key fails before its output exists
+            cfg = tmp_path / "old.cfg"
+            cfg.write_text(SMOKE + retired + "\n")
+            rerun = tmp_path / "rerun"
+            assert main(["run", "--config", str(cfg), "--out", str(rerun)]) == 2, key
+            assert f"unknown config key {key!r}" in capsys.readouterr().err
+            assert not rerun.exists()
 
     def test_corrupted_dump_fails_cleanly(self, smoke_cfg, tmp_path):
         out = str(tmp_path / "run")

@@ -61,17 +61,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="partition.mode"):
             tiny_config(partition_mode="bogus")
 
-    @pytest.mark.parametrize("batch_nodes, epsilon, ok", [
-        (10**23, 0.05, True), (2**1022, 1.0, True), (2**1023, 1.0, False),
-        (10**400, 1e10, False), (10**300, 1e-9, False)])
-    def test_epsilon_overflow_rule_is_exact_for_any_int(self, batch_nodes, epsilon, ok):
-        # two templates: B * Q / epsilon against the largest float, without
-        # converting B * Q, which may lie beyond float range
-        if ok:
-            tiny_config(batch_nodes=batch_nodes, sinkhorn_epsilon=epsilon)
-        else:
-            with pytest.raises(ValueError, match="federation.batch_nodes"):
-                tiny_config(batch_nodes=batch_nodes, sinkhorn_epsilon=epsilon)
+    @pytest.mark.parametrize("batch_nodes", [2**63, 10**23, 10**400])
+    def test_batch_nodes_beyond_an_array_dimension_is_rejected(self, batch_nodes):
+        # B * Q / epsilon then stays below (2**63)**2 / 0.05, far from the
+        # largest float, so no epsilon rule is needed
+        with pytest.raises(ValueError) as raised:
+            tiny_config(batch_nodes=batch_nodes)
+        assert str(raised.value) == (f"federation.batch_nodes must be in "
+                                     f"[1, {np.iinfo(np.intp).max}], got {batch_nodes}")
+
+    def test_largest_batch_nodes_runs(self):
+        # a client samples all its nodes when it has fewer than batch_nodes
+        result = run_federation(tiny_config(batch_nodes=2**63 - 1, rounds=1))
+        assert result.sinkhorn_calls == 3
 
     def test_infinite_decay_steps_is_a_constant_rate(self):
         assert tiny_config(lr_decay_steps=np.inf).lr_decay_steps == np.inf
@@ -101,8 +103,6 @@ class TestConfigValidation:
          f"federation.templates must be in [1, {np.iinfo(np.intp).max}], got {10**23}"),
         (dict(num_classes=1), "federation.classes must be >= 2, got 1"),
         (dict(lr_decay_steps=0.0), "train.lr_decay_steps must be > 0, got 0.0"),
-        (dict(sinkhorn_tol=np.inf), "sinkhorn.tol must be finite and > 0, got inf"),
-        (dict(refine_eta=np.nan), "refine.eta must be finite and > 0, got nan"),
         (dict(p_in=1.5), "dataset.p_in must be in [0, 1], got 1.5"),
         (dict(feat_sep=-1.0), "dataset.feat_sep must be finite and >= 0, got -1.0"),
         (dict(nodes=0), f"dataset.nodes must be in [1, {np.iinfo(np.intp).max}], got 0"),
@@ -126,8 +126,7 @@ class TestConfigValidation:
                 "local_epochs": "federation.local_epochs", "seed": "federation.seed",
                 "embed_dim": "federation.embed_dim", "num_classes": "federation.classes",
                 "batch_nodes": "federation.batch_nodes", "num_templates": "federation.templates",
-                "sinkhorn_iters": "sinkhorn.max_iters", "nodes": "dataset.nodes",
-                "feat_dim": "dataset.feat_dim"}
+                "nodes": "dataset.nodes", "feat_dim": "dataset.feat_dim"}
 
     def test_int_keys_are_the_int_fields(self):
         assert {f.name for f in dataclasses.fields(FederationConfig)
@@ -144,6 +143,28 @@ class TestConfigValidation:
     def test_int_keys_accept_numpy_integers(self):
         cfg = tiny_config(rounds=np.int64(2), seed=np.int32(7), nodes=np.uint16(90))
         assert (cfg.rounds, cfg.seed, cfg.nodes) == (2, 7, 90)
+
+    FLOAT_KEYS = {"lr0": "train.lr0", "lr_decay_steps": "train.lr_decay_steps",
+                  "p_in": "dataset.p_in", "p_out": "dataset.p_out",
+                  "feat_sep": "dataset.feat_sep", "train_ratio": "split.train",
+                  "val_ratio": "split.val", "test_ratio": "split.test"}
+
+    def test_float_keys_are_the_float_fields(self):
+        assert {f.name for f in dataclasses.fields(FederationConfig)
+                if f.type == "float"} == set(self.FLOAT_KEYS)
+
+    @pytest.mark.parametrize("name", sorted(FLOAT_KEYS))
+    @pytest.mark.parametrize("value", [True, False, np.True_, "0.1", None])
+    def test_float_key_rejects_a_non_number(self, name, value):
+        # a bool used to run as 1.0 or 0.0, and a string to raise a bare TypeError
+        with pytest.raises(ValueError) as raised:
+            tiny_config(**{name: value})
+        assert str(raised.value) == f"{self.FLOAT_KEYS[name]} must be a number, got {value!r}"
+
+    def test_float_keys_accept_ints_and_numpy_floats(self):
+        cfg = tiny_config(lr0=1, p_in=np.float32(0.25), feat_sep=np.int64(2),
+                          train_ratio=np.float64(0.2), lr_decay_steps=np.inf)
+        assert (cfg.lr0, cfg.p_in, cfg.feat_sep, cfg.train_ratio) == (1, 0.25, 2, 0.2)
 
     def test_generator_rules_hold_under_synthetic_only(self):
         files = dict(dataset_kind="files", edges_path="e", features_path="x", labels_path="y")

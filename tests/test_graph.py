@@ -73,12 +73,22 @@ class TestGraphInvariants:
             Graph.from_edges(np.zeros((3, 1)), [0, 0, 0], edges)
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize("big", [2**70, -2**70])
+    def test_from_edges_names_edge_with_id_beyond_int64(self, big):
+        # numpy holds such a list as Python ints, which the int cast overflowed on
+        with pytest.raises(ValueError) as raised:
+            Graph.from_edges(np.zeros((3, 1)), [0, 0, 0], [(0, 1), (0, big)])
+        assert str(raised.value) == f"edge (0, {big}) out of range for n=3"
+
     def test_from_edges_takes_whole_float_ids(self):
         g = Graph.from_edges(np.zeros((3, 1)), [0, 0, 0], [(0.0, 1.0), (2.0, 1.0)])
         h = Graph.from_edges(np.zeros((3, 1)), [0, 0, 0], [(0, 1), (2, 1)])
         assert (g.adjacency != h.adjacency).nnz == 0
         s = Graph.from_edges(np.zeros((3, 1)), [0, 0, 0], [("0", "1"), ("2", "1")])
         assert (s.adjacency != h.adjacency).nnz == 0
+        o = Graph.from_edges(np.zeros((3, 1)), [0, 0, 0],
+                             np.array([("0", "1"), ("2", "1")], dtype=object))
+        assert (o.adjacency != h.adjacency).nnz == 0
 
     def test_rejects_asymmetric_adjacency(self):
         adjacency = sp.csr_matrix(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
