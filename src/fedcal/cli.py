@@ -4,7 +4,8 @@ Commands:
   gen-data   write a seeded synthetic graph as edges/features/labels files
   run        execute a federated run, writing history.csv, summary.json,
              per-client model dumps and (optionally) embedding CSVs
-  eval       recompute metrics from a finished run's saved models
+  eval       recompute metrics from a finished run's saved models and check
+             them against its summary.json
   report     aggregate several history CSVs into a mean/std table
 
 Configs are flat text files, one ``section.key = value`` per line, ``#``
@@ -23,6 +24,7 @@ import re
 import sys
 from dataclasses import fields
 from functools import partial
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -358,8 +360,22 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _recorded_metrics(summary_path, split) -> list:
+    """The per-client metrics of split that summary.json records, [] if none."""
+    try:
+        summary = json.load(read_text(summary_path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{summary_path}: not JSON ({exc})") from None
+    recorded = summary.get(f"per_client_{split}") if isinstance(summary, dict) else None
+    return recorded if isinstance(recorded, list) else []
+
+
 def cmd_eval(args) -> int:
-    if not os.path.isfile(os.path.join(args.model_dir, "summary.json")):
+    """Recompute each client's metric from its saved model. Without --config,
+    a value other than the one summary.json records is an exit 1 naming the
+    client and split: the models or the dataset changed since the run."""
+    summary_path = os.path.join(args.model_dir, "summary.json")
+    if not os.path.isfile(summary_path):
         raise FileNotFoundError(f"{args.model_dir}: no summary.json, its run did not finish")
     config_path = args.config or os.path.join(args.model_dir, "config.resolved")
     cfg = build_run_config(parse_config_file(config_path))
@@ -370,6 +386,13 @@ def cmd_eval(args) -> int:
         dump = os.path.join(args.model_dir, "models", f"client_{client.client_id}.txt")
         client.params = load_params(dump, client.params)
         metrics.append(evaluate(client, args.split, fed.task_metric))
+    if args.config is None:
+        recorded = _recorded_metrics(summary_path, args.split)
+        for cid, (value, want) in enumerate(zip_longest(metrics, recorded)):
+            if value != want:
+                raise FederationError(
+                    f"client {cid} {args.split} {fed.task_metric} is {value} from the "
+                    f"saved models, but {summary_path} records {want}")
     for cid, value in enumerate(metrics):
         print(f"client {cid} {args.split} {fed.task_metric}: {value:.6f}")
     print(f"mean {args.split} {fed.task_metric}: {float(np.mean(metrics)):.6f}")

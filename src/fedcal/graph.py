@@ -88,6 +88,12 @@ class Graph:
         return self.adjacency.nnz // 2
 
     def validate(self):
+        """Raise ValueError naming the first fault of the fields' invariants.
+
+        Symmetry is tested by comparing the canonical index arrays of the
+        adjacency and of its transposed CSR copy; only on a mismatch does
+        the elementwise ``a != a.T`` run, to name the first asymmetric edge.
+        """
         n = self.num_nodes
         if self.labels.shape != (n,):
             raise ValueError("labels length must equal node count")
@@ -112,15 +118,17 @@ class Graph:
             raise ValueError("adjacency must hold unique sorted entries equal to 1")
         if a.diagonal().any():
             raise ValueError(f"self-loop at node {np.flatnonzero(a.diagonal())[0]}")
-        asym = (a != a.T).tocoo()
-        if asym.nnz:
+        t = a.T.tocsr()                          # canonical, as a is
+        if not (np.array_equal(a.indptr, t.indptr) and np.array_equal(a.indices, t.indices)):
+            asym = (a != a.T).tocoo()
             raise ValueError(f"asymmetric edge between {asym.row[0]} and {asym.col[0]}")
 
     @classmethod
     def from_edges(cls, features, labels, edges) -> "Graph":
         """Build an unsplit Graph from an (m, 2) array-like of (u, v) pairs.
 
-        Edges are symmetrized and deduplicated; self-loops are dropped. A
+        Edges are symmetrized and deduplicated in one COO-to-CSR pass over
+        both directions of every pair; self-loops are dropped. A
         node id that is not a whole number or not in [0, n) raises
         ValueError naming its edge; both checks run before the int cast,
         which would truncate 1.7 to 1 and overflow at 1e20 or 2**70.
@@ -144,8 +152,8 @@ class Graph:
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         edges = edges.astype(np.int64, copy=False)
         u, v = edges[edges[:, 0] != edges[:, 1]].T
-        adjacency = sp.csr_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
-        adjacency = adjacency + adjacency.T
+        adjacency = sp.csr_matrix((np.ones(2 * len(u)), (np.append(u, v), np.append(v, u))),
+                                  shape=(n, n))
         adjacency.data[:] = 1.0                  # duplicates were summed
         return cls(features=features, labels=labels, adjacency=adjacency,
                    split=np.zeros(n, dtype=np.int8))
@@ -483,10 +491,16 @@ def split_masks(g: Graph, ratios=(0.2, 0.4, 0.4), seed=0) -> Graph:
 
 
 def _row_means(pattern: sp.csr_matrix, fallback: sp.csr_matrix) -> sp.csr_matrix:
-    """Mean operator over each row of a 0/1 CSR pattern; empty rows copy fallback."""
+    """Mean operator over each row of a 0/1 CSR pattern; empty rows copy fallback.
+
+    The fallback rows are selected and added only when some row is empty;
+    otherwise the scaled pattern is the whole operator.
+    """
     counts = np.diff(pattern.indptr)
     means = pattern.copy()
     means.data = np.repeat(1.0 / np.maximum(counts, 1), counts)
+    if counts.all():
+        return means
     return means + (sp.diags((counts == 0) * 1.0) @ fallback).sorted_indices()
 
 
@@ -495,8 +509,10 @@ class HopAggregator:
 
     m1 is the CSR adjacency A row-normalized, with the identity row for an
     isolated node, so hop1 rows average the 1-hop neighbor values. The
-    exact-2-hop ring is the pattern of (A + I)^2 minus that of A + I;
-    row-normalized into a2, an empty ring falling back to the m1 row, it
+    exact-2-hop ring is the pattern of (A + I)^2 minus that of A + I (the
+    product is symmetric, so the CSR copy of its transpose gives it with
+    sorted rows); row-normalized into a2, an empty ring falling back to the
+    m1 row (built only when some ring is empty), it
     gives m2 = (m1 + a2) / 2, the mean of the 1-hop and 2-hop ring means.
     Both operators are constants of the graph, so gradients flow through
     them as fixed linear maps. They hold only the rows of the sorted node
@@ -512,7 +528,7 @@ class HopAggregator:
         a = g.adjacency
         eye = sp.identity(g.num_nodes, format="csr")
         near = a + eye
-        within2 = (near @ near).sorted_indices()
+        within2 = (near @ near).T.tocsr()        # symmetric; CSC to CSR sorts rows
         within2.data[:] = 1.0
         ring2 = within2 - near                   # exact zeros are not stored
         self.rows = np.arange(g.num_nodes)

@@ -887,6 +887,55 @@ class TestEvalCommand:
         mean_line = [ln for ln in printed.splitlines() if ln.startswith("mean")][0]
         assert abs(float(mean_line.split(":")[1]) - run_summary["mean_val"]) <= 1e-6
 
+    @pytest.mark.parametrize("split", ["test", "val"])
+    def test_edited_dump_fails_naming_its_client(self, smoke_cfg, tmp_path, capsys, split):
+        out = tmp_path / "run"
+        assert main(["run", "--config", smoke_cfg, "--out", str(out)]) == 0
+        recorded = json.loads((out / "summary.json").read_text())[f"per_client_{split}"]
+        dump = out / "models" / "client_1.txt"
+        lines = dump.read_text().splitlines()
+        bias = lines[-1].split()                 # b_cls: every node now votes class 1
+        lines[-1] = " ".join(["-1000000.0"] + bias[1:])
+        dump.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["eval", "--model-dir", str(out), "--split", split]) == 1
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err.startswith(f"error: client 1 {split} accuracy is ")
+        assert printed.err.endswith(
+            f" from the saved models, but {out / 'summary.json'} records {recorded[1]}\n")
+        # another config's metrics are not the run's, so they are not checked
+        assert main(["eval", "--model-dir", str(out), "--config", smoke_cfg,
+                     "--split", split]) == 0
+
+    def test_edited_summary_fails_naming_its_client(self, smoke_cfg, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["run", "--config", smoke_cfg, "--out", str(out)]) == 0
+        path = out / "summary.json"
+        summary = json.loads(path.read_text())
+        summary["per_client_test"][2] += 2.0 ** -52
+        path.write_text(json.dumps(summary))
+        capsys.readouterr()
+        assert main(["eval", "--model-dir", str(out)]) == 1
+        assert (f"error: client 2 test accuracy is {summary['per_client_test'][2] - 2.0 ** -52}"
+                in capsys.readouterr().err)
+        del summary["per_client_test"][2]        # a client the record lacks
+        path.write_text(json.dumps(summary))
+        assert main(["eval", "--model-dir", str(out)]) == 1
+        assert f"but {path} records None\n" in capsys.readouterr().err
+        path.write_text("{")
+        assert main(["eval", "--model-dir", str(out)]) == 2
+        assert f"error: {path}: not JSON (" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("split", ["test", "val"])
+    def test_committed_demo_run_matches_its_record(self, capsys, split):
+        demo = os.path.join(REPO, "runs", "smoke-demo")
+        summary = json.loads(Path(demo, "summary.json").read_text())
+        capsys.readouterr()
+        assert main(["eval", "--model-dir", demo, "--split", split]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"mean {split} accuracy: {summary[f'mean_{split}']:.6f}")
+
     # each line a config.resolved held while its key was read
     RETIRED = ["refine.eps = 1e-08", "refine.gw_iters = 200", "refine.gw_lr = 1.0",
                "refine.eta = 0.1", "refine.tau = 1.0", "sinkhorn.epsilon = 0.05",

@@ -95,6 +95,41 @@ class TestGraphInvariants:
         with pytest.raises(ValueError, match="asymmetric edge"):
             direct_graph(adjacency)
 
+    @pytest.mark.parametrize("n, pairs, equal_indptr, message", [
+        (3, [(0, 1), (1, 2), (2, 0)], True, "asymmetric edge between 0 and 1"),
+        (5, [(0, 4), (4, 0), (1, 3), (3, 2), (2, 1)], True, "asymmetric edge between 1 and 2"),
+        (3, [(0, 1)], False, "asymmetric edge between 0 and 1"),
+        (5, [(0, 4), (4, 0), (3, 1)], False, "asymmetric edge between 1 and 3"),
+    ])
+    def test_asymmetry_names_first_edge(self, n, pairs, equal_indptr, message):
+        # a directed cycle has every row and column count equal, so only its
+        # index arrays tell it from its transpose; a one-way edge moves indptr
+        rows, cols = zip(*pairs)
+        adjacency = sp.csr_matrix((np.ones(len(pairs)), (rows, cols)), shape=(n, n))
+        transposed = adjacency.T.tocsr()
+        assert np.array_equal(adjacency.indptr, transposed.indptr) == equal_indptr
+        assert not np.array_equal(adjacency.indices, transposed.indices)
+        with pytest.raises(ValueError) as raised:
+            direct_graph(adjacency)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_from_edges_equals_canonical_csr_of_dense(self, seed):
+        # duplicates, both directions of a pair and self-loops, each drawn often
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        edges = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+        edges = np.concatenate([edges, edges[::2], edges[1::3, ::-1],
+                                np.repeat(rng.integers(0, n, size=(2, 1)), 2, axis=1)])
+        dense = np.zeros((n, n))
+        dense[edges[:, 0], edges[:, 1]] = dense[edges[:, 1], edges[:, 0]] = 1.0
+        np.fill_diagonal(dense, 0.0)
+        got = Graph.from_edges(np.zeros((n, 1)), np.zeros(n, dtype=int), edges).adjacency
+        want = sp.csr_matrix(dense)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
+
     def test_rejects_self_loop(self):
         adjacency = sp.csr_matrix(np.array([[0, 1, 0], [1, 1, 0], [0, 0, 0]]))
         with pytest.raises(ValueError, match="self-loop at node 1"):
@@ -668,6 +703,18 @@ def reference_operators(g):
 
 
 class TestHopAggregator:
+    @staticmethod
+    def check_operators(g):
+        """m1 and m2 hold the CSR arrays of the dense reference: index order
+        sets the bits of every ring product, so values alone do not do."""
+        agg = HopAggregator(g)
+        for got, dense in zip((agg.m1, agg.m2), reference_operators(g)):
+            assert np.array_equal(got.toarray(), dense)
+            want = sp.csr_matrix(dense)
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert got.data.tobytes() == want.data.tobytes()
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_operators_equal_k_hop_reference(self, seed):
         g = ring_cases(seed)
@@ -675,10 +722,18 @@ class TestHopAggregator:
         no_ring2 = np.array([len(k_hop_sets(g, v, 2)) == 0 for v in range(g.num_nodes)])
         assert (degree == 0).any() and (degree == 1).any()
         assert (no_ring2 & (degree > 0)).any()
-        agg = HopAggregator(g)
-        m1, m2 = reference_operators(g)
-        assert np.array_equal(agg.m1.toarray(), m1)
-        assert np.array_equal(agg.m2.toarray(), m2)
+        self.check_operators(g)
+
+    def test_benchmark_clients_equal_k_hop_reference(self):
+        # client 1 has an isolated node and client 0 none, so both branches
+        # of the fallback (built, or skipped) run
+        cfg = parse_config_file(os.path.join(REPO, "configs", "benchmark.cfg"))
+        clients, _, _, _ = fedsim.setup_federation(build_run_config(cfg).federation_config(seed=1))
+        graphs = [c.graph for c in clients]
+        isolated = [bool((np.diff(g.adjacency.indptr) == 0).any()) for g in graphs]
+        assert isolated[1] and not isolated[0]
+        for g in graphs:
+            self.check_operators(g)
 
     @pytest.mark.parametrize("seed, dense", [(0, False), (1, False), (2, False),
                                              (3, False), (4, True)])
