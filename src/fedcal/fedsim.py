@@ -5,14 +5,14 @@ every client recomputes its calibration rotation and template matching,
 freezes them and runs a few full-batch gradient epochs on the combined
 objective. Its round ends in four parts (``ClientRoundResult``): the
 params and rotation it keeps, the upload, scalar metrics, and whether its
-matching converged. The upload is two reports of manifold statistics
-only, each made of arrays: calibrated class means with per-class losses,
-and radial sequences with their assignment matrix. The metrics go to the
+matching converged. The upload is manifold statistics only, as two tuples
+of plain arrays: calibrated class means with per-class losses, and
+radial sequences with their assignment matrix. The metrics go to the
 history and the convergence flag to the console tally; the server reads
-neither. Behind a barrier, ``server_step`` stacks the round's reports
-into two pools (``semantic_pool``, ``structural_pool``) once and refines
-the anchors and templates from those arrays alone; the upload format is
-known here only.
+neither. Behind a barrier, ``server_step`` stacks the round's uploads
+position by position into two pools (``semantic_pool``,
+``structural_pool``) once and refines the anchors and templates from
+those arrays alone.
 Models are fully personalized: no parameter averaging happens anywhere,
 the only thing exchanged is manifold statistics.
 
@@ -66,8 +66,6 @@ __all__ = [
     "FederationResult",
     "FederationError",
     "kind_fields",
-    "SemanticReport",
-    "StructuralReport",
     "build_dataset",
     "setup_federation",
     "sample_structural_batch",
@@ -356,33 +354,25 @@ def _check_client_splits(cfg: FederationConfig, g: Graph, parts):
 
 
 @dataclass
-class SemanticReport:
-    """Client upload: calibrated class means and per-class mean anchor loss."""
+class ClientRoundResult:
+    """One client's round in four parts, split by who may read them.
 
-    k: np.ndarray               # (d, C), columns rotation @ class mean
-    present_mask: np.ndarray    # (C,) bool
-    per_class_loss: np.ndarray  # (C,), zero where absent
+    ``upload`` is all the server reads: ``((k, present, per_class_loss),
+    (radials, f))``, the second tuple ``None`` when the structural term is
+    off. Each is a plain array, float64 unless noted:
 
+    - ``k`` (d, C): column c is rotation @ the class-c mean, zero if absent;
+    - ``present`` (C,) bool: the classes among the client's train labels;
+    - ``per_class_loss`` (C,): mean anchor loss per class, zero if absent;
+    - ``radials`` (B, 2, d): the batch's radial sequences, from the
+      closing forward;
+    - ``f`` (B, Q): the matching that the round's losses read;
 
-@dataclass
-class StructuralReport:
-    """Client upload: sampled radial sequences and their assignment matrix.
-
-    radials is the (B, 2, d) float64 batch the client matched, from its
-    closing forward; f is the (B, Q) matching that the round's losses
-    read. A client without the structural term uploads none.
+    where B = min(batch_nodes, client nodes).
     """
 
-    radials: np.ndarray
-    f: np.ndarray
-
-
-@dataclass
-class ClientRoundResult:
-    """One client's round in four parts, split by who may read them."""
-
     local: tuple        # (params, rotation): written back into the ClientState
-    upload: tuple       # (SemanticReport, StructuralReport or None): all the server reads
+    upload: tuple       # the arrays above
     metrics: tuple      # (ce, sem, stru, val_metric, test_metric) floats, in HistoryRow order
     converged: bool | None  # the matching's, for the console tally; None if none ran
 
@@ -443,18 +433,16 @@ def run_client_round(state: ClientState, anchors: np.ndarray,
     k = rotation @ class_means(final_ego, labels, cfg.num_classes)[0]
     k[:, ~present] = 0.0                        # the labels, so present, never change
     per_class = semantic_per_class_loss(final_ego, labels, rotation, anchors)
-    semantic_report = SemanticReport(k=k, present_mask=present, per_class_loss=per_class)
-    structural_report = None
+    structural_upload = None
     if cfg.structural_enabled:
-        final_radials = radial_sequences_from_rings(final_cache.rings[batch])
-        structural_report = StructuralReport(radials=final_radials, f=matching.f)
+        structural_upload = (radial_sequences_from_rings(final_cache.rings[batch]), matching.f)
 
     val = _metric_from_logits(final_cache.logits, g, "val", cfg.task_metric)
     test = _metric_from_logits(final_cache.logits, g, "test", cfg.task_metric)
     # float() keeps numpy scalars out, whose repr would change the CSV
     return ClientRoundResult(
         local=(params, rotation),
-        upload=(semantic_report, structural_report),
+        upload=((k, present, per_class), structural_upload),
         metrics=tuple(float(m) for m in (ce, sem, stru, val, test)),
         converged=converged,
     )
@@ -479,49 +467,47 @@ def evaluate(state: ClientState, split: str, metric: str = "accuracy") -> float:
     return _metric_from_logits(cache.logits, state.graph, split, metric)
 
 
-def semantic_pool(reports):
-    """The semantic reports stacked in client order as ``(k, present, losses)``,
-    of shapes (R, d, C), (R, C) and (R, C) for R reports."""
-    if not reports:
-        raise ValueError("need at least one semantic report")
-    return (np.stack([rep.k for rep in reports]),
-            np.stack([rep.present_mask for rep in reports]),
-            np.stack([rep.per_class_loss for rep in reports]))
+def semantic_pool(uploads):
+    """The clients' ``(k, present, per_class_loss)`` stacked position by
+    position in client order, of shapes (R, d, C), (R, C) and (R, C) for R
+    clients."""
+    if not uploads:
+        raise ValueError("need at least one semantic upload")
+    return tuple(np.stack(arrays) for arrays in zip(*uploads))
 
 
-def structural_pool(reports):
-    """The structural reports concatenated in client order as ``(f, alphas,
-    rows)``, of shapes (N, Q), (N,) and (N, 2, d) for N radials in all."""
-    rows = np.concatenate([rep.radials for rep in reports])
-    f = np.concatenate([rep.f for rep in reports])
+def structural_pool(uploads):
+    """The clients' ``(radials, f)`` concatenated position by position in
+    client order as ``(f, alphas, rows)``, of shapes (N, Q), (N,) and
+    (N, 2, d) for N radials in all."""
+    rows, f = (np.concatenate(arrays) for arrays in zip(*uploads))
     return f, intra_distances(rows), rows
 
 
-def server_step(anchors: np.ndarray, templates: np.ndarray, uploads,
-                cfg: FederationConfig):
+def server_step(anchors: np.ndarray, templates: np.ndarray, uploads, refine: bool):
     """The server's half of a round: (anchors, templates, drift, gw_mean).
 
     ``uploads`` holds each client's ``ClientRoundResult.upload`` in
     client-id order; besides them the server reads only the current
-    anchors and templates and cfg's settings. Each kind of report is
+    anchors and templates and whether to refine them. The structural term
+    ran if the uploads carry its arrays. Each half of the uploads is
     pooled once (``semantic_pool``, ``structural_pool``) and the refine
     functions read the pools. ``drift`` is the refined anchors'
     ``gram_drift`` and ``gw_mean`` the mean GW objective of the refined
     templates, 0.0 when the structural term is off.
     """
-    if cfg.refine_enabled:
-        semantic = semantic_pool([sem for sem, _ in uploads])
-        anchors = refine_all_anchors(anchors, semantic)
+    if refine:
+        anchors = refine_all_anchors(anchors, semantic_pool([sem for sem, _ in uploads]))
     drift = gram_drift(anchors)
 
     gw_mean = 0.0
-    if cfg.structural_enabled:
+    if uploads[0][1] is not None:
         structural = structural_pool([stru for _, stru in uploads])
-        if cfg.refine_enabled:
+        if refine:
             templates = np.stack([update_template(q, structural, templates)
-                                  for q in range(cfg.num_templates)])
+                                  for q in range(len(templates))])
         gw_mean = float(np.mean([template_objective(structural, q, templates[q])
-                                 for q in range(cfg.num_templates)]))
+                                 for q in range(len(templates))]))
     return anchors, templates, drift, gw_mean
 
 
@@ -540,7 +526,7 @@ _STRICT = partial(np.errstate, over="raise", invalid="raise", divide="raise")
 
 
 def _run_rounds(cfg: FederationConfig, map_clients) -> FederationResult:
-    clients, anchors, templates, _ = setup_federation(cfg)
+    clients, anchors, templates = setup_federation(cfg)[:3]   # no round reads the root graph
     records = []
     converged = []
     for round_idx in range(cfg.rounds):
@@ -562,7 +548,7 @@ def _run_rounds(cfg: FederationConfig, map_clients) -> FederationResult:
         try:
             with _STRICT():
                 anchors, templates, drift, gw_mean = server_step(
-                    anchors, templates, [res.upload for res in results], cfg)
+                    anchors, templates, [res.upload for res in results], cfg.refine_enabled)
         except Exception as exc:
             raise FederationError(f"server failed at round {round_idx}: {exc}") from exc
 

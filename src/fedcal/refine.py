@@ -8,8 +8,10 @@ vectors admit. The templates are a (Q, 2, d) array of seeded Gaussian
 rows scaled to unit norm. Clients only read the two arrays; nothing here
 imports a client module.
 
-The refinement functions read a round's uploads as the plain arrays
-that ``fedsim.semantic_pool`` and ``fedsim.structural_pool`` stack once.
+Each client uploads plain arrays, ``(k, present, per_class_loss)`` and
+``(radials, f)``; the refinement functions read them as the two pools
+that ``fedsim.semantic_pool`` stacks and ``fedsim.structural_pool``
+concatenates once, position by position in client order.
 Every update returns a new array and never writes into the one it was
 given, which the clients may still be reading.
 
@@ -28,11 +30,8 @@ into a 1-D scale search plus an assignment-weighted mean for position.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
-log = logging.getLogger(__name__)
 _STEP_GUARD = 1e-8      # division guard in the anchor step clip
 _GOLDEN_ITERS = 200     # golden-section cap; radials (alpha <= 2) hit the 1e-12 stop first
 
@@ -277,7 +276,6 @@ def update_template(q: int, structural, templates: np.ndarray) -> np.ndarray:
     weights = f[:, q]
     total = weights.sum()
     if total <= 0.0:
-        log.debug("template %d has zero total assignment; left unchanged", q)
         return templates[q].copy()
 
     # all-zero alphas give the empty bracket [0, 0], so beta* = 0.0 at once

@@ -8,7 +8,7 @@ partitioner's two loops on numpy arrays and scalars, where the library
 runs them on plain per-node lists. The structural-loss reference scores
 one (radial, template) pair at a time, where the library scores all
 pairs from one (B, Q, 2, d) array of pairing differences. The semantic
-references loop over the client reports one class at a time, where the
+references loop over the client uploads one class at a time, where the
 library sums the stacked pool (fedsim.semantic_pool). Three helpers that
 no library module calls live here too: a node's neighbour ids, and the
 transport and two-point Gromov-Wasserstein distances of one pair.
@@ -159,28 +159,28 @@ def gw_2point(a, b) -> float:
     return float(_gw_values(alpha, beta)[0])
 
 
-def deviation_vectors_loop(reports, anchors: np.ndarray) -> np.ndarray:
-    """refine.deviation_vectors, one report and one present class at a time."""
+def deviation_vectors_loop(uploads, anchors: np.ndarray) -> np.ndarray:
+    """refine.deviation_vectors, one (k, present, per_class_loss) upload and
+    one present class at a time."""
     d, c = anchors.shape
     out = np.zeros((d, c))
     counts = np.zeros(c)
-    for rep in reports:
-        for i in np.nonzero(rep.present_mask)[0]:
-            out[:, i] += rep.k[:, i] - anchors[:, i]
+    for k, present, _ in uploads:
+        for i in np.nonzero(present)[0]:
+            out[:, i] += k[:, i] - anchors[:, i]
             counts[i] += 1
     nz = counts > 0
     out[:, nz] /= counts[nz]
     return out
 
 
-def difficulty_weights_loop(reports, tau: float) -> np.ndarray:
-    """refine.difficulty_weights, one report at a time."""
-    c = reports[0].per_class_loss.shape[0]
+def difficulty_weights_loop(uploads, tau: float) -> np.ndarray:
+    """refine.difficulty_weights, one (k, present, per_class_loss) upload at a time."""
+    c = uploads[0][2].shape[0]
     totals = np.zeros(c)
     counts = np.zeros(c)
-    for rep in reports:
-        present = rep.present_mask
-        totals[present] += rep.per_class_loss[present]
+    for _, present, losses in uploads:
+        totals[present] += losses[present]
         counts[present] += 1
     mean = np.where(counts > 0, totals / np.maximum(counts, 1), 0.0)
     return softmax(mean, tau)

@@ -17,7 +17,6 @@ import pytest
 from fedcal.cli import main as cli_main
 from fedcal.fedsim import (
     FederationConfig,
-    SemanticReport,
     run_federation,
     semantic_pool,
     structural_pool,
@@ -263,7 +262,7 @@ class TestCriterion5GromovWasserstein:
             worst_grid = max(worst_grid, abs(gw_2point(a, b) - grid))
         assert worst_grid <= 1e-6
 
-        from tests.test_refine import make_structural_report
+        from tests.test_refine import structural_upload
 
         worst_ascent = -np.inf
         for seed in range(20):
@@ -275,12 +274,12 @@ class TestCriterion5GromovWasserstein:
                 radial_rows.append(rows)
             f = rng2.random((10, 3))
             f /= f.sum(axis=1, keepdims=True)
-            rep = make_structural_report(radial_rows, f)
+            up = structural_upload(radial_rows, f)
             templates = rng2.standard_normal((3, 2, 5))
             for q in range(3):
-                before = template_objective(structural_pool([rep]), q, templates[q])
-                new = update_template(q, structural_pool([rep]), templates)
-                after = template_objective(structural_pool([rep]), q, new)
+                before = template_objective(structural_pool([up]), q, templates[q])
+                new = update_template(q, structural_pool([up]), templates)
+                after = template_objective(structural_pool([up]), q, new)
                 worst_ascent = max(worst_ascent, after - before)
         assert worst_ascent <= 1e-9
 
@@ -301,17 +300,14 @@ class TestCriterion6AnchorRefinement:
         worst_chord = -np.inf
         anchors = construct_etf(4, 8, seed=66)
         for _ in range(50):
-            reports = []
+            uploads = []
             for _ in range(3):
                 k = anchors + rng.standard_normal(anchors.shape) * 0.3
-                reports.append(SemanticReport(
-                    k=k, present_mask=np.ones(4, dtype=bool),
-                    per_class_loss=rng.random(4),
-                ))
+                uploads.append((k, np.ones(4, dtype=bool), rng.random(4)))
             from fedcal.refine import constraint_vector, deviation_vectors, difficulty_weights
 
-            vs = deviation_vectors(semantic_pool(reports), anchors)
-            gammas = difficulty_weights(semantic_pool(reports), tau)
+            vs = deviation_vectors(semantic_pool(uploads), anchors)
+            gammas = difficulty_weights(semantic_pool(uploads), tau)
             for i in range(4):
                 s = constraint_vector(anchors, i)
                 delta = anchors[:, i]
@@ -320,17 +316,14 @@ class TestCriterion6AnchorRefinement:
                 worst_chord = max(worst_chord, t * np.linalg.norm(step))
                 out = refine_anchor(delta, vs[:, i], float(gammas[i]), s, eta)
                 worst_norm = max(worst_norm, abs(np.linalg.norm(out) - 1.0))
-            anchors = refine_all_anchors(anchors, semantic_pool(reports), tau, eta)
+            anchors = refine_all_anchors(anchors, semantic_pool(uploads), tau, eta)
         assert worst_norm <= 1e-12
         assert worst_chord <= eta + 1e-9
 
         # exact ETF + zero deviation is a fixed point
         exact = construct_etf(5, 8, seed=67)
-        reports = [SemanticReport(
-            k=exact.copy(), present_mask=np.ones(5, dtype=bool),
-            per_class_loss=np.zeros(5),
-        )]
-        refined = refine_all_anchors(exact, semantic_pool(reports), tau, eta)
+        uploads = [(exact.copy(), np.ones(5, dtype=bool), np.zeros(5))]
+        refined = refine_all_anchors(exact, semantic_pool(uploads), tau, eta)
         fixed_err = float(np.abs(refined - exact).max())
         assert fixed_err <= 1e-12
         assert gram_drift(refined) <= 1e-9

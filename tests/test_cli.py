@@ -373,6 +373,26 @@ class TestRunCommand:
         for c in range(3):
             assert os.path.exists(os.path.join(out, "models", f"client_{c}.txt"))
 
+    @pytest.mark.parametrize("extra, argv", [("", []), ("", ["--ablate", "structural"]),
+                                             ("federation.metric = auc\n", [])],
+                             ids=["smoke", "ablate-structural", "auc"])
+    def test_summary_metrics_equal_the_last_history_round(self, tmp_path, extra, argv):
+        # summary.json's per-client metrics are the last round's history
+        # columns, bit for bit: both score the final params on every node
+        cfg = tmp_path / "smoke.cfg"
+        cfg.write_text(SMOKE + extra)
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg), "--out", str(out)] + argv) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        rows = fedsim.import_history(str(out / "history.csv"))
+        last = [row for row in rows if row.round == summary["rounds"] - 1]
+        assert [row.client_id for row in last] == list(range(summary["clients"]))
+        for split in ("val", "test"):
+            recorded = np.array(summary[f"per_client_{split}"])
+            history = np.array([getattr(row, f"{split}_metric") for row in last])
+            assert recorded.tobytes() == history.tobytes()
+        assert summary["metric"] == ("auc" if extra else "accuracy")
+
     def test_missing_dataset_file_is_config_error(self, tmp_path):
         cfg = tmp_path / "f.cfg"
         cfg.write_text(

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import os
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -11,8 +13,6 @@ from fedcal.fedsim import (
     FederationConfig,
     FederationError,
     HistoryRow,
-    SemanticReport,
-    StructuralReport,
     build_dataset,
     evaluate,
     export_embeddings,
@@ -328,6 +328,27 @@ class TestRunFederation:
         assert np.array_equal(result.anchors, anchors0)
         assert np.array_equal(result.templates, templates0)
 
+    def test_rounds_hold_no_root_graph(self, monkeypatch):
+        # the clients own induced subgraphs; once they are built no round
+        # reads the root graph, so the run must not keep it alive
+        roots, alive = [], []
+        build, client_round = fedsim.build_dataset, fedsim.run_client_round
+
+        def built(cfg):
+            g = build(cfg)
+            roots.append(weakref.ref(g))
+            return g
+
+        def first_round(*args):
+            gc.collect()
+            alive.append(roots[0]() is not None)
+            return client_round(*args)
+
+        monkeypatch.setattr(fedsim, "build_dataset", built)
+        monkeypatch.setattr(fedsim, "run_client_round", first_round)
+        run_federation(tiny_config(rounds=1))
+        assert len(roots) == 1 and alive[0] is False
+
     def test_round_leaves_shared_arrays_unwritten(self):
         # every client thread reads the same anchors and templates: a round
         # on read-only arrays must run and give what it gives on copies
@@ -337,13 +358,12 @@ class TestRunFederation:
         def one_round(anchors, templates):
             results = [run_client_round(c, anchors, templates, cfg, 0) for c in clients]
             refined, new_templates, drift, gw_mean = server_step(
-                anchors, templates, [r.upload for r in results], cfg)
+                anchors, templates, [r.upload for r in results], cfg.refine_enabled)
             arrays = [refined, new_templates, np.array([drift, gw_mean])]
             for r in results:
-                (params, rotation), (sem, stru) = r.local, r.upload
+                (params, rotation), ((k, present, losses), (radials, f)) = r.local, r.upload
                 arrays += [params.w_ego, params.w_cls, params.b_cls, rotation,
-                           sem.k, sem.per_class_loss, stru.radials, stru.f,
-                           np.array(r.metrics)]
+                           k, present, losses, radials, f, np.array(r.metrics)]
             return arrays
 
         frozen_anchors, frozen_templates = anchors.copy(), templates.copy()
@@ -427,11 +447,40 @@ class TestRingRowRestriction:
 
 
 class TestPrivacyStructure:
-    def test_uploaded_payloads_carry_no_raw_data(self):
-        sem_fields = {f.name for f in dataclasses.fields(SemanticReport)}
-        str_fields = {f.name for f in dataclasses.fields(StructuralReport)}
-        assert sem_fields == {"k", "present_mask", "per_class_loss"}
-        assert str_fields == {"radials", "f"}
+    @pytest.mark.parametrize("ablate", [[], ["structural"]], ids=["full", "ablate-structural"])
+    def test_every_upload_is_the_declared_arrays(self, monkeypatch, tmp_path, ablate):
+        # ClientRoundResult declares the upload: ((k, present, per_class_loss),
+        # (radials, f)), the second None without the structural term
+        from fedcal import cli
+
+        seen = []
+        client_round = fedsim.run_client_round
+
+        def recorded(state, anchors, templates, cfg, round_idx):
+            res = client_round(state, anchors, templates, cfg, round_idx)
+            seen.append((state.graph.num_nodes, cfg, res.upload))
+            return res
+
+        monkeypatch.setattr(fedsim, "run_client_round", recorded)
+        smoke = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs", "smoke.cfg")
+        argv = ["run", "--config", smoke, "--out", str(tmp_path / "run")]
+        assert cli.main(argv + [arg for name in ablate for arg in ("--ablate", name)]) == 0
+        cfg = seen[0][1]
+        assert len(seen) == cfg.rounds * cfg.num_clients
+        d, c, q = cfg.embed_dim, cfg.num_classes, cfg.num_templates
+        for nodes, _, upload in seen:
+            b = min(cfg.batch_nodes, nodes)
+            assert type(upload) is tuple and len(upload) == 2
+            semantic, structural = upload
+            declared = [(semantic, [((d, c), np.float64), ((c,), np.bool_), ((c,), np.float64)])]
+            if ablate:
+                assert structural is None
+            else:
+                declared.append((structural, [((b, 2, d), np.float64), ((b, q), np.float64)]))
+            for arrays, shapes in declared:
+                assert type(arrays) is tuple
+                assert [(a.shape, a.dtype) for a in arrays] == shapes
+                assert all(type(a) is np.ndarray for a in arrays)
 
     def test_client_round_has_four_parts(self):
         from fedcal.fedsim import ClientRoundResult
@@ -444,8 +493,8 @@ class TestPrivacyStructure:
         clients, anchors, templates, _ = setup_federation(cfg)
         res = run_client_round(clients[0], anchors, templates, cfg, 0)
         assert len(res.upload) == 2
-        for report in res.upload:
-            for value in vars(report).values():
+        for part in res.upload:
+            for value in part:
                 assert not isinstance(value, (Graph, ModelParams, ClientState))
                 # every uploaded field is a bare array, none a solver's result object
                 assert type(value) is np.ndarray
@@ -486,7 +535,7 @@ class TestPrivacyStructure:
         uploads = [run_client_round(c, anchors, templates, cfg, 0).upload for c in clients]
         del clients
         new_anchors, new_templates, drift, gw_mean = server_step(anchors, templates,
-                                                                 uploads, cfg)
+                                                                 uploads, cfg.refine_enabled)
         result = run_federation(cfg)
         assert new_anchors.tobytes() == result.anchors.tobytes()
         assert new_templates.tobytes() == result.templates.tobytes()
@@ -505,9 +554,9 @@ class TestPools:
 
         calls = []
         for name in ("semantic_pool", "structural_pool"):
-            def counted(reports, name=name, pool=getattr(fedsim_mod, name)):
+            def counted(uploads, name=name, pool=getattr(fedsim_mod, name)):
                 calls.append(name)
-                return pool(reports)
+                return pool(uploads)
 
             monkeypatch.setattr(fedsim_mod, name, counted)
         smoke = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs", "smoke.cfg")
@@ -523,22 +572,22 @@ class TestPools:
         k, present, losses = semantic_pool(sems)
         r, (d, c) = len(clients), anchors.shape
         assert (k.shape, present.shape, losses.shape) == ((r, d, c), (r, c), (r, c))
-        for i, sem in enumerate(sems):
-            assert k[i].tobytes() == sem.k.tobytes()
-            assert np.array_equal(present[i], sem.present_mask)
-            assert losses[i].tobytes() == sem.per_class_loss.tobytes()
+        for i, (k_i, present_i, losses_i) in enumerate(sems):
+            assert k[i].tobytes() == k_i.tobytes()
+            assert np.array_equal(present[i], present_i)
+            assert losses[i].tobytes() == losses_i.tobytes()
 
         strs = [stru for _, stru in uploads]
         f, alphas, rows = structural_pool(strs)
-        n = sum(len(stru.radials) for stru in strs)
+        n = sum(len(radials) for radials, _ in strs)
         assert (f.shape, alphas.shape, rows.shape) == ((n, cfg.num_templates), (n,),
                                                        (n, 2, cfg.embed_dim))
-        assert f.tobytes() == np.concatenate([s.f for s in strs]).tobytes()
-        assert rows.tobytes() == np.concatenate([s.radials for s in strs]).tobytes()
+        assert f.tobytes() == np.concatenate([f_i for _, f_i in strs]).tobytes()
+        assert rows.tobytes() == np.concatenate([radials for radials, _ in strs]).tobytes()
         assert alphas.tolist() == [float(np.linalg.norm(p[0] - p[1])) for p in rows]
 
     def test_empty_semantic_pool_rejected(self):
-        with pytest.raises(ValueError, match="need at least one semantic report"):
+        with pytest.raises(ValueError, match="need at least one semantic upload"):
             semantic_pool([])
 
 

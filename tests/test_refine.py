@@ -3,7 +3,7 @@ import types
 import numpy as np
 import pytest
 
-from fedcal.fedsim import SemanticReport, StructuralReport, semantic_pool, structural_pool
+from fedcal.fedsim import semantic_pool, structural_pool
 from fedcal.refine import (
     _STEP_GUARD,
     _golden_section,
@@ -22,86 +22,85 @@ from fedcal.refine import (
 from oracles import deviation_vectors_loop, difficulty_weights_loop, gw_2point
 
 
-def report_at_anchors(anchors, loss=0.0):
+def upload_at_anchors(anchors, loss=0.0):
+    """A semantic upload (k, present, per_class_loss) whose every class
+    mean sits on its anchor."""
     c = anchors.shape[1]
-    return SemanticReport(
-        k=anchors.copy(),
-        present_mask=np.ones(c, dtype=bool),
-        per_class_loss=np.full(c, loss),
-    )
+    return anchors.copy(), np.ones(c, dtype=bool), np.full(c, loss)
 
 
-def make_structural_report(radial_rows, f):
-    return StructuralReport(radials=np.stack(radial_rows), f=f)
+def structural_upload(radial_rows, f):
+    """A structural upload (radials, f) of the given (2, d) pairs."""
+    return np.stack(radial_rows), f
 
 
 class TestDeviationVectors:
     def test_zero_when_reports_match_anchors(self):
         anchors = construct_etf(3, 5, seed=0)
-        reports = [report_at_anchors(anchors) for _ in range(4)]
-        vs = deviation_vectors(semantic_pool(reports), anchors)
+        uploads = [upload_at_anchors(anchors) for _ in range(4)]
+        vs = deviation_vectors(semantic_pool(uploads), anchors)
         assert np.abs(vs).max() <= 1e-15
 
     def test_single_client_offset(self):
         anchors = construct_etf(3, 5, seed=1)
         e = np.array([0.1, -0.2, 0.0, 0.3, 0.05])
-        rep = report_at_anchors(anchors)
-        rep.k[:, 1] += e
-        vs = deviation_vectors(semantic_pool([rep]), anchors)
+        up = upload_at_anchors(anchors)
+        up[0][:, 1] += e
+        vs = deviation_vectors(semantic_pool([up]), anchors)
         assert np.abs(vs[:, 1] - e).max() <= 1e-12
         assert np.abs(vs[:, 0]).max() <= 1e-15
 
     def test_matches_bruteforce_average(self):
         rng = np.random.default_rng(2)
         anchors = construct_etf(4, 6, seed=2)
-        reports = []
+        uploads = []
         for _ in range(3):
-            rep = report_at_anchors(anchors)
-            rep.k += rng.standard_normal(rep.k.shape) * 0.1
-            reports.append(rep)
-        vs = deviation_vectors(semantic_pool(reports), anchors)
+            k, present, losses = upload_at_anchors(anchors)
+            k += rng.standard_normal(k.shape) * 0.1
+            uploads.append((k, present, losses))
+        vs = deviation_vectors(semantic_pool(uploads), anchors)
         for i in range(4):
             manual = np.zeros(6)
-            for rep in reports:
-                manual = manual + (rep.k[:, i] - anchors[:, i])
+            for k, _, _ in uploads:
+                manual = manual + (k[:, i] - anchors[:, i])
             manual /= 3
             assert np.abs(vs[:, i] - manual).max() <= 1e-12
 
     def test_unreported_class_gets_zero(self):
         anchors = construct_etf(3, 5, seed=3)
-        rep = report_at_anchors(anchors)
-        rep.present_mask[2] = False
-        rep.k[:, 2] = 123.0  # must be ignored
-        vs = deviation_vectors(semantic_pool([rep]), anchors)
+        k, present, losses = upload_at_anchors(anchors)
+        present[2] = False
+        k[:, 2] = 123.0  # must be ignored
+        vs = deviation_vectors(semantic_pool([(k, present, losses)]), anchors)
         assert np.abs(vs[:, 2]).max() == 0.0
 
 
 class TestDifficultyWeights:
     def test_equal_losses_give_uniform(self):
         anchors = construct_etf(4, 6, seed=4)
-        reports = [report_at_anchors(anchors, loss=0.7) for _ in range(2)]
-        gamma = difficulty_weights(semantic_pool(reports), tau=1.0)
+        uploads = [upload_at_anchors(anchors, loss=0.7) for _ in range(2)]
+        gamma = difficulty_weights(semantic_pool(uploads), tau=1.0)
         assert np.abs(gamma - 0.25).max() <= 1e-12
 
     def test_dominant_class_sharpens(self):
         anchors = construct_etf(3, 4, seed=5)
-        rep = report_at_anchors(anchors)
-        rep.per_class_loss = np.array([5.0, 0.0, 0.0])
-        gamma = difficulty_weights(semantic_pool([rep]), tau=0.01)
+        up = upload_at_anchors(anchors)
+        up[2][:] = [5.0, 0.0, 0.0]
+        gamma = difficulty_weights(semantic_pool([up]), tau=0.01)
         assert gamma[0] >= 0.999
 
     def test_hand_softmax(self):
         anchors = construct_etf(2, 3, seed=6)
-        rep = report_at_anchors(anchors)
-        rep.per_class_loss = np.array([np.log(2.0), 0.0])
-        gamma = difficulty_weights(semantic_pool([rep]), tau=1.0)
+        up = upload_at_anchors(anchors)
+        up[2][:] = [np.log(2.0), 0.0]
+        gamma = difficulty_weights(semantic_pool([up]), tau=1.0)
         assert np.allclose(gamma, [2 / 3, 1 / 3], atol=1e-12)
 
     def test_sums_to_one(self):
         anchors = construct_etf(5, 7, seed=7)
-        rep = report_at_anchors(anchors)
-        rep.per_class_loss = np.arange(5.0)
-        assert abs(difficulty_weights(semantic_pool([rep]), tau=2.0).sum() - 1.0) <= 1e-12
+        up = upload_at_anchors(anchors)
+        up[2][:] = np.arange(5.0)
+        assert abs(difficulty_weights(semantic_pool([up]), tau=2.0).sum() - 1.0) <= 1e-12
 
 
 class TestPooledEqualsPerReportLoop:
@@ -115,30 +114,29 @@ class TestPooledEqualsPerReportLoop:
         r, d = int(rng.integers(1, 12)), int(rng.integers(2, 7))
         c = int(rng.integers(2, d + 1))
         anchors = construct_etf(c, d, seed=seed)
-        reports = []
+        uploads = []
         for _ in range(r):
             present = rng.random(c) >= 0.2
             k = rng.standard_normal((d, c))
             k[:, ~present] = 0.0
-            reports.append(SemanticReport(k=k, present_mask=present,
-                                          per_class_loss=np.where(present, rng.random(c), 0.0)))
+            uploads.append((k, present, np.where(present, rng.random(c), 0.0)))
         if seed % 4 == 0:
-            for rep in reports:
-                rep.present_mask[0] = False
-                rep.k[:, 0] = rep.per_class_loss[0] = 0.0
+            for k, present, losses in uploads:
+                present[0] = False
+                k[:, 0] = losses[0] = 0.0
         elif seed % 4 == 1:
             anchors[0] = 0.0
-            reports[0].present_mask[:] = True
-            reports[0].k[0] = -0.0
-            for rep in reports[1:]:
-                rep.present_mask[0] = False
-                rep.k[:, 0] = rep.per_class_loss[0] = 0.0
-        pool = semantic_pool(reports)
+            uploads[0][1][:] = True
+            uploads[0][0][0] = -0.0
+            for k, present, losses in uploads[1:]:
+                present[0] = False
+                k[:, 0] = losses[0] = 0.0
+        pool = semantic_pool(uploads)
         vs = deviation_vectors(pool, anchors)
-        assert vs.tobytes() == deviation_vectors_loop(reports, anchors).tobytes()
+        assert vs.tobytes() == deviation_vectors_loop(uploads, anchors).tobytes()
         for tau in (0.5, 1.0):
             assert (difficulty_weights(pool, tau).tobytes()
-                    == difficulty_weights_loop(reports, tau).tobytes())
+                    == difficulty_weights_loop(uploads, tau).tobytes())
         if seed % 4 == 1:
             assert vs[0, 0] == 0.0 and not np.signbit(vs[0, 0])   # +0.0, not the first -0.0
 
@@ -276,20 +274,20 @@ def test_global_manifold_builders_reject_empty_sizes(build, message):
 class TestRefineAllAnchors:
     def test_exact_etf_zero_deviation_is_fixed_point(self):
         anchors = construct_etf(4, 6, seed=12)
-        reports = [report_at_anchors(anchors) for _ in range(3)]
-        refined = refine_all_anchors(anchors, semantic_pool(reports), 1.0, 0.1)
+        uploads = [upload_at_anchors(anchors) for _ in range(3)]
+        refined = refine_all_anchors(anchors, semantic_pool(uploads), 1.0, 0.1)
         assert np.abs(refined - anchors).max() <= 1e-12
         assert gram_drift(refined) <= 1e-9
 
     def test_unit_norms_after_noisy_round(self):
         rng = np.random.default_rng(13)
         anchors = construct_etf(3, 5, seed=13)
-        reports = []
+        uploads = []
         for _ in range(4):
-            rep = report_at_anchors(anchors, loss=rng.random())
-            rep.k += rng.standard_normal(rep.k.shape) * 0.2
-            reports.append(rep)
-        refined = refine_all_anchors(anchors, semantic_pool(reports), 1.0, 0.1)
+            k, present, losses = upload_at_anchors(anchors, loss=rng.random())
+            k += rng.standard_normal(k.shape) * 0.2
+            uploads.append((k, present, losses))
+        refined = refine_all_anchors(anchors, semantic_pool(uploads), 1.0, 0.1)
         assert refined.shape == anchors.shape
         norms = np.linalg.norm(refined, axis=0)
         assert np.abs(norms - 1.0).max() <= 1e-12
@@ -300,31 +298,31 @@ class TestRefineAllAnchors:
         eta = 0.05
         anchors = construct_etf(4, 7, seed=14)
         before = gram_drift(anchors)
-        reports = []
+        uploads = []
         for _ in range(3):
-            rep = report_at_anchors(anchors, loss=rng.random())
-            rep.k += rng.standard_normal(rep.k.shape) * 0.5
-            reports.append(rep)
-        refined = refine_all_anchors(anchors, semantic_pool(reports), 1.0, eta)
+            k, present, losses = upload_at_anchors(anchors, loss=rng.random())
+            k += rng.standard_normal(k.shape) * 0.5
+            uploads.append((k, present, losses))
+        refined = refine_all_anchors(anchors, semantic_pool(uploads), 1.0, eta)
         assert gram_drift(refined) <= before + 2 * eta + 1e-9
 
     def test_unreported_class_unchanged(self):
         anchors = construct_etf(3, 5, seed=15)
-        rep = report_at_anchors(anchors)
-        rep.present_mask[1] = False
-        rep.k[:, 0] += 0.3
-        refined = refine_all_anchors(anchors, semantic_pool([rep]), 1.0, 0.1)
+        k, present, losses = up = upload_at_anchors(anchors)
+        present[1] = False
+        k[:, 0] += 0.3
+        refined = refine_all_anchors(anchors, semantic_pool([up]), 1.0, 0.1)
         assert np.array_equal(refined[:, 1], anchors[:, 1])
         assert not np.allclose(refined[:, 0], anchors[:, 0])
 
     def test_anchors_move_toward_deviation(self):
         anchors = construct_etf(2, 4, seed=16)
-        rep = report_at_anchors(anchors)
+        up = upload_at_anchors(anchors)
         rng = np.random.default_rng(16)
         offset = rng.standard_normal(4) * 0.4
-        rep.k[:, 0] += offset
-        vs = deviation_vectors(semantic_pool([rep]), anchors)
-        refined = refine_all_anchors(anchors, semantic_pool([rep]), 1.0, 0.1)
+        up[0][:, 0] += offset
+        vs = deviation_vectors(semantic_pool([up]), anchors)
+        refined = refine_all_anchors(anchors, semantic_pool([up]), 1.0, 0.1)
         moved = refined[:, 0] - anchors[:, 0]
         assert moved @ vs[:, 0] > 0.0
 
@@ -376,19 +374,19 @@ class TestUpdateTemplate:
         # golden section pins a flat quadratic minimum to ~sqrt(eps)
         rng = np.random.default_rng(20)
         rows = rng.standard_normal((2, 4))
-        rep = make_structural_report([rows] * 5, np.ones((5, 1)))
+        up = structural_upload([rows] * 5, np.ones((5, 1)))
         templates = self._templates(4, 1, 20)
-        new = update_template(0, structural_pool([rep]), templates)
+        new = update_template(0, structural_pool([up]), templates)
         assert np.abs(new - rows).max() <= 1e-6
-        assert template_objective(structural_pool([rep]), 0, new) <= 1e-12
+        assert template_objective(structural_pool([up]), 0, new) <= 1e-12
 
     def test_equal_intra_distances_pin_beta(self):
         rng = np.random.default_rng(21)
         base = rng.standard_normal((2, 3))
         alpha = np.linalg.norm(base[0] - base[1])
         shifted = base + 1.0
-        rep = make_structural_report([base, shifted], np.ones((2, 1)))
-        new = update_template(0, structural_pool([rep]), self._templates(3, 1, 21))
+        up = structural_upload([base, shifted], np.ones((2, 1)))
+        new = update_template(0, structural_pool([up]), self._templates(3, 1, 21))
         beta = np.linalg.norm(new[0] - new[1])
         assert abs(beta - alpha) <= 1e-4
 
@@ -401,10 +399,10 @@ class TestUpdateTemplate:
             radial_rows.append(rows)
         f = rng.random((6, 2))
         f /= f.sum(axis=1, keepdims=True)
-        rep = make_structural_report(radial_rows, f)
+        up = structural_upload(radial_rows, f)
         templates = self._templates(4, 2, 22)
         for q in (0, 1):
-            new = update_template(q, structural_pool([rep]), templates)
+            new = update_template(q, structural_pool([up]), templates)
             beta = np.linalg.norm(new[0] - new[1])
             alphas = np.array(
                 [np.linalg.norm(r[0] - r[1]) for r in radial_rows]
@@ -423,12 +421,12 @@ class TestUpdateTemplate:
             radial_rows = [rng.standard_normal((2, 5)) for _ in range(8)]
             f = rng.random((8, 3))
             f /= f.sum(axis=1, keepdims=True)
-            rep = make_structural_report(radial_rows, f)
+            up = structural_upload(radial_rows, f)
             templates = self._templates(5, 3, seed + 50)
             for q in range(3):
-                before = template_objective(structural_pool([rep]), q, templates[q])
-                new = update_template(q, structural_pool([rep]), templates)
-                after = template_objective(structural_pool([rep]), q, new)
+                before = template_objective(structural_pool([up]), q, templates[q])
+                new = update_template(q, structural_pool([up]), templates)
+                after = template_objective(structural_pool([up]), q, new)
                 assert after <= before + 1e-9
 
     def test_unassigned_template_unchanged(self):
@@ -436,9 +434,9 @@ class TestUpdateTemplate:
         radial_rows = [rng.standard_normal((2, 3)) for _ in range(4)]
         f = np.zeros((4, 2))
         f[:, 0] = 1.0
-        rep = make_structural_report(radial_rows, f)
+        up = structural_upload(radial_rows, f)
         templates = self._templates(3, 2, 24)
-        new = update_template(1, structural_pool([rep]), templates)
+        new = update_template(1, structural_pool([up]), templates)
         assert np.array_equal(new, templates[1])
 
     def test_coincident_mean_rows_use_seeded_direction(self):
@@ -446,21 +444,21 @@ class TestUpdateTemplate:
         # intra-distances force the tie policy
         rows_a = np.array([[1.0, 0.0], [0.0, 0.0]])
         rows_b = np.array([[0.0, 0.0], [1.0, 0.0]])  # mean rows equal
-        rep = make_structural_report([rows_a, rows_b], np.ones((2, 1)))
+        up = structural_upload([rows_a, rows_b], np.ones((2, 1)))
         templates = self._templates(2, 1, 25)
-        new = update_template(0, structural_pool([rep]), templates)
+        new = update_template(0, structural_pool([up]), templates)
         beta = np.linalg.norm(new[0] - new[1])
         assert beta > 0.5  # realizes the searched intra-distance
-        again = update_template(0, structural_pool([rep]), templates)
+        again = update_template(0, structural_pool([up]), templates)
         assert np.array_equal(new, again)
 
 
-def reference_collect(reports, q):
+def reference_collect(uploads, q):
     """Per-radial weights, intra-distances and rows, one radial at a time."""
     weights, alphas, rows = [], [], []
-    for rep in reports:
-        for i, r in enumerate(rep.radials):
-            weights.append(float(rep.f[i, q]))
+    for radials, f in uploads:
+        for i, r in enumerate(radials):
+            weights.append(float(f[i, q]))
             alphas.append(float(np.linalg.norm(r[0] - r[1])))
             rows.append(r)
     return np.array(weights), np.array(alphas), rows
@@ -475,9 +473,9 @@ def reference_gw_values(alphas, beta):
     return np.maximum(np.where(concave, boundary, np.minimum(boundary, vertex)), 0.0)
 
 
-def reference_update(q, reports, templates):
+def reference_update(q, uploads, templates):
     """update_template with a sequential weighted-mean loop."""
-    weights, alphas, rows = reference_collect(reports, q)
+    weights, alphas, rows = reference_collect(uploads, q)
     total = weights.sum()
     if total <= 0.0:
         return templates[q].copy()
@@ -506,38 +504,38 @@ class TestServerPathReference:
         # three clients with B = 5, 7 and 1; template 2 gets zero weight
         rng = np.random.default_rng(seed)
         d, q_count = 6, 3
-        reports = []
+        uploads = []
         for b in (5, 7, 1):
             rows = rng.standard_normal((b, 2, d))
             rows /= np.linalg.norm(rows, axis=2, keepdims=True)
             f = rng.random((b, q_count))
             f[:, 2] = 0.0
             f /= f.sum(axis=1, keepdims=True)
-            reports.append(make_structural_report(list(rows), f))
+            uploads.append(structural_upload(list(rows), f))
         templates = rng.standard_normal((q_count, 2, d))
         for q in range(q_count):
-            new = update_template(q, structural_pool(reports), templates)
-            assert np.array_equal(new, reference_update(q, reports, templates))
-            weights, alphas, _ = reference_collect(reports, q)
+            new = update_template(q, structural_pool(uploads), templates)
+            assert np.array_equal(new, reference_update(q, uploads, templates))
+            weights, alphas, _ = reference_collect(uploads, q)
             beta = float(np.linalg.norm(new[0] - new[1]))
             expected = float((weights * reference_gw_values(alphas, beta)).sum())
-            assert template_objective(structural_pool(reports), q, new) == expected
-        assert np.array_equal(update_template(2, structural_pool(reports), templates), templates[2])
+            assert template_objective(structural_pool(uploads), q, new) == expected
+        assert np.array_equal(update_template(2, structural_pool(uploads), templates), templates[2])
 
     def test_coincident_mean_equals_reference(self):
         rows_a = np.array([[1.0, 0.0], [0.0, 0.0]])
         rows_b = np.array([[0.0, 0.0], [1.0, 0.0]])
-        reports = [make_structural_report([rows_a], np.ones((1, 1))),
-                   make_structural_report([rows_b], np.ones((1, 1)))]
+        uploads = [structural_upload([rows_a], np.ones((1, 1))),
+                   structural_upload([rows_b], np.ones((1, 1)))]
         templates = np.zeros((1, 2, 2))
-        assert np.array_equal(update_template(0, structural_pool(reports), templates),
-                              reference_update(0, reports, templates))
+        assert np.array_equal(update_template(0, structural_pool(uploads), templates),
+                              reference_update(0, uploads, templates))
 
     def test_zero_intra_distances_equal_reference(self):
         # every alpha is zero, so the scale search runs on the bracket [0, 0]
         rows = np.array([[0.6, 0.8, 0.0], [0.6, 0.8, 0.0]])
-        reports = [make_structural_report([rows, rows], np.ones((2, 1)))]
+        uploads = [structural_upload([rows, rows], np.ones((2, 1)))]
         templates = np.zeros((1, 2, 3))
-        new = update_template(0, structural_pool(reports), templates)
-        assert np.array_equal(new, reference_update(0, reports, templates))
+        new = update_template(0, structural_pool(uploads), templates)
+        assert np.array_equal(new, reference_update(0, uploads, templates))
         assert np.array_equal(new, rows)
