@@ -232,8 +232,10 @@ def partition_nonoverlapping(g: Graph, num_clients: int, seed=0):
     rng = np.random.default_rng(seed)
     seeds = _farthest_point_seeds(g, m, rng)
 
-    # both loops step one node at a time, so they run on plain Python lists
-    indptr, indices = g.adjacency.indptr.tolist(), g.adjacency.indices.tolist()
+    # both loops step one node at a time, so they read Python ints: indptr
+    # as a list, indices through a memoryview, whose slices copy nothing and
+    # whose items are the same ints a list of every edge would hold
+    indptr, indices = g.adjacency.indptr.tolist(), memoryview(g.adjacency.indices)
     owner = [-1] * n
     sizes = [1] * m
     frontiers = [deque(indices[indptr[s]:indptr[s + 1]]) for s in seeds]
@@ -493,15 +495,15 @@ def split_masks(g: Graph, ratios=(0.2, 0.4, 0.4), seed=0) -> Graph:
 def _row_means(pattern: sp.csr_matrix, fallback: sp.csr_matrix) -> sp.csr_matrix:
     """Mean operator over each row of a 0/1 CSR pattern; empty rows copy fallback.
 
-    The fallback rows are selected and added only when some row is empty;
-    otherwise the scaled pattern is the whole operator.
+    The pattern is the caller's to give away: its data is replaced by the
+    row means, and without an empty row it is the result.
+    The fallback rows are selected and added only when some row is empty.
     """
     counts = np.diff(pattern.indptr)
-    means = pattern.copy()
-    means.data = np.repeat(1.0 / np.maximum(counts, 1), counts)
+    pattern.data = np.repeat(1.0 / np.maximum(counts, 1), counts)
     if counts.all():
-        return means
-    return means + (sp.diags((counts == 0) * 1.0) @ fallback).sorted_indices()
+        return pattern
+    return pattern + (sp.diags((counts == 0) * 1.0) @ fallback).sorted_indices()
 
 
 class HopAggregator:
@@ -514,6 +516,10 @@ class HopAggregator:
     sorted rows); row-normalized into a2, an empty ring falling back to the
     m1 row (built only when some ring is empty), it
     gives m2 = (m1 + a2) / 2, the mean of the 1-hop and 2-hop ring means.
+    While building, A + I and the 2-hop ball are dropped once the ring
+    exists, the ring is rescaled in place into a2, and m1 + a2 is halved in
+    place into m2, so after the ring is formed at most m1, a2 and m2 are
+    alive together.
     Both operators are constants of the graph, so gradients flow through
     them as fixed linear maps. They hold only the rows of the sorted node
     ids ``rows``: every node here, a subset in an aggregator from restrict,
@@ -531,9 +537,11 @@ class HopAggregator:
         within2 = (near @ near).T.tocsr()        # symmetric; CSC to CSR sorts rows
         within2.data[:] = 1.0
         ring2 = within2 - near                   # exact zeros are not stored
+        del within2, near
         self.rows = np.arange(g.num_nodes)
-        self.m1 = _row_means(a, eye)
-        self.m2 = 0.5 * (self.m1 + _row_means(ring2, self.m1))
+        self.m1 = _row_means(a.copy(), eye)
+        self.m2 = self.m1 + _row_means(ring2, self.m1)
+        self.m2.data *= 0.5                      # the bits of 0.5 * (m1 + a2)
         self.m1t, self.m2t = self.m1.T, self.m2.T        # CSC views, built once
         self._last = None                                # the last restriction
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import os
 import tracemalloc
@@ -331,16 +332,30 @@ class TestHopDistancesReference:
             self.check(graph_from_edges(n, edges), seeds)
 
 
+def with_int64_indices(g):
+    """g with its adjacency's indices and indptr cast to int64, as scipy
+    stores them for a matrix past 2**31 entries."""
+    a = g.adjacency.copy()
+    a.indices, a.indptr = a.indices.astype(np.int64), a.indptr.astype(np.int64)
+    wide = copy.copy(g)
+    wide.adjacency = a
+    return wide
+
+
 class TestPartitionReference:
     """partition_nonoverlapping against its loops over numpy arrays and scalars."""
 
     @staticmethod
     def check(g, m, seed):
-        parts = partition_nonoverlapping(g, m, seed=seed)
         ref = partition_node_ids(g, m, seed)
-        assert len(parts) == len(ref) == m
-        for part, ids in zip(parts, ref):
-            assert np.array_equal(part.node_ids, ids)
+        # the loops read indices through a memoryview, whose item format
+        # follows the index dtype: int32 here, int64 in the wide copy
+        wide = with_int64_indices(g)
+        for h in (g, wide):
+            parts = partition_nonoverlapping(h, m, seed=seed)
+            assert len(parts) == len(ref) == m
+            for part, ids in zip(parts, ref):
+                assert np.array_equal(part.node_ids, ids)
 
     @pytest.mark.parametrize("n, m", [
         (2, 2), (3, 2), (3, 3), (10, 2), (10, 3), (10, 10), (41, 2), (41, 7), (41, 41),
@@ -489,6 +504,38 @@ class TestGenerateSbmReference:
         assert g.num_edges > 40000
         # the 18M node pairs alone would take 144 MB as one float64 array
         assert peak < 64 * 2**20
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the tracemalloc peak in bytes while it ran)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def csr_bytes(*mats):
+    return sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in mats)
+
+
+class TestSetupMemory:
+    """Setup's traced peaks against the bytes of what it returns or reads."""
+
+    def test_hop_aggregator_peak_on_a_hub_graph(self):
+        # m1 and m2 take 11.5 MB here, nearly all in the dense rows of m2
+        agg, peak = traced_peak(HopAggregator, hub_graph(1000))
+        assert peak <= 3.5 * csr_bytes(agg.m1, agg.m2)
+
+    def test_partition_peak_on_the_large_graph_workload(self):
+        cfg = parse_config_file(os.path.join(REPO, "perfbench", "workloads", "large-graph.cfg"))
+        fed = build_run_config(cfg).federation_config(seed=1)
+        g = fedsim.build_dataset(fed)
+        _, peak = traced_peak(partition_nonoverlapping, g, fed.num_clients,
+                              (fed.seed, fedsim._TAG_PART))
+        assert peak <= 2.5 * csr_bytes(g.adjacency)
 
 
 class TestFilesAndSplits:
@@ -683,6 +730,16 @@ def ring_cases(seed):
     return Graph.from_edges(np.zeros((66, 1)), np.zeros(66, dtype=int), edges)
 
 
+def hub_graph(n, seed=0):
+    """Random edges of average degree 4 plus node 0 joined to every other node:
+    the hub has no exact 2-hop ring, and every other node's holds nearly
+    every node."""
+    rng = np.random.default_rng(seed)
+    edges = np.vstack([rng.integers(0, n, size=(2 * n, 2)),
+                       np.column_stack([np.zeros(n - 1, dtype=int), np.arange(1, n)])])
+    return Graph.from_edges(np.zeros((n, 1)), np.zeros(n, dtype=int), edges)
+
+
 def reference_operators(g):
     """Dense (m1, m2) built node by node from k_hop_sets."""
     n = g.num_nodes
@@ -706,8 +763,13 @@ class TestHopAggregator:
     @staticmethod
     def check_operators(g):
         """m1 and m2 hold the CSR arrays of the dense reference: index order
-        sets the bits of every ring product, so values alone do not do."""
+        sets the bits of every ring product, so values alone do not do. The
+        graph's adjacency keeps its bytes, though _row_means rewrites its
+        pattern."""
+        names = ("data", "indices", "indptr")
+        before = [getattr(g.adjacency, name).tobytes() for name in names]
         agg = HopAggregator(g)
+        assert [getattr(g.adjacency, name).tobytes() for name in names] == before
         for got, dense in zip((agg.m1, agg.m2), reference_operators(g)):
             assert np.array_equal(got.toarray(), dense)
             want = sp.csr_matrix(dense)
@@ -734,6 +796,13 @@ class TestHopAggregator:
         assert isolated[1] and not isolated[0]
         for g in graphs:
             self.check_operators(g)
+
+    def test_hub_graph_equals_k_hop_reference(self):
+        # the hub's 2-hop ring is empty, so its m2 row falls back to a dense m1 row
+        g = hub_graph(1000)
+        assert len(k_hop_sets(g, 0, 2)) == 0
+        assert len(neighbors(g, 0)) == g.num_nodes - 1
+        self.check_operators(g)
 
     @pytest.mark.parametrize("seed, dense", [(0, False), (1, False), (2, False),
                                              (3, False), (4, True)])
