@@ -162,8 +162,7 @@ _METRICS = {"accuracy": _accuracy, "auc": _auc}
 @dataclass
 class FederationConfig:
     """One run's settings: each field but the three ``*_enabled`` flags,
-    which ``--ablate`` clears, is set by the config key in its metadata.
-    The split ratios have no rule of their own: they are checked together."""
+    which ``--ablate`` clears, is set by the config key in its metadata."""
 
     num_clients: int = config_key("federation.clients", 5, _AT_LEAST_1)
     rounds: int = config_key("federation.rounds", 60, _AT_LEAST_0)
@@ -191,9 +190,6 @@ class FederationConfig:
     edges_path: str = config_key("dataset.edges", None, only="files")
     features_path: str = config_key("dataset.features", None, only="files")
     labels_path: str = config_key("dataset.labels", None, only="files")
-    train_ratio: float = config_key("split.train", 0.2)
-    val_ratio: float = config_key("split.val", 0.4)
-    test_ratio: float = config_key("split.test", 0.4)
     semantic_enabled: bool = True
     structural_enabled: bool = True
     refine_enabled: bool = True
@@ -232,11 +228,13 @@ class FederationConfig:
         parts = self.num_clients // 5 if overlapping else self.num_clients
         if synthetic and self.nodes < parts:
             raise ValueError(f"dataset.nodes must be >= {parts}, got {self.nodes}")
-        # a zero ratio seats no node, and every round reads all three splits
-        ratios = (self.train_ratio, self.val_ratio, self.test_ratio)
-        if not all(r > 0 for r in ratios) or not sum(ratios) <= 1.0 + 1e-12:
-            raise ValueError(f"split.train, split.val and split.test must be positive "
-                             f"ratios summing to at most 1, got {ratios}")
+        # the rate only falls, so the last step's must still be > 0; no run
+        # reaches step _INTP_MAX, and a step past float range would overflow
+        last = self.rounds * self.local_epochs - 1
+        if last >= 0 and not lr_schedule(min(last, _INTP_MAX), float(self.lr0),
+                                         float(self.lr_decay_steps)) > 0:
+            raise ValueError(f"train.lr0 = {self.lr0!r} and train.lr_decay_steps = "
+                             f"{self.lr_decay_steps!r} give a learning rate of 0 by step {last}")
 
 
 @dataclass
@@ -304,8 +302,7 @@ def build_dataset(cfg: FederationConfig) -> Graph:
             cfg.edges_path, cfg.features_path, cfg.labels_path,
             num_classes=cfg.num_classes,
         )
-    return split_masks(g, ratios=(cfg.train_ratio, cfg.val_ratio, cfg.test_ratio),
-                       seed=(cfg.seed, _TAG_SPLIT))
+    return split_masks(g, seed=(cfg.seed, _TAG_SPLIT))
 
 
 def setup_federation(cfg: FederationConfig):

@@ -468,7 +468,7 @@ def split_masks(g: Graph, ratios=(0.2, 0.4, 0.4), seed=0) -> Graph:
     Per class, nodes are shuffled with the seeded generator and seat
     counts follow largest-remainder rounding of ratios * class size (an
     implicit leftover bucket, code 0 like every unlabeled node, absorbs
-    1 - sum(ratios)).
+    1 - sum(ratios)). A run always takes the default 0.2/0.4/0.4.
     """
     ratios = tuple(float(r) for r in ratios)
     if len(ratios) != 3 or not all(r >= 0 for r in ratios):    # NaN fails too

@@ -125,6 +125,22 @@ class TestConfigParsing:
                            + r".* at byte 23\)$"):
             parse_config_file(path)
 
+    # the keys no committed config sets, each kept for a reason of its own
+    UNSET_KEYS = {
+        "partition.mode": "the paper's overlapping setting",
+        "federation.metric": "the paper's AUC setting",
+        "dataset.edges": "the files dataset kind",
+        "dataset.features": "the files dataset kind",
+        "dataset.labels": "the files dataset kind",
+        "output.embeddings": "the embedding export",
+    }
+
+    def test_every_key_is_set_by_a_committed_config_or_kept_for_a_reason(self):
+        # a key that nothing sets is an option with one value in use
+        set_keys = {key for path in COMMITTED_CONFIGS
+                    for key in parse_config_file(os.path.join(REPO, path))}
+        assert set(_CONFIG_SCHEMA) - set_keys == set(self.UNSET_KEYS)
+
     def test_readme_table_lists_exactly_the_schema_keys(self):
         text = Path(os.path.join(REPO, "README.md")).read_text(encoding="utf-8")
         table = text.split("| key | default | meaning |\n|---|---|---|\n")[1].split("\n\n")[0]
@@ -202,9 +218,6 @@ class TestConfigParsing:
             ("dataset.edges", "e.txt", "edges_path"),
             ("dataset.features", "x.txt", "features_path"),
             ("dataset.labels", "y.txt", "labels_path"),
-            ("split.train", "0.3", "train_ratio"),
-            ("split.val", "0.35", "val_ratio"),
-            ("split.test", "0.25", "test_ratio"),
         ]
         assert sorted(key for key, _, _ in rows) == sorted(
             key for key in _CONFIG_SCHEMA if not key.startswith("output."))
@@ -492,6 +505,21 @@ class TestRunCommand:
         # the error names the full key the row sets (train.lr0, split.val), not a field
         key = next((k for k in keys if setting in k), setting)
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lines, value", [
+        ("train.lr_decay_steps = 1e-320", "train.lr0 = 0.05 and train.lr_decay_steps = 1e-320"),
+        ("train.lr0 = 5e-324\ntrain.lr_decay_steps = 1",
+         "train.lr0 = 5e-324 and train.lr_decay_steps = 1.0"),
+    ], ids=["decay-steps-1e-320", "lr0-5e-324"])
+    def test_learning_rate_that_reaches_zero_fails_before_work(self, tmp_path, capsys,
+                                                               lines, value):
+        # both pass their own rules, but the rate is 0.0 from step 1 on
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SMOKE + lines + "\n")
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{value} give a learning rate of 0 by step 3" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("line, split", [
@@ -959,7 +987,8 @@ class TestEvalCommand:
     # each line a config.resolved held while its key was read
     RETIRED = ["refine.eps = 1e-08", "refine.gw_iters = 200", "refine.gw_lr = 1.0",
                "refine.eta = 0.1", "refine.tau = 1.0", "sinkhorn.epsilon = 0.05",
-               "sinkhorn.max_iters = 500", "sinkhorn.tol = 1e-06"]
+               "sinkhorn.max_iters = 500", "sinkhorn.tol = 1e-06",
+               "split.test = 0.4", "split.train = 0.2", "split.val = 0.4"]
 
     def test_config_with_retired_keys_is_rejected(self, smoke_cfg, tmp_path, capsys):
         out = tmp_path / "run"

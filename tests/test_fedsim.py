@@ -78,17 +78,26 @@ class TestConfigValidation:
     def test_infinite_decay_steps_is_a_constant_rate(self):
         assert tiny_config(lr_decay_steps=np.inf).lr_decay_steps == np.inf
 
+    def test_learning_rate_check_reads_the_last_step(self):
+        # no step, or one at t = 0 where the rate is lr0, passes; so does a
+        # count beyond float range, checked at the largest array index
+        tiny_config(rounds=0, lr_decay_steps=1e-320)
+        tiny_config(rounds=1, local_epochs=1, lr_decay_steps=1e-320)
+        tiny_config(rounds=10**400)
+        # a numpy float overflows the division as a float does, without a warning
+        with pytest.raises(ValueError, match="give a learning rate of 0 by step 3$"):
+            tiny_config(lr_decay_steps=np.float64(1e-320))
+
     def test_files_dataset_needs_paths(self):
         with pytest.raises(ValueError, match="dataset.edges, dataset.features, dataset.labels"):
             tiny_config(dataset_kind="files")
 
     def test_every_keyed_field_declares_its_rule_and_kind(self):
         # no key goes unchecked: each declares a rule but the dataset paths,
-        # checked as a group, and the split ratios, checked together
+        # checked as a group
         keyed = [f for f in dataclasses.fields(FederationConfig) if "key" in f.metadata]
         assert {f.metadata["key"] for f in keyed if f.metadata["rule"] is None} == {
-            "dataset.edges", "dataset.features", "dataset.labels",
-            "split.train", "split.val", "split.test"}
+            "dataset.edges", "dataset.features", "dataset.labels"}
         assert {f.metadata["key"]: f.metadata["only"] for f in keyed if f.metadata["only"]} == {
             **dict.fromkeys(["dataset.nodes", "dataset.p_in", "dataset.p_out",
                              "dataset.feat_dim", "dataset.feat_sep"], "synthetic"),
@@ -116,6 +125,11 @@ class TestConfigValidation:
          "dataset.kind = files needs dataset.labels"),
         (dict(dataset_kind="files", edges_path="e", features_path="x", labels_path="y",
               lr0=-1.0), "train.lr0 must be finite and > 0, got -1.0"),
+        # 1 / 1e-320 is inf, and 5e-324 / 2 underflows: both rates reach 0 at step 1
+        (dict(lr_decay_steps=1e-320), "train.lr0 = 0.05 and train.lr_decay_steps = 1e-320 "
+                                      "give a learning rate of 0 by step 3"),
+        (dict(lr0=5e-324, lr_decay_steps=1.0), "train.lr0 = 5e-324 and train.lr_decay_steps "
+                                               "= 1.0 give a learning rate of 0 by step 3"),
     ])
     def test_single_fault_message(self, kw, message):
         with pytest.raises(ValueError) as raised:
@@ -146,8 +160,7 @@ class TestConfigValidation:
 
     FLOAT_KEYS = {"lr0": "train.lr0", "lr_decay_steps": "train.lr_decay_steps",
                   "p_in": "dataset.p_in", "p_out": "dataset.p_out",
-                  "feat_sep": "dataset.feat_sep", "train_ratio": "split.train",
-                  "val_ratio": "split.val", "test_ratio": "split.test"}
+                  "feat_sep": "dataset.feat_sep"}
 
     def test_float_keys_are_the_float_fields(self):
         assert {f.name for f in dataclasses.fields(FederationConfig)
@@ -163,8 +176,8 @@ class TestConfigValidation:
 
     def test_float_keys_accept_ints_and_numpy_floats(self):
         cfg = tiny_config(lr0=1, p_in=np.float32(0.25), feat_sep=np.int64(2),
-                          train_ratio=np.float64(0.2), lr_decay_steps=np.inf)
-        assert (cfg.lr0, cfg.p_in, cfg.feat_sep, cfg.train_ratio) == (1, 0.25, 2, 0.2)
+                          p_out=np.float64(0.02), lr_decay_steps=np.inf)
+        assert (cfg.lr0, cfg.p_in, cfg.feat_sep, cfg.p_out) == (1, 0.25, 2, 0.02)
 
     def test_generator_rules_hold_under_synthetic_only(self):
         files = dict(dataset_kind="files", edges_path="e", features_path="x", labels_path="y")
