@@ -470,9 +470,11 @@ def split_masks(g: Graph, ratios=(0.2, 0.4, 0.4), seed=0) -> Graph:
     implicit leftover bucket, code 0 like every unlabeled node, absorbs
     1 - sum(ratios)). A run always takes the default 0.2/0.4/0.4.
     """
-    ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or not all(r >= 0 for r in ratios):    # NaN fails too
+    ratios = tuple(ratios)    # a bool or a string is no ratio, and NaN fails r >= 0
+    if len(ratios) != 3 or not all(isinstance(r, (int, float, np.integer, np.floating))
+                                   and not isinstance(r, bool) and r >= 0 for r in ratios):
         raise ValueError("ratios must be three non-negative numbers")
+    ratios = tuple(map(float, ratios))
     if sum(ratios) > 1.0 + 1e-12:
         raise ValueError("ratios must sum to at most 1")
     rng = np.random.default_rng(seed)

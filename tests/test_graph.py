@@ -679,6 +679,23 @@ class TestFilesAndSplits:
         with pytest.raises(ValueError, match="^ratios must be three non-negative numbers$"):
             split_masks(path_graph(4), ratios=ratios, seed=0)
 
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("value", [True, False, np.True_, "0.1", None])
+    def test_rejects_a_non_number_ratio(self, position, value):
+        # a bool used to seat as 1.0 or 0.0, a string to parse, and None to
+        # raise a bare TypeError
+        ratios = [0.2, 0.4, 0.4]
+        ratios[position] = value
+        with pytest.raises(ValueError, match="^ratios must be three non-negative numbers$"):
+            split_masks(path_graph(4), ratios=ratios, seed=0)
+
+    def test_accepts_ints_and_numpy_floats(self):
+        g = Graph.from_edges(np.zeros((10, 1)), np.zeros(10, dtype=int), [])
+        a = split_masks(g, ratios=(np.float64(0.2), np.float32(0.5), 0), seed=0)
+        b = split_masks(g, ratios=(0.2, 0.5, 0.0), seed=0)
+        assert np.array_equal(a.split, b.split)
+        assert np.array_equal(split_masks(g, ratios=(1, 0, 0), seed=0).split, np.ones(10))
+
 
 class TestKHopSets:
     def test_path(self):
