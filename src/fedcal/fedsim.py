@@ -418,12 +418,12 @@ def run_client_round(state: ClientState, anchors: np.ndarray,
 
     for epoch in range(cfg.local_epochs):
         t = round_idx * cfg.local_epochs + epoch
-        _, _, grads = total_loss(params, g, local, forward(params, g, local),
+        _, _, grads = total_loss(params, g, local, forward(params, g, local), train,
                                  semantic, structural)
         params = sgd_step(params, grads, lr_schedule(t, cfg.lr0, cfg.lr_decay_steps))
 
     final_cache = forward(params, g, state.agg)
-    _, (ce, sem, stru), _ = total_loss(params, g, local, forward(params, g, local),
+    _, (ce, sem, stru), _ = total_loss(params, g, local, forward(params, g, local), train,
                                        semantic, structural)
 
     final_ego = final_cache.ego[train]

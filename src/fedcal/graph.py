@@ -63,7 +63,17 @@ class Graph:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        if self.features.ndim != 2 or self.features.shape[1] == 0:
+            raise ValueError("features must be an (n, d0) matrix with d0 >= 1, "
+                             f"got shape {self.features.shape}")
+        labels = np.asarray(self.labels)
+        if labels.dtype.kind == "f":             # checked before the int cast truncates 1.7
+            whole = (labels == np.floor(labels)) & (labels >= -2.0 ** 63) & (labels < 2.0 ** 63)
+            bad = np.flatnonzero(~whole)         # NaN and inf too
+            if len(bad):
+                raise ValueError(f"label {labels.flat[bad[0]]} of node {bad[0]} is not "
+                                 "a whole number within int64")
+        self.labels = np.asarray(labels, dtype=np.int64)
         self.adjacency = sp.csr_matrix(self.adjacency, dtype=np.float64)
         n = self.features.shape[0]
         if self.node_ids is None:
@@ -163,11 +173,11 @@ def induced_subgraph(g: Graph, nodes) -> Graph:
     """Subgraph on the given node list (original-order ids, deduplicated, codes kept)."""
     nodes = np.unique(np.asarray(nodes, dtype=np.int64))
     return Graph(
-        features=g.features[nodes].copy(),
-        labels=g.labels[nodes].copy(),
+        features=g.features[nodes],
+        labels=g.labels[nodes],
         adjacency=g.adjacency[nodes][:, nodes],
         split=g.split[nodes],
-        node_ids=g.node_ids[nodes].copy(),
+        node_ids=g.node_ids[nodes],
     )
 
 

@@ -100,44 +100,43 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
 
 def total_loss(params: ModelParams, g: Graph, agg: HopAggregator,
-               cache: ForwardCache, semantic=None, structural=None):
+               cache: ForwardCache, train, semantic=None, structural=None):
     """Local objective CE + semantic + structural, with parameter gradients.
 
     cache is the caller's ForwardCache of params on g, from agg or from an
     operator whose rows include agg.rows, such as the one agg was restricted
     from: the terms read its ring means and logits only on agg.rows, which
     CSR fills row by row with the same bits either way. total_loss runs no
-    forward and writes nothing into cache. semantic = (rotation, anchors)
-    holds semantic_loss's trailing arguments and structural = (f, batch,
-    templates) the (B, Q) matching f, the batch's node ids and the
-    templates; None drops that whole term (the CE term is always present),
-    which is how ablations run. They are constants of the local round: no
-    gradient flows into them. agg is g's ring operator with rows covering
-    train and batch nodes (ValueError names a missing one, whose ring means
-    would read as zeros). Only total_loss reads g.train_mask: cross_entropy
-    and semantic_loss get the train nodes' rows, and structural_loss_ego
-    gets the batch's ring pairs cache.rings[batch], row i for batch[i]. The
-    CE rows' gradient fills a (len(agg.rows), C) head gradient, zero
-    elsewhere, whose ring pairs pass to agg.backward as one array; the
-    semantic one is added at the train egos. The structural gradient, a row
-    per pair, is scattered onto agg.rows with add.at, so a node listed twice
-    gets both, and pulled back by a second agg.backward. Returns (total,
-    (ce, semantic, structural), grads), grads a ModelParams of gradients;
-    the calibration terms reach only w_ego, the CE term also the classifier.
+    forward and writes nothing into cache. train holds the labeled node ids
+    that the CE and semantic terms score (ValueError names an unlabeled
+    one). semantic = (rotation, anchors) holds semantic_loss's trailing
+    arguments and structural = (f, batch, templates) the (B, Q) matching f,
+    the batch's node ids and the templates; None drops that whole term (the
+    CE term is always present), which is how ablations run. They are
+    constants of the local round: no gradient flows into them. agg is g's
+    ring operator with rows covering train and batch nodes (ValueError
+    names a missing one, whose ring means would read as zeros).
+    cross_entropy and semantic_loss get the train nodes' rows, and
+    structural_loss_ego the batch's ring pairs cache.rings[batch], row i
+    for batch[i]. Every term's row gradients are scattered with add.at, so
+    a node listed twice gets both; the CE and structural ones reach the
+    egos through agg.backward. Returns (total, (ce, semantic, structural),
+    grads), grads a ModelParams of gradients; the calibration terms reach
+    only w_ego, the CE term also the classifier.
     """
     at = agg.rows
-    train = np.flatnonzero(g.train_mask[at])       # positions of the train nodes in at
-    if len(train) < np.count_nonzero(g.train_mask):
-        agg.positions(np.flatnonzero(g.train_mask), "train")    # raises, naming the node
+    at_train = agg.positions(train, "train")
+    labels = g.labels[train]
+    if (labels < 0).any():                          # -1 would score as the last class
+        raise ValueError(f"train node {train[np.argmax(labels < 0)]} carries no label")
     if structural is not None:
         f, batch, templates = structural
         at_batch = agg.positions(batch, "batch")
-    nodes = at[train]
     d = cache.ego.shape[1]
 
-    ce, g_ce = cross_entropy(cache.logits[nodes], g.labels[nodes])
+    ce, g_ce = cross_entropy(cache.logits[train], labels)
     g_head = np.zeros((len(at), g_ce.shape[1]))   # zero at the non-train rows
-    g_head[train] = g_ce
+    np.add.at(g_head, at_train, g_ce)
     g_wcls = cache.blocks[at].T @ g_head
     g_bcls = g_head.sum(axis=0)
     g_blocks = (g_head @ params.w_cls.T).reshape(len(at), 3, d)
@@ -146,8 +145,8 @@ def total_loss(params: ModelParams, g: Graph, agg: HopAggregator,
 
     sem = 0.0
     if semantic is not None:
-        sem, g_sem = semantic_loss(cache.ego[nodes], g.labels[nodes], *semantic)
-        g_ego[nodes] += g_sem
+        sem, g_sem = semantic_loss(cache.ego[train], labels, *semantic)
+        np.add.at(g_ego, train, g_sem)
 
     stru = 0.0
     if structural is not None:

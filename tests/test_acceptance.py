@@ -162,6 +162,7 @@ class TestCriterion3GradientOracle:
             c = int(rng.integers(2, min(4, d) + 1))
             g, params, agg = small_instance(seed, n=n, d0=d0, d=d, c=c)
             semantic, structural = calibration_inputs(g, params, agg, seed, d, c)
+            train = np.flatnonzero(g.train_mask)
             term_sets = [
                 (semantic, None),          # semantic only
                 (None, structural),        # structural only
@@ -169,10 +170,12 @@ class TestCriterion3GradientOracle:
                 (semantic, structural),
             ]
             for (sem, stru) in term_sets:
-                _, _, grads = total_loss(params, g, agg, forward(params, g, agg), sem, stru)
+                _, _, grads = total_loss(params, g, agg, forward(params, g, agg), train,
+                                         sem, stru)
 
                 def value():
-                    return total_loss(params, g, agg, forward(params, g, agg), sem, stru)[0]
+                    return total_loss(params, g, agg, forward(params, g, agg), train,
+                                      sem, stru)[0]
 
                 for name in ("w_ego", "w_cls", "b_cls"):
                     flat = getattr(params, name).reshape(-1)

@@ -94,7 +94,7 @@ def test_restricted_total_loss_pulls_back_through_traced_backward(structural, pu
     t = tracer.Tracer()
     try:
         t.install()
-        model.total_loss(params, g, local, local_cache, None, term)
+        model.total_loss(params, g, local, local_cache, np.flatnonzero(g.train_mask), None, term)
     finally:
         t.uninstall()
     assert [s[0] for s in t.spans].count("graph.backward") == pullbacks

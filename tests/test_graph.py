@@ -184,12 +184,42 @@ class TestGraphInvariants:
          "features contain non-finite entries"),
         (np.zeros((2, 1)), [0, 0], sp.csr_matrix(np.array([[0.0, 2.0], [2.0, 0.0]])),
          "adjacency must hold unique sorted entries equal to 1"),
-    ], ids=["labels_length", "adjacency_3x4", "nan_feature", "entry_2"])
+        # a vector was accepted, and feat_dim then raised IndexError
+        (np.zeros(4), [0, 1, 0, 1], sp.csr_matrix((4, 4)),
+         "features must be an (n, d0) matrix with d0 >= 1, got shape (4,)"),
+        (np.zeros((4, 2, 2)), [0, 1, 0, 1], sp.csr_matrix((4, 4)),
+         "features must be an (n, d0) matrix with d0 >= 1, got shape (4, 2, 2)"),
+        (np.zeros((4, 0)), [0, 1, 0, 1], sp.csr_matrix((4, 4)),
+         "features must be an (n, d0) matrix with d0 >= 1, got shape (4, 0)"),
+        # the int cast truncated 0.5 and 1.7 to 0 and 1 and failed on NaN and 1e30
+        (np.zeros((4, 1)), [0.5, 1.7, 0, 1], sp.csr_matrix((4, 4)),
+         "label 0.5 of node 0 is not a whole number within int64"),
+        (np.zeros((4, 1)), [0, 1, np.nan, 1], sp.csr_matrix((4, 4)),
+         "label nan of node 2 is not a whole number within int64"),
+        (np.zeros((4, 1)), [0, 1, 0, 1e30], sp.csr_matrix((4, 4)),
+         "label 1e+30 of node 3 is not a whole number within int64"),
+    ], ids=["labels_length", "adjacency_3x4", "nan_feature", "entry_2", "vector_features",
+            "3d_features", "no_feature_column", "fractional_label", "nan_label",
+            "label_beyond_int64"])
     def test_rejects_malformed_direct_graph(self, features, labels, adjacency, message):
         n = len(features)
         with pytest.raises(ValueError) as raised:
             Graph(features, labels, adjacency, split=np.zeros(n, dtype=int))
         assert str(raised.value) == message
+
+    @pytest.mark.parametrize("partition, clients", [(partition_nonoverlapping, 3),
+                                                    (partition_overlapping, 5)])
+    def test_client_subgraphs_share_no_memory_with_the_root(self, partition, clients):
+        g = split_masks(generate_sbm(60, 2, 0.2, 0.05, 3, 1.0, seed=4), seed=4)
+
+        def arrays(h):
+            a = h.adjacency
+            return (h.features, h.labels, h.split, h.node_ids, h.train_mask, h.val_mask,
+                    h.test_mask, a.data, a.indices, a.indptr)
+
+        for part in partition(g, clients, seed=4):
+            for mine in arrays(part):
+                assert not any(np.shares_memory(mine, root) for root in arrays(g))
 
     def test_induced_subgraph_preserves_symmetry(self):
         g = generate_sbm(40, 2, 0.3, 0.1, 3, 1.0, seed=5)

@@ -45,6 +45,37 @@ def calibration_inputs(g, params, agg, seed, d, c, q=3, b=6):
     return (rot, anchors), (matching.f, batch, templates)
 
 
+def check_gradients(params, g, agg, train, semantic, structural):
+    """total_loss's gradient of every parameter against central differences."""
+    def loss_at():
+        return total_loss(params, g, agg, forward(params, g, agg), train,
+                          semantic, structural)[0]
+
+    _, _, grads = total_loss(params, g, agg, forward(params, g, agg), train,
+                             semantic, structural)
+    eps = 1e-5
+    for name in ("w_ego", "w_cls", "b_cls"):
+        arr = getattr(params, name)
+        ana = np.atleast_1d(getattr(grads, name))
+        flat = arr.reshape(-1)
+        for k in range(flat.size):
+            orig = flat[k]
+            flat[k] = orig + eps
+            up = loss_at()
+            flat[k] = orig - eps
+            down = loss_at()
+            flat[k] = orig
+            num = (up - down) / (2 * eps)
+            a = ana.reshape(-1)[k]
+            assert abs(num - a) / max(abs(num), abs(a), 1e-8) <= 1e-4
+
+
+def assert_same_bits(got, want):
+    assert repr(got[:2]) == repr(want[:2])
+    for name in ("w_ego", "w_cls", "b_cls"):
+        assert getattr(got[2], name).tobytes() == getattr(want[2], name).tobytes()
+
+
 class TestForward:
     @pytest.mark.parametrize("w_cls, b_cls, message", [
         (np.zeros((11, 2)), np.zeros(2), "w_cls rows must equal 3 * embed dim"),
@@ -187,7 +218,8 @@ class TestTotalLoss:
         radials = radial_sequences_from_rings(cache.rings[batch])
         templates = radials.copy()
         total, (ce, sem, stru), _ = total_loss(
-            params, g, agg, cache, (rot, anchors), (np.eye(8), batch, templates)
+            params, g, agg, cache, np.flatnonzero(g.train_mask), (rot, anchors),
+            (np.eye(8), batch, templates)
         )
         assert sem <= 1e-16 and stru <= 1e-16
         assert abs(total - ce) <= 1e-12
@@ -196,10 +228,11 @@ class TestTotalLoss:
         g, params, agg = small_instance(7)
         semantic, structural = calibration_inputs(g, params, agg, 7, 4, 3)
         cache = forward(params, g, agg)
-        total, (ce, sem, stru), _ = total_loss(params, g, agg, cache, semantic, structural)
-        ce_only, (ce2, _, _), _ = total_loss(params, g, agg, cache)
-        sem_only, (_, sem2, _), _ = total_loss(params, g, agg, cache, semantic)
-        str_only, (_, _, stru2), _ = total_loss(params, g, agg, cache, None, structural)
+        train = np.flatnonzero(g.train_mask)
+        total, (ce, sem, stru), _ = total_loss(params, g, agg, cache, train, semantic, structural)
+        ce_only, (ce2, _, _), _ = total_loss(params, g, agg, cache, train)
+        sem_only, (_, sem2, _), _ = total_loss(params, g, agg, cache, train, semantic)
+        str_only, (_, _, stru2), _ = total_loss(params, g, agg, cache, train, None, structural)
         assert abs(ce - ce2) <= 1e-12
         assert abs(sem - sem2) <= 1e-12
         assert abs(stru - stru2) <= 1e-12
@@ -209,28 +242,7 @@ class TestTotalLoss:
     def test_gradient_check_every_parameter(self, seed):
         g, params, agg = small_instance(seed)
         semantic, structural = calibration_inputs(g, params, agg, seed, 4, 3)
-
-        def loss_at():
-            return total_loss(params, g, agg, forward(params, g, agg),
-                              semantic, structural)[0]
-
-        _, _, grads = total_loss(params, g, agg, forward(params, g, agg),
-                                 semantic, structural)
-        eps = 1e-5
-        for name in ("w_ego", "w_cls", "b_cls"):
-            arr = getattr(params, name)
-            ana = np.atleast_1d(getattr(grads, name))
-            flat = arr.reshape(-1)
-            for k in range(flat.size):
-                orig = flat[k]
-                flat[k] = orig + eps
-                up = loss_at()
-                flat[k] = orig - eps
-                down = loss_at()
-                flat[k] = orig
-                num = (up - down) / (2 * eps)
-                a = ana.reshape(-1)[k]
-                assert abs(num - a) / max(abs(num), abs(a), 1e-8) <= 1e-4
+        check_gradients(params, g, agg, np.flatnonzero(g.train_mask), semantic, structural)
 
     def test_runs_no_forward_and_writes_nothing_into_the_cache(self, monkeypatch):
         g, params, agg = small_instance(3, n=40, train_ratio=0.3)
@@ -240,17 +252,15 @@ class TestTotalLoss:
         before = [a.tobytes() for a in arrays]
         term_sets = [(None, None), (semantic, None), (None, structural),
                      (semantic, structural)]
-        expected = [total_loss(params, g, agg, cache, *terms) for terms in term_sets]
+        train = np.flatnonzero(g.train_mask)
+        expected = [total_loss(params, g, agg, cache, train, *terms) for terms in term_sets]
 
         def no_forward(*args, **kwargs):
             raise AssertionError("total_loss ran a forward of its own")
 
         monkeypatch.setattr("fedcal.model.forward", no_forward)
         for terms, want in zip(term_sets, expected):
-            got = total_loss(params, g, agg, cache, *terms)
-            assert repr(got[:2]) == repr(want[:2])
-            for name in ("w_ego", "w_cls", "b_cls"):
-                assert getattr(got[2], name).tobytes() == getattr(want[2], name).tobytes()
+            assert_same_bits(total_loss(params, g, agg, cache, train, *terms), want)
         assert [a.tobytes() for a in arrays] == before
 
     @pytest.mark.parametrize("field", ["logits", "ego"])
@@ -259,10 +269,11 @@ class TestTotalLoss:
         g, params, agg = small_instance(4, n=30, train_ratio=0.3)
         semantic, _ = calibration_inputs(g, params, agg, 4, 4, 3)
         cache = forward(params, g, agg)
-        _, (ce, sem, _), _ = total_loss(params, g, agg, cache, semantic)
+        train = np.flatnonzero(g.train_mask)
+        _, (ce, sem, _), _ = total_loss(params, g, agg, cache, train, semantic)
         off = np.flatnonzero(~g.train_mask)[0]
         getattr(cache, field)[off] = 1e3
-        _, (ce_off, sem_off, _), _ = total_loss(params, g, agg, cache, semantic)
+        _, (ce_off, sem_off, _), _ = total_loss(params, g, agg, cache, train, semantic)
         assert repr((ce_off, sem_off)) == repr((ce, sem))
 
     def test_only_batch_rows_reach_structural(self):
@@ -270,18 +281,20 @@ class TestTotalLoss:
         g, params, agg = small_instance(4, n=30, train_ratio=0.3)
         _, structural = calibration_inputs(g, params, agg, 4, 4, 3)
         cache = forward(params, g, agg)
-        _, (_, _, stru), _ = total_loss(params, g, agg, cache, None, structural)
+        train = np.flatnonzero(g.train_mask)
+        _, (_, _, stru), _ = total_loss(params, g, agg, cache, train, None, structural)
         off = np.setdiff1d(np.arange(g.num_nodes), structural[1])[0]
         cache.rings[off] = 1e3
-        _, (_, _, stru_off), _ = total_loss(params, g, agg, cache, None, structural)
+        _, (_, _, stru_off), _ = total_loss(params, g, agg, cache, train, None, structural)
         assert repr(stru_off) == repr(stru)
 
     def test_classifier_untouched_by_calibration_terms(self):
         g, params, agg = small_instance(8)
         semantic, structural = calibration_inputs(g, params, agg, 8, 4, 3)
         cache = forward(params, g, agg)
-        _, _, g_all = total_loss(params, g, agg, cache, semantic, structural)
-        _, _, g_ce = total_loss(params, g, agg, cache)
+        train = np.flatnonzero(g.train_mask)
+        _, _, g_all = total_loss(params, g, agg, cache, train, semantic, structural)
+        _, _, g_ce = total_loss(params, g, agg, cache, train)
         assert np.abs(g_all.w_cls - g_ce.w_cls).max() <= 1e-12
         assert np.abs(g_all.b_cls - g_ce.b_cls).max() <= 1e-12
         assert np.abs(g_all.w_ego - g_ce.w_ego).max() > 1e-8
@@ -309,15 +322,16 @@ class TestTotalLoss:
         structural = (f, batch, templates)
         rows = np.union1d(train, batch)
         local = agg.restrict(rows)
-        total_loss(params, g, local, forward(params, g, local), semantic, structural)
+        total_loss(params, g, local, forward(params, g, local), train, semantic, structural)
 
         no_train = agg.restrict(np.setdiff1d(rows, train[1]))
         with pytest.raises(ValueError,
                            match=f"^train node {train[1]} is not in the aggregator's rows$"):
-            total_loss(params, g, no_train, forward(params, g, no_train))
+            total_loss(params, g, no_train, forward(params, g, no_train), train)
         no_batch = agg.restrict(np.setdiff1d(rows, 7))
         with pytest.raises(ValueError, match="^batch node 7 is not in the aggregator's rows$"):
-            total_loss(params, g, no_batch, forward(params, g, no_batch), semantic, structural)
+            total_loss(params, g, no_batch, forward(params, g, no_batch), train,
+                       semantic, structural)
 
     @staticmethod
     def check_restricted(g, params, agg, semantic, structural, rows):
@@ -325,10 +339,11 @@ class TestTotalLoss:
         # operator's forward as from the full one's
         assert 0 < len(rows) < g.num_nodes
         full_cache = forward(params, g, agg)
-        full = total_loss(params, g, agg, full_cache, semantic, structural)
+        train = np.flatnonzero(g.train_mask)
+        full = total_loss(params, g, agg, full_cache, train, semantic, structural)
         restricted = agg.restrict(rows)
         for cache in (forward(params, g, restricted), full_cache):
-            local = total_loss(params, g, restricted, cache, semantic, structural)
+            local = total_loss(params, g, restricted, cache, train, semantic, structural)
             assert repr(local[:2]) == repr(full[:2])
             for name in ("w_ego", "w_cls", "b_cls"):
                 a, b = getattr(local[2], name), getattr(full[2], name)
@@ -363,6 +378,52 @@ class TestTotalLoss:
             rows = np.delete(np.arange(g.num_nodes),
                              np.setdiff1d(np.arange(g.num_nodes), rows)[:3])
         self.check_restricted(g, params, agg, semantic, structural, rows)
+
+
+class TestTrainIds:
+    """total_loss scores the train ids it is handed and reads no split."""
+
+    def test_unsplit_graph_gives_the_split_graphs_bits(self):
+        g, params, agg = small_instance(5, n=30, train_ratio=0.4)
+        semantic, structural = calibration_inputs(g, params, agg, 5, 4, 3)
+        train = np.flatnonzero(g.train_mask)
+        unsplit = dataclasses.replace(g, split=np.zeros(g.num_nodes, dtype=np.int8))
+        assert_same_bits(
+            total_loss(params, unsplit, agg, forward(params, unsplit, agg), train,
+                       semantic, structural),
+            total_loss(params, g, agg, forward(params, g, agg), train, semantic, structural))
+
+    def test_subset_of_train_ids_equals_a_split_of_that_subset(self):
+        g, params, agg = small_instance(6, n=30, train_ratio=0.5)
+        semantic, structural = calibration_inputs(g, params, agg, 6, 4, 3)
+        train = np.flatnonzero(g.train_mask)
+        subset = train[::2]
+        split = g.split.copy()
+        split[train[1::2]] = 0
+        narrow = dataclasses.replace(g, split=split)
+        cache = forward(params, g, agg)
+        got = total_loss(params, g, agg, cache, subset, semantic, structural)
+        assert_same_bits(got, total_loss(params, narrow, agg, forward(params, narrow, agg),
+                                         np.flatnonzero(narrow.train_mask), semantic, structural))
+        full = total_loss(params, g, agg, cache, train, semantic, structural)
+        assert got[1][0] != full[1][0] and got[1][1] != full[1][1]
+
+    def test_rejects_an_unlabeled_train_id(self):
+        # label -1 would index the last class's logit and anchor
+        g, params, agg = small_instance(3, n=20)
+        labels, split = g.labels.copy(), g.split.copy()
+        off = np.flatnonzero(~g.train_mask)[:2]
+        labels[off], split[off] = -1, 0
+        g = dataclasses.replace(g, labels=labels, split=split)
+        train = np.append(np.flatnonzero(g.train_mask), off)
+        with pytest.raises(ValueError, match=f"^train node {off[0]} carries no label$"):
+            total_loss(params, g, agg, forward(params, g, agg), train)
+
+    def test_train_id_listed_twice_gets_the_gradient_of_its_loss(self):
+        g, params, agg = small_instance(2)
+        semantic, structural = calibration_inputs(g, params, agg, 2, 4, 3)
+        train = np.flatnonzero(g.train_mask)
+        check_gradients(params, g, agg, np.append(train, train[1]), semantic, structural)
 
 
 class TestSgdAndSchedule:
@@ -415,9 +476,10 @@ class TestSgdAndSchedule:
         for seed in range(3):
             g, params, agg = small_instance(seed + 20, n=20, d0=6, d=4, c=2)
             semantic, structural = calibration_inputs(g, params, agg, seed + 20, 4, 2)
+            train = np.flatnonzero(g.train_mask)
             losses = []
             for t in range(40):
-                total, _, grads = total_loss(params, g, agg, forward(params, g, agg),
+                total, _, grads = total_loss(params, g, agg, forward(params, g, agg), train,
                                              semantic, structural)
                 losses.append(total)
                 params = sgd_step(params, grads, lr_schedule(t, 0.02, 100.0))

@@ -601,13 +601,14 @@ class TestStructuralLossEgo:
         f = sinkhorn_match(radial_sequences_from_rings(rings[batch]), templates).f
         structural = (f, batch, templates)
         local = agg.restrict(np.setdiff1d(np.arange(40), 7))
+        train = np.flatnonzero(g.train_mask)
         with pytest.raises(ValueError, match="^batch node 7 is not in the aggregator's rows$"):
-            total_loss(params, g, local, forward(params, g, local), None, structural)
+            total_loss(params, g, local, forward(params, g, local), train, None, structural)
         # a row set that ends before a batch node and an empty one are caught alike
         for rows, first in ((np.arange(5), 7), (np.arange(0), 3)):
             restricted = agg.restrict(rows)
             with pytest.raises(ValueError, match=f"^batch node {first} is not in"):
-                total_loss(params, g, restricted, forward(params, g, restricted),
+                total_loss(params, g, restricted, forward(params, g, restricted), train,
                            None, structural)
 
     def test_equals_per_node_reference(self):
