@@ -62,17 +62,29 @@ class Graph:
     node_ids: np.ndarray = field(default=None)  # (n,) int64
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        # numbers only: numpy makes object of None and of ints past int64,
+        # and the casts would parse text and drop an imaginary part
+        features, labels = np.asarray(self.features), np.asarray(self.labels)
+        if features.dtype.kind not in "buif":
+            raise ValueError(f"features must have a bool, integer or float dtype, "
+                             f"got {features.dtype}")
+        if labels.dtype.kind not in "iuf":
+            raise ValueError(f"labels must have an integer or float dtype, got {labels.dtype}")
+        self.features = np.asarray(features, dtype=np.float64)
         if self.features.ndim != 2 or self.features.shape[1] == 0:
             raise ValueError("features must be an (n, d0) matrix with d0 >= 1, "
                              f"got shape {self.features.shape}")
-        labels = np.asarray(self.labels)
         if labels.dtype.kind == "f":             # checked before the int cast truncates 1.7
             whole = (labels == np.floor(labels)) & (labels >= -2.0 ** 63) & (labels < 2.0 ** 63)
             bad = np.flatnonzero(~whole)         # NaN and inf too
             if len(bad):
                 raise ValueError(f"label {labels.flat[bad[0]]} of node {bad[0]} is not "
                                  "a whole number within int64")
+        # -1 is the one unlabeled mark; a uint64 past int64 would wrap in the cast
+        bad = np.flatnonzero((labels < -1) | (labels > np.iinfo(np.int64).max))
+        if len(bad):
+            raise ValueError(f"label {labels.flat[bad[0]]} of node {bad[0]} is below -1 "
+                             "or past int64")
         self.labels = np.asarray(labels, dtype=np.int64)
         self.adjacency = sp.csr_matrix(self.adjacency, dtype=np.float64)
         n = self.features.shape[0]
@@ -143,8 +155,7 @@ class Graph:
         ValueError naming its edge; both checks run before the int cast,
         which would truncate 1.7 to 1 and overflow at 1e20 or 2**70.
         """
-        features = np.asarray(features, dtype=np.float64)
-        n = features.shape[0]
+        n = np.asarray(features).shape[0]        # the constructor checks the dtype
         edges = np.asarray(edges).reshape(-1, 2)
         if edges.dtype.kind not in "biuf":           # digit strings parse as ids
             try:

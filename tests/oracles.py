@@ -9,9 +9,10 @@ runs them on plain per-node lists. The structural-loss reference scores
 one (radial, template) pair at a time, where the library scores all
 pairs from one (B, Q, 2, d) array of pairing differences. The semantic
 references loop over the client uploads one class at a time, where the
-library sums the stacked pool (fedsim.semantic_pool). Three helpers that
-no library module calls live here too: a node's neighbour ids, and the
-transport and two-point Gromov-Wasserstein distances of one pair.
+library sums the stacked pool (fedsim.semantic_pool). Four helpers that
+no library module calls live here too: a star graph, a node's neighbour
+ids, and the transport and two-point Gromov-Wasserstein distances of one
+pair.
 """
 
 from collections import deque
@@ -21,6 +22,15 @@ import numpy as np
 from fedcal.graph import Graph, _farthest_point_seeds
 from fedcal.refine import _gw_values, intra_distances, softmax
 from fedcal.structural import _cost_matrix, l2_normalize_rows
+
+
+def star_graph(leaves, feat_dim=3):
+    """Node 0 joined to nodes 1..leaves, every feature 1 and every label 0."""
+    edges = [(0, i) for i in range(1, leaves + 1)]
+    n = leaves + 1
+    return Graph.from_edges(
+        np.ones((n, feat_dim)), np.zeros(n, dtype=int), edges
+    )
 
 
 def neighbors(g: Graph, v: int) -> np.ndarray:

@@ -1,10 +1,13 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Criteria 7-9 run on a frozen synthetic benchmark (5 clients, 600-node
-two-block graph, 8-dim embeddings, 60 rounds of 3 local epochs); run
-with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
+Criteria 7-9 run the committed synthetic benchmark, configs/benchmark.cfg
+(5 clients, 600-node two-block graph, 8-dim embeddings, 60 rounds of 3
+local epochs), and its heterophilic twin configs/heterophilic.cfg, at
+seeds 1-5; run with ``pytest tests/test_acceptance.py -v -s`` to see the
+lines.
 """
 
+import dataclasses
 import multiprocessing
 import os
 import time
@@ -14,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedcal.cli import main as cli_main
+from fedcal.cli import build_run_config, main as cli_main, parse_config_file
 from fedcal.fedsim import (
     FederationConfig,
     run_federation,
@@ -37,20 +40,16 @@ from fedcal.semantic import procrustes, svd
 from fedcal.structural import sinkhorn_match
 from oracles import gw_2point
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 BENCH_SEEDS = (1, 2, 3, 4, 5)
 
 
 def bench_config(seed, heterophilic=False, **kw):
-    p_in, p_out = (0.02, 0.03) if heterophilic else (0.03, 0.02)
-    base = dict(
-        num_clients=5, rounds=60, local_epochs=3, embed_dim=8, num_classes=2,
-        batch_nodes=160, num_templates=2, seed=seed, lr0=0.12,
-        lr_decay_steps=40.0,
-        dataset_kind="synthetic", nodes=600, p_in=p_in, p_out=p_out,
-        feat_dim=8, feat_sep=1.0,
-    )
-    base.update(kw)
-    return FederationConfig(**base)
+    """The federation configs/benchmark.cfg, or its heterophilic twin, runs at
+    seed, with the ``*_enabled`` ablation flags kw sets."""
+    name = "heterophilic.cfg" if heterophilic else "benchmark.cfg"
+    run = build_run_config(parse_config_file(CONFIGS / name))
+    return dataclasses.replace(run.federation_config(seed=seed), **kw)
 
 
 def per_round(rows, column):

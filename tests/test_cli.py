@@ -29,23 +29,10 @@ from fedcal.refine import refine_all_anchors
 from fedcal.structural import sinkhorn_match
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SMOKE = """
-# smoke-test configuration
-federation.clients = 3
-federation.rounds = 2
-federation.local_epochs = 2
-federation.embed_dim = 4
-federation.classes = 2
-federation.batch_nodes = 16
-federation.templates = 2
-federation.seed = 11
-dataset.kind = synthetic
-dataset.nodes = 90
-dataset.p_in = 0.1
-dataset.p_out = 0.03
-dataset.feat_dim = 5
-dataset.feat_sep = 1.2
-"""
+# configs/smoke.cfg without its output.dir line, so a test gives its own
+SMOKE = "".join(line for line in Path(REPO, "configs", "smoke.cfg")
+                .read_text(encoding="utf-8").splitlines(keepends=True)
+                if not line.startswith("output.dir"))
 
 # the generator's keys, which dataset.kind = files rejects
 GENERATOR_KEYS = [f.metadata["key"] for f in fedsim.kind_fields("synthetic")]
@@ -80,6 +67,13 @@ class TestConfigParsing:
         cfg = build_run_config(parse_config_file(os.path.join(REPO, path)))
         assert isinstance(cfg.federation_config(), fedsim.FederationConfig)
 
+    def test_perfbench_homophilic_workload_is_the_benchmark_config(self):
+        # perfbench pins the counts of the run the acceptance suite checks
+        workload, bench = (build_run_config(parse_config_file(os.path.join(REPO, path)))
+                           for path in ("perfbench/workloads/homophilic.cfg",
+                                        "configs/benchmark.cfg"))
+        assert workload.values == bench.values
+
     def test_defaults_filled(self, smoke_cfg):
         cfg = build_run_config(parse_config_file(smoke_cfg))
         assert cfg["federation.clients"] == 3
@@ -110,7 +104,7 @@ class TestConfigParsing:
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         # the mark sits right before the first key
-        text = SMOKE.split("# smoke-test configuration\n")[1].encode()
+        text = SMOKE.split("\n", 1)[1].encode()
         plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
         plain.write_bytes(text)
         marked.write_bytes(codecs.BOM_UTF8 + text)
@@ -531,8 +525,7 @@ class TestRunCommand:
     ])
     def test_unusable_client_split_fails_at_setup(self, tmp_path, capsys, line, split):
         keys = {entry.split("=")[0].strip() for entry in line.splitlines()}
-        base = [entry for entry in Path(os.path.join(REPO, "configs", "smoke.cfg"))
-                .read_text().splitlines() if entry.split("=")[0].strip() not in keys]
+        base = [entry for entry in SMOKE.splitlines() if entry.split("=")[0].strip() not in keys]
         cfg = tmp_path / "small.cfg"
         cfg.write_text("\n".join(base) + "\n" + line + "\n")
         out = tmp_path / "run"

@@ -1,8 +1,10 @@
+import ast
 import importlib
 import inspect
 import os
 import pkgutil
 import re
+from pathlib import Path
 
 import pytest
 
@@ -71,3 +73,53 @@ def test_readme_signature_quotes_are_found():
     dotted = [d for _, d, _ in QUOTES]
     assert "model.total_loss" in dotted and "HopAggregator.positions" in dotted
     assert "fedsim.export_history" not in dotted        # a call example, not a signature
+
+
+# the defaults of public functions that no call in fedcal overrides, each kept
+# for a reason of its own, as "module.function.parameter"
+KEPT_DEFAULTS = {
+    "cli.main.argv": "the console script, which parses sys.argv",
+    "graph.split_masks.ratios": "the tests' training-heavy splits (criterion 3's small_instance)",
+    "refine.refine_all_anchors.tau": "library callers that set the anchor refinement",
+    "refine.refine_all_anchors.eta": "library callers that set the anchor refinement",
+    "structural.sinkhorn_match.epsilon": "the tests that drive non-convergence",
+    "structural.sinkhorn_match.max_iters": "the tests that drive non-convergence",
+    "structural.sinkhorn_match.tol": "the tests that drive non-convergence",
+    "structural.sinkhorn_match.debug": "criterion 4, which reads the dual trace",
+}
+
+
+def overridden_parameters():
+    """(function name, keyword or position) of each argument that a call in
+    fedcal's source passes, and (function name, "*") for a call that
+    passes *args or **kwargs."""
+    passed = set()
+    for path in sorted(Path(fedcal.__path__[0]).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(
+                node.func, "id", None)
+            passed.update((func, i) for i in range(len(node.args)))
+            passed.update((func, k.arg) for k in node.keywords if k.arg is not None)
+            if (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords)):
+                passed.add((func, "*"))
+    return passed
+
+
+def test_every_public_default_is_overridden_in_src_or_kept_for_a_reason():
+    # a default that nothing in fedcal overrides is a parameter with one value in use
+    passed = overridden_parameters()
+    unused = set()
+    for name in SUBMODULES:
+        module = importlib.import_module(f"fedcal.{name}")
+        for export in module.__all__:
+            value = getattr(module, export)
+            if not inspect.isfunction(value):
+                continue
+            for i, p in enumerate(inspect.signature(value).parameters.values()):
+                if p.default is not p.empty and not passed & {(export, i), (export, p.name),
+                                                              (export, "*")}:
+                    unused.add(f"{name}.{export}.{p.name}")
+    assert unused == set(KEPT_DEFAULTS)

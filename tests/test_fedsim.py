@@ -20,14 +20,16 @@ from fedcal.fedsim import (
     import_history,
     run_client_round,
     run_federation,
+    sample_structural_batch,
     semantic_pool,
     server_step,
     setup_federation,
     structural_pool,
 )
-from fedcal.graph import Graph, HopAggregator
+from fedcal.graph import Graph, HopAggregator, generate_sbm
 from fedcal.model import ModelParams, forward, init_params, total_loss
 from fedcal.refine import template_objective
+from oracles import star_graph
 
 
 def tiny_config(**kw):
@@ -825,3 +827,35 @@ class TestDataset:
         g2 = build_dataset(cfg)
         assert g2.num_nodes == g.num_nodes
         assert np.array_equal(g2.labels, g.labels)
+
+
+class TestSampling:
+    def test_full_batch_covers_all_nodes(self):
+        g = star_graph(9)
+        batch = sample_structural_batch(g, 10, seed=0)
+        assert sorted(batch.tolist()) == list(range(10))
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="^batch_size must be >= 1$"):
+            sample_structural_batch(star_graph(4), 0, seed=0)
+
+    def test_oversized_batch_clamped(self):
+        g = star_graph(4)
+        batch = sample_structural_batch(g, 100, seed=0)
+        assert sorted(batch.tolist()) == list(range(5))
+
+    def test_deterministic(self):
+        g = star_graph(20)
+        assert np.array_equal(
+            sample_structural_batch(g, 7, seed=5),
+            sample_structural_batch(g, 7, seed=5),
+        )
+
+    def test_inclusion_frequency(self):
+        g = generate_sbm(600, 2, 0.01, 0.01, 2, 1.0, seed=0)
+        hits = np.zeros(600)
+        for seed in range(50):
+            hits[sample_structural_batch(g, 100, seed=seed)] += 1
+        freq = hits / 50
+        assert abs(freq.mean() - 1 / 6) <= 1e-9
+        assert np.abs(freq - 1 / 6).max() <= 0.05 + 1 / 6

@@ -198,14 +198,47 @@ class TestGraphInvariants:
          "label nan of node 2 is not a whole number within int64"),
         (np.zeros((4, 1)), [0, 1, 0, 1e30], sp.csr_matrix((4, 4)),
          "label 1e+30 of node 3 is not a whole number within int64"),
+        # the int cast raised a bare OverflowError or TypeError, or parsed text
+        (np.zeros((2, 1)), [2 ** 70, 0], sp.csr_matrix((2, 2)),
+         "labels must have an integer or float dtype, got object"),
+        (np.zeros((2, 1)), [None, 0], sp.csr_matrix((2, 2)),
+         "labels must have an integer or float dtype, got object"),
+        (np.zeros((2, 1)), ["0.5", "0"], sp.csr_matrix((2, 2)),
+         "labels must have an integer or float dtype, got <U3"),
+        (np.zeros((2, 1)), ["1", "0"], sp.csr_matrix((2, 2)),
+         "labels must have an integer or float dtype, got <U1"),
+        # taken as 1 and 0, or with only a ComplexWarning
+        (np.zeros((2, 1)), [True, False], sp.csr_matrix((2, 2)),
+         "labels must have an integer or float dtype, got bool"),
+        (np.zeros((2, 1)), [1 + 0j, 0], sp.csr_matrix((2, 2)),
+         "labels must have an integer or float dtype, got complex128"),
+        # the float check skipped object arrays, and the cast truncated 0.5
+        (np.zeros((2, 1)), np.array([0.5, 1], dtype=object), sp.csr_matrix((2, 2)),
+         "labels must have an integer or float dtype, got object"),
+        # -1 is the one unlabeled mark, and 2**63 wrapped to -2**63
+        (np.zeros((2, 1)), [-2, 0], sp.csr_matrix((2, 2)),
+         "label -2 of node 0 is below -1 or past int64"),
+        (np.zeros((2, 1)), np.array([0, 2 ** 63], dtype=np.uint64), sp.csr_matrix((2, 2)),
+         "label 9223372036854775808 of node 1 is below -1 or past int64"),
+        # the float cast dropped the imaginary part
+        (np.array([[1 + 2j], [0j]]), [0, 0], sp.csr_matrix((2, 2)),
+         "features must have a bool, integer or float dtype, got complex128"),
     ], ids=["labels_length", "adjacency_3x4", "nan_feature", "entry_2", "vector_features",
             "3d_features", "no_feature_column", "fractional_label", "nan_label",
-            "label_beyond_int64"])
+            "label_beyond_int64", "int_label_past_int64", "none_label", "fractional_text_label",
+            "text_label", "bool_labels", "complex_label", "object_float_label",
+            "label_below_minus_1", "uint64_label_past_int64", "complex_features"])
     def test_rejects_malformed_direct_graph(self, features, labels, adjacency, message):
         n = len(features)
         with pytest.raises(ValueError) as raised:
             Graph(features, labels, adjacency, split=np.zeros(n, dtype=int))
         assert str(raised.value) == message
+
+    def test_from_edges_leaves_the_features_dtype_to_the_constructor(self):
+        # its own float cast dropped the imaginary part before the check ran
+        with pytest.raises(ValueError, match="^features must have a bool, integer or float "
+                                             "dtype, got complex128$"):
+            Graph.from_edges(np.array([[1 + 2j], [0j]]), [0, 0], [])
 
     @pytest.mark.parametrize("partition, clients", [(partition_nonoverlapping, 3),
                                                     (partition_overlapping, 5)])

@@ -2,6 +2,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedcal.fedsim import semantic_pool, structural_pool
 from fedcal.refine import (
@@ -16,6 +18,7 @@ from fedcal.refine import (
     random_orthogonal,
     refine_all_anchors,
     refine_anchor,
+    softmax,
     template_objective,
     update_template,
 )
@@ -539,3 +542,96 @@ class TestServerPathReference:
         new = update_template(0, structural_pool(uploads), templates)
         assert np.array_equal(new, reference_update(0, uploads, templates))
         assert np.array_equal(new, rows)
+
+
+class TestConstructEtf:
+    def test_binary_anchors_are_antipodal(self):
+        for d in (2, 5, 16):
+            a = construct_etf(2, d, seed=d)
+            assert abs(a[:, 0] @ a[:, 1] + 1.0) <= 1e-9
+
+    def test_three_class_gram(self):
+        a = construct_etf(3, 4, seed=1)
+        gram = a.T @ a
+        assert np.abs(np.diag(gram) - 1.0).max() <= 1e-9
+        off = gram[~np.eye(3, dtype=bool)]
+        assert np.abs(off + 0.5).max() <= 1e-9
+
+    def test_columns_sum_to_zero(self):
+        a = construct_etf(5, 9, seed=2)
+        assert np.linalg.norm(a.sum(axis=1)) <= 1e-9
+
+    @pytest.mark.parametrize("c", range(2, 11))
+    def test_gram_structure_across_dims(self, c):
+        for d in (c, 2 * c, 64):
+            a = construct_etf(c, d, seed=c * 100 + d)
+            gram = a.T @ a
+            assert np.abs(np.diag(gram) - 1.0).max() <= 1e-9
+            off = gram[~np.eye(c, dtype=bool)]
+            assert np.abs(off + 1.0 / (c - 1)).max() <= 1e-9
+
+    def test_rejects_low_dimension(self):
+        with pytest.raises(ValueError, match="rank"):
+            construct_etf(5, 3, seed=0)
+
+    def test_deterministic(self):
+        assert np.array_equal(construct_etf(4, 8, 7), construct_etf(4, 8, 7))
+
+
+class TestSoftmax:
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="^softmax input contains non-finite entries$"):
+            softmax([0.0, np.nan], 1.0)
+
+    def test_uniform_on_equal_inputs(self):
+        assert np.allclose(softmax([0.0, 0.0, 0.0], 1.0), np.full(3, 1 / 3), atol=1e-12)
+
+    def test_hand_ratio(self):
+        out = softmax([np.log(2.0), 0.0], 1.0)
+        assert np.allclose(out, [2 / 3, 1 / 3], atol=1e-12)
+
+    def test_large_temperature_flattens(self):
+        out = softmax([10.0, 0.0], 1e6)
+        assert np.allclose(out, [0.5, 0.5], atol=1e-4)
+
+    def test_rejects_bad_tau(self):
+        with pytest.raises(ValueError):
+            softmax([1.0, 2.0], 0.0)
+        with pytest.raises(ValueError):
+            softmax([1.0, 2.0], -1.0)
+
+    def test_sums_to_one_and_positive(self):
+        out = softmax([100.0, -100.0, 3.0], 1.0)
+        assert abs(out.sum() - 1.0) <= 1e-12
+        assert np.all(out > 0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(st.floats(-50, 50), min_size=1, max_size=8),
+        st.floats(-50, 50),
+    )
+    def test_shift_invariance(self, values, shift):
+        a = softmax(values, 1.0)
+        b = softmax([v + shift for v in values], 1.0)
+        assert np.abs(a - b).max() <= 1e-12
+
+
+class TestRandomOrthogonal:
+    def test_rejects_dimension_zero(self):
+        with pytest.raises(ValueError, match="^dimension must be >= 1, got 0$"):
+            random_orthogonal(0, seed=0)
+
+    def test_dimension_one_sign(self):
+        assert np.allclose(random_orthogonal(1, 0), [[1.0]])
+        assert np.allclose(random_orthogonal(1, 12345), [[1.0]])
+
+    @pytest.mark.parametrize("d", [2, 5, 16, 64])
+    def test_orthogonality(self, d):
+        q = random_orthogonal(d, seed=d)
+        assert np.abs(q.T @ q - np.eye(d)).max() <= 1e-10
+
+    def test_deterministic(self):
+        assert np.array_equal(random_orthogonal(8, 99), random_orthogonal(8, 99))
+
+    def test_different_seeds_differ(self):
+        assert not np.allclose(random_orthogonal(4, 1), random_orthogonal(4, 2))

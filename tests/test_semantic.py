@@ -7,41 +7,8 @@ from fedcal.semantic import (
     procrustes,
     semantic_loss,
     semantic_per_class_loss,
+    svd,
 )
-
-
-class TestConstructEtf:
-    def test_binary_anchors_are_antipodal(self):
-        for d in (2, 5, 16):
-            a = construct_etf(2, d, seed=d)
-            assert abs(a[:, 0] @ a[:, 1] + 1.0) <= 1e-9
-
-    def test_three_class_gram(self):
-        a = construct_etf(3, 4, seed=1)
-        gram = a.T @ a
-        assert np.abs(np.diag(gram) - 1.0).max() <= 1e-9
-        off = gram[~np.eye(3, dtype=bool)]
-        assert np.abs(off + 0.5).max() <= 1e-9
-
-    def test_columns_sum_to_zero(self):
-        a = construct_etf(5, 9, seed=2)
-        assert np.linalg.norm(a.sum(axis=1)) <= 1e-9
-
-    @pytest.mark.parametrize("c", range(2, 11))
-    def test_gram_structure_across_dims(self, c):
-        for d in (c, 2 * c, 64):
-            a = construct_etf(c, d, seed=c * 100 + d)
-            gram = a.T @ a
-            assert np.abs(np.diag(gram) - 1.0).max() <= 1e-9
-            off = gram[~np.eye(c, dtype=bool)]
-            assert np.abs(off + 1.0 / (c - 1)).max() <= 1e-9
-
-    def test_rejects_low_dimension(self):
-        with pytest.raises(ValueError, match="rank"):
-            construct_etf(5, 3, seed=0)
-
-    def test_deterministic(self):
-        assert np.array_equal(construct_etf(4, 8, 7), construct_etf(4, 8, 7))
 
 
 class TestClassMeans:
@@ -200,3 +167,64 @@ class TestSemanticLoss:
         total, _ = semantic_loss(ego, labels, rot, anchors)
         counts = np.bincount(labels, minlength=3)
         assert abs((per * counts).sum() / len(ego) - total) <= 1e-10
+
+
+class TestSvd:
+    @pytest.mark.parametrize("m, message", [
+        (np.ones(3), "m must be a 2-D matrix, got ndim=1"),
+        (np.zeros((0, 0)), "svd expects dimension >= 1"),
+    ], ids=["one_d", "zero_by_zero"])
+    def test_rejects_non_matrix_and_empty(self, m, message):
+        with pytest.raises(ValueError) as raised:
+            svd(m)
+        assert str(raised.value) == message
+
+    def test_identity(self):
+        u, sigma, vt = svd(np.eye(3))
+        assert np.allclose(u, np.eye(3))
+        assert np.allclose(sigma, np.ones(3))
+        assert np.allclose(vt, np.eye(3))
+
+    def test_diagonal(self):
+        _, sigma, _ = svd(np.diag([3.0, 1.0]))
+        assert np.allclose(sigma, [3.0, 1.0])
+
+    def test_reconstruction_seeded(self):
+        rng = np.random.default_rng(7)
+        m = rng.standard_normal((4, 4))
+        u, sigma, vt = svd(m)
+        rebuilt = u @ np.diag(sigma) @ vt
+        rel = np.linalg.norm(rebuilt - m) / np.linalg.norm(m)
+        assert rel <= 1e-8
+
+    def test_factor_orthogonality(self):
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((6, 6))
+        u, _, vt = svd(m)
+        assert np.abs(u.T @ u - np.eye(6)).max() <= 1e-9
+        assert np.abs(vt @ vt.T - np.eye(6)).max() <= 1e-9
+
+    def test_sign_convention_and_determinism(self):
+        rng = np.random.default_rng(11)
+        m = rng.standard_normal((5, 5))
+        u1, _, vt1 = svd(m)
+        u2, _, vt2 = svd(m.copy())
+        assert np.array_equal(u1, u2)
+        assert np.array_equal(vt1, vt2)
+
+    def test_sigma_descending_nonneg_many_seeds(self):
+        # 1000 seeded random matrices up to 16x16
+        for seed in range(1000):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 17))
+            _, sigma, _ = svd(rng.standard_normal((n, n)))
+            assert np.all(sigma >= 0)
+            assert np.all(np.diff(sigma) <= 1e-12)
+
+    def test_rejects_nonsquare(self):
+        with pytest.raises(ValueError):
+            svd(np.ones((2, 3)))
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValueError):
+            svd(np.array([[1.0, np.nan], [0.0, 1.0]]))

@@ -16,15 +16,13 @@ from fedcal.structural import (
     structural_loss,
     structural_loss_ego,
 )
-from oracles import neighbors, ot_distance, radial_sequence, structural_loss_pairs
-
-
-def star_graph(leaves, feat_dim=3):
-    edges = [(0, i) for i in range(1, leaves + 1)]
-    n = leaves + 1
-    return Graph.from_edges(
-        np.ones((n, feat_dim)), np.zeros(n, dtype=int), edges
-    )
+from oracles import (
+    neighbors,
+    ot_distance,
+    radial_sequence,
+    star_graph,
+    structural_loss_pairs,
+)
 
 
 def random_radials(count, d, seed):
@@ -35,38 +33,6 @@ def random_radials(count, d, seed):
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         out.append(rows)
     return np.stack(out)
-
-
-class TestSampling:
-    def test_full_batch_covers_all_nodes(self):
-        g = star_graph(9)
-        batch = sample_structural_batch(g, 10, seed=0)
-        assert sorted(batch.tolist()) == list(range(10))
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError, match="^batch_size must be >= 1$"):
-            sample_structural_batch(star_graph(4), 0, seed=0)
-
-    def test_oversized_batch_clamped(self):
-        g = star_graph(4)
-        batch = sample_structural_batch(g, 100, seed=0)
-        assert sorted(batch.tolist()) == list(range(5))
-
-    def test_deterministic(self):
-        g = star_graph(20)
-        assert np.array_equal(
-            sample_structural_batch(g, 7, seed=5),
-            sample_structural_batch(g, 7, seed=5),
-        )
-
-    def test_inclusion_frequency(self):
-        g = generate_sbm(600, 2, 0.01, 0.01, 2, 1.0, seed=0)
-        hits = np.zeros(600)
-        for seed in range(50):
-            hits[sample_structural_batch(g, 100, seed=seed)] += 1
-        freq = hits / 50
-        assert abs(freq.mean() - 1 / 6) <= 1e-9
-        assert np.abs(freq - 1 / 6).max() <= 0.05 + 1 / 6
 
 
 class TestRadialSequence:
@@ -639,3 +605,86 @@ class TestStructuralLossEgo:
                 store[b] += (gr - np.dot(gr, r) * r) / norm
         assert loss == ref_loss
         assert np.array_equal(grad, agg.backward(np.stack([g_hop1, g_hop2], axis=1)))
+
+
+class TestL2NormalizeRows:
+    def test_rejects_one_d_input(self):
+        with pytest.raises(ValueError, match="^m must be a 2-D matrix, got ndim=1$"):
+            l2_normalize_rows(np.array([3.0, 4.0]))
+
+    def test_three_four_five(self):
+        out = l2_normalize_rows(np.array([[3.0, 4.0]]))
+        assert np.allclose(out, [[0.6, 0.8]], atol=1e-12)
+
+    def test_zero_row_unchanged(self):
+        out = l2_normalize_rows(np.array([[0.0, 0.0]]))
+        assert np.array_equal(out, np.zeros((1, 2)))
+
+    def test_unit_row_unchanged(self):
+        row = np.array([[1.0, 0.0, 0.0]])
+        assert np.allclose(l2_normalize_rows(row), row, atol=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_idempotent(self, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((4, 3)) * rng.uniform(0.1, 10)
+        once = l2_normalize_rows(m)
+        twice = l2_normalize_rows(once)
+        assert np.abs(once - twice).max() <= 1e-12
+
+    def test_nonzero_rows_unit_norm(self):
+        rng = np.random.default_rng(0)
+        out = l2_normalize_rows(rng.standard_normal((10, 6)))
+        assert np.abs(np.linalg.norm(out, axis=1) - 1).max() <= 1e-12
+
+    def test_equals_linalg_norm_division_bitwise(self):
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((40, 8)) * rng.uniform(0.01, 100, (40, 1))
+        m[[5, 17]] = 0.0
+        norms = np.linalg.norm(m, axis=1)
+        expected = m.copy()
+        expected[norms > 0] = m[norms > 0] / norms[norms > 0, None]
+        assert np.array_equal(l2_normalize_rows(m), expected)
+
+    def test_empty_input_keeps_its_shape(self):
+        assert l2_normalize_rows(np.zeros((0, 5))).shape == (0, 5)
+
+    def test_without_zero_rows_equals_linalg_norm_division_bitwise(self):
+        # the unmasked division; the test above, with zero rows, the masked one
+        rng = np.random.default_rng(7)
+        m = rng.standard_normal((40, 8)) * rng.uniform(0.01, 100, (40, 1))
+        assert np.array_equal(l2_normalize_rows(m), m / np.linalg.norm(m, axis=1)[:, None])
+
+    @pytest.mark.parametrize("zero_rows", [[], [1]])
+    def test_writing_the_result_leaves_the_input(self, zero_rows):
+        m = np.arange(1.0, 13.0).reshape(4, 3)
+        m[zero_rows] = 0.0
+        before = m.copy()
+        out = l2_normalize_rows(m)
+        out[...] = 7.0
+        assert np.array_equal(m, before)
+
+    def test_overflowing_squares_accepted_as_linalg_norm_division(self):
+        # rows near 1e153 overflow only the total of all squares; they are
+        # finite input and must pass
+        m = np.random.default_rng(5).standard_normal((40, 8)) * 1e153
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.add.reduce(m * m, axis=None))
+            expected = m / np.linalg.norm(m, axis=1)[:, None]
+            assert np.array_equal(l2_normalize_rows(m), expected)
+
+    def test_row_whose_squared_norm_overflows_rejected(self):
+        # rows near 1e200 overflow their own squares: no rescale, an error
+        big = np.random.default_rng(5).standard_normal((40, 8)) * 1e200
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError,
+                               match="m holds a row whose squared norm overflows"):
+                l2_normalize_rows(big)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        m = np.ones((3, 4))
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match="m contains non-finite entries"):
+            l2_normalize_rows(m)
