@@ -314,7 +314,7 @@ def cmd_run(args) -> int:
     fed = cfg.federation_config(seed=args.seed, ablate=ablate)
     out = _out_dir(args, cfg)
     _check_artifact_paths(out)
-    result = run_federation(fed, threads=args.threads)
+    result = run_federation(fed)
 
     resolved = dict(cfg.values)
     resolved["federation.seed"] = fed.seed
@@ -451,7 +451,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ablate", action="append",
                    choices=_MECHANISMS,
                    help="disable one mechanism (repeatable)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and checked (>= 1), but starts no thread: "
+                        "clients always run one after another")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_run)
 

@@ -18,17 +18,16 @@ the only thing exchanged is manifold statistics.
 
 Every random draw flows through a generator seeded by (config seed,
 purpose tag, client id, round), bar the template index q alone seeding
-``refine.update_template``'s axis for coincident mean rows, so histories
-are bitwise reproducible no matter how many worker threads execute the clients.
+``refine.update_template``'s axis for coincident mean rows. The clients
+of a round run one after another in client-id order, in the calling
+thread, so histories are bitwise reproducible.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
-from functools import partial
 
 import numpy as np
 
@@ -386,7 +385,9 @@ def sample_structural_batch(g: Graph, batch_size: int, seed) -> np.ndarray:
 def run_client_round(state: ClientState, anchors: np.ndarray,
                      templates: np.ndarray, cfg: FederationConfig,
                      round_idx: int) -> ClientRoundResult:
-    """One client's full round; pure in state, safe to run concurrently.
+    """One client's full round. It leaves ``state`` as it found it, bar
+    ``HopAggregator.restrict``'s cache of the client aggregator's last
+    restriction (``state.agg._last``), its one write.
 
     Only ``upload`` leaves the client for the server (``server_step``);
     ``local`` stays with the client, ``metrics`` goes to the history and
@@ -508,49 +509,35 @@ def server_step(anchors: np.ndarray, templates: np.ndarray, uploads, refine: boo
     return anchors, templates, drift, gw_mean
 
 
-def run_federation(cfg: FederationConfig, threads: int = 1) -> FederationResult:
-    """Full federated run; deterministic for a seed at any thread count."""
-    workers = min(threads, cfg.num_clients)
-    if workers <= 1:
-        return _run_rounds(cfg, map)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return _run_rounds(cfg, pool.map)
-
-
-# a floating-point overflow, invalid operation or division by zero fails
-# the round it happens in, naming the client or the server
-_STRICT = partial(np.errstate, over="raise", invalid="raise", divide="raise")
-
-
-def _run_rounds(cfg: FederationConfig, map_clients) -> FederationResult:
+def run_federation(cfg: FederationConfig) -> FederationResult:
+    """Full federated run, each round's clients in client-id order;
+    deterministic for a seed."""
     clients, anchors, templates = setup_federation(cfg)[:3]   # no round reads the root graph
     records = []
     converged = []
-    for round_idx in range(cfg.rounds):
-        def one(state):
+    # a floating-point overflow, invalid operation or division by zero fails
+    # the round it happens in, naming the client or the server
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for round_idx in range(cfg.rounds):
+            results = []
+            for state in clients:
+                try:
+                    results.append(run_client_round(state, anchors, templates, cfg, round_idx))
+                except Exception as exc:
+                    raise FederationError(
+                        f"client {state.client_id} failed at round {round_idx}: {exc}"
+                    ) from exc
+                state.params, state.rotation = results[-1].local
+
+            converged += [res.converged for res in results if res.converged is not None]
             try:
-                # entered here, since a worker thread does not inherit the state
-                with _STRICT():
-                    return run_client_round(state, anchors, templates, cfg, round_idx)
-            except Exception as exc:
-                raise FederationError(
-                    f"client {state.client_id} failed at round {round_idx}: {exc}"
-                ) from exc
-
-        results = list(map_clients(one, clients))
-        for state, res in zip(clients, results):
-            state.params, state.rotation = res.local
-
-        converged += [res.converged for res in results if res.converged is not None]
-        try:
-            with _STRICT():
                 anchors, templates, drift, gw_mean = server_step(
                     anchors, templates, [res.upload for res in results], cfg.refine_enabled)
-        except Exception as exc:
-            raise FederationError(f"server failed at round {round_idx}: {exc}") from exc
+            except Exception as exc:
+                raise FederationError(f"server failed at round {round_idx}: {exc}") from exc
 
-        records += [HistoryRow(round_idx, state.client_id, *res.metrics, drift, gw_mean)
-                    for state, res in zip(clients, results)]
+            records += [HistoryRow(round_idx, state.client_id, *res.metrics, drift, gw_mean)
+                        for state, res in zip(clients, results)]
     return FederationResult(records=records, clients=clients,
                             anchors=anchors, templates=templates,
                             sinkhorn_calls=len(converged),

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 from functools import partial
 from pathlib import Path
 
@@ -736,6 +737,19 @@ class TestRunCommand:
         a = Path(os.path.join(out1, "history.csv")).read_bytes()
         b = Path(os.path.join(out2, "history.csv")).read_bytes()
         assert a == b
+
+    def test_threads_start_no_thread(self, smoke_cfg, tmp_path, monkeypatch):
+        seen = []
+        client_round = fedsim.run_client_round
+
+        def recorded(*args):
+            seen.append(threading.current_thread())
+            return client_round(*args)
+
+        monkeypatch.setattr(fedsim, "run_client_round", recorded)
+        assert main(["run", "--config", smoke_cfg, "--threads", "4",
+                     "--out", str(tmp_path / "t4")]) == 0
+        assert seen and all(t is threading.main_thread() for t in seen)
 
 
 class TestStrictFloatingPoint:

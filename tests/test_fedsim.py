@@ -211,12 +211,6 @@ class TestRunFederation:
         rows_b = run_federation(cfg).records
         assert rows_a == rows_b
 
-    def test_deterministic_across_thread_counts(self):
-        cfg = tiny_config()
-        rows_a = run_federation(cfg, threads=1).records
-        rows_b = run_federation(cfg, threads=4).records
-        assert rows_a == rows_b
-
     def test_single_client_anchors_follow_deviation(self):
         from fedcal.refine import construct_etf, deviation_vectors
 
@@ -295,7 +289,7 @@ class TestRunFederation:
 
         monkeypatch.setattr(fedsim, "total_loss", checked)
         cfg = tiny_config(rounds=3, **kw)
-        run_federation(cfg, threads=1)
+        run_federation(cfg)
         assert len(calls) == cfg.rounds * cfg.num_clients * (cfg.local_epochs + 1)
 
     def test_failed_client_names_round(self):
@@ -365,7 +359,7 @@ class TestRunFederation:
         assert len(roots) == 1 and alive[0] is False
 
     def test_round_leaves_shared_arrays_unwritten(self):
-        # every client thread reads the same anchors and templates: a round
+        # every client reads the same anchors and templates: a round
         # on read-only arrays must run and give what it gives on copies
         cfg = tiny_config(rounds=1)
         clients, anchors, templates, _ = setup_federation(cfg)
@@ -398,20 +392,19 @@ class TestRingRowRestriction:
     batch; an oracle run on the full operators must give the same bits."""
 
     @staticmethod
-    def run_bits(cfg, threads):
-        result = run_federation(cfg, threads=threads)
+    def run_bits(cfg):
+        result = run_federation(cfg)
         params = [p.tobytes() for c in result.clients
                   for p in (c.params.w_ego, c.params.w_cls, c.params.b_cls, c.rotation)]
         return (repr(result.records), params, result.anchors.tobytes(),
                 result.templates.tobytes())
 
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("kw", [
         dict(rounds=3),                                  # 30-node clients, batch 16
         dict(rounds=3, structural_enabled=False),        # rows = the train nodes
         dict(rounds=2, num_clients=5, partition_mode="overlapping", batch_nodes=8),
     ], ids=["structural", "ablate-structural", "overlapping"])
-    def test_equals_full_operator_oracle(self, monkeypatch, threads, kw):
+    def test_equals_full_operator_oracle(self, monkeypatch, kw):
         cfg = tiny_config(**kw)
         restrict = HopAggregator.restrict
         sizes = []
@@ -421,11 +414,11 @@ class TestRingRowRestriction:
             return restrict(agg, rows)
 
         monkeypatch.setattr(HopAggregator, "restrict", counted)
-        restricted = self.run_bits(cfg, threads)
+        restricted = self.run_bits(cfg)
         assert len(sizes) == cfg.rounds * cfg.num_clients
         assert all(0 < r < n for r, n in sizes)
         monkeypatch.setattr(HopAggregator, "restrict", lambda agg, rows: agg)
-        assert self.run_bits(cfg, threads) == restricted
+        assert self.run_bits(cfg) == restricted
 
     def test_unchanged_rows_reuse_one_restriction(self, monkeypatch):
         # with the structural term off a client's rows are its train nodes
@@ -439,7 +432,7 @@ class TestRingRowRestriction:
             return calls[-1][2]
 
         monkeypatch.setattr(HopAggregator, "restrict", recorded)
-        run_federation(cfg, threads=1)
+        run_federation(cfg)
         monkeypatch.undo()
         assert len(calls) == cfg.rounds * cfg.num_clients
         for (agg, rows, first), (agg2, rows2, second) in zip(
@@ -752,12 +745,11 @@ class TestExports:
         assert text.startswith("round,client_id,ce_loss")
         assert import_history(path) == []
 
-    @pytest.mark.parametrize("threads, kw", [
-        (1, {}), (2, {}), (1, dict(structural_enabled=False)),
-    ], ids=["threads-1", "threads-2", "ablate-structural"])
-    def test_row_count_and_round_trip(self, tmp_path, threads, kw):
+    @pytest.mark.parametrize("kw", [{}, dict(structural_enabled=False)],
+                             ids=["threads-1", "ablate-structural"])
+    def test_row_count_and_round_trip(self, tmp_path, kw):
         cfg = tiny_config(rounds=3, **kw)
-        records = run_federation(cfg, threads=threads).records
+        records = run_federation(cfg).records
         path = tmp_path / "h.csv"
         export_history(records, path)
         rows = import_history(path)
