@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import inspect
 import os
 import re
 import weakref
@@ -210,6 +211,61 @@ class TestRunFederation:
         rows_a = run_federation(cfg).records
         rows_b = run_federation(cfg).records
         assert rows_a == rows_b
+
+    def test_takes_only_the_config(self):
+        assert list(inspect.signature(run_federation).parameters) == ["cfg"]
+
+    def test_clients_run_in_id_order(self, monkeypatch):
+        calls = []
+        client_round = fedsim.run_client_round
+
+        def recorded(state, anchors, templates, cfg_, round_idx):
+            calls.append((round_idx, state.client_id))
+            return client_round(state, anchors, templates, cfg_, round_idx)
+
+        monkeypatch.setattr(fedsim, "run_client_round", recorded)
+        cfg = tiny_config(rounds=3)
+        run_federation(cfg)
+        assert calls == [(r, c) for r in range(cfg.rounds) for c in range(cfg.num_clients)]
+
+    @pytest.mark.parametrize("name", ["run_client_round", "server_step"])
+    def test_rounds_run_with_strict_floating_point(self, monkeypatch, name):
+        seen = []
+        step = getattr(fedsim, name)
+
+        def recorded(*args):
+            seen.append(np.geterr())
+            return step(*args)
+
+        monkeypatch.setattr(fedsim, name, recorded)
+        run_federation(tiny_config(rounds=2))
+        assert seen
+        for err in seen:
+            assert (err["over"], err["invalid"], err["divide"]) == ("raise",) * 3
+
+    def test_setup_and_caller_keep_their_error_state(self, monkeypatch):
+        # the strict state covers the rounds only: set-up runs under the
+        # caller's state, which the run restores, also when a round fails
+        seen = []
+        setup = fedsim.setup_federation
+
+        def recorded(cfg_):
+            seen.append(np.geterr())
+            return setup(cfg_)
+
+        def failing(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(fedsim, "setup_federation", recorded)
+        with np.errstate(all="ignore"):
+            caller = np.geterr()
+            run_federation(tiny_config(rounds=1))
+            assert np.geterr() == caller
+            monkeypatch.setattr(fedsim, "server_step", failing)
+            with pytest.raises(FederationError, match="^server failed at round 0: boom$"):
+                run_federation(tiny_config(rounds=1))
+            assert np.geterr() == caller
+        assert seen == [caller, caller]
 
     def test_single_client_anchors_follow_deviation(self):
         from fedcal.refine import construct_etf, deviation_vectors
