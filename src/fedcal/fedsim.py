@@ -221,9 +221,9 @@ class FederationConfig:
             raise ValueError(f"federation.metric = auc needs federation.classes = 2, "
                              f"got {self.num_classes}")
         overlapping = self.partition_mode == "overlapping"
-        if overlapping and self.num_clients > 1 and self.num_clients % 5:
-            raise ValueError(f"partition.mode = overlapping needs federation.clients = 1 "
-                             f"or a multiple of 5, got {self.num_clients}")
+        if overlapping and self.num_clients % 5:
+            raise ValueError(f"partition.mode = overlapping needs federation.clients to be "
+                             f"a multiple of 5, got {self.num_clients}")
         parts = self.num_clients // 5 if overlapping else self.num_clients
         if synthetic and self.nodes < parts:
             raise ValueError(f"dataset.nodes must be >= {parts}, got {self.nodes}")
@@ -244,7 +244,7 @@ class ClientState:
     graph: Graph
     agg: HopAggregator
     params: ModelParams
-    rotation: np.ndarray = None         # (d, d) calibration of the last round
+    rotation: np.ndarray                # (d, d) last round's calibration, identity at setup
 
 
 @dataclass
@@ -307,9 +307,7 @@ def build_dataset(cfg: FederationConfig) -> Graph:
 def setup_federation(cfg: FederationConfig):
     """(clients, anchors, templates, root graph) at round zero."""
     g = build_dataset(cfg)
-    if cfg.num_clients == 1:
-        parts = [g]
-    elif cfg.partition_mode == "non-overlapping":
+    if cfg.partition_mode == "non-overlapping":
         parts = partition_nonoverlapping(g, cfg.num_clients, seed=(cfg.seed, _TAG_PART))
     else:
         parts = partition_overlapping(g, cfg.num_clients, seed=(cfg.seed, _TAG_PART))
@@ -320,7 +318,8 @@ def setup_federation(cfg: FederationConfig):
             part.feat_dim, cfg.embed_dim, cfg.num_classes,
             seed=(cfg.seed, _TAG_INIT, i),
         )
-        clients.append(ClientState(i, part, HopAggregator(part), params))
+        clients.append(ClientState(i, part, HopAggregator(part), params,
+                                   np.eye(cfg.embed_dim)))
     anchors = construct_etf(cfg.num_classes, cfg.embed_dim, seed=(cfg.seed, _TAG_ANCH))
     templates = init_templates(cfg.num_templates, cfg.embed_dim,
                                seed=(cfg.seed, _TAG_TEMPL))
@@ -587,8 +586,7 @@ def import_history(path) -> list:
 def export_embeddings(state: ClientState, path):
     """CSV of calibrated ego-embeddings: node id, label, then d columns."""
     cache = forward(state.params, state.graph, state.agg)
-    r = state.rotation if state.rotation is not None else np.eye(cache.ego.shape[1])
-    calibrated = cache.ego @ r.T
+    calibrated = cache.ego @ state.rotation.T
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(

@@ -88,8 +88,14 @@ class Graph:
         self.labels = np.asarray(labels, dtype=np.int64)
         self.adjacency = sp.csr_matrix(self.adjacency, dtype=np.float64)
         n = self.features.shape[0]
-        if self.node_ids is None:
-            self.node_ids = np.arange(n, dtype=np.int64)
+        ids = np.arange(n) if self.node_ids is None else np.asarray(self.node_ids)
+        if ids.shape != (n,):
+            raise ValueError(f"node_ids must hold one id per node, shape ({n},), "
+                             f"got shape {ids.shape}")
+        if ids.dtype.kind not in "iu" or not np.can_cast(ids.dtype, np.int64):
+            raise ValueError(f"node_ids must have an integer dtype within int64, "
+                             f"got {ids.dtype}")
+        self.node_ids = np.asarray(ids, dtype=np.int64)
         self.split = np.asarray(self.split)
         self.validate()                          # checks the codes before the cast
         self.split = self.split.astype(np.int8)
@@ -181,8 +187,22 @@ class Graph:
 
 
 def induced_subgraph(g: Graph, nodes) -> Graph:
-    """Subgraph on the given node list (original-order ids, deduplicated, codes kept)."""
-    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
+    """Subgraph on the given node list (original-order ids, deduplicated, codes kept).
+
+    An id that is not an integer in [0, n) raises ValueError naming the
+    first such id; the check runs before the int cast, which would
+    truncate 0.5 to 0, and before indexing, which would wrap -1 to n - 1.
+    """
+    ids = np.asarray(nodes).ravel()
+    n = g.num_nodes
+    if ids.dtype.kind in "iuf":
+        bad = np.flatnonzero((ids != np.floor(ids)) | (ids < 0) | (ids >= n))   # NaN too
+    else:                         # bool, text, None, ints past int64: each tested alone
+        bad = [i for i, v in enumerate(ids.tolist()) if isinstance(v, bool)
+               or not isinstance(v, (int, np.integer)) or not 0 <= v < n]
+    if len(bad):
+        raise ValueError(f"node id {ids.tolist()[bad[0]]!r} is not an integer in [0, {n})")
+    nodes = np.unique(ids.astype(np.int64))
     return Graph(
         features=g.features[nodes],
         labels=g.labels[nodes],
@@ -236,7 +256,7 @@ def _farthest_point_seeds(g: Graph, m: int, rng: np.random.Generator) -> list:
 
 
 def partition_nonoverlapping(g: Graph, num_clients: int, seed=0):
-    """num_clients >= 2 disjoint, covering, size-balanced client subgraphs.
+    """num_clients >= 1 disjoint, covering, size-balanced client subgraphs (g for 1).
 
     Seeded greedy BFS region growing: farthest-point seeds, fronts grown
     smallest-part-first (so sizes stay within one node of each other),
@@ -246,10 +266,12 @@ def partition_nonoverlapping(g: Graph, num_clients: int, seed=0):
     """
     m = num_clients
     n = g.num_nodes
-    if m < 2:
-        raise ValueError(f"non-overlapping partition needs >= 2 clients, got {m}")
+    if m < 1:
+        raise ValueError(f"non-overlapping partition needs >= 1 client, got {m}")
     if m > n:
         raise ValueError(f"cannot split {n} nodes into {m} parts")
+    if m == 1:
+        return [g]
     rng = np.random.default_rng(seed)
     seeds = _farthest_point_seeds(g, m, rng)
 
@@ -313,10 +335,7 @@ def partition_overlapping(g: Graph, num_clients: int, seed=0):
     if m < 5 or m % 5 != 0:
         raise ValueError(f"overlapping partition needs a positive multiple of 5 "
                          f"clients, got {m}")
-    n_temp = m // 5
-    if n_temp > g.num_nodes:
-        raise ValueError("more temporary parts than nodes")
-    temps = partition_nonoverlapping(g, n_temp, seed) if n_temp >= 2 else [g]
+    temps = partition_nonoverlapping(g, m // 5, seed)
     clients = []
     for ti, tg in enumerate(temps):
         half = -(-tg.num_nodes // 2)             # ceil(n/2)

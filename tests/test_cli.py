@@ -458,6 +458,7 @@ class TestRunCommand:
         ("federation.metric = auc\nfederation.classes = 3", "federation.metric"),
         ("federation.classes = 1", "federation.classes"),
         ("partition.mode = overlapping\nfederation.clients = 7", "federation.clients"),
+        ("partition.mode = overlapping\nfederation.clients = 1", "partition.mode"),
         ("dataset.nodes = 2", "dataset.nodes"),
         ("federation.batch_nodes = 1" + "0" * 400, "federation.batch_nodes"),
         ("federation.batch_nodes = 9223372036854775808", "federation.batch_nodes"),

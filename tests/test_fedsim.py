@@ -64,6 +64,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="partition.mode"):
             tiny_config(partition_mode="bogus")
 
+    def test_overlapping_needs_five_clients_or_a_multiple(self):
+        # one overlapping client would be the whole graph, the run that one
+        # non-overlapping client already is
+        for clients in (1, 7):
+            with pytest.raises(ValueError) as raised:
+                tiny_config(partition_mode="overlapping", num_clients=clients)
+            assert str(raised.value) == ("partition.mode = overlapping needs federation."
+                                         f"clients to be a multiple of 5, got {clients}")
+
     @pytest.mark.parametrize("batch_nodes", [2**63, 10**23, 10**400])
     def test_batch_nodes_beyond_an_array_dimension_is_rejected(self, batch_nodes):
         # B * Q / epsilon then stays below (2**63)**2 / 0.05, far from the
@@ -606,6 +615,20 @@ class TestPrivacyStructure:
         assert {(row.anchor_gram_drift, row.gw_objective_mean)
                 for row in result.records} == {(drift, gw_mean)}
 
+    @pytest.mark.parametrize("kw", [{}, dict(num_clients=1), dict(embed_dim=6),
+                                    dict(num_clients=5, partition_mode="overlapping")])
+    def test_every_client_starts_with_the_identity_rotation(self, kw):
+        cfg = tiny_config(**kw)
+        clients = setup_federation(cfg)[0]
+        assert len(clients) == cfg.num_clients
+        for state in clients:
+            assert state.rotation.tobytes() == np.eye(cfg.embed_dim).tobytes()
+
+    def test_client_state_needs_a_rotation(self):
+        g = Graph.from_edges(np.zeros((2, 1)), [0, 1], [])
+        with pytest.raises(TypeError, match="rotation"):
+            ClientState(0, g, HopAggregator(g), init_params(1, 2, 2, 0))
+
     def test_client_state_has_no_peer_accessor(self):
         fields = {f.name for f in dataclasses.fields(ClientState)}
         assert fields == {"client_id", "graph", "agg", "params", "rotation"}
@@ -662,7 +685,7 @@ class TestEvaluate:
         code = 2 if mask_name == "val" else 3
         g = dataclasses.replace(g, split=np.full(n, code))
         params = init_params(3, 2, 2, seed=0)
-        return ClientState(0, g, HopAggregator(g), params)
+        return ClientState(0, g, HopAggregator(g), params, np.eye(2))
 
     def test_perfect_classifier(self):
         labels = np.array([0, 1, 0, 1])
@@ -706,7 +729,7 @@ class TestEvaluate:
     def test_empty_split_raises(self):
         labels = np.array([0, 1])
         g = Graph.from_edges(np.zeros((2, 1)), labels, [])
-        state = ClientState(0, g, HopAggregator(g), init_params(1, 2, 2, 0))
+        state = ClientState(0, g, HopAggregator(g), init_params(1, 2, 2, 0), np.eye(2))
         with pytest.raises(RuntimeError, match="empty"):
             evaluate(state, "test", "accuracy")
 
@@ -714,14 +737,14 @@ class TestEvaluate:
         labels = np.array([1, 1, 1])
         g = Graph.from_edges(np.zeros((3, 1)), labels, [])
         g = dataclasses.replace(g, split=np.full(3, 2))
-        state = ClientState(0, g, HopAggregator(g), init_params(1, 2, 2, 0))
+        state = ClientState(0, g, HopAggregator(g), init_params(1, 2, 2, 0), np.eye(2))
         with pytest.raises(RuntimeError, match="single class"):
             evaluate(state, "val", "auc")
 
     def test_bad_split_name(self):
         labels = np.array([0, 1])
         g = Graph.from_edges(np.zeros((2, 1)), labels, [])
-        state = ClientState(0, g, HopAggregator(g), init_params(1, 2, 2, 0))
+        state = ClientState(0, g, HopAggregator(g), init_params(1, 2, 2, 0), np.eye(2))
         with pytest.raises(ValueError):
             evaluate(state, "train", "accuracy")
 
@@ -729,7 +752,7 @@ class TestEvaluate:
         labels = np.array([0, 1])
         g = Graph.from_edges(np.zeros((2, 1)), labels, [])
         g = dataclasses.replace(g, split=np.full(2, 3))
-        state = ClientState(0, g, HopAggregator(g), init_params(1, 2, 2, 0))
+        state = ClientState(0, g, HopAggregator(g), init_params(1, 2, 2, 0), np.eye(2))
         with pytest.raises(ValueError, match="^unknown metric 'bogus'$"):
             evaluate(state, "test", metric="bogus")
 
@@ -737,7 +760,7 @@ class TestEvaluate:
         # the test split is empty, so a forward would end in another error
         labels = np.array([0, 1])
         g = Graph.from_edges(np.zeros((2, 1)), labels, [])
-        state = ClientState(0, g, HopAggregator(g), init_params(1, 2, 2, 0))
+        state = ClientState(0, g, HopAggregator(g), init_params(1, 2, 2, 0), np.eye(2))
         calls = []
 
         def counted(*args):
@@ -753,7 +776,7 @@ class TestEvaluate:
         labels = np.array([0, 1, 2])
         g = Graph.from_edges(np.zeros((3, 1)), labels, [])
         g = dataclasses.replace(g, split=np.full(3, 2))
-        state = ClientState(0, g, HopAggregator(g), init_params(1, 3, 3, 0))
+        state = ClientState(0, g, HopAggregator(g), init_params(1, 3, 3, 0), np.eye(3))
         with pytest.raises(RuntimeError, match="^auc needs a binary task$"):
             evaluate(state, "val", "auc")
 

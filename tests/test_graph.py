@@ -234,6 +234,33 @@ class TestGraphInvariants:
             Graph(features, labels, adjacency, split=np.zeros(n, dtype=int))
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize("node_ids, message", [
+        # a 3-node graph kept one id, and text ids were kept as strings
+        (np.array([7]), "node_ids must hold one id per node, shape (3,), got shape (1,)"),
+        (np.arange(6).reshape(3, 2),
+         "node_ids must hold one id per node, shape (3,), got shape (3, 2)"),
+        (np.array([0.5, 1.5, "x"]), "node_ids must have an integer dtype within int64, got <U32"),
+        (np.array([0.0, 1.0, 2.0]),
+         "node_ids must have an integer dtype within int64, got float64"),
+        (np.array([True, False, True]),
+         "node_ids must have an integer dtype within int64, got bool"),
+        (np.array([0, 1, 2 ** 63], dtype=np.uint64),
+         "node_ids must have an integer dtype within int64, got uint64"),
+    ], ids=["one_id", "matrix", "text", "float", "bool", "uint64"])
+    def test_rejects_malformed_node_ids(self, node_ids, message):
+        with pytest.raises(ValueError) as raised:
+            Graph(np.zeros((3, 2)), np.zeros(3, int), sp.csr_matrix((3, 3)),
+                  np.zeros(3, np.int8), node_ids=node_ids)
+        assert str(raised.value) == message
+
+    def test_node_ids_are_held_as_int64(self):
+        for node_ids in ([4, 5, 6], np.array([4, 5, 6], dtype=np.int32),
+                         np.array([4, 5, 6], dtype=np.uint8)):
+            g = Graph(np.zeros((3, 2)), np.zeros(3, int), sp.csr_matrix((3, 3)),
+                      np.zeros(3, np.int8), node_ids=node_ids)
+            assert g.node_ids.dtype == np.int64
+            assert g.node_ids.tolist() == [4, 5, 6]
+
     def test_from_edges_leaves_the_features_dtype_to_the_constructor(self):
         # its own float cast dropped the imaginary part before the check ran
         with pytest.raises(ValueError, match="^features must have a bool, integer or float "
@@ -253,6 +280,31 @@ class TestGraphInvariants:
         for part in partition(g, clients, seed=4):
             for mine in arrays(part):
                 assert not any(np.shares_memory(mine, root) for root in arrays(g))
+
+    @pytest.mark.parametrize("nodes, message", [
+        # numpy wrapped -1 to node 3, the cast truncated 0.5, and 9 raised IndexError
+        ([-1, 2], "node id -1 is not an integer in [0, 4)"),
+        ([0.5, 1], "node id 0.5 is not an integer in [0, 4)"),
+        ([0, 9], "node id 9 is not an integer in [0, 4)"),
+        ([1, np.nan], "node id nan is not an integer in [0, 4)"),
+        ([True, False], "node id True is not an integer in [0, 4)"),
+        (["0", "1"], "node id '0' is not an integer in [0, 4)"),
+        ([0, None], "node id None is not an integer in [0, 4)"),
+        ([0, 2 ** 70], f"node id {2 ** 70} is not an integer in [0, 4)"),
+        (np.array([3, 2 ** 63], dtype=np.uint64),
+         f"node id {2 ** 63} is not an integer in [0, 4)"),
+    ], ids=["negative", "fraction", "past_n", "nan", "bool", "text", "none",
+            "beyond_int64", "uint64_past_int64"])
+    def test_induced_subgraph_names_the_first_bad_id(self, nodes, message):
+        with pytest.raises(ValueError) as raised:
+            induced_subgraph(path_graph(4), nodes)
+        assert str(raised.value) == message
+
+    def test_induced_subgraph_takes_integer_valued_ids(self):
+        g = path_graph(4)
+        for nodes in ([3.0, 1.0], np.array([3, 1], dtype=np.uint8),
+                      np.array([3, 1], dtype=object)):
+            assert induced_subgraph(g, nodes).node_ids.tolist() == [1, 3]
 
     def test_induced_subgraph_preserves_symmetry(self):
         g = generate_sbm(40, 2, 0.3, 0.1, 3, 1.0, seed=5)
@@ -299,8 +351,11 @@ class TestPartitionNonOverlapping:
 
     def test_spec_validation(self):
         g = path_graph(10)
-        with pytest.raises(ValueError, match="2 clients"):
-            partition_nonoverlapping(g, 1)
+        (part,) = partition_nonoverlapping(g, 1)
+        assert part is g                         # one part is the graph itself
+        with pytest.raises(ValueError, match="^non-overlapping partition needs >= 1 client, "
+                                             "got 0$"):
+            partition_nonoverlapping(g, 0)
         with pytest.raises(ValueError, match="multiple of 5"):
             partition_overlapping(g, 0)
         with pytest.raises(ValueError, match="multiple of 5"):
@@ -310,7 +365,7 @@ class TestPartitionNonOverlapping:
 class TestPartitionOverlapping:
     def test_rejects_more_temporary_parts_than_nodes(self):
         # 10 clients split the graph into 2 temporary parts first
-        with pytest.raises(ValueError, match="^more temporary parts than nodes$"):
+        with pytest.raises(ValueError, match="^cannot split 1 nodes into 2 parts$"):
             partition_overlapping(path_graph(1), 10, seed=0)
 
     def test_five_clients_from_whole_graph(self):
