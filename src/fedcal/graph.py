@@ -16,12 +16,35 @@ File formats (plain text, `#` starts a comment line):
 from __future__ import annotations
 
 import codecs
+import importlib.util
 import io
+import sys
 from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
+
+
+def _defer_unused_numpy_submodules():
+    """Register numpy.f2py and numpy.testing as lazy modules that load on
+    first attribute access. SciPy's array-API layer touches every numpy
+    attribute while scipy.sparse imports, which would otherwise load both
+    (with unittest, email, charset_normalizer and its codecs: about 9 MB
+    and 0.1 s per process) though fedcal uses neither."""
+    for name in ("numpy.f2py", "numpy.testing"):
+        spec = None if name in sys.modules else importlib.util.find_spec(name)
+        if spec is None:
+            continue
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+        # bound, or numpy's __getattr__ re-enters itself on `import numpy.f2py`
+        setattr(np, name.rpartition(".")[2], module)
+
+
+_defer_unused_numpy_submodules()
+import scipy.sparse as sp  # noqa: E402  after the deferral above
 
 __all__ = [
     "Graph",

@@ -1334,11 +1334,15 @@ class TestImportFootprint:
     HEAVY = ("scipy.stats", "scipy.special", "scipy.linalg", "scipy.optimize",
              "scipy.sparse.csgraph", "scipy.sparse.linalg")
 
-    def test_imports_only_numpy_and_scipy_sparse(self):
+    @staticmethod
+    def python(code):
+        """The stdout of `code` run in a fresh interpreter that imports fedcal from src/."""
         env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
-        code = "import sys, fedcal, fedcal.cli; print(*sorted(sys.modules))"
-        loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                                capture_output=True, text=True).stdout.split()
+        return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True).stdout
+
+    def test_imports_only_numpy_and_scipy_sparse(self):
+        loaded = self.python("import sys, fedcal, fedcal.cli; print(*sorted(sys.modules))").split()
         assert "fedcal.cli" in loaded and "scipy.sparse" in loaded
         heavy = [m for m in loaded if any(m == h or m.startswith(h + ".")
                                           for h in self.HEAVY)]
@@ -1367,6 +1371,36 @@ class TestImportFootprint:
         out = subprocess.run([sys.executable, "-c", code, smoke, str(tmp_path)], env=env,
                              check=True, capture_output=True, text=True).stdout
         assert out.splitlines()[-1] == "new:"
+
+    def test_numpy_f2py_and_testing_stay_unloaded(self):
+        # scipy.sparse's array-API layer reads every numpy attribute; loaded, these two
+        # bring unittest, email and charset_normalizer, about 9 MB of a run's peak RSS
+        loaded = self.python("import sys, fedcal.cli; print(*sorted(sys.modules))").split()
+        assert "scipy.sparse" in loaded
+        assert "numpy.f2py.crackfortran" not in loaded
+        assert "numpy.testing._private.utils" not in loaded
+
+    def test_deferred_numpy_submodules_load_on_first_use(self):
+        out = self.python("""if True:
+            import sys, types
+            import fedcal.cli
+            import numpy.f2py, numpy.testing
+            numpy.testing.assert_array_equal([1], [1])
+            assert callable(numpy.f2py.run_main)
+            assert type(sys.modules["numpy.testing"]) is types.ModuleType
+            assert type(sys.modules["numpy.f2py"]) is types.ModuleType
+            print("ok")
+        """)
+        assert out.split() == ["ok"]
+
+    def test_numpy_testing_imported_before_fedcal_is_kept(self):
+        out = self.python("""if True:
+            import sys
+            import numpy.testing as t
+            import fedcal.cli
+            print(sys.modules["numpy.testing"] is t, sys.modules["numpy"].testing is t)
+        """)
+        assert out.split() == ["True", "True"]
 
 
 class TestIdempotence:

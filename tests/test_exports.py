@@ -89,23 +89,82 @@ KEPT_DEFAULTS = {
 }
 
 
-def overridden_parameters():
+# the nodes that open a scope of their own for the names bound in them
+SCOPES = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+
+
+def scope_nodes(scope):
+    """The nodes of one scope, down to but not into the scopes nested in it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def alias_values(value):
+    """The names that `value` can evaluate to when it is a name or an
+    IfExp of names, else the empty set."""
+    if isinstance(value, ast.Name):
+        return {value.id}
+    if isinstance(value, ast.IfExp):
+        body, orelse = alias_values(value.body), alias_values(value.orelse)
+        return body | orelse if body and orelse else set()
+    return set()
+
+
+def passed_arguments(source):
     """(function name, keyword or position) of each argument that a call in
-    fedcal's source passes, and (function name, "*") for a call that
-    passes *args or **kwargs."""
+    `source` passes, and (function name, "*") for a call that passes *args
+    or **kwargs. A call through a name bound in the same scope as
+    `f = a` or `f = a if c else b` counts for each of a and b."""
     passed = set()
-    for path in sorted(Path(fedcal.__path__[0]).glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    scopes = [n for n in ast.walk(ast.parse(source)) if isinstance(n, SCOPES)]
+    for nodes in (list(scope_nodes(scope)) for scope in scopes):
+        aliases = {}
+        for node in nodes:
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)):
+                aliases.setdefault(node.targets[0].id, set()).update(alias_values(node.value))
+        for node in nodes:
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(
-                node.func, "id", None)
-            passed.update((func, i) for i in range(len(node.args)))
-            passed.update((func, k.arg) for k in node.keywords if k.arg is not None)
-            if (any(isinstance(a, ast.Starred) for a in node.args)
-                    or any(k.arg is None for k in node.keywords)):
-                passed.add((func, "*"))
+            if isinstance(node.func, ast.Attribute):
+                funcs = {node.func.attr}
+            else:
+                name = getattr(node.func, "id", None)
+                funcs = aliases.get(name) or {name}
+            for func in funcs:
+                passed.update((func, i) for i in range(len(node.args)))
+                passed.update((func, k.arg) for k in node.keywords if k.arg is not None)
+                if (any(isinstance(a, ast.Starred) for a in node.args)
+                        or any(k.arg is None for k in node.keywords)):
+                    passed.add((func, "*"))
     return passed
+
+
+def overridden_parameters():
+    """passed_arguments over every module of fedcal's source."""
+    return set().union(*(passed_arguments(path.read_text(encoding="utf-8"))
+                         for path in sorted(Path(fedcal.__path__[0]).glob("*.py"))))
+
+
+def test_a_call_through_a_local_alias_counts_for_each_function_it_names():
+    passed = passed_arguments("""
+def setup(g, m, seed, overlapping):
+    partition = partition_overlapping if overlapping else partition_nonoverlapping
+    return partition(g, m, seed=seed)
+
+def other(g):
+    step = refine
+    step(g)
+    return partition(g)
+""")
+    for func in ("partition_overlapping", "partition_nonoverlapping"):
+        assert {(func, 0), (func, 1), (func, "seed")} <= passed
+    assert (("refine", 0) in passed and ("step", 0) not in passed
+            and ("partition", 0) in passed and ("partition", 1) not in passed)
 
 
 def test_every_public_default_is_overridden_in_src_or_kept_for_a_reason():
