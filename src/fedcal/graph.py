@@ -63,6 +63,27 @@ __all__ = [
 ]
 
 
+def _first_non_integer(values: np.ndarray, lo: int, hi: int):
+    """Flat index of the first entry of values that is not an integer in [lo, hi), or None.
+
+    An int or a whole float passes; a bool, text, complex, None, NaN or
+    out-of-range entry does not. Callers run it before their int64 cast,
+    which would truncate 0.5 to 0, overflow at 1e20 or 2**70, wrap a
+    uint64 past int64, parse text and drop an imaginary part. Integer and
+    float arrays are tested in one vector pass; any other dtype (bool,
+    text, complex, the object arrays numpy makes of None or of ints past
+    int64) entry by entry.
+    """
+    if values.dtype.kind in "iuf":
+        bad = (values < lo) | (values >= hi)
+        if values.dtype.kind == "f":
+            bad |= values != np.floor(values)    # NaN too
+        bad = np.flatnonzero(bad)
+        return int(bad[0]) if len(bad) else None
+    return next((i for i, v in enumerate(values.ravel().tolist()) if isinstance(v, bool)
+                 or not isinstance(v, (int, np.integer)) or not lo <= v < hi), None)
+
+
 @dataclass
 class Graph:
     """One (sub)graph: features, labels, CSR adjacency and the node split.
@@ -85,29 +106,19 @@ class Graph:
     node_ids: np.ndarray = field(default=None)  # (n,) int64
 
     def __post_init__(self):
-        # numbers only: numpy makes object of None and of ints past int64,
-        # and the casts would parse text and drop an imaginary part
+        # numbers only: the float cast would parse text and drop an imaginary part
         features, labels = np.asarray(self.features), np.asarray(self.labels)
         if features.dtype.kind not in "buif":
             raise ValueError(f"features must have a bool, integer or float dtype, "
                              f"got {features.dtype}")
-        if labels.dtype.kind not in "iuf":
-            raise ValueError(f"labels must have an integer or float dtype, got {labels.dtype}")
+        bad = _first_non_integer(labels, -1, 2 ** 63)  # -1 is the one unlabeled mark
+        if bad is not None:
+            raise ValueError(f"label {labels.ravel().tolist()[bad]!r} of node {bad} is not "
+                             "an integer in [-1, 2**63)")
         self.features = np.asarray(features, dtype=np.float64)
         if self.features.ndim != 2 or self.features.shape[1] == 0:
             raise ValueError("features must be an (n, d0) matrix with d0 >= 1, "
                              f"got shape {self.features.shape}")
-        if labels.dtype.kind == "f":             # checked before the int cast truncates 1.7
-            whole = (labels == np.floor(labels)) & (labels >= -2.0 ** 63) & (labels < 2.0 ** 63)
-            bad = np.flatnonzero(~whole)         # NaN and inf too
-            if len(bad):
-                raise ValueError(f"label {labels.flat[bad[0]]} of node {bad[0]} is not "
-                                 "a whole number within int64")
-        # -1 is the one unlabeled mark; a uint64 past int64 would wrap in the cast
-        bad = np.flatnonzero((labels < -1) | (labels > np.iinfo(np.int64).max))
-        if len(bad):
-            raise ValueError(f"label {labels.flat[bad[0]]} of node {bad[0]} is below -1 "
-                             "or past int64")
         self.labels = np.asarray(labels, dtype=np.int64)
         self.adjacency = sp.csr_matrix(self.adjacency, dtype=np.float64)
         n = self.features.shape[0]
@@ -179,27 +190,17 @@ class Graph:
         """Build an unsplit Graph from an (m, 2) array-like of (u, v) pairs.
 
         Edges are symmetrized and deduplicated in one COO-to-CSR pass over
-        both directions of every pair; self-loops are dropped. A
-        node id that is not a whole number or not in [0, n) raises
-        ValueError naming its edge; both checks run before the int cast,
-        which would truncate 1.7 to 1 and overflow at 1e20 or 2**70.
+        both directions of every pair; self-loops are dropped. A node id
+        that is not an integer in [0, n) (see ``_first_non_integer``)
+        raises ValueError naming its edge.
         """
         n = np.asarray(features).shape[0]        # the constructor checks the dtype
         edges = np.asarray(edges).reshape(-1, 2)
-        if edges.dtype.kind not in "biuf":           # digit strings parse as ids
-            try:
-                edges = edges.astype(np.int64)
-            except OverflowError:               # Python ints beyond int64, checked below
-                pass
-        if edges.dtype.kind == "f":
-            bad = np.nonzero((edges != np.floor(edges)).any(axis=1))[0]     # NaN too
-            if len(bad):
-                u, v = edges[bad[0]]
-                raise ValueError(f"edge ({u}, {v}) holds a node id that is not an integer")
-        bad = np.nonzero(((edges < 0) | (edges >= n)).any(axis=1))[0]
-        if len(bad):
-            u, v = edges[bad[0]]
-            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        bad = _first_non_integer(edges, 0, n)
+        if bad is not None:
+            u, v = edges[bad // 2].tolist()
+            raise ValueError(f"edge ({u!r}, {v!r}) holds a node id that is not an integer "
+                             f"in [0, {n})")
         edges = edges.astype(np.int64, copy=False)
         u, v = edges[edges[:, 0] != edges[:, 1]].T
         adjacency = sp.csr_matrix((np.ones(2 * len(u)), (np.append(u, v), np.append(v, u))),
@@ -212,19 +213,15 @@ class Graph:
 def induced_subgraph(g: Graph, nodes) -> Graph:
     """Subgraph on the given node list (original-order ids, deduplicated, codes kept).
 
-    An id that is not an integer in [0, n) raises ValueError naming the
-    first such id; the check runs before the int cast, which would
-    truncate 0.5 to 0, and before indexing, which would wrap -1 to n - 1.
+    An id that is not an integer in [0, n) (see ``_first_non_integer``)
+    raises ValueError naming the first such id, before indexing could
+    wrap -1 to n - 1.
     """
     ids = np.asarray(nodes).ravel()
     n = g.num_nodes
-    if ids.dtype.kind in "iuf":
-        bad = np.flatnonzero((ids != np.floor(ids)) | (ids < 0) | (ids >= n))   # NaN too
-    else:                         # bool, text, None, ints past int64: each tested alone
-        bad = [i for i, v in enumerate(ids.tolist()) if isinstance(v, bool)
-               or not isinstance(v, (int, np.integer)) or not 0 <= v < n]
-    if len(bad):
-        raise ValueError(f"node id {ids.tolist()[bad[0]]!r} is not an integer in [0, {n})")
+    bad = _first_non_integer(ids, 0, n)
+    if bad is not None:
+        raise ValueError(f"node id {ids.tolist()[bad]!r} is not an integer in [0, {n})")
     nodes = np.unique(ids.astype(np.int64))
     return Graph(
         features=g.features[nodes],

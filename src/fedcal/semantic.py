@@ -47,15 +47,6 @@ def class_means(ego: np.ndarray, labels: np.ndarray, num_classes: int):
     return p, present
 
 
-def _as_finite_matrix(m, name: str = "m") -> np.ndarray:
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D matrix, got ndim={a.ndim}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
-
-
 def svd(m):
     """Full SVD (u, sigma, vt) of a square matrix, m = u @ diag(sigma) @ vt.
 
@@ -63,7 +54,11 @@ def svd(m):
     are LAPACK's: a caller that needs u @ vt (procrustes) gets the same
     bits under any flip of a column of u with the matching row of vt.
     """
-    a = _as_finite_matrix(m)
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"m must be a 2-D matrix, got ndim={a.ndim}")
+    if not np.isfinite(a).all():
+        raise ValueError("m contains non-finite entries")
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"svd expects a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -58,15 +59,17 @@ class TestGraphInvariants:
         assert all(len(neighbors(g, v)) == 0 for v in range(4))
 
     def test_from_edges_names_out_of_range_edge(self):
-        with pytest.raises(ValueError, match=r"edge \(2, 5\) out of range for n=3"):
+        with pytest.raises(ValueError, match=r"^edge \(2, 5\) holds a node id that is not an "
+                                             r"integer in \[0, 3\)$"):
             Graph.from_edges(np.zeros((3, 1)), [0, 0, 0], [(0, 1), (2, 5), (-1, 0)])
 
     @pytest.mark.parametrize("edges, message", [
-        ([(0, 1.7)], "edge (0.0, 1.7) holds a node id that is not an integer"),
-        ([(0.5, 1)], "edge (0.5, 1.0) holds a node id that is not an integer"),
-        ([(0, 1), (2, np.nan)], "edge (2.0, nan) holds a node id that is not an integer"),
-        ([(0, 1e20)], "edge (0.0, 1e+20) out of range for n=3"),
-        ([(0, np.inf)], "edge (0.0, inf) out of range for n=3"),
+        ([(0, 1.7)], "edge (0.0, 1.7) holds a node id that is not an integer in [0, 3)"),
+        ([(0.5, 1)], "edge (0.5, 1.0) holds a node id that is not an integer in [0, 3)"),
+        ([(0, 1), (2, np.nan)],
+         "edge (2.0, nan) holds a node id that is not an integer in [0, 3)"),
+        ([(0, 1e20)], "edge (0.0, 1e+20) holds a node id that is not an integer in [0, 3)"),
+        ([(0, np.inf)], "edge (0.0, inf) holds a node id that is not an integer in [0, 3)"),
     ])
     def test_from_edges_names_edge_with_non_integer_id(self, edges, message):
         # the int cast truncated 1.7 and 0.5 into the edge 0-1 and overflowed at 1e20
@@ -79,17 +82,20 @@ class TestGraphInvariants:
         # numpy holds such a list as Python ints, which the int cast overflowed on
         with pytest.raises(ValueError) as raised:
             Graph.from_edges(np.zeros((3, 1)), [0, 0, 0], [(0, 1), (0, big)])
-        assert str(raised.value) == f"edge (0, {big}) out of range for n=3"
+        assert str(raised.value) == (f"edge (0, {big}) holds a node id that is not an "
+                                     "integer in [0, 3)")
 
     def test_from_edges_takes_whole_float_ids(self):
         g = Graph.from_edges(np.zeros((3, 1)), [0, 0, 0], [(0.0, 1.0), (2.0, 1.0)])
         h = Graph.from_edges(np.zeros((3, 1)), [0, 0, 0], [(0, 1), (2, 1)])
         assert (g.adjacency != h.adjacency).nnz == 0
-        s = Graph.from_edges(np.zeros((3, 1)), [0, 0, 0], [("0", "1"), ("2", "1")])
-        assert (s.adjacency != h.adjacency).nnz == 0
-        o = Graph.from_edges(np.zeros((3, 1)), [0, 0, 0],
+        # digit strings were parsed as ids, though text labels and ids are not
+        message = r"^edge \('0', '1'\) holds a node id that is not an integer in \[0, 3\)$"
+        with pytest.raises(ValueError, match=message):
+            Graph.from_edges(np.zeros((3, 1)), [0, 0, 0], [("0", "1"), ("2", "1")])
+        with pytest.raises(ValueError, match=message):
+            Graph.from_edges(np.zeros((3, 1)), [0, 0, 0],
                              np.array([("0", "1"), ("2", "1")], dtype=object))
-        assert (o.adjacency != h.adjacency).nnz == 0
 
     def test_rejects_asymmetric_adjacency(self):
         adjacency = sp.csr_matrix(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
@@ -193,33 +199,33 @@ class TestGraphInvariants:
          "features must be an (n, d0) matrix with d0 >= 1, got shape (4, 0)"),
         # the int cast truncated 0.5 and 1.7 to 0 and 1 and failed on NaN and 1e30
         (np.zeros((4, 1)), [0.5, 1.7, 0, 1], sp.csr_matrix((4, 4)),
-         "label 0.5 of node 0 is not a whole number within int64"),
+         "label 0.5 of node 0 is not an integer in [-1, 2**63)"),
         (np.zeros((4, 1)), [0, 1, np.nan, 1], sp.csr_matrix((4, 4)),
-         "label nan of node 2 is not a whole number within int64"),
+         "label nan of node 2 is not an integer in [-1, 2**63)"),
         (np.zeros((4, 1)), [0, 1, 0, 1e30], sp.csr_matrix((4, 4)),
-         "label 1e+30 of node 3 is not a whole number within int64"),
+         "label 1e+30 of node 3 is not an integer in [-1, 2**63)"),
         # the int cast raised a bare OverflowError or TypeError, or parsed text
         (np.zeros((2, 1)), [2 ** 70, 0], sp.csr_matrix((2, 2)),
-         "labels must have an integer or float dtype, got object"),
+         f"label {2 ** 70} of node 0 is not an integer in [-1, 2**63)"),
         (np.zeros((2, 1)), [None, 0], sp.csr_matrix((2, 2)),
-         "labels must have an integer or float dtype, got object"),
+         "label None of node 0 is not an integer in [-1, 2**63)"),
         (np.zeros((2, 1)), ["0.5", "0"], sp.csr_matrix((2, 2)),
-         "labels must have an integer or float dtype, got <U3"),
+         "label '0.5' of node 0 is not an integer in [-1, 2**63)"),
         (np.zeros((2, 1)), ["1", "0"], sp.csr_matrix((2, 2)),
-         "labels must have an integer or float dtype, got <U1"),
+         "label '1' of node 0 is not an integer in [-1, 2**63)"),
         # taken as 1 and 0, or with only a ComplexWarning
         (np.zeros((2, 1)), [True, False], sp.csr_matrix((2, 2)),
-         "labels must have an integer or float dtype, got bool"),
+         "label True of node 0 is not an integer in [-1, 2**63)"),
         (np.zeros((2, 1)), [1 + 0j, 0], sp.csr_matrix((2, 2)),
-         "labels must have an integer or float dtype, got complex128"),
+         "label (1+0j) of node 0 is not an integer in [-1, 2**63)"),
         # the float check skipped object arrays, and the cast truncated 0.5
         (np.zeros((2, 1)), np.array([0.5, 1], dtype=object), sp.csr_matrix((2, 2)),
-         "labels must have an integer or float dtype, got object"),
+         "label 0.5 of node 0 is not an integer in [-1, 2**63)"),
         # -1 is the one unlabeled mark, and 2**63 wrapped to -2**63
         (np.zeros((2, 1)), [-2, 0], sp.csr_matrix((2, 2)),
-         "label -2 of node 0 is below -1 or past int64"),
+         "label -2 of node 0 is not an integer in [-1, 2**63)"),
         (np.zeros((2, 1)), np.array([0, 2 ** 63], dtype=np.uint64), sp.csr_matrix((2, 2)),
-         "label 9223372036854775808 of node 1 is below -1 or past int64"),
+         "label 9223372036854775808 of node 1 is not an integer in [-1, 2**63)"),
         # the float cast dropped the imaginary part
         (np.array([[1 + 2j], [0j]]), [0, 0], sp.csr_matrix((2, 2)),
          "features must have a bool, integer or float dtype, got complex128"),
@@ -311,6 +317,40 @@ class TestGraphInvariants:
         sub = induced_subgraph(g, [0, 3, 5, 7, 11, 20, 21])
         sub.validate()
         assert np.array_equal(sub.node_ids, [0, 3, 5, 7, 11, 20, 21])
+
+
+# Each site reads 4 entries: the labels of a 4-node graph, the endpoints of
+# two edges, or the ids of a subgraph of a 4-node path. Each gives its lower
+# bound, the message naming a bad entry, and the int64 array it builds.
+INTEGER_SITES = {
+    "labels": (-1, "label {} of node 0 is not an integer in [-1, 2**63)",
+               lambda values: Graph.from_edges(np.zeros((4, 1)), values, []).labels),
+    "edge_endpoints": (0, "edge ({0}, {0}) holds a node id that is not an integer in [0, 4)",
+                       lambda values: Graph.from_edges(np.zeros((4, 1)), np.zeros(4, int),
+                                                       values).adjacency.toarray()),
+    "subgraph_ids": (0, "node id {} is not an integer in [0, 4)",
+                     lambda values: induced_subgraph(path_graph(4), values).node_ids),
+}
+
+
+@pytest.mark.parametrize("site", INTEGER_SITES)
+def test_every_integer_input_follows_one_rule(site):
+    lo, message, build = INTEGER_SITES[site]
+    # bool was taken as 1, text parsed or refused by dtype, 1j lost its
+    # imaginary part with a ComplexWarning, and None raised a bare TypeError
+    for entry, shown in [(True, "True"), ("1", "'1'"), (1j, "1j"), (None, "None"),
+                         (np.nan, "nan"), (0.5, "0.5"), (lo - 1, str(lo - 1)),
+                         (2 ** 70, str(2 ** 70)), (np.uint64(2 ** 63), str(2 ** 63))]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as raised:
+                build([entry] * 4)
+        assert str(raised.value) == message.format(shown)
+    want = build([0, 1, 2, 3])
+    for values in (np.arange(4, dtype=np.uint8), [0.0, 1.0, 2.0, 3.0],
+                   np.array([0, 1, 2, 3], dtype=object)):
+        got = build(values)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestPartitionNonOverlapping:
